@@ -83,6 +83,16 @@ echo "==> service front-end: SLO sweep smoke (--quick)"
 cargo run -q --release -p graphdance-bench --bin service_slo -- --quick \
     >/dev/null
 
+echo "==> benchmark/: unit tests + 5 s snb-rw smoke (public-API break detector)"
+# benchmark/ is a workspace of its own, compiled against the public
+# surface of graphdance-service/-engine; the root workspace never builds
+# it, so this lane is where an API break shows before the perf gate. The
+# smoke exits non-zero unless every read matched the oracle and the
+# service counters reconciled with nothing in flight.
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+cargo run -q --release --offline --manifest-path benchmark/Cargo.toml -- \
+    --workload snb-rw --seconds 5 --trace 0 >/dev/null
+
 echo "==> partitioning: hash-vs-fennel A/B smoke (--quick)"
 # The recorded cross-node floor (≥40% fewer traverser messages, p50/p99
 # within tolerance) is asserted by the graphdance-bench unit test

@@ -370,7 +370,7 @@ impl QueryEngine for NonPartitionedEngine {
             plan: plan.clone(),
             params,
             read_ts: Some(self.txn.read_ts().max(1)),
-            reply,
+            reply: reply.into(),
             submitted_at: now(),
             deadline: None,
         };

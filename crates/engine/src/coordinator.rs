@@ -11,7 +11,7 @@ use std::time::{Duration, Instant};
 
 use graphdance_common::time::now;
 
-use crossbeam::channel::{Receiver, Sender};
+use crossbeam::channel::Receiver;
 use rand::rngs::SmallRng;
 
 use graphdance_common::{
@@ -24,7 +24,7 @@ use graphdance_storage::{Graph, Timestamp};
 use crate::config::EngineConfig;
 use crate::engine::QueryResult;
 use crate::invariants::MsgLedger;
-use crate::messages::{migration_qid, CoordMsg, MigPhase, QueryCtx, WorkerMsg};
+use crate::messages::{migration_qid, CoordMsg, MigPhase, QueryCtx, ReplySink, WorkerMsg};
 use crate::net::{Fabric, Outbox};
 use crate::progress::ProgressTracker;
 use crate::rebalance::{plan_moves, RebalanceConfig};
@@ -43,7 +43,7 @@ struct QueryState {
     partials: Vec<(PartId, Option<Box<AggState>>)>,
     gathering: bool,
     prev_rows: Vec<Row>,
-    reply: Sender<GdResult<QueryResult>>,
+    reply: ReplySink,
     submitted_at: Instant,
     deadline: Instant,
     /// Last time any worker message arrived for this query (drives the
@@ -93,7 +93,7 @@ struct Submission {
     plan: Plan,
     params: Vec<Value>,
     read_ts: Option<Timestamp>,
-    reply: Sender<GdResult<QueryResult>>,
+    reply: ReplySink,
     submitted_at: Instant,
     deadline: Option<Instant>,
 }
@@ -324,11 +324,11 @@ impl Coordinator {
             deadline,
         } = sub;
         if let Err(e) = plan.validate() {
-            let _ = reply.send(Err(GdError::InvalidProgram(e)));
+            reply.complete(Err(GdError::InvalidProgram(e)));
             return;
         }
         if params.len() < plan.num_params {
-            let _ = reply.send(Err(GdError::InvalidProgram(format!(
+            reply.complete(Err(GdError::InvalidProgram(format!(
                 "plan needs {} params, got {}",
                 plan.num_params,
                 params.len()
@@ -336,7 +336,7 @@ impl Coordinator {
             return;
         }
         if self.queries.contains_key(&query) {
-            let _ = reply.send(Err(GdError::Internal(format!(
+            reply.complete(Err(GdError::Internal(format!(
                 "duplicate query id {query:?} submitted"
             ))));
             return;
@@ -672,7 +672,7 @@ impl Coordinator {
             }
         }
         if let Some(state) = self.queries.remove(&query) {
-            let _ = state.reply.send(result);
+            state.reply.complete(result);
         }
         self.tracker.finish_query(query);
         self.fabric.invariants().forget(query);
@@ -871,12 +871,20 @@ impl Coordinator {
         let qids: Vec<QueryId> = self.queries.keys().copied().collect();
         for q in qids {
             if let Some(state) = self.queries.remove(&q) {
-                let _ = state.reply.send(Err(err.clone()));
+                state.reply.complete(Err(err.clone()));
             }
             self.tracker.finish_query(q);
             self.fabric.invariants().forget(q);
             #[cfg(feature = "obs")]
             self.obs.forget(q);
+        }
+        // Submissions that raced the stop (queued behind `Shutdown`, or
+        // dispatched by a sink run just above) fail the same way rather
+        // than sit unrun in a dead inbox.
+        while let Ok(msg) = self.inbox.try_recv() {
+            if let CoordMsg::Submit { reply, .. } = msg {
+                reply.complete(Err(err.clone()));
+            }
         }
     }
 }

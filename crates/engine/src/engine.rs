@@ -4,7 +4,7 @@ use std::time::Duration;
 
 use graphdance_common::time::now;
 
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
+use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
 
 use graphdance_common::{GdError, GdResult, QueryId, Value};
 use graphdance_pstm::Row;
@@ -15,7 +15,7 @@ use graphdance_txn::TxnSystem;
 
 use crate::config::EngineConfig;
 use crate::coordinator::Coordinator;
-use crate::messages::{CoordMsg, WorkerMsg};
+use crate::messages::{CoordMsg, ReplySink, WorkerMsg};
 use crate::net::{Fabric, NetStatsSnapshot};
 use crate::worker::spawn_workers;
 
@@ -58,11 +58,13 @@ impl QueryHandle {
         self.rx.recv().unwrap_or(Err(GdError::EngineClosed))
     }
 
-    /// Block up to `timeout`.
+    /// Block up to `timeout`: `QueryTimeout(id)` if the query is still
+    /// running when it elapses, `EngineClosed` if the engine went away.
     pub fn wait_timeout(self, timeout: Duration) -> GdResult<QueryResult> {
         match self.rx.recv_timeout(timeout) {
             Ok(r) => r,
-            Err(_) => Err(GdError::EngineClosed),
+            Err(RecvTimeoutError::Timeout) => Err(GdError::QueryTimeout(self.id)),
+            Err(RecvTimeoutError::Disconnected) => Err(GdError::EngineClosed),
         }
     }
 
@@ -102,7 +104,8 @@ pub struct GraphDance {
     fabric: Arc<Fabric>,
     coord_tx: Sender<CoordMsg>,
     worker_tx: Vec<Sender<WorkerMsg>>,
-    threads: Vec<std::thread::JoinHandle<()>>,
+    /// Joined (and emptied) by [`GraphDance::close`].
+    threads: parking_lot::Mutex<Vec<std::thread::JoinHandle<()>>>,
     config: EngineConfig,
     /// Per-node broadcast LCT caches (§IV-C): read-only queries may take
     /// their snapshot from any node without consulting the central
@@ -185,7 +188,7 @@ impl GraphDance {
             fabric,
             coord_tx,
             worker_tx,
-            threads,
+            threads: parking_lot::Mutex::new(threads),
             config,
             lct_caches,
             lct_stop,
@@ -241,28 +244,65 @@ impl GraphDance {
         read_ts: Timestamp,
         deadline: Option<std::time::Instant>,
     ) -> QueryHandle {
+        let (reply, rx) = bounded(1);
+        let (id, undelivered) =
+            self.send_submit(plan.clone(), params, read_ts, deadline, reply.into());
+        if let Some(sink) = undelivered {
+            // Coordinator gone: synthesize the failure.
+            sink.complete(Err(GdError::EngineClosed));
+        }
+        QueryHandle { id, rx }
+    }
+
+    /// Submit by value with a completion sink instead of a handle: the
+    /// plan is moved into the engine, and `sink` runs on the coordinator
+    /// thread when the query resolves (see [`ReplySink`] for what it may
+    /// do there). Returns the pre-assigned query id (pass to
+    /// [`GraphDance::cancel`]), or hands the sink back unrun when the
+    /// engine is closed.
+    pub fn submit_sink(
+        &self,
+        plan: Plan,
+        params: Vec<Value>,
+        read_ts: Timestamp,
+        deadline: Option<std::time::Instant>,
+        sink: ReplySink,
+    ) -> Result<QueryId, ReplySink> {
+        match self.send_submit(plan, params, read_ts, deadline, sink) {
+            (id, None) => Ok(id),
+            (_, Some(sink)) => Err(sink),
+        }
+    }
+
+    /// Assign the next query id and send the `Submit`; the sink comes back
+    /// when the coordinator is gone.
+    fn send_submit(
+        &self,
+        plan: Plan,
+        params: Vec<Value>,
+        read_ts: Timestamp,
+        deadline: Option<std::time::Instant>,
+        reply: ReplySink,
+    ) -> (QueryId, Option<ReplySink>) {
         let id = QueryId(
             self.next_qid
                 // sync: uniqueness only; see field docs
                 .fetch_add(1, std::sync::atomic::Ordering::Relaxed),
         );
-        let (reply, rx) = bounded(1);
         let msg = CoordMsg::Submit {
             query: id,
-            plan: plan.clone(),
+            plan,
             params,
             read_ts: Some(read_ts),
             reply,
             submitted_at: now(),
             deadline,
         };
-        if self.coord_tx.send(msg).is_err() {
-            // Coordinator gone: synthesize the failure.
-            let (tx, rx2) = bounded(1);
-            let _ = tx.send(Err(GdError::EngineClosed));
-            return QueryHandle { id, rx: rx2 };
+        match self.coord_tx.send(msg) {
+            Ok(()) => (id, None),
+            Err(crossbeam::channel::SendError(CoordMsg::Submit { reply, .. })) => (id, Some(reply)),
+            Err(_) => unreachable!("a failed send returns the message it was given"), // lint: allow(hot-path-panics)
         }
-        QueryHandle { id, rx }
     }
 
     /// Request prompt cancellation of an in-flight query. Asynchronous and
@@ -347,32 +387,41 @@ impl GraphDance {
     }
 
     /// Stop all threads. In-flight queries fail with `EngineClosed`.
-    pub fn shutdown(mut self) {
+    pub fn shutdown(self) {
+        self.close();
+    }
+
+    /// [`GraphDance::shutdown`] through a shared reference, for an owner
+    /// that cannot give the engine up by value (the service's completion
+    /// sinks borrow it until the coordinator has stopped). Idempotent.
+    /// Joins the coordinator, so it must not be called from a
+    /// [`ReplySink`].
+    pub fn close(&self) {
+        self.signal_stop();
+        // sync: held across the joins only against a concurrent close();
+        // engine threads never take this lock
+        for t in self.threads.lock().drain(..) {
+            let _ = t.join();
+        }
+    }
+
+    fn signal_stop(&self) {
         self.lct_stop
-            // sync: stop flag, joined below — the join is the ordering edge
+            // sync: stop flag — the joins in close() are the ordering edge;
+            // eventual visibility suffices on the detaching Drop path
             .store(true, std::sync::atomic::Ordering::Relaxed);
         let _ = self.coord_tx.send(CoordMsg::Shutdown);
         for tx in &self.worker_tx {
             let _ = tx.send(WorkerMsg::Shutdown);
         }
         self.fabric.shutdown();
-        for t in self.threads.drain(..) {
-            let _ = t.join();
-        }
     }
 }
 
 impl Drop for GraphDance {
     fn drop(&mut self) {
         // Best-effort: detach threads if `shutdown` was not called.
-        self.lct_stop
-            // sync: stop flag — eventual visibility suffices on this path
-            .store(true, std::sync::atomic::Ordering::Relaxed);
-        let _ = self.coord_tx.send(CoordMsg::Shutdown);
-        for tx in &self.worker_tx {
-            let _ = tx.send(WorkerMsg::Shutdown);
-        }
-        self.fabric.shutdown();
+        self.signal_stop();
     }
 }
 

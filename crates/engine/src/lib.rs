@@ -48,7 +48,7 @@ pub use codec::{BytesPool, PoolStats, ProgressEntry};
 pub use config::{AdaptivePolicy, EngineConfig, FaultInjection, IoMode, NetConfig, SimFaults};
 pub use engine::{GraphDance, QueryHandle, QueryResult};
 pub use invariants::{MsgCounts, MsgLedger};
-pub use messages::MigPhase;
+pub use messages::{MigPhase, ReplySink};
 pub use net::{Fabric, FlushEvent, FlushTrigger, MsgClass, NetStats, NetStatsSnapshot};
 pub use node::NodeRuntime;
 pub use rebalance::{HotTracker, HotVertex, RebalanceConfig};

@@ -6,6 +6,8 @@ use std::time::Instant;
 
 use crossbeam::channel::Sender;
 
+use crate::engine::QueryResult;
+
 use graphdance_common::{GdError, GdResult, PartId, QueryId, Value, VertexId};
 use graphdance_pstm::{AggState, Row, Traverser, Weight};
 use graphdance_query::plan::Plan;
@@ -108,6 +110,42 @@ pub enum BspSignal {
     Probe { query: QueryId, round: u64 },
 }
 
+/// Where a query's result goes: a one-shot completion callback the
+/// coordinator runs exactly once, on its own thread, when the query
+/// finishes, fails, or is rejected. It must not block on anything the
+/// coordinator feeds (sending into the coordinator's unbounded inbox is
+/// fine). A sink dropped unrun — a `Submit` still queued when the
+/// coordinator stops — means `EngineClosed`; a channel-backed sink (any
+/// `Sender` converts) reports that as a disconnect.
+pub struct ReplySink(Box<dyn FnOnce(GdResult<QueryResult>) + Send>);
+
+impl ReplySink {
+    /// Wrap a completion callback.
+    pub fn new(f: impl FnOnce(GdResult<QueryResult>) + Send + 'static) -> Self {
+        ReplySink(Box::new(f))
+    }
+
+    /// Deliver the result, consuming the sink.
+    pub fn complete(self, result: GdResult<QueryResult>) {
+        (self.0)(result)
+    }
+}
+
+impl From<Sender<GdResult<QueryResult>>> for ReplySink {
+    fn from(tx: Sender<GdResult<QueryResult>>) -> Self {
+        ReplySink::new(move |result| {
+            // A dropped handle no longer cares about the result.
+            let _ = tx.send(result);
+        })
+    }
+}
+
+impl std::fmt::Debug for ReplySink {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("ReplySink")
+    }
+}
+
 /// Messages delivered to the coordinator.
 #[derive(Debug)]
 pub enum CoordMsg {
@@ -123,7 +161,7 @@ pub enum CoordMsg {
         /// Snapshot timestamp override (None = current LCT).
         read_ts: Option<Timestamp>,
         /// Where to deliver the result.
-        reply: Sender<GdResult<super::engine::QueryResult>>,
+        reply: ReplySink,
         /// Submission instant (latency measurement starts here).
         submitted_at: Instant,
         /// Per-query deadline override (None = coordinator default,

@@ -205,7 +205,7 @@ impl NodeRuntime {
             plan: plan.clone(),
             params,
             read_ts: Some(read_ts),
-            reply,
+            reply: reply.into(),
             submitted_at: now(),
             deadline: None,
         };

@@ -397,7 +397,7 @@ impl SimCluster {
             plan: plan.clone(),
             params,
             read_ts: Some(read_ts),
-            reply,
+            reply: reply.into(),
             submitted_at: now(),
             deadline,
         };

@@ -1848,7 +1848,7 @@ mod tests {
             plan: sample_plan(),
             params: vec![],
             read_ts: None,
-            reply,
+            reply: reply.into(),
             submitted_at: std::time::Instant::now(), // lint: allow(sim-determinism) test constructs a never-sent message
             deadline: None,
         };

@@ -7,7 +7,7 @@
 //! including its progress report (§IV-A/B).
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 use crossbeam::channel::Receiver;
 use rand::rngs::SmallRng;
@@ -72,6 +72,48 @@ struct ActiveQuery {
     stage: u16,
 }
 
+/// How many ended queries a worker remembers. A traverser can only trail
+/// its query's `QueryEnd` by the time the fabric takes to deliver it, so
+/// the window has to outlast that many *other* queries ending on this
+/// worker, not the worker's lifetime.
+const DEAD_WINDOW: usize = 1024;
+
+/// The most recently ended queries, oldest evicted first: membership is
+/// what lets a late traverser or cancel for an ended query be dropped
+/// instead of stashed, in O(`DEAD_WINDOW`) memory however many queries the
+/// worker has served.
+#[derive(Default)]
+struct DeadWindow {
+    set: FxHashSet<QueryId>,
+    order: VecDeque<QueryId>,
+}
+
+impl DeadWindow {
+    fn contains(&self, q: QueryId) -> bool {
+        self.set.contains(&q)
+    }
+
+    fn insert(&mut self, q: QueryId) {
+        if !self.set.insert(q) {
+            return;
+        }
+        self.order.push_back(q);
+        if self.order.len() > DEAD_WINDOW {
+            if let Some(oldest) = self.order.pop_front() {
+                self.set.remove(&oldest);
+            }
+        }
+    }
+
+    /// A `QueryBegin` re-used the id (replayed or duplicated control
+    /// traffic): forget that it ended.
+    fn remove(&mut self, q: QueryId) {
+        if self.set.remove(&q) {
+            self.order.retain(|d| *d != q);
+        }
+    }
+}
+
 /// What one non-blocking scheduling quantum accomplished. Shared by the
 /// worker and coordinator pumps so the deterministic simulator can drive
 /// both through one interface.
@@ -96,8 +138,8 @@ pub struct Worker {
     queries: FxHashMap<QueryId, ActiveQuery>,
     /// Messages for queries whose `QueryBegin` has not arrived yet.
     pending: FxHashMap<QueryId, Vec<WorkerMsg>>,
-    /// Queries that have ended; late traversers for them are dropped.
-    dead: FxHashSet<QueryId>,
+    /// Queries that ended recently; late traversers for them are dropped.
+    dead: DeadWindow,
     /// Queries in the cancellation drain: queued work was purged and its
     /// weight refunded, and any late-delivered traverser or source for
     /// them is refunded too (never silently dropped) so the coordinator's
@@ -164,7 +206,7 @@ impl Worker {
             memo: Memo::new(),
             queries: FxHashMap::default(),
             pending: FxHashMap::default(),
-            dead: FxHashSet::default(),
+            dead: DeadWindow::default(),
             cancelled: FxHashSet::default(),
             queue: BinaryHeap::new(),
             steps: FxHashMap::default(),
@@ -346,7 +388,7 @@ impl Worker {
             }
             WorkerMsg::QueryBegin { ctx, stage } => {
                 let q = ctx.query;
-                self.dead.remove(&q);
+                self.dead.remove(q);
                 self.queries.insert(q, ActiveQuery { ctx, stage });
                 if let Some(stash) = self.pending.remove(&q) {
                     for m in stash {
@@ -459,7 +501,7 @@ impl Worker {
     /// arrival; once every share has reported, the coordinator's tracker
     /// completes and its `QueryEnd` finishes the teardown.
     fn cancel_query(&mut self, query: QueryId) {
-        if self.dead.contains(&query) || !self.cancelled.insert(query) {
+        if self.dead.contains(query) || !self.cancelled.insert(query) {
             return;
         }
         let mut refund = Weight::ZERO;
@@ -551,7 +593,7 @@ impl Worker {
 
     fn enqueue(&mut self, t: Traverser) {
         let q = t.query;
-        if self.dead.contains(&q) {
+        if self.dead.contains(q) {
             return;
         }
         if self.cancelled.contains(&q) {
@@ -1128,6 +1170,57 @@ mod handler_tests {
             "late traversers for an ended query are dropped"
         );
         assert!(w.pending.is_empty());
+    }
+
+    /// A long-lived worker's per-query state is O(active + `DEAD_WINDOW`),
+    /// not O(queries ever served): 100 k begin/run/end cycles leave every
+    /// per-query map and set bounded, and the most recent ends are still
+    /// remembered.
+    #[test]
+    fn per_query_state_stays_bounded_over_100k_cycles() {
+        let (mut w, _fabric, _wrx) = test_worker();
+        let base = ctx_for(&w);
+        let begin = |query| WorkerMsg::QueryBegin {
+            ctx: Arc::new(QueryCtx {
+                query,
+                plan: base.plan.clone(),
+                params: base.params.clone(),
+                read_ts: 1,
+                routing_version: 0,
+            }),
+            stage: 0,
+        };
+        const CYCLES: u64 = 100_000;
+        for i in 1..=CYCLES {
+            let q = QueryId(i);
+            w.handle(begin(q));
+            w.handle(WorkerMsg::StartSource {
+                query: q,
+                pipeline: 0,
+                weight: Weight::ROOT,
+            });
+            while w.pump() == PumpStatus::Worked {}
+            w.handle(WorkerMsg::GatherAgg { query: q });
+            w.handle(WorkerMsg::QueryEnd { query: q });
+        }
+        assert!(w.queries.is_empty());
+        assert!(w.pending.is_empty());
+        assert!(w.steps.is_empty());
+        assert!(w.cancelled.is_empty());
+        assert!(w.locals.is_empty());
+        assert!(w.queue.is_empty());
+        assert_eq!(w.arena.live(), 0);
+        assert_eq!(w.memo.live_queries(), 0);
+        assert_eq!(w.dead.set.len(), DEAD_WINDOW);
+        assert_eq!(w.dead.order.len(), DEAD_WINDOW);
+        assert!(w.dead.contains(QueryId(CYCLES)));
+        assert!(w.dead.contains(QueryId(CYCLES - DEAD_WINDOW as u64 + 1)));
+        assert!(!w.dead.contains(QueryId(CYCLES - DEAD_WINDOW as u64)));
+        // Re-beginning a remembered id forgets it without leaving a stale
+        // eviction entry behind.
+        w.handle(begin(QueryId(CYCLES)));
+        assert!(!w.dead.contains(QueryId(CYCLES)));
+        assert_eq!(w.dead.order.len(), DEAD_WINDOW - 1);
     }
 
     #[test]

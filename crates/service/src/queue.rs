@@ -190,7 +190,7 @@ impl<T> AdmissionQueue<T> {
         out
     }
 
-    /// The earliest queued deadline (the dispatcher's next expiry timer).
+    /// The earliest queued deadline (the service timer's next wake).
     pub fn next_deadline(&self) -> Option<Instant> {
         self.lanes
             .iter()

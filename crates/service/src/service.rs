@@ -12,21 +12,23 @@
 //! entries are dequeued; in-flight queries go through the engine's
 //! `CancelQuery` drain protocol — see DESIGN.md §13).
 //!
-//! One dispatcher thread owns the transition queue→engine; submitters
-//! only take the state mutex long enough for the admission decision, so
-//! backpressure is synchronous (a full queue rejects on the caller's
-//! thread, before any engine resources are touched).
+//! The path is completion-driven (DESIGN.md §13): a submitter admits and
+//! dispatches on its own thread under the state mutex, so backpressure is
+//! synchronous and an uncontended query goes client → coordinator with no
+//! intermediate wake; the engine's completion sink, run on the
+//! coordinator thread, accounts the result, frees the slot, dispatches
+//! what the queue now allows, and only then resolves the ticket. The one
+//! service thread is a timer for *queued* deadlines.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
+use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 
 use graphdance_common::time::now;
 use graphdance_common::{GdError, GdResult, QueryId, Value};
-use graphdance_engine::{GraphDance, QueryHandle, QueryResult};
+use graphdance_engine::{GraphDance, QueryResult, ReplySink};
 use graphdance_query::plan::Plan;
 
 use crate::config::{Priority, ServiceConfig};
@@ -40,15 +42,16 @@ struct Pending {
     reply: Sender<GdResult<QueryResult>>,
 }
 
-/// A dispatched query the dispatcher is tracking to completion.
+/// A dispatched query occupying a concurrency slot until its sink runs.
 struct Running {
     token: u64,
-    handle: QueryHandle,
-    reply: Sender<GdResult<QueryResult>>,
+    /// Pre-assigned by the engine before the `Submit` is sent, so
+    /// [`Service::cancel`] can name the query before the sink can fire.
+    query: QueryId,
 }
 
 /// Mutable service state, all under one mutex (admission decisions,
-/// dispatch, completion reaping, and the counters the reconciliation
+/// dispatch, completion accounting, and the counters the reconciliation
 /// invariant is stated over are serialized against each other, so
 /// [`Service::stats`] is always an exact cut).
 struct SvcState {
@@ -59,15 +62,21 @@ struct SvcState {
     completed: u64,
     cancelled: u64,
     deadline_expired: u64,
+    /// Set once by `Drop`: nothing is admitted or dispatched any more.
+    stopped: bool,
+    /// The instant the timer thread will next wake unprompted (`None`:
+    /// parked until nudged). A submitter nudges only to move it earlier.
+    timer_armed: Option<Instant>,
+    /// Timer-loop iterations (tests assert it does not scale with traffic).
+    timer_wakeups: u64,
 }
 
 struct Shared {
     engine: GraphDance,
     config: ServiceConfig,
     state: Mutex<SvcState>,
-    /// Nudges the dispatcher out of its idle park.
+    /// Nudges the timer thread out of its park.
     wake: Sender<()>,
-    stop: AtomicBool,
     obs: SvcObs,
 }
 
@@ -130,11 +139,14 @@ impl Ticket {
         self.rx.recv().unwrap_or(Err(GdError::EngineClosed))
     }
 
-    /// Block up to `timeout`.
+    /// Block up to `timeout`: `QueryTimeout(token)` if the submission is
+    /// still unresolved when it elapses, `EngineClosed` if the service
+    /// went away.
     pub fn wait_timeout(self, timeout: Duration) -> GdResult<QueryResult> {
         match self.rx.recv_timeout(timeout) {
             Ok(r) => r,
-            Err(_) => Err(GdError::EngineClosed),
+            Err(RecvTimeoutError::Timeout) => Err(GdError::QueryTimeout(QueryId(self.token))),
+            Err(RecvTimeoutError::Disconnected) => Err(GdError::EngineClosed),
         }
     }
 }
@@ -142,14 +154,12 @@ impl Ticket {
 /// The service front-end; see the module docs.
 pub struct Service {
     shared: Arc<Shared>,
-    dispatcher: Option<std::thread::JoinHandle<()>>,
+    timer: Option<std::thread::JoinHandle<()>>,
 }
 
 impl Service {
     /// Front a running engine with an admission-controlled service.
     pub fn start(engine: GraphDance, config: ServiceConfig) -> Service {
-        // Coalesced wake token: submitters nudge only when no nudge is
-        // already pending, so the channel stays O(1) under bursts.
         let (wake, wake_rx) = unbounded();
         let shared = Arc::new(Shared {
             engine,
@@ -161,22 +171,24 @@ impl Service {
                 completed: 0,
                 cancelled: 0,
                 deadline_expired: 0,
+                stopped: false,
+                timer_armed: None,
+                timer_wakeups: 0,
             }),
             config,
             wake,
-            stop: AtomicBool::new(false),
             obs: SvcObs::fresh(),
         });
-        let disp = Arc::clone(&shared);
-        let dispatcher = std::thread::Builder::new()
+        let for_timer = Arc::clone(&shared);
+        let timer = std::thread::Builder::new()
             .name("gd-service".into())
-            .spawn(move || dispatch_loop(&disp, &wake_rx))
+            .spawn(move || timer_loop(&for_timer, &wake_rx))
             // Service startup, before any submission: a failed spawn is an
             // unusable service, not a wedged query.
-            .expect("spawn service dispatcher"); // lint: allow(hot-path-panics)
+            .expect("spawn service timer"); // lint: allow(hot-path-panics)
         Service {
             shared,
-            dispatcher: Some(dispatcher),
+            timer: Some(timer),
         }
     }
 
@@ -196,15 +208,13 @@ impl Service {
         params: Vec<Value>,
         deadline: Option<Duration>,
     ) -> GdResult<Ticket> {
-        // sync: stop flag; a submission racing shutdown may still be
-        // admitted — the dispatcher's drain then fails it with EngineClosed
-        if self.shared.stop.load(Ordering::Relaxed) {
-            return Err(GdError::EngineClosed);
-        }
         let submitted_at = now();
         let deadline = submitted_at + deadline.unwrap_or(self.shared.config.deadline_for(class));
         let (reply, rx) = bounded(1);
         let mut st = self.shared.state.lock();
+        if st.stopped {
+            return Err(GdError::EngineClosed);
+        }
         match st.queue.try_admit(
             class,
             submitted_at,
@@ -218,9 +228,14 @@ impl Service {
             Ok(token) => {
                 st.admitted += 1;
                 self.shared.obs.admitted();
-                self.shared.obs.queue_depth(st.queue.len() as u64);
-                drop(st);
-                self.shared.nudge();
+                self.shared.dispatch(&mut st);
+                // Left queued behind a full engine with a deadline ahead of
+                // the timer's: bring the timer forward.
+                if !st.queue.is_empty() && st.timer_armed.is_none_or(|armed| deadline < armed) {
+                    st.timer_armed = Some(deadline);
+                    drop(st);
+                    let _ = self.shared.wake.send(());
+                }
                 Ok(Ticket { token, class, rx })
             }
             Err(e) => {
@@ -253,11 +268,9 @@ impl Service {
             return;
         }
         if let Some(r) = st.running.iter().find(|r| r.token == token) {
-            // Count it when the drain completes and the handle resolves.
-            self.shared.engine.cancel(r.handle.id());
+            // Counted when the drain completes and the sink runs.
+            self.shared.engine.cancel(r.query);
         }
-        drop(st);
-        self.shared.nudge();
     }
 
     /// An exact cut of the service counters (see [`SvcStats`]).
@@ -272,6 +285,12 @@ impl Service {
             in_flight: (st.queue.len() + st.running.len()) as u64,
             queued: st.queue.len() as u64,
         }
+    }
+
+    /// Iterations of the timer thread's loop so far (test hook).
+    #[doc(hidden)]
+    pub fn timer_wakeups(&self) -> u64 {
+        self.shared.state.lock().timer_wakeups
     }
 
     /// The engine configuration knobs the service was started with.
@@ -296,62 +315,128 @@ impl Service {
         snap
     }
 
-    /// Stop the dispatcher and shut the engine down. Unresolved tickets
-    /// fail with `EngineClosed`.
-    pub fn shutdown(mut self) {
-        // sync: stop flag; the dispatcher join below is the ordering edge
-        self.shared.stop.store(true, Ordering::Relaxed);
-        self.shared.nudge();
-        if let Some(t) = self.dispatcher.take() {
-            let _ = t.join();
-        }
-        let shared = Arc::clone(&self.shared);
-        drop(self); // release our Arc so the unwrap below can succeed
-        if let Ok(sh) = Arc::try_unwrap(shared) {
-            sh.engine.shutdown();
-        }
+    /// Stop the service and shut the engine down, joining every thread.
+    /// Unresolved tickets fail with `EngineClosed`. (Dropping the service
+    /// does the same.)
+    pub fn shutdown(self) {
+        drop(self);
     }
 }
 
 impl Drop for Service {
     fn drop(&mut self) {
-        // Best-effort if `shutdown` was not called: stop the dispatcher;
-        // the engine's own Drop detaches its threads.
-        // sync: stop flag; the dispatcher join below is the ordering edge
-        self.shared.stop.store(true, Ordering::Relaxed);
-        self.shared.nudge();
-        if let Some(t) = self.dispatcher.take() {
+        self.shared.state.lock().stopped = true;
+        let _ = self.shared.wake.send(());
+        if let Some(t) = self.timer.take() {
             let _ = t.join();
         }
+        // Through `&self`, not by value: a sink on the coordinator thread
+        // may be borrowing `Shared` right now. Joining the coordinator
+        // here means none is once we release it.
+        self.shared.engine.close();
     }
 }
 
 impl Shared {
-    /// Wake the dispatcher, coalescing: skip the send when a nudge is
-    /// already pending (benign race — a redundant token only costs one
-    /// extra loop iteration).
-    fn nudge(&self) {
-        if self.wake.is_empty() {
-            let _ = self.wake.send(());
+    /// Move queued entries into the engine in deficit-round-robin order up
+    /// to the concurrency cap. Runs under the state mutex on whichever
+    /// thread just changed what is dispatchable: a submitter, or the
+    /// coordinator inside a completion sink — for which every engine
+    /// submit is a send into its own unbounded inbox, never a wait. The
+    /// deadline travels into the coordinator, which enforces it on
+    /// `common::time::now()`.
+    fn dispatch(self: &Arc<Self>, st: &mut SvcState) {
+        if st.stopped || st.queue.is_empty() {
+            return;
         }
+        let t = now();
+        while st.running.len() < self.config.max_concurrent {
+            let Some(a) = st.queue.pop_next() else { break };
+            self.obs
+                .queue_wait(a.class, micros_between(a.enqueued_at, t));
+            let (token, reply) = (a.token, a.item.reply);
+            let weak = Arc::downgrade(self);
+            let sink = ReplySink::new(move |result| {
+                if let Some(shared) = weak.upgrade() {
+                    shared.account(token, &result);
+                }
+                // Accounting precedes resolution: a client that saw its
+                // ticket resolve sees the slot freed and the counters moved.
+                let _ = reply.send(result);
+            });
+            let read_ts = self.engine.txn().read_ts().max(1);
+            match self.engine.submit_sink(
+                a.item.plan,
+                a.item.params,
+                read_ts,
+                Some(a.deadline),
+                sink,
+            ) {
+                Ok(query) => st.running.push(Running { token, query }),
+                // Engine closed under the service: dropping the unrun sink
+                // resolves the ticket with `EngineClosed`.
+                Err(_unrun) => st.completed += 1,
+            }
+        }
+        self.obs.queue_depth(st.queue.len() as u64);
+    }
+
+    /// The completion sink's bookkeeping, on the coordinator thread:
+    /// classify the result into the conservation columns, free the slot,
+    /// dispatch what the queue now allows.
+    fn account(self: &Arc<Self>, token: u64, result: &GdResult<QueryResult>) {
+        // sync: the coordinator thread takes the service mutex here.
+        // lint: allow(hot-path-blocking) reached from Coordinator::pump
+        // through the ReplySink. Bounded: every holder does non-blocking
+        // work (counter bumps, one `swap_remove`, at most `max_concurrent`
+        // unbounded-channel sends, or the timer's O(queue) expiry sweep)
+        // and none waits on the coordinator while holding it.
+        let mut st = self.state.lock();
+        if let Some(i) = st.running.iter().position(|r| r.token == token) {
+            st.running.swap_remove(i);
+        }
+        match result {
+            Err(GdError::QueryCancelled(_)) => {
+                st.cancelled += 1;
+                self.obs.cancelled();
+            }
+            Err(GdError::QueryTimeout(_)) => {
+                st.deadline_expired += 1;
+                self.obs.deadline_expired();
+            }
+            // Successes and hard errors both count as completed: the
+            // engine resolved them.
+            _ => st.completed += 1,
+        }
+        self.dispatch(&mut st);
     }
 }
 
-fn micros_between(from: std::time::Instant, to: std::time::Instant) -> u64 {
+fn micros_between(from: Instant, to: Instant) -> u64 {
     to.saturating_duration_since(from).as_micros() as u64
 }
 
-/// The dispatcher: expire queued deadlines, dispatch under the weighted
-/// policy while concurrency slots are free, reap engine completions, park
-/// briefly when idle.
-fn dispatch_loop(shared: &Shared, wake_rx: &Receiver<()>) {
+/// The service thread: a timer for *queued* deadlines (dispatched entries
+/// carry theirs into the coordinator) and the shutdown drain. Parks until
+/// the earliest queued deadline — indefinitely on an empty queue — or a
+/// nudge from a submitter that queued an earlier one.
+fn timer_loop(shared: &Shared, wake_rx: &Receiver<()>) {
     loop {
-        let mut worked = false;
-        {
+        let armed = {
             let mut st = shared.state.lock();
+            st.timer_wakeups += 1;
+            if st.stopped {
+                // Drain: fail everything still queued. Running entries
+                // resolve when the engine is shut down next.
+                while let Some(a) = st.queue.pop_next() {
+                    let _ = a.item.reply.send(Err(GdError::EngineClosed));
+                }
+                shared.obs.queue_depth(0);
+                return;
+            }
+            // Queued entries whose deadline passed never reach the engine;
+            // their tickets fail with QueryTimeout.
             let t = now();
-            // 1) Queued entries whose deadline passed never reach the
-            //    engine; their tickets fail with QueryTimeout.
             for a in st.queue.expire(t) {
                 st.deadline_expired += 1;
                 shared.obs.deadline_expired();
@@ -362,74 +447,18 @@ fn dispatch_loop(shared: &Shared, wake_rx: &Receiver<()>) {
                     .item
                     .reply
                     .send(Err(GdError::QueryTimeout(QueryId(a.token))));
-                worked = true;
-            }
-            // 2) Dispatch in deficit-round-robin order up to the
-            //    concurrency cap. The deadline travels into the
-            //    coordinator, which enforces it on common::time::now().
-            while st.running.len() < shared.config.max_concurrent {
-                let Some(a) = st.queue.pop_next() else { break };
-                shared
-                    .obs
-                    .queue_wait(a.class, micros_between(a.enqueued_at, t));
-                let read_ts = shared.engine.txn().read_ts().max(1);
-                let handle = shared.engine.submit_with_deadline(
-                    &a.item.plan,
-                    a.item.params,
-                    read_ts,
-                    Some(a.deadline),
-                );
-                st.running.push(Running {
-                    token: a.token,
-                    handle,
-                    reply: a.item.reply,
-                });
-                worked = true;
             }
             shared.obs.queue_depth(st.queue.len() as u64);
-            // 3) Reap completions; classify into the conservation columns.
-            let mut i = 0;
-            while i < st.running.len() {
-                match st.running[i].handle.try_result() {
-                    Some(result) => {
-                        let run = st.running.swap_remove(i);
-                        match &result {
-                            Err(GdError::QueryCancelled(_)) => {
-                                st.cancelled += 1;
-                                shared.obs.cancelled();
-                            }
-                            Err(GdError::QueryTimeout(_)) => {
-                                st.deadline_expired += 1;
-                                shared.obs.deadline_expired();
-                            }
-                            // Successes and hard errors both count as
-                            // completed: the engine resolved them.
-                            _ => st.completed += 1,
-                        }
-                        let _ = run.reply.send(result);
-                        worked = true;
-                    }
-                    None => i += 1,
-                }
+            st.timer_armed = st.queue.next_deadline();
+            st.timer_armed
+        };
+        match armed {
+            Some(deadline) => {
+                let _ = wake_rx.recv_timeout(deadline.saturating_duration_since(now()));
             }
-            // sync: stop flag read under the state lock so the drain
-            // decision and the queue contents are one consistent cut
-            if shared.stop.load(Ordering::Relaxed) {
-                // Drain: fail everything still queued; drop running reply
-                // channels (their tickets observe EngineClosed when the
-                // engine is shut down next).
-                while let Some(a) = st.queue.pop_next() {
-                    let _ = a.item.reply.send(Err(GdError::EngineClosed));
-                }
-                shared.obs.queue_depth(0);
-                return;
+            None => {
+                let _ = wake_rx.recv();
             }
-        }
-        if !worked {
-            // Idle: park until a submit/cancel nudge or a short poll tick
-            // (completion reaping and queued-deadline expiry have no event
-            // channel of their own, so the park is bounded).
-            let _ = wake_rx.recv_timeout(Duration::from_micros(200));
         }
     }
 }

@@ -9,13 +9,14 @@
 //! (`tests/sim_service.rs` at the workspace root); these tests exercise
 //! the real threaded stack with loose timing.
 
-use std::time::Duration;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
-use graphdance_common::{GdError, Partitioner, Value, VertexId};
+use graphdance_common::{GdError, Partitioner, QueryId, Value, VertexId};
 use graphdance_engine::{EngineConfig, GraphDance};
 use graphdance_query::plan::Plan;
 use graphdance_query::QueryBuilder;
-use graphdance_service::{Priority, Service, ServiceConfig};
+use graphdance_service::{AdmissionQueue, Priority, Service, ServiceConfig};
 use graphdance_storage::{Graph, GraphBuilder};
 
 /// `n` vertices; vertex `i` knows the next `deg` vertices around the
@@ -275,4 +276,268 @@ fn stats_reconcile_at_every_cut() {
         "{s:?}"
     );
     svc.shutdown();
+}
+
+/// Submit the 8^8-traverser count that holds a concurrency slot until it
+/// is cancelled, and wait until it has been dispatched.
+fn hold_slot(svc: &Service, graph: &Graph) -> graphdance_service::Ticket {
+    let hog = svc
+        .submit(
+            Priority::Background,
+            &khopcount_plan(graph, 8),
+            vec![Value::Vertex(VertexId(0))],
+        )
+        .expect("admit hog");
+    wait_until(|| svc.stats().queued == 0, "hog dispatched");
+    hog
+}
+
+/// A concurrency slot is freed by the engine's completion, not by the
+/// client reading its ticket: with two slots and three submissions, the
+/// third resolves while the first two tickets are never touched.
+#[test]
+fn slots_free_without_ticket_polling() {
+    let graph = chord_graph(64, 8, 1, 2);
+    let svc = start(&graph, ServiceConfig::default().with_concurrency(2));
+    let medium = khopcount_plan(&graph, 4);
+    let untouched: Vec<_> = (0..2)
+        .map(|i| {
+            svc.submit(Priority::Heavy, &medium, vec![Value::Vertex(VertexId(i))])
+                .expect("admit")
+        })
+        .collect();
+    let third = svc
+        .submit(
+            Priority::Heavy,
+            &khop_plan(&graph, 1),
+            vec![Value::Vertex(VertexId(2))],
+        )
+        .expect("admit third");
+    assert_eq!(
+        third.wait_timeout(WAIT).expect("third resolves").rows.len(),
+        8
+    );
+    wait_until(
+        || svc.stats().in_flight == 0,
+        "first two complete unobserved",
+    );
+    let s = svc.stats();
+    assert_eq!((s.admitted, s.completed), (3, 3), "{s:?}");
+    drop(untouched);
+    svc.shutdown();
+}
+
+/// The sink accounts before it resolves the ticket: the moment `wait()`
+/// returns, the slot is free and the counters have moved — every round,
+/// not eventually.
+#[test]
+fn accounting_precedes_ticket_resolution() {
+    let graph = chord_graph(32, 1, 1, 2);
+    let svc = start(&graph, ServiceConfig::default());
+    let plan = khop_plan(&graph, 1);
+    for i in 0..10_000u64 {
+        let t = svc
+            .submit(
+                Priority::Interactive,
+                &plan,
+                vec![Value::Vertex(VertexId(i % 32))],
+            )
+            .expect("admit");
+        t.wait().expect("query completes");
+        let s = svc.stats();
+        assert_eq!(
+            (s.in_flight, s.completed),
+            (0, i + 1),
+            "round {i}: resolved before accounted: {s:?}"
+        );
+        assert!(s.reconciles(), "round {i}: {s:?}");
+    }
+    svc.shutdown();
+}
+
+/// Uncontended traffic and idleness never wake the service thread: its
+/// loop count is O(1) — not O(queries), not O(elapsed / tick).
+#[test]
+fn service_thread_sleeps_through_uncontended_traffic_and_idleness() {
+    let graph = chord_graph(32, 1, 1, 2);
+    let svc = start(&graph, ServiceConfig::default());
+    let plan = khop_plan(&graph, 1);
+    for i in 0..1_000u64 {
+        svc.submit(
+            Priority::Interactive,
+            &plan,
+            vec![Value::Vertex(VertexId(i % 32))],
+        )
+        .expect("admit")
+        .wait()
+        .expect("query completes");
+    }
+    std::thread::sleep(Duration::from_millis(200));
+    let wakeups = svc.timer_wakeups();
+    assert!(
+        wakeups <= 2,
+        "timer thread looped {wakeups} times over 1000 queries + 200 ms idle"
+    );
+    svc.shutdown();
+}
+
+/// The timer fires on its own: with the only slot held and no other
+/// submission or cancel to nudge anything, a queued entry's 50 ms deadline
+/// still resolves it with `QueryTimeout`, promptly.
+#[test]
+fn queued_deadline_fires_with_no_traffic() {
+    let graph = chord_graph(64, 8, 1, 2);
+    let svc = start(&graph, ServiceConfig::default().with_concurrency(1));
+    let hog = hold_slot(&svc, &graph);
+    let deadline = Duration::from_millis(50);
+    let t0 = Instant::now();
+    let doomed = svc
+        .submit_with_deadline(
+            Priority::Interactive,
+            &khop_plan(&graph, 1),
+            vec![Value::Vertex(VertexId(1))],
+            Some(deadline),
+        )
+        .expect("admit doomed");
+    let token = doomed.token();
+    match doomed.wait() {
+        Err(GdError::QueryTimeout(q)) => assert_eq!(q, QueryId(token)),
+        other => panic!("expected queued-deadline QueryTimeout, got {other:?}"),
+    }
+    let took = t0.elapsed();
+    // Recorded bound: expiry within one second of the deadline, on a box
+    // whose two cores the hog is saturating.
+    assert!(
+        took >= deadline && took < deadline + Duration::from_secs(1),
+        "50 ms queued deadline resolved after {took:?}"
+    );
+    let s = svc.stats();
+    assert_eq!((s.deadline_expired, s.in_flight), (1, 1), "{s:?}");
+    svc.cancel(hog.token());
+    let _ = hog.wait_timeout(WAIT);
+    svc.shutdown();
+}
+
+/// A backlog drained one slot at a time *through the completion sink*
+/// leaves in exactly `AdmissionQueue::pop_next` order (DRR 8:3:1). The
+/// engine assigns query ids at dispatch, so sorting results by id recovers
+/// the dispatch order.
+#[test]
+fn sink_dispatch_order_is_pop_next_order() {
+    let graph = chord_graph(64, 8, 1, 2);
+    let config = ServiceConfig::default().with_concurrency(1);
+    let mut model: AdmissionQueue<()> = AdmissionQueue::new(config.queue_capacity, config.weights);
+    let svc = start(&graph, config);
+    let hog = hold_slot(&svc, &graph);
+    let at = Instant::now();
+    model
+        .try_admit(Priority::Background, at, at, ())
+        .expect("model admits hog");
+    model.pop_next().expect("model dispatches hog");
+
+    let quick = khop_plan(&graph, 1);
+    let mut tickets = Vec::new();
+    // 24 interactive, 8 heavy, 4 background, interleaved.
+    use Priority::{Background as B, Heavy as H, Interactive as I};
+    for i in 0..36u64 {
+        let class = [I, I, H, I, I, H, I, B, I][i as usize % 9];
+        model.try_admit(class, at, at, ()).expect("model admits");
+        tickets.push(
+            svc.submit_with_deadline(class, &quick, vec![Value::Vertex(VertexId(i))], Some(WAIT))
+                .expect("backlog admitted"),
+        );
+    }
+    assert_eq!(
+        svc.stats().queued,
+        36,
+        "whole backlog queued behind the hog"
+    );
+    svc.cancel(hog.token());
+    let _ = hog.wait_timeout(WAIT);
+
+    let mut dispatched: Vec<(QueryId, u64)> = tickets
+        .into_iter()
+        .map(|t| {
+            let token = t.token();
+            (
+                t.wait_timeout(WAIT).expect("backlog completes").query,
+                token,
+            )
+        })
+        .collect();
+    dispatched.sort_unstable();
+    let got: Vec<u64> = dispatched.into_iter().map(|(_, token)| token).collect();
+    let want: Vec<u64> = std::iter::from_fn(|| model.pop_next().map(|a| a.token)).collect();
+    assert_eq!(
+        got, want,
+        "sink-driven dispatch diverged from pop_next order"
+    );
+    svc.shutdown();
+}
+
+/// `shutdown()` with work running and queued resolves every ticket with a
+/// typed error — no hang — and joins the engine: once it returns, no
+/// engine thread is left holding the fabric.
+#[test]
+fn shutdown_in_flight_resolves_every_ticket_and_joins_the_engine() {
+    let graph = chord_graph(64, 8, 1, 2);
+    let svc = start(&graph, ServiceConfig::default().with_concurrency(2));
+    let fabric = Arc::clone(svc.engine().fabric());
+    let slow = khopcount_plan(&graph, 8);
+    let tickets: Vec<_> = (0..6u64)
+        .map(|i| {
+            svc.submit(Priority::Heavy, &slow, vec![Value::Vertex(VertexId(i))])
+                .expect("admit")
+        })
+        .collect();
+    let s = svc.stats();
+    assert_eq!((s.in_flight, s.queued), (6, 4), "{s:?}");
+    svc.shutdown();
+    assert_eq!(
+        Arc::strong_count(&fabric),
+        1,
+        "an engine thread outlived shutdown()"
+    );
+    for t in tickets {
+        match t.wait() {
+            Err(GdError::EngineClosed) => {}
+            other => panic!("expected EngineClosed, got {other:?}"),
+        }
+    }
+}
+
+/// A wait that times out says so — `QueryTimeout` — and is distinguishable
+/// from the engine going away (`EngineClosed`), on tickets and on engine
+/// handles alike.
+#[test]
+fn wait_timeout_distinguishes_still_running_from_closed() {
+    let graph = chord_graph(64, 8, 1, 2);
+    let svc = start(&graph, ServiceConfig::default());
+    let slow = khopcount_plan(&graph, 8);
+    let start_v = vec![Value::Vertex(VertexId(0))];
+
+    let ticket = svc
+        .submit(Priority::Background, &slow, start_v.clone())
+        .expect("admit");
+    let token = ticket.token();
+    match ticket.wait_timeout(Duration::from_millis(10)) {
+        Err(GdError::QueryTimeout(q)) => assert_eq!(q, QueryId(token)),
+        other => panic!("expected QueryTimeout for a running ticket, got {other:?}"),
+    }
+    svc.cancel(token);
+
+    let handle = svc.engine().submit(&slow, start_v.clone());
+    let id = handle.id();
+    match handle.wait_timeout(Duration::from_millis(10)) {
+        Err(GdError::QueryTimeout(q)) => assert_eq!(q, id),
+        other => panic!("expected QueryTimeout for a running handle, got {other:?}"),
+    }
+
+    // Still running when the engine goes away: that is EngineClosed.
+    let orphan = svc.engine().submit(&slow, start_v);
+    svc.shutdown();
+    match orphan.wait_timeout(WAIT) {
+        Err(GdError::EngineClosed) => {}
+        other => panic!("expected EngineClosed after shutdown, got {other:?}"),
+    }
 }
