@@ -72,7 +72,7 @@ cargo run -q --release -p graphdance-bench --bin fig12_io_scheduler -- --quick \
 echo "==> hot-path arena: perf-regression floor (committed BENCH_hotpath.json)"
 # The floor itself is asserted by the graphdance-bench unit test
 # recorded_hotpath_within_budget (runs in the workspace pass above); this
-# lane smoke-runs the ablation bin so the measurement path stays healthy.
+# lane smoke-runs the comparison bin so the measurement path stays healthy.
 cargo run -q --release -p graphdance-bench --bin hotpath_arena >/dev/null
 
 echo "==> service front-end: SLO sweep smoke (--quick)"
@@ -83,15 +83,19 @@ echo "==> service front-end: SLO sweep smoke (--quick)"
 cargo run -q --release -p graphdance-bench --bin service_slo -- --quick \
     >/dev/null
 
-echo "==> benchmark/: unit tests + 5 s snb-rw smoke (public-API break detector)"
+echo "==> benchmark/: unit tests + 5 s snb-rw and khop-local smokes (public-API break detector)"
 # benchmark/ is a workspace of its own, compiled against the public
 # surface of graphdance-service/-engine; the root workspace never builds
-# it, so this lane is where an API break shows before the perf gate. The
-# smoke exits non-zero unless every read matched the oracle and the
-# service counters reconciled with nothing in flight.
+# it, so this lane is where an API break shows before the perf gate. Each
+# smoke exits non-zero unless every read matched the oracle (and, behind
+# the service, the counters reconciled with nothing in flight). snb-rw's
+# reads are ~9 steps each; khop-local's are ~4 k, so it is the one that
+# drives the worker's run loop hard on every CI pass.
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
-cargo run -q --release --offline --manifest-path benchmark/Cargo.toml -- \
-    --workload snb-rw --seconds 5 --trace 0 >/dev/null
+for workload in snb-rw khop-local; do
+    cargo run -q --release --offline --manifest-path benchmark/Cargo.toml -- \
+        --workload "$workload" --seconds 5 --trace 0 >/dev/null
+done
 
 echo "==> partitioning: hash-vs-fennel A/B smoke (--quick)"
 # The recorded cross-node floor (≥40% fewer traverser messages, p50/p99
@@ -107,7 +111,7 @@ if [ "${CI_NIGHTLY:-0}" = "1" ]; then
         --test sim_exhaustive --test sim_property --test sim_io_scheduler \
         --test sim_service --test sim_partition
 
-    echo "==> nightly: hotpath arena ablation, paper-scale lane (--full)"
+    echo "==> nightly: hotpath arena comparison, paper-scale lane (--full)"
     cargo run -q --release -p graphdance-bench --bin hotpath_arena -- --full \
         >/dev/null
 

@@ -1,34 +1,27 @@
-//! Hot-path memory layout ablation: arena/SoA/interned-locals execution
-//! vs the cloned-traverser baseline (ROADMAP item 5).
+//! Hot-path memory layout comparison at the interpreter: the arena /
+//! interned-locals execution the engine runs (`Interpreter::run_frontier`)
+//! against the cloned-traverser reference implementation
+//! (`Interpreter::run_traverser`).
 //!
-//! Three measurements, each with `EngineConfig::arena_frontier` on and
-//! off (same binary, same datasets, same seeds):
-//!
-//! 1. **Allocations per traverser-step** — a counting global allocator
-//!    around a single-threaded interpreter drive of the Fig. 1 k-hop
-//!    query. This is the microscopic claim: interning π and slab-recycling
-//!    traversers removes the `t.clone()`-per-edge allocation traffic.
-//! 2. **Fig. 9 k-hop macro point** — lj-sim 3-hop top-10 latency
-//!    (p50 across trials) and closed-loop throughput on the full engine.
-//! 3. **Fig. 7 mixed macro point** — the SNB interactive mix at TCR 3
-//!    (IC/IS/update blend), reported as IC and IS median latency.
+//! One measurement: **allocations per traverser-step** — a counting global
+//! allocator around single-threaded interpreter drives of the Fig. 1 k-hop
+//! query, same seeds and schedule on both sides. Interning π and
+//! slab-recycling traversers removes the `t.clone()`-per-edge allocation
+//! traffic. (The engine has one worker layout, so there is no engine-level
+//! on/off point to take; end-to-end numbers come from `benchmark/`.)
 //!
 //! Prints one `JSON:` line; with `--record` it also rewrites
 //! `BENCH_hotpath.json` at the repo root, which the `graphdance-bench`
 //! unit test `recorded_hotpath_within_budget` asserts: the arena path must
-//! allocate ≤ 0.75× per step and must not regress p50 or throughput
-//! beyond tolerance. Quick mode is the default lane recorded in CI; pass
-//! `--full` for the paper-scale sweep.
+//! allocate ≤ 0.75× per step. Quick mode is the default lane recorded in
+//! CI; pass `--full` for the paper-scale drive.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
 
 use graphdance_bench::*;
 use graphdance_common::rng::seeded;
 use graphdance_common::{PartId, Partitioner, QueryId, Value, VertexId};
-use graphdance_engine::{EngineConfig, GraphDance};
-use graphdance_ldbc::{build_ic_plans, build_is_plans, run_mixed, TcrConfig};
 use graphdance_pstm::{
     ExpandCache, Frontier, HandleOutcome, Interpreter, LocalsTable, Memo, Traverser,
     TraverserArena, TraverserHandle, Weight, WeightAccumulator,
@@ -166,15 +159,9 @@ fn drive_arena(graph: &Graph, plan: &Plan, params: &[Value], seed: u64) -> u64 {
             cache.begin_quantum();
         }
         pops += 1;
-        let at = arena.get(h);
-        let (q, v, pc, w) = (at.query, at.vertex, at.pc, at.weight);
         frontier.clear();
         frontier.push(
             h,
-            q,
-            v,
-            pc,
-            w,
             #[cfg(feature = "obs")]
             0,
         );
@@ -240,123 +227,12 @@ fn micro_allocs(quick: bool) -> (f64, f64) {
     )
 }
 
-/// Engine-level k-hop latencies (per-trial, for percentiles).
-fn khop_lats(
-    engine: &GraphDance,
-    plan: &Plan,
-    num_vertices: u64,
-    warmup: usize,
-    trials: usize,
-    seed: u64,
-) -> Vec<Duration> {
-    let mut rng = seeded(seed);
-    let mut lats = Vec::with_capacity(trials);
-    for i in 0..warmup + trials {
-        let start = VertexId(rng.gen_range(0..num_vertices));
-        match engine.query_timed(plan, vec![Value::Vertex(start)]) {
-            Ok(r) => {
-                if i >= warmup {
-                    lats.push(r.latency);
-                }
-            }
-            Err(e) => eprintln!("  [warn] khop: {e}"),
-        }
-    }
-    lats
-}
-
-fn percentile(sorted: &[Duration], p: f64) -> Duration {
-    if sorted.is_empty() {
-        return Duration::MAX;
-    }
-    let idx = ((sorted.len() - 1) as f64 * p).round() as usize;
-    sorted[idx]
-}
-
-/// Fig. 9 macro point: (p50, queries/sec) for one arena setting.
-fn fig9_point(quick: bool, arena: bool) -> (Duration, f64) {
-    let data = lj_dataset(quick);
-    let (nodes, wpn) = (2u32, 4u32);
-    let n = data.params().vertices;
-    let g = build_khop_graph(&data, nodes, wpn);
-    let plan = khop_topk_plan(&g, 3);
-    let cfg = EngineConfig::new(nodes, wpn).with_arena_frontier(arena);
-    let engine = GraphDance::start(g, cfg);
-    let (warmup, trials) = if quick { (4, 24) } else { (10, 60) };
-    let mut lats = khop_lats(&engine, &plan, n, warmup, trials, 42);
-    lats.sort_unstable();
-    let p50 = percentile(&lats, 0.50);
-    let window = if quick {
-        Duration::from_millis(900)
-    } else {
-        Duration::from_secs(3)
-    };
-    let qps = run_throughput(
-        &engine,
-        &plan,
-        &move |rng| vec![Value::Vertex(VertexId(rng.gen_range(0..n)))],
-        4,
-        window,
-    );
-    engine.shutdown();
-    (p50, qps)
-}
-
-/// Fig. 7 macro point: (IC p50, IS p50) for one arena setting.
-fn fig7_point(quick: bool, arena: bool) -> (Duration, Duration) {
-    let data = sf300_dataset(quick);
-    let (nodes, wpn) = (2u32, 4u32);
-    let graph = data.build(Partitioner::new(nodes, wpn)).expect("builds");
-    let schema = std::sync::Arc::clone(graph.schema());
-    let cfg = EngineConfig::new(nodes, wpn).with_arena_frontier(arena);
-    let engine = GraphDance::start(graph, cfg);
-    let ic = build_ic_plans(&schema).expect("plans");
-    let is_ = build_is_plans(&schema).expect("plans");
-    let mut tcr = TcrConfig::new(3.0);
-    tcr.base_ops_per_sec = 6.0;
-    tcr.clients = 16;
-    tcr.duration = if quick {
-        Duration::from_millis(1500)
-    } else {
-        Duration::from_secs(4)
-    };
-    let r = run_mixed(&engine, engine.txn(), &schema, &data, &ic, &is_, &tcr);
-    engine.shutdown();
-    (r.ic.p50, r.is.p50)
-}
-
-/// Elementwise "better" for a macro-point tuple: lower latency, higher
-/// throughput.
-trait BestOf {
-    fn better(self, other: Self) -> Self;
-}
-
-impl BestOf for (Duration, f64) {
-    fn better(self, other: Self) -> Self {
-        (self.0.min(other.0), self.1.max(other.1))
-    }
-}
-
-impl BestOf for (Duration, Duration) {
-    fn better(self, other: Self) -> Self {
-        (self.0.min(other.0), self.1.min(other.1))
-    }
-}
-
-fn best_of<T: BestOf>(reps: usize, mut point: impl FnMut() -> T) -> T {
-    let mut best = point();
-    for _ in 1..reps {
-        best = best.better(point());
-    }
-    best
-}
-
 fn main() {
     let quick = !std::env::args().any(|a| a == "--full");
     let record = std::env::args().any(|a| a == "--record");
 
     println!(
-        "=== hot-path arena/SoA ablation ({}) ===",
+        "=== hot-path arena vs cloned interpreter ({}) ===",
         if quick { "quick" } else { "full" }
     );
 
@@ -364,58 +240,21 @@ fn main() {
     let reduction = 100.0 * (1.0 - alloc_arena / alloc_cloned.max(1e-9));
     println!("allocations/traverser-step: cloned {alloc_cloned:.3}  arena {alloc_arena:.3}  (-{reduction:.1}%)");
 
-    // Two reps per macro point, best kept: the quick windows are short
-    // enough that a single rep's p50 swings with machine load, and the
-    // regression gate needs the recorded numbers to reflect the paths,
-    // not the scheduler's mood during one 900 ms window.
-    let (p50_cloned, qps_cloned) = best_of(2, || fig9_point(quick, false));
-    let (p50_arena, qps_arena) = best_of(2, || fig9_point(quick, true));
-    println!(
-        "fig9 k-hop (lj-sim 3-hop): p50 cloned {} ms  arena {} ms | qps cloned {qps_cloned:.0}  arena {qps_arena:.0}",
-        ms(p50_cloned),
-        ms(p50_arena),
-    );
-
-    let (ic_cloned, is_cloned) = best_of(3, || fig7_point(quick, false));
-    let (ic_arena, is_arena) = best_of(3, || fig7_point(quick, true));
-    println!(
-        "fig7 mixed (sf300 TCR 3): IC p50 cloned {} ms  arena {} ms | IS p50 cloned {} ms  arena {} ms",
-        ms(ic_cloned),
-        ms(ic_arena),
-        ms(is_cloned),
-        ms(is_arena),
-    );
-
     let json = format!(
         "{{\n  \"bench\": \"hotpath_arena\",\n  \"workload\": \"{}\",\n  \
          \"method\": \"cargo run --release -p graphdance-bench --bin hotpath_arena -- --record; \
          alloc counts from a counting global allocator around single-threaded interpreter drives \
-         (identical seeds/schedules both paths); macro points compare EngineConfig::arena_frontier \
-         true vs false on the same datasets\",\n  \
+         of run_traverser (cloned, the reference) and run_frontier (arena, what the engine runs), \
+         identical seeds/schedules\",\n  \
          \"alloc_per_step_cloned\": {alloc_cloned:.3},\n  \
          \"alloc_per_step_arena\": {alloc_arena:.3},\n  \
          \"alloc_reduction_pct\": {reduction:.1},\n  \
-         \"alloc_floor_ratio\": 0.75,\n  \
-         \"fig9_khop_p50_cloned_ms\": {:.3},\n  \
-         \"fig9_khop_p50_arena_ms\": {:.3},\n  \
-         \"fig9_khop_qps_cloned\": {qps_cloned:.0},\n  \
-         \"fig9_khop_qps_arena\": {qps_arena:.0},\n  \
-         \"fig7_ic_p50_cloned_ms\": {:.3},\n  \
-         \"fig7_ic_p50_arena_ms\": {:.3},\n  \
-         \"fig7_is_p50_cloned_ms\": {:.3},\n  \
-         \"fig7_is_p50_arena_ms\": {:.3},\n  \
-         \"tolerance_pct\": 10.0\n}}",
+         \"alloc_floor_ratio\": 0.75\n}}",
         if quick {
-            "quick lane: lj-sim(4000) 3-hop top-10 + sf300-sim/4 mixed TCR 3, 2 nodes x 4 workers"
+            "quick lane: lj-sim(4000) 3-hop top-10, 8 starts, 1 node x 2 partitions"
         } else {
-            "full lane: lj-sim(40000) 3-hop top-10 + sf300-sim mixed TCR 3, 2 nodes x 4 workers"
+            "full lane: lj-sim(40000) 3-hop top-10, 32 starts, 1 node x 2 partitions"
         },
-        p50_cloned.as_secs_f64() * 1e3,
-        p50_arena.as_secs_f64() * 1e3,
-        ic_cloned.as_secs_f64() * 1e3,
-        ic_arena.as_secs_f64() * 1e3,
-        is_cloned.as_secs_f64() * 1e3,
-        is_arena.as_secs_f64() * 1e3,
     );
     println!("\nJSON: {}", json.replace('\n', " "));
     if record {

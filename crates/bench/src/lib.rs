@@ -432,11 +432,11 @@ mod tests {
     }
 
     /// Hot-path arena acceptance (perf-regression floor): the recorded
-    /// ablation (`BENCH_hotpath.json`, produced by the `hotpath_arena`
-    /// bin with `--record`) must show the arena/SoA/interned-locals path
-    /// allocating at most `alloc_floor_ratio` (0.75×) per traverser-step
-    /// of what the cloned path allocates, and must not regress the fig9
-    /// k-hop p50/throughput or the fig7 mixed medians beyond tolerance.
+    /// comparison (`BENCH_hotpath.json`, produced by the `hotpath_arena`
+    /// bin with `--record`) must show the arena/interned-locals
+    /// interpreter (`run_frontier`, what the engine runs) allocating at
+    /// most `alloc_floor_ratio` (0.75×) per traverser-step of what the
+    /// cloned reference (`run_traverser`) allocates.
     /// Asserting the committed artifact keeps CI deterministic; re-record
     /// with `cargo run --release -p graphdance-bench --bin hotpath_arena
     /// -- --record` when the interpreter hot path changes.
@@ -462,27 +462,6 @@ mod tests {
             "recorded arena path allocates {alloc_arena}/step vs cloned \
              {alloc_cloned}/step — misses the {floor}x floor; re-record \
              hotpath_arena and profile the interpreter's arena path"
-        );
-        let tol = field("tolerance_pct");
-        assert_eq!(tol, 10.0, "tolerance is the acceptance figure");
-        let lat_ok = |name_arena: &str, name_cloned: &str| {
-            let a = field(name_arena);
-            let c = field(name_cloned);
-            assert!(
-                a <= c * (1.0 + tol / 100.0),
-                "recorded {name_arena} {a}ms regresses {name_cloned} {c}ms \
-                 beyond {tol}% — re-record hotpath_arena and investigate"
-            );
-        };
-        lat_ok("fig9_khop_p50_arena_ms", "fig9_khop_p50_cloned_ms");
-        lat_ok("fig7_ic_p50_arena_ms", "fig7_ic_p50_cloned_ms");
-        lat_ok("fig7_is_p50_arena_ms", "fig7_is_p50_cloned_ms");
-        let qps_arena = field("fig9_khop_qps_arena");
-        let qps_cloned = field("fig9_khop_qps_cloned");
-        assert!(
-            qps_arena >= qps_cloned * (1.0 - tol / 100.0),
-            "recorded arena throughput {qps_arena} qps regresses cloned \
-             {qps_cloned} qps beyond {tol}%"
         );
     }
 

@@ -233,12 +233,6 @@ pub struct EngineConfig {
     /// Banyan-sim) set it to model per-worker operator-instance polling,
     /// whose aggregate cost grows linearly with the worker count (§V-B).
     pub sched_overhead_per_op: Duration,
-    /// Arena execution path: local traversers live in a generation-indexed
-    /// slab with interned copy-on-write locals and execute as SoA frontier
-    /// batches. Schedule- and wire-identical to the cloned path (the
-    /// differential proptests pin this); disable to run the per-traverser
-    /// `clone()` layout for A/B benchmarking.
-    pub arena_frontier: bool,
 }
 
 impl EngineConfig {
@@ -259,7 +253,6 @@ impl EngineConfig {
             watchdog_stall: Duration::from_secs(10),
             fault: FaultInjection::default(),
             sched_overhead_per_op: Duration::ZERO,
-            arena_frontier: true,
         }
     }
 
@@ -296,13 +289,6 @@ impl EngineConfig {
     /// Builder-style: set the RNG seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Builder-style: choose the worker execution layout (arena/SoA vs
-    /// per-traverser clones).
-    pub fn with_arena_frontier(mut self, on: bool) -> Self {
-        self.arena_frontier = on;
         self
     }
 }

@@ -39,6 +39,7 @@ pub mod node;
 pub mod obs;
 pub mod progress;
 pub mod rebalance;
+mod run_queue;
 pub mod sim;
 pub mod transport;
 pub mod wire;

@@ -77,8 +77,13 @@ pub struct NetStats {
 #[cfg(not(feature = "obs"))]
 impl NetStats {
     fn count(&self, class: MsgClass, bytes: usize) {
+        self.count_n(class, 1, bytes);
+    }
+
+    /// Count `msgs` logical messages of `class` totalling `bytes`.
+    fn count_n(&self, class: MsgClass, msgs: usize, bytes: usize) {
         // sync: monotonic diagnostic counters, no data published through them
-        self.msgs[class as usize].fetch_add(1, Ordering::Relaxed);
+        self.msgs[class as usize].fetch_add(msgs as u64, Ordering::Relaxed);
         // sync: monotonic diagnostic counters, no data published through them
         self.bytes[class as usize].fetch_add(bytes as u64, Ordering::Relaxed);
     }
@@ -1010,6 +1015,11 @@ struct OutBuf {
     /// Other pending wire messages (rows/progress/control), in send order.
     msgs: Vec<WireMsg>,
     bytes: usize,
+    /// The share of `bytes` that is `traversers`. With `obs` off the
+    /// traverser counters are cache lines every worker shares, so sends
+    /// are counted once per flushed buffer, not once per traverser.
+    #[cfg(not(feature = "obs"))]
+    traverser_bytes: usize,
     /// When the oldest buffered message arrived (`IoMode::Adaptive` only:
     /// drives the idle-flush deadline and the residency feedback signal).
     /// Cleared with the rest of the buffer at flush.
@@ -1193,12 +1203,17 @@ impl Outbox {
         // Exact encoded size (not the coarse `approx_bytes`): adaptive
         // thresholds steer on real frame bytes.
         let size = t.wire_bytes();
+        #[cfg(feature = "obs")]
         self.count(MsgClass::Traverser, size);
         self.fabric.invariants.record_sent(t.query, 1);
         self.note_enqueue(node);
         let buf = &mut self.bufs[node];
         buf.traversers.push((dest, t));
         buf.bytes += size;
+        #[cfg(not(feature = "obs"))]
+        {
+            buf.traverser_bytes += size;
+        }
         self.maybe_flush(node);
     }
 
@@ -1302,6 +1317,11 @@ impl Outbox {
         let buf = std::mem::take(&mut self.bufs[node.as_usize()]);
         if buf.is_empty() {
             return;
+        }
+        #[cfg(not(feature = "obs"))]
+        if !buf.traversers.is_empty() {
+            let (msgs, bytes) = (buf.traversers.len(), buf.traverser_bytes);
+            self.fabric.stats.count_n(MsgClass::Traverser, msgs, bytes);
         }
         self.fabric.note_flush(
             self.src_node,
@@ -1504,6 +1524,34 @@ mod tests {
         assert_eq!(s.wire_packets, 1, "one combined packet");
         assert!(s.wire_bytes > 0);
         assert_eq!(s.traverser_msgs, 5, "logical messages counted individually");
+        fabric.shutdown();
+        for h in handles {
+            h.join().unwrap();
+        }
+    }
+
+    /// Traverser sends are counted per flushed buffer (obs off) or per
+    /// message (obs on); once every buffer is flushed the totals are what
+    /// per-message counting gives, on the same-node lane and the wire.
+    #[test]
+    fn flushed_outbox_counts_every_traverser_sent() {
+        let (fabric, _wrx, _crx, handles) = setup(IoMode::TwoTier);
+        let mut ob = fabric.outbox(NodeId(0));
+        let (mut msgs, mut bytes) = (0, 0);
+        for i in 0..40 {
+            let mut tr = t(i);
+            tr.locals = vec![Value::Int(7); (i % 5) as usize];
+            msgs += 1;
+            bytes += tr.wire_bytes() as u64;
+            // Workers 1 (this node) and 3 (the other), interleaved.
+            ob.send_traverser(WorkerId(1 + 2 * (i as u32 % 2)), tr);
+            if i == 25 {
+                ob.flush_node(NodeId(1));
+            }
+        }
+        ob.flush_all();
+        let s = fabric.stats().snapshot();
+        assert_eq!((s.traverser_msgs, s.traverser_bytes), (msgs, bytes));
         fabric.shutdown();
         for h in handles {
             h.join().unwrap();

@@ -6,8 +6,8 @@
 //! finished weights, and — before going to sleep — flushes every buffer
 //! including its progress report (§IV-A/B).
 
-use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
+use std::sync::Arc;
 
 use crossbeam::channel::Receiver;
 use rand::rngs::SmallRng;
@@ -15,57 +15,14 @@ use rand::rngs::SmallRng;
 use graphdance_common::{FxHashMap, FxHashSet, GdError, PartId, QueryId, VertexId, WorkerId};
 use graphdance_pstm::{
     ExpandCache, Frontier, HandleOutcome, Interpreter, LocalsTable, Memo, Outcome, Traverser,
-    TraverserArena, TraverserHandle, Weight, WeightLedger,
+    TraverserArena, Weight, WeightLedger,
 };
 use graphdance_storage::Graph;
 
 use crate::config::EngineConfig;
 use crate::messages::{CoordMsg, MigPhase, QueryCtx, WorkerMsg};
 use crate::net::{Fabric, Outbox};
-
-use std::sync::Arc;
-
-/// A queued traverser: an arena handle on the arena execution path, an
-/// owned heap traverser on the cloned path. The two never coexist — the
-/// layout is fixed per worker by `EngineConfig::arena_frontier`.
-enum QueueItem {
-    /// Arena path: the state lives in the worker's `TraverserArena`.
-    Handle(TraverserHandle),
-    /// Cloned path: the classic per-traverser heap object.
-    Owned(Traverser),
-}
-
-/// Heap entry: smallest depth first, FIFO within a depth.
-struct Queued {
-    depth: u32,
-    seq: u64,
-    query: QueryId,
-    /// Enqueue timestamp for queue-wait tracking (obs builds only).
-    #[cfg(feature = "obs")]
-    enq_ns: u64,
-    item: QueueItem,
-}
-
-impl PartialEq for Queued {
-    fn eq(&self, other: &Self) -> bool {
-        self.depth == other.depth && self.seq == other.seq
-    }
-}
-impl Eq for Queued {}
-impl PartialOrd for Queued {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Queued {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap: invert so smaller depth/seq pops first.
-        other
-            .depth
-            .cmp(&self.depth)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
+use crate::run_queue::{RunEntry, RunQueue};
 
 struct ActiveQuery {
     ctx: Arc<QueryCtx>,
@@ -146,10 +103,10 @@ pub struct Worker {
     /// tracker still lands on `Weight::ROOT`. Entries move to `dead` when
     /// the `QueryEnd` broadcast arrives.
     cancelled: FxHashSet<QueryId>,
-    queue: BinaryHeap<Queued>,
+    /// Runnable traversers, shallowest first, FIFO within a depth.
+    queue: RunQueue,
     /// Plan steps executed per query since the last progress flush.
     steps: FxHashMap<QueryId, u64>,
-    seq: u64,
     rng: SmallRng,
     weight_coalescing: bool,
     batch: usize,
@@ -159,18 +116,16 @@ pub struct Worker {
     /// Interpreter outcomes seen (drives `leak_weight_nth` fault injection).
     outcomes: u64,
     fault: crate::config::FaultInjection,
-    /// Arena execution path enabled (`EngineConfig::arena_frontier`).
-    arena_frontier: bool,
-    /// Slab of live local traversers (arena path).
+    /// Slab of live local traversers: every queued traverser is admitted
+    /// here at the door and leaves it when it runs, is sent or is purged.
     arena: TraverserArena,
     /// Per-query interned locals tables, dropped wholesale on `QueryEnd`.
     locals: FxHashMap<QueryId, LocalsTable>,
-    /// Reused SoA staging batch for same-depth queue runs.
+    /// Reused staging batch for the run being executed.
     frontier: Frontier,
     /// Per-pump-quantum adjacency memo for batched expansion.
     expand_cache: ExpandCache,
-    /// Reused outcome buffers for the arena path (no per-traverser
-    /// spawned/emitted Vec churn).
+    /// Reused outcome buffers (no per-traverser spawned/emitted Vec churn).
     scratch: HandleOutcome,
     /// Forwarding stubs for vertices migrated away from this partition:
     /// `v → (commit routing version, destination)`. Armed by
@@ -208,9 +163,8 @@ impl Worker {
             pending: FxHashMap::default(),
             dead: DeadWindow::default(),
             cancelled: FxHashSet::default(),
-            queue: BinaryHeap::new(),
+            queue: RunQueue::new(),
             steps: FxHashMap::default(),
-            seq: 0,
             rng: graphdance_common::rng::derive(config.seed, id.0 as u64),
             weight_coalescing: config.weight_coalescing,
             batch: config.worker_batch,
@@ -218,7 +172,6 @@ impl Worker {
             ledger: WeightLedger::new(),
             outcomes: 0,
             fault: config.fault,
-            arena_frontier: config.arena_frontier,
             arena: TraverserArena::new(),
             locals: FxHashMap::default(),
             frontier: Frontier::new(),
@@ -274,68 +227,7 @@ impl Worker {
             }
         }
         // Execute a batch of local traversers, shallow first.
-        let mut executed = 0;
-        if self.arena_frontier {
-            // Arena path: stage runs of same-depth queue entries into the
-            // SoA frontier and execute them back to back. Staging a whole
-            // same-depth run up front is schedule-identical to popping one
-            // entry at a time: any child spawned mid-run is deeper or
-            // carries a larger sequence number, so it sorts after every
-            // staged entry either way. The adjacency cache spans one pump
-            // quantum — the batch window where repeated scans cluster.
-            self.expand_cache.begin_quantum();
-            while executed < self.batch {
-                let staged = self.stage_frontier(self.batch - executed);
-                if staged == 0 {
-                    break;
-                }
-                for i in 0..staged {
-                    // Pin (query, stage) before executing; a query that died
-                    // between enqueue and pop records nothing.
-                    #[cfg(feature = "obs")]
-                    let obs_info = self.queries.get(&self.frontier.queries[i]).map(|a| {
-                        (
-                            self.frontier.queries[i],
-                            a.stage,
-                            self.obs.exec_begin(self.frontier.enq_ns[i]),
-                        )
-                    });
-                    self.execute_frontier(i);
-                    #[cfg(feature = "obs")]
-                    if let Some((qid, stage, (t0, wait))) = obs_info {
-                        let stats = self.memo.take_stats(qid);
-                        self.obs.exec_end(qid, stage, t0, wait, stats);
-                    }
-                }
-                executed += staged;
-            }
-        } else {
-            while executed < self.batch {
-                let Some(q) = self.queue.pop() else { break };
-                // Pin (query, stage) before executing; a query that died
-                // between enqueue and pop records nothing.
-                #[cfg(feature = "obs")]
-                let obs_info = self
-                    .queries
-                    .get(&q.query)
-                    .map(|a| (q.query, a.stage, self.obs.exec_begin(q.enq_ns)));
-                match q.item {
-                    QueueItem::Owned(t) => self.execute(t),
-                    QueueItem::Handle(h) => {
-                        // Defensive: handles only exist on the arena path.
-                        let lt = self.locals.entry(q.query).or_default();
-                        let t = self.arena.extract(h, lt);
-                        self.execute(t);
-                    }
-                }
-                #[cfg(feature = "obs")]
-                if let Some((qid, stage, (t0, wait))) = obs_info {
-                    let stats = self.memo.take_stats(qid);
-                    self.obs.exec_end(qid, stage, t0, wait, stats);
-                }
-                executed += 1;
-            }
-        }
+        let executed = self.run_quantum();
         worked |= executed > 0;
         #[cfg(feature = "obs")]
         self.obs.queue_depth(self.queue.len() as u64);
@@ -381,11 +273,7 @@ impl Worker {
 
     fn handle(&mut self, msg: WorkerMsg) {
         match msg {
-            WorkerMsg::Batch(ts) => {
-                for t in ts {
-                    self.enqueue(t);
-                }
-            }
+            WorkerMsg::Batch(ts) => self.admit_batch(ts),
             WorkerMsg::QueryBegin { ctx, stage } => {
                 let q = ctx.query;
                 self.dead.remove(q);
@@ -440,23 +328,12 @@ impl Worker {
                 self.steps.remove(&query);
                 self.cancelled.remove(&query);
                 self.dead.insert(query);
-                // Drop any queued traversers of the dead query; arena
-                // handles free their slab slots (the query's locals table
-                // is dropped wholesale below, values and all).
-                let drained: Vec<Queued> = std::mem::take(&mut self.queue).into_vec();
-                self.queue = drained
-                    .into_iter()
-                    .filter_map(|q| {
-                        if q.query == query {
-                            if let QueueItem::Handle(h) = q.item {
-                                let _ = self.arena.remove(h);
-                            }
-                            None
-                        } else {
-                            Some(q)
-                        }
-                    })
-                    .collect();
+                // Drop any queued traversers of the dead query in place:
+                // their handles free their slab slots (the query's locals
+                // table is dropped wholesale below, values and all).
+                let arena = &mut self.arena;
+                self.queue.purge(query, |e| drop(arena.remove(e.handle)));
+                self.queue.trim();
                 self.locals.remove(&query);
             }
             WorkerMsg::MigrateFreeze { seq, v, to } => self.migrate_freeze(seq, v, to),
@@ -505,30 +382,17 @@ impl Worker {
             return;
         }
         let mut refund = Weight::ZERO;
-        // Queued traversers (arena handles free their slab slots and
+        // Queued traversers: their handles free their slab slots and
         // release their interned locals — the table itself lives until
-        // `QueryEnd` drops it wholesale).
-        let drained: Vec<Queued> = std::mem::take(&mut self.queue).into_vec();
-        self.queue = drained
-            .into_iter()
-            .filter_map(|q| {
-                if q.query == query {
-                    match q.item {
-                        QueueItem::Handle(h) => {
-                            let at = self.arena.remove(h);
-                            if let Some(lt) = self.locals.get_mut(&query) {
-                                lt.unref(at.locals);
-                            }
-                            refund.absorb(at.weight);
-                        }
-                        QueueItem::Owned(t) => refund.absorb(t.weight),
-                    }
-                    None
-                } else {
-                    Some(q)
-                }
-            })
-            .collect();
+        // `QueryEnd` drops it wholesale.
+        let (arena, mut locals) = (&mut self.arena, self.locals.get_mut(&query));
+        self.queue.purge(query, |e| {
+            let at = arena.remove(e.handle);
+            if let Some(lt) = locals.as_mut() {
+                lt.unref(at.locals);
+            }
+            refund.absorb(at.weight);
+        });
         // Messages stashed before `QueryBegin` (reordered delivery).
         if let Some(stash) = self.pending.remove(&query) {
             for m in stash {
@@ -591,77 +455,69 @@ impl Worker {
         self.forwarded
     }
 
-    fn enqueue(&mut self, t: Traverser) {
-        let q = t.query;
-        if self.dead.contains(q) {
-            return;
-        }
-        if self.cancelled.contains(&q) {
-            // Late delivery during the drain: refund instead of running
-            // (or silently dropping — the tracker is owed this weight).
-            self.outbox.send_progress(q, t.weight, 0);
-            return;
-        }
-        // Forwarding-stub backstop: the traverser's query routes its
-        // vertex to the migration destination (its pinned routing version
-        // is at or past the commit), but the traverser landed here anyway
-        // — it was spawned against the pre-commit routing and raced the
-        // commit. Bounce it to the destination rather than executing
-        // against the retained frozen copy. Queries pinned *before* the
-        // commit still execute here: the frozen copy is exactly the state
-        // their snapshot routes to.
-        if !self.stubs.is_empty() {
-            if let Some(&(commit_ver, dest)) = self.stubs.get(&t.vertex) {
-                // A query whose ctx has not arrived yet stashes below and
-                // re-enters here after `QueryBegin`, so 0 (never forward
-                // blind) is safe.
-                let pinned = self
-                    .queries
-                    .get(&q)
-                    .map(|aq| aq.ctx.routing_version)
-                    .unwrap_or(0);
-                if pinned >= commit_ver {
-                    self.forwarded += 1;
-                    #[cfg(feature = "obs")]
-                    self.obs.stub_forwarded();
-                    let w = self.graph.partitioner().worker_of_part(dest);
-                    self.outbox.send_traverser(w, t);
-                    return;
+    /// Admit an inbox batch. Everything that depends on the query alone —
+    /// ended, draining, begun yet, pinned routing version, locals table —
+    /// is resolved once per run of same-query traversers, not per traverser.
+    fn admit_batch(&mut self, ts: Vec<Traverser>) {
+        let mut ts = ts.into_iter().peekable();
+        while let Some(q) = ts.peek().map(|t| t.query) {
+            let run = std::iter::from_fn(|| ts.next_if(|t| t.query == q));
+            if self.dead.contains(q) {
+                run.for_each(drop);
+                continue;
+            }
+            if self.cancelled.contains(&q) {
+                // Late delivery during the drain: refund instead of running
+                // (or silently dropping — the tracker is owed this weight).
+                for t in run {
+                    self.outbox.send_progress(q, t.weight, 0);
+                }
+                continue;
+            }
+            // `None`: the ctx has not arrived yet. Such traversers stash
+            // and re-enter here after `QueryBegin`, so they are never
+            // forwarded blind (0 is below every commit version).
+            let pinned = self.queries.get(&q).map(|aq| aq.ctx.routing_version);
+            let mut lt = pinned.map(|_| self.locals.entry(q).or_default());
+            let mut early = Vec::new();
+            for t in run {
+                // Forwarding-stub backstop: the traverser's query routes
+                // its vertex to the migration destination (its pinned
+                // routing version is at or past the commit), but the
+                // traverser landed here anyway — it was spawned against
+                // the pre-commit routing and raced the commit. Bounce it
+                // to the destination rather than executing against the
+                // retained frozen copy. Queries pinned *before* the commit
+                // still execute here: the frozen copy is exactly the state
+                // their snapshot routes to.
+                match self.stubs.get(&t.vertex) {
+                    Some(&(commit_ver, dest)) if pinned.unwrap_or(0) >= commit_ver => {
+                        self.forwarded += 1;
+                        #[cfg(feature = "obs")]
+                        self.obs.stub_forwarded();
+                        let w = self.graph.partitioner().worker_of_part(dest);
+                        self.outbox.send_traverser(w, t);
+                    }
+                    _ => match lt.as_mut() {
+                        Some(lt) => queue_local(
+                            &mut self.queue,
+                            &mut self.arena,
+                            lt,
+                            t,
+                            #[cfg(feature = "obs")]
+                            self.obs.now_ns(),
+                        ),
+                        None => early.push(t),
+                    },
                 }
             }
+            if !early.is_empty() {
+                self.pending
+                    .entry(q)
+                    .or_default()
+                    .push(WorkerMsg::Batch(early));
+            }
         }
-        if !self.queries.contains_key(&q) {
-            self.pending
-                .entry(q)
-                .or_default()
-                .push(WorkerMsg::Batch(vec![t]));
-            return;
-        }
-        self.push_local(t);
-    }
-
-    /// Push a runnable traverser onto the local queue in the worker's
-    /// configured layout: interned into the arena on the arena path, owned
-    /// on the cloned path.
-    fn push_local(&mut self, t: Traverser) {
-        self.seq += 1;
-        let (depth, query) = (t.depth, t.query);
-        #[cfg(feature = "obs")]
-        let enq_ns = self.obs.now_ns();
-        let item = if self.arena_frontier {
-            let lt = self.locals.entry(query).or_default();
-            QueueItem::Handle(self.arena.admit(t, lt))
-        } else {
-            QueueItem::Owned(t)
-        };
-        self.queue.push(Queued {
-            depth,
-            seq: self.seq,
-            query,
-            #[cfg(feature = "obs")]
-            enq_ns,
-            item,
-        });
     }
 
     fn start_source(&mut self, query: QueryId, pipeline: u16, weight: Weight) {
@@ -706,137 +562,178 @@ impl Worker {
         }
     }
 
-    /// Stage the run of minimal-depth queue entries (up to `budget`) into
-    /// the SoA frontier. Returns the number staged.
-    fn stage_frontier(&mut self, budget: usize) -> usize {
-        self.frontier.clear();
-        let Some(top) = self.queue.peek() else {
+    /// Execute up to one batch of queued traversers, a *run* at a time:
+    /// the queue hands out consecutive same-depth, same-query entries, and
+    /// everything that is per-query rather than per-traverser — ctx and
+    /// interpreter, locals table, memo, step counter — is resolved once for
+    /// the run; children are routed inline (local ones straight back into
+    /// the queue, remote ones flattened at the outbox). The adjacency cache
+    /// and the partition guard span the quantum. Returns the number of
+    /// traversers executed.
+    fn run_quantum(&mut self) -> usize {
+        if self.queue.is_empty() {
             return 0;
-        };
-        let depth = top.depth;
-        while self.frontier.len() < budget {
-            match self.queue.peek() {
-                Some(q) if q.depth == depth => {
-                    let q = self.queue.pop().expect("peeked entry"); // lint: allow(hot-path-panics)
-                    let h = match q.item {
-                        QueueItem::Handle(h) => h,
-                        QueueItem::Owned(t) => {
-                            // Defensive: owned entries only exist on the
-                            // cloned path; intern so the batch stays uniform.
-                            let lt = self.locals.entry(q.query).or_default();
-                            self.arena.admit(t, lt)
-                        }
-                    };
-                    let at = self.arena.get(h);
-                    let (vertex, pc, weight) = (at.vertex, at.pc, at.weight);
-                    self.frontier.push(
-                        h,
-                        q.query,
-                        vertex,
-                        pc,
-                        weight,
-                        #[cfg(feature = "obs")]
-                        q.enq_ns,
-                    );
+        }
+        self.expand_cache.begin_quantum();
+        let own = self.id.part();
+        let partitioner = self.graph.partitioner();
+        // sync: the partition read guard is held for this quantum only —
+        // at most `worker_batch` traversers — and is released before the
+        // worker polls or blocks on its inbox, so a `txn` writer queued on
+        // the partition waits out one quantum at most.
+        // lint: allow(hot-path-blocking) the guard spans `outbox.send_*`:
+        // those push into unbounded channels and tier-1 buffers and take
+        // no partition lock, so holding it adds no wait of its own.
+        let part = self.graph.read(own);
+        let mut executed = 0;
+        while let Some(query) = self
+            .queue
+            .stage_run(self.batch - executed, &mut self.frontier)
+        {
+            executed += self.frontier.len();
+            let Some(aq) = self.queries.get(&query) else {
+                // `QueryEnd` purges the queue, so no entry outlives its
+                // query; were one to, free its slot rather than run it.
+                for h in self.frontier.handles.drain(..) {
+                    drop(self.arena.remove(h));
                 }
-                _ => break,
-            }
-        }
-        self.frontier.len()
-    }
-
-    /// Execute one staged frontier entry through the arena interpreter and
-    /// route its outcome. The arena twin of [`execute`](Self::execute).
-    fn execute_frontier(&mut self, idx: usize) {
-        let query = self.frontier.queries[idx];
-        let Some(aq) = self.queries.get(&query) else {
-            // Query died between staging and execution: the queue purge
-            // already dropped its locals table; free the slab slot.
-            let _ = self.arena.remove(self.frontier.handles[idx]);
-            return;
-        };
-        let ctx = Arc::clone(&aq.ctx);
-        let stage = aq.stage as usize;
-        if !self.sched_overhead.is_zero() {
-            // Dataflow-baseline mode: model polling one operator instance
-            // per plan step per scheduled traverser (§V-B).
-            crate::net::charge(self.sched_overhead * ctx.plan.num_steps() as u32);
-        }
-        let interp = Interpreter {
-            graph: &self.graph,
-            plan: &ctx.plan,
-            stage_idx: stage,
-            query,
-            params: &ctx.params,
-            read_ts: ctx.read_ts,
-            routing_version: ctx.routing_version,
-        };
-        let input = self.frontier.weights[idx];
-        let mut out = std::mem::take(&mut self.scratch);
-        let result = {
+                continue;
+            };
             let locals = self.locals.entry(query).or_default();
-            let part = self.graph.read(self.id.part());
-            interp.run_frontier(
-                &self.frontier,
-                idx,
-                &mut self.arena,
-                locals,
-                &mut self.expand_cache,
-                &part,
-                self.memo.query_mut(query),
-                &mut self.rng,
-                &mut out,
-            )
-        };
-        match result {
-            Ok(()) => self.route_handles(query, input, &mut out),
-            Err(e) => {
-                self.outbox
-                    .send_ctrl_coord(CoordMsg::WorkerError { query, error: e });
+            let (ctx, stage) = (&*aq.ctx, aq.stage);
+            let interp = Interpreter {
+                graph: &self.graph,
+                plan: &ctx.plan,
+                stage_idx: stage as usize,
+                query,
+                params: &ctx.params,
+                read_ts: ctx.read_ts,
+                routing_version: ctx.routing_version,
+            };
+            let memo = self.memo.query_mut(query);
+            let out = &mut self.scratch;
+            let mut steps = 0u64;
+            for i in 0..self.frontier.len() {
+                if !self.sched_overhead.is_zero() {
+                    // Dataflow-baseline mode: model polling one operator
+                    // instance per plan step per scheduled traverser (§V-B).
+                    crate::net::charge(self.sched_overhead * ctx.plan.num_steps() as u32);
+                }
+                #[cfg(feature = "obs")]
+                let (t0, wait) = self.obs.exec_begin(self.frontier.enq_ns[i]);
+                let input = self.arena.get(self.frontier.handles[i]).weight;
+                let result = interp.run_frontier(
+                    &self.frontier,
+                    i,
+                    &mut self.arena,
+                    locals,
+                    &mut self.expand_cache,
+                    &part,
+                    memo,
+                    &mut self.rng,
+                    out,
+                );
+                // Verify weight conservation (`input == Σ spawned +
+                // finished`, debug builds): a violation aborts the query
+                // with the ledger's diagnostic instead of letting the
+                // tracker hang or fire early.
+                let result = result.and_then(|()| {
+                    self.outcomes += 1;
+                    if WeightLedger::ENABLED && self.fault.leak_weight_nth == Some(self.outcomes) {
+                        // Injected fault: leak one unit of weight.
+                        out.finished = out.finished.sub(Weight(1));
+                    }
+                    self.ledger
+                        .check_step_arena(query, input, out, &self.arena)
+                        .map_err(GdError::InvariantViolation)
+                });
+                #[cfg(feature = "obs")]
+                let (mut obs_local, mut obs_remote, mut obs_rows, mut obs_progress) =
+                    (0u64, Vec::<(u32, u64)>::new(), None, false);
+                match result {
+                    Ok(()) => {
+                        for (dest, h) in out.spawned.drain(..) {
+                            if dest == own {
+                                let entry = RunEntry {
+                                    query,
+                                    handle: h,
+                                    #[cfg(feature = "obs")]
+                                    enq_ns: self.obs.now_ns(),
+                                };
+                                self.queue.push(self.arena.get(h).depth, entry);
+                                #[cfg(feature = "obs")]
+                                {
+                                    obs_local += 1;
+                                }
+                            } else {
+                                let w = partitioner.worker_of_part(dest);
+                                let t = self.arena.extract(h, locals);
+                                let hot = self.outbox.fabric().hot_tracker();
+                                hot.record(t.vertex, own);
+                                #[cfg(feature = "obs")]
+                                obs_remote.push((w.0, t.approx_bytes() as u64));
+                                self.outbox.send_traverser(w, t);
+                            }
+                        }
+                        if !out.emitted.is_empty() {
+                            let _approx = self
+                                .outbox
+                                .send_rows(query, std::mem::take(&mut out.emitted));
+                            #[cfg(feature = "obs")]
+                            {
+                                obs_rows = Some(_approx as u64);
+                            }
+                        }
+                        steps += out.steps_executed as u64;
+                        if out.finished != Weight::ZERO {
+                            if self.weight_coalescing {
+                                memo.finished.add(out.finished);
+                            } else {
+                                // Naive progress tracking: one report per
+                                // termination.
+                                let since = self.steps.remove(&query).unwrap_or(0)
+                                    + std::mem::take(&mut steps);
+                                self.outbox.send_progress(query, out.finished, since);
+                                #[cfg(feature = "obs")]
+                                {
+                                    obs_progress = true;
+                                }
+                            }
+                        }
+                    }
+                    Err(error) => {
+                        // Free what a conservation failure left spawned
+                        // (an interpreter error already unwound its own).
+                        for (_, h) in out.spawned.drain(..) {
+                            self.arena.discard(h, locals);
+                        }
+                        self.outbox
+                            .send_ctrl_coord(CoordMsg::WorkerError { query, error });
+                    }
+                }
+                #[cfg(feature = "obs")]
+                {
+                    self.obs.route_done(
+                        query,
+                        stage,
+                        obs_local,
+                        &obs_remote,
+                        obs_rows,
+                        obs_progress,
+                    );
+                    self.obs.exec_end(query, stage, t0, wait, memo.stats.take());
+                }
             }
+            *self.steps.entry(query).or_insert(0) += steps;
         }
-        self.scratch = out;
+        executed
     }
 
-    fn execute(&mut self, t: Traverser) {
-        let query = t.query;
-        let Some(aq) = self.queries.get(&query) else {
-            return;
-        };
-        let ctx = Arc::clone(&aq.ctx);
-        let stage = aq.stage as usize;
-        if !self.sched_overhead.is_zero() {
-            // Dataflow-baseline mode: model polling one operator instance
-            // per plan step per scheduled traverser (§V-B).
-            crate::net::charge(self.sched_overhead * ctx.plan.num_steps() as u32);
-        }
-        let interp = Interpreter {
-            graph: &self.graph,
-            plan: &ctx.plan,
-            stage_idx: stage,
-            query,
-            params: &ctx.params,
-            read_ts: ctx.read_ts,
-            routing_version: ctx.routing_version,
-        };
-        let input = t.weight;
-        let result = {
-            let part = self.graph.read(self.id.part());
-            interp.run_traverser(t, &part, self.memo.query_mut(query), &mut self.rng)
-        };
-        match result {
-            Ok(out) => self.route(query, input, out),
-            Err(e) => {
-                self.outbox
-                    .send_ctrl_coord(CoordMsg::WorkerError { query, error: e });
-            }
-        }
-    }
-
-    /// Route one interpreter outcome, first verifying weight conservation
-    /// (`input == Σ spawned + finished`, debug builds). A violation aborts
-    /// the query with the ledger's diagnostic instead of letting the
-    /// tracker hang or fire early.
+    /// Route a source's outcome (owned traversers, straight from
+    /// `run_source`), first verifying weight conservation (`input == Σ
+    /// spawned + finished`, debug builds). A violation aborts the query
+    /// with the ledger's diagnostic instead of letting the tracker hang or
+    /// fire early.
     fn route(&mut self, query: QueryId, input: Weight, mut out: Outcome) {
         self.outcomes += 1;
         if WeightLedger::ENABLED && self.fault.leak_weight_nth == Some(self.outcomes) {
@@ -866,7 +763,14 @@ impl Worker {
                 {
                     obs_local += 1;
                 }
-                self.push_local(t);
+                queue_local(
+                    &mut self.queue,
+                    &mut self.arena,
+                    self.locals.entry(query).or_default(),
+                    t,
+                    #[cfg(feature = "obs")]
+                    self.obs.now_ns(),
+                );
             } else {
                 let w = self.graph.partitioner().worker_of_part(dest);
                 let hot = self.outbox.fabric().hot_tracker();
@@ -880,105 +784,6 @@ impl Worker {
         }
         if !out.emitted.is_empty() {
             let _approx = self.outbox.send_rows(query, out.emitted);
-            #[cfg(feature = "obs")]
-            {
-                obs_rows = Some(_approx as u64);
-            }
-        }
-        *self.steps.entry(query).or_insert(0) += out.steps_executed as u64;
-        if out.finished != Weight::ZERO {
-            if self.weight_coalescing {
-                self.memo.query_mut(query).finished.add(out.finished);
-            } else {
-                // Naive progress tracking: one report per termination.
-                let steps = self.steps.remove(&query).unwrap_or(0);
-                self.outbox.send_progress(query, out.finished, steps);
-                #[cfg(feature = "obs")]
-                {
-                    obs_progress = true;
-                }
-            }
-        }
-        #[cfg(feature = "obs")]
-        self.obs.route_done(
-            query,
-            obs_stage,
-            obs_local,
-            &obs_remote,
-            obs_rows,
-            obs_progress,
-        );
-    }
-
-    /// Route one arena-path outcome: the handle twin of
-    /// [`route`](Self::route). Conservation is verified through the
-    /// arena's generation-checked accessors (debug builds), local children
-    /// stay as handles, remote children flatten to the wire format at the
-    /// outbox boundary.
-    fn route_handles(&mut self, query: QueryId, input: Weight, out: &mut HandleOutcome) {
-        self.outcomes += 1;
-        if WeightLedger::ENABLED && self.fault.leak_weight_nth == Some(self.outcomes) {
-            // Injected fault: leak one unit of weight out of this outcome.
-            out.finished = out.finished.sub(Weight(1));
-        }
-        if let Err(diag) = self.ledger.check_step_arena(query, input, out, &self.arena) {
-            // The query is being aborted; free the spawned children so the
-            // slab does not leak them.
-            for (_, h) in out.spawned.drain(..) {
-                let at = self.arena.remove(h);
-                if let Some(lt) = self.locals.get_mut(&query) {
-                    lt.unref(at.locals);
-                }
-            }
-            self.outbox.send_ctrl_coord(CoordMsg::WorkerError {
-                query,
-                error: GdError::InvariantViolation(diag),
-            });
-            return;
-        }
-        #[cfg(feature = "obs")]
-        let obs_stage = self.queries.get(&query).map_or(0, |a| a.stage);
-        #[cfg(feature = "obs")]
-        let mut obs_local = 0u64;
-        #[cfg(feature = "obs")]
-        let mut obs_remote: Vec<(u32, u64)> = Vec::new();
-        #[cfg(feature = "obs")]
-        let mut obs_rows: Option<u64> = None;
-        #[cfg(feature = "obs")]
-        let mut obs_progress = false;
-        for (dest, h) in out.spawned.drain(..) {
-            if dest == self.id.part() {
-                self.seq += 1;
-                #[cfg(feature = "obs")]
-                {
-                    obs_local += 1;
-                }
-                let depth = self.arena.get(h).depth;
-                self.queue.push(Queued {
-                    depth,
-                    seq: self.seq,
-                    query,
-                    #[cfg(feature = "obs")]
-                    enq_ns: self.obs.now_ns(),
-                    item: QueueItem::Handle(h),
-                });
-            } else {
-                let w = self.graph.partitioner().worker_of_part(dest);
-                let lt = self.locals.entry(query).or_default();
-                let t = self.arena.extract(h, lt);
-                let hot = self.outbox.fabric().hot_tracker();
-                if hot.is_enabled() {
-                    hot.record(t.vertex, self.id.part());
-                }
-                #[cfg(feature = "obs")]
-                obs_remote.push((w.0, t.approx_bytes() as u64));
-                self.outbox.send_traverser(w, t);
-            }
-        }
-        if !out.emitted.is_empty() {
-            let _approx = self
-                .outbox
-                .send_rows(query, std::mem::take(&mut out.emitted));
             #[cfg(feature = "obs")]
             {
                 obs_rows = Some(_approx as u64);
@@ -1034,6 +839,24 @@ impl Worker {
     }
 }
 
+/// Admit a runnable traverser into the arena and queue its handle.
+fn queue_local(
+    queue: &mut RunQueue,
+    arena: &mut TraverserArena,
+    locals: &mut LocalsTable,
+    t: Traverser,
+    #[cfg(feature = "obs")] enq_ns: u64,
+) {
+    let (depth, query) = (t.depth, t.query);
+    let entry = RunEntry {
+        query,
+        handle: arena.admit(t, locals),
+        #[cfg(feature = "obs")]
+        enq_ns,
+    };
+    queue.push(depth, entry);
+}
+
 /// Spawn all worker threads for a cluster.
 pub fn spawn_workers(
     graph: &Graph,
@@ -1056,47 +879,9 @@ pub fn spawn_workers(
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn queue_orders_by_depth_then_fifo() {
-        let mk = |depth, seq| Queued {
-            depth,
-            seq,
-            query: QueryId(1),
-            #[cfg(feature = "obs")]
-            enq_ns: 0,
-            item: QueueItem::Owned(Traverser::root(QueryId(1), 0, VertexId(0), 0, Weight(0))),
-        };
-        let mut h = BinaryHeap::new();
-        h.push(mk(2, 1));
-        h.push(mk(0, 2));
-        h.push(mk(1, 3));
-        h.push(mk(0, 4));
-        let order: Vec<(u32, u64)> =
-            std::iter::from_fn(|| h.pop().map(|q| (q.depth, q.seq))).collect();
-        assert_eq!(order, vec![(0, 2), (0, 4), (1, 3), (2, 1)]);
-    }
-
-    /// With `obs` disabled, the instrumentation must compile to nothing —
-    /// the hot-path heap entry carries exactly its functional fields.
-    #[cfg(not(feature = "obs"))]
-    #[test]
-    fn queued_has_no_instrumentation_fields() {
-        struct Plain {
-            _depth: u32,
-            _seq: u64,
-            _query: QueryId,
-            _item: QueueItem,
-        }
-        assert_eq!(size_of::<Queued>(), size_of::<Plain>());
-    }
-}
-
-#[cfg(test)]
 mod handler_tests {
     use super::*;
+    use crate::run_queue::BUCKET_KEEP;
     use crossbeam::channel::unbounded;
     use graphdance_common::{Partitioner, Value, VertexId};
     use graphdance_pstm::Weight;
@@ -1130,46 +915,100 @@ mod handler_tests {
         (worker, fabric, wrx)
     }
 
-    fn ctx_for(worker: &Worker) -> Arc<QueryCtx> {
+    /// `v(param 0).out("e")` as query `query`, pinned at `routing_version`.
+    fn ctx_with(worker: &Worker, query: u64, routing_version: u64) -> Arc<QueryCtx> {
         let mut qb = QueryBuilder::new(worker.graph.schema());
         qb.v_param(0).out("e");
         Arc::new(QueryCtx {
-            query: QueryId(5),
+            query: QueryId(query),
             plan: qb.compile().unwrap(),
             params: vec![Value::Vertex(VertexId(0))],
             read_ts: 1,
-            routing_version: 0,
+            routing_version,
         })
+    }
+
+    fn ctx_for(worker: &Worker) -> Arc<QueryCtx> {
+        ctx_with(worker, 5, 0)
+    }
+
+    /// A traverser of `query` sitting on vertex 0 at the plan's first step.
+    fn at_v0(query: u64, weight: u64) -> Traverser {
+        Traverser::root(QueryId(query), 0, VertexId(0), 0, Weight(weight))
     }
 
     #[test]
     fn early_traversers_are_stashed_until_query_begin() {
         let (mut w, _fabric, _wrx) = test_worker();
         let ctx = ctx_for(&w);
-        let t = Traverser::root(QueryId(5), 0, VertexId(0), 0, Weight::ROOT);
-        // Batch before QueryBegin: stashed, not queued.
-        w.handle(WorkerMsg::Batch(vec![t]));
+        // A mixed batch before either QueryBegin: stashed, not queued —
+        // one stashed `Batch` per same-query run, in arrival order.
+        w.handle(WorkerMsg::Batch(vec![
+            at_v0(5, 1),
+            at_v0(5, 2),
+            at_v0(6, 3),
+            at_v0(5, 4),
+        ]));
         assert!(w.queue.is_empty());
-        assert_eq!(w.pending.len(), 1);
-        // QueryBegin replays the stash into the run queue.
+        let runs = |w: &Worker, q: u64| -> Vec<Vec<u64>> {
+            w.pending[&QueryId(q)]
+                .iter()
+                .map(|m| match m {
+                    WorkerMsg::Batch(ts) => ts.iter().map(|t| t.weight.0).collect(),
+                    other => panic!("stashed a non-batch: {other:?}"),
+                })
+                .collect()
+        };
+        assert_eq!(runs(&w, 5), vec![vec![1, 2], vec![4]]);
+        assert_eq!(runs(&w, 6), vec![vec![3]]);
+        // QueryBegin replays that query's stash into the run queue, in the
+        // order the traversers arrived; the other query stays stashed.
         w.handle(WorkerMsg::QueryBegin { ctx, stage: 0 });
-        assert!(w.pending.is_empty());
-        assert_eq!(w.queue.len(), 1);
+        assert_eq!(w.pending.len(), 1);
+        assert_eq!(w.queue.len(), 3);
+        assert_eq!(w.queue.stage_run(8, &mut w.frontier), Some(QueryId(5)));
+        let order: Vec<u64> = (w.frontier.handles.iter())
+            .map(|h| w.arena.get(*h).weight.0)
+            .collect();
+        assert_eq!(order, vec![1, 2, 4]);
     }
 
     #[test]
     fn dead_query_traversers_are_dropped() {
-        let (mut w, _fabric, _wrx) = test_worker();
+        let (mut w, fabric, _wrx) = test_worker();
         let ctx = ctx_for(&w);
         w.handle(WorkerMsg::QueryBegin { ctx, stage: 0 });
         w.handle(WorkerMsg::QueryEnd { query: QueryId(5) });
-        let t = Traverser::root(QueryId(5), 0, VertexId(0), 0, Weight::ROOT);
-        w.handle(WorkerMsg::Batch(vec![t]));
+        w.handle(WorkerMsg::Batch(vec![at_v0(5, 1)]));
         assert!(
             w.queue.is_empty(),
             "late traversers for an ended query are dropped"
         );
         assert!(w.pending.is_empty());
+        // Mixed with a live query and a draining one: the dead query's runs
+        // are dropped, the live query's traverser is queued, and each of
+        // the draining query's is refunded as its own progress report.
+        w.handle(WorkerMsg::QueryBegin {
+            ctx: ctx_with(&w, 6, 0),
+            stage: 0,
+        });
+        w.handle(WorkerMsg::QueryBegin {
+            ctx: ctx_with(&w, 7, 0),
+            stage: 0,
+        });
+        w.handle(WorkerMsg::CancelQuery { query: QueryId(7) });
+        let before = fabric.stats().snapshot().progress_msgs;
+        w.handle(WorkerMsg::Batch(vec![
+            at_v0(5, 1),
+            at_v0(7, 2),
+            at_v0(7, 3),
+            at_v0(6, 4),
+            at_v0(5, 5),
+        ]));
+        assert_eq!(w.queue.len(), 1);
+        assert_eq!(w.queue.stage_run(8, &mut w.frontier), Some(QueryId(6)));
+        assert!(w.pending.is_empty());
+        assert_eq!(fabric.stats().snapshot().progress_msgs - before, 2);
     }
 
     /// A long-lived worker's per-query state is O(active + `DEAD_WINDOW`),
@@ -1194,6 +1033,11 @@ mod handler_tests {
         for i in 1..=CYCLES {
             let q = QueryId(i);
             w.handle(begin(q));
+            if i == 1 {
+                // One burst, to grow a bucket well past what is kept.
+                w.handle(WorkerMsg::Batch(vec![at_v0(1, 1); 8 * BUCKET_KEEP]));
+                assert!(w.queue.capacity() >= 8 * BUCKET_KEEP);
+            }
             w.handle(WorkerMsg::StartSource {
                 query: q,
                 pipeline: 0,
@@ -1209,6 +1053,11 @@ mod handler_tests {
         assert!(w.cancelled.is_empty());
         assert!(w.locals.is_empty());
         assert!(w.queue.is_empty());
+        assert!(
+            w.queue.capacity() <= 2 * BUCKET_KEEP,
+            "bucket storage a burst grew is given back: {} entries held",
+            w.queue.capacity()
+        );
         assert_eq!(w.arena.live(), 0);
         assert_eq!(w.memo.live_queries(), 0);
         assert_eq!(w.dead.set.len(), DEAD_WINDOW);
@@ -1227,15 +1076,7 @@ mod handler_tests {
     fn query_end_purges_queued_traversers_of_that_query_only() {
         let (mut w, _fabric, _wrx) = test_worker();
         let ctx5 = ctx_for(&w);
-        let mut qb = QueryBuilder::new(w.graph.schema());
-        qb.v_param(0).out("e");
-        let ctx6 = Arc::new(QueryCtx {
-            query: QueryId(6),
-            plan: qb.compile().unwrap(),
-            params: vec![Value::Vertex(VertexId(0))],
-            read_ts: 1,
-            routing_version: 0,
-        });
+        let ctx6 = ctx_with(&w, 6, 0);
         w.handle(WorkerMsg::QueryBegin {
             ctx: ctx5,
             stage: 0,
@@ -1244,17 +1085,14 @@ mod handler_tests {
             ctx: ctx6,
             stage: 0,
         });
-        w.handle(WorkerMsg::Batch(vec![
-            Traverser::root(QueryId(5), 0, VertexId(0), 0, Weight(1)),
-            Traverser::root(QueryId(6), 0, VertexId(0), 0, Weight(2)),
-        ]));
+        w.handle(WorkerMsg::Batch(vec![at_v0(5, 1), at_v0(6, 2)]));
         assert_eq!(w.queue.len(), 2);
         w.handle(WorkerMsg::QueryEnd { query: QueryId(5) });
         assert_eq!(w.queue.len(), 1);
-        assert_eq!(w.queue.peek().unwrap().query, QueryId(6));
         // The purged query's arena slot and locals table are gone too.
         assert_eq!(w.arena.live(), 1);
         assert!(!w.locals.contains_key(&QueryId(5)));
+        assert_eq!(w.queue.stage_run(8, &mut w.frontier), Some(QueryId(6)));
     }
 
     #[test]
@@ -1319,32 +1157,59 @@ mod handler_tests {
         });
         // Pinned below the commit: the retained frozen copy here is exactly
         // the state this query's snapshot routes to — execute locally.
-        let t = Traverser::root(QueryId(5), 0, VertexId(0), 0, Weight::ROOT);
-        w.handle(WorkerMsg::Batch(vec![t]));
+        w.handle(WorkerMsg::Batch(vec![at_v0(5, 1)]));
         assert_eq!(w.queue.len(), 1, "pre-commit query executes locally");
         assert_eq!(w.forwarded(), 0);
         // Pinned at the commit: the traverser raced the routing flip and
         // must bounce to the new home instead of running on the old copy.
-        let mut qb = QueryBuilder::new(w.graph.schema());
-        qb.v_param(0).out("e");
-        let ctx2 = Arc::new(QueryCtx {
-            query: QueryId(6),
-            plan: qb.compile().unwrap(),
-            params: vec![Value::Vertex(VertexId(0))],
-            read_ts: 1,
-            routing_version: 1,
-        });
         w.handle(WorkerMsg::QueryBegin {
-            ctx: ctx2,
+            ctx: ctx_with(&w, 6, 1),
             stage: 0,
         });
-        let t = Traverser::root(QueryId(6), 0, VertexId(0), 0, Weight::ROOT);
-        w.handle(WorkerMsg::Batch(vec![t]));
+        w.handle(WorkerMsg::Batch(vec![at_v0(6, 2)]));
         assert_eq!(
             w.queue.len(),
             1,
             "post-commit traverser was forwarded, not queued"
         );
         assert_eq!(w.forwarded(), 1);
+        // One batch mixing the two: the pinned version is resolved per
+        // same-query run, and every traverser still goes its query's way.
+        w.handle(WorkerMsg::Batch(vec![
+            at_v0(5, 3),
+            at_v0(6, 4),
+            at_v0(6, 5),
+            at_v0(5, 6),
+        ]));
+        assert_eq!(w.queue.len(), 3);
+        assert_eq!(w.forwarded(), 3);
+    }
+
+    /// A decoded traverser can carry any `u32` depth. The queue must take
+    /// it without sizing anything by the depth (the pop order at such
+    /// depths is `run_queue`'s own test).
+    #[test]
+    fn hostile_depths_are_queued_without_resizing() {
+        let (mut w, _fabric, _wrx) = test_worker();
+        w.handle(WorkerMsg::QueryBegin {
+            ctx: ctx_for(&w),
+            stage: 0,
+        });
+        let deep = |depth, weight| Traverser {
+            depth,
+            ..at_v0(5, weight)
+        };
+        w.handle(WorkerMsg::Batch(vec![
+            deep(u32::MAX, 1),
+            deep(crate::run_queue::DENSE_DEPTHS as u32 + 1, 2),
+            deep(1, 3),
+        ]));
+        assert_eq!(w.queue.len(), 3);
+        assert!(w.queue.capacity() < 64, "{} entries", w.queue.capacity());
+        // They run like any others; a child one hop past `u32::MAX`
+        // saturates instead of wrapping to the front of the queue.
+        while w.pump() == PumpStatus::Worked {}
+        assert!(w.queue.is_empty());
+        assert_eq!(w.arena.live(), 0);
     }
 }

@@ -1,14 +1,14 @@
-//! SoA frontier batches and the per-quantum adjacency cache.
+//! Staged runs and the per-quantum adjacency cache.
 //!
-//! The worker's arena execution path stages a run of same-depth queued
-//! traversers into a [`Frontier`] — a structure-of-arrays batch whose
-//! columns (`vertices[]`, `pcs[]`, `weights[]`, `handles[]`) are the
-//! interpreter's inputs — instead of popping and cloning one heap
-//! traverser at a time. Staging only *same-depth* entries keeps the
-//! schedule bit-identical to the one-at-a-time heap: queue order within a
-//! depth is FIFO by sequence number, and any child spawned mid-batch
-//! (deeper, or same-depth with a larger sequence number) sorts after every
-//! entry already staged.
+//! The worker pops a *run* — consecutive same-depth, same-query entries of
+//! its run queue — into a [`Frontier`] and executes it in one loop that
+//! resolves everything per-query (context, locals table, memo, partition
+//! guard) once. The batch holds arena handles only: the traverser state
+//! lives in the arena, and the interpreter's cursor takes it from there.
+//! Staging only *same-depth* entries keeps the schedule bit-identical to
+//! popping one entry at a time: queue order within a depth is FIFO, and any
+//! child spawned mid-run (deeper, or same-depth but pushed later) sorts
+//! after every entry already staged.
 //!
 //! The [`ExpandCache`] memoizes one CSR adjacency scan per distinct
 //! `(vertex, direction, label, read_ts)` within a pump quantum, so a batch
@@ -18,29 +18,19 @@
 //! queries; the cache is cleared at every quantum boundary to bound
 //! memory.
 
-use graphdance_common::{FxHashMap, Label, PartId, QueryId, VertexId};
+use graphdance_common::{FxHashMap, Label, PartId, VertexId};
 use graphdance_storage::{Direction, Timestamp};
 
 use crate::arena::TraverserHandle;
 use crate::interp::Row;
 use crate::weight::Weight;
 
-/// A structure-of-arrays batch of same-depth traversers staged for
-/// execution. Columns are parallel: index `i` across all of them describes
-/// one traverser.
+/// One staged run: the arena handles of consecutive same-depth, same-query
+/// queue entries, in pop order.
 #[derive(Debug, Default)]
 pub struct Frontier {
     /// Arena handles (the authoritative state lives in the arena).
     pub handles: Vec<TraverserHandle>,
-    /// Owning query of each entry.
-    pub queries: Vec<QueryId>,
-    /// Entry vertex of each traverser at staging time.
-    pub vertices: Vec<VertexId>,
-    /// Entry program counter of each traverser at staging time.
-    pub pcs: Vec<u16>,
-    /// Progression weight of each traverser at staging time (the ledger's
-    /// per-step input).
-    pub weights: Vec<Weight>,
     /// Enqueue timestamps carried through for queue-wait accounting.
     #[cfg(feature = "obs")]
     pub enq_ns: Vec<u64>,
@@ -65,29 +55,13 @@ impl Frontier {
     /// Drop all staged entries (the arena still owns the traversers).
     pub fn clear(&mut self) {
         self.handles.clear();
-        self.queries.clear();
-        self.vertices.clear();
-        self.pcs.clear();
-        self.weights.clear();
         #[cfg(feature = "obs")]
         self.enq_ns.clear();
     }
 
     /// Stage one traverser.
-    pub fn push(
-        &mut self,
-        handle: TraverserHandle,
-        query: QueryId,
-        vertex: VertexId,
-        pc: u16,
-        weight: Weight,
-        #[cfg(feature = "obs")] enq_ns: u64,
-    ) {
+    pub fn push(&mut self, handle: TraverserHandle, #[cfg(feature = "obs")] enq_ns: u64) {
         self.handles.push(handle);
-        self.queries.push(query);
-        self.vertices.push(vertex);
-        self.pcs.push(pc);
-        self.weights.push(weight);
         #[cfg(feature = "obs")]
         self.enq_ns.push(enq_ns);
     }
@@ -260,33 +234,30 @@ mod tests {
     }
 
     #[test]
-    fn frontier_columns_stay_parallel() {
+    fn frontier_stages_handles_in_order() {
         let mut f = Frontier::new();
         let mut arena = crate::arena::TraverserArena::new();
-        let h = arena.insert(crate::arena::ArenaTraverser {
-            query: QueryId(1),
-            pipeline: 0,
-            pc: 3,
-            vertex: VertexId(9),
-            locals: crate::arena::LocalsId::INVALID,
-            weight: Weight(5),
-            depth: 2,
-            aux_key: None,
-        });
-        f.push(
-            h,
-            QueryId(1),
-            VertexId(9),
-            3,
-            Weight(5),
-            #[cfg(feature = "obs")]
-            0,
-        );
-        assert_eq!(f.len(), 1);
-        assert_eq!(f.queries[0], QueryId(1));
-        assert_eq!(f.vertices[0], VertexId(9));
-        assert_eq!(f.pcs[0], 3);
-        assert_eq!(f.weights[0], Weight(5));
+        let mut stage = |vertex| {
+            let h = arena.insert(crate::arena::ArenaTraverser {
+                query: graphdance_common::QueryId(1),
+                pipeline: 0,
+                pc: 3,
+                vertex: VertexId(vertex),
+                locals: crate::arena::LocalsId::INVALID,
+                weight: Weight(5),
+                depth: 2,
+                aux_key: None,
+            });
+            f.push(
+                h,
+                #[cfg(feature = "obs")]
+                0,
+            );
+            h
+        };
+        let (a, b) = (stage(9), stage(4));
+        assert_eq!(f.len(), 2);
+        assert_eq!(f.handles, vec![a, b]);
         f.clear();
         assert!(f.is_empty());
     }

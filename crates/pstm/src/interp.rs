@@ -266,7 +266,7 @@ impl<'a> Interpreter<'a> {
                         let mut child = t.clone();
                         child.vertex = e.neighbor;
                         child.pc = t.pc + 1;
-                        child.depth = t.depth + 1;
+                        child.depth = t.depth.saturating_add(1);
                         child.weight = w.split_one(rng);
                         for (k, slot) in edge_loads {
                             child.set_slot(*slot, e.entry.prop(*k).cloned().unwrap_or(Value::Null));
@@ -441,7 +441,7 @@ impl<'a> Interpreter<'a> {
                             vertex: cont_vertex,
                             locals,
                             weight: w.split_one(rng),
-                            depth: t.depth + 1,
+                            depth: t.depth.saturating_add(1),
                             aux_key: None,
                         };
                         out.spawned.push((cont_part, child));
@@ -467,11 +467,11 @@ impl<'a> Interpreter<'a> {
         }
     }
 
-    /// Advance one staged traverser of an SoA [`Frontier`] batch on the
-    /// arena execution path: the allocation-free analogue of
-    /// [`run_traverser`](Self::run_traverser).
+    /// Advance one traverser of a staged [`Frontier`] run on the arena
+    /// execution path: the allocation-free analogue of the reference
+    /// implementation, [`run_traverser`](Self::run_traverser).
     ///
-    /// Semantics are step-for-step identical to the cloned path — same RNG
+    /// Semantics are step-for-step identical to the reference — same RNG
     /// draw order, same memo operation order, same rows and routing — only
     /// the memory layout differs: the traverser lives in `arena`, its
     /// register file is interned in `locals` (children share it
@@ -502,15 +502,6 @@ impl<'a> Interpreter<'a> {
     ) -> GdResult<()> {
         out.clear();
         let mut cur = arena.remove(frontier.handles[idx]);
-        // The SoA columns are the staged entry state; nothing touches an
-        // arena record between staging and execution, so they agree with
-        // the slab and seed the cursor.
-        debug_assert_eq!(cur.vertex, frontier.vertices[idx]);
-        debug_assert_eq!(cur.pc, frontier.pcs[idx]);
-        debug_assert_eq!(cur.weight, frontier.weights[idx]);
-        cur.vertex = frontier.vertices[idx];
-        cur.pc = frontier.pcs[idx];
-        cur.weight = frontier.weights[idx];
         match self.run_arena_cursor(&mut cur, arena, locals, cache, part, memo, rng, out) {
             Ok(()) => Ok(()),
             Err(e) => {
@@ -614,7 +605,7 @@ impl<'a> Interpreter<'a> {
                                         vertex: nb,
                                         locals: cur.locals,
                                         weight: child_w,
-                                        depth: cur.depth + 1,
+                                        depth: cur.depth.saturating_add(1),
                                         aux_key: cur.aux_key.clone(),
                                     });
                                     out.spawned.push((self.route(nb), h));
@@ -632,7 +623,7 @@ impl<'a> Interpreter<'a> {
                                         vertex: e.neighbor,
                                         locals: cur.locals,
                                         weight: child_w,
-                                        depth: cur.depth + 1,
+                                        depth: cur.depth.saturating_add(1),
                                         aux_key: cur.aux_key.clone(),
                                     });
                                     out.spawned.push((self.route(e.neighbor), h));
@@ -663,7 +654,7 @@ impl<'a> Interpreter<'a> {
                                 vertex: e.neighbor,
                                 locals: lid,
                                 weight: child_w,
-                                depth: cur.depth + 1,
+                                depth: cur.depth.saturating_add(1),
                                 aux_key: cur.aux_key.clone(),
                             });
                             out.spawned.push((self.route(e.neighbor), h));
@@ -895,7 +886,7 @@ impl<'a> Interpreter<'a> {
                             vertex: cont_vertex,
                             locals: lid,
                             weight: w.split_one(rng),
-                            depth: cur.depth + 1,
+                            depth: cur.depth.saturating_add(1),
                             aux_key: None,
                         });
                         out.spawned.push((cont_part, h));

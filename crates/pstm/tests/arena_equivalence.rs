@@ -203,15 +203,9 @@ fn drive_arena(graph: &Graph, plan: &Plan, params: &[Value], seed: u64) -> Vec<R
             cache.begin_quantum();
         }
         pops += 1;
-        let at = arena.get(h);
-        let (q, v, pc, w) = (at.query, at.vertex, at.pc, at.weight);
         f.clear();
         f.push(
             h,
-            q,
-            v,
-            pc,
-            w,
             #[cfg(feature = "obs")]
             0,
         );

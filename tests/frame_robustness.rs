@@ -18,7 +18,10 @@
 //!
 //! The end-to-end half feeds a real `TcpTransport` reader garbage over a
 //! live socket and asserts the fabric counts it in `net.decode_errors`
-//! (and keeps the typed error for diagnostics) instead of crashing.
+//! (and keeps the typed error for diagnostics) instead of crashing — and
+//! a well-formed frame whose traversers carry hostile *depths*
+//! (`u32::MAX`, just past the run queue's dense bound), which a worker
+//! must queue and run like any other.
 
 use std::io::Write;
 use std::sync::Arc;
@@ -224,4 +227,117 @@ fn garbage_over_live_socket_counts_decode_errors() {
             .expect("transport threads exit despite garbage peer");
     }
     drop(fake_peer);
+}
+
+/// End-to-end: a frame is well-formed yet hostile when a traverser in it
+/// carries an absurd depth — the codec passes any `u32` through. Such a
+/// frame crosses a live socket, and the worker on the far side queues the
+/// traversers and runs them to idle. Its run queue is indexed by depth:
+/// sizing anything by `u32::MAX` (a 64 GiB bucket vector) would abort this
+/// process. (The queue's own unit tests bound the storage exactly.)
+#[test]
+fn hostile_depths_over_live_socket_are_queued_and_run() {
+    use graphdance::common::{Partitioner, QueryId, Value, VertexId, WorkerId};
+    use graphdance::engine::messages::{QueryCtx, WorkerMsg};
+    use graphdance::engine::worker::Worker;
+    use graphdance::engine::PumpStatus;
+    use graphdance::pstm::{Traverser, Weight};
+    use graphdance::query::QueryBuilder;
+    use graphdance::storage::GraphBuilder;
+
+    let config = EngineConfig::new(2, 1);
+    let mut b = GraphBuilder::new(Partitioner::new(2, 1));
+    let n = b.schema_mut().register_vertex_label("N");
+    let e = b.schema_mut().register_edge_label("e");
+    for v in 0..4 {
+        b.add_vertex(VertexId(v), n, vec![]).expect("vertex");
+    }
+    for v in 0..4 {
+        b.add_edge(VertexId(v), e, VertexId((v + 1) % 4), vec![])
+            .expect("edge");
+    }
+    let graph = b.finish();
+    let owner = graph.partitioner().worker_of(VertexId(0));
+    let sender = NodeId(1 - owner.0);
+
+    // Two fabrics meshed over loopback TCP, no worker threads: the test
+    // holds the inboxes.
+    let addrs = vec![PeerAddr::Tcp("127.0.0.1:0".into()); 2];
+    let transports: Vec<Arc<TcpTransport>> = (0..2)
+        .map(|i| {
+            TcpTransport::bind(TcpTransportConfig::new(NodeId(i), addrs.clone())).expect("bind")
+        })
+        .collect();
+    let resolved: Vec<PeerAddr> = transports.iter().map(|t| t.local_addr().clone()).collect();
+    let mut fabrics = Vec::new();
+    let mut inboxes = Vec::new();
+    let mut threads = Vec::new();
+    let mut coord_rx = Vec::new();
+    for (i, t) in transports.into_iter().enumerate() {
+        t.set_peers(resolved.clone());
+        let (wtx, wrx) = (0..2).map(|_| unbounded()).unzip::<_, _, Vec<_>, Vec<_>>();
+        let (ctx, crx) = unbounded();
+        let (fabric, mut handles) =
+            Fabric::new_with_transport(&config, NodeId(i as u32), wtx, ctx, t);
+        fabrics.push(fabric);
+        inboxes.push(wrx);
+        coord_rx.push(crx);
+        threads.append(&mut handles);
+    }
+
+    let deep = |depth: u32| Traverser {
+        depth,
+        ..Traverser::root(QueryId(9), 0, VertexId(0), 0, Weight(depth as u64))
+    };
+    let depths = [u32::MAX, 65, 1 << 20, 2];
+    let mut outbox = fabrics[sender.0 as usize].outbox(sender);
+    for d in depths {
+        outbox.send_traverser(owner, deep(d));
+    }
+    outbox.flush_all();
+    let arrived = inboxes[owner.0 as usize][owner.0 as usize]
+        .recv_timeout(Duration::from_secs(5))
+        .expect("the frame crosses the socket");
+    match &arrived {
+        WorkerMsg::Batch(ts) => assert_eq!(
+            ts.iter().map(|t| t.depth).collect::<Vec<_>>(),
+            depths,
+            "the codec carries any depth through"
+        ),
+        other => panic!("expected the traverser batch, got {other:?}"),
+    }
+
+    // Hand the decoded batch to a real worker for that partition.
+    let (tx, rx) = unbounded();
+    let fabric = &fabrics[owner.0 as usize];
+    let mut worker = Worker::new(WorkerId(owner.0), graph.clone(), fabric, rx, &config);
+    let mut qb = QueryBuilder::new(graph.schema());
+    qb.v_param(0).out("e");
+    let ctx = Arc::new(QueryCtx {
+        query: QueryId(9),
+        plan: qb.compile().expect("plan"),
+        params: vec![Value::Vertex(VertexId(0))],
+        read_ts: 1,
+        routing_version: 0,
+    });
+    tx.send(WorkerMsg::QueryBegin { ctx, stage: 0 })
+        .expect("inbox");
+    tx.send(arrived).expect("inbox");
+    let mut quanta = 0;
+    while worker.pump() != PumpStatus::Idle {
+        quanta += 1;
+        assert!(quanta < 1_000, "the worker never went idle");
+    }
+    assert!(quanta >= 1, "the worker ran the traversers");
+    for f in &fabrics {
+        assert_eq!(f.stats().snapshot().decode_errors, 0);
+    }
+
+    drop(worker);
+    for f in &fabrics {
+        f.shutdown();
+    }
+    for h in threads {
+        h.join().expect("transport threads exit");
+    }
 }
