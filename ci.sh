@@ -44,7 +44,7 @@ cargo test -q --test sim_repro
 echo "==> deterministic simulation: DST suites (default seed counts)"
 cargo test -q --test sim_dst --test sim_property --test sim_faults \
     --test sim_exhaustive --test sim_regression_khop --test sim_io_scheduler \
-    --test sim_service --test sim_partition
+    --test sim_service --test sim_partition --test sim_fairness
 
 echo "==> transport: conformance battery (channel + tcp + unix loopback)"
 # One generic battery against every Transport backend — FIFO/no-loss,
@@ -83,16 +83,18 @@ echo "==> service front-end: SLO sweep smoke (--quick)"
 cargo run -q --release -p graphdance-bench --bin service_slo -- --quick \
     >/dev/null
 
-echo "==> benchmark/: unit tests + 5 s snb-rw and khop-local smokes (public-API break detector)"
+echo "==> benchmark/: unit tests + 5 s snb-rw, khop-local and snb-sessions smokes (public-API break detector)"
 # benchmark/ is a workspace of its own, compiled against the public
 # surface of graphdance-service/-engine; the root workspace never builds
 # it, so this lane is where an API break shows before the perf gate. Each
 # smoke exits non-zero unless every read matched the oracle (and, behind
 # the service, the counters reconciled with nothing in flight). snb-rw's
 # reads are ~9 steps each; khop-local's are ~4 k, so it is the one that
-# drives the worker's run loop hard on every CI pass.
+# drives the worker's run loop hard on every CI pass; snb-sessions is the
+# only one with two classes of query in the engine at once — short reads
+# taking turns with long ones on the worker's query ring.
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
-for workload in snb-rw khop-local; do
+for workload in snb-rw khop-local snb-sessions; do
     cargo run -q --release --offline --manifest-path benchmark/Cargo.toml -- \
         --workload "$workload" --seconds 5 --trace 0 >/dev/null
 done
@@ -109,7 +111,7 @@ if [ "${CI_NIGHTLY:-0}" = "1" ]; then
     echo "==> nightly: SIM_SEEDS=1000 fault-schedule + exhaustive-topology sweep"
     SIM_SEEDS=1000 cargo test -q --release --test sim_faults \
         --test sim_exhaustive --test sim_property --test sim_io_scheduler \
-        --test sim_service --test sim_partition
+        --test sim_service --test sim_partition --test sim_fairness
 
     echo "==> nightly: hotpath arena comparison, paper-scale lane (--full)"
     cargo run -q --release -p graphdance-bench --bin hotpath_arena -- --full \

@@ -467,12 +467,15 @@ mod tests {
 
     /// Service SLO acceptance: the recorded offered-load sweep
     /// (`BENCH_service_slo.json`, produced by the `service_slo` bin)
-    /// must show (a) the weighted scheduler holding interactive p99
-    /// strictly below background p99 under mixed load, (b) admission
+    /// must show (a) interactive p99 at most 0.4× background p99 at the
+    /// mid load — the service's weighted dispatch *and* the workers'
+    /// per-query scheduling behind it (DESIGN.md §12) keep a short read
+    /// from waiting out the long ones beside it, (b) admission
     /// control actually shedding past saturation, and (c) the
-    /// cancellation A/B not regressing surviving interactive p99 beyond
-    /// tolerance — cooperative teardown must free capacity, never leak
-    /// it. Asserting the committed artifact keeps CI deterministic;
+    /// cancellation A/B (same arrivals, with and without cancels) not
+    /// regressing surviving interactive p99 beyond tolerance —
+    /// cooperative teardown must free capacity, never leak it.
+    /// Asserting the committed artifact keeps CI deterministic;
     /// re-run the bin and update the file when the service or scheduler
     /// changes.
     #[test]
@@ -491,11 +494,11 @@ mod tests {
         let interactive_p99 = field("mid_interactive_p99_ms");
         let background_p99 = field("mid_background_p99_ms");
         assert!(
-            interactive_p99 < background_p99,
-            "recorded interactive p99 {interactive_p99}ms is not strictly \
-             below background p99 {background_p99}ms — the weighted \
-             scheduler is not protecting the latency-critical class; \
-             re-run service_slo and investigate ServiceConfig weights"
+            interactive_p99 <= 0.4 * background_p99,
+            "recorded interactive p99 {interactive_p99}ms is more than 0.4x \
+             background p99 {background_p99}ms — short reads are waiting \
+             out long queries again; re-run service_slo and look at the \
+             worker's query ring before the ServiceConfig weights"
         );
         let rejection = field("top_rejection_rate");
         assert!(

@@ -1,42 +1,55 @@
-//! The worker's run queue: shortest trajectories first (§III-B), FIFO
-//! within a depth, O(1) push and pop.
+//! The worker's run queues: one per query, served round-robin.
 //!
-//! One FIFO bucket per depth. Every push goes to the back of its depth's
-//! bucket and every pop takes the front of the lowest non-empty one, so the
-//! pop order is exactly that of a `(depth, push sequence number)` min-heap
-//! — the order every sim schedule and DST fingerprint was recorded under —
+//! **Within a query** — shortest trajectories first (§III-B), FIFO within a
+//! depth, O(1) push and pop. A [`RunQueue`] is one FIFO bucket per depth:
+//! every push goes to the back of its depth's bucket and every pop takes
+//! the front of the lowest non-empty one, so the pop order is exactly that
+//! of a `(depth, push sequence number)` min-heap — the order every
+//! single-query sim schedule and DST fingerprint was recorded under —
 //! without the heap's O(log n) sifts or its per-entry `depth`/`seq` words:
-//! the bucket *is* the depth and the position *is* the sequence number.
+//! the bucket *is* the depth, the position *is* the sequence number, and
+//! the queue *is* the query, which leaves the entry an 8-byte handle.
 //!
-//! Depths below [`DENSE_DEPTHS`] index a dense vector; anything deeper —
-//! only a hostile or corrupt frame carries such a depth — lands in an
-//! ordered overflow map, one entry per distinct depth, so a decoded
-//! `depth = u32::MAX` costs a map node, not a resize.
+//! Depths below [`DENSE_DEPTHS`] index a dense vector grown to the deepest
+//! depth seen; anything deeper — only a hostile or corrupt frame carries
+//! such a depth — lands in an ordered overflow map, one entry per distinct
+//! depth, so a decoded `depth = u32::MAX` costs a map node, not a resize.
+//!
+//! **Across queries** — a [`QueryRing`] holds the queues and a ring of the
+//! queries that have runnable traversers. The worker serves the ring's
+//! front query for a quantum and sends it to the back if it still has
+//! work: plain round-robin, so a nine-step lookup never waits out more
+//! than one quantum of each query beside it. With one query in flight the
+//! ring has one member and the schedule is the single queue's.
 
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, VecDeque};
 
-use graphdance_common::QueryId;
+use graphdance_common::{FxHashMap, QueryId};
 use graphdance_pstm::{Frontier, TraverserHandle};
 
 /// Depths indexed densely. Plans in this repo stay below a dozen hops.
 pub(crate) const DENSE_DEPTHS: usize = 64;
 
 /// Bucket capacity (entries) kept across queries; what a burst grew beyond
-/// it is given back once the queue drains.
+/// it is given back when the queue is retired.
 pub(crate) const BUCKET_KEEP: usize = 1024;
+
+/// Retired queues kept, buckets and all, for the next queries to begin:
+/// in steady state neither end of a query's life allocates.
+pub(crate) const FREE_KEEP: usize = 32;
 
 /// A queued traverser: its state lives in the worker's `TraverserArena`.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct RunEntry {
-    pub query: QueryId,
     pub handle: TraverserHandle,
     /// Enqueue timestamp for queue-wait tracking (obs builds only).
     #[cfg(feature = "obs")]
     pub enq_ns: u64,
 }
 
-/// Depth-bucketed FIFO of [`RunEntry`]s (see the module docs).
-#[derive(Debug)]
+/// One query's depth-bucketed FIFO of [`RunEntry`]s (see the module docs).
+#[derive(Debug, Default)]
 pub(crate) struct RunQueue {
     dense: Vec<VecDeque<RunEntry>>,
     overflow: BTreeMap<u32, VecDeque<RunEntry>>,
@@ -46,15 +59,6 @@ pub(crate) struct RunQueue {
 }
 
 impl RunQueue {
-    pub fn new() -> Self {
-        RunQueue {
-            dense: (0..DENSE_DEPTHS).map(|_| VecDeque::new()).collect(),
-            overflow: BTreeMap::new(),
-            min: DENSE_DEPTHS,
-            len: 0,
-        }
-    }
-
     #[cfg(any(test, feature = "obs"))]
     pub fn len(&self) -> usize {
         self.len
@@ -67,6 +71,9 @@ impl RunQueue {
     pub fn push(&mut self, depth: u32, entry: RunEntry) {
         let d = depth as usize;
         if d < DENSE_DEPTHS {
+            if d >= self.dense.len() {
+                self.dense.resize_with(d + 1, VecDeque::new);
+            }
             self.dense[d].push_back(entry);
             self.min = self.min.min(d);
         } else {
@@ -75,111 +82,158 @@ impl RunQueue {
         self.len += 1;
     }
 
-    /// Pop the next *run* — the front entry and the entries right behind it
-    /// in the same bucket that belong to the same query, at most `budget` —
-    /// into `run` (cleared first). Returns the run's query, `None` when the
-    /// queue is empty or `budget` is zero.
-    pub fn stage_run(&mut self, budget: usize, run: &mut Frontier) -> Option<QueryId> {
+    /// Pop the next *run* — the front entries of the shallowest non-empty
+    /// bucket, at most `budget` — into `run` (cleared first). Returns
+    /// `false` when the queue is empty or `budget` is zero.
+    pub fn stage_run(&mut self, budget: usize, run: &mut Frontier) -> bool {
         run.clear();
         if self.len == 0 || budget == 0 {
-            return None;
+            return false;
         }
-        while self.min < DENSE_DEPTHS && self.dense[self.min].is_empty() {
+        while self.min < self.dense.len() && self.dense[self.min].is_empty() {
             self.min += 1;
         }
-        let query = match self.dense.get_mut(self.min) {
+        match self.dense.get_mut(self.min) {
             Some(bucket) => drain_run(bucket, budget, run),
             None => {
                 // Entries remain and no dense bucket holds one.
-                let mut deepest = self.overflow.first_entry()?;
-                let query = drain_run(deepest.get_mut(), budget, run);
+                let Some(mut deepest) = self.overflow.first_entry() else {
+                    return false;
+                };
+                drain_run(deepest.get_mut(), budget, run);
                 if deepest.get().is_empty() {
                     deepest.remove();
                 }
-                query
             }
-        };
+        }
         self.len -= run.len();
-        query
+        true
     }
 
-    /// Remove every entry of `query` in place, handing each to `removed`;
-    /// the order of the entries that stay is untouched.
-    pub fn purge(&mut self, query: QueryId, mut removed: impl FnMut(RunEntry)) {
-        if self.len == 0 {
-            return;
-        }
-        let mut keep = |e: &RunEntry| {
-            if e.query == query {
-                removed(*e);
-                false
-            } else {
-                true
-            }
-        };
-        let mut left = 0;
-        for b in &mut self.dense[self.min..] {
-            b.retain(&mut keep);
-            left += b.len();
-        }
-        self.overflow.retain(|_, b| {
-            b.retain(&mut keep);
-            left += b.len();
-            !b.is_empty()
-        });
-        self.len = left;
-    }
-
-    /// Give back bucket storage beyond [`BUCKET_KEEP`] once the queue has
-    /// drained (called between queries, not per traverser).
-    pub fn trim(&mut self) {
-        if self.len != 0 {
-            return;
-        }
+    /// Empty the queue, handing each entry to `removed`, and give back
+    /// bucket storage beyond [`BUCKET_KEEP`] (once per query, not per
+    /// traverser).
+    fn clear(&mut self, mut removed: impl FnMut(RunEntry)) {
         for b in &mut self.dense {
+            b.drain(..).for_each(&mut removed);
             b.shrink_to(BUCKET_KEEP);
         }
+        for b in std::mem::take(&mut self.overflow).into_values() {
+            b.into_iter().for_each(&mut removed);
+        }
+        (self.min, self.len) = (0, 0);
     }
 
     /// Total bucket capacity in entries (storage-bound tests).
     #[cfg(test)]
-    pub fn capacity(&self) -> usize {
+    fn capacity(&self) -> usize {
         let dense: usize = self.dense.iter().map(VecDeque::capacity).sum();
-        dense
-            + self
-                .overflow
-                .values()
-                .map(VecDeque::capacity)
-                .sum::<usize>()
+        let overflow: usize = self.overflow.values().map(VecDeque::capacity).sum();
+        dense + overflow
     }
 }
 
-/// Move the front entry of `bucket`, and the same-query entries directly
-/// behind it, into `run` until it holds `budget`.
-fn drain_run(
-    bucket: &mut VecDeque<RunEntry>,
-    budget: usize,
-    run: &mut Frontier,
-) -> Option<QueryId> {
-    let query = bucket.front()?.query;
-    while run.len() < budget {
-        match bucket.front() {
-            Some(e) if e.query == query => run.push(
-                e.handle,
-                #[cfg(feature = "obs")]
-                e.enq_ns,
-            ),
-            _ => break,
-        }
-        bucket.pop_front();
+/// Move the front of `bucket`, at most `budget` entries, into `run`.
+fn drain_run(bucket: &mut VecDeque<RunEntry>, budget: usize, run: &mut Frontier) {
+    for e in bucket.drain(..budget.min(bucket.len())) {
+        run.push(
+            e.handle,
+            #[cfg(feature = "obs")]
+            e.enq_ns,
+        );
     }
-    Some(query)
+}
+
+/// Every begun query's [`RunQueue`] and the service order among them.
+///
+/// `ring` lists exactly the queries whose queue is non-empty, next to be
+/// served first — except the one query [`QueryRing::pop`] has handed out,
+/// which the worker either [`QueryRing::requeue`]s or finds drained.
+#[derive(Debug, Default)]
+pub(crate) struct QueryRing {
+    queues: FxHashMap<QueryId, RunQueue>,
+    ring: VecDeque<QueryId>,
+    /// Retired queues awaiting reuse, at most [`FREE_KEEP`].
+    free: Vec<RunQueue>,
+}
+
+impl QueryRing {
+    /// Does no query have a runnable traverser?
+    pub fn is_empty(&self) -> bool {
+        self.ring.is_empty()
+    }
+
+    /// Queued traversers across all queries.
+    #[cfg(any(test, feature = "obs"))]
+    pub fn len(&self) -> usize {
+        self.queues.values().map(RunQueue::len).sum()
+    }
+
+    /// Let `fill` push onto `query`'s queue (taken from the free list on
+    /// the query's first use) and enrol the query at the back of the ring
+    /// if that made it runnable. Not for a query that is out for service.
+    pub fn admit<R>(&mut self, query: QueryId, fill: impl FnOnce(&mut RunQueue) -> R) -> R {
+        let queue = match self.queues.entry(query) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(e) => e.insert(self.free.pop().unwrap_or_default()),
+        };
+        let was_idle = queue.is_empty();
+        let filled = fill(queue);
+        if was_idle && !queue.is_empty() {
+            self.ring.push_back(query);
+        }
+        filled
+    }
+
+    /// Take the ring's front query out for one quantum of service.
+    pub fn pop(&mut self) -> Option<(QueryId, &mut RunQueue)> {
+        let query = self.ring.pop_front()?;
+        // Every ringed query has a queue: `retire` removes both together.
+        Some((query, self.queues.get_mut(&query)?))
+    }
+
+    /// The quantum ended with `query` (from [`QueryRing::pop`]) still
+    /// runnable: to the back of the ring.
+    pub fn requeue(&mut self, query: QueryId) {
+        self.ring.push_back(query);
+    }
+
+    /// `query` ended or was cancelled: hand each of its queued entries to
+    /// `removed`, drop it from the ring and recycle its queue. No other
+    /// query's entries or ring position are touched.
+    pub fn retire(&mut self, query: QueryId, removed: impl FnMut(RunEntry)) {
+        let Some(mut queue) = self.queues.remove(&query) else {
+            return;
+        };
+        if !queue.is_empty() {
+            self.ring.retain(|q| *q != query);
+        }
+        queue.clear(removed);
+        if self.free.len() < FREE_KEEP {
+            self.free.push(queue);
+        }
+    }
+}
+
+#[cfg(test)]
+impl QueryRing {
+    /// Total bucket capacity in entries, live and recycled queues alike
+    /// (storage-bound tests).
+    pub fn capacity(&self) -> usize {
+        let all = self.queues.values().chain(&self.free);
+        all.map(RunQueue::capacity).sum()
+    }
+
+    /// Recycled queues held for reuse.
+    pub fn free_queues(&self) -> usize {
+        self.free.len()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
+    use std::collections::{BTreeSet, BinaryHeap};
 
     use graphdance_common::VertexId;
     use graphdance_pstm::{ArenaTraverser, LocalsId, TraverserArena, Weight};
@@ -206,65 +260,70 @@ mod tests {
             .collect()
     }
 
-    fn entry(query: u64, handle: TraverserHandle) -> RunEntry {
+    fn entry(handle: TraverserHandle) -> RunEntry {
         RunEntry {
-            query: QueryId(query),
             handle,
             #[cfg(feature = "obs")]
             enq_ns: 0,
         }
     }
 
-    fn pop(q: &mut RunQueue) -> Option<(QueryId, TraverserHandle)> {
+    fn id_of(h: TraverserHandle) -> usize {
+        h.slot() as usize
+    }
+
+    fn drain(q: &mut RunQueue) -> Vec<TraverserHandle> {
         let mut run = Frontier::new();
-        let query = q.stage_run(1, &mut run)?;
-        Some((query, run.handles[0]))
+        let mut order = Vec::new();
+        while q.stage_run(1, &mut run) {
+            order.push(run.handles[0]);
+        }
+        order
     }
 
     #[test]
     fn queue_orders_by_depth_then_fifo() {
         let hs = handles(4);
-        let mut q = RunQueue::new();
+        let mut q = RunQueue::default();
         for (depth, h) in [(2, hs[0]), (0, hs[1]), (1, hs[2]), (0, hs[3])] {
-            q.push(depth, entry(1, h));
+            q.push(depth, entry(h));
         }
-        let order: Vec<TraverserHandle> =
-            std::iter::from_fn(|| pop(&mut q).map(|(_, h)| h)).collect();
-        assert_eq!(order, vec![hs[1], hs[3], hs[2], hs[0]]);
+        assert_eq!(drain(&mut q), vec![hs[1], hs[3], hs[2], hs[0]]);
         assert!(q.is_empty());
     }
 
-    /// The hot-path entry carries its query and its handle and nothing
-    /// else: depth is the bucket, sequence is the position, and with `obs`
-    /// disabled the instrumentation compiles to nothing.
+    /// The hot-path entry is the handle and nothing else: depth is the
+    /// bucket, sequence is the position, the query is the queue, and with
+    /// `obs` disabled the instrumentation compiles to nothing.
     #[cfg(not(feature = "obs"))]
     #[test]
-    fn run_entry_is_16_bytes() {
-        assert_eq!(size_of::<RunEntry>(), 16);
+    fn run_entry_is_8_bytes() {
+        assert_eq!(size_of::<RunEntry>(), 8);
     }
 
     #[test]
     fn hostile_depths_cost_one_overflow_bucket_each() {
         let hs = handles(3);
-        let mut q = RunQueue::new();
-        q.push(u32::MAX, entry(1, hs[0]));
-        q.push(DENSE_DEPTHS as u32, entry(1, hs[1]));
-        q.push(3, entry(1, hs[2]));
-        assert_eq!(q.dense.len(), DENSE_DEPTHS, "no resize toward the depth");
+        let mut q = RunQueue::default();
+        q.push(u32::MAX, entry(hs[0]));
+        q.push(DENSE_DEPTHS as u32, entry(hs[1]));
+        q.push(3, entry(hs[2]));
+        assert_eq!(
+            q.dense.len(),
+            4,
+            "grown to the dense depth seen, no further"
+        );
         assert_eq!(q.overflow.len(), 2);
         assert!(q.capacity() < 64);
-        let order: Vec<TraverserHandle> =
-            std::iter::from_fn(|| pop(&mut q).map(|(_, h)| h)).collect();
-        assert_eq!(order, vec![hs[2], hs[1], hs[0]]);
+        assert_eq!(drain(&mut q), vec![hs[2], hs[1], hs[0]]);
         assert!(q.overflow.is_empty(), "drained overflow buckets are freed");
     }
 
     #[derive(Clone, Debug)]
     enum Op {
         Push { depth: u32, query: u64 },
-        Pop,
-        Run { budget: usize },
-        Purge { query: u64 },
+        Quantum { budget: usize },
+        Retire { query: u64 },
     }
 
     fn op() -> impl Strategy<Value = Op> {
@@ -277,118 +336,136 @@ mod tests {
         // Half the ops push, so queues build up before they drain.
         (0u8..10, depth, 0u64..3, 1usize..6).prop_map(|(kind, depth, query, budget)| match kind {
             0..=4 => Op::Push { depth, query },
-            5..=6 => Op::Pop,
-            7..=8 => Op::Run { budget },
-            _ => Op::Purge { query },
+            5..=8 => Op::Quantum { budget },
+            _ => Op::Retire { query },
         })
     }
 
-    /// The reference: the `(depth, seq)` min-heap the worker used to keep,
-    /// staged the way the worker stages — same depth, same query, in pop
+    /// The reference for one query: the `(depth, seq)` min-heap the worker
+    /// used to keep, staged the way the worker stages — same depth, in pop
     /// order, up to the budget.
     #[derive(Default)]
     struct Model {
-        heap: BinaryHeap<Reverse<(u32, u64, u64, usize)>>,
-        seq: u64,
+        heap: BinaryHeap<Reverse<(u32, u64, usize)>>,
     }
 
     impl Model {
-        fn push(&mut self, depth: u32, query: u64, id: usize) {
-            self.seq += 1;
-            self.heap.push(Reverse((depth, self.seq, query, id)));
-        }
-
-        fn run(&mut self, budget: usize) -> Vec<(u64, usize)> {
-            let Some(&Reverse((depth, _, query, _))) = self.heap.peek() else {
+        fn run(&mut self, budget: usize) -> Vec<usize> {
+            let Some(&Reverse((depth, _, _))) = self.heap.peek() else {
                 return Vec::new();
             };
             let mut out = Vec::new();
             while out.len() < budget {
                 match self.heap.peek() {
-                    Some(&Reverse((d, _, q, id))) if d == depth && q == query => {
+                    Some(&Reverse((d, _, id))) if d == depth => {
                         self.heap.pop();
-                        out.push((q, id));
+                        out.push(id);
                     }
                     _ => break,
                 }
             }
             out
         }
-
-        fn purge(&mut self, query: u64) -> Vec<usize> {
-            let mut gone = Vec::new();
-            self.heap.retain(|Reverse((_, _, q, id))| {
-                if *q == query {
-                    gone.push(*id);
-                }
-                *q != query
-            });
-            gone.sort_unstable();
-            gone
-        }
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// Any interleaving of push / pop / staged run / per-query purge
-        /// yields the same entries in the same order from the bucket queue
-        /// as from the `(depth, seq)` heap.
+        /// Under any interleaving of push / quantum / retire across three
+        /// queries:
+        ///
+        /// * each query's staged runs are the pops of its *own* `(depth,
+        ///   seq)` heap — what another query pushes, runs or loses never
+        ///   reorders them;
+        /// * the ring is fair — while a query waits runnable, every other
+        ///   query is served at most once (so none is skipped, and a
+        ///   quantum never idles past a runnable query);
+        /// * retiring a query yields exactly its queued entries.
         #[test]
-        fn pops_in_heap_order(ops in prop::collection::vec(op(), 1..200)) {
+        fn pops_in_heap_order_per_query_and_the_ring_is_fair(
+            ops in prop::collection::vec(op(), 1..200),
+        ) {
             let hs = handles(ops.len());
-            let id_of = |h: TraverserHandle| h.slot() as usize;
-            let mut q = RunQueue::new();
-            let mut model = Model::default();
+            let mut ring = QueryRing::default();
+            let mut models: [Model; 3] = Default::default();
+            // Per waiting query: who has been served since it last was
+            // (or since it became runnable).
+            let mut served_since: [Option<BTreeSet<u64>>; 3] = Default::default();
             let mut run = Frontier::new();
             for (i, op) in ops.iter().enumerate() {
                 match *op {
                     Op::Push { depth, query } => {
-                        q.push(depth, entry(query, hs[i]));
-                        model.push(depth, query, i);
+                        ring.admit(QueryId(query), |q| q.push(depth, entry(hs[i])));
+                        models[query as usize].heap.push(Reverse((depth, i as u64, i)));
+                        served_since[query as usize].get_or_insert_with(BTreeSet::new);
                     }
-                    Op::Pop | Op::Run { .. } => {
-                        let budget = if let Op::Run { budget } = *op { budget } else { 1 };
-                        let query = q.stage_run(budget, &mut run);
-                        let got: Vec<(u64, usize)> = run
-                            .handles
-                            .iter()
-                            .map(|h| (query.expect("non-empty run has a query").0, id_of(*h)))
-                            .collect();
-                        prop_assert_eq!(got, model.run(budget));
+                    // The worker's quantum: serve the front query run by
+                    // run; move on if it drains with budget left.
+                    Op::Quantum { budget } => {
+                        let mut executed = 0;
+                        while executed < budget {
+                            let Some((QueryId(query), queue)) = ring.pop() else {
+                                prop_assert!(models.iter().all(|m| m.heap.is_empty()));
+                                break;
+                            };
+                            for (other, seen) in served_since.iter_mut().enumerate() {
+                                if let (true, Some(seen)) = (other as u64 != query, seen) {
+                                    prop_assert!(seen.insert(query), "{query} served twice past {other}");
+                                }
+                            }
+                            loop {
+                                let left = budget - executed;
+                                if !queue.stage_run(left, &mut run) {
+                                    break;
+                                }
+                                executed += run.len();
+                                let got: Vec<usize> = run.handles.iter().map(|h| id_of(*h)).collect();
+                                prop_assert_eq!(got, models[query as usize].run(left));
+                            }
+                            served_since[query as usize] = if queue.is_empty() {
+                                None
+                            } else {
+                                ring.requeue(QueryId(query));
+                                Some(BTreeSet::new())
+                            };
+                        }
                     }
-                    Op::Purge { query } => {
+                    Op::Retire { query } => {
                         let mut gone = Vec::new();
-                        q.purge(QueryId(query), |e| gone.push(id_of(e.handle)));
+                        ring.retire(QueryId(query), |e| gone.push(id_of(e.handle)));
                         gone.sort_unstable();
-                        prop_assert_eq!(gone, model.purge(query));
+                        let mut want: Vec<usize> =
+                            models[query as usize].heap.drain().map(|Reverse((_, _, id))| id).collect();
+                        want.sort_unstable();
+                        prop_assert_eq!(gone, want);
+                        served_since[query as usize] = None;
                     }
                 }
-                prop_assert_eq!(q.len(), model.heap.len());
+                prop_assert_eq!(ring.len(), models.iter().map(|m| m.heap.len()).sum::<usize>());
+                let runnable = models.iter().filter(|m| !m.heap.is_empty()).count();
+                prop_assert_eq!(ring.ring.len(), runnable);
             }
-            // Drain: the tails agree too, and an emptied queue trims.
-            while let Some(expect) = model.run(1).pop() {
-                let got = pop(&mut q).map(|(query, h)| (query.0, id_of(h)));
-                prop_assert_eq!(got, Some(expect));
-            }
-            prop_assert!(pop(&mut q).is_none());
-            q.trim();
-            prop_assert!(q.overflow.is_empty());
+            prop_assert!(ring.free_queues() <= FREE_KEEP);
         }
     }
 
     #[test]
-    fn trim_gives_back_burst_capacity_once_drained() {
+    fn retiring_gives_back_burst_capacity_and_recycles_the_queue() {
         let hs = handles(8 * BUCKET_KEEP);
-        let mut q = RunQueue::new();
-        for h in &hs {
-            q.push(2, entry(1, *h));
-        }
-        q.trim();
-        assert!(q.capacity() >= hs.len(), "a non-empty queue is left alone");
-        q.purge(QueryId(1), |_| {});
-        assert!(q.is_empty());
-        q.trim();
-        assert!(q.capacity() <= 2 * BUCKET_KEEP);
+        let mut ring = QueryRing::default();
+        ring.admit(QueryId(1), |q| hs.iter().for_each(|h| q.push(2, entry(*h))));
+        ring.admit(QueryId(2), |q| q.push(0, entry(hs[0])));
+        assert!(ring.capacity() >= hs.len());
+        let mut gone = 0;
+        ring.retire(QueryId(1), |_| gone += 1);
+        assert_eq!(gone, hs.len());
+        assert!(ring.capacity() <= 2 * BUCKET_KEEP);
+        // The other query keeps its entry and its place; the retired
+        // queue's buckets serve the next query to begin.
+        assert_eq!((ring.len(), ring.free_queues()), (1, 1));
+        ring.admit(QueryId(3), |q| q.push(2, entry(hs[1])));
+        assert_eq!(ring.free_queues(), 0);
+        let order: Vec<u64> = std::iter::from_fn(|| ring.pop().map(|(q, _)| q.0)).collect();
+        assert_eq!(order, vec![2, 3]);
     }
 }

@@ -1,10 +1,12 @@
 //! The shared-nothing worker thread (§IV).
 //!
 //! Each worker owns one graph partition and one memo. It executes
-//! traversers from a depth-ordered local queue (shorter trajectories first,
-//! §III-B), routes spawned traversers through its tier-1 outbox, coalesces
-//! finished weights, and — before going to sleep — flushes every buffer
-//! including its progress report (§IV-A/B).
+//! traversers from per-query, depth-ordered local queues (shorter
+//! trajectories first within a query, §III-B; queries round-robin a quantum
+//! at a time), routes spawned traversers through its tier-1 outbox,
+//! coalesces finished weights, reports a query's progress when that *query*
+//! has nothing left to run here, and — before going to sleep — flushes
+//! every buffer (§IV-A/B).
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -12,7 +14,9 @@ use std::sync::Arc;
 use crossbeam::channel::Receiver;
 use rand::rngs::SmallRng;
 
-use graphdance_common::{FxHashMap, FxHashSet, GdError, PartId, QueryId, VertexId, WorkerId};
+use graphdance_common::{
+    FxHashMap, FxHashSet, GdError, NodeId, PartId, QueryId, VertexId, WorkerId,
+};
 use graphdance_pstm::{
     ExpandCache, Frontier, HandleOutcome, Interpreter, LocalsTable, Memo, Outcome, Traverser,
     TraverserArena, Weight, WeightLedger,
@@ -22,7 +26,7 @@ use graphdance_storage::Graph;
 use crate::config::EngineConfig;
 use crate::messages::{CoordMsg, MigPhase, QueryCtx, WorkerMsg};
 use crate::net::{Fabric, Outbox};
-use crate::run_queue::{RunEntry, RunQueue};
+use crate::run_queue::{QueryRing, RunEntry, RunQueue};
 
 struct ActiveQuery {
     ctx: Arc<QueryCtx>,
@@ -103,8 +107,11 @@ pub struct Worker {
     /// tracker still lands on `Weight::ROOT`. Entries move to `dead` when
     /// the `QueryEnd` broadcast arrives.
     cancelled: FxHashSet<QueryId>,
-    /// Runnable traversers, shallowest first, FIFO within a depth.
-    queue: RunQueue,
+    /// Runnable traversers: one queue per query (shallowest first, FIFO
+    /// within a depth), queries served round-robin.
+    ring: QueryRing,
+    /// Queries whose queue here emptied since the last progress flush.
+    idle: Vec<QueryId>,
     /// Plan steps executed per query since the last progress flush.
     steps: FxHashMap<QueryId, u64>,
     rng: SmallRng,
@@ -163,7 +170,8 @@ impl Worker {
             pending: FxHashMap::default(),
             dead: DeadWindow::default(),
             cancelled: FxHashSet::default(),
-            queue: RunQueue::new(),
+            ring: QueryRing::default(),
+            idle: Vec::new(),
             steps: FxHashMap::default(),
             rng: graphdance_common::rng::derive(config.seed, id.0 as u64),
             weight_coalescing: config.weight_coalescing,
@@ -210,9 +218,10 @@ impl Worker {
     }
 
     /// One non-blocking scheduling quantum: drain the inbox, execute up to
-    /// one batch of local traversers, and flush buffers when the queue goes
-    /// empty. The threaded [`Worker::run`] loop calls this and blocks on
-    /// [`PumpStatus::Idle`]; the deterministic simulator calls it directly.
+    /// one batch of local traversers, report the queries that went idle
+    /// here, and flush buffers when every queue is empty. The threaded
+    /// [`Worker::run`] loop calls this and blocks on [`PumpStatus::Idle`];
+    /// the deterministic simulator calls it directly.
     pub fn pump(&mut self) -> PumpStatus {
         let mut worked = false;
         // Drain the inbox without blocking.
@@ -226,28 +235,36 @@ impl Worker {
                 Err(_) => break,
             }
         }
-        // Execute a batch of local traversers, shallow first.
+        // Execute a batch of local traversers: the ring's front query,
+        // shallow first.
         let executed = self.run_quantum();
         worked |= executed > 0;
         #[cfg(feature = "obs")]
-        self.obs.queue_depth(self.queue.len() as u64);
+        self.obs.queue_depth(self.ring.len() as u64);
         // Adaptive lanes whose idle-flush deadline passed are flushed even
         // while the worker stays busy.
         worked |= self.outbox.poll_deadlines();
         // Keep same-node latency low.
         self.outbox.flush_local();
-        if self.queue.is_empty() {
-            // About to go idle: flush everything, progress included (§IV-B
-            // "if there are no more traversers ready for execution, we
-            // flush all the buffers before the current thread sleeps").
-            // Under `IoMode::Adaptive` pure-traverser remote lanes are held
-            // for their threshold or deadline instead (see
+        // §IV-A/B "no more traversers ready for execution", per *query*: a
+        // query with nothing left to run here reports now, however much
+        // work the queries beside it still have queued.
+        let went_idle = self.flush_progress();
+        if self.ring.is_empty() {
+            // Every query is idle and so is the worker: flush everything
+            // (§IV-B "we flush all the buffers before the current thread
+            // sleeps"). Under `IoMode::Adaptive` pure-traverser remote
+            // lanes are held for their threshold or deadline instead (see
             // `Outbox::flush_idle`).
-            self.flush_progress();
             self.outbox.flush_idle();
             if !worked {
                 return PumpStatus::Idle;
             }
+        } else if went_idle {
+            // The worker stays busy with other queries: the idle query's
+            // rows and report still leave tier 1 now, not when some other
+            // query fills the coordinator lane.
+            self.outbox.flush_node(NodeId(0));
         }
         PumpStatus::Worked
     }
@@ -257,7 +274,7 @@ impl Worker {
     /// (An all-flushed worker with an empty inbox would just report `Idle`.)
     pub fn has_work(&self) -> bool {
         !self.inbox.is_empty()
-            || !self.queue.is_empty()
+            || !self.ring.is_empty()
             || self
                 .outbox
                 .next_flush_deadline()
@@ -328,12 +345,11 @@ impl Worker {
                 self.steps.remove(&query);
                 self.cancelled.remove(&query);
                 self.dead.insert(query);
-                // Drop any queued traversers of the dead query in place:
-                // their handles free their slab slots (the query's locals
-                // table is dropped wholesale below, values and all).
+                // Retire the dead query's queue: the handles still on it
+                // free their slab slots (the query's locals table is
+                // dropped wholesale below, values and all).
                 let arena = &mut self.arena;
-                self.queue.purge(query, |e| drop(arena.remove(e.handle)));
-                self.queue.trim();
+                self.ring.retire(query, |e| drop(arena.remove(e.handle)));
                 self.locals.remove(&query);
             }
             WorkerMsg::MigrateFreeze { seq, v, to } => self.migrate_freeze(seq, v, to),
@@ -386,7 +402,7 @@ impl Worker {
         // release their interned locals — the table itself lives until
         // `QueryEnd` drops it wholesale.
         let (arena, mut locals) = (&mut self.arena, self.locals.get_mut(&query));
-        self.queue.purge(query, |e| {
+        self.ring.retire(query, |e| {
             let at = arena.remove(e.handle);
             if let Some(lt) = locals.as_mut() {
                 lt.unref(at.locals);
@@ -414,6 +430,7 @@ impl Worker {
         let steps = self.steps.remove(&query).unwrap_or(0);
         if refund != Weight::ZERO || steps > 0 {
             self.outbox.send_progress(query, refund, steps);
+            self.idle.push(query);
             #[cfg(feature = "obs")]
             {
                 let stage = self.queries.get(&query).map_or(0, |a| a.stage);
@@ -472,51 +489,48 @@ impl Worker {
                 for t in run {
                     self.outbox.send_progress(q, t.weight, 0);
                 }
+                self.idle.push(q);
                 continue;
             }
-            // `None`: the ctx has not arrived yet. Such traversers stash
-            // and re-enter here after `QueryBegin`, so they are never
-            // forwarded blind (0 is below every commit version).
-            let pinned = self.queries.get(&q).map(|aq| aq.ctx.routing_version);
-            let mut lt = pinned.map(|_| self.locals.entry(q).or_default());
-            let mut early = Vec::new();
-            for t in run {
-                // Forwarding-stub backstop: the traverser's query routes
-                // its vertex to the migration destination (its pinned
-                // routing version is at or past the commit), but the
-                // traverser landed here anyway — it was spawned against
-                // the pre-commit routing and raced the commit. Bounce it
-                // to the destination rather than executing against the
-                // retained frozen copy. Queries pinned *before* the commit
-                // still execute here: the frozen copy is exactly the state
-                // their snapshot routes to.
-                match self.stubs.get(&t.vertex) {
-                    Some(&(commit_ver, dest)) if pinned.unwrap_or(0) >= commit_ver => {
-                        self.forwarded += 1;
-                        #[cfg(feature = "obs")]
-                        self.obs.stub_forwarded();
-                        let w = self.graph.partitioner().worker_of_part(dest);
-                        self.outbox.send_traverser(w, t);
-                    }
-                    _ => match lt.as_mut() {
-                        Some(lt) => queue_local(
-                            &mut self.queue,
+            let Some(pinned) = self.queries.get(&q).map(|aq| aq.ctx.routing_version) else {
+                // The ctx has not arrived yet. Such traversers stash and
+                // re-enter here after `QueryBegin`, so they are never
+                // forwarded blind.
+                let early = WorkerMsg::Batch(run.collect());
+                self.pending.entry(q).or_default().push(early);
+                continue;
+            };
+            let lt = self.locals.entry(q).or_default();
+            self.ring.admit(q, |queue| {
+                for t in run {
+                    // Forwarding-stub backstop: the traverser's query
+                    // routes its vertex to the migration destination (its
+                    // pinned routing version is at or past the commit), but
+                    // the traverser landed here anyway — it was spawned
+                    // against the pre-commit routing and raced the commit.
+                    // Bounce it to the destination rather than executing
+                    // against the retained frozen copy. Queries pinned
+                    // *before* the commit still execute here: the frozen
+                    // copy is exactly the state their snapshot routes to.
+                    match self.stubs.get(&t.vertex) {
+                        Some(&(commit_ver, dest)) if pinned >= commit_ver => {
+                            self.forwarded += 1;
+                            #[cfg(feature = "obs")]
+                            self.obs.stub_forwarded();
+                            let w = self.graph.partitioner().worker_of_part(dest);
+                            self.outbox.send_traverser(w, t);
+                        }
+                        _ => queue_local(
+                            queue,
                             &mut self.arena,
                             lt,
                             t,
                             #[cfg(feature = "obs")]
                             self.obs.now_ns(),
                         ),
-                        None => early.push(t),
-                    },
+                    }
                 }
-            }
-            if !early.is_empty() {
-                self.pending
-                    .entry(q)
-                    .or_default()
-                    .push(WorkerMsg::Batch(early));
-            }
+            });
         }
     }
 
@@ -525,6 +539,7 @@ impl Worker {
             // The drain already ran on this worker: refund the source's
             // whole share instead of expanding it.
             self.outbox.send_progress(query, weight, 0);
+            self.idle.push(query);
             return;
         }
         let Some(aq) = self.queries.get(&query) else {
@@ -562,21 +577,24 @@ impl Worker {
         }
     }
 
-    /// Execute up to one batch of queued traversers, a *run* at a time:
-    /// the queue hands out consecutive same-depth, same-query entries, and
-    /// everything that is per-query rather than per-traverser — ctx and
-    /// interpreter, locals table, memo, step counter — is resolved once for
-    /// the run; children are routed inline (local ones straight back into
-    /// the queue, remote ones flattened at the outbox). The adjacency cache
-    /// and the partition guard span the quantum. Returns the number of
-    /// traversers executed.
+    /// Execute up to one batch of queued traversers: the ring's front
+    /// query, a *run* (consecutive same-depth entries) at a time, moving on
+    /// to the next query only if this one drains with budget left; a query
+    /// that still has work goes to the back of the ring. Everything that is
+    /// per-query rather than per-traverser — queue, ctx and interpreter,
+    /// locals table, memo, step counter — is resolved once per query served;
+    /// children are routed inline (local ones straight back into the
+    /// query's queue, remote ones flattened at the outbox). The adjacency
+    /// cache and the partition guard span the quantum. Returns the number
+    /// of traversers executed.
     fn run_quantum(&mut self) -> usize {
-        if self.queue.is_empty() {
+        if self.ring.is_empty() {
             return 0;
         }
         self.expand_cache.begin_quantum();
         let own = self.id.part();
         let partitioner = self.graph.partitioner();
+        let hot = self.outbox.fabric().hot_tracker().is_enabled();
         // sync: the partition read guard is held for this quantum only —
         // at most `worker_batch` traversers — and is released before the
         // worker polls or blocks on its inbox, so a `txn` writer queued on
@@ -586,17 +604,15 @@ impl Worker {
         // no partition lock, so holding it adds no wait of its own.
         let part = self.graph.read(own);
         let mut executed = 0;
-        while let Some(query) = self
-            .queue
-            .stage_run(self.batch - executed, &mut self.frontier)
-        {
-            executed += self.frontier.len();
+        while executed < self.batch {
+            let Some((query, queue)) = self.ring.pop() else {
+                break;
+            };
             let Some(aq) = self.queries.get(&query) else {
-                // `QueryEnd` purges the queue, so no entry outlives its
-                // query; were one to, free its slot rather than run it.
-                for h in self.frontier.handles.drain(..) {
-                    drop(self.arena.remove(h));
-                }
+                // `QueryEnd` retires the queue, so none outlives its query;
+                // were one to, free its slots rather than run them.
+                let arena = &mut self.arena;
+                self.ring.retire(query, |e| drop(arena.remove(e.handle)));
                 continue;
             };
             let locals = self.locals.entry(query).or_default();
@@ -613,118 +629,128 @@ impl Worker {
             let memo = self.memo.query_mut(query);
             let out = &mut self.scratch;
             let mut steps = 0u64;
-            for i in 0..self.frontier.len() {
-                if !self.sched_overhead.is_zero() {
-                    // Dataflow-baseline mode: model polling one operator
-                    // instance per plan step per scheduled traverser (§V-B).
-                    crate::net::charge(self.sched_overhead * ctx.plan.num_steps() as u32);
-                }
-                #[cfg(feature = "obs")]
-                let (t0, wait) = self.obs.exec_begin(self.frontier.enq_ns[i]);
-                let input = self.arena.get(self.frontier.handles[i]).weight;
-                let result = interp.run_frontier(
-                    &self.frontier,
-                    i,
-                    &mut self.arena,
-                    locals,
-                    &mut self.expand_cache,
-                    &part,
-                    memo,
-                    &mut self.rng,
-                    out,
-                );
-                // Verify weight conservation (`input == Σ spawned +
-                // finished`, debug builds): a violation aborts the query
-                // with the ledger's diagnostic instead of letting the
-                // tracker hang or fire early.
-                let result = result.and_then(|()| {
-                    self.outcomes += 1;
-                    if WeightLedger::ENABLED && self.fault.leak_weight_nth == Some(self.outcomes) {
-                        // Injected fault: leak one unit of weight.
-                        out.finished = out.finished.sub(Weight(1));
+            while queue.stage_run(self.batch - executed, &mut self.frontier) {
+                executed += self.frontier.len();
+                for i in 0..self.frontier.len() {
+                    if !self.sched_overhead.is_zero() {
+                        // Dataflow-baseline mode: model polling one operator
+                        // instance per plan step per scheduled traverser (§V-B).
+                        crate::net::charge(self.sched_overhead * ctx.plan.num_steps() as u32);
                     }
-                    self.ledger
-                        .check_step_arena(query, input, out, &self.arena)
-                        .map_err(GdError::InvariantViolation)
-                });
-                #[cfg(feature = "obs")]
-                let (mut obs_local, mut obs_remote, mut obs_rows, mut obs_progress) =
-                    (0u64, Vec::<(u32, u64)>::new(), None, false);
-                match result {
-                    Ok(()) => {
-                        for (dest, h) in out.spawned.drain(..) {
-                            if dest == own {
-                                let entry = RunEntry {
-                                    query,
-                                    handle: h,
-                                    #[cfg(feature = "obs")]
-                                    enq_ns: self.obs.now_ns(),
-                                };
-                                self.queue.push(self.arena.get(h).depth, entry);
-                                #[cfg(feature = "obs")]
-                                {
-                                    obs_local += 1;
-                                }
-                            } else {
-                                let w = partitioner.worker_of_part(dest);
-                                let t = self.arena.extract(h, locals);
-                                let hot = self.outbox.fabric().hot_tracker();
-                                hot.record(t.vertex, own);
-                                #[cfg(feature = "obs")]
-                                obs_remote.push((w.0, t.approx_bytes() as u64));
-                                self.outbox.send_traverser(w, t);
-                            }
-                        }
-                        if !out.emitted.is_empty() {
-                            let _approx = self
-                                .outbox
-                                .send_rows(query, std::mem::take(&mut out.emitted));
-                            #[cfg(feature = "obs")]
-                            {
-                                obs_rows = Some(_approx as u64);
-                            }
-                        }
-                        steps += out.steps_executed as u64;
-                        if out.finished != Weight::ZERO {
-                            if self.weight_coalescing {
-                                memo.finished.add(out.finished);
-                            } else {
-                                // Naive progress tracking: one report per
-                                // termination.
-                                let since = self.steps.remove(&query).unwrap_or(0)
-                                    + std::mem::take(&mut steps);
-                                self.outbox.send_progress(query, out.finished, since);
-                                #[cfg(feature = "obs")]
-                                {
-                                    obs_progress = true;
-                                }
-                            }
-                        }
-                    }
-                    Err(error) => {
-                        // Free what a conservation failure left spawned
-                        // (an interpreter error already unwound its own).
-                        for (_, h) in out.spawned.drain(..) {
-                            self.arena.discard(h, locals);
-                        }
-                        self.outbox
-                            .send_ctrl_coord(CoordMsg::WorkerError { query, error });
-                    }
-                }
-                #[cfg(feature = "obs")]
-                {
-                    self.obs.route_done(
-                        query,
-                        stage,
-                        obs_local,
-                        &obs_remote,
-                        obs_rows,
-                        obs_progress,
+                    #[cfg(feature = "obs")]
+                    let (t0, wait) = self.obs.exec_begin(self.frontier.enq_ns[i]);
+                    let input = self.arena.get(self.frontier.handles[i]).weight;
+                    let result = interp.run_frontier(
+                        &self.frontier,
+                        i,
+                        &mut self.arena,
+                        locals,
+                        &mut self.expand_cache,
+                        &part,
+                        memo,
+                        &mut self.rng,
+                        out,
                     );
-                    self.obs.exec_end(query, stage, t0, wait, memo.stats.take());
+                    // Verify weight conservation (`input == Σ spawned +
+                    // finished`, debug builds): a violation aborts the query
+                    // with the ledger's diagnostic instead of letting the
+                    // tracker hang or fire early.
+                    let result = result.and_then(|()| {
+                        self.outcomes += 1;
+                        if WeightLedger::ENABLED
+                            && self.fault.leak_weight_nth == Some(self.outcomes)
+                        {
+                            // Injected fault: leak one unit of weight.
+                            out.finished = out.finished.sub(Weight(1));
+                        }
+                        self.ledger
+                            .check_step_arena(query, input, out, &self.arena)
+                            .map_err(GdError::InvariantViolation)
+                    });
+                    #[cfg(feature = "obs")]
+                    let (mut obs_local, mut obs_remote, mut obs_rows, mut obs_progress) =
+                        (0u64, Vec::<(u32, u64)>::new(), None, false);
+                    match result {
+                        Ok(()) => {
+                            for (dest, h) in out.spawned.drain(..) {
+                                if dest == own {
+                                    let entry = RunEntry {
+                                        handle: h,
+                                        #[cfg(feature = "obs")]
+                                        enq_ns: self.obs.now_ns(),
+                                    };
+                                    queue.push(self.arena.get(h).depth, entry);
+                                    #[cfg(feature = "obs")]
+                                    {
+                                        obs_local += 1;
+                                    }
+                                } else {
+                                    let w = partitioner.worker_of_part(dest);
+                                    let t = self.arena.extract(h, locals);
+                                    if hot {
+                                        self.outbox.fabric().hot_tracker().record(t.vertex, own);
+                                    }
+                                    #[cfg(feature = "obs")]
+                                    obs_remote.push((w.0, t.approx_bytes() as u64));
+                                    self.outbox.send_traverser(w, t);
+                                }
+                            }
+                            if !out.emitted.is_empty() {
+                                let _approx = self
+                                    .outbox
+                                    .send_rows(query, std::mem::take(&mut out.emitted));
+                                #[cfg(feature = "obs")]
+                                {
+                                    obs_rows = Some(_approx as u64);
+                                }
+                            }
+                            steps += out.steps_executed as u64;
+                            if out.finished != Weight::ZERO {
+                                if self.weight_coalescing {
+                                    memo.finished.add(out.finished);
+                                } else {
+                                    // Naive progress tracking: one report per
+                                    // termination.
+                                    let since = self.steps.remove(&query).unwrap_or(0)
+                                        + std::mem::take(&mut steps);
+                                    self.outbox.send_progress(query, out.finished, since);
+                                    #[cfg(feature = "obs")]
+                                    {
+                                        obs_progress = true;
+                                    }
+                                }
+                            }
+                        }
+                        Err(error) => {
+                            // Free what a conservation failure left spawned
+                            // (an interpreter error already unwound its own).
+                            for (_, h) in out.spawned.drain(..) {
+                                self.arena.discard(h, locals);
+                            }
+                            self.outbox
+                                .send_ctrl_coord(CoordMsg::WorkerError { query, error });
+                        }
+                    }
+                    #[cfg(feature = "obs")]
+                    {
+                        self.obs.route_done(
+                            query,
+                            stage,
+                            obs_local,
+                            &obs_remote,
+                            obs_rows,
+                            obs_progress,
+                        );
+                        self.obs.exec_end(query, stage, t0, wait, memo.stats.take());
+                    }
                 }
             }
             *self.steps.entry(query).or_insert(0) += steps;
+            if queue.is_empty() {
+                self.idle.push(query);
+            } else {
+                self.ring.requeue(query);
+            }
         }
         executed
     }
@@ -757,30 +783,39 @@ impl Worker {
         let mut obs_rows: Option<u64> = None;
         #[cfg(feature = "obs")]
         let mut obs_progress = false;
-        for (dest, t) in out.spawned {
-            if dest == self.id.part() {
-                #[cfg(feature = "obs")]
-                {
-                    obs_local += 1;
-                }
-                queue_local(
-                    &mut self.queue,
-                    &mut self.arena,
-                    self.locals.entry(query).or_default(),
-                    t,
+        let hot = self.outbox.fabric().hot_tracker().is_enabled();
+        let went_idle = self.ring.admit(query, |queue| {
+            for (dest, t) in out.spawned {
+                if dest == self.id.part() {
                     #[cfg(feature = "obs")]
-                    self.obs.now_ns(),
-                );
-            } else {
-                let w = self.graph.partitioner().worker_of_part(dest);
-                let hot = self.outbox.fabric().hot_tracker();
-                if hot.is_enabled() {
-                    hot.record(t.vertex, self.id.part());
+                    {
+                        obs_local += 1;
+                    }
+                    queue_local(
+                        queue,
+                        &mut self.arena,
+                        self.locals.entry(query).or_default(),
+                        t,
+                        #[cfg(feature = "obs")]
+                        self.obs.now_ns(),
+                    );
+                } else {
+                    let w = self.graph.partitioner().worker_of_part(dest);
+                    if hot {
+                        let tracker = self.outbox.fabric().hot_tracker();
+                        tracker.record(t.vertex, self.id.part());
+                    }
+                    #[cfg(feature = "obs")]
+                    obs_remote.push((w.0, t.approx_bytes() as u64));
+                    self.outbox.send_traverser(w, t);
                 }
-                #[cfg(feature = "obs")]
-                obs_remote.push((w.0, t.approx_bytes() as u64));
-                self.outbox.send_traverser(w, t);
             }
+            queue.is_empty()
+        });
+        if went_idle {
+            // Nothing of the query is runnable here (the source spawned no
+            // local child): what it finished is reported by this pump.
+            self.idle.push(query);
         }
         if !out.emitted.is_empty() {
             let _approx = self.outbox.send_rows(query, out.emitted);
@@ -814,12 +849,17 @@ impl Worker {
         );
     }
 
-    fn flush_progress(&mut self) {
-        if !self.weight_coalescing {
-            return; // already sent eagerly
-        }
-        let queries: Vec<QueryId> = self.queries.keys().copied().collect();
-        for q in queries {
+    /// Report the coalesced finished weight and step count of every query
+    /// that went idle here since the last call (§IV-A): its queue emptied
+    /// after a run, a source or a cancel. Returns whether any query did.
+    fn flush_progress(&mut self) -> bool {
+        let went_idle = !self.idle.is_empty();
+        for q in self.idle.drain(..) {
+            // Without coalescing the weight was sent eagerly; a query that
+            // ended since it went idle has nothing left to report.
+            if !self.weight_coalescing || !self.queries.contains_key(&q) {
+                continue;
+            }
             if let Some(w) = self.memo.query_mut(q).finished.drain() {
                 let steps = self.steps.remove(&q).unwrap_or(0);
                 if self.fault.sim.progress_side_channel {
@@ -836,6 +876,7 @@ impl Worker {
                 }
             }
         }
+        went_idle
     }
 }
 
@@ -847,9 +888,8 @@ fn queue_local(
     t: Traverser,
     #[cfg(feature = "obs")] enq_ns: u64,
 ) {
-    let (depth, query) = (t.depth, t.query);
+    let depth = t.depth;
     let entry = RunEntry {
-        query,
         handle: arena.admit(t, locals),
         #[cfg(feature = "obs")]
         enq_ns,
@@ -881,7 +921,7 @@ pub fn spawn_workers(
 #[cfg(test)]
 mod handler_tests {
     use super::*;
-    use crate::run_queue::BUCKET_KEEP;
+    use crate::run_queue::{BUCKET_KEEP, FREE_KEEP};
     use crossbeam::channel::unbounded;
     use graphdance_common::{Partitioner, Value, VertexId};
     use graphdance_pstm::Weight;
@@ -891,6 +931,20 @@ mod handler_tests {
     /// Build a worker without spawning its thread, so `handle` can be
     /// driven directly.
     fn test_worker() -> (Worker, Arc<Fabric>, Vec<Receiver<WorkerMsg>>) {
+        let (worker, fabric, wrx, _crx) = test_worker_with_coord();
+        (worker, fabric, wrx)
+    }
+
+    type WorkerWithCoord = (
+        Worker,
+        Arc<Fabric>,
+        Vec<Receiver<WorkerMsg>>,
+        Receiver<CoordMsg>,
+    );
+
+    /// [`test_worker`], keeping the coordinator's inbox: the worker sits on
+    /// node 0, so what it flushes toward the coordinator arrives here.
+    fn test_worker_with_coord() -> WorkerWithCoord {
         let mut b = GraphBuilder::new(Partitioner::new(1, 2));
         let n = b.schema_mut().register_vertex_label("N");
         let e = b.schema_mut().register_edge_label("e");
@@ -906,13 +960,32 @@ mod handler_tests {
             wtx.push(tx);
             wrx.push(rx);
         }
-        let (ctx, _crx) = unbounded();
+        let (ctx, crx) = unbounded();
         let (fabric, _handles) = Fabric::new(&config, wtx, ctx);
         // Find which worker owns vertex 0 so StartSource lands correctly.
         let owner = graph.partitioner().worker_of(VertexId(0));
         let (_, inbox) = unbounded::<WorkerMsg>();
         let worker = Worker::new(owner, graph, &fabric, inbox, &config);
-        (worker, fabric, wrx)
+        (worker, fabric, wrx, crx)
+    }
+
+    /// Take the ring's front query out and stage its next run, as a
+    /// quantum would.
+    fn stage_next(w: &mut Worker) -> Option<QueryId> {
+        let (query, queue) = w.ring.pop()?;
+        queue.stage_run(8, &mut w.frontier);
+        Some(query)
+    }
+
+    /// The `(query, weight)` of every progress report the coordinator has
+    /// received so far.
+    fn progress_at(crx: &Receiver<CoordMsg>) -> Vec<(u64, u64)> {
+        std::iter::from_fn(|| crx.try_recv().ok())
+            .filter_map(|m| match m {
+                CoordMsg::Progress { query, weight, .. } => Some((query.0, weight.0)),
+                _ => None,
+            })
+            .collect()
     }
 
     /// `v(param 0).out("e")` as query `query`, pinned at `routing_version`.
@@ -949,7 +1022,7 @@ mod handler_tests {
             at_v0(6, 3),
             at_v0(5, 4),
         ]));
-        assert!(w.queue.is_empty());
+        assert!(w.ring.is_empty());
         let runs = |w: &Worker, q: u64| -> Vec<Vec<u64>> {
             w.pending[&QueryId(q)]
                 .iter()
@@ -965,8 +1038,8 @@ mod handler_tests {
         // order the traversers arrived; the other query stays stashed.
         w.handle(WorkerMsg::QueryBegin { ctx, stage: 0 });
         assert_eq!(w.pending.len(), 1);
-        assert_eq!(w.queue.len(), 3);
-        assert_eq!(w.queue.stage_run(8, &mut w.frontier), Some(QueryId(5)));
+        assert_eq!(w.ring.len(), 3);
+        assert_eq!(stage_next(&mut w), Some(QueryId(5)));
         let order: Vec<u64> = (w.frontier.handles.iter())
             .map(|h| w.arena.get(*h).weight.0)
             .collect();
@@ -981,7 +1054,7 @@ mod handler_tests {
         w.handle(WorkerMsg::QueryEnd { query: QueryId(5) });
         w.handle(WorkerMsg::Batch(vec![at_v0(5, 1)]));
         assert!(
-            w.queue.is_empty(),
+            w.ring.is_empty(),
             "late traversers for an ended query are dropped"
         );
         assert!(w.pending.is_empty());
@@ -1005,16 +1078,17 @@ mod handler_tests {
             at_v0(6, 4),
             at_v0(5, 5),
         ]));
-        assert_eq!(w.queue.len(), 1);
-        assert_eq!(w.queue.stage_run(8, &mut w.frontier), Some(QueryId(6)));
+        assert_eq!(w.ring.len(), 1);
+        assert_eq!(stage_next(&mut w), Some(QueryId(6)));
         assert!(w.pending.is_empty());
         assert_eq!(fabric.stats().snapshot().progress_msgs - before, 2);
     }
 
     /// A long-lived worker's per-query state is O(active + `DEAD_WINDOW`),
     /// not O(queries ever served): 100 k begin/run/end cycles leave every
-    /// per-query map and set bounded, and the most recent ends are still
-    /// remembered.
+    /// per-query map and set — and the free list of recycled queues —
+    /// bounded, and the most recent ends are still remembered. A query that
+    /// is begun here but never runs here costs this worker no memo at all.
     #[test]
     fn per_query_state_stays_bounded_over_100k_cycles() {
         let (mut w, _fabric, _wrx) = test_worker();
@@ -1033,10 +1107,12 @@ mod handler_tests {
         for i in 1..=CYCLES {
             let q = QueryId(i);
             w.handle(begin(q));
+            assert_eq!(w.pump(), PumpStatus::Idle);
+            assert_eq!(w.memo.live_queries(), 0, "begun, not run: no memo");
             if i == 1 {
                 // One burst, to grow a bucket well past what is kept.
                 w.handle(WorkerMsg::Batch(vec![at_v0(1, 1); 8 * BUCKET_KEEP]));
-                assert!(w.queue.capacity() >= 8 * BUCKET_KEEP);
+                assert!(w.ring.capacity() >= 8 * BUCKET_KEEP);
             }
             w.handle(WorkerMsg::StartSource {
                 query: q,
@@ -1052,11 +1128,13 @@ mod handler_tests {
         assert!(w.steps.is_empty());
         assert!(w.cancelled.is_empty());
         assert!(w.locals.is_empty());
-        assert!(w.queue.is_empty());
+        assert!(w.ring.is_empty());
+        assert!(w.idle.is_empty());
+        assert!((1..=FREE_KEEP).contains(&w.ring.free_queues()));
         assert!(
-            w.queue.capacity() <= 2 * BUCKET_KEEP,
+            w.ring.capacity() <= 2 * BUCKET_KEEP,
             "bucket storage a burst grew is given back: {} entries held",
-            w.queue.capacity()
+            w.ring.capacity()
         );
         assert_eq!(w.arena.live(), 0);
         assert_eq!(w.memo.live_queries(), 0);
@@ -1086,13 +1164,115 @@ mod handler_tests {
             stage: 0,
         });
         w.handle(WorkerMsg::Batch(vec![at_v0(5, 1), at_v0(6, 2)]));
-        assert_eq!(w.queue.len(), 2);
+        assert_eq!(w.ring.len(), 2);
         w.handle(WorkerMsg::QueryEnd { query: QueryId(5) });
-        assert_eq!(w.queue.len(), 1);
+        assert_eq!(w.ring.len(), 1);
         // The purged query's arena slot and locals table are gone too.
         assert_eq!(w.arena.live(), 1);
         assert!(!w.locals.contains_key(&QueryId(5)));
-        assert_eq!(w.queue.stage_run(8, &mut w.frontier), Some(QueryId(6)));
+        assert_eq!(stage_next(&mut w), Some(QueryId(6)));
+    }
+
+    /// The query is the scheduling scope: a three-traverser query admitted
+    /// behind 10 000 queued traversers of another is served within two
+    /// quanta, and its progress report reaches the coordinator at the end
+    /// of that pump — while the long query still has work queued and has
+    /// reported nothing.
+    #[test]
+    fn short_query_is_served_and_reported_beside_a_long_one() {
+        let (mut w, _fabric, _wrx, crx) = test_worker_with_coord();
+        for q in [5, 6] {
+            w.handle(WorkerMsg::QueryBegin {
+                ctx: ctx_with(&w, q, 0),
+                stage: 0,
+            });
+        }
+        w.handle(WorkerMsg::Batch(vec![at_v0(5, 1); 10_000]));
+        assert_eq!(w.pump(), PumpStatus::Worked);
+        w.handle(WorkerMsg::Batch(vec![at_v0(6, 7); 3]));
+        // One quantum of the long query (it was first in the ring), then
+        // the short one's.
+        assert_eq!(w.pump(), PumpStatus::Worked);
+        assert!(progress_at(&crx).is_empty());
+        assert_eq!(w.pump(), PumpStatus::Worked);
+        assert_eq!(progress_at(&crx), vec![(6, 21)]);
+        assert!(w.ring.len() > 9_000, "{} still queued", w.ring.len());
+        // The long query reports once, when it too has drained.
+        while w.pump() == PumpStatus::Worked {}
+        assert_eq!(progress_at(&crx), vec![(5, 10_000)]);
+        assert_eq!(w.arena.live(), 0);
+    }
+
+    /// With one query in flight "the query is idle here" and "the worker
+    /// is idle" are the same event: one report per drain of the queue,
+    /// none while work remains, none from a pump that found nothing to do.
+    #[test]
+    fn single_query_reports_once_per_worker_idle() {
+        let (mut w, _fabric, _wrx, crx) = test_worker_with_coord();
+        w.handle(WorkerMsg::QueryBegin {
+            ctx: ctx_for(&w),
+            stage: 0,
+        });
+        for wave in [300, 5] {
+            w.handle(WorkerMsg::Batch(vec![at_v0(5, 2); wave]));
+            while !w.ring.is_empty() {
+                assert!(progress_at(&crx).is_empty(), "reported with work queued");
+                assert_eq!(w.pump(), PumpStatus::Worked);
+            }
+            assert_eq!(progress_at(&crx), vec![(5, 2 * wave as u64)]);
+            assert_eq!(w.pump(), PumpStatus::Idle);
+            assert!(progress_at(&crx).is_empty());
+        }
+    }
+
+    /// Duplicated control traffic (dup faults, replays) re-delivers
+    /// `QueryBegin` mid-query: the query keeps the queue it has.
+    #[test]
+    fn duplicate_query_begin_keeps_queued_traversers() {
+        let (mut w, _fabric, _wrx, crx) = test_worker_with_coord();
+        let begin = |w: &mut Worker| {
+            w.handle(WorkerMsg::QueryBegin {
+                ctx: ctx_for(w),
+                stage: 0,
+            })
+        };
+        begin(&mut w);
+        w.handle(WorkerMsg::Batch(vec![at_v0(5, 1); 100]));
+        assert_eq!(w.pump(), PumpStatus::Worked);
+        let queued = w.ring.len();
+        assert!(queued > 0);
+        begin(&mut w);
+        assert_eq!((w.ring.len(), w.arena.live()), (queued, queued));
+        while w.pump() == PumpStatus::Worked {}
+        assert_eq!(progress_at(&crx), vec![(5, 100)]);
+        assert_eq!(w.arena.live(), 0);
+    }
+
+    /// `QueryEnd` and `CancelQuery` retire one query's queue: its arena
+    /// slots are freed and its weight refunded, and every other query keeps
+    /// its entries, its slots and its turn in the ring.
+    #[test]
+    fn ending_or_cancelling_a_query_leaves_the_others_untouched() {
+        let (mut w, _fabric, _wrx, crx) = test_worker_with_coord();
+        for q in 5..=8 {
+            w.handle(WorkerMsg::QueryBegin {
+                ctx: ctx_with(&w, q, 0),
+                stage: 0,
+            });
+            w.handle(WorkerMsg::Batch(vec![at_v0(q, q); q as usize]));
+        }
+        assert_eq!((w.ring.len(), w.arena.live()), (26, 26));
+        w.handle(WorkerMsg::QueryEnd { query: QueryId(6) });
+        assert_eq!((w.ring.len(), w.arena.live()), (20, 20));
+        w.handle(WorkerMsg::CancelQuery { query: QueryId(7) });
+        assert_eq!((w.ring.len(), w.arena.live()), (13, 13));
+        // The ended query's traversers are dropped, the cancelled query's
+        // refunded in one report; the two survivors fit one quantum and run
+        // whole, 5 still ahead of 8.
+        assert_eq!(w.pump(), PumpStatus::Worked);
+        assert_eq!(progress_at(&crx), vec![(7, 49), (5, 25), (8, 64)]);
+        assert_eq!(w.arena.live(), 0);
+        assert_eq!(w.ring.free_queues(), 2);
     }
 
     #[test]
@@ -1104,11 +1284,11 @@ mod handler_tests {
             pipeline: 0,
             weight: Weight::ROOT,
         });
-        assert!(w.queue.is_empty());
+        assert!(w.ring.is_empty());
         w.handle(WorkerMsg::QueryBegin { ctx, stage: 0 });
         // The replayed source spawned the root traverser (vertex 0 is local
         // to this worker by construction).
-        assert_eq!(w.queue.len(), 1);
+        assert_eq!(w.ring.len(), 1);
     }
 
     #[test]
@@ -1158,7 +1338,7 @@ mod handler_tests {
         // Pinned below the commit: the retained frozen copy here is exactly
         // the state this query's snapshot routes to — execute locally.
         w.handle(WorkerMsg::Batch(vec![at_v0(5, 1)]));
-        assert_eq!(w.queue.len(), 1, "pre-commit query executes locally");
+        assert_eq!(w.ring.len(), 1, "pre-commit query executes locally");
         assert_eq!(w.forwarded(), 0);
         // Pinned at the commit: the traverser raced the routing flip and
         // must bounce to the new home instead of running on the old copy.
@@ -1168,7 +1348,7 @@ mod handler_tests {
         });
         w.handle(WorkerMsg::Batch(vec![at_v0(6, 2)]));
         assert_eq!(
-            w.queue.len(),
+            w.ring.len(),
             1,
             "post-commit traverser was forwarded, not queued"
         );
@@ -1181,7 +1361,7 @@ mod handler_tests {
             at_v0(6, 5),
             at_v0(5, 6),
         ]));
-        assert_eq!(w.queue.len(), 3);
+        assert_eq!(w.ring.len(), 3);
         assert_eq!(w.forwarded(), 3);
     }
 
@@ -1204,12 +1384,12 @@ mod handler_tests {
             deep(crate::run_queue::DENSE_DEPTHS as u32 + 1, 2),
             deep(1, 3),
         ]));
-        assert_eq!(w.queue.len(), 3);
-        assert!(w.queue.capacity() < 64, "{} entries", w.queue.capacity());
+        assert_eq!(w.ring.len(), 3);
+        assert!(w.ring.capacity() < 64, "{} entries", w.ring.capacity());
         // They run like any others; a child one hop past `u32::MAX`
         // saturates instead of wrapping to the front of the queue.
         while w.pump() == PumpStatus::Worked {}
-        assert!(w.queue.is_empty());
+        assert!(w.ring.is_empty());
         assert_eq!(w.arena.live(), 0);
     }
 }
