@@ -53,6 +53,29 @@ echo "==> transport: conformance battery (channel + tcp + unix loopback)"
 # sockets only; no external network.
 cargo test -q --test transport_conformance --test frame_robustness
 
+echo "==> transport: conformance x200 under CPU contention (release)"
+# The drain-before-close race (a peer connected but not yet accept()ed when
+# shutdown begins) only ever showed when the acceptor thread was scheduled
+# late, i.e. under whole-suite load. Build the battery once, then run it
+# 200 times while two busy-loops hold both cores; the first failure stops
+# the gate and names the iteration.
+conformance_bin=$(cargo test --release --test transport_conformance --no-run 2>&1 \
+    | sed -n 's/.*Executable.*(\(.*\))$/\1/p')
+[ -x "$conformance_bin" ] || { echo "transport_conformance test binary not found"; exit 1; }
+spinners=()
+trap 'kill "${spinners[@]}" 2>/dev/null || true' EXIT
+for _ in 1 2; do
+    ( while :; do :; done ) &
+    spinners+=($!)
+done
+for i in $(seq 1 200); do
+    "$conformance_bin" -q >/dev/null 2>&1 \
+        || { echo "transport_conformance failed on iteration $i"; exit 1; }
+done
+kill "${spinners[@]}"
+wait "${spinners[@]}" 2>/dev/null || true
+trap - EXIT
+
 echo "==> transport: sim/TCP parity (multi-process loopback clusters)"
 # SimCluster and live 2-/3-process clusters (TCP and Unix sockets) must
 # produce identical row multisets on the same seeds.
@@ -65,7 +88,7 @@ echo "==> transport: loopback A/B smoke (--quick)"
 cargo run -q --release -p graphdance-bench --bin transport_ab -- --quick \
     >/dev/null
 
-echo "==> adaptive I/O scheduler: fig12 smoke (--quick)"
+echo "==> I/O scheduler: Fig. 12 ablation + threshold sweep smoke (--quick)"
 cargo run -q --release -p graphdance-bench --bin fig12_io_scheduler -- --quick \
     >/dev/null
 

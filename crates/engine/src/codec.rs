@@ -170,9 +170,11 @@ pub fn decode_traverser(buf: &mut Bytes) -> GdResult<Traverser> {
 // p ×  (u64 query, u64 weight, u64 steps)
 // ```
 //
-// The trailer lets the adaptive I/O scheduler fold coalesced progress
-// reports into traverser batches already headed for the coordinator's
-// node, cutting standalone `Progress` wire messages (Fig. 10/11).
+// The trailer can carry coalesced progress reports behind a batch headed
+// for the coordinator's node. No sender in this repo fills it any more
+// (`p` is always 0; progress ships as standalone `Progress` messages), but
+// the format is kept — `benchmark/` compiles against it — and ingress
+// delivers a trailer it receives.
 
 /// One piggybacked progress report: the same `(query, weight, steps)`
 /// triple a standalone `CoordMsg::Progress` would carry.

@@ -16,60 +16,6 @@ pub enum IoMode {
     /// Both tiers ("TLC + NLC"): the node's network thread additionally
     /// combines queued packets per destination into one wire message.
     TwoTier,
-    /// Both tiers with **adaptive** tier-1 flushing: instead of a single
-    /// static `flush_threshold`, each (worker, destination node) lane keeps
-    /// its own threshold, adjusted by a feedback loop over egress queue
-    /// depth and observed buffer residency (Fig. 12's sweep as a policy).
-    /// Lanes that sit idle past [`AdaptivePolicy::idle_flush`] are flushed
-    /// on a deadline read from `common::time::now()`, so the policy is
-    /// fully exercisable under the sim clock. Progress reports are
-    /// piggybacked onto outgoing traverser batches when safe (Fig. 10/11).
-    Adaptive,
-}
-
-/// Feedback-policy knobs for [`IoMode::Adaptive`].
-///
-/// Thresholds move multiplicatively (double / halve) between
-/// `min_threshold` and `max_threshold`:
-///
-/// * egress queue deep (≥ `egress_depth_high` packets waiting) or buffer
-///   residency above `residency_high` ⇒ the lane is bandwidth-bound, grow
-///   the batch;
-/// * a deadline-triggered flush or residency below `residency_low` ⇒ the
-///   lane is latency-bound, shrink the batch.
-///
-/// All decisions are functions of the seeded sim clock and queue state
-/// only, so a `(seed, config)` pair yields a bit-identical flush schedule
-/// on every replay.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct AdaptivePolicy {
-    /// Smallest per-lane flush threshold in bytes.
-    pub min_threshold: usize,
-    /// Largest per-lane flush threshold in bytes.
-    pub max_threshold: usize,
-    /// Buffer residency below this ⇒ traversers arrive fast; grow batches.
-    pub residency_low: Duration,
-    /// Buffer residency above this ⇒ the lane is stalling; shrink batches.
-    pub residency_high: Duration,
-    /// A lane holding buffered messages longer than this is flushed on a
-    /// deadline regardless of fill level.
-    pub idle_flush: Duration,
-    /// Egress queue depth (packets) at which the lane is considered
-    /// bandwidth-bound.
-    pub egress_depth_high: usize,
-}
-
-impl Default for AdaptivePolicy {
-    fn default() -> Self {
-        AdaptivePolicy {
-            min_threshold: 256,
-            max_threshold: 64 * 1024,
-            residency_low: Duration::from_micros(5),
-            residency_high: Duration::from_micros(20),
-            idle_flush: Duration::from_micros(30),
-            egress_depth_high: 4,
-        }
-    }
 }
 
 /// Simulated network cost model.
@@ -211,8 +157,6 @@ pub struct EngineConfig {
     pub weight_coalescing: bool,
     /// I/O scheduler mode (Fig. 12).
     pub io_mode: IoMode,
-    /// Feedback policy for [`IoMode::Adaptive`] (inert in other modes).
-    pub adaptive: AdaptivePolicy,
     /// Network cost model (Fig. 13).
     pub net: NetConfig,
     /// Master RNG seed (worker streams are derived from it).
@@ -245,7 +189,6 @@ impl EngineConfig {
             flush_threshold: 8 * 1024,
             weight_coalescing: true,
             io_mode: IoMode::TwoTier,
-            adaptive: AdaptivePolicy::default(),
             net: NetConfig::modern(),
             seed: 0xDA7A_BA5E,
             worker_batch: 64,
@@ -276,13 +219,6 @@ impl EngineConfig {
     /// Builder-style: set the network cost model.
     pub fn with_net(mut self, net: NetConfig) -> Self {
         self.net = net;
-        self
-    }
-
-    /// Builder-style: set the adaptive-flush policy (implies nothing about
-    /// `io_mode`; combine with `with_io_mode(IoMode::Adaptive)`).
-    pub fn with_adaptive(mut self, policy: AdaptivePolicy) -> Self {
-        self.adaptive = policy;
         self
     }
 
@@ -319,21 +255,5 @@ mod tests {
         assert!(!c.weight_coalescing);
         assert_eq!(c.io_mode, IoMode::Sync);
         assert_eq!(c.seed, 7);
-    }
-
-    #[test]
-    fn adaptive_policy_defaults_are_ordered() {
-        let p = AdaptivePolicy::default();
-        assert!(p.min_threshold <= p.max_threshold);
-        assert!(p.residency_low < p.residency_high);
-        assert!(p.residency_high <= p.idle_flush);
-        let c = EngineConfig::new(1, 1)
-            .with_io_mode(IoMode::Adaptive)
-            .with_adaptive(AdaptivePolicy {
-                min_threshold: 64,
-                ..p
-            });
-        assert_eq!(c.io_mode, IoMode::Adaptive);
-        assert_eq!(c.adaptive.min_threshold, 64);
     }
 }

@@ -17,7 +17,7 @@
 //!   ([`codec`]) and charged against a configurable network cost model.
 //! * Query completion is detected with **progression weights** and
 //!   **weight coalescing** (§IV-A, [`progress`]): workers locally sum the
-//!   weights of finished traversers and piggyback one coalesced report per
+//!   weights of finished traversers and send one coalesced report per
 //!   flush.
 //!
 //! The [`net::Fabric`] and [`codec`] are public so that the baseline engines
@@ -46,7 +46,7 @@ pub mod wire;
 pub mod worker;
 
 pub use codec::{BytesPool, PoolStats, ProgressEntry};
-pub use config::{AdaptivePolicy, EngineConfig, FaultInjection, IoMode, NetConfig, SimFaults};
+pub use config::{EngineConfig, FaultInjection, IoMode, NetConfig, SimFaults};
 pub use engine::{GraphDance, QueryHandle, QueryResult};
 pub use invariants::{MsgCounts, MsgLedger};
 pub use messages::{MigPhase, ReplySink};

@@ -35,8 +35,8 @@ use rand::RngCore;
 use graphdance_common::{GdError, NodeId, Partitioner, QueryId, Value, WorkerId};
 use graphdance_pstm::{Row, Traverser, Weight};
 
-use crate::codec::{self, BytesPool, PoolStats, ProgressEntry};
-use crate::config::{AdaptivePolicy, EngineConfig, FaultInjection, IoMode, NetConfig};
+use crate::codec::{self, BytesPool, PoolStats};
+use crate::config::{EngineConfig, FaultInjection, IoMode, NetConfig};
 use crate::invariants::MsgLedger;
 use crate::messages::{CoordMsg, WorkerMsg};
 
@@ -70,8 +70,6 @@ pub struct NetStats {
     wire_bytes: AtomicU64, // lint: allow(adhoc-counter) obs-off fallback for NetStats
     same_node_msgs: AtomicU64, // lint: allow(adhoc-counter) obs-off fallback for NetStats
     decode_errors: AtomicU64, // lint: allow(adhoc-counter) obs-off fallback for NetStats
-    progress_piggybacked: AtomicU64, // lint: allow(adhoc-counter) obs-off fallback for NetStats
-    deadline_flushes: AtomicU64, // lint: allow(adhoc-counter) obs-off fallback for NetStats
 }
 
 #[cfg(not(feature = "obs"))]
@@ -106,8 +104,6 @@ impl NetStats {
             wire_bytes: ld(&self.wire_bytes),
             same_node_msgs: ld(&self.same_node_msgs),
             decode_errors: ld(&self.decode_errors),
-            progress_piggybacked: ld(&self.progress_piggybacked),
-            deadline_flushes: ld(&self.deadline_flushes),
         }
     }
 }
@@ -141,8 +137,6 @@ impl NetStats {
             wire_bytes: s.scalar("net.wire_bytes"),
             same_node_msgs: s.scalar("net.same_node_msgs"),
             decode_errors: s.scalar("net.decode_errors"),
-            progress_piggybacked: s.scalar("net.progress_piggybacked"),
-            deadline_flushes: s.scalar("net.deadline_flushes"),
         }
     }
 }
@@ -163,12 +157,6 @@ pub struct NetStatsSnapshot {
     pub same_node_msgs: u64,
     /// Undecodable batch frames seen at ingress.
     pub decode_errors: u64,
-    /// Progress reports that rode a traverser batch's trailer instead of
-    /// going out as standalone wire messages (`IoMode::Adaptive`).
-    pub progress_piggybacked: u64,
-    /// Tier-1 flushes triggered by an idle-flush deadline
-    /// (`IoMode::Adaptive`).
-    pub deadline_flushes: u64,
 }
 
 impl NetStatsSnapshot {
@@ -187,8 +175,6 @@ impl NetStatsSnapshot {
             wire_bytes: self.wire_bytes - earlier.wire_bytes,
             same_node_msgs: self.same_node_msgs - earlier.same_node_msgs,
             decode_errors: self.decode_errors - earlier.decode_errors,
-            progress_piggybacked: self.progress_piggybacked - earlier.progress_piggybacked,
-            deadline_flushes: self.deadline_flushes - earlier.deadline_flushes,
         }
     }
 
@@ -203,8 +189,7 @@ impl NetStatsSnapshot {
 #[derive(Debug)]
 pub enum WireMsg {
     /// Serialized traverser batch for one worker: a frame leased from the
-    /// fabric's [`BytesPool`], returned to it after ingress decode. May
-    /// carry a piggybacked progress trailer (see [`codec::ProgressEntry`]).
+    /// fabric's [`BytesPool`], returned to it after ingress decode.
     Batch {
         /// Destination worker.
         dest: WorkerId,
@@ -275,25 +260,22 @@ pub(crate) enum IngressEvent {
     Shutdown,
 }
 
-/// Why a tier-1 buffer was flushed (adaptive-scheduler tracing).
+/// Why a tier-1 buffer was flushed (flush tracing).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FlushTrigger {
-    /// Buffered bytes crossed the lane's (static or adaptive) threshold;
-    /// also every per-message flush under `IoMode::Sync`.
+    /// Buffered bytes crossed the flush threshold; also every per-message
+    /// flush under `IoMode::Sync`.
     Threshold,
-    /// The lane's idle-flush deadline fired (`IoMode::Adaptive`).
-    Deadline,
-    /// The owning worker went idle and drained its idle-eligible lanes.
-    Idle,
     /// A control-plane message forced the flush.
     Control,
-    /// An explicit flush call (query lifecycle, shutdown, tests).
+    /// An explicit flush call (worker idle, query lifecycle, shutdown,
+    /// tests).
     Explicit,
 }
 
 /// One tier-1 flush decision, recorded while flush tracing is on
 /// ([`Fabric::record_flushes`]). The DST replay suite compares whole
-/// traces across same-seed runs: the adaptive schedule must be
+/// traces across same-seed runs: the flush schedule must be
 /// bit-identical.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FlushEvent {
@@ -307,8 +289,6 @@ pub struct FlushEvent {
     pub bytes: usize,
     /// What tripped the flush.
     pub trigger: FlushTrigger,
-    /// The lane's flush threshold when the decision was made.
-    pub threshold: usize,
 }
 
 /// Sequencing state for [`FaultInjection::drop_batch_nth`]: a plain
@@ -352,8 +332,6 @@ pub struct Fabric {
     /// [`Fabric::ledger_is_global`]). Cleared by
     /// [`Fabric::new_with_transport`].
     ledger_global: AtomicBool,
-    /// Adaptive-flush policy ([`IoMode::Adaptive`]; inert otherwise).
-    adaptive: AdaptivePolicy,
     /// Fabric creation time; flush-trace timestamps are offsets from this.
     epoch: Instant,
     /// Flush tracing toggle; off by default (zero steady-state cost).
@@ -419,7 +397,6 @@ impl Fabric {
             }),
             pool: BytesPool::new(),
             ledger_global: AtomicBool::new(true),
-            adaptive: config.adaptive,
             epoch: now(),
             trace_flushes: AtomicBool::new(false),
             flush_trace: Mutex::new(Vec::new()),
@@ -566,11 +543,6 @@ impl Fabric {
         self.pool.stats()
     }
 
-    /// The adaptive I/O scheduler policy this fabric was built with.
-    pub fn adaptive(&self) -> &AdaptivePolicy {
-        &self.adaptive
-    }
-
     /// Return a frame to the pool without delivering it (the simulator's
     /// fault injector uses this when it drops a wire batch, so leased
     /// frames don't leak out of the pool's accounting).
@@ -595,14 +567,7 @@ impl Fabric {
         self.last_decode_error.lock().take()
     }
 
-    fn note_flush(
-        &self,
-        src: NodeId,
-        dest: NodeId,
-        bytes: usize,
-        trigger: FlushTrigger,
-        threshold: usize,
-    ) {
+    fn note_flush(&self, src: NodeId, dest: NodeId, bytes: usize, trigger: FlushTrigger) {
         // sync: tracing toggle read, pairs with the Relaxed store in
         // record_flushes — no data guarded by the flag itself
         if !self.trace_flushes.load(Ordering::Relaxed) {
@@ -616,26 +581,18 @@ impl Fabric {
             dest,
             bytes,
             trigger,
-            threshold,
         });
     }
 
     /// Create an outbox for a thread running on `src_node`.
     pub fn outbox(self: &Arc<Self>, src_node: NodeId) -> Outbox {
         let n = self.partitioner.nodes() as usize;
-        let threshold = if self.io_mode == IoMode::Adaptive {
-            self.flush_threshold
-                .clamp(self.adaptive.min_threshold, self.adaptive.max_threshold)
-        } else {
-            self.flush_threshold
-        };
         Outbox {
             #[cfg(feature = "obs")]
             obs: self.obs.net_shard(),
             fabric: Arc::clone(self),
             src_node,
             bufs: (0..n).map(|_| OutBuf::default()).collect(),
-            lanes: (0..n).map(|_| LaneCtl { threshold }).collect(),
         }
     }
 
@@ -695,9 +652,10 @@ impl Fabric {
                         if !batch.is_empty() {
                             let _ = self.worker_tx[dest.as_usize()].send(WorkerMsg::Batch(batch));
                         }
-                        // Piggybacked progress rides behind the batch it
-                        // was flushed with, preserving the rows-before-
-                        // progress FIFO (rows are never piggybacked).
+                        // No sender here fills the frame's progress
+                        // trailer, but a socket frame is outside input: a
+                        // trailer that arrives is delivered, behind its
+                        // batch.
                         for p in progress {
                             let _ = self.coord_tx.send(CoordMsg::Progress {
                                 query: p.query,
@@ -921,7 +879,7 @@ impl EgressPump {
         // into per-destination wire packets.
         let mut alive = true;
         let mut groups: Vec<(NodeId, Vec<WireMsg>, usize)> = vec![first];
-        if matches!(fabric.io_mode, IoMode::TwoTier | IoMode::Adaptive) {
+        if fabric.io_mode == IoMode::TwoTier {
             for _ in 0..64 {
                 match self.rx.try_recv() {
                     Ok(EgressEvent::Packet {
@@ -1020,10 +978,6 @@ struct OutBuf {
     /// are counted once per flushed buffer, not once per traverser.
     #[cfg(not(feature = "obs"))]
     traverser_bytes: usize,
-    /// When the oldest buffered message arrived (`IoMode::Adaptive` only:
-    /// drives the idle-flush deadline and the residency feedback signal).
-    /// Cleared with the rest of the buffer at flush.
-    first_at: Option<Instant>,
 }
 
 impl OutBuf {
@@ -1032,21 +986,11 @@ impl OutBuf {
     }
 }
 
-/// Per-lane adaptive-flush state. Lives outside [`OutBuf`] because the
-/// buffer is reset wholesale on flush while the learned threshold must
-/// persist across flushes.
-struct LaneCtl {
-    /// Current flush threshold in bytes.
-    threshold: usize,
-}
-
 /// A sending endpoint: per-destination-node buffers (tier 1).
 pub struct Outbox {
     fabric: Arc<Fabric>,
     src_node: NodeId,
     bufs: Vec<OutBuf>,
-    /// Adaptive per-lane control state, indexed like `bufs`.
-    lanes: Vec<LaneCtl>,
     /// This sender's single-writer metrics shard.
     #[cfg(feature = "obs")]
     obs: crate::obs::NetShard,
@@ -1087,48 +1031,6 @@ impl Outbox {
             .fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Stamp the lane's first-arrival time (adaptive residency/deadline
-    /// signal). Called on every enqueue; free in non-adaptive modes.
-    #[inline]
-    fn note_enqueue(&mut self, node: usize) {
-        if self.fabric.io_mode == IoMode::Adaptive && self.bufs[node].first_at.is_none() {
-            self.bufs[node].first_at = Some(now());
-        }
-    }
-
-    /// Move the lane's threshold per the feedback signals observed at this
-    /// flush decision. Multiplicative in both directions, clamped to the
-    /// policy range. Every input (egress depth, residency on the virtual
-    /// clock) is deterministic under the simulator.
-    fn adapt(&mut self, node: usize, trigger: FlushTrigger) {
-        let pol = &self.fabric.adaptive;
-        let threshold = self.lanes[node].threshold;
-        let next = match trigger {
-            // A deadline fired before the batch filled: the lane is
-            // latency-bound, shrink toward smaller, quicker batches.
-            FlushTrigger::Deadline => threshold / 2,
-            FlushTrigger::Threshold => {
-                let depth = self.fabric.egress_tx[self.src_node.as_usize()].len();
-                let residency = self.bufs[node]
-                    .first_at
-                    .map(|t| now().saturating_duration_since(t))
-                    .unwrap_or_default();
-                if depth >= pol.egress_depth_high || residency < pol.residency_low {
-                    // Egress is backed up, or traversers arrive faster
-                    // than the threshold drains: bandwidth-bound, grow.
-                    threshold * 2
-                } else if residency > pol.residency_high {
-                    // The buffer sat around before filling: shrink.
-                    threshold / 2
-                } else {
-                    threshold
-                }
-            }
-            _ => threshold,
-        };
-        self.lanes[node].threshold = next.clamp(pol.min_threshold, pol.max_threshold);
-    }
-
     fn maybe_flush(&mut self, node: usize) {
         match self.fabric.io_mode {
             IoMode::Sync => self.flush_node_as(NodeId(node as u32), FlushTrigger::Threshold),
@@ -1139,74 +1041,19 @@ impl Outbox {
                     self.flush_node_as(NodeId(node as u32), FlushTrigger::Threshold);
                 }
             }
-            IoMode::Adaptive => {
-                if self.bufs[node].bytes >= self.lanes[node].threshold {
-                    #[cfg(feature = "obs")]
-                    self.obs.flush_threshold();
-                    self.adapt(node, FlushTrigger::Threshold);
-                    self.flush_node_as(NodeId(node as u32), FlushTrigger::Threshold);
-                }
-            }
         }
-    }
-
-    /// Flush every lane whose idle-flush deadline has passed
-    /// (`IoMode::Adaptive`). Returns whether anything was flushed. Workers
-    /// call this each pump so a buffered lane is never held past
-    /// `AdaptivePolicy::idle_flush` — on the virtual clock under the sim,
-    /// on the wall clock in the threaded engine.
-    pub fn poll_deadlines(&mut self) -> bool {
-        if self.fabric.io_mode != IoMode::Adaptive {
-            return false;
-        }
-        let mut flushed = false;
-        let t = now();
-        for node in 0..self.bufs.len() {
-            let Some(first) = self.bufs[node].first_at else {
-                continue;
-            };
-            if t >= first + self.fabric.adaptive.idle_flush {
-                #[cfg(feature = "obs")]
-                self.obs.deadline_flush();
-                #[cfg(not(feature = "obs"))]
-                self.fabric
-                    .stats
-                    .deadline_flushes
-                    // sync: monotonic diagnostic counter (obs-off fallback)
-                    .fetch_add(1, Ordering::Relaxed);
-                self.adapt(node, FlushTrigger::Deadline);
-                self.flush_node_as(NodeId(node as u32), FlushTrigger::Deadline);
-                flushed = true;
-            }
-        }
-        flushed
-    }
-
-    /// The earliest pending idle-flush deadline across all lanes, if any
-    /// (`IoMode::Adaptive`). Idle workers sleep no longer than this; the
-    /// simulator folds it into its timer horizon.
-    pub fn next_flush_deadline(&self) -> Option<Instant> {
-        if self.fabric.io_mode != IoMode::Adaptive {
-            return None;
-        }
-        self.bufs
-            .iter()
-            .filter_map(|b| b.first_at)
-            .min()
-            .map(|first| first + self.fabric.adaptive.idle_flush)
     }
 
     /// Queue a traverser for `dest` (tier-1 buffering; flushes at the
     /// threshold, immediately under `Sync`).
     pub fn send_traverser(&mut self, dest: WorkerId, t: Traverser) {
         let node = self.fabric.partitioner.node_of_worker(dest).as_usize();
-        // Exact encoded size (not the coarse `approx_bytes`): adaptive
-        // thresholds steer on real frame bytes.
+        // Exact encoded size (not the coarse `approx_bytes`): the flush
+        // threshold is in real frame bytes.
         let size = t.wire_bytes();
         #[cfg(feature = "obs")]
         self.count(MsgClass::Traverser, size);
         self.fabric.invariants.record_sent(t.query, 1);
-        self.note_enqueue(node);
         let buf = &mut self.bufs[node];
         buf.traversers.push((dest, t));
         buf.bytes += size;
@@ -1220,7 +1067,6 @@ impl Outbox {
     /// Queue a progress report for the coordinator (node 0).
     pub fn send_progress(&mut self, query: QueryId, weight: Weight, steps: u64) {
         self.count(MsgClass::Progress, 32);
-        self.note_enqueue(0);
         let buf = &mut self.bufs[0];
         buf.msgs.push(WireMsg::Progress {
             query,
@@ -1263,7 +1109,6 @@ impl Outbox {
             })
             .sum();
         self.count(MsgClass::Rows, approx);
-        self.note_enqueue(0);
         let buf = &mut self.bufs[0];
         buf.msgs.push(WireMsg::Rows {
             query,
@@ -1323,13 +1168,8 @@ impl Outbox {
             let (msgs, bytes) = (buf.traversers.len(), buf.traverser_bytes);
             self.fabric.stats.count_n(MsgClass::Traverser, msgs, bytes);
         }
-        self.fabric.note_flush(
-            self.src_node,
-            node,
-            buf.bytes,
-            trigger,
-            self.lanes[node.as_usize()].threshold,
-        );
+        self.fabric
+            .note_flush(self.src_node, node, buf.bytes, trigger);
         #[cfg(feature = "obs")]
         self.obs.flush_buf_bytes(buf.bytes);
         if node == self.src_node {
@@ -1362,48 +1202,12 @@ impl Outbox {
                 groups.push((dest, vec![t]));
             }
         }
-        // Piggyback pending progress reports on the first batch frame —
-        // only when every queued wire message is a progress report, so a
-        // result row or control message can never be overtaken by a
-        // progress report that left the same buffer (the rows-before-
-        // progress FIFO invariant).
-        let mut rest = buf.msgs;
-        let mut piggyback: Vec<ProgressEntry> = Vec::new();
-        if self.fabric.io_mode == IoMode::Adaptive
-            && !groups.is_empty()
-            && !rest.is_empty()
-            && rest.iter().all(|m| matches!(m, WireMsg::Progress { .. }))
-        {
-            for m in rest.drain(..) {
-                if let WireMsg::Progress {
-                    query,
-                    weight,
-                    steps,
-                } = m
-                {
-                    piggyback.push(ProgressEntry {
-                        query,
-                        weight,
-                        steps,
-                    });
-                }
-            }
-            #[cfg(feature = "obs")]
-            self.obs.piggybacked(piggyback.len() as u64);
-            #[cfg(not(feature = "obs"))]
-            self.fabric
-                .stats
-                .progress_piggybacked
-                // sync: monotonic diagnostic counter (obs-off fallback)
-                .fetch_add(piggyback.len() as u64, Ordering::Relaxed);
-        }
-        for (i, (dest, batch)) in groups.into_iter().enumerate() {
+        for (dest, batch) in groups {
             let mut payload = self.fabric.pool.get();
-            let trailer: &[ProgressEntry] = if i == 0 { &piggyback } else { &[] };
-            codec::encode_batch_into(&mut payload, &batch, trailer);
+            codec::encode_batch_into(&mut payload, &batch, &[]);
             msgs.push(WireMsg::Batch { dest, payload });
         }
-        msgs.extend(rest);
+        msgs.extend(buf.msgs);
         let bytes: usize = msgs.iter().map(WireMsg::wire_size).sum();
         let _ = self.fabric.egress_tx[self.src_node.as_usize()].send(EgressEvent::Packet {
             dest_node: node,
@@ -1416,26 +1220,6 @@ impl Outbox {
     pub fn flush_all(&mut self) {
         for n in 0..self.bufs.len() {
             self.flush_node_as(NodeId(n as u32), FlushTrigger::Explicit);
-        }
-    }
-
-    /// Idle-time flush. In the static modes this drains everything (a
-    /// sleeping worker must not strand messages). Under
-    /// [`IoMode::Adaptive`] only the same-node lane and lanes carrying
-    /// non-traverser messages are drained; pure-traverser remote lanes are
-    /// held for their threshold or idle deadline — that residual batching
-    /// while the worker naps between inbox polls is where the adaptive
-    /// policy earns its message-count savings.
-    pub fn flush_idle(&mut self) {
-        if self.fabric.io_mode != IoMode::Adaptive {
-            self.flush_all();
-            return;
-        }
-        for n in 0..self.bufs.len() {
-            let node = NodeId(n as u32);
-            if node == self.src_node || !self.bufs[n].msgs.is_empty() {
-                self.flush_node_as(node, FlushTrigger::Idle);
-            }
         }
     }
 
@@ -1664,103 +1448,33 @@ mod tests {
         }
     }
 
+    /// Progress never rides a batch frame's trailer: a remote lane holding
+    /// traversers and progress reports flushes to the batch followed by
+    /// standalone `WireMsg::Progress`, in send order.
     #[test]
-    fn adaptive_idle_deadline_flushes_on_virtual_clock() {
-        use graphdance_common::time::sim as vclock;
-        let _clock = vclock::freeze_clock();
-        let (fabric, wrx, _crx, handles) = setup(IoMode::Adaptive);
-        fabric.record_flushes(true);
-        let idle = fabric.adaptive().idle_flush;
-        let mut ob = fabric.outbox(NodeId(0));
-        // One small traverser to a remote worker: far below threshold, so
-        // the lane holds it.
-        ob.send_traverser(WorkerId(2), t(1));
-        let deadline = ob.next_flush_deadline().expect("held lane arms a deadline");
-        assert!(!ob.poll_deadlines(), "deadline not due yet");
-        assert!(ob.pending_bytes() > 0, "still buffered");
-        vclock::advance(idle * 2);
-        assert!(deadline <= now());
-        assert!(ob.poll_deadlines(), "deadline flush fired");
-        assert_eq!(ob.next_flush_deadline(), None, "lane disarmed after flush");
-        match wrx[2].recv_timeout(Duration::from_secs(2)).unwrap() {
-            WorkerMsg::Batch(b) => assert_eq!(b.len(), 1),
-            other => panic!("unexpected {other:?}"),
-        }
-        let s = fabric.stats().snapshot();
-        assert_eq!(s.deadline_flushes, 1);
-        let trace = fabric.take_flush_trace();
-        assert_eq!(trace.len(), 1);
-        assert_eq!(trace[0].trigger, FlushTrigger::Deadline);
-        assert_eq!(trace[0].dest, NodeId(1));
-        assert!(trace[0].bytes > 0);
-        fabric.shutdown();
-        for h in handles {
-            h.join().unwrap();
-        }
-    }
-
-    #[test]
-    fn adaptive_piggybacks_progress_on_remote_batches() {
-        let (fabric, wrx, crx, handles) = setup(IoMode::Adaptive);
-        // From node 1: both the traverser (worker 0) and the coordinator
-        // live on node 0, so they share one lane.
+    fn progress_ships_standalone_behind_the_batch() {
+        let cfg = EngineConfig::new(2, 2);
+        let (wtx, _wrx): (Vec<_>, Vec<_>) = (0..4).map(|_| unbounded()).unzip();
+        let (ctx, _crx) = unbounded();
+        let (fabric, channels) = Fabric::new_sim(&cfg, wtx, ctx);
+        // From node 1: worker 0 and the coordinator share the lane to node 0.
         let mut ob = fabric.outbox(NodeId(1));
-        ob.send_traverser(WorkerId(0), t(7));
         ob.send_progress(QueryId(3), Weight(11), 2);
-        ob.flush_all();
-        match wrx[0].recv_timeout(Duration::from_secs(2)).unwrap() {
-            WorkerMsg::Batch(b) => assert_eq!(b.len(), 1),
-            other => panic!("unexpected {other:?}"),
-        }
-        match crx.recv_timeout(Duration::from_secs(2)).unwrap() {
-            CoordMsg::Progress {
-                query,
-                weight,
-                steps,
-            } => {
-                assert_eq!(query, QueryId(3));
-                assert_eq!(weight, Weight(11));
-                assert_eq!(steps, 2);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        let s = fabric.stats().snapshot();
-        assert_eq!(s.progress_piggybacked, 1, "progress rode the batch frame");
-        assert_eq!(
-            s.wire_packets, 1,
-            "one combined wire packet instead of batch + standalone progress"
-        );
-        fabric.shutdown();
-        for h in handles {
-            h.join().unwrap();
-        }
-    }
-
-    #[test]
-    fn rows_in_flight_block_piggybacking() {
-        let (fabric, _wrx, crx, handles) = setup(IoMode::Adaptive);
-        let mut ob = fabric.outbox(NodeId(1));
-        // Rows share the lane FIFO with progress; piggybacking progress
-        // onto the batch would let it overtake the rows, so it must stay
-        // standalone here.
         ob.send_traverser(WorkerId(0), t(7));
-        ob.send_rows(QueryId(3), vec![vec![Value::Int(1)]]);
-        ob.send_progress(QueryId(3), Weight(11), 2);
+        ob.send_progress(QueryId(4), Weight(5), 1);
         ob.flush_all();
-        match crx.recv_timeout(Duration::from_secs(2)).unwrap() {
-            CoordMsg::Rows { query, .. } => assert_eq!(query, QueryId(3)),
-            other => panic!("unexpected {other:?}"),
-        }
-        match crx.recv_timeout(Duration::from_secs(2)).unwrap() {
-            CoordMsg::Progress { query, .. } => assert_eq!(query, QueryId(3)),
-            other => panic!("unexpected {other:?}"),
-        }
-        let s = fabric.stats().snapshot();
-        assert_eq!(s.progress_piggybacked, 0, "rows pinned progress standalone");
-        fabric.shutdown();
-        for h in handles {
-            h.join().unwrap();
-        }
+        let Ok(EgressEvent::Packet { msgs, .. }) = channels.egress_rx[1].try_recv() else {
+            panic!("the flush queued one egress packet");
+        };
+        let [WireMsg::Batch { dest, payload }, WireMsg::Progress { query: first, .. }, WireMsg::Progress { query: second, .. }] =
+            &msgs[..]
+        else {
+            panic!("batch, then both progress reports standalone: {msgs:?}");
+        };
+        assert_eq!(*dest, WorkerId(0));
+        let (batch, trailer) = codec::decode_batch_borrowed(payload).unwrap();
+        assert_eq!((batch.len(), trailer.len()), (1, 0));
+        assert_eq!((*first, *second), (QueryId(3), QueryId(4)));
     }
 
     #[test]
@@ -1842,44 +1556,6 @@ mod tests {
             }
             assert!(Instant::now() < deadline, "frames leaked: {ps:?}");
             std::thread::yield_now();
-        }
-        fabric.shutdown();
-        for h in handles {
-            h.join().unwrap();
-        }
-    }
-
-    #[test]
-    fn adaptive_aimd_moves_lane_threshold_both_ways() {
-        use graphdance_common::time::sim as vclock;
-        let _clock = vclock::freeze_clock();
-        let (fabric, wrx, _crx, handles) = setup(IoMode::Adaptive);
-        fabric.record_flushes(true);
-        let policy = *fabric.adaptive();
-        let mut ob = fabric.outbox(NodeId(0));
-        // A deadline flush halves the lane threshold (buffer was starved).
-        ob.send_traverser(WorkerId(2), t(1));
-        vclock::advance(policy.idle_flush * 2);
-        assert!(ob.poll_deadlines());
-        let trace = fabric.take_flush_trace();
-        let before = trace[0].threshold;
-        // Refill and deadline-flush again: the recorded threshold shrank.
-        ob.send_traverser(WorkerId(2), t(2));
-        vclock::advance(policy.idle_flush * 2);
-        assert!(ob.poll_deadlines());
-        let trace = fabric.take_flush_trace();
-        let after = trace[0].threshold;
-        assert!(
-            after < before,
-            "AIMD halved the threshold: {before} -> {after}"
-        );
-        assert!(after >= policy.min_threshold);
-        let mut got = 0;
-        while got < 2 {
-            match wrx[2].recv_timeout(Duration::from_secs(2)).unwrap() {
-                WorkerMsg::Batch(b) => got += b.len(),
-                other => panic!("unexpected {other:?}"),
-            }
         }
         fabric.shutdown();
         for h in handles {

@@ -56,14 +56,10 @@ mod real {
         pub same_node_msgs: MetricId,
         /// Tier-1 flushes triggered by the byte threshold (vs. idle/ctrl).
         pub flush_threshold: MetricId,
-        /// Tier-1 flushes triggered by an adaptive idle-flush deadline.
-        pub deadline_flushes: MetricId,
         /// Distribution of tier-1 buffer sizes at flush time.
         pub flush_buf_bytes: MetricId,
         /// Ingress batch frames that failed to decode.
         pub decode_errors: MetricId,
-        /// Progress reports piggybacked on outgoing traverser batches.
-        pub progress_piggybacked: MetricId,
         /// Traversers executed by workers.
         pub executed: MetricId,
         /// Traversers spawned into the executing worker's own queue.
@@ -126,10 +122,8 @@ mod real {
                 wire_packet_bytes: r.histogram("net.wire_packet_bytes"),
                 same_node_msgs: r.counter("net.same_node_msgs"),
                 flush_threshold: r.counter("net.flush_threshold"),
-                deadline_flushes: r.counter("net.deadline_flushes"),
                 flush_buf_bytes: r.histogram("net.flush_buf_bytes"),
                 decode_errors: r.counter("net.decode_errors"),
-                progress_piggybacked: r.counter("net.progress_piggybacked"),
                 executed: r.counter("worker.executed"),
                 spawned_local: r.counter("worker.spawned_local"),
                 sent_remote: r.counter("worker.sent_remote"),
@@ -220,12 +214,6 @@ mod real {
             self.shard.inc(self.ids.flush_threshold);
         }
 
-        /// Count one adaptive deadline-triggered tier-1 flush.
-        #[inline]
-        pub fn deadline_flush(&self) {
-            self.shard.inc(self.ids.deadline_flushes);
-        }
-
         /// Record the buffered byte count of one (non-empty) tier-1 flush.
         #[inline]
         pub fn flush_buf_bytes(&self, bytes: usize) {
@@ -236,12 +224,6 @@ mod real {
         #[inline]
         pub fn decode_error(&self) {
             self.shard.inc(self.ids.decode_errors);
-        }
-
-        /// Count `n` progress reports piggybacked on a traverser batch.
-        #[inline]
-        pub fn piggybacked(&self, n: u64) {
-            self.shard.add(self.ids.progress_piggybacked, n);
         }
     }
 

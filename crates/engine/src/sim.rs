@@ -548,9 +548,8 @@ impl SimCluster {
     }
 
     /// The earliest future instant at which anything becomes runnable:
-    /// a buffered packet's delivery time, a stall expiry, an adaptive
-    /// lane's idle-flush deadline, a query deadline, or the liveness
-    /// watchdog.
+    /// a buffered packet's delivery time, a stall expiry, a query deadline,
+    /// or the liveness watchdog.
     fn next_timer(&self) -> Option<Instant> {
         let mut next: Option<Instant> = None;
         let mut fold = |t: Instant| match next {
@@ -564,12 +563,6 @@ impl SimCluster {
         }
         for s in self.stalled_until.iter().flatten() {
             fold(*s);
-        }
-        // Held adaptive lanes wake their worker on the virtual clock.
-        for w in &self.workers {
-            if let Some(t) = w.next_flush_deadline() {
-                fold(t);
-            }
         }
         match (next, self.coordinator.next_timer()) {
             (Some(a), Some(b)) => Some(a.min(b)),

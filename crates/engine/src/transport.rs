@@ -34,13 +34,25 @@
 //!
 //! ## Drain-before-close
 //!
-//! [`Transport::end_of_stream`] runs on the egress thread after the pump
-//! has consumed its `Shutdown` event. Because the egress channel is FIFO,
-//! every packet the outboxes flushed before [`crate::net::Fabric::shutdown`]
-//! has already been written to its socket by then; `end_of_stream` then
-//! appends GOODBYE and closes the write half. A receiver consequently sees
-//! every frame of every flushed outbox before EOF — messages are never
-//! truncated by shutdown.
+//! The contract has a sender half and an acceptor half.
+//!
+//! *Sender.* [`Transport::end_of_stream`] runs on the egress thread after
+//! the pump has consumed its `Shutdown` event. Because the egress channel is
+//! FIFO, every packet the outboxes flushed before
+//! [`crate::net::Fabric::shutdown`] has already been written to its socket
+//! by then; `end_of_stream` then appends GOODBYE and closes the write half.
+//!
+//! *Acceptor.* A peer's `connect()` succeeds as soon as the kernel queues it
+//! on our listen backlog, and the peer may write HELLO, its whole stream and
+//! GOODBYE before our acceptor thread is next scheduled. Those bytes are
+//! only ever read if the connection is `accept()`ed, so `end_of_stream`
+//! raising `closing` must not stop the acceptor while the backlog is
+//! non-empty: [`accept_peers`] reads the flag *before* each `accept()` and
+//! leaves on it only when that `accept()` found nothing queued.
+//!
+//! Together: a receiver sees every frame of every flushed outbox of every
+//! peer that finished connecting before the local `end_of_stream` — messages
+//! are never truncated by shutdown.
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
@@ -460,7 +472,8 @@ pub struct TcpTransport {
     local_addr: PeerAddr,
     /// Acceptor + reader threads, joined at `end_of_stream`.
     threads: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
-    /// Set once `end_of_stream` ran (stops the acceptor poll loop).
+    /// Set once `end_of_stream` ran (stops the acceptor poll loop once the
+    /// listen backlog is empty).
     closing: Arc<AtomicBool>,
     /// Reusable frame-encode scratch buffer (egress thread only).
     scratch: Mutex<Vec<u8>>,
@@ -553,6 +566,40 @@ impl TcpTransport {
     }
 }
 
+/// The acceptor: hand every inbound stream to `on_conn` until `expect`
+/// peers have arrived, or shutdown has begun **and the listen backlog is
+/// empty** — `closing` is read before each non-blocking `accept()` and ends
+/// the loop only when that `accept()` found nothing queued (the acceptor
+/// half of drain-before-close, see the module docs).
+fn accept_peers(
+    listener: &Listener,
+    expect: usize,
+    closing: &AtomicBool,
+    mut on_conn: impl FnMut(Conn),
+) {
+    let mut accepted = 0usize;
+    while accepted < expect {
+        // sync: Acquire pairs with the Release store in `end_of_stream` —
+        // whatever connected before shutdown began is on the backlog the
+        // `accept()` below inspects
+        let shutting_down = closing.load(Ordering::Acquire);
+        match listener.accept() {
+            Ok(conn) => {
+                accepted += 1;
+                on_conn(conn);
+            }
+            Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                if shutting_down {
+                    return;
+                }
+                // lint: allow(hot-path-blocking) startup-only accept poll
+                std::thread::sleep(Duration::from_micros(200)); // lint: allow(sim-determinism) real-socket backend, never sim-reachable
+            }
+            Err(_) => return,
+        }
+    }
+}
+
 /// Read one inbound stream to completion: HELLO, then PACKET frames
 /// delivered into the fabric, until GOODBYE or EOF. Framing and packet
 /// decode errors are counted (`net.decode_errors`) and end the stream —
@@ -624,10 +671,9 @@ impl Transport for TcpTransport {
         if n <= 1 {
             return;
         }
-        // Acceptor: non-blocking accept polled with backoff until every
-        // inbound peer has arrived (or shutdown begins). Each accepted
-        // stream gets its own reader thread immediately, so a slow peer
-        // can't head-of-line-block the others' handshakes.
+        // Acceptor: see `accept_peers`. Each accepted stream gets its own
+        // reader thread immediately, so a slow peer can't head-of-line-block
+        // the others' handshakes.
         if let Some(listener) = self.listener.lock().take() {
             let closing = Arc::clone(&self.closing);
             let fabric2 = Arc::clone(&fabric);
@@ -637,29 +683,16 @@ impl Transport for TcpTransport {
             let acceptor = std::thread::Builder::new()
                 .name(format!("gd-tcp-accept-{local}"))
                 .spawn(move || {
-                    let mut accepted = 0usize;
-                    // sync: shutdown flag — the acceptor only needs to stop
-                    // eventually, Relaxed suffices
-                    while accepted < expect && !closing.load(Ordering::Relaxed) {
-                        match listener.accept() {
-                            Ok(conn) => {
-                                accepted += 1;
-                                let fabric3 = Arc::clone(&fabric2);
-                                let stats3 = Arc::clone(&stats);
-                                let h = std::thread::Builder::new()
-                                    .name(format!("gd-tcp-read-{local}"))
-                                    .spawn(move || reader_loop(conn, fabric3, stats3))
-                                    // Mesh construction precedes queries.
-                                    .expect("spawn transport reader"); // lint: allow(hot-path-panics)
-                                readers.lock().push(h);
-                            }
-                            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                                // lint: allow(hot-path-blocking) startup-only accept poll
-                                std::thread::sleep(Duration::from_micros(200)); // lint: allow(sim-determinism) real-socket backend, never sim-reachable
-                            }
-                            Err(_) => break,
-                        }
-                    }
+                    accept_peers(&listener, expect, &closing, |conn| {
+                        let fabric3 = Arc::clone(&fabric2);
+                        let stats3 = Arc::clone(&stats);
+                        let h = std::thread::Builder::new()
+                            .name(format!("gd-tcp-read-{local}"))
+                            .spawn(move || reader_loop(conn, fabric3, stats3))
+                            // Mesh construction precedes queries.
+                            .expect("spawn transport reader"); // lint: allow(hot-path-panics)
+                        readers.lock().push(h);
+                    });
                 })
                 // Mesh construction precedes all queries.
                 .expect("spawn transport acceptor"); // lint: allow(hot-path-panics)
@@ -756,12 +789,15 @@ impl Transport for TcpTransport {
         }
     }
 
-    /// Drain-before-close: every packet flushed before shutdown has been
-    /// `write_all`'d by the FIFO egress pump, so appending GOODBYE and
-    /// closing the write half guarantees receivers see the full stream.
+    /// Drain-before-close. Sender half: every packet flushed before
+    /// shutdown has been `write_all`'d by the FIFO egress pump, so appending
+    /// GOODBYE and closing the write half lets receivers see the full
+    /// stream. Acceptor half: raising `closing` does not stop the acceptor
+    /// until the listen backlog is empty ([`accept_peers`]), so every peer
+    /// already connected gets the reader that the join below waits on.
     fn end_of_stream(&self) {
-        // sync: shutdown flag for the acceptor poll loop
-        self.closing.store(true, Ordering::Relaxed);
+        // sync: Release pairs with the Acquire load in `accept_peers`
+        self.closing.store(true, Ordering::Release);
         let mut goodbye = Vec::with_capacity(8);
         encode_frame(&mut goodbye, FRAME_GOODBYE, &[]);
         {
@@ -874,6 +910,46 @@ mod tests {
             "buffer stays bounded across frames (len {})",
             asm.buf.len()
         );
+    }
+
+    /// Run `check` against a bound listener of each family, on addresses no
+    /// other test uses.
+    fn on_each_family(tag: &str, check: impl Fn(&Listener, &PeerAddr)) {
+        let tcp = Listener::bind(&PeerAddr::Tcp("127.0.0.1:0".into())).unwrap();
+        let tcp_addr = PeerAddr::Tcp(tcp.local_addr().unwrap().to_string());
+        check(&tcp, &tcp_addr);
+        let path =
+            std::env::temp_dir().join(format!("gd-accept-{}-{tag}.sock", std::process::id()));
+        let unix_addr = PeerAddr::Unix(path.clone());
+        check(&Listener::bind(&unix_addr).unwrap(), &unix_addr);
+        let _ = std::fs::remove_file(path);
+    }
+
+    /// The drain-before-close race, pinned: peers whose `connect()` returned
+    /// before shutdown began sit on the listen backlog, and an acceptor that
+    /// first runs after `closing` was raised must still accept every one.
+    #[test]
+    fn acceptor_drains_the_backlog_after_closing_is_raised() {
+        on_each_family("drain", |listener, addr| {
+            let peers: Vec<Conn> = (0..3).map(|_| Conn::connect(addr).unwrap()).collect();
+            let closing = AtomicBool::new(true);
+            let mut accepted = Vec::new();
+            accept_peers(listener, peers.len(), &closing, |c| accepted.push(c));
+            assert_eq!(accepted.len(), 3, "{addr}: connected peers dropped");
+        });
+    }
+
+    /// …and with the backlog empty, `closing` ends the wait for a peer that
+    /// never connected.
+    #[test]
+    fn acceptor_stops_on_closing_once_the_backlog_is_empty() {
+        on_each_family("stop", |listener, addr| {
+            let _peer = Conn::connect(addr).unwrap();
+            let closing = AtomicBool::new(true);
+            let mut accepted = 0;
+            accept_peers(listener, 2, &closing, |_| accepted += 1);
+            assert_eq!(accepted, 1, "{addr}");
+        });
     }
 
     #[test]

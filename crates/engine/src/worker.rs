@@ -199,15 +199,8 @@ impl Worker {
                 PumpStatus::Stopped => return,
                 PumpStatus::Worked => {}
                 PumpStatus::Idle => {
-                    // §IV-B: flush ALL buffers before the thread sleeps —
-                    // including adaptive lanes still holding for their idle
-                    // deadline. Waiting the deadline out on an OS timer
-                    // would add scheduler slack straight to the query tail;
-                    // held-lane combining pays only while the worker stays
-                    // awake between pump quanta. The deterministic
-                    // simulator, whose virtual-clock waits are free, drives
-                    // the deadline path through `pump` directly.
-                    self.outbox.flush_all();
+                    // §IV-B: every buffer is flushed before the thread
+                    // sleeps — `pump` did that before reporting `Idle`.
                     match self.inbox.recv() {
                         Ok(WorkerMsg::Shutdown) | Err(_) => return,
                         Ok(msg) => self.handle(msg),
@@ -241,9 +234,6 @@ impl Worker {
         worked |= executed > 0;
         #[cfg(feature = "obs")]
         self.obs.queue_depth(self.ring.len() as u64);
-        // Adaptive lanes whose idle-flush deadline passed are flushed even
-        // while the worker stays busy.
-        worked |= self.outbox.poll_deadlines();
         // Keep same-node latency low.
         self.outbox.flush_local();
         // §IV-A/B "no more traversers ready for execution", per *query*: a
@@ -253,10 +243,8 @@ impl Worker {
         if self.ring.is_empty() {
             // Every query is idle and so is the worker: flush everything
             // (§IV-B "we flush all the buffers before the current thread
-            // sleeps"). Under `IoMode::Adaptive` pure-traverser remote
-            // lanes are held for their threshold or deadline instead (see
-            // `Outbox::flush_idle`).
-            self.outbox.flush_idle();
+            // sleeps").
+            self.outbox.flush_all();
             if !worked {
                 return PumpStatus::Idle;
             }
@@ -269,23 +257,11 @@ impl Worker {
         PumpStatus::Worked
     }
 
-    /// Is a quantum worth scheduling — queued input, runnable traversers,
-    /// or an adaptive flush deadline that has come due?
-    /// (An all-flushed worker with an empty inbox would just report `Idle`.)
+    /// Is a quantum worth scheduling — queued input or runnable
+    /// traversers? (An all-flushed worker with an empty inbox would just
+    /// report `Idle`.)
     pub fn has_work(&self) -> bool {
-        !self.inbox.is_empty()
-            || !self.ring.is_empty()
-            || self
-                .outbox
-                .next_flush_deadline()
-                .is_some_and(|d| d <= graphdance_common::time::now())
-    }
-
-    /// The earliest pending adaptive flush deadline, if any. The
-    /// deterministic simulator folds this into its timer horizon so a held
-    /// lane wakes the worker on the virtual clock.
-    pub fn next_flush_deadline(&self) -> Option<std::time::Instant> {
-        self.outbox.next_flush_deadline()
+        !self.inbox.is_empty() || !self.ring.is_empty()
     }
 
     fn handle(&mut self, msg: WorkerMsg) {

@@ -87,8 +87,8 @@ impl Traverser {
 
     /// Exact serialized size in bytes, mirroring the engine wire codec's
     /// layout byte for byte (the codec's tests pin the two together). The
-    /// adaptive I/O scheduler sizes its per-lane buffers with this so flush
-    /// thresholds track real frame bytes.
+    /// I/O scheduler counts its tier-1 buffers with this, so the flush
+    /// threshold tracks real frame bytes.
     pub fn wire_bytes(&self) -> usize {
         let mut n = 8 + 2 + 2 + 8 + 8 + 4 + 1; // fixed fields + aux flag
         if let Some(k) = &self.aux_key {

@@ -408,7 +408,6 @@ fn io_name(io: IoMode) -> &'static str {
         IoMode::Sync => "sync",
         IoMode::ThreadCombining => "threadcombining",
         IoMode::TwoTier => "twotier",
-        IoMode::Adaptive => "adaptive",
     }
 }
 
@@ -417,8 +416,9 @@ fn parse_io(s: &str) -> Result<IoMode, String> {
         "sync" => Ok(IoMode::Sync),
         "threadcombining" => Ok(IoMode::ThreadCombining),
         "twotier" => Ok(IoMode::TwoTier),
-        "adaptive" => Ok(IoMode::Adaptive),
-        other => Err(format!("unknown io mode {other:?}")),
+        other => Err(format!(
+            "unknown io mode {other:?} (expected sync, threadcombining or twotier)"
+        )),
     }
 }
 
@@ -510,7 +510,7 @@ mod tests {
             nodes: 2,
             workers: 2,
             seed: 0x2a,
-            io: IoMode::Adaptive,
+            io: IoMode::ThreadCombining,
             faults: SimFaults {
                 drop_permille: 40,
                 dup_permille: 7,
@@ -635,12 +635,7 @@ mod tests {
 
     #[test]
     fn io_key_roundtrips_every_mode() {
-        for io in [
-            IoMode::Sync,
-            IoMode::ThreadCombining,
-            IoMode::TwoTier,
-            IoMode::Adaptive,
-        ] {
+        for io in [IoMode::Sync, IoMode::ThreadCombining, IoMode::TwoTier] {
             let r =
                 Repro::clean(GraphSpec::Ring { n: 8 }, QuerySpec::ScanCount, 1, 1, 3).with_io(io);
             let line = r.to_line();
@@ -650,6 +645,12 @@ mod tests {
             Repro::parse("graph=ring:8 query=khop:1:0 nodes=1 workers=1 io=warp seed=1").is_err(),
             "typoed io mode fails loudly"
         );
+        // Lines recorded while the removed adaptive scheduler existed.
+        let err = Repro::parse("graph=ring:8 query=khop:1:0 nodes=1 workers=1 io=adaptive seed=1")
+            .expect_err("io=adaptive is no longer a mode");
+        for valid in ["sync", "threadcombining", "twotier"] {
+            assert!(err.contains(valid), "error names {valid}: {err}");
+        }
     }
 
     #[test]

@@ -12,9 +12,8 @@ use graphdance::engine::IoMode;
 use graphdance_sim::{check, GraphSpec, QuerySpec, Repro, SimFailure, Verdict};
 
 /// The scheduler modes the exhaustive sweep covers: the synchronous
-/// baseline, the static two-tier default, and the adaptive scheduler
-/// (per-lane thresholds + idle deadlines + piggybacking).
-const IO_MODES: [IoMode; 3] = [IoMode::Sync, IoMode::TwoTier, IoMode::Adaptive];
+/// baseline and the two-tier default.
+const IO_MODES: [IoMode; 2] = [IoMode::Sync, IoMode::TwoTier];
 
 fn seeds() -> u64 {
     std::env::var("SIM_SEEDS")
@@ -25,7 +24,7 @@ fn seeds() -> u64 {
 
 #[test]
 fn every_small_topology_terminates_with_the_exact_answer() {
-    // The I/O-mode axis triples the sweep; trim the per-cell seed count
+    // The I/O-mode axis doubles the sweep; trim the per-cell seed count
     // so tier-1 wall time stays where it was before the axis existed.
     let seeds = (seeds() / 2).max(4);
     let mut runs = 0u64;
@@ -61,7 +60,7 @@ fn every_small_topology_terminates_with_the_exact_answer() {
     }
     assert_eq!(
         runs,
-        3 * 2 * 2 * 3 * seeds,
+        2 * 2 * 2 * 3 * seeds,
         "full io × topology × depth cross product covered"
     );
 }
@@ -71,28 +70,25 @@ fn every_small_topology_terminates_with_the_exact_answer() {
 #[test]
 fn aggregating_queries_terminate_on_every_topology() {
     let seeds = (seeds() / 5).max(4);
-    for io in [IoMode::TwoTier, IoMode::Adaptive] {
-        for nodes in 1..=2u32 {
-            for workers in 1..=2u32 {
-                for query in [
-                    QuerySpec::KhopCount { hops: 2, start: 3 },
-                    QuerySpec::ScanCount,
-                ] {
-                    let base = Repro::clean(GraphSpec::Ring { n: 8 }, query, nodes, workers, 0)
-                        .with_io(io);
-                    for seed in 0..seeds {
-                        let repro = Repro { seed, ..base };
-                        let verdict = check(&repro);
-                        assert_eq!(
-                            verdict,
-                            Verdict::Match,
-                            "{}",
-                            SimFailure {
-                                repro,
-                                verdict: verdict.clone()
-                            }
-                        );
-                    }
+    for nodes in 1..=2u32 {
+        for workers in 1..=2u32 {
+            for query in [
+                QuerySpec::KhopCount { hops: 2, start: 3 },
+                QuerySpec::ScanCount,
+            ] {
+                let base = Repro::clean(GraphSpec::Ring { n: 8 }, query, nodes, workers, 0);
+                for seed in 0..seeds {
+                    let repro = Repro { seed, ..base };
+                    let verdict = check(&repro);
+                    assert_eq!(
+                        verdict,
+                        Verdict::Match,
+                        "{}",
+                        SimFailure {
+                            repro,
+                            verdict: verdict.clone()
+                        }
+                    );
                 }
             }
         }

@@ -16,7 +16,7 @@
 
 use std::time::Duration;
 
-use graphdance::engine::{EngineConfig, IoMode, QueryResult, SimCluster, SimStep};
+use graphdance::engine::{EngineConfig, QueryResult, SimCluster, SimStep};
 use graphdance::storage::Graph;
 use graphdance_sim::{oracle_rows, GraphSpec, QuerySpec};
 
@@ -51,10 +51,8 @@ const SOLO_MULTIPLE: u32 = 250;
 /// worker).
 const LONG_FRACTION: f64 = 1.0 / 3.0;
 
-fn config(nodes: u32, workers: u32, io: IoMode, seed: u64) -> EngineConfig {
-    let mut config = EngineConfig::new(nodes, workers)
-        .with_seed(seed)
-        .with_io_mode(io);
+fn config(nodes: u32, workers: u32, seed: u64) -> EngineConfig {
+    let mut config = EngineConfig::new(nodes, workers).with_seed(seed);
     config.sched_overhead_per_op = Duration::from_nanos(100);
     config
 }
@@ -79,15 +77,15 @@ struct Outcome {
     trace_len: u64,
 }
 
-fn run(nodes: u32, workers: u32, io: IoMode, seed: u64) -> Outcome {
+fn run(nodes: u32, workers: u32, seed: u64) -> Outcome {
     let graph = GRAPH.build(nodes, workers);
     let (short_plan, short_params) = SHORT.build(&graph);
-    let solo = SimCluster::new(graph.clone(), config(nodes, workers, io, seed))
+    let solo = SimCluster::new(graph.clone(), config(nodes, workers, seed))
         .query_timed(&short_plan, short_params.clone())
         .expect("solo lookup")
         .latency;
 
-    let mut sim = SimCluster::new(graph.clone(), config(nodes, workers, io, seed));
+    let mut sim = SimCluster::new(graph.clone(), config(nodes, workers, seed));
     let (long_plan, long_params) = LONG.build(&graph);
     let long = sim.submit(&long_plan, long_params);
     let short = sim.submit(&short_plan, short_params);
@@ -111,29 +109,27 @@ fn lookup_beside_a_full_graph_khop_finishes_first_and_near_its_solo_latency() {
     let mut worst = 0.0f64;
     let mut worst_frac = 0.0f64;
     for (nodes, workers) in [(1, 2), (2, 2)] {
-        for io in [IoMode::TwoTier, IoMode::Adaptive] {
-            let graph = GRAPH.build(nodes, workers);
-            for seed in 0..seeds() {
-                let at = format!("{nodes}x{workers} {io:?} seed {seed}");
-                let o = run(nodes, workers, io, seed);
-                assert_matches_oracle(&graph, LONG, &o.long, &at);
-                assert_matches_oracle(&graph, SHORT, &o.short, &at);
-                assert!(
-                    o.short.latency.as_secs_f64() < o.long.latency.as_secs_f64() * LONG_FRACTION,
-                    "{at}: lookup {:?} did not finish well before the k-hop {:?}",
-                    o.short.latency,
-                    o.long.latency
-                );
-                assert!(
-                    o.short.latency <= o.solo * SOLO_MULTIPLE,
-                    "{at}: lookup took {:?} beside the k-hop, {:?} alone",
-                    o.short.latency,
-                    o.solo
-                );
-                worst = worst.max(o.short.latency.as_secs_f64() / o.solo.as_secs_f64());
-                worst_frac =
-                    worst_frac.max(o.short.latency.as_secs_f64() / o.long.latency.as_secs_f64());
-            }
+        let graph = GRAPH.build(nodes, workers);
+        for seed in 0..seeds() {
+            let at = format!("{nodes}x{workers} seed {seed}");
+            let o = run(nodes, workers, seed);
+            assert_matches_oracle(&graph, LONG, &o.long, &at);
+            assert_matches_oracle(&graph, SHORT, &o.short, &at);
+            assert!(
+                o.short.latency.as_secs_f64() < o.long.latency.as_secs_f64() * LONG_FRACTION,
+                "{at}: lookup {:?} did not finish well before the k-hop {:?}",
+                o.short.latency,
+                o.long.latency
+            );
+            assert!(
+                o.short.latency <= o.solo * SOLO_MULTIPLE,
+                "{at}: lookup took {:?} beside the k-hop, {:?} alone",
+                o.short.latency,
+                o.solo
+            );
+            worst = worst.max(o.short.latency.as_secs_f64() / o.solo.as_secs_f64());
+            worst_frac =
+                worst_frac.max(o.short.latency.as_secs_f64() / o.long.latency.as_secs_f64());
         }
     }
     println!(
@@ -144,16 +140,14 @@ fn lookup_beside_a_full_graph_khop_finishes_first_and_near_its_solo_latency() {
 #[test]
 fn long_beside_short_schedules_replay_bit_identically() {
     for (nodes, workers) in [(1, 2), (2, 2)] {
-        for io in [IoMode::TwoTier, IoMode::Adaptive] {
-            for seed in 0..seeds().min(4) {
-                let (a, b) = (run(nodes, workers, io, seed), run(nodes, workers, io, seed));
-                let at = format!("{nodes}x{workers} {io:?} seed {seed}");
-                assert_eq!(a.fingerprint, b.fingerprint, "{at}");
-                assert_eq!(a.trace_len, b.trace_len, "{at}");
-                assert_eq!(a.short.latency, b.short.latency, "{at}");
-                assert_eq!(a.long.latency, b.long.latency, "{at}");
-                assert_eq!(sorted(&a.long.rows), sorted(&b.long.rows), "{at}");
-            }
+        for seed in 0..seeds().min(4) {
+            let (a, b) = (run(nodes, workers, seed), run(nodes, workers, seed));
+            let at = format!("{nodes}x{workers} seed {seed}");
+            assert_eq!(a.fingerprint, b.fingerprint, "{at}");
+            assert_eq!(a.trace_len, b.trace_len, "{at}");
+            assert_eq!(a.short.latency, b.short.latency, "{at}");
+            assert_eq!(a.long.latency, b.long.latency, "{at}");
+            assert_eq!(sorted(&a.long.rows), sorted(&b.long.rows), "{at}");
         }
     }
 }

@@ -254,14 +254,12 @@ fn pooled_buffers_never_alias_live_frames_256_fixed_seeds() {
 /// packets-in-flight, not by traffic volume.
 #[test]
 fn pool_high_water_is_bounded_under_sim_sweep() {
-    use graphdance::engine::{EngineConfig, IoMode, SimCluster};
+    use graphdance::engine::{EngineConfig, SimCluster};
     for seed in 0..sim_seeds() {
         let spec = GraphSpec::Ring { n: 24 };
         let graph = spec.build(2, 2);
         let (plan, params) = QuerySpec::Khop { hops: 4, start: 0 }.build(&graph);
-        let config = EngineConfig::new(2, 2)
-            .with_seed(seed)
-            .with_io_mode(IoMode::Adaptive);
+        let config = EngineConfig::new(2, 2).with_seed(seed);
         let mut sim = SimCluster::new(graph, config);
         sim.query(&plan, params).expect("clean run");
         let ps = sim.fabric().pool_stats();

@@ -17,6 +17,7 @@
 //! channel backend bit-identical (the committed `sim-repro/*.repro`
 //! corpus replays are the broader version of the same guarantee).
 
+use graphdance::common::GdError;
 use graphdance::engine::{EngineConfig, SimCluster};
 use graphdance::proc::{ProcessCluster, SocketFamily};
 use graphdance::sim::Repro;
@@ -75,10 +76,17 @@ fn fig9_khop_parity_sim_vs_two_process_tcp() {
 /// a 2-process Unix-domain-socket cluster.
 #[test]
 fn fig7_style_mixed_point_parity_across_families() {
-    let khopcount =
-        "graph=gnm:48:160:7 query=khopcount:3:5 nodes=3 workers=2 io=adaptive seed=0x11";
+    let khopcount = "graph=gnm:48:160:7 query=khopcount:3:5 nodes=3 workers=2 io=twotier seed=0x11";
     let scancount =
         "graph=gnm:48:160:7 query=scancount nodes=2 workers=2 io=threadcombining seed=0x12";
+
+    // A repro line is outside input: the removed `io=adaptive` spelling this
+    // point was first recorded under is refused before any process starts.
+    match ProcessCluster::launch(BIN, &khopcount.replace("io=twotier", "io=adaptive")) {
+        Err(GdError::InvalidProgram(why)) => assert!(why.contains("twotier"), "{why}"),
+        Err(other) => panic!("expected InvalidProgram, got {other}"),
+        Ok(_) => panic!("io=adaptive launched a cluster"),
+    }
 
     let (sim_kc, _) = sim_rows(&Repro::parse(khopcount).expect("valid repro line"));
     assert_eq!(
