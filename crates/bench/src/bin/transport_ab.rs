@@ -1,13 +1,16 @@
-//! Transport A/B — the in-process channel fabric (network **cost model**)
-//! against the real socket backends (`TcpTransport` over loopback TCP and
-//! Unix-domain sockets) on the same 2-node × 2-worker mesh.
+//! Transport A/B — the in-process channel fabric against the real socket
+//! backends (`TcpTransport` over loopback TCP and Unix-domain sockets) on
+//! the same 2-node × 2-worker mesh.
 //!
 //! Two phases per arm:
 //!
 //! * **latency** — ping-pong rounds: build a batch of traversers on node 0,
 //!   `flush_all`, and wait until the whole batch lands in node 1's worker
-//!   inbox; p50/p99 over the rounds. The channel arm's figure is the *sim
-//!   cost model's* opinion of the wire; the socket arms pay real syscalls,
+//!   inbox; p50/p99 over the rounds. The channel arm's figure is two
+//!   thread hops (outbox → egress thread → ingress thread) plus what
+//!   `NetConfig` configures — 1.5 µs per packet, the exact bytes at
+//!   200 Gbps, and 5 µs of propagation delay, spun out rather than slept —
+//!   and is not an estimate of TCP; the socket arms pay real syscalls,
 //!   framing, and kernel loopback.
 //! * **batching** — back-to-back batches with one explicit flush each, then
 //!   drain. The socket-side `TcpStats` deltas give frames/batch and
@@ -235,7 +238,7 @@ fn run_arm(arm: Arm, rounds: usize, batches: usize) -> Measured {
     };
 
     // Phase 1: ping-pong latency. One batch in flight at a time; the
-    // elapsed time covers encode, flush, (cost model | socket), delivery.
+    // elapsed time covers encode, flush, (configured cost | socket), delivery.
     let mut lat = Vec::with_capacity(rounds);
     for _ in 0..rounds {
         let start = graphdance_common::time::now();
@@ -306,7 +309,7 @@ fn main() {
     let get = |a: Arm| &arms.iter().find(|(x, _)| *x == a).expect("arm ran").1;
     let (ch, tcp, unix) = (get(Arm::Channel), get(Arm::Tcp), get(Arm::Unix));
     println!(
-        "\ncost model says {} / loopback TCP measures {} / unix {} per batch \
+        "\nchannel (two thread hops + the configured 6.5 us) {} / loopback TCP {} / unix {} per batch \
          (recorded ceilings p50 {P50_BUDGET_MS} ms, p99 {P99_BUDGET_MS} ms)",
         ms(ch.p50).trim(),
         ms(tcp.p50).trim(),
@@ -317,7 +320,8 @@ fn main() {
         "{{\n  \"bench\": \"transport_ab\",\n  \"workload\": \"{}\",\n  \
          \"method\": \"cargo run --release -p graphdance-bench --bin transport_ab -- --record; \
          raw 2x2 Fabric mesh, {BATCH}-traverser batches to a remote worker inbox, one explicit \
-         flush per batch; latency = ping-pong rounds (channel arm pays the NetConfig cost model, \
+         flush per batch; latency = ping-pong rounds (channel arm pays two thread hops plus the \
+         NetConfig cost, 1.5 us/packet + exact bytes at 200 Gbps + 5 us propagation, spun not slept; \
          socket arms pay real loopback syscalls); frames/writes per batch = sender-side TcpStats \
          deltas over the back-to-back phase\",\n  \
          \"channel_p50_ms\": {:.3},\n  \

@@ -358,6 +358,19 @@ mod tests {
         assert_eq!(ms(Duration::MAX), "   FAIL ");
     }
 
+    /// The number recorded under `name` in a committed `BENCH_*.json`
+    /// (`raw`): the first occurrence of the key, then its numeric value.
+    fn recorded(raw: &str, name: &str) -> f64 {
+        let at = raw.find(name).unwrap_or_else(|| panic!("{name} present"));
+        let rest = &raw[at + name.len()..];
+        let num: String = rest
+            .chars()
+            .skip_while(|c| *c == '"' || *c == ':' || c.is_whitespace())
+            .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-')
+            .collect();
+        num.parse().unwrap_or_else(|_| panic!("{name} numeric"))
+    }
+
     /// PR 3 acceptance: the recorded obs on/off baseline
     /// (`BENCH_obs_baseline.json`, produced by the `obs_baseline` bin)
     /// must show instrumentation overhead within the 3% k-hop budget.
@@ -366,16 +379,7 @@ mod tests {
     #[test]
     fn recorded_obs_overhead_within_budget() {
         let raw = include_str!("../../../BENCH_obs_baseline.json");
-        let field = |name: &str| -> f64 {
-            let at = raw.find(name).unwrap_or_else(|| panic!("{name} present"));
-            let rest = &raw[at + name.len()..];
-            let num: String = rest
-                .chars()
-                .skip_while(|c| *c == '"' || *c == ':' || c.is_whitespace())
-                .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-')
-                .collect();
-            num.parse().unwrap_or_else(|_| panic!("{name} numeric"))
-        };
+        let field = |name: &str| recorded(raw, name);
         let overhead = field("overhead_pct");
         let budget = field("budget_pct");
         assert!(
@@ -398,16 +402,7 @@ mod tests {
     #[test]
     fn recorded_hotpath_within_budget() {
         let raw = include_str!("../../../BENCH_hotpath.json");
-        let field = |name: &str| -> f64 {
-            let at = raw.find(name).unwrap_or_else(|| panic!("{name} present"));
-            let rest = &raw[at + name.len()..];
-            let num: String = rest
-                .chars()
-                .skip_while(|c| *c == '"' || *c == ':' || c.is_whitespace())
-                .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-')
-                .collect();
-            num.parse().unwrap_or_else(|_| panic!("{name} numeric"))
-        };
+        let field = |name: &str| recorded(raw, name);
         let alloc_cloned = field("alloc_per_step_cloned");
         let alloc_arena = field("alloc_per_step_arena");
         let floor = field("alloc_floor_ratio");
@@ -436,16 +431,7 @@ mod tests {
     #[test]
     fn recorded_service_slo_within_budget() {
         let raw = include_str!("../../../BENCH_service_slo.json");
-        let field = |name: &str| -> f64 {
-            let at = raw.find(name).unwrap_or_else(|| panic!("{name} present"));
-            let rest = &raw[at + name.len()..];
-            let num: String = rest
-                .chars()
-                .skip_while(|c| *c == '"' || *c == ':' || c.is_whitespace())
-                .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-')
-                .collect();
-            num.parse().unwrap_or_else(|_| panic!("{name} numeric"))
-        };
+        let field = |name: &str| recorded(raw, name);
         let interactive_p99 = field("mid_interactive_p99_ms");
         let background_p99 = field("mid_background_p99_ms");
         assert!(
@@ -492,16 +478,7 @@ mod tests {
     #[test]
     fn recorded_partitioning_within_budget() {
         let raw = include_str!("../../../BENCH_partitioning.json");
-        let field = |name: &str| -> f64 {
-            let at = raw.find(name).unwrap_or_else(|| panic!("{name} present"));
-            let rest = &raw[at + name.len()..];
-            let num: String = rest
-                .chars()
-                .skip_while(|c| *c == '"' || *c == ':' || c.is_whitespace())
-                .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-')
-                .collect();
-            num.parse().unwrap_or_else(|_| panic!("{name} numeric"))
-        };
+        let field = |name: &str| recorded(raw, name);
         let floor = field("reduction_floor_pct");
         assert_eq!(floor, 40.0, "floor is the acceptance figure");
         let hash_cross = field("hash_cross_node_msgs");
@@ -555,16 +532,7 @@ mod tests {
     #[test]
     fn recorded_transport_within_budget() {
         let raw = include_str!("../../../BENCH_transport.json");
-        let field = |name: &str| -> f64 {
-            let at = raw.find(name).unwrap_or_else(|| panic!("{name} present"));
-            let rest = &raw[at + name.len()..];
-            let num: String = rest
-                .chars()
-                .skip_while(|c| *c == '"' || *c == ':' || c.is_whitespace())
-                .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-')
-                .collect();
-            num.parse().unwrap_or_else(|_| panic!("{name} numeric"))
-        };
+        let field = |name: &str| recorded(raw, name);
         let frame_budget = field("frames_per_batch_budget");
         let syscall_budget = field("syscalls_per_batch_budget");
         assert_eq!(frame_budget, 2.0, "budget is the acceptance figure");
@@ -606,7 +574,7 @@ mod tests {
                  the hot path"
             );
         }
-        // The cost-model arm must have produced a real figure too, or the
+        // The in-process arm must have produced a real figure too, or the
         // comparison column is meaningless.
         assert!(
             field("channel_p50_ms") > 0.0,

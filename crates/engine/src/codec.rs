@@ -4,16 +4,15 @@
 //! deserialized (same-node messages take the shared-memory shortcut and
 //! skip this entirely, §IV-B). Hand-rolled rather than a serde format so
 //! the byte layout — and therefore the network cost model and the 8 KB
-//! flush threshold — is deterministic and tight.
+//! flush threshold — is deterministic and tight. This module encodes and
+//! decodes; what a whole message costs on the wire is [`crate::wire`]'s to
+//! say (`wire::encoded_len`).
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use parking_lot::Mutex;
 
 use graphdance_common::{GdError, GdResult, QueryId, Value, VertexId};
-use graphdance_pstm::{Row, Traverser, Weight};
-use graphdance_query::plan::Plan;
-
-use crate::messages::{BspSignal, CoordMsg, WorkerMsg};
+use graphdance_pstm::{Traverser, Weight};
 
 const TAG_NULL: u8 = 0;
 const TAG_BOOL_FALSE: u8 = 1;
@@ -487,99 +486,6 @@ impl BytesPool {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Control-plane wire sizing
-// ---------------------------------------------------------------------------
-
-/// Approximate encoded size of one value (mirrors [`encode_value`]'s layout
-/// without allocating).
-pub fn value_wire_size(v: &Value) -> usize {
-    1 + match v {
-        Value::Null | Value::Bool(_) => 0,
-        Value::Int(_) | Value::Float(_) | Value::Vertex(_) => 8,
-        Value::Str(s) => 4 + s.len(),
-        Value::List(l) => 4 + l.iter().map(value_wire_size).sum::<usize>(),
-    }
-}
-
-/// Approximate encoded size of one result row.
-pub fn row_wire_size(row: &Row) -> usize {
-    2 + row.iter().map(value_wire_size).sum::<usize>()
-}
-
-/// Approximate plan-shipping cost: a fixed header plus per-stage, per-step,
-/// and per-expression contributions. Coarse by design — it only needs to
-/// scale with plan complexity so `QueryBegin` is charged more than a bare
-/// control signal.
-pub fn plan_wire_size(plan: &Plan) -> usize {
-    16 + plan
-        .stages
-        .iter()
-        .map(|s| {
-            32 + 16 * s.output.len()
-                + 24 * s.joins.len()
-                + s.pipelines
-                    .iter()
-                    .map(|p| 16 + 24 * p.steps.len())
-                    .sum::<usize>()
-        })
-        .sum::<usize>()
-}
-
-/// Modeled wire size of a control-plane message to a worker.
-///
-/// The match is deliberately exhaustive — **no wildcard arm** — so adding a
-/// [`WorkerMsg`] variant is a compile error until its cost is modeled here.
-/// `cargo xtask check` (the `codec-exhaustive` lint) additionally verifies
-/// every variant name appears in this file.
-pub fn worker_msg_wire_size(msg: &WorkerMsg) -> usize {
-    match msg {
-        WorkerMsg::Batch(ts) => 4 + ts.iter().map(Traverser::approx_bytes).sum::<usize>(),
-        WorkerMsg::QueryBegin { ctx, stage: _ } => {
-            16 + plan_wire_size(&ctx.plan) + ctx.params.iter().map(value_wire_size).sum::<usize>()
-        }
-        WorkerMsg::StageBegin { .. } => 16,
-        WorkerMsg::StartSource { .. } => 24,
-        WorkerMsg::GatherAgg { .. } => 12,
-        WorkerMsg::QueryEnd { .. } => 12,
-        WorkerMsg::CancelQuery { .. } => 12,
-        // Migration control plane (DESIGN.md §14): fixed headers, except
-        // the install which ships the whole vertex segment.
-        WorkerMsg::MigrateFreeze { .. } => 28,
-        WorkerMsg::MigrateInstall { segment, .. } => 24 + segment.approx_bytes(),
-        WorkerMsg::MigrateCommit { .. } => 36,
-        WorkerMsg::MigrateRetire { .. } => 20,
-        WorkerMsg::Bsp(BspSignal::RunStep { .. }) => 16,
-        WorkerMsg::Bsp(BspSignal::Probe { .. }) => 20,
-        WorkerMsg::Shutdown => 4,
-    }
-}
-
-/// Modeled wire size of a control-plane message to the coordinator.
-///
-/// Exhaustive on purpose, like [`worker_msg_wire_size`]; see there.
-pub fn coord_msg_wire_size(msg: &CoordMsg) -> usize {
-    match msg {
-        CoordMsg::Submit { plan, params, .. } => {
-            // Client submissions never cross the simulated wire (the client
-            // talks to the coordinator's node directly), but the arm exists
-            // so the match stays exhaustive.
-            16 + plan_wire_size(plan) + params.iter().map(value_wire_size).sum::<usize>()
-        }
-        CoordMsg::Cancel { .. } => 12,
-        CoordMsg::Progress { .. } => 32,
-        CoordMsg::Rows { rows, .. } => 12 + rows.iter().map(row_wire_size).sum::<usize>(),
-        CoordMsg::AggPartial { state, .. } => 16 + state.as_ref().map_or(0, |s| s.approx_bytes()),
-        CoordMsg::WorkerError { .. } => 64,
-        CoordMsg::BspStepDone { .. } => 56,
-        CoordMsg::BspParked { .. } => 32,
-        CoordMsg::Rebalance { moves } => 8 + 16 * moves.len(),
-        CoordMsg::MigrateAck { .. } => 24,
-        CoordMsg::Tick => 4,
-        CoordMsg::Shutdown => 4,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -762,53 +668,5 @@ mod tests {
         pool.put(jumbo);
         let next = pool.get();
         assert!(next.capacity() < cap);
-    }
-
-    #[test]
-    fn value_wire_size_matches_encoding() {
-        for v in [
-            Value::Null,
-            Value::Bool(true),
-            Value::Int(7),
-            Value::Float(1.5),
-            Value::str("twelve bytes"),
-            Value::Vertex(VertexId(3)),
-            Value::list(vec![Value::Int(1), Value::str("x")]),
-        ] {
-            let mut buf = BytesMut::new();
-            encode_value(&mut buf, &v);
-            assert_eq!(
-                value_wire_size(&v),
-                buf.len(),
-                "size model drifted for {v:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn ctrl_wire_sizes_scale_with_payload() {
-        let small = CoordMsg::Rows {
-            query: QueryId(1),
-            rows: vec![vec![Value::Int(1)]],
-        };
-        let big = CoordMsg::Rows {
-            query: QueryId(1),
-            rows: (0..50)
-                .map(|i| vec![Value::Int(i), Value::str("padding")])
-                .collect(),
-        };
-        assert!(coord_msg_wire_size(&big) > coord_msg_wire_size(&small));
-
-        let w = WorkerMsg::Batch(vec![Traverser::root(
-            QueryId(1),
-            0,
-            VertexId(1),
-            1,
-            Weight(1),
-        )]);
-        assert!(worker_msg_wire_size(&w) > worker_msg_wire_size(&WorkerMsg::Shutdown));
-        // Every fixed-size control variant is charged a nonzero cost.
-        assert!(worker_msg_wire_size(&WorkerMsg::QueryEnd { query: QueryId(1) }) > 0);
-        assert!(coord_msg_wire_size(&CoordMsg::Tick) > 0);
     }
 }

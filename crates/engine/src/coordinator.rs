@@ -25,7 +25,7 @@ use crate::config::EngineConfig;
 use crate::engine::QueryResult;
 use crate::invariants::MsgLedger;
 use crate::messages::{migration_qid, CoordMsg, MigPhase, QueryCtx, ReplySink, WorkerMsg};
-use crate::net::{Fabric, Outbox};
+use crate::net::{Fabric, Outbox, WireMsg};
 use crate::progress::ProgressTracker;
 use crate::rebalance::{plan_moves, RebalanceConfig};
 
@@ -369,17 +369,23 @@ impl Coordinator {
         // Register the query at every worker before any traverser can reach
         // them (workers also stash early arrivals defensively).
         for w in 0..self.fabric.partitioner().num_parts() {
-            let _sz = self.outbox.send_ctrl_worker(
-                WorkerId(w),
-                WorkerMsg::QueryBegin {
-                    ctx: Arc::clone(&ctx),
-                    stage: 0,
-                },
-            );
-            #[cfg(feature = "obs")]
-            self.obs.ctrl_sent(query, 0, _sz as u64);
+            let begin = WorkerMsg::QueryBegin {
+                ctx: Arc::clone(&ctx),
+                stage: 0,
+            };
+            self.send_ctrl(query, 0, WorkerId(w), begin);
         }
         self.start_stage(query);
+    }
+
+    /// Send a per-query control message to worker `dest`, noting it in the
+    /// `(query, stage)` trace span when `obs` is on.
+    #[cfg_attr(not(feature = "obs"), allow(unused_variables))]
+    fn send_ctrl(&mut self, query: QueryId, stage: u16, dest: WorkerId, msg: WorkerMsg) {
+        let msg = WireMsg::CtrlWorker { dest, msg };
+        #[cfg(feature = "obs")]
+        self.obs.ctrl_sent(query, stage, &msg);
+        self.outbox.send(msg);
     }
 
     /// Begin the cancellation drain protocol for `query` (no-op if the
@@ -398,7 +404,6 @@ impl Coordinator {
         }
         state.cancelled = true;
         state.last_activity = now();
-        #[cfg(feature = "obs")]
         let stage_no = state.stage;
         if state.gathering {
             // The stage scope already terminated (no weight in flight);
@@ -409,11 +414,12 @@ impl Coordinator {
             return;
         }
         for w in 0..self.fabric.partitioner().num_parts() {
-            let _sz = self
-                .outbox
-                .send_ctrl_worker(WorkerId(w), WorkerMsg::CancelQuery { query });
-            #[cfg(feature = "obs")]
-            self.obs.ctrl_sent(query, stage_no, _sz as u64);
+            self.send_ctrl(
+                query,
+                stage_no,
+                WorkerId(w),
+                WorkerMsg::CancelQuery { query },
+            );
         }
         self.outbox.flush_all();
     }
@@ -444,16 +450,12 @@ impl Coordinator {
                             // Route by the query's pinned routing version,
                             // not the raw hash — `v` may have migrated.
                             let owner = self.graph.worker_of_at(v, ctx.routing_version);
-                            let _sz = self.outbox.send_ctrl_worker(
-                                owner,
-                                WorkerMsg::StartSource {
-                                    query,
-                                    pipeline: pi as u16,
-                                    weight: pw,
-                                },
-                            );
-                            #[cfg(feature = "obs")]
-                            self.obs.ctrl_sent(query, stage_idx as u16, _sz as u64);
+                            let start = WorkerMsg::StartSource {
+                                query,
+                                pipeline: pi as u16,
+                                weight: pw,
+                            };
+                            self.send_ctrl(query, stage_idx as u16, owner, start);
                         }
                         None => {
                             self.finish(
@@ -469,16 +471,13 @@ impl Coordinator {
                 SourceSpec::IndexLookup { .. } | SourceSpec::ScanLabel { .. } => {
                     let shares = pw.split(parts.len(), &mut self.rng);
                     for (p, w) in parts.iter().zip(shares) {
-                        let _sz = self.outbox.send_ctrl_worker(
-                            self.fabric.partitioner().worker_of_part(*p),
-                            WorkerMsg::StartSource {
-                                query,
-                                pipeline: pi as u16,
-                                weight: w,
-                            },
-                        );
-                        #[cfg(feature = "obs")]
-                        self.obs.ctrl_sent(query, stage_idx as u16, _sz as u64);
+                        let dest = self.fabric.partitioner().worker_of_part(*p);
+                        let start = WorkerMsg::StartSource {
+                            query,
+                            pipeline: pi as u16,
+                            weight: w,
+                        };
+                        self.send_ctrl(query, stage_idx as u16, dest, start);
                     }
                 }
                 SourceSpec::PrevRows { .. } => {
@@ -500,7 +499,7 @@ impl Coordinator {
                                     query,
                                     stage_idx as u16,
                                     w.0,
-                                    t.approx_bytes() as u64,
+                                    t.wire_bytes() as u64,
                                 );
                                 self.outbox.send_traverser(w, t);
                             }
@@ -535,15 +534,10 @@ impl Coordinator {
         }
         let stage = &state.ctx.plan.stages[state.stage as usize];
         if stage.agg.is_some() {
-            #[cfg(feature = "obs")]
             let stage_no = state.stage;
             state.gathering = true;
             for w in 0..self.fabric.partitioner().num_parts() {
-                let _sz = self
-                    .outbox
-                    .send_ctrl_worker(WorkerId(w), WorkerMsg::GatherAgg { query });
-                #[cfg(feature = "obs")]
-                self.obs.ctrl_sent(query, stage_no, _sz as u64);
+                self.send_ctrl(query, stage_no, WorkerId(w), WorkerMsg::GatherAgg { query });
             }
         } else {
             let rows = std::mem::take(&mut state.rows);
@@ -626,11 +620,8 @@ impl Coordinator {
             state.rows.clear();
             let next = state.stage;
             for w in 0..self.fabric.partitioner().num_parts() {
-                let _sz = self
-                    .outbox
-                    .send_ctrl_worker(WorkerId(w), WorkerMsg::StageBegin { query, stage: next });
-                #[cfg(feature = "obs")]
-                self.obs.ctrl_sent(query, next, _sz as u64);
+                let begin = WorkerMsg::StageBegin { query, stage: next };
+                self.send_ctrl(query, next, WorkerId(w), begin);
             }
             self.start_stage(query);
         }

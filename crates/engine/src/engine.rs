@@ -345,6 +345,7 @@ impl GraphDance {
     }
 
     /// Merged point-in-time snapshot of every engine metric, including the
+    /// network counters ([`GraphDance::net_stats`], under `net.*`) and the
     /// storage layer's TEL scan-length distribution. Export with
     /// [`graphdance_obs::MetricsSnapshot::to_json`] or
     /// [`graphdance_obs::MetricsSnapshot::to_prometheus`].
@@ -352,6 +353,23 @@ impl GraphDance {
     pub fn metrics(&self) -> graphdance_obs::MetricsSnapshot {
         use graphdance_obs::{Metric, MetricKind, MetricValue};
         let mut snap = self.fabric.obs().registry().snapshot();
+        let net = self.net_stats();
+        for (name, value) in [
+            ("net.traverser_msgs", net.traverser_msgs),
+            ("net.progress_msgs", net.progress_msgs),
+            ("net.rows_msgs", net.rows_msgs),
+            ("net.control_msgs", net.control_msgs),
+            ("net.wire_packets", net.wire_packets),
+            ("net.wire_bytes", net.wire_bytes),
+            ("net.same_node_msgs", net.same_node_msgs),
+            ("net.decode_errors", net.decode_errors),
+        ] {
+            snap.metrics.push(Metric {
+                name: name.into(),
+                kind: MetricKind::Counter,
+                value: MetricValue::Scalar(value),
+            });
+        }
         snap.metrics.push(Metric {
             name: "storage.tel_scan_len".into(),
             kind: MetricKind::Histogram,

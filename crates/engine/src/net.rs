@@ -13,15 +13,15 @@
 //!
 //! Same-node messages take the **shared-memory shortcut**: the tier-1 flush
 //! delivers them straight into the destination inbox without serialization
-//! or cost. Remote traverser batches are really serialized with
-//! [`crate::codec`]; the cost model charges
+//! or cost, and without being sized. Remote traverser batches are really
+//! serialized with [`crate::codec`]; the cost model charges
 //! `per_message_overhead + bytes/bandwidth` of (spun) sender time per wire
 //! packet plus a propagation delay — reproducing the NIC message-rate
-//! bottleneck that makes tier-1 combining matter (Fig. 12).
+//! bottleneck that makes tier-1 combining matter (Fig. 12). `bytes` is
+//! exact: what [`crate::wire`]'s encoder writes for the packet's messages
+//! ([`wire::encoded_len`]) plus [`PACKET_HEADER_BYTES`].
 
-#[cfg(not(feature = "obs"))]
-use std::sync::atomic::AtomicU64;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -32,13 +32,14 @@ use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 use rand::RngCore;
 
-use graphdance_common::{GdError, NodeId, Partitioner, QueryId, Value, WorkerId};
+use graphdance_common::{GdError, NodeId, Partitioner, QueryId, WorkerId};
 use graphdance_pstm::{Row, Traverser, Weight};
 
 use crate::codec::{self, BytesPool, PoolStats};
 use crate::config::{EngineConfig, FaultInjection, IoMode, NetConfig};
 use crate::invariants::MsgLedger;
 use crate::messages::{CoordMsg, WorkerMsg};
+use crate::wire;
 
 /// Classes of messages, for the Fig. 11 accounting.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -53,39 +54,26 @@ pub enum MsgClass {
     Control = 3,
 }
 
-/// Shared network counters.
-///
-/// Without the `obs` feature these are plain atomics. With it, the same
-/// figures live as named metrics in the obs registry (written through
-/// single-writer shards) and this type is a thin adapter, so the
-/// [`NetStats::snapshot`] / [`NetStatsSnapshot::since`] API the bench bins
-/// rely on keeps working unchanged.
-#[cfg(not(feature = "obs"))]
+/// The per-packet L2–L4 header the cost model charges and `net.wire_bytes`
+/// counts on top of a packet's payload — the only modeled byte on the wire;
+/// the payload is the encoder's own count ([`wire::encoded_len`]).
+pub const PACKET_HEADER_BYTES: usize = 64;
+
+/// Shared network counters: eight monotonic atomics, the same on every
+/// build. Message counts are added once per flushed tier-1 buffer — one
+/// RMW per class present, not one per message: these are cache lines
+/// every worker shares — and the wire figures once per packet, by the
+/// egress pump. `GraphDance::metrics()` exports them under `net.*`.
 #[derive(Debug, Default)]
 pub struct NetStats {
-    // Fallback counters when the obs registry is compiled out.
-    msgs: [AtomicU64; 4], // lint: allow(adhoc-counter) obs-off fallback for NetStats
-    bytes: [AtomicU64; 4], // lint: allow(adhoc-counter) obs-off fallback for NetStats
-    wire_packets: AtomicU64, // lint: allow(adhoc-counter) obs-off fallback for NetStats
-    wire_bytes: AtomicU64, // lint: allow(adhoc-counter) obs-off fallback for NetStats
-    same_node_msgs: AtomicU64, // lint: allow(adhoc-counter) obs-off fallback for NetStats
-    decode_errors: AtomicU64, // lint: allow(adhoc-counter) obs-off fallback for NetStats
+    msgs: [AtomicU64; 4], // lint: allow(adhoc-counter) NetStats: per-flush totals, read by obs-off benches
+    wire_packets: AtomicU64, // lint: allow(adhoc-counter) NetStats: per-packet total
+    wire_bytes: AtomicU64, // lint: allow(adhoc-counter) NetStats: per-packet total
+    same_node_msgs: AtomicU64, // lint: allow(adhoc-counter) NetStats: per-flush total
+    decode_errors: AtomicU64, // lint: allow(adhoc-counter) NetStats: cold fault path
 }
 
-#[cfg(not(feature = "obs"))]
 impl NetStats {
-    fn count(&self, class: MsgClass, bytes: usize) {
-        self.count_n(class, 1, bytes);
-    }
-
-    /// Count `msgs` logical messages of `class` totalling `bytes`.
-    fn count_n(&self, class: MsgClass, msgs: usize, bytes: usize) {
-        // sync: monotonic diagnostic counters, no data published through them
-        self.msgs[class as usize].fetch_add(msgs as u64, Ordering::Relaxed);
-        // sync: monotonic diagnostic counters, no data published through them
-        self.bytes[class as usize].fetch_add(bytes as u64, Ordering::Relaxed);
-    }
-
     /// Take a snapshot of the counters.
     pub fn snapshot(&self) -> NetStatsSnapshot {
         // sync: monotonic diagnostic counters — a torn cross-counter view
@@ -96,10 +84,6 @@ impl NetStats {
             progress_msgs: ld(&self.msgs[1]),
             rows_msgs: ld(&self.msgs[2]),
             control_msgs: ld(&self.msgs[3]),
-            traverser_bytes: ld(&self.bytes[0]),
-            progress_bytes: ld(&self.bytes[1]),
-            rows_bytes: ld(&self.bytes[2]),
-            control_bytes: ld(&self.bytes[3]),
             wire_packets: ld(&self.wire_packets),
             wire_bytes: ld(&self.wire_bytes),
             same_node_msgs: ld(&self.same_node_msgs),
@@ -108,36 +92,13 @@ impl NetStats {
     }
 }
 
-/// Shared network counters — obs-backed adapter (see the obs-off docs).
-#[cfg(feature = "obs")]
-#[derive(Debug)]
-pub struct NetStats {
-    obs: Arc<crate::obs::EngineObs>,
-}
-
-#[cfg(feature = "obs")]
-impl NetStats {
-    pub(crate) fn new(obs: Arc<crate::obs::EngineObs>) -> Self {
-        NetStats { obs }
-    }
-
-    /// Take a snapshot of the counters (merged across all shards).
-    pub fn snapshot(&self) -> NetStatsSnapshot {
-        let s = self.obs.registry().snapshot();
-        NetStatsSnapshot {
-            traverser_msgs: s.scalar("net.traverser_msgs"),
-            progress_msgs: s.scalar("net.progress_msgs"),
-            rows_msgs: s.scalar("net.rows_msgs"),
-            control_msgs: s.scalar("net.control_msgs"),
-            traverser_bytes: s.scalar("net.traverser_bytes"),
-            progress_bytes: s.scalar("net.progress_bytes"),
-            rows_bytes: s.scalar("net.rows_bytes"),
-            control_bytes: s.scalar("net.control_bytes"),
-            wire_packets: s.scalar("net.wire_packets"),
-            wire_bytes: s.scalar("net.wire_bytes"),
-            same_node_msgs: s.scalar("net.same_node_msgs"),
-            decode_errors: s.scalar("net.decode_errors"),
-        }
+/// Add `n` to one [`NetStats`] counter (nothing for `n == 0`: most flushes
+/// carry one or two of the four classes).
+// lint: allow(adhoc-counter) NetStats write helper, no new counter
+fn bump(c: &AtomicU64, n: usize) {
+    if n > 0 {
+        // sync: monotonic diagnostic counter, no data published through it
+        c.fetch_add(n as u64, Ordering::Relaxed);
     }
 }
 
@@ -148,10 +109,6 @@ pub struct NetStatsSnapshot {
     pub progress_msgs: u64,
     pub rows_msgs: u64,
     pub control_msgs: u64,
-    pub traverser_bytes: u64,
-    pub progress_bytes: u64,
-    pub rows_bytes: u64,
-    pub control_bytes: u64,
     pub wire_packets: u64,
     pub wire_bytes: u64,
     pub same_node_msgs: u64,
@@ -167,10 +124,6 @@ impl NetStatsSnapshot {
             progress_msgs: self.progress_msgs - earlier.progress_msgs,
             rows_msgs: self.rows_msgs - earlier.rows_msgs,
             control_msgs: self.control_msgs - earlier.control_msgs,
-            traverser_bytes: self.traverser_bytes - earlier.traverser_bytes,
-            progress_bytes: self.progress_bytes - earlier.progress_bytes,
-            rows_bytes: self.rows_bytes - earlier.rows_bytes,
-            control_bytes: self.control_bytes - earlier.control_bytes,
             wire_packets: self.wire_packets - earlier.wire_packets,
             wire_bytes: self.wire_bytes - earlier.wire_bytes,
             same_node_msgs: self.same_node_msgs - earlier.same_node_msgs,
@@ -205,15 +158,12 @@ pub enum WireMsg {
         /// Steps executed.
         steps: u64,
     },
-    /// Result rows (to the coordinator). Passed by value; the cost model
-    /// charges their approximate encoded size.
+    /// Result rows (to the coordinator).
     Rows {
         /// Producing query.
         query: QueryId,
         /// The rows.
         rows: Vec<Row>,
-        /// Approximate encoded size, charged to the cost model.
-        approx: usize,
     },
     /// Control-plane message for a worker.
     CtrlWorker {
@@ -230,15 +180,13 @@ pub enum WireMsg {
 }
 
 impl WireMsg {
-    /// Modeled wire size (the cost model charges this, not the exact
-    /// socket encoding).
-    pub fn wire_size(&self) -> usize {
+    /// The Fig. 11 class this message is counted under.
+    fn class(&self) -> MsgClass {
         match self {
-            WireMsg::Batch { payload, .. } => payload.len() + 8,
-            WireMsg::Progress { .. } => 32,
-            WireMsg::Rows { approx, .. } => *approx + 16,
-            WireMsg::CtrlWorker { msg, .. } => codec::worker_msg_wire_size(msg),
-            WireMsg::CtrlCoord { msg } => codec::coord_msg_wire_size(msg),
+            WireMsg::Batch { .. } => MsgClass::Traverser,
+            WireMsg::Progress { .. } => MsgClass::Progress,
+            WireMsg::Rows { .. } => MsgClass::Rows,
+            WireMsg::CtrlWorker { .. } | WireMsg::CtrlCoord { .. } => MsgClass::Control,
         }
     }
 }
@@ -285,7 +233,9 @@ pub struct FlushEvent {
     pub src: NodeId,
     /// Destination node of the flushed lane.
     pub dest: NodeId,
-    /// Buffered bytes at flush time.
+    /// Bytes buffered toward the threshold at flush time. A control
+    /// message is never sized, so a `Control` flush that carries nothing
+    /// else reads 0.
     pub bytes: usize,
     /// What tripped the flush.
     pub trigger: FlushTrigger,
@@ -344,10 +294,6 @@ pub struct Fabric {
     /// Remote-traffic sketch feeding the rebalance planner (off by
     /// default; see [`crate::rebalance`]).
     hot: crate::rebalance::HotTracker,
-    /// Decode errors can surface on any ingress thread, so this shard is
-    /// mutex-wrapped (the path is cold by definition).
-    #[cfg(feature = "obs")]
-    decode_shard: Mutex<crate::obs::NetShard>,
     /// Cluster-wide observability state (registry + trace sink).
     #[cfg(feature = "obs")]
     obs: Arc<crate::obs::EngineObs>,
@@ -364,10 +310,6 @@ impl Fabric {
         let partitioner = Partitioner::new(config.nodes, config.workers_per_node);
         #[cfg(feature = "obs")]
         let obs = Arc::new(crate::obs::EngineObs::new(partitioner.num_parts()));
-        #[cfg(feature = "obs")]
-        let stats = Arc::new(NetStats::new(Arc::clone(&obs)));
-        #[cfg(not(feature = "obs"))]
-        let stats = Arc::new(NetStats::default());
         let mut egress_tx = Vec::new();
         let mut egress_rx = Vec::new();
         let mut ingress_tx = Vec::new();
@@ -388,7 +330,7 @@ impl Fabric {
             worker_tx,
             coord_tx,
             egress_tx,
-            stats,
+            stats: Arc::new(NetStats::default()),
             invariants: Arc::new(MsgLedger::new()),
             fault: config.fault,
             fault_state: Mutex::new(FaultState {
@@ -402,8 +344,6 @@ impl Fabric {
             flush_trace: Mutex::new(Vec::new()),
             last_decode_error: Mutex::new(None),
             hot: crate::rebalance::HotTracker::new(),
-            #[cfg(feature = "obs")]
-            decode_shard: Mutex::new(obs.net_shard()),
             #[cfg(feature = "obs")]
             obs,
         });
@@ -621,13 +561,7 @@ impl Fabric {
     /// the `net.decode_errors` counter — never stderr. Shared with the
     /// socket transport's reassembly path.
     pub(crate) fn note_decode_error(&self, e: GdError) {
-        #[cfg(feature = "obs")]
-        // lint: allow(hot-path-blocking) rare fault path (corrupt frame):
-        // bounded shard-counter bump while held
-        self.decode_shard.lock().decode_error();
-        #[cfg(not(feature = "obs"))]
-        // sync: monotonic diagnostic counter, no ordering dependency
-        self.stats.decode_errors.fetch_add(1, Ordering::Relaxed);
+        bump(&self.stats.decode_errors, 1);
         // lint: allow(hot-path-blocking) rare fault path: replaces one
         // Option while held
         *self.last_decode_error.lock() = Some(e);
@@ -709,9 +643,7 @@ impl Fabric {
         }
     }
 
-    /// Deliver a batch of local traversers without serialization. The
-    /// sending outbox counts the same-node shortcut (see
-    /// [`Outbox::flush_node`]).
+    /// Deliver a batch of local traversers without serialization.
     fn deliver_local_batch(&self, dest: WorkerId, batch: Vec<Traverser>) {
         self.record_delivered(&batch);
         let _ = self.worker_tx[dest.as_usize()].send(WorkerMsg::Batch(batch));
@@ -729,18 +661,14 @@ impl Fabric {
     }
 }
 
-/// The in-process transport backend: charge the modeled send cost, stamp
-/// the propagation delay, and forward the packet to the destination node's
-/// ingress channel. Used by both the threaded engine (ingress threads
-/// drain the channels) and the deterministic simulator (the sim drains
-/// them under the virtual clock) — the charge → count → stamp → send
-/// sequence is exactly the pre-seam fabric's, so sim replays stay
-/// bit-identical.
+/// The in-process transport backend: charge the configured send cost for
+/// the packet's exact bytes, stamp the propagation delay, and forward the
+/// packet to the destination node's ingress channel. Used by both the
+/// threaded engine (ingress threads drain the channels) and the
+/// deterministic simulator (the sim drains them under the virtual clock).
 pub(crate) struct ChannelTransport {
     fabric: Arc<Fabric>,
     ingress: Vec<Sender<IngressEvent>>,
-    #[cfg(feature = "obs")]
-    obs: crate::obs::NetShard,
 }
 
 impl crate::transport::Transport for ChannelTransport {
@@ -757,20 +685,7 @@ impl crate::transport::Transport for ChannelTransport {
             bytes,
         } = pkt;
         let fabric = &self.fabric;
-        let wire = bytes + 64; // packet header
-        charge(fabric.net_cfg.send_cost(wire));
-        #[cfg(feature = "obs")]
-        self.obs.wire_packet(wire);
-        #[cfg(not(feature = "obs"))]
-        {
-            // sync: monotonic diagnostic counters (obs-off fallback)
-            fabric.stats.wire_packets.fetch_add(1, Ordering::Relaxed);
-            fabric
-                .stats
-                .wire_bytes
-                // sync: monotonic diagnostic counter (obs-off fallback)
-                .fetch_add(wire as u64, Ordering::Relaxed);
-        }
+        charge(fabric.net_cfg.send_cost(bytes + PACKET_HEADER_BYTES));
         let deliver_at = now() + fabric.net_cfg.propagation_delay;
         let _ = self.ingress[dest_node.as_usize()].send(IngressEvent::Packet { deliver_at, msgs });
     }
@@ -794,6 +709,9 @@ pub(crate) struct EgressPump {
     fabric: Arc<Fabric>,
     rx: Receiver<EgressEvent>,
     transport: Arc<dyn crate::transport::Transport>,
+    /// This pump's single-writer metrics shard (packet-size histogram).
+    #[cfg(feature = "obs")]
+    obs: crate::obs::NetShard,
 }
 
 impl EgressPump {
@@ -805,16 +723,10 @@ impl EgressPump {
         ingress: Vec<Sender<IngressEvent>>,
     ) -> Self {
         let transport = Arc::new(ChannelTransport {
-            #[cfg(feature = "obs")]
-            obs: fabric.obs.net_shard(),
             fabric: Arc::clone(&fabric),
             ingress,
         });
-        EgressPump {
-            fabric,
-            rx,
-            transport,
-        }
+        EgressPump::with_transport(fabric, rx, transport)
     }
 
     /// Pump shipping over an arbitrary transport backend (the real-socket
@@ -825,6 +737,8 @@ impl EgressPump {
         transport: Arc<dyn crate::transport::Transport>,
     ) -> Self {
         EgressPump {
+            #[cfg(feature = "obs")]
+            obs: fabric.obs.net_shard(),
             fabric,
             rx,
             transport,
@@ -904,6 +818,13 @@ impl EgressPump {
             }
         }
         for (dest_node, msgs, bytes) in groups {
+            // Counted here, not in a backend's `ship`, so a socket mesh
+            // reports its wire traffic like the in-process one.
+            let wire = bytes + PACKET_HEADER_BYTES;
+            bump(&fabric.stats.wire_packets, 1);
+            bump(&fabric.stats.wire_bytes, wire);
+            #[cfg(feature = "obs")]
+            self.obs.wire_packet(wire);
             self.transport.ship(crate::transport::WirePacket {
                 dest_node,
                 msgs,
@@ -926,10 +847,10 @@ fn ingress_loop(fabric: Arc<Fabric>, rx: Receiver<IngressEvent>) {
     while shutdowns < pumps {
         match rx.recv() {
             Ok(IngressEvent::Packet { deliver_at, msgs }) => {
-                let now = now();
-                if deliver_at > now {
-                    std::thread::sleep(deliver_at - now); // lint: allow(sim-determinism) threaded-mode only; sim pumps ingress itself
-                }
+                // The remainder is at most `propagation_delay` (µs): `charge`
+                // spins it out, where a sleep would round it up to the
+                // host's timer slack (~70 µs here).
+                charge(deliver_at.saturating_duration_since(now()));
                 for m in msgs {
                     fabric.deliver(m);
                 }
@@ -972,12 +893,10 @@ struct OutBuf {
     traversers: Vec<(WorkerId, Traverser)>,
     /// Other pending wire messages (rows/progress/control), in send order.
     msgs: Vec<WireMsg>,
+    /// Encoded bytes buffered toward the flush threshold: `wire_bytes()`
+    /// per traverser, [`wire::encoded_len`] per rows / progress message.
+    /// Control messages flush at once and add nothing.
     bytes: usize,
-    /// The share of `bytes` that is `traversers`. With `obs` off the
-    /// traverser counters are cache lines every worker shares, so sends
-    /// are counted once per flushed buffer, not once per traverser.
-    #[cfg(not(feature = "obs"))]
-    traverser_bytes: usize,
 }
 
 impl OutBuf {
@@ -1008,29 +927,6 @@ impl Outbox {
         &self.fabric
     }
 
-    /// Count one logical message of `class` (shard under obs, atomics
-    /// otherwise).
-    #[inline]
-    fn count(&self, class: MsgClass, bytes: usize) {
-        #[cfg(feature = "obs")]
-        self.obs.count(class as usize, bytes);
-        #[cfg(not(feature = "obs"))]
-        self.fabric.stats.count(class, bytes);
-    }
-
-    /// Count one message delivered via the same-node shortcut.
-    #[inline]
-    fn note_same_node(&self) {
-        #[cfg(feature = "obs")]
-        self.obs.same_node();
-        #[cfg(not(feature = "obs"))]
-        self.fabric
-            .stats
-            .same_node_msgs
-            // sync: monotonic diagnostic counter (obs-off fallback)
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
     fn maybe_flush(&mut self, node: usize) {
         match self.fabric.io_mode {
             IoMode::Sync => self.flush_node_as(NodeId(node as u32), FlushTrigger::Threshold),
@@ -1048,33 +944,52 @@ impl Outbox {
     /// threshold, immediately under `Sync`).
     pub fn send_traverser(&mut self, dest: WorkerId, t: Traverser) {
         let node = self.fabric.partitioner.node_of_worker(dest).as_usize();
-        // Exact encoded size (not the coarse `approx_bytes`): the flush
-        // threshold is in real frame bytes.
-        let size = t.wire_bytes();
-        #[cfg(feature = "obs")]
-        self.count(MsgClass::Traverser, size);
         self.fabric.invariants.record_sent(t.query, 1);
         let buf = &mut self.bufs[node];
+        buf.bytes += t.wire_bytes();
         buf.traversers.push((dest, t));
-        buf.bytes += size;
-        #[cfg(not(feature = "obs"))]
-        {
-            buf.traverser_bytes += size;
-        }
         self.maybe_flush(node);
+    }
+
+    /// Queue any message but a traverser: rows and progress are buffered
+    /// toward the threshold; the control plane is not batched, so a control
+    /// message flushes its lane at once and is never sized here.
+    pub(crate) fn send(&mut self, msg: WireMsg) {
+        let node = match &msg {
+            WireMsg::Batch { dest, .. } | WireMsg::CtrlWorker { dest, .. } => {
+                self.fabric.partitioner.node_of_worker(*dest).as_usize()
+            }
+            // The coordinator lives on node 0.
+            WireMsg::Progress { .. } | WireMsg::Rows { .. } | WireMsg::CtrlCoord { .. } => 0,
+        };
+        if MsgLedger::ENABLED {
+            let migration = match &msg {
+                WireMsg::CtrlWorker { msg, .. } => crate::messages::worker_migration_qid(msg),
+                WireMsg::CtrlCoord { msg } => crate::messages::coord_migration_qid(msg),
+                _ => None,
+            };
+            if let Some(q) = migration {
+                self.fabric.invariants.record_sent(q, 1);
+            }
+        }
+        if msg.class() == MsgClass::Control {
+            self.bufs[node].msgs.push(msg);
+            self.flush_node_as(NodeId(node as u32), FlushTrigger::Control);
+        } else {
+            let buf = &mut self.bufs[node];
+            buf.bytes += wire::encoded_len(&msg);
+            buf.msgs.push(msg);
+            self.maybe_flush(node);
+        }
     }
 
     /// Queue a progress report for the coordinator (node 0).
     pub fn send_progress(&mut self, query: QueryId, weight: Weight, steps: u64) {
-        self.count(MsgClass::Progress, 32);
-        let buf = &mut self.bufs[0];
-        buf.msgs.push(WireMsg::Progress {
+        self.send(WireMsg::Progress {
             query,
             weight,
             steps,
         });
-        buf.bytes += 32;
-        self.maybe_flush(0);
     }
 
     /// **Fault injection only** (`SimFaults::progress_side_channel`): send
@@ -1084,7 +999,7 @@ impl Outbox {
     /// could overtake result rows still buffered in the sender's outbox and
     /// complete the stage before the rows arrived.
     pub fn send_progress_sidechannel(&mut self, query: QueryId, weight: Weight, steps: u64) {
-        self.count(MsgClass::Progress, 32);
+        bump(&self.fabric.stats.msgs[MsgClass::Progress as usize], 1);
         let _ = self.fabric.coord_tx.send(CoordMsg::Progress {
             query,
             weight,
@@ -1092,65 +1007,19 @@ impl Outbox {
         });
     }
 
-    /// Queue result rows for the coordinator (node 0). Returns the
-    /// approximate encoded size charged to the cost model.
-    pub fn send_rows(&mut self, query: QueryId, rows: Vec<Row>) -> usize {
-        let approx: usize = rows
-            .iter()
-            .map(|r| {
-                8 + r
-                    .iter()
-                    .map(|v| match v {
-                        Value::Str(s) => 9 + s.len(),
-                        Value::List(l) => 9 + 16 * l.len(),
-                        _ => 9,
-                    })
-                    .sum::<usize>()
-            })
-            .sum();
-        self.count(MsgClass::Rows, approx);
-        let buf = &mut self.bufs[0];
-        buf.msgs.push(WireMsg::Rows {
-            query,
-            rows,
-            approx,
-        });
-        buf.bytes += approx;
-        self.maybe_flush(0);
-        approx
+    /// Queue result rows for the coordinator (node 0).
+    pub fn send_rows(&mut self, query: QueryId, rows: Vec<Row>) {
+        self.send(WireMsg::Rows { query, rows });
     }
 
-    /// Send a control message to a worker (flushes that node immediately —
-    /// the control plane is not batched). Returns the wire size.
-    pub fn send_ctrl_worker(&mut self, dest: WorkerId, msg: WorkerMsg) -> usize {
-        let node = self.fabric.partitioner.node_of_worker(dest).as_usize();
-        let size = codec::worker_msg_wire_size(&msg);
-        self.count(MsgClass::Control, size);
-        if MsgLedger::ENABLED {
-            if let Some(q) = crate::messages::worker_migration_qid(&msg) {
-                self.fabric.invariants.record_sent(q, 1);
-            }
-        }
-        self.bufs[node].msgs.push(WireMsg::CtrlWorker { dest, msg });
-        self.bufs[node].bytes += size;
-        self.flush_node_as(NodeId(node as u32), FlushTrigger::Control);
-        size
+    /// Send a control message to a worker (flushes that node immediately).
+    pub fn send_ctrl_worker(&mut self, dest: WorkerId, msg: WorkerMsg) {
+        self.send(WireMsg::CtrlWorker { dest, msg });
     }
 
-    /// Send a control message to the coordinator (immediate). Returns the
-    /// wire size.
-    pub fn send_ctrl_coord(&mut self, msg: CoordMsg) -> usize {
-        let size = codec::coord_msg_wire_size(&msg);
-        self.count(MsgClass::Control, size);
-        if MsgLedger::ENABLED {
-            if let Some(q) = crate::messages::coord_migration_qid(&msg) {
-                self.fabric.invariants.record_sent(q, 1);
-            }
-        }
-        self.bufs[0].msgs.push(WireMsg::CtrlCoord { msg });
-        self.bufs[0].bytes += size;
-        self.flush_node_as(NodeId(0), FlushTrigger::Control);
-        size
+    /// Send a control message to the coordinator (immediate).
+    pub fn send_ctrl_coord(&mut self, msg: CoordMsg) {
+        self.send(WireMsg::CtrlCoord { msg });
     }
 
     /// Flush one destination node's buffer.
@@ -1163,37 +1032,20 @@ impl Outbox {
         if buf.is_empty() {
             return;
         }
-        #[cfg(not(feature = "obs"))]
-        if !buf.traversers.is_empty() {
-            let (msgs, bytes) = (buf.traversers.len(), buf.traverser_bytes);
-            self.fabric.stats.count_n(MsgClass::Traverser, msgs, bytes);
+        let stats = &self.fabric.stats;
+        let mut sent = [0usize; 4];
+        sent[MsgClass::Traverser as usize] = buf.traversers.len();
+        for m in &buf.msgs {
+            sent[m.class() as usize] += 1;
+        }
+        for (counter, n) in stats.msgs.iter().zip(sent) {
+            bump(counter, n);
         }
         self.fabric
             .note_flush(self.src_node, node, buf.bytes, trigger);
         #[cfg(feature = "obs")]
         self.obs.flush_buf_bytes(buf.bytes);
-        if node == self.src_node {
-            // Shared-memory shortcut: no serialization, no network thread.
-            let mut groups: Vec<(WorkerId, Vec<Traverser>)> = Vec::new();
-            for (dest, t) in buf.traversers {
-                if let Some(g) = groups.iter_mut().find(|g| g.0 == dest) {
-                    g.1.push(t);
-                } else {
-                    groups.push((dest, vec![t]));
-                }
-            }
-            for (dest, batch) in groups {
-                self.note_same_node();
-                self.fabric.deliver_local_batch(dest, batch);
-            }
-            for m in buf.msgs {
-                self.note_same_node();
-                self.fabric.deliver(m);
-            }
-            return;
-        }
-        // Remote: serialize traverser groups per destination worker.
-        let mut msgs: Vec<WireMsg> = Vec::new();
+        // One batch per destination worker, in first-send order.
         let mut groups: Vec<(WorkerId, Vec<Traverser>)> = Vec::new();
         for (dest, t) in buf.traversers {
             if let Some(g) = groups.iter_mut().find(|g| g.0 == dest) {
@@ -1202,13 +1054,28 @@ impl Outbox {
                 groups.push((dest, vec![t]));
             }
         }
+        if node == self.src_node {
+            // Shared-memory shortcut: no serialization, no network thread,
+            // and nothing is sized.
+            bump(&stats.same_node_msgs, groups.len() + buf.msgs.len());
+            for (dest, batch) in groups {
+                self.fabric.deliver_local_batch(dest, batch);
+            }
+            for m in buf.msgs {
+                self.fabric.deliver(m);
+            }
+            return;
+        }
+        // Remote: serialize the batches, and take the packet's exact size —
+        // the one place a message bound for a wire is priced.
+        let mut msgs: Vec<WireMsg> = Vec::with_capacity(groups.len() + buf.msgs.len());
         for (dest, batch) in groups {
             let mut payload = self.fabric.pool.get();
             codec::encode_batch_into(&mut payload, &batch, &[]);
             msgs.push(WireMsg::Batch { dest, payload });
         }
         msgs.extend(buf.msgs);
-        let bytes: usize = msgs.iter().map(WireMsg::wire_size).sum();
+        let bytes: usize = msgs.iter().map(wire::encoded_len).sum();
         let _ = self.fabric.egress_tx[self.src_node.as_usize()].send(EgressEvent::Packet {
             dest_node: node,
             msgs,
@@ -1239,7 +1106,7 @@ impl Outbox {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use graphdance_pstm::Traverser;
+    use graphdance_common::Value;
 
     type FabricUnderTest = (
         Arc<Fabric>,
@@ -1314,19 +1181,16 @@ mod tests {
         }
     }
 
-    /// Traverser sends are counted per flushed buffer (obs off) or per
-    /// message (obs on); once every buffer is flushed the totals are what
-    /// per-message counting gives, on the same-node lane and the wire.
+    /// Sends are counted per flushed buffer, not per message; once every
+    /// buffer is flushed the totals are what per-message counting gives,
+    /// on the same-node lane and the wire.
     #[test]
     fn flushed_outbox_counts_every_traverser_sent() {
         let (fabric, _wrx, _crx, handles) = setup(IoMode::TwoTier);
         let mut ob = fabric.outbox(NodeId(0));
-        let (mut msgs, mut bytes) = (0, 0);
         for i in 0..40 {
             let mut tr = t(i);
             tr.locals = vec![Value::Int(7); (i % 5) as usize];
-            msgs += 1;
-            bytes += tr.wire_bytes() as u64;
             // Workers 1 (this node) and 3 (the other), interleaved.
             ob.send_traverser(WorkerId(1 + 2 * (i as u32 % 2)), tr);
             if i == 25 {
@@ -1334,8 +1198,7 @@ mod tests {
             }
         }
         ob.flush_all();
-        let s = fabric.stats().snapshot();
-        assert_eq!((s.traverser_msgs, s.traverser_bytes), (msgs, bytes));
+        assert_eq!(fabric.stats().snapshot().traverser_msgs, 40);
         fabric.shutdown();
         for h in handles {
             h.join().unwrap();

@@ -8,7 +8,8 @@
 //!   registered at fabric construction, the shared [`TraceSink`] for query
 //!   spans, and the single monotonic epoch all timestamps are relative to.
 //! * [`NetShard`] — a per-outbox / per-egress-thread single-writer metrics
-//!   shard for the network counters.
+//!   shard for the flush and packet-size distributions (the network
+//!   *counters* are `net::NetStats`, the same on every build).
 //! * [`WorkerObs`] / [`CoordObs`] — per-thread span accumulators that batch
 //!   `(query, stage)` activity locally and push one [`SpanRecord`] per
 //!   stage into the sink (so the sink mutex is touched once per stage, not
@@ -31,9 +32,10 @@ mod real {
     use graphdance_common::time::now;
     use graphdance_common::{FxHashMap, QueryId, WorkerId};
     use graphdance_obs::{MetricId, Registry, ShardHandle, SpanRecord, TraceSink, COORD_WORKER};
-    use graphdance_pstm::MemoStats;
+    use graphdance_pstm::{MemoStats, Weight};
 
-    use crate::net::Fabric;
+    use crate::net::{Fabric, WireMsg};
+    use crate::wire;
 
     /// How many reassembled traces the sink retains for pickup.
     const TRACE_RING: usize = 32;
@@ -42,24 +44,12 @@ mod real {
     /// construction (before any shard exists).
     #[derive(Debug, Clone, Copy)]
     pub struct EngineIds {
-        /// Logical message count per lane, `MsgClass` order.
-        pub net_msgs: [MetricId; 4],
-        /// Approximate payload bytes per lane, `MsgClass` order.
-        pub net_bytes: [MetricId; 4],
-        /// Wire packets sent by egress threads (tier-2 combining output).
-        pub wire_packets: MetricId,
-        /// Wire bytes (payload + packet header).
-        pub wire_bytes: MetricId,
         /// Distribution of wire packet sizes.
         pub wire_packet_bytes: MetricId,
-        /// Messages delivered via the same-node shared-memory shortcut.
-        pub same_node_msgs: MetricId,
         /// Tier-1 flushes triggered by the byte threshold (vs. idle/ctrl).
         pub flush_threshold: MetricId,
         /// Distribution of tier-1 buffer sizes at flush time.
         pub flush_buf_bytes: MetricId,
-        /// Ingress batch frames that failed to decode.
-        pub decode_errors: MetricId,
         /// Traversers executed by workers.
         pub executed: MetricId,
         /// Traversers spawned into the executing worker's own queue.
@@ -105,25 +95,9 @@ mod real {
         pub fn new(num_workers: u32) -> Self {
             let r = Registry::new();
             let ids = EngineIds {
-                net_msgs: [
-                    r.counter("net.traverser_msgs"),
-                    r.counter("net.progress_msgs"),
-                    r.counter("net.rows_msgs"),
-                    r.counter("net.control_msgs"),
-                ],
-                net_bytes: [
-                    r.counter("net.traverser_bytes"),
-                    r.counter("net.progress_bytes"),
-                    r.counter("net.rows_bytes"),
-                    r.counter("net.control_bytes"),
-                ],
-                wire_packets: r.counter("net.wire_packets"),
-                wire_bytes: r.counter("net.wire_bytes"),
                 wire_packet_bytes: r.histogram("net.wire_packet_bytes"),
-                same_node_msgs: r.counter("net.same_node_msgs"),
                 flush_threshold: r.counter("net.flush_threshold"),
                 flush_buf_bytes: r.histogram("net.flush_buf_bytes"),
-                decode_errors: r.counter("net.decode_errors"),
                 executed: r.counter("worker.executed"),
                 spawned_local: r.counter("worker.spawned_local"),
                 sent_remote: r.counter("worker.sent_remote"),
@@ -184,28 +158,10 @@ mod real {
     }
 
     impl NetShard {
-        /// Count one logical message on `lane` (a `MsgClass` index).
-        #[inline]
-        pub fn count(&self, lane: usize, bytes: usize) {
-            if let (Some(m), Some(b)) = (self.ids.net_msgs.get(lane), self.ids.net_bytes.get(lane))
-            {
-                self.shard.inc(*m);
-                self.shard.add(*b, bytes as u64);
-            }
-        }
-
-        /// Count one wire packet of `wire` bytes (egress threads).
+        /// Record the size of one wire packet (egress threads).
         #[inline]
         pub fn wire_packet(&self, wire: usize) {
-            self.shard.inc(self.ids.wire_packets);
-            self.shard.add(self.ids.wire_bytes, wire as u64);
             self.shard.observe(self.ids.wire_packet_bytes, wire as u64);
-        }
-
-        /// Count one message delivered via the same-node shortcut.
-        #[inline]
-        pub fn same_node(&self) {
-            self.shard.inc(self.ids.same_node_msgs);
         }
 
         /// Count one threshold-triggered tier-1 flush.
@@ -219,12 +175,16 @@ mod real {
         pub fn flush_buf_bytes(&self, bytes: usize) {
             self.shard.observe(self.ids.flush_buf_bytes, bytes as u64);
         }
+    }
 
-        /// Count one ingress batch frame that failed to decode.
-        #[inline]
-        pub fn decode_error(&self) {
-            self.shard.inc(self.ids.decode_errors);
-        }
+    /// Encoded size of one standalone progress report (fixed: three `u64`s
+    /// behind a tag), from the encoder like every other span byte figure.
+    fn progress_len() -> u64 {
+        wire::encoded_len(&WireMsg::Progress {
+            query: QueryId(0),
+            weight: Weight(0),
+            steps: 0,
+        }) as u64
     }
 
     /// Span accumulator for one `(query, stage)`; hops are folded into a
@@ -325,15 +285,16 @@ mod real {
         }
 
         /// Fold one routed interpreter outcome into the span: local spawns,
-        /// remote sends (`(dest worker, approx bytes)`), emitted rows, and
-        /// whether an eager progress report went out.
+        /// remote sends (`(dest worker, wire bytes)`), the encoded size of
+        /// the emitted rows message, and whether an eager progress report
+        /// went out.
         pub fn route_done(
             &mut self,
             query: QueryId,
             stage: u16,
             local: u64,
             remote: &[(u32, u64)],
-            rows_bytes: Option<u64>,
+            rows_len: Option<u64>,
             progress: bool,
         ) {
             let ids = self.eng.ids();
@@ -347,13 +308,13 @@ mod real {
                 sp.rec.bytes[0] += bytes;
                 *sp.hops.entry(dest).or_insert(0) += 1;
             }
-            if let Some(b) = rows_bytes {
+            if let Some(b) = rows_len {
                 sp.rec.msgs[2] += 1;
                 sp.rec.bytes[2] += b;
             }
             if progress {
                 sp.rec.msgs[1] += 1;
-                sp.rec.bytes[1] += 32;
+                sp.rec.bytes[1] += progress_len();
             }
         }
 
@@ -361,14 +322,14 @@ mod real {
         pub fn note_progress(&mut self, query: QueryId, stage: u16) {
             let sp = span_entry(&mut self.spans, query, stage, self.worker);
             sp.rec.msgs[1] += 1;
-            sp.rec.bytes[1] += 32;
+            sp.rec.bytes[1] += progress_len();
         }
 
-        /// A control-plane message of `bytes` went out for `(query, stage)`.
-        pub fn note_ctrl(&mut self, query: QueryId, stage: u16, bytes: u64) {
+        /// The control-plane message `msg` is going out for `(query, stage)`.
+        pub fn note_ctrl(&mut self, query: QueryId, stage: u16, msg: &WireMsg) {
             let sp = span_entry(&mut self.spans, query, stage, self.worker);
             sp.rec.msgs[3] += 1;
-            sp.rec.bytes[3] += bytes;
+            sp.rec.bytes[3] += wire::encoded_len(msg) as u64;
         }
 
         /// Publish the local queue depth gauge.
@@ -465,11 +426,12 @@ mod real {
             *sp.hops.entry(dest).or_insert(0) += 1;
         }
 
-        /// The coordinator sent a control message for `(query, stage)`.
-        pub fn ctrl_sent(&mut self, query: QueryId, stage: u16, bytes: u64) {
+        /// The coordinator is sending the control message `msg` for
+        /// `(query, stage)`.
+        pub fn ctrl_sent(&mut self, query: QueryId, stage: u16, msg: &WireMsg) {
             let sp = span_entry(&mut self.spans, query, stage, COORD_WORKER);
             sp.rec.msgs[3] += 1;
-            sp.rec.bytes[3] += bytes;
+            sp.rec.bytes[3] += wire::encoded_len(msg) as u64;
         }
 
         /// The query finished: flush the coordinator's spans and hand the

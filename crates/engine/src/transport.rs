@@ -77,7 +77,8 @@ pub struct WirePacket {
     pub dest_node: NodeId,
     /// The messages riding in this packet, in lane-FIFO order.
     pub msgs: Vec<WireMsg>,
-    /// Modeled payload size (sum of [`WireMsg::wire_size`]).
+    /// Exact payload size: the sum of [`wire::encoded_len`] over `msgs`,
+    /// i.e. what a socket backend writes for them inside a PACKET frame.
     pub bytes: usize,
 }
 
@@ -749,7 +750,7 @@ impl Transport for TcpTransport {
         let mut frame = self.scratch.lock();
         frame.clear();
         frame.extend_from_slice(&[0, 0, 0, 0, FRAME_PACKET]);
-        let encode_res = wire::encode_packet(&mut frame, &msgs);
+        let encode_res = wire::encode_packet(&mut *frame, &msgs);
         // Recycle leased batch frames whether or not the encode succeeded.
         for m in msgs {
             if let WireMsg::Batch { payload, .. } = m {

@@ -1,9 +1,11 @@
-//! Full control-plane wire codec for real (socket) transports.
+//! The wire layout: every cross-node message's exact binary encoding, and
+//! the only source of a byte count.
 //!
-//! The in-process fabrics move [`WorkerMsg`] / [`CoordMsg`] values through
-//! channels and only *model* their wire size ([`crate::codec`]). A real
-//! transport has to put the bytes on a socket, so this module gives every
-//! cross-node message an exact, deterministic binary encoding. Hand-rolled
+//! A socket transport puts these bytes on the stream. The in-process
+//! fabrics move [`WorkerMsg`] / [`CoordMsg`] values through channels
+//! unencoded, and charge the cost model what the same encoder *would* have
+//! written ([`encoded_len`]) — nothing else in the engine describes a
+//! message's size. Hand-rolled
 //! like the batch codec — no serde format — so the layout is stable and the
 //! decoder surfaces `GdError` on any truncation or corruption instead of
 //! panicking.
@@ -48,7 +50,7 @@ fn bad(what: &str, tag: u8) -> GdError {
 // Primitives
 // ---------------------------------------------------------------------------
 
-fn put_str(buf: &mut Vec<u8>, s: &str) {
+fn put_str(buf: &mut impl BufMut, s: &str) {
     buf.put_u32_le(s.len() as u32);
     buf.put_slice(s.as_bytes());
 }
@@ -61,7 +63,7 @@ fn get_str(r: &mut Reader<'_>) -> GdResult<String> {
         .map_err(|_| GdError::Internal("wire: invalid utf8".into()))
 }
 
-fn put_usize(buf: &mut Vec<u8>, n: usize) {
+fn put_usize(buf: &mut impl BufMut, n: usize) {
     buf.put_u32_le(n as u32);
 }
 
@@ -69,7 +71,7 @@ fn get_usize(r: &mut Reader<'_>) -> GdResult<usize> {
     Ok(r.u32()? as usize)
 }
 
-fn put_values(buf: &mut Vec<u8>, vs: &[Value]) {
+fn put_values(buf: &mut impl BufMut, vs: &[Value]) {
     put_usize(buf, vs.len());
     for v in vs {
         codec::encode_value(buf, v);
@@ -85,7 +87,7 @@ fn get_values(r: &mut Reader<'_>) -> GdResult<Vec<Value>> {
     Ok(out)
 }
 
-fn put_rows(buf: &mut Vec<u8>, rows: &[Row]) {
+fn put_rows(buf: &mut impl BufMut, rows: &[Row]) {
     put_usize(buf, rows.len());
     for row in rows {
         put_values(buf, row);
@@ -107,7 +109,7 @@ fn get_rows(r: &mut Reader<'_>) -> GdResult<Vec<Row>> {
 //
 // Same tag space as the Value codec, with `Float` keyed by IEEE-754 bits.
 
-fn encode_value_key(buf: &mut Vec<u8>, k: &ValueKey) {
+fn encode_value_key(buf: &mut impl BufMut, k: &ValueKey) {
     match k {
         ValueKey::Null => buf.put_u8(0),
         ValueKey::Bool(false) => buf.put_u8(1),
@@ -163,7 +165,7 @@ fn decode_value_key(r: &mut Reader<'_>) -> GdResult<ValueKey> {
 // Expressions
 // ---------------------------------------------------------------------------
 
-fn encode_cmp_op(buf: &mut Vec<u8>, op: CmpOp) {
+fn encode_cmp_op(buf: &mut impl BufMut, op: CmpOp) {
     buf.put_u8(match op {
         CmpOp::Eq => 0,
         CmpOp::Ne => 1,
@@ -186,7 +188,7 @@ fn decode_cmp_op(r: &mut Reader<'_>) -> GdResult<CmpOp> {
     }
 }
 
-fn put_exprs(buf: &mut Vec<u8>, xs: &[Expr]) {
+fn put_exprs(buf: &mut impl BufMut, xs: &[Expr]) {
     put_usize(buf, xs.len());
     for x in xs {
         encode_expr(buf, x);
@@ -202,7 +204,7 @@ fn get_exprs(r: &mut Reader<'_>) -> GdResult<Vec<Expr>> {
     Ok(out)
 }
 
-fn encode_expr(buf: &mut Vec<u8>, e: &Expr) {
+fn encode_expr(buf: &mut impl BufMut, e: &Expr) {
     match e {
         Expr::Const(v) => {
             buf.put_u8(0);
@@ -331,7 +333,7 @@ fn decode_expr(r: &mut Reader<'_>) -> GdResult<Expr> {
 // Plans
 // ---------------------------------------------------------------------------
 
-fn encode_order(buf: &mut Vec<u8>, o: Order) {
+fn encode_order(buf: &mut impl BufMut, o: Order) {
     buf.put_u8(match o {
         Order::Asc => 0,
         Order::Desc => 1,
@@ -346,7 +348,7 @@ fn decode_order(r: &mut Reader<'_>) -> GdResult<Order> {
     }
 }
 
-fn encode_group_order(buf: &mut Vec<u8>, o: GroupOrder) {
+fn encode_group_order(buf: &mut impl BufMut, o: GroupOrder) {
     buf.put_u8(match o {
         GroupOrder::CountDesc => 0,
         GroupOrder::CountAsc => 1,
@@ -363,7 +365,7 @@ fn decode_group_order(r: &mut Reader<'_>) -> GdResult<GroupOrder> {
     }
 }
 
-fn encode_direction(buf: &mut Vec<u8>, d: Direction) {
+fn encode_direction(buf: &mut impl BufMut, d: Direction) {
     buf.put_u8(match d {
         Direction::Out => 0,
         Direction::In => 1,
@@ -380,7 +382,7 @@ fn decode_direction(r: &mut Reader<'_>) -> GdResult<Direction> {
     }
 }
 
-fn encode_source(buf: &mut Vec<u8>, s: &SourceSpec) {
+fn encode_source(buf: &mut impl BufMut, s: &SourceSpec) {
     match s {
         SourceSpec::Param { param } => {
             buf.put_u8(0);
@@ -436,7 +438,7 @@ fn decode_source(r: &mut Reader<'_>) -> GdResult<SourceSpec> {
     }
 }
 
-fn put_prop_slots(buf: &mut Vec<u8>, loads: &[(PropKey, u8)]) {
+fn put_prop_slots(buf: &mut impl BufMut, loads: &[(PropKey, u8)]) {
     put_usize(buf, loads.len());
     for (k, s) in loads {
         buf.put_u16_le(k.0);
@@ -455,7 +457,7 @@ fn get_prop_slots(r: &mut Reader<'_>) -> GdResult<Vec<(PropKey, u8)>> {
     Ok(out)
 }
 
-fn encode_step(buf: &mut Vec<u8>, step: &PlanStep) {
+fn encode_step(buf: &mut impl BufMut, step: &PlanStep) {
     match step {
         PlanStep::Expand {
             dir,
@@ -573,7 +575,7 @@ fn decode_step(r: &mut Reader<'_>) -> GdResult<PlanStep> {
     }
 }
 
-fn encode_agg_func(buf: &mut Vec<u8>, f: &AggFunc) {
+fn encode_agg_func(buf: &mut impl BufMut, f: &AggFunc) {
     match f {
         AggFunc::Count => buf.put_u8(0),
         AggFunc::Sum(e) => {
@@ -679,7 +681,7 @@ fn decode_agg_func(r: &mut Reader<'_>) -> GdResult<AggFunc> {
 }
 
 /// Encode a full plan.
-pub fn encode_plan(buf: &mut Vec<u8>, plan: &Plan) {
+pub fn encode_plan(buf: &mut impl BufMut, plan: &Plan) {
     put_usize(buf, plan.num_params);
     put_usize(buf, plan.stages.len());
     for stage in &plan.stages {
@@ -757,7 +759,7 @@ pub(crate) fn decode_plan(r: &mut Reader<'_>) -> GdResult<Plan> {
 // Aggregation partials
 // ---------------------------------------------------------------------------
 
-fn put_sorted_map(buf: &mut Vec<u8>, map: &FxHashMap<ValueKey, i64>) {
+fn put_sorted_map(buf: &mut impl BufMut, map: &FxHashMap<ValueKey, i64>) {
     let mut entries: Vec<(&ValueKey, &i64)> = map.iter().collect();
     // Sorted by the key's total order so identical states are identical
     // bytes regardless of hash-map iteration order.
@@ -782,7 +784,7 @@ fn get_map(r: &mut Reader<'_>) -> GdResult<FxHashMap<ValueKey, i64>> {
 }
 
 /// Encode an aggregation partial.
-pub fn encode_agg_state(buf: &mut Vec<u8>, s: &AggState) {
+pub fn encode_agg_state(buf: &mut impl BufMut, s: &AggState) {
     match s {
         AggState::Count(n) => {
             buf.put_u8(0);
@@ -895,7 +897,7 @@ pub(crate) fn decode_agg_state(r: &mut Reader<'_>) -> GdResult<AggState> {
 // Errors
 // ---------------------------------------------------------------------------
 
-fn encode_error(buf: &mut Vec<u8>, e: &GdError) {
+fn encode_error(buf: &mut impl BufMut, e: &GdError) {
     match e {
         GdError::VertexNotFound(v) => {
             buf.put_u8(0);
@@ -968,7 +970,7 @@ fn decode_error(r: &mut Reader<'_>) -> GdResult<GdError> {
 // Migration segments
 // ---------------------------------------------------------------------------
 
-fn put_props(buf: &mut Vec<u8>, props: &[(PropKey, Value)]) {
+fn put_props(buf: &mut impl BufMut, props: &[(PropKey, Value)]) {
     put_usize(buf, props.len());
     for (k, v) in props {
         buf.put_u16_le(k.0);
@@ -987,7 +989,7 @@ fn get_props(r: &mut Reader<'_>) -> GdResult<Vec<(PropKey, Value)>> {
     Ok(out)
 }
 
-fn encode_tel(buf: &mut Vec<u8>, tel: &TelList) {
+fn encode_tel(buf: &mut impl BufMut, tel: &TelList) {
     let entries = tel.entries();
     put_usize(buf, entries.len());
     for e in entries {
@@ -1016,7 +1018,7 @@ fn decode_tel(r: &mut Reader<'_>) -> GdResult<TelList> {
     Ok(TelList::from_entries(entries))
 }
 
-fn encode_segment(buf: &mut Vec<u8>, seg: &VertexSegment) {
+fn encode_segment(buf: &mut impl BufMut, seg: &VertexSegment) {
     buf.put_u64_le(seg.v.0);
     buf.put_u16_le(seg.record.label.0);
     buf.put_u64_le(seg.record.create_ts);
@@ -1049,7 +1051,7 @@ fn decode_segment(r: &mut Reader<'_>) -> GdResult<VertexSegment> {
 // ---------------------------------------------------------------------------
 
 /// Encode a worker control message. Every variant crosses the wire.
-pub fn encode_worker_msg(buf: &mut Vec<u8>, msg: &WorkerMsg) -> GdResult<()> {
+pub fn encode_worker_msg(buf: &mut impl BufMut, msg: &WorkerMsg) -> GdResult<()> {
     match msg {
         WorkerMsg::Batch(ts) => {
             buf.put_u8(0);
@@ -1225,7 +1227,7 @@ pub(crate) fn decode_worker_msg(r: &mut Reader<'_>) -> GdResult<WorkerMsg> {
     }
 }
 
-fn encode_mig_phase(buf: &mut Vec<u8>, p: MigPhase) {
+fn encode_mig_phase(buf: &mut impl BufMut, p: MigPhase) {
     buf.put_u8(match p {
         MigPhase::Installed => 0,
         MigPhase::Committed => 1,
@@ -1247,7 +1249,7 @@ fn decode_mig_phase(r: &mut Reader<'_>) -> GdResult<MigPhase> {
 /// Encode a coordinator message. [`CoordMsg::Submit`] is the one variant
 /// that legitimately never crosses node boundaries (it carries the client's
 /// in-process reply channel), so encoding it is an error.
-pub fn encode_coord_msg(buf: &mut Vec<u8>, msg: &CoordMsg) -> GdResult<()> {
+pub fn encode_coord_msg(buf: &mut impl BufMut, msg: &CoordMsg) -> GdResult<()> {
     match msg {
         CoordMsg::Submit { .. } => {
             return Err(GdError::Internal(
@@ -1410,7 +1412,7 @@ pub(crate) fn decode_coord_msg(r: &mut Reader<'_>) -> GdResult<CoordMsg> {
 // ---------------------------------------------------------------------------
 
 /// Encode one wire message into a packet body.
-pub(crate) fn encode_wire_msg(buf: &mut Vec<u8>, msg: &WireMsg) -> GdResult<()> {
+pub fn encode_wire_msg(buf: &mut impl BufMut, msg: &WireMsg) -> GdResult<()> {
     match msg {
         WireMsg::Batch { dest, payload } => {
             buf.put_u8(0);
@@ -1428,14 +1430,9 @@ pub(crate) fn encode_wire_msg(buf: &mut Vec<u8>, msg: &WireMsg) -> GdResult<()> 
             buf.put_u64_le(weight.0);
             buf.put_u64_le(*steps);
         }
-        WireMsg::Rows {
-            query,
-            rows,
-            approx,
-        } => {
+        WireMsg::Rows { query, rows } => {
             buf.put_u8(2);
             buf.put_u64_le(query.0);
-            put_usize(buf, *approx);
             put_rows(buf, rows);
         }
         WireMsg::CtrlWorker { dest, msg } => {
@@ -1449,6 +1446,46 @@ pub(crate) fn encode_wire_msg(buf: &mut Vec<u8>, msg: &WireMsg) -> GdResult<()> 
         }
     }
     Ok(())
+}
+
+/// A [`BufMut`] that keeps the length and drops the bytes: the sink
+/// [`encoded_len`] runs the encoders into.
+struct ByteCount(usize);
+
+impl BufMut for ByteCount {
+    fn put_u8(&mut self, _: u8) {
+        self.0 += 1;
+    }
+    fn put_u16_le(&mut self, _: u16) {
+        self.0 += 2;
+    }
+    fn put_u32_le(&mut self, _: u32) {
+        self.0 += 4;
+    }
+    fn put_u64_le(&mut self, _: u64) {
+        self.0 += 8;
+    }
+    fn put_i64_le(&mut self, _: i64) {
+        self.0 += 8;
+    }
+    fn put_f64_le(&mut self, _: f64) {
+        self.0 += 8;
+    }
+    fn put_slice(&mut self, s: &[u8]) {
+        self.0 += s.len();
+    }
+}
+
+/// Exact size of `msg` inside a packet body — the one byte count the I/O
+/// scheduler and the cost model use. It is [`encode_wire_msg`] run into a
+/// counting sink, so there is no second description of the layout to keep
+/// in step (a `Batch` is its header plus `payload.len()`, no walk).
+pub fn encoded_len(msg: &WireMsg) -> usize {
+    let mut n = ByteCount(0);
+    // `CoordMsg::Submit` is the one refusal, and it never reaches a remote
+    // lane; the transport reports it if one ever does.
+    let _ = encode_wire_msg(&mut n, msg);
+    n.0
 }
 
 /// Decode one wire message from a packet body.
@@ -1467,7 +1504,6 @@ pub(crate) fn decode_wire_msg(r: &mut Reader<'_>) -> GdResult<WireMsg> {
         }),
         2 => Ok(WireMsg::Rows {
             query: QueryId(r.u64()?),
-            approx: get_usize(r)?,
             rows: get_rows(r)?,
         }),
         3 => {
@@ -1484,7 +1520,7 @@ pub(crate) fn decode_wire_msg(r: &mut Reader<'_>) -> GdResult<WireMsg> {
 
 /// Encode a full packet body: `u16 count | count × wire msg`. The socket
 /// transport wraps this in a length-prefixed PACKET frame.
-pub(crate) fn encode_packet(buf: &mut Vec<u8>, msgs: &[WireMsg]) -> GdResult<()> {
+pub(crate) fn encode_packet(buf: &mut impl BufMut, msgs: &[WireMsg]) -> GdResult<()> {
     buf.put_u16_le(msgs.len() as u16);
     for m in msgs {
         encode_wire_msg(buf, m)?;
@@ -1575,22 +1611,31 @@ mod tests {
         }
     }
 
-    fn roundtrip_worker(msg: &WorkerMsg) -> WorkerMsg {
+    /// Encode, check that [`encoded_len`] is the encoder's own count, and
+    /// decode back — every round-trip test below goes through here.
+    fn roundtrip_wire(msg: WireMsg) -> WireMsg {
         let mut buf = Vec::new();
-        encode_worker_msg(&mut buf, msg).unwrap();
+        encode_wire_msg(&mut buf, &msg).unwrap();
+        assert_eq!(encoded_len(&msg), buf.len(), "encoded_len of {msg:?}");
         let mut r = Reader::new(&buf);
-        let back = decode_worker_msg(&mut r).unwrap();
-        assert!(r.is_empty(), "worker msg fully consumed");
+        let back = decode_wire_msg(&mut r).unwrap();
+        assert!(r.is_empty(), "wire msg fully consumed");
         back
     }
 
-    fn roundtrip_coord(msg: &CoordMsg) -> CoordMsg {
-        let mut buf = Vec::new();
-        encode_coord_msg(&mut buf, msg).unwrap();
-        let mut r = Reader::new(&buf);
-        let back = decode_coord_msg(&mut r).unwrap();
-        assert!(r.is_empty(), "coord msg fully consumed");
-        back
+    fn roundtrip_worker(msg: WorkerMsg) -> WorkerMsg {
+        let dest = WorkerId(7);
+        match roundtrip_wire(WireMsg::CtrlWorker { dest, msg }) {
+            WireMsg::CtrlWorker { dest: d, msg } if d == dest => msg,
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    fn roundtrip_coord(msg: CoordMsg) -> CoordMsg {
+        match roundtrip_wire(WireMsg::CtrlCoord { msg }) {
+            WireMsg::CtrlCoord { msg } => msg,
+            other => panic!("unexpected {other:?}"),
+        }
     }
 
     #[test]
@@ -1657,7 +1702,7 @@ mod tests {
             }),
             stage: 1,
         };
-        match roundtrip_worker(&msg) {
+        match roundtrip_worker(msg) {
             WorkerMsg::QueryBegin { ctx, stage } => {
                 assert_eq!(stage, 1);
                 assert_eq!(ctx.query, QueryId(42));
@@ -1738,11 +1783,11 @@ mod tests {
             }),
             WorkerMsg::Shutdown,
         ];
-        for msg in &msgs {
-            let back = roundtrip_worker(msg);
+        for msg in msgs {
             // WorkerMsg is not PartialEq (Arc ctx); compare debug renders,
             // which include every payload field.
-            assert_eq!(format!("{msg:?}"), format!("{back:?}"));
+            let sent = format!("{msg:?}");
+            assert_eq!(sent, format!("{:?}", roundtrip_worker(msg)));
         }
     }
 
@@ -1767,7 +1812,7 @@ mod tests {
                 inn: TelList::new(),
             }),
         };
-        match roundtrip_worker(&msg) {
+        match roundtrip_worker(msg) {
             WorkerMsg::MigrateInstall { segment, .. } => {
                 assert_eq!(segment.out.len_versions(), 2);
                 assert_eq!(segment.out.scan_visible(Label(1), 3).count(), 1);
@@ -1834,9 +1879,9 @@ mod tests {
             CoordMsg::Tick,
             CoordMsg::Shutdown,
         ];
-        for msg in &msgs {
-            let back = roundtrip_coord(msg);
-            assert_eq!(format!("{msg:?}"), format!("{back:?}"));
+        for msg in msgs {
+            let sent = format!("{msg:?}");
+            assert_eq!(sent, format!("{:?}", roundtrip_coord(msg)));
         }
     }
 
@@ -1901,6 +1946,11 @@ mod tests {
             let mut r = Reader::new(&buf);
             assert_eq!(&decode_agg_state(&mut r).unwrap(), s);
             assert!(r.is_empty());
+            roundtrip_coord(CoordMsg::AggPartial {
+                query: QueryId(1),
+                part: PartId(0),
+                state: Some(Box::new(s.clone())),
+            });
         }
     }
 
@@ -1932,6 +1982,10 @@ mod tests {
                 format!("{e:?}")
             );
             assert!(r.is_empty());
+            roundtrip_coord(CoordMsg::WorkerError {
+                query: QueryId(1),
+                error: e.clone(),
+            });
         }
     }
 
@@ -1958,7 +2012,6 @@ mod tests {
             WireMsg::Rows {
                 query: QueryId(1),
                 rows: vec![vec![Value::Int(5)]],
-                approx: 17,
             },
             WireMsg::CtrlWorker {
                 dest: WorkerId(0),
@@ -1970,6 +2023,12 @@ mod tests {
         ];
         let mut body = Vec::new();
         encode_packet(&mut body, &msgs).unwrap();
+        let payload: usize = msgs.iter().map(encoded_len).sum();
+        assert_eq!(
+            2 + payload,
+            body.len(),
+            "u16 count + each msg's encoded_len"
+        );
         let back = decode_packet(&body).unwrap();
         assert_eq!(back.len(), msgs.len());
         assert_eq!(format!("{back:?}"), format!("{msgs:?}"));

@@ -25,8 +25,10 @@ use graphdance_storage::Graph;
 
 use crate::config::EngineConfig;
 use crate::messages::{CoordMsg, MigPhase, QueryCtx, WorkerMsg};
-use crate::net::{Fabric, Outbox};
+use crate::net::{Fabric, Outbox, WireMsg};
 use crate::run_queue::{QueryRing, RunEntry, RunQueue};
+#[cfg(feature = "obs")]
+use crate::wire;
 
 struct ActiveQuery {
     ctx: Arc<QueryCtx>,
@@ -298,16 +300,19 @@ impl Worker {
             }
             WorkerMsg::GatherAgg { query } => {
                 let state = self.memo.query_mut(query).take_stage_state();
-                let _sz = self.outbox.send_ctrl_coord(CoordMsg::AggPartial {
-                    query,
-                    part: self.id.part(),
-                    state: state.map(Box::new),
-                });
+                let partial = WireMsg::CtrlCoord {
+                    msg: CoordMsg::AggPartial {
+                        query,
+                        part: self.id.part(),
+                        state: state.map(Box::new),
+                    },
+                };
                 #[cfg(feature = "obs")]
                 {
                     let stage = self.queries.get(&query).map_or(0, |a| a.stage);
-                    self.obs.note_ctrl(query, stage, _sz as u64);
+                    self.obs.note_ctrl(query, stage, &partial);
                 }
+                self.outbox.send(partial);
             }
             WorkerMsg::CancelQuery { query } => {
                 self.cancel_query(query);
@@ -423,7 +428,7 @@ impl Worker {
         match self.graph.freeze_and_clone(self.id.part(), v) {
             Ok(seg) => {
                 let dest = self.graph.partitioner().worker_of_part(to);
-                let _ = self.outbox.send_ctrl_worker(
+                self.outbox.send_ctrl_worker(
                     dest,
                     WorkerMsg::MigrateInstall {
                         seq,
@@ -438,8 +443,7 @@ impl Worker {
     }
 
     fn migrate_ack(&mut self, seq: u64, v: VertexId, phase: MigPhase) {
-        let _ = self
-            .outbox
+        self.outbox
             .send_ctrl_coord(CoordMsg::MigrateAck { seq, v, phase });
     }
 
@@ -667,18 +671,20 @@ impl Worker {
                                         self.outbox.fabric().hot_tracker().record(t.vertex, own);
                                     }
                                     #[cfg(feature = "obs")]
-                                    obs_remote.push((w.0, t.approx_bytes() as u64));
+                                    obs_remote.push((w.0, t.wire_bytes() as u64));
                                     self.outbox.send_traverser(w, t);
                                 }
                             }
                             if !out.emitted.is_empty() {
-                                let _approx = self
-                                    .outbox
-                                    .send_rows(query, std::mem::take(&mut out.emitted));
+                                let rows = WireMsg::Rows {
+                                    query,
+                                    rows: std::mem::take(&mut out.emitted),
+                                };
                                 #[cfg(feature = "obs")]
                                 {
-                                    obs_rows = Some(_approx as u64);
+                                    obs_rows = Some(wire::encoded_len(&rows) as u64);
                                 }
+                                self.outbox.send(rows);
                             }
                             steps += out.steps_executed as u64;
                             if out.finished != Weight::ZERO {
@@ -782,7 +788,7 @@ impl Worker {
                         tracker.record(t.vertex, self.id.part());
                     }
                     #[cfg(feature = "obs")]
-                    obs_remote.push((w.0, t.approx_bytes() as u64));
+                    obs_remote.push((w.0, t.wire_bytes() as u64));
                     self.outbox.send_traverser(w, t);
                 }
             }
@@ -794,11 +800,15 @@ impl Worker {
             self.idle.push(query);
         }
         if !out.emitted.is_empty() {
-            let _approx = self.outbox.send_rows(query, out.emitted);
+            let rows = WireMsg::Rows {
+                query,
+                rows: out.emitted,
+            };
             #[cfg(feature = "obs")]
             {
-                obs_rows = Some(_approx as u64);
+                obs_rows = Some(wire::encoded_len(&rows) as u64);
             }
+            self.outbox.send(rows);
         }
         *self.steps.entry(query).or_insert(0) += out.steps_executed as u64;
         if out.finished != Weight::ZERO {
@@ -1057,6 +1067,8 @@ mod handler_tests {
         assert_eq!(w.ring.len(), 1);
         assert_eq!(stage_next(&mut w), Some(QueryId(6)));
         assert!(w.pending.is_empty());
+        // Sends are counted when their buffer is flushed.
+        w.outbox.flush_all();
         assert_eq!(fabric.stats().snapshot().progress_msgs - before, 2);
     }
 

@@ -307,20 +307,6 @@ impl AggState {
             }
         }
     }
-
-    /// Approximate serialized size (drives flush accounting).
-    pub fn approx_bytes(&self) -> usize {
-        match self {
-            AggState::Count(_) | AggState::Sum(_) | AggState::Min(_) | AggState::Max(_) => 24,
-            AggState::Avg { .. } => 24,
-            AggState::TopK { rows } => rows
-                .iter()
-                .map(|(k, r, d)| 16 * (k.len() + r.len() + d.len()))
-                .sum(),
-            AggState::GroupCount { map } | AggState::GroupSum { map } => 32 * map.len(),
-            AggState::Collect { rows } => rows.iter().map(|r| 16 * r.len()).sum(),
-        }
-    }
 }
 
 fn add_values(a: &Value, b: &Value) -> GdResult<Value> {

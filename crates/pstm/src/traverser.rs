@@ -74,21 +74,11 @@ impl Traverser {
         self.locals[i] = v;
     }
 
-    /// Serialized size in bytes (drives the 8 KB flush threshold of the
-    /// two-tier I/O scheduler, §IV-B, and obs byte accounting). This used
-    /// to be an independent estimate that drifted from the codec — it
-    /// skipped `aux_key` entirely and flat-rated nested lists at
-    /// 16 B/elem — so it now delegates to [`wire_bytes`](Self::wire_bytes)
-    /// and cannot diverge again.
-    #[inline]
-    pub fn approx_bytes(&self) -> usize {
-        self.wire_bytes()
-    }
-
     /// Exact serialized size in bytes, mirroring the engine wire codec's
     /// layout byte for byte (the codec's tests pin the two together). The
-    /// I/O scheduler counts its tier-1 buffers with this, so the flush
-    /// threshold tracks real frame bytes.
+    /// I/O scheduler counts its tier-1 buffers with this (§IV-B's 8 KB
+    /// flush threshold tracks real frame bytes), once per traverser sent —
+    /// which is why it is arithmetic here and not a run of the encoder.
     pub fn wire_bytes(&self) -> usize {
         let mut n = 8 + 2 + 2 + 8 + 8 + 4 + 1; // fixed fields + aux flag
         if let Some(k) = &self.aux_key {
@@ -137,25 +127,9 @@ mod tests {
     #[test]
     fn approx_bytes_counts_strings() {
         let mut t = Traverser::root(QueryId(1), 0, VertexId(5), 0, Weight::ROOT);
-        let base = t.approx_bytes();
+        let base = t.wire_bytes();
         t.set_slot(0, Value::str("0123456789"));
-        assert!(t.approx_bytes() >= base + 10);
-    }
-
-    #[test]
-    fn approx_bytes_tracks_wire_bytes_exactly() {
-        // approx_bytes delegates to wire_bytes: aux keys and nested lists
-        // must count identically so the two can never drift again.
-        let mut t = Traverser::root(QueryId(1), 0, VertexId(5), 2, Weight::ROOT);
-        t.aux_key = Some(Value::str("routing-key"));
-        t.set_slot(
-            0,
-            Value::List(vec![Value::Int(1), Value::str("abc")].into()),
-        );
-        t.set_slot(1, Value::Float(2.5));
-        assert_eq!(t.approx_bytes(), t.wire_bytes());
-        t.aux_key = None;
-        assert_eq!(t.approx_bytes(), t.wire_bytes());
+        assert!(t.wire_bytes() >= base + 10);
     }
 
     #[test]

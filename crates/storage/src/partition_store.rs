@@ -92,16 +92,6 @@ pub struct VertexSegment {
     pub inn: TelList,
 }
 
-impl VertexSegment {
-    /// Approximate wire size of the segment (drives the codec's pricing
-    /// of `MigrateInstall` — segment transfer is deliberately expensive).
-    pub fn approx_bytes(&self) -> usize {
-        let mut bytes = size_of::<VertexRecord>() + size_of::<VertexId>() + 16;
-        bytes += self.record.props.capacity() * size_of::<(PropKey, Value)>();
-        bytes + self.out.approx_bytes() + self.inn.approx_bytes()
-    }
-}
-
 /// One graph partition (see module docs).
 #[derive(Debug)]
 pub struct GraphPartition {
@@ -821,7 +811,6 @@ mod tests {
         src.build_prop_index(PERSON, NAME);
         src.freeze_vertex(VertexId(1)).unwrap();
         let seg = src.clone_segment(VertexId(1)).unwrap();
-        assert!(seg.approx_bytes() > 0);
 
         let mut dst = GraphPartition::new(PartId(1));
         dst.build_prop_index(PERSON, NAME);

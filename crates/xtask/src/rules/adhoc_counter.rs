@@ -12,7 +12,7 @@
 //! `Cell<u64>` appearing there.
 //!
 //! Legitimate non-metric uses — id allocators, sequencing for fault
-//! injection, the obs-off `NetStats` fallback — carry a
+//! injection, `NetStats` (per-flush totals) — carry a
 //! `// lint: allow(adhoc-counter) <why>` annotation as the audit trail.
 //! Plain `use` imports are not flagged (the import is harmless; the
 //! declaration or constructor site is where the decision shows).

@@ -1,22 +1,24 @@
-//! `codec-exhaustive`: every control message variant is cost-modeled.
+//! `codec-exhaustive`: every control message variant has a wire encoding.
 //!
 //! `engine/src/messages.rs` defines the control-plane enums (`WorkerMsg`,
-//! `CoordMsg`, `BspSignal`); `engine/src/codec.rs` charges each variant a
-//! wire size so the simulated network bills control traffic honestly. The
-//! codec's sizing functions are written as exhaustive `match`es with no
-//! wildcard, so *within one crate build* the compiler enforces coverage —
-//! but nothing stops a `_ => 0` wildcard from creeping in during a refactor
-//! and silently zero-rating every future variant. This cross-file check
-//! closes that hole: each variant name declared in `messages.rs` must
-//! appear as `Enum::Variant` somewhere in `codec.rs`.
+//! `CoordMsg`, `BspSignal`); `engine/src/wire.rs` gives each variant its
+//! byte layout, and that encoder is also the only source of a message's
+//! size (`wire::encoded_len`), so a variant it skips can neither cross a
+//! socket nor be charged to the cost model. The encoders are written as
+//! exhaustive `match`es with no wildcard, so *within one crate build* the
+//! compiler enforces coverage — but nothing stops a `_ => Err(..)` wildcard
+//! from creeping in during a refactor and silently refusing (and
+//! zero-rating) every future variant. This cross-file check closes that
+//! hole: each variant name declared in `messages.rs` must appear as
+//! `Enum::Variant` somewhere in `wire.rs`.
 
 use super::Rule;
 use crate::scan::{SourceFile, Violation};
 
-/// The enums whose variants must be priced, and the file that must price
+/// The enums whose variants must be encoded, and the file that must encode
 /// them.
 const MESSAGES: &str = "crates/engine/src/messages.rs";
-const CODEC: &str = "crates/engine/src/codec.rs";
+const CODEC: &str = "crates/engine/src/wire.rs";
 const ENUMS: &[&str] = &["WorkerMsg", "CoordMsg", "BspSignal"];
 
 pub struct CodecExhaustive;
@@ -27,7 +29,7 @@ impl Rule for CodecExhaustive {
     }
 
     fn describe(&self) -> &'static str {
-        "every WorkerMsg/CoordMsg/BspSignal variant has a matching arm in engine/src/codec.rs"
+        "every WorkerMsg/CoordMsg/BspSignal variant has a matching arm in engine/src/wire.rs"
     }
 
     fn check(&self, files: &[SourceFile]) -> Vec<Violation> {
@@ -40,7 +42,7 @@ impl Rule for CodecExhaustive {
                 rule: self.name(),
                 file: MESSAGES.to_string(),
                 line: 1,
-                message: format!("{CODEC} is missing — control messages have no wire-size model"),
+                message: format!("{CODEC} is missing — control messages have no wire encoding"),
             }];
         };
 
@@ -75,7 +77,7 @@ impl Rule for CodecExhaustive {
                         line,
                         message: format!(
                             "`{arm}` has no arm in {CODEC} — add it to the \
-                             wire-size match so the network cost model covers it"
+                             encoder so it can cross a wire and be charged for it"
                         ),
                     });
                 }
@@ -167,7 +169,7 @@ pub enum BspSignal {
     fn files(codec_src: &str) -> Vec<SourceFile> {
         vec![
             parse_source("crates/engine/src/messages.rs", FIXTURE_MESSAGES),
-            parse_source("crates/engine/src/codec.rs", codec_src),
+            parse_source("crates/engine/src/wire.rs", codec_src),
         ]
     }
 
@@ -227,7 +229,7 @@ fn csize(m: &CoordMsg) -> usize {
 
     #[test]
     fn partial_trees_without_messages_are_skipped() {
-        let only = vec![parse_source("crates/engine/src/codec.rs", "fn x() {}")];
+        let only = vec![parse_source("crates/engine/src/wire.rs", "fn x() {}")];
         assert!(CodecExhaustive.check(&only).is_empty());
     }
 }

@@ -125,6 +125,20 @@ fn three_stage_trace_reconciles_with_ledger() {
     let m = engine.metrics();
     assert!(m.scalar("worker.executed") > 0);
     assert!(m.scalar("net.control_msgs") > 0);
+    // The six `net.*` figures `benchmark/` reads are exported, and are the
+    // fabric's own counters (the trace is sealed, so the engine is idle).
+    let net = engine.net_stats();
+    for (name, want) in [
+        ("net.traverser_msgs", net.traverser_msgs),
+        ("net.same_node_msgs", net.same_node_msgs),
+        ("net.progress_msgs", net.progress_msgs),
+        ("net.wire_packets", net.wire_packets),
+        ("net.wire_bytes", net.wire_bytes),
+        ("net.decode_errors", net.decode_errors),
+    ] {
+        assert!(m.get(name).is_some(), "{name} missing from metrics()");
+        assert_eq!(m.scalar(name), want, "{name}");
+    }
     assert!(m.get("memo.hits").is_some());
     let scans = m.hist("storage.tel_scan_len").expect("TEL histogram");
     assert!(scans.count() > 0, "Expand steps scanned TELs");

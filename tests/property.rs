@@ -7,6 +7,8 @@ use proptest::prelude::*;
 
 use graphdance::common::{Partitioner, QueryId, Value, VertexId};
 use graphdance::engine::codec::{self, ProgressEntry};
+use graphdance::engine::net::WireMsg;
+use graphdance::engine::wire;
 use graphdance::engine::{EngineConfig, GraphDance};
 use graphdance::pstm::{Traverser, Weight};
 use graphdance::query::expr::Expr;
@@ -95,12 +97,19 @@ proptest! {
 
     /// A piggybacked progress trailer rides any batch and comes back
     /// exactly, on both decode paths; the traverser wire-size accounting
-    /// stays exact (header + per-traverser sizes + trailer).
+    /// stays exact (header + per-traverser sizes + trailer), and so does
+    /// the size the I/O scheduler takes for a rows message.
     #[test]
     fn piggybacked_progress_roundtrips(
         ts in prop::collection::vec(arb_traverser(), 0..6),
         ps in prop::collection::vec(arb_progress(), 0..5),
+        rows in prop::collection::vec(prop::collection::vec(arb_value(), 0..4), 0..5),
     ) {
+        let msg = WireMsg::Rows { query: QueryId(7), rows };
+        let mut encoded = Vec::new();
+        wire::encode_wire_msg(&mut encoded, &msg).expect("rows encode");
+        prop_assert_eq!(wire::encoded_len(&msg), encoded.len());
+
         let mut frame = Vec::new();
         codec::encode_batch_into(&mut frame, &ts, &ps);
         let body: usize = ts.iter().map(|t| t.wire_bytes()).sum();

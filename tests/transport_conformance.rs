@@ -17,7 +17,8 @@
 //!    destination worker arrive exactly once, in send order, in both
 //!    directions of the mesh;
 //! 2. **control legs** — cancel and migration control messages survive the
-//!    wire with field-exact round-trips, in both directions;
+//!    wire with field-exact round-trips, in both directions, and every
+//!    backend counts the same payload bytes for them;
 //! 3. **flush observability** — threshold flushes are recorded in the
 //!    flush trace with the correct trigger;
 //! 4. **ledger quiesce** — after traffic drains, `MsgLedger` sent equals
@@ -38,7 +39,7 @@ use std::time::Duration;
 use crossbeam::channel::{unbounded, Receiver};
 use graphdance::common::{NodeId, QueryId, VertexId, WorkerId};
 use graphdance::engine::messages::{CoordMsg, WorkerMsg};
-use graphdance::engine::net::Outbox;
+use graphdance::engine::net::{Outbox, PACKET_HEADER_BYTES};
 use graphdance::engine::{
     EngineConfig, Fabric, FlushTrigger, IoMode, MigPhase, MsgLedger, PeerAddr, TcpTransport,
     TcpTransportConfig,
@@ -178,6 +179,19 @@ impl Cluster {
         got
     }
 
+    /// Payload bytes the cluster's fabrics counted onto wires: `wire_bytes`
+    /// less the modeled per-packet header (combining may change the packet
+    /// count between backends, never the payload).
+    fn wire_payload(&self) -> u64 {
+        self.fabrics
+            .iter()
+            .map(|f| {
+                let s = f.stats().snapshot();
+                s.wire_bytes - PACKET_HEADER_BYTES as u64 * s.wire_packets
+            })
+            .sum()
+    }
+
     /// Assert no fabric saw a decode error.
     fn assert_clean(&self) {
         for (i, f) in self.fabrics.iter().enumerate() {
@@ -282,6 +296,7 @@ fn per_lane_fifo_without_loss_on_every_backend() {
 
 #[test]
 fn control_legs_round_trip_on_every_backend() {
+    let mut payloads = Vec::new();
     for backend in BACKENDS {
         let cluster = Cluster::start(backend, &config(IoMode::TwoTier));
 
@@ -357,9 +372,16 @@ fn control_legs_round_trip_on_every_backend() {
             other => panic!("[{backend:?}] expected Rows, got {other:?}"),
         }
 
+        // Everything sent has arrived, so its packets are counted.
+        payloads.push(cluster.wire_payload());
         cluster.assert_clean();
         cluster.shutdown();
     }
+    assert!(payloads[0] > 0, "cross-node traffic was counted");
+    assert!(
+        payloads.iter().all(|p| *p == payloads[0]),
+        "same traffic, same exact payload on channel, tcp and unix: {payloads:?}"
+    );
 }
 
 // ---------------------------------------------------------------------------
