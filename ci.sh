@@ -49,9 +49,12 @@ cargo test -q --test sim_dst --test sim_property --test sim_faults \
 echo "==> transport: conformance battery (channel + tcp + unix loopback)"
 # One generic battery against every Transport backend — FIFO/no-loss,
 # control legs, observable flushes, ledger quiesce, drain-before-close —
-# plus the 256-seed framing fuzz and live-socket garbage test. Loopback
-# sockets only; no external network.
-cargo test -q --test transport_conformance --test frame_robustness
+# plus the 256-seed framing fuzz and live-socket garbage test, and the
+# query lifecycle on a 2x2 NodeRuntime mesh (cancel / deadline / sink /
+# drop-without-shutdown, TCP + Unix; its own file so the x200 loop below
+# stays the bare battery). Loopback sockets only; no external network.
+cargo test -q --test transport_conformance --test frame_robustness \
+    --test socket_runtime
 
 echo "==> transport: conformance x200 under CPU contention (release)"
 # The drain-before-close race (a peer connected but not yet accept()ed when

@@ -1,7 +1,7 @@
 //! The engine abstraction used by the LDBC driver and benchmark harnesses.
 
 use graphdance_common::{GdResult, Value};
-use graphdance_engine::{GraphDance, NetStatsSnapshot, QueryResult};
+use graphdance_engine::{GraphDance, NetStatsSnapshot, NodeRuntime, QueryResult};
 use graphdance_pstm::Row;
 use graphdance_query::plan::Plan;
 
@@ -59,7 +59,7 @@ impl QueryEngine for GraphDance {
     }
 
     fn net_stats(&self) -> NetStatsSnapshot {
-        GraphDance::net_stats(self)
+        NodeRuntime::net_stats(self)
     }
 
     #[cfg(feature = "obs")]

@@ -22,7 +22,6 @@
 //! unit test `recorded_transport_within_budget` gates against the budgets
 //! below.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -30,9 +29,7 @@ use crossbeam::channel::{unbounded, Receiver};
 use graphdance_bench::{header, ms, quick_mode};
 use graphdance_common::{NodeId, QueryId, VertexId, WorkerId};
 use graphdance_engine::messages::WorkerMsg;
-use graphdance_engine::{
-    EngineConfig, Fabric, PeerAddr, TcpTransport, TcpTransportConfig, Transport,
-};
+use graphdance_engine::{EngineConfig, Fabric, SocketFamily, TcpTransport, Transport};
 use graphdance_pstm::{Traverser, Weight};
 
 /// Traversers per batch: comfortably under the 8 KB flush threshold, so
@@ -66,10 +63,6 @@ impl Arm {
         }
     }
 }
-
-/// Uniquifies Unix socket paths across runs on one machine.
-// lint: allow(adhoc-counter) socket-path uniquifier, not a metric
-static SOCK_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// A 2-node × 2-worker mesh with the bench holding node 1's worker-2
 /// inbox receiver (no worker threads run — this measures the wire alone).
@@ -110,34 +103,17 @@ impl Mesh {
                 }
             }
             Arm::Tcp | Arm::Unix => {
-                let addrs: Vec<PeerAddr> = (0..2)
-                    .map(|i| match arm {
-                        Arm::Tcp => PeerAddr::Tcp("127.0.0.1:0".into()),
-                        Arm::Unix => {
-                            // sync: uniquifier only; any distinct values do
-                            let seq = SOCK_SEQ.fetch_add(1, Ordering::Relaxed);
-                            PeerAddr::Unix(
-                                std::env::temp_dir()
-                                    .join(format!("gd-ab-{}-{seq}-{i}.sock", std::process::id(),)),
-                            )
-                        }
-                        Arm::Channel => unreachable!(),
-                    })
-                    .collect();
-                let transports: Vec<Arc<TcpTransport>> = (0..2)
-                    .map(|i| {
-                        TcpTransport::bind(TcpTransportConfig::new(NodeId(i as u32), addrs.clone()))
-                            .expect("bind bench transport")
-                    })
-                    .collect();
-                let resolved: Vec<PeerAddr> =
-                    transports.iter().map(|t| t.local_addr().clone()).collect();
+                let family = match arm {
+                    Arm::Unix => SocketFamily::Unix,
+                    _ => SocketFamily::Tcp,
+                };
+                let transports =
+                    TcpTransport::loopback_mesh(2, family).expect("bind bench transports");
                 let mut fabrics = Vec::new();
                 let mut other: Vec<Box<dyn std::any::Any>> = Vec::new();
                 let mut rx1 = None;
                 let mut threads = Vec::new();
                 for (i, t) in transports.iter().enumerate() {
-                    t.set_peers(resolved.clone());
                     let (wtx, mut wrx) = channels(4);
                     let (ctx, crx) = unbounded();
                     let (fabric, mut handles) = Fabric::new_with_transport(

@@ -666,7 +666,12 @@ impl Coordinator {
             state.reply.complete(result);
         }
         self.tracker.finish_query(query);
-        self.fabric.invariants().forget(query);
+        // A per-process ledger is one half of a sum whose other halves sit
+        // in the peer processes, which never learn when to forget: keep it,
+        // so the halves still add up after the query (debug builds only).
+        if self.ledger_global {
+            self.fabric.invariants().forget(query);
+        }
         for w in 0..self.fabric.partitioner().num_parts() {
             self.outbox
                 .send_ctrl_worker(WorkerId(w), WorkerMsg::QueryEnd { query });

@@ -1,25 +1,54 @@
-//! The public GraphDance engine API.
+//! The threaded runtime and the public GraphDance engine API.
+//!
+//! The engine is one thing — a worker per partition plus a coordinator,
+//! talking through the message [`Fabric`] (§IV) — and whether the
+//! partitions share a process is a deployment fact. [`NodeRuntime`] is
+//! that one thing on threads: it hosts a *set* of the topology's nodes,
+//! either every node over the in-process channel backend, or exactly one
+//! node of a **multi-process** cluster over a real [`Transport`].
+//! [`GraphDance`] is a `NodeRuntime` hosting every node plus what needs the
+//! whole cluster in one address space (transactions, live rebalancing,
+//! merged traces), and reaches everything else through `Deref`.
+//!
+//! In a multi-process cluster every process builds the same full graph
+//! (same seed ⇒ bit-identical data) and hosts only its node's workers, its
+//! egress pump and — on the **head** (node 0) — the coordinator; the
+//! transport's reader threads deliver inbound packets straight into the
+//! local [`Fabric`]. Queries are submitted on the head only.
+//!
+//! ## Shutdown
+//!
+//! [`NodeRuntime::shutdown`] follows the transport seam's drain-before-close
+//! contract: worker/coordinator stop messages first, then
+//! [`Fabric::shutdown`] enqueues the egress `Shutdown` *behind* every
+//! already-flushed packet, and the pump's `end_of_stream` appends GOODBYE
+//! and joins the transport's reader threads — peers see every flushed
+//! frame before EOF. For a socket mesh to unwind every process must stop;
+//! each writes its GOODBYEs before waiting on its peers', so concurrent
+//! shutdowns cannot deadlock, and a runtime that is merely dropped sends
+//! the same stop signals without joining, so it never holds a peer up.
 
-use std::time::Duration;
+use std::ops::{Deref, Range};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
+
+use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, SendError, Sender};
 
 use graphdance_common::time::now;
-
-use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
-
-use graphdance_common::{GdError, GdResult, QueryId, Value};
+use graphdance_common::{GdError, GdResult, NodeId, PartId, QueryId, Value, VertexId, WorkerId};
 use graphdance_pstm::Row;
 use graphdance_query::plan::Plan;
 use graphdance_storage::{Graph, Timestamp};
-use graphdance_txn::manager::LctCache;
-use graphdance_txn::TxnSystem;
+use graphdance_txn::{LctCache, TxnManager, TxnSystem};
 
 use crate::config::EngineConfig;
 use crate::coordinator::Coordinator;
 use crate::messages::{CoordMsg, ReplySink, WorkerMsg};
 use crate::net::{Fabric, NetStatsSnapshot};
-use crate::worker::spawn_workers;
-
-use std::sync::Arc;
+use crate::transport::Transport;
+use crate::worker::Worker;
 
 /// The result of one query.
 #[derive(Debug, Clone)]
@@ -42,13 +71,7 @@ pub struct QueryHandle {
 }
 
 impl QueryHandle {
-    /// Build a handle around a reply channel (the multi-process
-    /// [`crate::node::NodeRuntime`] mints its own handles).
-    pub(crate) fn internal_new(id: QueryId, rx: Receiver<GdResult<QueryResult>>) -> QueryHandle {
-        QueryHandle { id, rx }
-    }
-
-    /// The pre-assigned query id (pass to [`GraphDance::cancel`]).
+    /// The pre-assigned query id (pass to [`NodeRuntime::cancel`]).
     pub fn id(&self) -> QueryId {
         self.id
     }
@@ -74,137 +97,196 @@ impl QueryHandle {
     }
 }
 
-/// A running GraphDance cluster (simulated in-process; see DESIGN.md).
+/// A cluster's parts, wired and not yet running: what [`assemble`] hands
+/// the threaded runtime to spawn and the simulator to pump.
+pub(crate) struct Assembly<N> {
+    pub fabric: Arc<Fabric>,
+    /// What the fabric constructor returned beside the fabric: the network
+    /// threads' handles, or the simulator's raw channel endpoints.
+    pub net: N,
+    pub coord_tx: Sender<CoordMsg>,
+    pub worker_tx: Vec<Sender<WorkerMsg>>,
+    /// The workers of the hosted nodes, in worker-id order.
+    pub workers: Vec<Worker>,
+    /// Present iff node 0 is hosted.
+    pub coordinator: Option<Coordinator>,
+}
+
+/// The one cluster assembly: allocate a channel per worker slot and one for
+/// the coordinator, let `net` build the fabric over them, and construct —
+/// without starting — the workers of the `hosted` nodes and, if node 0 is
+/// among them, the coordinator.
 ///
-/// ```
-/// # use graphdance_engine::{EngineConfig, GraphDance};
-/// # use graphdance_common::{Partitioner, Value, VertexId};
-/// # use graphdance_storage::GraphBuilder;
-/// # use graphdance_query::QueryBuilder;
-/// let mut b = GraphBuilder::new(Partitioner::new(2, 2));
-/// let person = b.schema_mut().register_vertex_label("Person");
-/// let knows = b.schema_mut().register_edge_label("knows");
-/// for i in 0..4 {
-///     b.add_vertex(VertexId(i), person, vec![]).unwrap();
-/// }
-/// b.add_edge(VertexId(0), knows, VertexId(1), vec![]).unwrap();
-/// let graph = b.finish();
+/// Channels exist for *all* slots so the fabric's delivery tables stay
+/// fully indexed; the receivers of slots not hosted here die on this floor,
+/// so a frame misdelivered to one is dropped instead of executed against
+/// the wrong replica (a follower's coordinator receiver too: nothing sends
+/// into it, worker→coordinator traffic always targets node 0).
 ///
-/// let engine = GraphDance::start(graph.clone(), EngineConfig::new(2, 2));
-/// let mut q = QueryBuilder::new(graph.schema());
-/// q.v_param(0).out("knows");
-/// let plan = q.compile().unwrap();
-/// let rows = engine.query(&plan, vec![Value::Vertex(VertexId(0))]).unwrap();
-/// assert_eq!(rows, vec![vec![Value::Vertex(VertexId(1))]]);
-/// engine.shutdown();
-/// ```
-pub struct GraphDance {
+/// # Panics
+/// Panics if the graph was built for a different topology than `config`
+/// describes.
+pub(crate) fn assemble<N>(
+    graph: &Graph,
+    config: &EngineConfig,
+    hosted: Range<u32>,
+    net: impl FnOnce(&EngineConfig, Vec<Sender<WorkerMsg>>, Sender<CoordMsg>) -> (Arc<Fabric>, N),
+) -> Assembly<N> {
+    assert_eq!(
+        graph.partitioner().num_parts(),
+        config.num_parts(),
+        "graph partition count must match the engine topology"
+    );
+    let (worker_tx, worker_rx): (Vec<_>, Vec<_>) =
+        (0..config.num_parts()).map(|_| unbounded()).unzip();
+    let (coord_tx, coord_rx) = unbounded();
+    let (fabric, net) = net(config, worker_tx.clone(), coord_tx.clone());
+    let workers = (0..)
+        .map(WorkerId)
+        .zip(worker_rx)
+        .filter(|(id, _)| hosted.contains(&fabric.partitioner().node_of_worker(*id).0))
+        .map(|(id, inbox)| Worker::new(id, graph.clone(), &fabric, inbox, config))
+        .collect();
+    let coordinator = hosted
+        .contains(&0)
+        .then(|| Coordinator::new(graph.clone(), &fabric, coord_rx, config));
+    Assembly {
+        fabric,
+        net,
+        coord_tx,
+        worker_tx,
+        workers,
+        coordinator,
+    }
+}
+
+/// The one place a `Submit` is built: stamp it and send it to the
+/// coordinator. The sink comes back when the coordinator is gone.
+pub(crate) fn send_submit(
+    coord_tx: &Sender<CoordMsg>,
+    query: QueryId,
+    plan: Plan,
+    params: Vec<Value>,
+    read_ts: Timestamp,
+    deadline: Option<Instant>,
+    reply: ReplySink,
+) -> Option<ReplySink> {
+    let msg = CoordMsg::Submit {
+        query,
+        plan,
+        params,
+        read_ts: Some(read_ts),
+        reply,
+        submitted_at: now(),
+        deadline,
+    };
+    match coord_tx.send(msg) {
+        Ok(()) => None,
+        Err(SendError(CoordMsg::Submit { reply, .. })) => Some(reply),
+        Err(_) => unreachable!("a failed send returns the message it was given"), // lint: allow(hot-path-panics)
+    }
+}
+
+/// Spawn one named engine thread.
+fn spawn<T: Send + 'static>(
+    name: String,
+    body: impl FnOnce() -> T + Send + 'static,
+) -> JoinHandle<T> {
+    std::thread::Builder::new()
+        .name(name)
+        .spawn(body)
+        // Startup, before any query: an unusable process, not a wedged query.
+        .expect("spawn engine thread") // lint: allow(hot-path-panics)
+}
+
+/// The threaded runtime: the workers of the nodes it hosts, their network
+/// threads and — when it hosts node 0 — the coordinator (see the module
+/// docs). Read-only: snapshot timestamps are passed in; [`GraphDance`]
+/// adds the transaction system that mints them.
+pub struct NodeRuntime {
     graph: Graph,
-    txn: Arc<TxnSystem>,
     fabric: Arc<Fabric>,
+    config: EngineConfig,
+    /// The nodes whose workers run here.
+    hosted: Range<u32>,
     coord_tx: Sender<CoordMsg>,
     worker_tx: Vec<Sender<WorkerMsg>>,
-    /// Joined (and emptied) by [`GraphDance::close`].
-    threads: parking_lot::Mutex<Vec<std::thread::JoinHandle<()>>>,
-    config: EngineConfig,
-    /// Per-node broadcast LCT caches (§IV-C): read-only queries may take
-    /// their snapshot from any node without consulting the central
-    /// transaction manager. Refreshed by the broadcaster thread.
-    lct_caches: Arc<Vec<LctCache>>,
-    lct_stop: Arc<std::sync::atomic::AtomicBool>,
+    /// Each returns its worker as it stopped; joined (and emptied) by
+    /// [`NodeRuntime::retire_workers`].
+    workers: parking_lot::Mutex<Vec<JoinHandle<Worker>>>,
+    /// Network threads and the coordinator; [`NodeRuntime::shutdown`]'s.
+    threads: parking_lot::Mutex<Vec<JoinHandle<()>>>,
     /// Client-side query-id allocator. Ids are assigned *before* the
     /// `Submit` message is sent so a caller can cancel a query it has not
     /// yet seen complete (the service front-end depends on this).
     // sync: monotonic id counter shared by submitting threads; fetch_add
     // uniqueness is the only property used, no other data rides on it
     // lint: allow(adhoc-counter) query-id allocator, not a metric
-    next_qid: std::sync::atomic::AtomicU64,
+    next_qid: AtomicU64,
 }
 
-impl GraphDance {
-    /// Start the cluster: spawns `nodes × workers_per_node` worker threads,
-    /// per-node network threads, and the coordinator.
+impl NodeRuntime {
+    /// Start one node of a multi-process cluster: `local_node`'s worker
+    /// threads, its egress pump over `transport`, and (on node 0) the
+    /// coordinator. `graph` must be the **full** graph — identical in every
+    /// process — built for the topology `config` describes. The transport
+    /// must be bound already; its mesh is established inside this call (it
+    /// blocks until every outbound peer stream is up or times out).
     ///
     /// # Panics
-    /// Panics if the graph was built for a different topology than
-    /// `config` describes.
-    pub fn start(graph: Graph, config: EngineConfig) -> GraphDance {
-        assert_eq!(
-            graph.partitioner().num_parts(),
-            config.num_parts(),
-            "graph partition count must match the engine topology"
+    /// Panics if the graph's or `local_node`'s topology is not `config`'s.
+    pub fn start(
+        graph: Graph,
+        config: EngineConfig,
+        local_node: NodeId,
+        transport: Arc<dyn Transport>,
+    ) -> NodeRuntime {
+        assert!(
+            local_node.0 < config.nodes,
+            "node {} outside a {}-node topology",
+            local_node.0,
+            config.nodes
         );
-        let p = config.num_parts() as usize;
-        let mut worker_tx = Vec::with_capacity(p);
-        let mut worker_rx = Vec::with_capacity(p);
-        for _ in 0..p {
-            let (tx, rx) = unbounded();
-            worker_tx.push(tx);
-            worker_rx.push(rx);
+        Self::launch(graph, config, Some((local_node, transport)))
+    }
+
+    /// [`assemble`] one node over its transport, or (`None`) every node over
+    /// the channel backend, and put every part on its own thread.
+    fn launch(
+        graph: Graph,
+        config: EngineConfig,
+        wire: Option<(NodeId, Arc<dyn Transport>)>,
+    ) -> NodeRuntime {
+        let hosted = wire
+            .as_ref()
+            .map_or(0..config.nodes, |(node, _)| node.0..node.0 + 1);
+        let a = assemble(&graph, &config, hosted.clone(), |c, w, ctx| match wire {
+            Some((node, transport)) => Fabric::new_with_transport(c, node, w, ctx, transport),
+            None => Fabric::new(c, w, ctx),
+        });
+        let spawn_worker = |w: Worker| spawn(format!("gd-worker-{}", w.id().0), move || w.run());
+        let workers = a.workers.into_iter().map(spawn_worker).collect();
+        let mut threads = a.net;
+        if let Some(coordinator) = a.coordinator {
+            threads.push(spawn("gd-coordinator".into(), move || coordinator.run()));
         }
-        let (coord_tx, coord_rx) = unbounded();
-        let (fabric, mut threads) = Fabric::new(&config, worker_tx.clone(), coord_tx.clone());
-        threads.extend(spawn_workers(&graph, &fabric, worker_rx, &config));
-        let coordinator = Coordinator::new(graph.clone(), &fabric, coord_rx, &config);
-        threads.push(
-            std::thread::Builder::new()
-                .name("gd-coordinator".into())
-                .spawn(move || coordinator.run())
-                // Engine startup, before any query: a failed spawn here is
-                // an unusable process, not a wedged query.
-                .expect("spawn coordinator"), // lint: allow(hot-path-panics)
-        );
-        let txn = Arc::new(TxnSystem::new(graph.clone()));
-        // LCT broadcast (§IV-C): a background broadcaster periodically
-        // publishes the manager's LCT to every node's cache.
-        let lct_caches: Arc<Vec<LctCache>> =
-            Arc::new((0..config.nodes).map(|_| LctCache::new()).collect());
-        let lct_stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        {
-            let caches = Arc::clone(&lct_caches);
-            let stop = Arc::clone(&lct_stop);
-            let mgr = Arc::clone(txn.manager());
-            threads.push(
-                std::thread::Builder::new()
-                    .name("gd-lct-broadcast".into())
-                    .spawn(move || {
-                        // sync: stop flag — eventual visibility suffices,
-                        // no data is published through it
-                        while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                            for c in caches.iter() {
-                                c.refresh(&mgr);
-                            }
-                            // lint: allow(sim-determinism) broadcaster thread exists in threaded mode only
-                            std::thread::sleep(Duration::from_micros(500));
-                        }
-                    })
-                    // Startup-time, same as the coordinator spawn above.
-                    .expect("spawn lct broadcaster"), // lint: allow(hot-path-panics)
-            );
-        }
-        GraphDance {
+        NodeRuntime {
             graph,
-            txn,
-            fabric,
-            coord_tx,
-            worker_tx,
-            threads: parking_lot::Mutex::new(threads),
+            fabric: a.fabric,
             config,
-            lct_caches,
-            lct_stop,
+            hosted,
+            coord_tx: a.coord_tx,
+            worker_tx: a.worker_tx,
+            workers: parking_lot::Mutex::new(workers),
+            threads: parking_lot::Mutex::new(threads),
             // lint: allow(adhoc-counter) query-id allocator, not a metric
-            next_qid: std::sync::atomic::AtomicU64::new(1),
+            next_qid: AtomicU64::new(1),
         }
     }
 
-    /// The underlying graph.
+    /// The underlying graph (the full graph, whichever nodes run here).
     pub fn graph(&self) -> &Graph {
         &self.graph
-    }
-
-    /// Transactional update interface (MV2PL, §IV-C).
-    pub fn txn(&self) -> &Arc<TxnSystem> {
-        &self.txn
     }
 
     /// The engine configuration.
@@ -212,22 +294,9 @@ impl GraphDance {
         &self.config
     }
 
-    /// Submit a query asynchronously at the current LCT snapshot (read
-    /// authoritatively from the transaction manager; guarantees
-    /// read-your-writes for a client that just committed).
-    pub fn submit(&self, plan: &Plan, params: Vec<Value>) -> QueryHandle {
-        self.submit_at(plan, params, self.txn.read_ts().max(1))
-    }
-
-    /// Submit using node `node`'s broadcast LCT cache instead of the
-    /// central manager (§IV-C's load-shedding path). The snapshot may lag
-    /// the manager by up to one broadcast interval but is always a
-    /// consistent committed state.
-    pub fn submit_cached(&self, node: u32, plan: &Plan, params: Vec<Value>) -> QueryHandle {
-        let ts = self.lct_caches[node as usize % self.lct_caches.len()]
-            .read_ts()
-            .max(1);
-        self.submit_at(plan, params, ts)
+    /// Does this runtime host the coordinator (node 0)? Queries go in there.
+    pub fn is_head(&self) -> bool {
+        self.hosted.contains(&0)
     }
 
     /// Submit at an explicit snapshot timestamp.
@@ -242,11 +311,11 @@ impl GraphDance {
         plan: &Plan,
         params: Vec<Value>,
         read_ts: Timestamp,
-        deadline: Option<std::time::Instant>,
+        deadline: Option<Instant>,
     ) -> QueryHandle {
         let (reply, rx) = bounded(1);
         let (id, undelivered) =
-            self.send_submit(plan.clone(), params, read_ts, deadline, reply.into());
+            self.next_submit(plan.clone(), params, read_ts, deadline, reply.into());
         if let Some(sink) = undelivered {
             // Coordinator gone: synthesize the failure.
             sink.complete(Err(GdError::EngineClosed));
@@ -258,51 +327,43 @@ impl GraphDance {
     /// plan is moved into the engine, and `sink` runs on the coordinator
     /// thread when the query resolves (see [`ReplySink`] for what it may
     /// do there). Returns the pre-assigned query id (pass to
-    /// [`GraphDance::cancel`]), or hands the sink back unrun when the
-    /// engine is closed.
+    /// [`NodeRuntime::cancel`]), or hands the sink back unrun when the
+    /// engine is closed. On a follower the sink is run before this returns,
+    /// on the caller's thread, with the `InvalidProgram` a handle gets there.
     pub fn submit_sink(
         &self,
         plan: Plan,
         params: Vec<Value>,
         read_ts: Timestamp,
-        deadline: Option<std::time::Instant>,
+        deadline: Option<Instant>,
         sink: ReplySink,
     ) -> Result<QueryId, ReplySink> {
-        match self.send_submit(plan, params, read_ts, deadline, sink) {
+        match self.next_submit(plan, params, read_ts, deadline, sink) {
             (id, None) => Ok(id),
             (_, Some(sink)) => Err(sink),
         }
     }
 
-    /// Assign the next query id and send the `Submit`; the sink comes back
-    /// when the coordinator is gone.
-    fn send_submit(
+    /// Assign the next query id and [`send_submit`]. A follower has no
+    /// coordinator to drive a query: there the sink is completed at once.
+    fn next_submit(
         &self,
         plan: Plan,
         params: Vec<Value>,
         read_ts: Timestamp,
-        deadline: Option<std::time::Instant>,
+        deadline: Option<Instant>,
         reply: ReplySink,
     ) -> (QueryId, Option<ReplySink>) {
-        let id = QueryId(
-            self.next_qid
-                // sync: uniqueness only; see field docs
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed),
-        );
-        let msg = CoordMsg::Submit {
-            query: id,
-            plan,
-            params,
-            read_ts: Some(read_ts),
-            reply,
-            submitted_at: now(),
-            deadline,
-        };
-        match self.coord_tx.send(msg) {
-            Ok(()) => (id, None),
-            Err(crossbeam::channel::SendError(CoordMsg::Submit { reply, .. })) => (id, Some(reply)),
-            Err(_) => unreachable!("a failed send returns the message it was given"), // lint: allow(hot-path-panics)
+        // sync: uniqueness only; see field docs
+        let id = QueryId(self.next_qid.fetch_add(1, Ordering::Relaxed));
+        if !self.is_head() {
+            reply.complete(Err(GdError::InvalidProgram(
+                "queries must be submitted on the head node (node 0)".into(),
+            )));
+            return (id, None);
         }
+        let undelivered = send_submit(&self.coord_tx, id, plan, params, read_ts, deadline, reply);
+        (id, undelivered)
     }
 
     /// Request prompt cancellation of an in-flight query. Asynchronous and
@@ -313,40 +374,22 @@ impl GraphDance {
         let _ = self.coord_tx.send(CoordMsg::Cancel { query });
     }
 
-    /// Ask the coordinator to migrate the given vertices to new home
-    /// partitions while queries keep running (an empty list requests a
-    /// plan from the fabric's hot-vertex sketch — enable it first with
-    /// `fabric().hot_tracker().set_enabled(true)`). Asynchronous: each
-    /// migration runs the freeze → install → commit → retire protocol of
-    /// DESIGN.md §14; in-flight queries keep their pinned routing.
-    pub fn rebalance(&self, moves: Vec<(graphdance_common::VertexId, graphdance_common::PartId)>) {
-        let _ = self.coord_tx.send(CoordMsg::Rebalance { moves });
-    }
-
-    /// Submit and wait; returns just the rows.
-    pub fn query(&self, plan: &Plan, params: Vec<Value>) -> GdResult<Vec<Row>> {
-        Ok(self.submit(plan, params).wait()?.rows)
-    }
-
-    /// Submit and wait; returns the full result (rows + latency).
-    pub fn query_timed(&self, plan: &Plan, params: Vec<Value>) -> GdResult<QueryResult> {
-        self.submit(plan, params).wait()
-    }
-
     /// Snapshot the network counters.
     pub fn net_stats(&self) -> NetStatsSnapshot {
         self.fabric.stats().snapshot()
     }
 
     /// The network fabric (counters, conservation ledger, hot-vertex
-    /// sketch).
+    /// sketch). Process-local: a socket mesh's ledgers balance only summed
+    /// across its runtimes.
     pub fn fabric(&self) -> &Arc<Fabric> {
         &self.fabric
     }
 
-    /// Merged point-in-time snapshot of every engine metric, including the
-    /// network counters ([`GraphDance::net_stats`], under `net.*`) and the
-    /// storage layer's TEL scan-length distribution. Export with
+    /// Merged point-in-time snapshot of every engine metric this process
+    /// recorded, including the network counters
+    /// ([`NodeRuntime::net_stats`], under `net.*`) and the storage layer's
+    /// TEL scan-length distribution. Export with
     /// [`graphdance_obs::MetricsSnapshot::to_json`] or
     /// [`graphdance_obs::MetricsSnapshot::to_prometheus`].
     #[cfg(feature = "obs")]
@@ -378,19 +421,167 @@ impl GraphDance {
         snap
     }
 
+    /// Stop every thread and wait for it (module docs: drain-before-close);
+    /// in-flight queries fail with `EngineClosed`. Idempotent, and through
+    /// `&self` for an owner that cannot give the runtime up by value (the
+    /// service's sinks borrow the engine until the coordinator has
+    /// stopped). Joins the coordinator, so never call it from a
+    /// [`ReplySink`]; on a socket mesh it returns once every peer stops too.
+    pub fn shutdown(&self) {
+        drop(self.retire_workers());
+        // sync: held across the joins only against a concurrent
+        // shutdown(); engine threads never take this lock
+        for t in self.threads.lock().drain(..) {
+            let _ = t.join();
+        }
+    }
+
+    /// Send every stop signal and take the hosted workers back as they
+    /// stopped — once — so a test can ask each what it [holds](Worker::holds).
+    pub fn retire_workers(&self) -> Vec<Worker> {
+        self.signal_stop();
+        let mut workers = self.workers.lock();
+        workers.drain(..).filter_map(|t| t.join().ok()).collect()
+    }
+
+    fn signal_stop(&self) {
+        let _ = self.coord_tx.send(CoordMsg::Shutdown);
+        for tx in &self.worker_tx {
+            let _ = tx.send(WorkerMsg::Shutdown);
+        }
+        self.fabric.shutdown();
+    }
+}
+
+impl Drop for NodeRuntime {
+    fn drop(&mut self) {
+        // Best-effort: detach threads if `shutdown` was not called.
+        self.signal_stop();
+    }
+}
+
+/// A running GraphDance cluster in one process: a [`NodeRuntime`] hosting
+/// every node, plus what needs the whole cluster in one address space.
+/// Everything else — `submit_at`, `submit_sink`, `cancel`, `net_stats`,
+/// `metrics`, `shutdown`, … — is the runtime's, reached through `Deref`.
+///
+/// ```
+/// # use graphdance_engine::{EngineConfig, GraphDance};
+/// # use graphdance_common::{Partitioner, Value, VertexId};
+/// # use graphdance_storage::GraphBuilder;
+/// # use graphdance_query::QueryBuilder;
+/// let mut b = GraphBuilder::new(Partitioner::new(2, 2));
+/// let person = b.schema_mut().register_vertex_label("Person");
+/// let knows = b.schema_mut().register_edge_label("knows");
+/// for i in 0..4 {
+///     b.add_vertex(VertexId(i), person, vec![]).unwrap();
+/// }
+/// b.add_edge(VertexId(0), knows, VertexId(1), vec![]).unwrap();
+/// let graph = b.finish();
+///
+/// let engine = GraphDance::start(graph.clone(), EngineConfig::new(2, 2));
+/// let mut q = QueryBuilder::new(graph.schema());
+/// q.v_param(0).out("knows");
+/// let plan = q.compile().unwrap();
+/// let rows = engine.query(&plan, vec![Value::Vertex(VertexId(0))]).unwrap();
+/// assert_eq!(rows, vec![vec![Value::Vertex(VertexId(1))]]);
+/// engine.shutdown();
+/// ```
+pub struct GraphDance {
+    runtime: NodeRuntime,
+    txn: Arc<TxnSystem>,
+    /// Per-node broadcast LCT caches (§IV-C): a read-only query may take
+    /// its snapshot here; the manager pushes every LCT advance to them.
+    lct_caches: Arc<[LctCache]>,
+}
+
+impl Deref for GraphDance {
+    type Target = NodeRuntime;
+
+    fn deref(&self) -> &NodeRuntime {
+        &self.runtime
+    }
+}
+
+impl GraphDance {
+    /// Start the cluster: spawns `nodes × workers_per_node` worker threads,
+    /// per-node network threads, and the coordinator.
+    ///
+    /// # Panics
+    /// Panics if the graph was built for a topology other than `config`'s.
+    pub fn start(graph: Graph, config: EngineConfig) -> GraphDance {
+        let lct_caches: Arc<[LctCache]> = (0..config.nodes).map(|_| LctCache::new()).collect();
+        let manager = TxnManager::with_caches(0, Arc::clone(&lct_caches));
+        let txn = Arc::new(TxnSystem::with_manager(graph.clone(), manager));
+        GraphDance {
+            runtime: NodeRuntime::launch(graph, config, None),
+            txn,
+            lct_caches,
+        }
+    }
+
+    /// Transactional update interface (MV2PL, §IV-C). Here because the
+    /// lock table and the timestamp manager are one process's memory.
+    pub fn txn(&self) -> &Arc<TxnSystem> {
+        &self.txn
+    }
+
+    /// Submit a query asynchronously at the current LCT snapshot (read
+    /// authoritatively from the transaction manager; guarantees
+    /// read-your-writes for a client that just committed). Here, with the
+    /// `query*` conveniences built on it, because it picks a snapshot.
+    pub fn submit(&self, plan: &Plan, params: Vec<Value>) -> QueryHandle {
+        self.submit_at(plan, params, self.txn.read_ts().max(1))
+    }
+
+    /// Submit using node `node`'s broadcast LCT cache instead of the
+    /// central manager (§IV-C's load-shedding path). A snapshot taken
+    /// while a commit is finishing may be the one before it, but is always
+    /// a consistent committed state.
+    pub fn submit_cached(&self, node: u32, plan: &Plan, params: Vec<Value>) -> QueryHandle {
+        let ts = self.lct_caches[node as usize % self.lct_caches.len()]
+            .read_ts()
+            .max(1);
+        self.submit_at(plan, params, ts)
+    }
+
+    /// Submit and wait; returns just the rows.
+    pub fn query(&self, plan: &Plan, params: Vec<Value>) -> GdResult<Vec<Row>> {
+        Ok(self.query_timed(plan, params)?.rows)
+    }
+
+    /// Submit and wait; returns the full result (rows + latency).
+    pub fn query_timed(&self, plan: &Plan, params: Vec<Value>) -> GdResult<QueryResult> {
+        self.submit(plan, params).wait()
+    }
+
+    /// Ask the coordinator to migrate the given vertices to new home
+    /// partitions while queries keep running (an empty list requests a
+    /// plan from the fabric's hot-vertex sketch — enable it first with
+    /// `fabric().hot_tracker().set_enabled(true)`). Asynchronous: each
+    /// migration runs the freeze → install → commit → retire protocol of
+    /// DESIGN.md §14; in-flight queries keep their pinned routing. Here
+    /// because the `RoutingTable` is one process's `Arc`: a commit on a
+    /// socket mesh's head alone would desynchronise the followers.
+    pub fn rebalance(&self, moves: Vec<(VertexId, PartId)>) {
+        let _ = self.runtime.coord_tx.send(CoordMsg::Rebalance { moves });
+    }
+
     /// Submit, wait, and return the result together with the reassembled
     /// per-stage [`graphdance_obs::QueryTrace`]. The trace is `None` only
     /// if reassembly does not complete within a short grace period (all
-    /// participants seal right at query end, so in practice it is ready by
-    /// the time the result reply arrives, or within microseconds after).
+    /// participants seal right at query end, so in practice it is ready
+    /// when the reply arrives, or microseconds after). Here because the
+    /// `TraceSink` expects one seal per worker of the whole topology; a
+    /// socket mesh's followers seal into their own.
     #[cfg(feature = "obs")]
     pub fn query_traced(
         &self,
         plan: &Plan,
         params: Vec<Value>,
     ) -> GdResult<(QueryResult, Option<graphdance_obs::QueryTrace>)> {
-        let result = self.submit(plan, params).wait()?;
-        let sink = self.fabric.obs().sink();
+        let result = self.query_timed(plan, params)?;
+        let sink = self.runtime.fabric.obs().sink();
         let deadline = now() + Duration::from_secs(2);
         loop {
             if let Some(trace) = sink.take(result.query.0) {
@@ -403,82 +594,17 @@ impl GraphDance {
             std::thread::sleep(Duration::from_micros(200));
         }
     }
-
-    /// Stop all threads. In-flight queries fail with `EngineClosed`.
-    pub fn shutdown(self) {
-        self.close();
-    }
-
-    /// [`GraphDance::shutdown`] through a shared reference, for an owner
-    /// that cannot give the engine up by value (the service's completion
-    /// sinks borrow it until the coordinator has stopped). Idempotent.
-    /// Joins the coordinator, so it must not be called from a
-    /// [`ReplySink`].
-    pub fn close(&self) {
-        self.signal_stop();
-        // sync: held across the joins only against a concurrent close();
-        // engine threads never take this lock
-        for t in self.threads.lock().drain(..) {
-            let _ = t.join();
-        }
-    }
-
-    fn signal_stop(&self) {
-        self.lct_stop
-            // sync: stop flag — the joins in close() are the ordering edge;
-            // eventual visibility suffices on the detaching Drop path
-            .store(true, std::sync::atomic::Ordering::Relaxed);
-        let _ = self.coord_tx.send(CoordMsg::Shutdown);
-        for tx in &self.worker_tx {
-            let _ = tx.send(WorkerMsg::Shutdown);
-        }
-        self.fabric.shutdown();
-    }
-}
-
-impl Drop for GraphDance {
-    fn drop(&mut self) {
-        // Best-effort: detach threads if `shutdown` was not called.
-        self.signal_stop();
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use graphdance_common::{Partitioner, VertexId};
+    use crate::fixtures::{khop_plan, ring};
+    use graphdance_common::Partitioner;
     use graphdance_query::expr::Expr;
     use graphdance_query::plan::{AggFunc, Order};
     use graphdance_query::QueryBuilder;
     use graphdance_storage::GraphBuilder;
-
-    /// A ring of `n` vertices: i -> (i + 1) % n, weights = i.
-    fn ring(n: u64, parts: Partitioner) -> Graph {
-        let mut b = GraphBuilder::new(parts);
-        let person = b.schema_mut().register_vertex_label("Person");
-        let knows = b.schema_mut().register_edge_label("knows");
-        let weight = b.schema_mut().register_prop("weight");
-        for i in 0..n {
-            b.add_vertex(VertexId(i), person, vec![(weight, Value::Int(i as i64))])
-                .unwrap();
-        }
-        for i in 0..n {
-            b.add_edge(VertexId(i), knows, VertexId((i + 1) % n), vec![])
-                .unwrap();
-        }
-        b.finish()
-    }
-
-    fn khop_plan(graph: &Graph, k: i64) -> Plan {
-        let mut b = QueryBuilder::new(graph.schema());
-        b.v_param(0);
-        let c = b.alloc_slot();
-        b.repeat(1, k, c, |r| {
-            r.out("knows");
-        });
-        b.dedup();
-        b.compile().unwrap()
-    }
 
     #[test]
     fn one_hop_on_cluster() {
@@ -760,17 +886,11 @@ mod tests {
         assert!(after.progress_msgs > 0, "progress reports flowed");
         engine.shutdown();
     }
-}
 
-#[cfg(test)]
-mod lct_cache_tests {
-    use super::*;
-    use graphdance_common::{Partitioner, VertexId};
-    use graphdance_query::QueryBuilder;
-    use graphdance_storage::GraphBuilder;
-
+    /// §IV-C's broadcast is a push: a commit that has returned is in every
+    /// node's cache, so a cached snapshot needs no waiting out.
     #[test]
-    fn cached_snapshots_converge_to_committed_state() {
+    fn cached_snapshots_see_a_returned_commit() {
         let mut b = GraphBuilder::new(Partitioner::new(2, 2));
         let n = b.schema_mut().register_vertex_label("N");
         let e = b.schema_mut().register_edge_label("e");
@@ -787,25 +907,15 @@ mod lct_cache_tests {
         tx.insert_edge(VertexId(0), e, VertexId(1), vec![]).unwrap();
         tx.commit().unwrap();
 
-        // The broadcast cache lags by at most the broadcast interval; poll
-        // until the cached snapshot observes the commit (bounded wait).
-        let deadline = now() + Duration::from_secs(5);
-        loop {
+        for node in 0..2 {
             let rows = engine
-                .submit_cached(1, &plan, vec![Value::Vertex(VertexId(0))])
+                .submit_cached(node, &plan, vec![Value::Vertex(VertexId(0))])
                 .wait()
                 .unwrap()
                 .rows;
-            if rows == vec![vec![Value::Int(1)]] {
-                break;
-            }
-            assert!(
-                now() < deadline,
-                "broadcast cache never caught up: {rows:?}"
-            );
-            std::thread::sleep(Duration::from_millis(1));
+            assert_eq!(rows, vec![vec![Value::Int(1)]], "node {node}'s cache");
         }
-        // The authoritative path sees it immediately (read-your-writes).
+        // The authoritative path agrees (read-your-writes).
         let rows = engine
             .query(&plan, vec![Value::Vertex(VertexId(0))])
             .unwrap();

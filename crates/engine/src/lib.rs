@@ -35,7 +35,6 @@ pub mod engine;
 pub mod invariants;
 pub mod messages;
 pub mod net;
-pub mod node;
 pub mod obs;
 pub mod progress;
 pub mod rebalance;
@@ -47,17 +46,17 @@ pub mod worker;
 
 pub use codec::{BytesPool, PoolStats, ProgressEntry};
 pub use config::{EngineConfig, FaultInjection, IoMode, NetConfig, SimFaults};
-pub use engine::{GraphDance, QueryHandle, QueryResult};
+pub use engine::{GraphDance, NodeRuntime, QueryHandle, QueryResult};
 pub use invariants::{MsgCounts, MsgLedger};
 pub use messages::{MigPhase, ReplySink};
 pub use net::{Fabric, FlushEvent, FlushTrigger, MsgClass, NetStats, NetStatsSnapshot};
-pub use node::NodeRuntime;
 pub use rebalance::{HotTracker, HotVertex, RebalanceConfig};
 pub use sim::{
     FaultCounts, SimActor, SimCluster, SimEvent, SimEventKind, SimHandle, SimStep, SimTrace,
 };
 pub use transport::{
-    PeerAddr, TcpStatsSnapshot, TcpTransport, TcpTransportConfig, Transport, WirePacket,
+    PeerAddr, SocketFamily, TcpStatsSnapshot, TcpTransport, TcpTransportConfig, Transport,
+    WirePacket,
 };
 pub use worker::PumpStatus;
 
@@ -65,7 +64,45 @@ pub use worker::PumpStatus;
 pub use obs::{CoordObs, EngineObs, NetShard, WorkerObs};
 
 /// Re-export of the observability crate (types appearing in the public
-/// API: `GraphDance::metrics`, `GraphDance::query_traced`), so dependents
+/// API: `NodeRuntime::metrics`, `GraphDance::query_traced`), so dependents
 /// don't need their own `graphdance-obs` dependency.
 #[cfg(feature = "obs")]
 pub use graphdance_obs;
+
+/// Graph and plan fixtures shared by this crate's unit tests.
+#[cfg(test)]
+mod fixtures {
+    use graphdance_common::{Partitioner, Value, VertexId};
+    use graphdance_query::plan::Plan;
+    use graphdance_query::QueryBuilder;
+    use graphdance_storage::{Graph, GraphBuilder};
+
+    /// A ring of `n` vertices: i -> (i + 1) % n, weights = i.
+    pub(crate) fn ring(n: u64, parts: Partitioner) -> Graph {
+        let mut b = GraphBuilder::new(parts);
+        let person = b.schema_mut().register_vertex_label("Person");
+        let knows = b.schema_mut().register_edge_label("knows");
+        let weight = b.schema_mut().register_prop("weight");
+        for i in 0..n {
+            b.add_vertex(VertexId(i), person, vec![(weight, Value::Int(i as i64))])
+                .unwrap();
+        }
+        for i in 0..n {
+            b.add_edge(VertexId(i), knows, VertexId((i + 1) % n), vec![])
+                .unwrap();
+        }
+        b.finish()
+    }
+
+    /// Everything within `k` "knows" hops of `$0`, deduplicated.
+    pub(crate) fn khop_plan(graph: &Graph, k: i64) -> Plan {
+        let mut b = QueryBuilder::new(graph.schema());
+        b.v_param(0);
+        let c = b.alloc_slot();
+        b.repeat(1, k, c, |r| {
+            r.out("knows");
+        });
+        b.dedup();
+        b.compile().unwrap()
+    }
+}

@@ -63,7 +63,7 @@ pub const PACKET_HEADER_BYTES: usize = 64;
 /// build. Message counts are added once per flushed tier-1 buffer — one
 /// RMW per class present, not one per message: these are cache lines
 /// every worker shares — and the wire figures once per packet, by the
-/// egress pump. `GraphDance::metrics()` exports them under `net.*`.
+/// egress pump. `NodeRuntime::metrics()` exports them under `net.*`.
 #[derive(Debug, Default)]
 pub struct NetStats {
     msgs: [AtomicU64; 4], // lint: allow(adhoc-counter) NetStats: per-flush totals, read by obs-off benches

@@ -163,6 +163,11 @@ impl QueryRing {
         self.ring.is_empty()
     }
 
+    /// Does `query` have a queue here, empty or not?
+    pub fn holds(&self, query: QueryId) -> bool {
+        self.queues.contains_key(&query)
+    }
+
     /// Queued traversers across all queries.
     #[cfg(any(test, feature = "obs"))]
     pub fn len(&self) -> usize {

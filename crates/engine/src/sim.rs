@@ -27,19 +27,19 @@ use std::collections::BinaryHeap;
 use std::sync::Arc;
 use std::time::Instant;
 
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
+use crossbeam::channel::{bounded, Receiver, Sender};
 use rand::rngs::SmallRng;
 use rand::Rng;
 
 use graphdance_common::time::{now, sim as vclock};
-use graphdance_common::{fxhash, GdError, GdResult, PartId, Value, WorkerId};
+use graphdance_common::{fxhash, GdError, GdResult, PartId, Value};
 use graphdance_pstm::Row;
 use graphdance_query::plan::Plan;
 use graphdance_storage::{Graph, Timestamp};
 
 use crate::config::{EngineConfig, SimFaults};
 use crate::coordinator::Coordinator;
-use crate::engine::QueryResult;
+use crate::engine::{assemble, send_submit, Assembly, QueryResult};
 use crate::messages::CoordMsg;
 use crate::net::{EgressPump, Fabric, IngressEvent, NetChannels, WireMsg};
 use crate::worker::{PumpStatus, Worker};
@@ -288,33 +288,22 @@ impl SimCluster {
     /// Panics if the graph was built for a different topology than
     /// `config` describes.
     pub fn new(graph: Graph, config: EngineConfig) -> SimCluster {
-        assert_eq!(
-            graph.partitioner().num_parts(),
-            config.num_parts(),
-            "graph partition count must match the engine topology"
-        );
         let clock = vclock::freeze_clock();
-        let p = config.num_parts() as usize;
-        let mut worker_tx = Vec::with_capacity(p);
-        let mut worker_rx = Vec::with_capacity(p);
-        for _ in 0..p {
-            let (tx, rx) = unbounded();
-            worker_tx.push(tx);
-            worker_rx.push(rx);
-        }
-        let (coord_tx, coord_rx) = unbounded();
-        let (fabric, channels) = Fabric::new_sim(&config, worker_tx, coord_tx.clone());
-        let NetChannels {
-            egress_rx,
-            ingress_tx,
-            ingress_rx,
-        } = channels;
-        let workers: Vec<Worker> = worker_rx
-            .into_iter()
-            .enumerate()
-            .map(|(i, rx)| Worker::new(WorkerId(i as u32), graph.clone(), &fabric, rx, &config))
-            .collect();
-        let coordinator = Coordinator::new(graph, &fabric, coord_rx, &config);
+        let Assembly {
+            fabric,
+            net:
+                NetChannels {
+                    egress_rx,
+                    ingress_tx,
+                    ingress_rx,
+                },
+            coord_tx,
+            workers,
+            coordinator,
+            ..
+        } = assemble(&graph, &config, 0..config.nodes, Fabric::new_sim);
+        // Node 0 is among the hosted nodes, so `assemble` built one.
+        let coordinator = coordinator.expect("sim hosts the coordinator"); // lint: allow(hot-path-panics)
         let egress: Vec<EgressPump> = egress_rx
             .into_iter()
             .map(|rx| EgressPump::new(Arc::clone(&fabric), rx, ingress_tx.clone()))
@@ -392,17 +381,10 @@ impl SimCluster {
         let id = graphdance_common::QueryId(self.next_qid);
         self.next_qid += 1;
         let (reply, rx) = bounded(1);
-        let msg = CoordMsg::Submit {
-            query: id,
-            plan: plan.clone(),
-            params,
-            read_ts: Some(read_ts),
-            reply: reply.into(),
-            submitted_at: now(),
-            deadline,
-        };
+        let (plan, reply) = (plan.clone(), reply.into());
+        let undelivered = send_submit(&self.coord_tx, id, plan, params, read_ts, deadline, reply);
         // The coordinator owns the receiver for the cluster's lifetime.
-        self.coord_tx.send(msg).expect("sim coordinator inbox open"); // lint: allow(hot-path-panics)
+        debug_assert!(undelivered.is_none(), "sim coordinator inbox open");
         SimHandle { id, rx }
     }
 
@@ -752,34 +734,8 @@ fn roll(rng: &mut SmallRng, permille: u16) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fixtures::{khop_plan, ring};
     use graphdance_common::{Partitioner, VertexId};
-    use graphdance_query::QueryBuilder;
-    use graphdance_storage::GraphBuilder;
-
-    fn ring(n: u64, parts: Partitioner) -> Graph {
-        let mut b = GraphBuilder::new(parts);
-        let person = b.schema_mut().register_vertex_label("Person");
-        let knows = b.schema_mut().register_edge_label("knows");
-        for i in 0..n {
-            b.add_vertex(VertexId(i), person, vec![]).unwrap();
-        }
-        for i in 0..n {
-            b.add_edge(VertexId(i), knows, VertexId((i + 1) % n), vec![])
-                .unwrap();
-        }
-        b.finish()
-    }
-
-    fn khop_plan(graph: &Graph, k: i64) -> Plan {
-        let mut b = QueryBuilder::new(graph.schema());
-        b.v_param(0);
-        let c = b.alloc_slot();
-        b.repeat(1, k, c, |r| {
-            r.out("knows");
-        });
-        b.dedup();
-        b.compile().unwrap()
-    }
 
     #[test]
     fn sim_khop_matches_threaded_answer() {

@@ -264,6 +264,36 @@ impl std::fmt::Display for PeerAddr {
     }
 }
 
+/// Which loopback socket family a mesh uses.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum SocketFamily {
+    /// TCP over `127.0.0.1` (ephemeral ports).
+    Tcp,
+    /// Unix-domain sockets under the system temp directory.
+    Unix,
+}
+
+/// Distinguishes socket paths across repeated meshes inside one process
+/// (the pid alone is not unique then).
+// lint: allow(adhoc-counter) path uniquifier, not a metric
+static SOCK_SEQ: AtomicU64 = AtomicU64::new(0);
+
+impl SocketFamily {
+    /// A loopback listen address nothing else is bound to: TCP port 0
+    /// (resolved at bind), or a socket path no other call was given.
+    pub fn fresh_addr(self) -> PeerAddr {
+        match self {
+            SocketFamily::Tcp => PeerAddr::Tcp("127.0.0.1:0".into()),
+            SocketFamily::Unix => {
+                // sync: uniquifier only; any distinct values do
+                let seq = SOCK_SEQ.fetch_add(1, Ordering::Relaxed);
+                let name = format!("gd-{}-{seq}.sock", std::process::id());
+                PeerAddr::Unix(std::env::temp_dir().join(name))
+            }
+        }
+    }
+}
+
 /// A connected stream of either family.
 #[derive(Debug)]
 enum Conn {
@@ -514,6 +544,20 @@ impl TcpTransport {
             scratch: Mutex::new(Vec::new()),
             stats: Arc::new(TcpStats::default()),
         }))
+    }
+
+    /// Bind `n` transports on fresh loopback addresses of `family` and
+    /// install the resolved peer table on each: a whole mesh in one
+    /// process, node `i` at index `i`, ready for [`Transport::start`].
+    pub fn loopback_mesh(n: u32, family: SocketFamily) -> GdResult<Vec<Arc<TcpTransport>>> {
+        let addrs: Vec<PeerAddr> = (0..n).map(|_| family.fresh_addr()).collect();
+        let mesh = (0..n)
+            .map(|i| TcpTransport::bind(TcpTransportConfig::new(NodeId(i), addrs.clone())))
+            .collect::<GdResult<Vec<_>>>()?;
+        // Port 0 resolved at bind: exchange what each listener really got.
+        let resolved: Vec<PeerAddr> = mesh.iter().map(|t| t.local_addr().clone()).collect();
+        mesh.iter().for_each(|t| t.set_peers(resolved.clone()));
+        Ok(mesh)
     }
 
     /// The resolved local listen address (`port 0` replaced by the real

@@ -194,17 +194,18 @@ impl Worker {
         }
     }
 
-    /// The worker main loop; returns on `Shutdown`.
-    pub fn run(mut self) {
+    /// The worker main loop; returns the worker, as it stopped, on
+    /// `Shutdown`.
+    pub fn run(mut self) -> Self {
         loop {
             match self.pump() {
-                PumpStatus::Stopped => return,
+                PumpStatus::Stopped => return self,
                 PumpStatus::Worked => {}
                 PumpStatus::Idle => {
                     // §IV-B: every buffer is flushed before the thread
                     // sleeps — `pump` did that before reporting `Idle`.
                     match self.inbox.recv() {
-                        Ok(WorkerMsg::Shutdown) | Err(_) => return,
+                        Ok(WorkerMsg::Shutdown) | Err(_) => return self,
                         Ok(msg) => self.handle(msg),
                     }
                 }
@@ -450,6 +451,25 @@ impl Worker {
     /// Traversers bounced through a forwarding stub so far.
     pub fn forwarded(&self) -> u64 {
         self.forwarded
+    }
+
+    /// The partition this worker serves.
+    pub fn id(&self) -> WorkerId {
+        self.id
+    }
+
+    /// Does this worker hold anything for `query` — its context, stashed
+    /// messages, queued traversers, locals, unreported steps, a memo? Not
+    /// once the query's `QueryEnd` was handled (leak tests).
+    pub fn holds(&self, query: QueryId) -> bool {
+        self.queries.contains_key(&query)
+            || self.pending.contains_key(&query)
+            || self.cancelled.contains(&query)
+            || self.ring.holds(query)
+            || self.idle.contains(&query)
+            || self.steps.contains_key(&query)
+            || self.locals.contains_key(&query)
+            || self.memo.holds(query)
     }
 
     /// Admit an inbox batch. Everything that depends on the query alone —
@@ -881,27 +901,6 @@ fn queue_local(
         enq_ns,
     };
     queue.push(depth, entry);
-}
-
-/// Spawn all worker threads for a cluster.
-pub fn spawn_workers(
-    graph: &Graph,
-    fabric: &Arc<Fabric>,
-    inboxes: Vec<Receiver<WorkerMsg>>,
-    config: &EngineConfig,
-) -> Vec<std::thread::JoinHandle<()>> {
-    inboxes
-        .into_iter()
-        .enumerate()
-        .map(|(i, inbox)| {
-            let worker = Worker::new(WorkerId(i as u32), graph.clone(), fabric, inbox, config);
-            std::thread::Builder::new()
-                .name(format!("gd-worker-{i}"))
-                .spawn(move || worker.run())
-                // Engine startup, before any query is accepted.
-                .expect("spawn worker") // lint: allow(hot-path-panics)
-        })
-        .collect()
 }
 
 #[cfg(test)]

@@ -202,6 +202,12 @@ impl Memo {
         self.queries.remove(&query);
     }
 
+    /// Does `query` have live memo records? (Leak tests; never creates
+    /// them, unlike [`Memo::query_mut`].)
+    pub fn holds(&self, query: QueryId) -> bool {
+        self.queries.contains_key(&query)
+    }
+
     /// Number of queries with live memo records (diagnostics / leak tests).
     pub fn live_queries(&self) -> usize {
         self.queries.len()

@@ -333,7 +333,7 @@ impl Drop for Service {
         // Through `&self`, not by value: a sink on the coordinator thread
         // may be borrowing `Shared` right now. Joining the coordinator
         // here means none is once we release it.
-        self.shared.engine.close();
+        self.shared.engine.shutdown();
     }
 }
 

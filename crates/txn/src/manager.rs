@@ -19,6 +19,9 @@ use graphdance_storage::Timestamp;
 pub struct TxnManager {
     inner: Mutex<ManagerState>,
     lct: AtomicU64,
+    /// The per-node caches every LCT advance is pushed to (§IV-C's
+    /// broadcast); empty for a manager nobody reads through a cache.
+    caches: Arc<[LctCache]>,
 }
 
 #[derive(Debug)]
@@ -44,12 +47,21 @@ impl TxnManager {
     /// the recovered LCT, so post-restart commits never collide with
     /// pre-crash history (§IV-C).
     pub fn resume_from(lct: Timestamp) -> Self {
+        Self::with_caches(lct, Arc::new([]))
+    }
+
+    /// A manager that broadcasts to `caches`: they are brought up to `lct`
+    /// here and to every later LCT inside [`TxnManager::finish_commit`],
+    /// so a client whose commit has returned finds it in every cache.
+    pub fn with_caches(lct: Timestamp, caches: Arc<[LctCache]>) -> Self {
+        caches.iter().for_each(|c| c.publish(lct));
         TxnManager {
             inner: Mutex::new(ManagerState {
                 next_ts: lct + 1,
                 inflight: BTreeSet::new(),
             }),
             lct: AtomicU64::new(lct),
+            caches,
         }
     }
 
@@ -64,8 +76,8 @@ impl TxnManager {
         ts
     }
 
-    /// Mark a commit timestamp fully applied and advance the LCT as far as
-    /// possible.
+    /// Mark a commit timestamp fully applied, advance the LCT as far as
+    /// possible and broadcast it to the node caches.
     pub fn finish_commit(&self, ts: Timestamp) {
         let mut s = self.inner.lock();
         let removed = s.inflight.remove(&ts);
@@ -79,6 +91,7 @@ impl TxnManager {
         // observes the new LCT also observes the version writes this
         // commit published before advancing it
         self.lct.fetch_max(new_lct, Ordering::Release);
+        self.caches.iter().for_each(|c| c.publish(new_lct));
     }
 
     /// Current LCT (authoritative). Read-only queries normally go through a
@@ -95,9 +108,9 @@ impl TxnManager {
 /// all worker nodes; a read-only query can fetch the LCT from any worker
 /// node as its read timestamp without consulting the transaction manager").
 ///
-/// In this simulated cluster the broadcast is a [`LctCache::refresh`] call
-/// made by each node's network thread; between refreshes, readers see a
-/// slightly stale — but always consistent — snapshot timestamp.
+/// The broadcast is a push: [`TxnManager::finish_commit`] publishes every
+/// LCT advance to the caches it was built with. A reader racing a commit
+/// may see the previous — always consistent — snapshot timestamp.
 #[derive(Debug, Default)]
 pub struct LctCache {
     cached: AtomicU64,
@@ -116,52 +129,12 @@ impl LctCache {
         self.cached.fetch_max(lct, Ordering::Release);
     }
 
-    /// Pull the current value from the manager (the simulated broadcast).
-    pub fn refresh(&self, mgr: &TxnManager) {
-        self.publish(mgr.lct());
-    }
-
     /// The read timestamp a read-only query on this node should use.
     #[inline]
     pub fn read_ts(&self) -> Timestamp {
         // sync: Acquire pairs with the Release in publish(); the chain
         // back to finish_commit makes the snapshot at this ts complete
         self.cached.load(Ordering::Acquire)
-    }
-}
-
-/// Convenience bundle: one manager plus one LCT cache per node.
-#[derive(Debug)]
-pub struct LctFabric {
-    manager: Arc<TxnManager>,
-    caches: Vec<Arc<LctCache>>,
-}
-
-impl LctFabric {
-    /// Build a fabric for `nodes` nodes.
-    pub fn new(nodes: usize) -> Self {
-        LctFabric {
-            manager: Arc::new(TxnManager::new()),
-            caches: (0..nodes).map(|_| Arc::new(LctCache::new())).collect(),
-        }
-    }
-
-    /// The central manager.
-    pub fn manager(&self) -> &Arc<TxnManager> {
-        &self.manager
-    }
-
-    /// The cache of node `n`.
-    pub fn cache(&self, n: usize) -> &Arc<LctCache> {
-        &self.caches[n]
-    }
-
-    /// Broadcast the current LCT to every node.
-    pub fn broadcast(&self) {
-        let lct = self.manager.lct();
-        for c in &self.caches {
-            c.publish(lct);
-        }
     }
 }
 
@@ -217,15 +190,10 @@ mod tests {
     }
 
     #[test]
-    fn cache_is_monotone_and_stale_safe() {
-        let m = TxnManager::new();
+    fn cache_is_monotone() {
         let c = LctCache::new();
         assert_eq!(c.read_ts(), 0);
-        let t1 = m.begin_commit();
-        m.finish_commit(t1);
-        // before refresh, cache is stale but valid (reads see bulk data)
-        assert_eq!(c.read_ts(), 0);
-        c.refresh(&m);
+        c.publish(1);
         assert_eq!(c.read_ts(), 1);
         // publishing an older value is a no-op
         c.publish(0);
@@ -233,14 +201,15 @@ mod tests {
     }
 
     #[test]
-    fn fabric_broadcast_reaches_all_nodes() {
-        let f = LctFabric::new(3);
-        let t = f.manager().begin_commit();
-        f.manager().finish_commit(t);
-        f.broadcast();
-        for n in 0..3 {
-            assert_eq!(f.cache(n).read_ts(), 1);
-        }
+    fn finish_commit_pushes_the_lct_to_every_cache() {
+        let caches: Arc<[LctCache]> = (0..3).map(|_| LctCache::new()).collect();
+        let m = TxnManager::with_caches(4, Arc::clone(&caches));
+        assert!(caches.iter().all(|c| c.read_ts() == 4), "recovered LCT");
+        let (t5, t6) = (m.begin_commit(), m.begin_commit());
+        m.finish_commit(t6);
+        assert!(caches.iter().all(|c| c.read_ts() == 4), "t5 in flight");
+        m.finish_commit(t5);
+        assert!(caches.iter().all(|c| c.read_ts() == 6));
     }
 
     #[test]

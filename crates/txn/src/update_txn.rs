@@ -53,9 +53,16 @@ impl TxnSystem {
     /// Wrap a *recovered* graph: commit timestamps continue after `lct`
     /// (use together with [`recover`], §IV-C).
     pub fn resume_from(graph: Graph, lct: u64) -> Self {
+        Self::with_manager(graph, TxnManager::resume_from(lct))
+    }
+
+    /// Wrap a graph around a manager built by the caller — the engine
+    /// passes one that broadcasts to its per-node LCT caches
+    /// ([`TxnManager::with_caches`]).
+    pub fn with_manager(graph: Graph, manager: TxnManager) -> Self {
         TxnSystem {
             graph,
-            manager: Arc::new(TxnManager::resume_from(lct)),
+            manager: Arc::new(manager),
             locks: Arc::new(LockTable::default()),
             next_txn_id: AtomicU64::new(1),
         }

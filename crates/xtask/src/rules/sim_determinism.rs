@@ -16,7 +16,7 @@
 //! `SystemTime::now` / `thread_rng` workspace-wide; this rule adds the
 //! *blocking* and *entropy-source* constructs, but only inside the crates
 //! the simulator can actually schedule. Threaded-mode-only code paths in
-//! those crates (real network pacing, background broadcasters) carry a
+//! those crates (real network pacing, the trace-sink wait) carry a
 //! `// lint: allow(sim-determinism)` with a justification for why the sim
 //! can never reach them.
 

@@ -5,7 +5,7 @@
 //! format) and deterministically builds the full graph from it, so all
 //! processes agree on topology, schema, and placement without any data
 //! shipping. The process then hosts only the workers of `--node`; see
-//! `engine::node::NodeRuntime`.
+//! `engine::NodeRuntime`.
 //!
 //! # Control protocol (stdin/stdout, line-oriented)
 //!
@@ -41,6 +41,7 @@ use std::process::ExitCode;
 
 use graphdance::common::NodeId;
 use graphdance::engine::{EngineConfig, NodeRuntime, PeerAddr, TcpTransport, TcpTransportConfig};
+use graphdance::storage::TS_LIVE;
 use graphdance_sim::Repro;
 
 struct Args {
@@ -145,9 +146,11 @@ fn serve(args: Args) -> Result<(), String> {
                 if !runtime.is_head() {
                     writeln!(out, "ERR RUN sent to follower node {node}")
                 } else {
-                    match runtime.query(&plan, params.clone()) {
-                        Ok(rows) => {
-                            for r in &rows {
+                    // The live bulk snapshot: a node process takes no writes.
+                    let handle = runtime.submit_at(&plan, params.clone(), TS_LIVE - 1);
+                    match handle.wait() {
+                        Ok(result) => {
+                            for r in &result.rows {
                                 writeln!(out, "ROW {r:?}").map_err(|e| e.to_string())?;
                             }
                             writeln!(out, "DONE")

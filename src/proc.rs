@@ -21,26 +21,12 @@
 //! point at an installed binary.
 
 use std::io::{BufRead, BufReader, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use graphdance_common::{GdError, GdResult};
+pub use graphdance_engine::SocketFamily;
 use graphdance_sim::Repro;
-
-/// Which loopback socket family the mesh uses.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SocketFamily {
-    /// TCP over `127.0.0.1` (ephemeral ports).
-    Tcp,
-    /// Unix-domain sockets under the system temp directory.
-    Unix,
-}
-
-/// Distinguishes socket paths across repeated launches inside one test
-/// process (the pid alone is not unique then).
-// lint: allow(adhoc-counter) path uniquifier, not a metric
-static LAUNCH_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// A running multi-process cluster (see module docs for the lifecycle).
 ///
@@ -68,7 +54,6 @@ impl ProcessCluster {
     ) -> GdResult<ProcessCluster> {
         let repro = Repro::parse(repro_line).map_err(GdError::InvalidProgram)?;
         let n = repro.nodes as usize;
-        let seq = LAUNCH_SEQ.fetch_add(1, Ordering::Relaxed);
 
         let mut cluster = ProcessCluster {
             children: Vec::with_capacity(n),
@@ -76,21 +61,13 @@ impl ProcessCluster {
             stdouts: Vec::with_capacity(n),
         };
         for node in 0..n {
-            let listen = match family {
-                SocketFamily::Tcp => "127.0.0.1:0".to_string(),
-                SocketFamily::Unix => {
-                    let p: PathBuf = std::env::temp_dir()
-                        .join(format!("gd-{}-{seq}-{node}.sock", std::process::id()));
-                    format!("unix:{}", p.display())
-                }
-            };
             let mut child = Command::new(bin.as_ref())
                 .arg("--node")
                 .arg(node.to_string())
                 .arg("--repro")
                 .arg(repro_line)
                 .arg("--listen")
-                .arg(listen)
+                .arg(family.fresh_addr().to_string())
                 .stdin(Stdio::piped())
                 .stdout(Stdio::piped())
                 // stderr inherits: child panics land in the test output.

@@ -33,7 +33,9 @@ use graphdance::common::NodeId;
 use graphdance::engine::transport::{
     encode_frame, Frame, Reassembler, FRAME_GOODBYE, FRAME_HELLO, FRAME_PACKET, MAX_FRAME_BYTES,
 };
-use graphdance::engine::{EngineConfig, Fabric, PeerAddr, TcpTransport, TcpTransportConfig};
+use graphdance::engine::{
+    EngineConfig, Fabric, PeerAddr, SocketFamily, TcpTransport, TcpTransportConfig,
+};
 use rand::Rng;
 
 /// Build a valid stream: HELLO, `n` PACKET frames with seeded bodies,
@@ -262,19 +264,12 @@ fn hostile_depths_over_live_socket_are_queued_and_run() {
 
     // Two fabrics meshed over loopback TCP, no worker threads: the test
     // holds the inboxes.
-    let addrs = vec![PeerAddr::Tcp("127.0.0.1:0".into()); 2];
-    let transports: Vec<Arc<TcpTransport>> = (0..2)
-        .map(|i| {
-            TcpTransport::bind(TcpTransportConfig::new(NodeId(i), addrs.clone())).expect("bind")
-        })
-        .collect();
-    let resolved: Vec<PeerAddr> = transports.iter().map(|t| t.local_addr().clone()).collect();
+    let transports = TcpTransport::loopback_mesh(2, SocketFamily::Tcp).expect("bind");
     let mut fabrics = Vec::new();
     let mut inboxes = Vec::new();
     let mut threads = Vec::new();
     let mut coord_rx = Vec::new();
     for (i, t) in transports.into_iter().enumerate() {
-        t.set_peers(resolved.clone());
         let (wtx, wrx) = (0..2).map(|_| unbounded()).unzip::<_, _, Vec<_>, Vec<_>>();
         let (ctx, crx) = unbounded();
         let (fabric, mut handles) =

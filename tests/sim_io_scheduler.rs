@@ -37,10 +37,8 @@ fn traced_run(seed: u64, io: IoMode) -> (Vec<FlushEvent>, u64) {
     (flushes, sim.trace().fingerprint())
 }
 
-// The two `adaptive_*` names predate the removal of `IoMode::Adaptive`; the
-// tier-1 floor list pins test ids, so they are kept.
 #[test]
-fn adaptive_flush_schedule_is_bit_identical_on_replay() {
+fn batching_flush_schedule_is_bit_identical_on_replay() {
     for io in BATCHING_MODES {
         for seed in [0u64, 1, 7, 0x2a] {
             let (a_flushes, a_fp) = traced_run(seed, io);
@@ -92,7 +90,7 @@ fn different_seeds_explore_different_schedules() {
 }
 
 #[test]
-fn adaptive_matches_oracle_across_topologies_and_seeds() {
+fn batching_modes_match_oracle_across_topologies_and_seeds() {
     for io in BATCHING_MODES {
         for nodes in 1..=2u32 {
             for workers in 1..=2u32 {

@@ -32,7 +32,6 @@
 //! checker must report `Match` for a representative repro under every I/O
 //! mode (the same channel code under the virtual clock).
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -41,8 +40,7 @@ use graphdance::common::{NodeId, QueryId, VertexId, WorkerId};
 use graphdance::engine::messages::{CoordMsg, WorkerMsg};
 use graphdance::engine::net::{Outbox, PACKET_HEADER_BYTES};
 use graphdance::engine::{
-    EngineConfig, Fabric, FlushTrigger, IoMode, MigPhase, MsgLedger, PeerAddr, TcpTransport,
-    TcpTransportConfig,
+    EngineConfig, Fabric, FlushTrigger, IoMode, MigPhase, MsgLedger, SocketFamily, TcpTransport,
 };
 use graphdance::pstm::{Traverser, Weight};
 
@@ -56,9 +54,6 @@ enum Backend {
 }
 
 const BACKENDS: [Backend; 3] = [Backend::Channel, Backend::Tcp, Backend::Unix];
-
-/// Uniquifies Unix socket paths across tests in this binary.
-static SOCK_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// A 2-node × 2-worker cluster under test: one fabric (channel) or two
 /// (sockets), with every inbox receiver held by the test.
@@ -88,33 +83,17 @@ impl Cluster {
                 }
             }
             Backend::Tcp | Backend::Unix => {
-                let addrs: Vec<PeerAddr> = (0..2)
-                    .map(|i| match backend {
-                        Backend::Tcp => PeerAddr::Tcp("127.0.0.1:0".into()),
-                        Backend::Unix => PeerAddr::Unix(std::env::temp_dir().join(format!(
-                            "gd-conf-{}-{}-{i}.sock",
-                            std::process::id(),
-                            SOCK_SEQ.fetch_add(1, Ordering::Relaxed),
-                        ))),
-                        Backend::Channel => unreachable!(),
-                    })
-                    .collect();
-                // Bind both listeners first (port 0 resolves here), then
-                // install the resolved table on both sides before start.
-                let transports: Vec<Arc<TcpTransport>> = (0..2)
-                    .map(|i| {
-                        TcpTransport::bind(TcpTransportConfig::new(NodeId(i as u32), addrs.clone()))
-                            .expect("bind conformance transport")
-                    })
-                    .collect();
-                let resolved: Vec<PeerAddr> =
-                    transports.iter().map(|t| t.local_addr().clone()).collect();
+                let family = match backend {
+                    Backend::Unix => SocketFamily::Unix,
+                    _ => SocketFamily::Tcp,
+                };
+                let transports =
+                    TcpTransport::loopback_mesh(2, family).expect("bind conformance mesh");
                 let mut fabrics = Vec::new();
                 let mut wrx_all = Vec::new();
                 let mut crx_all = Vec::new();
                 let mut threads = Vec::new();
                 for (i, t) in transports.into_iter().enumerate() {
-                    t.set_peers(resolved.clone());
                     let (wtx, wrx) = channels(4);
                     let (ctx, crx) = unbounded();
                     let (fabric, mut handles) =
