@@ -109,7 +109,7 @@ echo "==> service front-end: SLO sweep smoke (--quick)"
 cargo run -q --release -p graphdance-bench --bin service_slo -- --quick \
     >/dev/null
 
-echo "==> benchmark/: unit tests + 5 s snb-rw, khop-local and snb-sessions smokes (public-API break detector)"
+echo "==> benchmark/: unit tests + 5 s snb-rw, khop-local, snb-sessions and khop-tcp smokes (public-API break detector)"
 # benchmark/ is a workspace of its own, compiled against the public
 # surface of graphdance-service/-engine; the root workspace never builds
 # it, so this lane is where an API break shows before the perf gate. Each
@@ -118,9 +118,11 @@ echo "==> benchmark/: unit tests + 5 s snb-rw, khop-local and snb-sessions smoke
 # reads are ~9 steps each; khop-local's are ~4 k, so it is the one that
 # drives the worker's run loop hard on every CI pass; snb-sessions is the
 # only one with two classes of query in the engine at once — short reads
-# taking turns with long ones on the worker's query ring.
+# taking turns with long ones on the worker's query ring; khop-tcp is the
+# only one whose queries cross a wire (2 nodes over loopback TCP), so it
+# is the smoke for the packet encoder and decoder.
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
-for workload in snb-rw khop-local snb-sessions; do
+for workload in snb-rw khop-local snb-sessions khop-tcp; do
     cargo run -q --release --offline --manifest-path benchmark/Cargo.toml -- \
         --workload "$workload" --seconds 5 --trace 0 >/dev/null
 done
@@ -174,9 +176,9 @@ if [ "${CI_SANITIZERS:-0}" = "1" ]; then
             echo "    tsan lane unavailable (needs nightly rust-src); skipped"
         fi
 
-        echo "==> sanitizers: Miri over obs registry, BytesPool, and lock-table suites"
+        echo "==> sanitizers: Miri over obs registry, wire packet round-trips, and lock-table suites"
         if cargo +nightly miri test -q -p graphdance-obs registry 2>/dev/null \
-            && cargo +nightly miri test -q -p graphdance-engine codec:: 2>/dev/null \
+            && cargo +nightly miri test -q -p graphdance-engine wire::tests::packet_roundtrips 2>/dev/null \
             && cargo +nightly miri test -q -p graphdance-txn lock_table 2>/dev/null; then
             echo "    miri lane clean"
         else

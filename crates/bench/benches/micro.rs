@@ -1,12 +1,14 @@
 //! Criterion micro-benchmarks of GraphDance's core data structures: weight
-//! arithmetic (§IV-A), memoranda operations (§III-B), the wire codec, the
+//! arithmetic (§IV-A), memoranda operations (§III-B), the packet codec, the
 //! partitioner, TEL scans, and expression evaluation.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use graphdance_common::rng::seeded;
-use graphdance_common::{Label, PartId, Partitioner, PropKey, QueryId, Value, VertexId};
-use graphdance_engine::codec;
+use graphdance_common::{Label, PartId, Partitioner, PropKey, QueryId, Value, VertexId, WorkerId};
+use graphdance_engine::messages::WorkerMsg;
+use graphdance_engine::net::WireMsg;
+use graphdance_engine::wire;
 use graphdance_pstm::{Memo, Traverser, Weight};
 use graphdance_query::expr::{EvalCtx, Expr};
 use graphdance_storage::{TelList, VertexRecord};
@@ -63,12 +65,21 @@ fn bench_codec(c: &mut Criterion) {
             t
         })
         .collect();
-    c.bench_function("codec/encode_batch_64", |b| {
-        b.iter(|| black_box(codec::encode_batch(&batch)));
+    let packet = [WireMsg::Worker {
+        dest: WorkerId(1),
+        msg: WorkerMsg::Batch(batch),
+    }];
+    c.bench_function("codec/encode_packet_64", |b| {
+        b.iter(|| {
+            let mut body = Vec::new();
+            wire::encode_packet(&mut body, black_box(&packet)).unwrap();
+            body
+        });
     });
-    let wire = codec::encode_batch(&batch);
-    c.bench_function("codec/decode_batch_64", |b| {
-        b.iter(|| black_box(codec::decode_batch(wire.clone()).unwrap()));
+    let mut body = Vec::new();
+    wire::encode_packet(&mut body, &packet).unwrap();
+    c.bench_function("codec/decode_packet_64", |b| {
+        b.iter(|| black_box(wire::decode_packet(black_box(&body)).unwrap().len()));
     });
 }
 

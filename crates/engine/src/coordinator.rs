@@ -382,7 +382,7 @@ impl Coordinator {
     /// `(query, stage)` trace span when `obs` is on.
     #[cfg_attr(not(feature = "obs"), allow(unused_variables))]
     fn send_ctrl(&mut self, query: QueryId, stage: u16, dest: WorkerId, msg: WorkerMsg) {
-        let msg = WireMsg::CtrlWorker { dest, msg };
+        let msg = WireMsg::Worker { dest, msg };
         #[cfg(feature = "obs")]
         self.obs.ctrl_sent(query, stage, &msg);
         self.outbox.send(msg);

@@ -13,8 +13,10 @@
 //!   (§IV-B, [`net`]): tier 1 batches messages per worker per destination
 //!   node (flushed at 8 KB or on idle), tier 2 combines packets from all
 //!   local workers per destination node. Same-node messages take the
-//!   shared-memory shortcut. Remote packets are really serialized
-//!   ([`codec`]) and charged against a configurable network cost model.
+//!   shared-memory shortcut. Every remote message is serialized once, at
+//!   its tier-1 flush ([`wire`], on [`codec`]'s value and traverser
+//!   primitives), decoded once at its receiver, and charged against a
+//!   configurable network cost model.
 //! * Query completion is detected with **progression weights** and
 //!   **weight coalescing** (§IV-A, [`progress`]): workers locally sum the
 //!   weights of finished traversers and send one coalesced report per
@@ -44,7 +46,7 @@ pub mod transport;
 pub mod wire;
 pub mod worker;
 
-pub use codec::{BytesPool, PoolStats, ProgressEntry};
+pub use codec::ProgressEntry;
 pub use config::{EngineConfig, FaultInjection, IoMode, NetConfig, SimFaults};
 pub use engine::{GraphDance, NodeRuntime, QueryHandle, QueryResult};
 pub use invariants::{MsgCounts, MsgLedger};
@@ -56,7 +58,6 @@ pub use sim::{
 };
 pub use transport::{
     PeerAddr, SocketFamily, TcpStatsSnapshot, TcpTransport, TcpTransportConfig, Transport,
-    WirePacket,
 };
 pub use worker::PumpStatus;
 

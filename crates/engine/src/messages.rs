@@ -14,8 +14,8 @@ use graphdance_query::plan::Plan;
 use graphdance_storage::{Timestamp, VertexSegment};
 
 /// Immutable per-query context, shipped once per query to every worker.
-/// (Control-plane messages carry it by `Arc`; the network layer charges a
-/// nominal plan-shipping cost for remote nodes.)
+/// (Same-node workers share it by `Arc`; a remote node gets the plan,
+/// params and snapshot encoded in its `QueryBegin`.)
 #[derive(Debug)]
 pub struct QueryCtx {
     /// The query id.
@@ -271,43 +271,6 @@ pub fn worker_migration_qid(msg: &WorkerMsg) -> Option<QueryId> {
 pub fn coord_migration_qid(msg: &CoordMsg) -> Option<QueryId> {
     match msg {
         CoordMsg::MigrateAck { seq, .. } => Some(migration_qid(*seq)),
-        _ => None,
-    }
-}
-
-/// Clone a migration control message for fault-injected duplication
-/// (`WorkerMsg` as a whole is not `Clone`: traverser batches must not be
-/// duplicated structurally). Returns `None` for non-migration messages.
-pub fn clone_migration_worker_msg(msg: &WorkerMsg) -> Option<WorkerMsg> {
-    match msg {
-        WorkerMsg::MigrateFreeze { seq, v, to } => Some(WorkerMsg::MigrateFreeze {
-            seq: *seq,
-            v: *v,
-            to: *to,
-        }),
-        WorkerMsg::MigrateInstall {
-            seq,
-            v,
-            from,
-            segment,
-        } => Some(WorkerMsg::MigrateInstall {
-            seq: *seq,
-            v: *v,
-            from: *from,
-            segment: segment.clone(),
-        }),
-        WorkerMsg::MigrateCommit {
-            seq,
-            v,
-            to,
-            version,
-        } => Some(WorkerMsg::MigrateCommit {
-            seq: *seq,
-            v: *v,
-            to: *to,
-            version: *version,
-        }),
-        WorkerMsg::MigrateRetire { seq, v } => Some(WorkerMsg::MigrateRetire { seq: *seq, v: *v }),
         _ => None,
     }
 }

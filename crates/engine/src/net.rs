@@ -6,20 +6,24 @@
 //! on node Y travels:
 //!
 //! ```text
-//! A --(tier-1 buffer, flush at 8 KB or idle)--> X.egress
-//!   --(combine with other local packets to Y, charge cost model)--> Y.ingress
-//!   --(propagation delay, deserialize)--> B.inbox
+//! A --(tier-1 buffer, flush at 8 KB or idle, encode)--> X.egress
+//!   --(join with other local packets to Y, charge cost model)--> Y.ingress
+//!   --(propagation delay, decode)--> B.inbox
 //! ```
 //!
 //! Same-node messages take the **shared-memory shortcut**: the tier-1 flush
 //! delivers them straight into the destination inbox without serialization
-//! or cost, and without being sized. Remote traverser batches are really
-//! serialized with [`crate::codec`]; the cost model charges
-//! `per_message_overhead + bytes/bandwidth` of (spun) sender time per wire
-//! packet plus a propagation delay — reproducing the NIC message-rate
-//! bottleneck that makes tier-1 combining matter (Fig. 12). `bytes` is
-//! exact: what [`crate::wire`]'s encoder writes for the packet's messages
-//! ([`wire::encoded_len`]) plus [`PACKET_HEADER_BYTES`].
+//! or cost, and without being sized. A remote message — traverser batch,
+//! progress report, rows, or control plane alike — stays a Rust value in
+//! its tier-1 buffer and is serialized exactly once, when its buffer is
+//! flushed ([`wire::encode_packet`], on the sending thread); tier-2
+//! combining joins those bytes (`wire::append_packet`), and every receiver
+//! decodes the packet once, in `Fabric::deliver_packet`. The channel
+//! backend charges `per_message_overhead + bytes/bandwidth` of (spun)
+//! sender time per wire packet plus a propagation delay — reproducing the
+//! NIC message-rate bottleneck that makes tier-1 combining matter
+//! (Fig. 12). `bytes` is exact: the encoded body's length plus
+//! [`PACKET_HEADER_BYTES`].
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -35,7 +39,6 @@ use rand::RngCore;
 use graphdance_common::{GdError, NodeId, Partitioner, QueryId, WorkerId};
 use graphdance_pstm::{Row, Traverser, Weight};
 
-use crate::codec::{self, BytesPool, PoolStats};
 use crate::config::{EngineConfig, FaultInjection, IoMode, NetConfig};
 use crate::invariants::MsgLedger;
 use crate::messages::{CoordMsg, WorkerMsg};
@@ -55,8 +58,8 @@ pub enum MsgClass {
 }
 
 /// The per-packet L2–L4 header the cost model charges and `net.wire_bytes`
-/// counts on top of a packet's payload — the only modeled byte on the wire;
-/// the payload is the encoder's own count ([`wire::encoded_len`]).
+/// counts on top of a packet's encoded body — the only modeled byte on the
+/// wire.
 pub const PACKET_HEADER_BYTES: usize = 64;
 
 /// Shared network counters: eight monotonic atomics, the same on every
@@ -112,7 +115,7 @@ pub struct NetStatsSnapshot {
     pub wire_packets: u64,
     pub wire_bytes: u64,
     pub same_node_msgs: u64,
-    /// Undecodable batch frames seen at ingress.
+    /// Undecodable packets and socket frames seen at ingress.
     pub decode_errors: u64,
 }
 
@@ -137,56 +140,33 @@ impl NetStatsSnapshot {
     }
 }
 
-/// A message on the wire (simulated or real — the [`crate::transport`]
-/// seam moves these between nodes).
+/// An addressed message: what a tier-1 buffer holds and a wire packet
+/// carries ([`crate::wire`] is its one byte layout).
 #[derive(Debug)]
 pub enum WireMsg {
-    /// Serialized traverser batch for one worker: a frame leased from the
-    /// fabric's [`BytesPool`], returned to it after ingress decode.
-    Batch {
-        /// Destination worker.
-        dest: WorkerId,
-        /// Encoded batch frame (`codec::encode_batch_into` layout).
-        payload: Vec<u8>,
-    },
-    /// Coalesced progress report (to the coordinator).
-    Progress {
-        /// Reporting query.
-        query: QueryId,
-        /// Finished weight.
-        weight: Weight,
-        /// Steps executed.
-        steps: u64,
-    },
-    /// Result rows (to the coordinator).
-    Rows {
-        /// Producing query.
-        query: QueryId,
-        /// The rows.
-        rows: Vec<Row>,
-    },
-    /// Control-plane message for a worker.
-    CtrlWorker {
+    /// A message for worker `dest` — a traverser batch
+    /// ([`WorkerMsg::Batch`]) or the control plane.
+    Worker {
         /// Destination worker.
         dest: WorkerId,
         /// The message.
         msg: WorkerMsg,
     },
-    /// Control-plane message for the coordinator.
-    CtrlCoord {
-        /// The message.
-        msg: CoordMsg,
-    },
+    /// A message for the coordinator (on node 0).
+    Coord(CoordMsg),
 }
 
 impl WireMsg {
     /// The Fig. 11 class this message is counted under.
     fn class(&self) -> MsgClass {
         match self {
-            WireMsg::Batch { .. } => MsgClass::Traverser,
-            WireMsg::Progress { .. } => MsgClass::Progress,
-            WireMsg::Rows { .. } => MsgClass::Rows,
-            WireMsg::CtrlWorker { .. } | WireMsg::CtrlCoord { .. } => MsgClass::Control,
+            WireMsg::Worker {
+                msg: WorkerMsg::Batch(_),
+                ..
+            } => MsgClass::Traverser,
+            WireMsg::Coord(CoordMsg::Progress { .. }) => MsgClass::Progress,
+            WireMsg::Coord(CoordMsg::Rows { .. }) => MsgClass::Rows,
+            _ => MsgClass::Control,
         }
     }
 }
@@ -194,8 +174,8 @@ impl WireMsg {
 pub(crate) enum EgressEvent {
     Packet {
         dest_node: NodeId,
-        msgs: Vec<WireMsg>,
-        bytes: usize,
+        /// A flushed tier-1 buffer's messages ([`wire::encode_packet`]).
+        body: Vec<u8>,
     },
     Shutdown,
 }
@@ -203,9 +183,20 @@ pub(crate) enum EgressEvent {
 pub(crate) enum IngressEvent {
     Packet {
         deliver_at: Instant,
-        msgs: Vec<WireMsg>,
+        /// An encoded packet body ([`wire::encode_packet`]).
+        body: Vec<u8>,
     },
     Shutdown,
+}
+
+/// What becomes of one decoded message in [`Fabric::deliver_packet`]: the
+/// simulator's per-message drop / duplicate fault roll; every other
+/// receiver delivers everything.
+pub(crate) enum Fate {
+    Deliver,
+    Drop,
+    /// Deliver the message's bytes decoded a second time, then the message.
+    Duplicate,
 }
 
 /// Why a tier-1 buffer was flushed (flush tracing).
@@ -276,8 +267,6 @@ pub struct Fabric {
     fault: FaultInjection,
     /// Deterministic `drop_batch_nth` sequencing (see [`FaultState`]).
     fault_state: Mutex<FaultState>,
-    /// Reusable egress frame buffers (zero-copy batch codec).
-    pool: BytesPool,
     /// Whether this process sees the whole cluster's ledger (see
     /// [`Fabric::ledger_is_global`]). Cleared by
     /// [`Fabric::new_with_transport`].
@@ -288,7 +277,9 @@ pub struct Fabric {
     trace_flushes: AtomicBool,
     /// Recorded flush decisions while tracing is on.
     flush_trace: Mutex<Vec<FlushEvent>>,
-    /// Most recent undecodable-frame error, surfaced to diagnostics
+    /// Packet bodies received while tracing is on.
+    packet_trace: Mutex<Vec<Vec<u8>>>,
+    /// Most recent undecodable-packet error, surfaced to diagnostics
     /// instead of stderr.
     last_decode_error: Mutex<Option<GdError>>,
     /// Remote-traffic sketch feeding the rebalance planner (off by
@@ -337,11 +328,11 @@ impl Fabric {
                 rng: graphdance_common::rng::derive(config.seed, crate::sim::FAULT_STREAM),
                 seen: 0,
             }),
-            pool: BytesPool::new(),
             ledger_global: AtomicBool::new(true),
             epoch: now(),
             trace_flushes: AtomicBool::new(false),
             flush_trace: Mutex::new(Vec::new()),
+            packet_trace: Mutex::new(Vec::new()),
             last_decode_error: Mutex::new(None),
             hot: crate::rebalance::HotTracker::new(),
             #[cfg(feature = "obs")]
@@ -396,7 +387,7 @@ impl Fabric {
     /// given transport backend carries packets between processes. Only the
     /// local node's egress pump is spawned (remote nodes run their own
     /// processes), and no ingress threads exist — the transport's reader
-    /// threads deliver straight into [`Fabric::deliver`]. The message
+    /// threads deliver straight into `Fabric::deliver_packet`. The message
     /// ledger stays per-process (sends to remote nodes are recorded here,
     /// their deliveries in the receiving process), so
     /// [`Fabric::ledger_is_global`] reports `false` and cross-node
@@ -478,23 +469,18 @@ impl Fabric {
         &self.obs
     }
 
-    /// Frame-pool accounting (zero-copy codec diagnostics).
-    pub fn pool_stats(&self) -> PoolStats {
-        self.pool.stats()
-    }
-
-    /// Return a frame to the pool without delivering it (the simulator's
-    /// fault injector uses this when it drops a wire batch, so leased
-    /// frames don't leak out of the pool's accounting).
-    pub(crate) fn pool_put(&self, frame: Vec<u8>) {
-        self.pool.put(frame);
-    }
-
-    /// Toggle flush-decision tracing (see [`FlushEvent`]).
+    /// Toggle tracing: the tier-1 flush decisions this fabric's outboxes
+    /// make (see [`FlushEvent`]) and the packet bodies it receives.
     pub fn record_flushes(&self, on: bool) {
         // sync: tracing toggle — eventual visibility suffices, missed
         // events around the flip are acceptable
         self.trace_flushes.store(on, Ordering::Relaxed);
+    }
+
+    fn tracing(&self) -> bool {
+        // sync: tracing toggle read, pairs with the Relaxed store in
+        // record_flushes — no data guarded by the flag itself
+        self.trace_flushes.load(Ordering::Relaxed)
     }
 
     /// Drain the recorded flush trace.
@@ -502,15 +488,19 @@ impl Fabric {
         std::mem::take(&mut *self.flush_trace.lock())
     }
 
-    /// Take the most recent undecodable-frame error, if any arrived.
+    /// Drain the packet bodies received while tracing, in arrival order —
+    /// the bytes a backend carried, as `Fabric::deliver_packet` saw them.
+    pub fn take_packet_trace(&self) -> Vec<Vec<u8>> {
+        std::mem::take(&mut *self.packet_trace.lock())
+    }
+
+    /// Take the most recent undecodable-packet error, if any arrived.
     pub fn take_decode_error(&self) -> Option<GdError> {
         self.last_decode_error.lock().take()
     }
 
     fn note_flush(&self, src: NodeId, dest: NodeId, bytes: usize, trigger: FlushTrigger) {
-        // sync: tracing toggle read, pairs with the Relaxed store in
-        // record_flushes — no data guarded by the flag itself
-        if !self.trace_flushes.load(Ordering::Relaxed) {
+        if !self.tracing() {
             return;
         }
         // lint: allow(hot-path-blocking) diagnostic trace, gated off by
@@ -557,9 +547,9 @@ impl Fabric {
         st.seen == nth
     }
 
-    /// Record an undecodable batch frame: typed error for diagnostics plus
-    /// the `net.decode_errors` counter — never stderr. Shared with the
-    /// socket transport's reassembly path.
+    /// Record an undecodable packet or socket frame: typed error for
+    /// diagnostics plus the `net.decode_errors` counter — never stderr.
+    /// Shared with the socket transport's reassembly path.
     pub(crate) fn note_decode_error(&self, e: GdError) {
         bump(&self.stats.decode_errors, 1);
         // lint: allow(hot-path-blocking) rare fault path: replaces one
@@ -567,72 +557,84 @@ impl Fabric {
         *self.last_decode_error.lock() = Some(e);
     }
 
-    /// Deliver a wire message locally (shared-memory shortcut or post-
-    /// deserialization dispatch).
-    pub(crate) fn deliver(&self, msg: WireMsg) {
+    /// The one decode point: decode a received packet body and deliver its
+    /// messages, each as `fate` says. The channel ingress (threaded and
+    /// simulated) and the socket readers all land here. A body that does
+    /// not decode delivers nothing: it names no query we could fail, so the
+    /// message-conservation watchdog surfaces the stalled query (debug
+    /// builds) or its deadline fires (release); the error and a counter are
+    /// kept for diagnostics. A message for a worker outside the topology
+    /// fails its packet the same way. Returns whether the body decoded.
+    pub(crate) fn deliver_packet(
+        &self,
+        body: &[u8],
+        mut fate: impl FnMut(&WireMsg) -> Fate,
+    ) -> bool {
+        if self.tracing() {
+            // lint: allow(hot-path-blocking) diagnostic trace, gated off
+            // by default: bounded Vec push while held
+            self.packet_trace.lock().push(body.to_vec());
+        }
+        let msgs = match wire::decode_packet(body) {
+            Ok(msgs) => msgs,
+            Err(e) => {
+                self.note_decode_error(e);
+                return false;
+            }
+        };
+        if let Some(dest) = msgs.iter().find_map(|(m, _)| match m {
+            WireMsg::Worker { dest, .. } if dest.as_usize() >= self.worker_tx.len() => Some(*dest),
+            _ => None,
+        }) {
+            self.note_decode_error(GdError::Internal(format!("wire: no worker {}", dest.0)));
+            return false;
+        }
+        for (msg, bytes) in msgs {
+            match fate(&msg) {
+                Fate::Deliver => self.deliver_remote(msg),
+                Fate::Drop => {}
+                Fate::Duplicate => {
+                    // The same bytes decoded again: `delivered` overshoots
+                    // `sent`, as a duplicating network would make it.
+                    if let Ok(copy) = wire::decode_msg(bytes) {
+                        self.deliver_remote(copy);
+                    }
+                    self.deliver_remote(msg);
+                }
+            }
+        }
+        true
+    }
+
+    /// Deliver one message that came off a wire: the only place
+    /// `drop_batch_nth` can sink a traverser batch (one fault-stream draw
+    /// per batch, in arrival order). A sunk batch leaves the ledger's
+    /// `delivered` count short, which the watchdog turns into a diagnostic.
+    fn deliver_remote(&self, msg: WireMsg) {
+        if msg.class() == MsgClass::Traverser && self.batch_drop_fault() {
+            return;
+        }
+        self.deliver(msg);
+    }
+
+    /// Hand a message to its inbox — the shared-memory shortcut, or after
+    /// decode — recording ledger deliveries (traversers per query,
+    /// migration control per migration; no-op in release builds).
+    fn deliver(&self, msg: WireMsg) {
         match msg {
-            WireMsg::Batch { dest, payload } => {
-                if self.batch_drop_fault() {
-                    // Injected fault: the batch sinks without a trace.
-                    // The ledger's `delivered` count stays short, which
-                    // the watchdog turns into a diagnostic. The frame
-                    // itself still goes back to the pool.
-                    self.pool.put(payload);
-                    return;
-                }
-                match codec::decode_batch_borrowed(&payload) {
-                    Ok((batch, progress)) => {
-                        self.record_delivered(&batch);
-                        if !batch.is_empty() {
-                            let _ = self.worker_tx[dest.as_usize()].send(WorkerMsg::Batch(batch));
-                        }
-                        // No sender here fills the frame's progress
-                        // trailer, but a socket frame is outside input: a
-                        // trailer that arrives is delivered, behind its
-                        // batch.
-                        for p in progress {
-                            let _ = self.coord_tx.send(CoordMsg::Progress {
-                                query: p.query,
-                                weight: p.weight,
-                                steps: p.steps,
-                            });
-                        }
-                    }
-                    Err(e) => {
-                        // A corrupt frame names no query we could fail
-                        // directly. Drop it: the message-conservation
-                        // watchdog then surfaces the stalled query with
-                        // sent/delivered counts (debug builds), or the
-                        // query deadline fires (release). The error and a
-                        // counter are kept for diagnostics.
-                        self.note_decode_error(e);
-                    }
-                }
-                self.pool.put(payload);
-            }
-            WireMsg::Progress {
-                query,
-                weight,
-                steps,
-            } => {
-                let _ = self.coord_tx.send(CoordMsg::Progress {
-                    query,
-                    weight,
-                    steps,
-                });
-            }
-            WireMsg::Rows { query, rows, .. } => {
-                let _ = self.coord_tx.send(CoordMsg::Rows { query, rows });
-            }
-            WireMsg::CtrlWorker { dest, msg } => {
+            WireMsg::Worker { dest, msg } => {
                 if MsgLedger::ENABLED {
-                    if let Some(q) = crate::messages::worker_migration_qid(&msg) {
+                    if let WorkerMsg::Batch(batch) = &msg {
+                        for t in batch {
+                            self.invariants.record_delivered(t.query, 1);
+                        }
+                    } else if let Some(q) = crate::messages::worker_migration_qid(&msg) {
                         self.invariants.record_delivered(q, 1);
                     }
                 }
                 let _ = self.worker_tx[dest.as_usize()].send(msg);
             }
-            WireMsg::CtrlCoord { msg } => {
+            WireMsg::Coord(msg) => {
                 if MsgLedger::ENABLED {
                     if let Some(q) = crate::messages::coord_migration_qid(&msg) {
                         self.invariants.record_delivered(q, 1);
@@ -642,28 +644,11 @@ impl Fabric {
             }
         }
     }
-
-    /// Deliver a batch of local traversers without serialization.
-    fn deliver_local_batch(&self, dest: WorkerId, batch: Vec<Traverser>) {
-        self.record_delivered(&batch);
-        let _ = self.worker_tx[dest.as_usize()].send(WorkerMsg::Batch(batch));
-    }
-
-    /// Record a batch's traversers as delivered, per query (no-op in
-    /// release builds).
-    fn record_delivered(&self, batch: &[Traverser]) {
-        if !MsgLedger::ENABLED {
-            return;
-        }
-        for t in batch {
-            self.invariants.record_delivered(t.query, 1);
-        }
-    }
 }
 
 /// The in-process transport backend: charge the configured send cost for
-/// the packet's exact bytes, stamp the propagation delay, and forward the
-/// packet to the destination node's ingress channel. Used by both the
+/// the packet's encoded body, stamp the propagation delay, and forward the
+/// bytes to the destination node's ingress channel. Used by both the
 /// threaded engine (ingress threads drain the channels) and the
 /// deterministic simulator (the sim drains them under the virtual clock).
 pub(crate) struct ChannelTransport {
@@ -678,16 +663,11 @@ impl crate::transport::Transport for ChannelTransport {
 
     fn start(&self, _fabric: Arc<Fabric>) {}
 
-    fn ship(&self, pkt: crate::transport::WirePacket) {
-        let crate::transport::WirePacket {
-            dest_node,
-            msgs,
-            bytes,
-        } = pkt;
-        let fabric = &self.fabric;
-        charge(fabric.net_cfg.send_cost(bytes + PACKET_HEADER_BYTES));
-        let deliver_at = now() + fabric.net_cfg.propagation_delay;
-        let _ = self.ingress[dest_node.as_usize()].send(IngressEvent::Packet { deliver_at, msgs });
+    fn ship(&self, dest_node: NodeId, body: Vec<u8>) {
+        let net = &self.fabric.net_cfg;
+        charge(net.send_cost(body.len() + PACKET_HEADER_BYTES));
+        let deliver_at = now() + net.propagation_delay;
+        let _ = self.ingress[dest_node.as_usize()].send(IngressEvent::Packet { deliver_at, body });
     }
 
     fn end_of_stream(&self) {
@@ -762,11 +742,7 @@ impl EgressPump {
 
     /// Blocking loop for the threaded engine.
     pub(crate) fn run(self) {
-        loop {
-            let ev = match self.rx.recv() {
-                Ok(ev) => ev,
-                Err(_) => break,
-            };
+        while let Ok(ev) = self.rx.recv() {
             if !self.round(ev) {
                 break;
             }
@@ -776,36 +752,27 @@ impl EgressPump {
         self.transport.end_of_stream();
     }
 
-    /// Combine `first` with whatever else is queued right now (tier 2) and
-    /// ship the per-destination wire packets through the transport seam.
+    /// Combine `first` with whatever else is queued right now (tier 2)
+    /// and ship the per-destination packets through the transport seam.
     /// Returns `false` if a `Shutdown` was consumed.
     fn round(&self, first: EgressEvent) -> bool {
         let fabric = &self.fabric;
         let first = match first {
-            EgressEvent::Packet {
-                dest_node,
-                msgs,
-                bytes,
-            } => (dest_node, msgs, bytes),
+            EgressEvent::Packet { dest_node, body } => (dest_node, body),
             EgressEvent::Shutdown => return false,
         };
         // Node-level combining (tier 2): merge whatever is queued right now
         // into per-destination wire packets.
         let mut alive = true;
-        let mut groups: Vec<(NodeId, Vec<WireMsg>, usize)> = vec![first];
+        let mut groups: Vec<(NodeId, Vec<u8>)> = vec![first];
         if fabric.io_mode == IoMode::TwoTier {
             for _ in 0..64 {
                 match self.rx.try_recv() {
-                    Ok(EgressEvent::Packet {
-                        dest_node,
-                        msgs,
-                        bytes,
-                    }) => {
+                    Ok(EgressEvent::Packet { dest_node, body }) => {
                         if let Some(g) = groups.iter_mut().find(|g| g.0 == dest_node) {
-                            g.1.extend(msgs);
-                            g.2 += bytes;
+                            wire::append_packet(&mut g.1, &body);
                         } else {
-                            groups.push((dest_node, msgs, bytes));
+                            groups.push((dest_node, body));
                         }
                     }
                     Ok(EgressEvent::Shutdown) => {
@@ -817,19 +784,15 @@ impl EgressPump {
                 }
             }
         }
-        for (dest_node, msgs, bytes) in groups {
+        for (dest_node, body) in groups {
             // Counted here, not in a backend's `ship`, so a socket mesh
             // reports its wire traffic like the in-process one.
-            let wire = bytes + PACKET_HEADER_BYTES;
+            let wire = body.len() + PACKET_HEADER_BYTES;
             bump(&fabric.stats.wire_packets, 1);
             bump(&fabric.stats.wire_bytes, wire);
             #[cfg(feature = "obs")]
             self.obs.wire_packet(wire);
-            self.transport.ship(crate::transport::WirePacket {
-                dest_node,
-                msgs,
-                bytes,
-            });
+            self.transport.ship(dest_node, body);
         }
         alive
     }
@@ -846,14 +809,12 @@ fn ingress_loop(fabric: Arc<Fabric>, rx: Receiver<IngressEvent>) {
     let mut shutdowns = 0usize;
     while shutdowns < pumps {
         match rx.recv() {
-            Ok(IngressEvent::Packet { deliver_at, msgs }) => {
+            Ok(IngressEvent::Packet { deliver_at, body }) => {
                 // The remainder is at most `propagation_delay` (µs): `charge`
                 // spins it out, where a sleep would round it up to the
                 // host's timer slack (~70 µs here).
                 charge(deliver_at.saturating_duration_since(now()));
-                for m in msgs {
-                    fabric.deliver(m);
-                }
+                fabric.deliver_packet(&body, |_| Fate::Deliver);
             }
             Ok(IngressEvent::Shutdown) => shutdowns += 1,
             Err(_) => break, // all senders gone: nothing more can arrive
@@ -956,17 +917,16 @@ impl Outbox {
     /// message flushes its lane at once and is never sized here.
     pub(crate) fn send(&mut self, msg: WireMsg) {
         let node = match &msg {
-            WireMsg::Batch { dest, .. } | WireMsg::CtrlWorker { dest, .. } => {
+            WireMsg::Worker { dest, .. } => {
                 self.fabric.partitioner.node_of_worker(*dest).as_usize()
             }
             // The coordinator lives on node 0.
-            WireMsg::Progress { .. } | WireMsg::Rows { .. } | WireMsg::CtrlCoord { .. } => 0,
+            WireMsg::Coord(_) => 0,
         };
         if MsgLedger::ENABLED {
             let migration = match &msg {
-                WireMsg::CtrlWorker { msg, .. } => crate::messages::worker_migration_qid(msg),
-                WireMsg::CtrlCoord { msg } => crate::messages::coord_migration_qid(msg),
-                _ => None,
+                WireMsg::Worker { msg, .. } => crate::messages::worker_migration_qid(msg),
+                WireMsg::Coord(msg) => crate::messages::coord_migration_qid(msg),
             };
             if let Some(q) = migration {
                 self.fabric.invariants.record_sent(q, 1);
@@ -985,11 +945,11 @@ impl Outbox {
 
     /// Queue a progress report for the coordinator (node 0).
     pub fn send_progress(&mut self, query: QueryId, weight: Weight, steps: u64) {
-        self.send(WireMsg::Progress {
+        self.send(WireMsg::Coord(CoordMsg::Progress {
             query,
             weight,
             steps,
-        });
+        }));
     }
 
     /// **Fault injection only** (`SimFaults::progress_side_channel`): send
@@ -1009,17 +969,17 @@ impl Outbox {
 
     /// Queue result rows for the coordinator (node 0).
     pub fn send_rows(&mut self, query: QueryId, rows: Vec<Row>) {
-        self.send(WireMsg::Rows { query, rows });
+        self.send(WireMsg::Coord(CoordMsg::Rows { query, rows }));
     }
 
     /// Send a control message to a worker (flushes that node immediately).
     pub fn send_ctrl_worker(&mut self, dest: WorkerId, msg: WorkerMsg) {
-        self.send(WireMsg::CtrlWorker { dest, msg });
+        self.send(WireMsg::Worker { dest, msg });
     }
 
     /// Send a control message to the coordinator (immediate).
     pub fn send_ctrl_coord(&mut self, msg: CoordMsg) {
-        self.send(WireMsg::CtrlCoord { msg });
+        self.send(WireMsg::Coord(msg));
     }
 
     /// Flush one destination node's buffer.
@@ -1045,7 +1005,8 @@ impl Outbox {
             .note_flush(self.src_node, node, buf.bytes, trigger);
         #[cfg(feature = "obs")]
         self.obs.flush_buf_bytes(buf.bytes);
-        // One batch per destination worker, in first-send order.
+        // One batch per destination worker, in first-send order, ahead of
+        // the lane's other messages.
         let mut groups: Vec<(WorkerId, Vec<Traverser>)> = Vec::new();
         for (dest, t) in buf.traversers {
             if let Some(g) = groups.iter_mut().find(|g| g.0 == dest) {
@@ -1054,32 +1015,37 @@ impl Outbox {
                 groups.push((dest, vec![t]));
             }
         }
+        let msgs: Vec<WireMsg> = groups
+            .into_iter()
+            .map(|(dest, batch)| WireMsg::Worker {
+                dest,
+                msg: WorkerMsg::Batch(batch),
+            })
+            .chain(buf.msgs)
+            .collect();
         if node == self.src_node {
             // Shared-memory shortcut: no serialization, no network thread,
             // and nothing is sized.
-            bump(&stats.same_node_msgs, groups.len() + buf.msgs.len());
-            for (dest, batch) in groups {
-                self.fabric.deliver_local_batch(dest, batch);
-            }
-            for m in buf.msgs {
+            bump(&stats.same_node_msgs, msgs.len());
+            for m in msgs {
                 self.fabric.deliver(m);
             }
             return;
         }
-        // Remote: serialize the batches, and take the packet's exact size —
-        // the one place a message bound for a wire is priced.
-        let mut msgs: Vec<WireMsg> = Vec::with_capacity(groups.len() + buf.msgs.len());
-        for (dest, batch) in groups {
-            let mut payload = self.fabric.pool.get();
-            codec::encode_batch_into(&mut payload, &batch, &[]);
-            msgs.push(WireMsg::Batch { dest, payload });
+        // Remote: the messages' one encode, on the thread that built the
+        // values and so frees them; tier 2 only joins bytes. (Encoding in
+        // the egress pump put that work and those frees on every hop's
+        // critical path — DESIGN.md §10.)
+        let mut body = Vec::with_capacity(4 + buf.bytes);
+        if let Err(e) = wire::encode_packet(&mut body, &msgs) {
+            // Only `CoordMsg::Submit` refuses, and it never leaves the
+            // coordinator's node.
+            self.fabric.note_decode_error(e);
+            return;
         }
-        msgs.extend(buf.msgs);
-        let bytes: usize = msgs.iter().map(wire::encoded_len).sum();
         let _ = self.fabric.egress_tx[self.src_node.as_usize()].send(EgressEvent::Packet {
             dest_node: node,
-            msgs,
-            bytes,
+            body,
         });
     }
 
@@ -1311,9 +1277,9 @@ mod tests {
         }
     }
 
-    /// Progress never rides a batch frame's trailer: a remote lane holding
-    /// traversers and progress reports flushes to the batch followed by
-    /// standalone `WireMsg::Progress`, in send order.
+    /// Progress reports ship as messages of their own: a remote lane
+    /// holding traversers and progress reports flushes to the batch followed
+    /// by both reports, in send order.
     #[test]
     fn progress_ships_standalone_behind_the_batch() {
         let cfg = EngineConfig::new(2, 2);
@@ -1326,40 +1292,74 @@ mod tests {
         ob.send_traverser(WorkerId(0), t(7));
         ob.send_progress(QueryId(4), Weight(5), 1);
         ob.flush_all();
-        let Ok(EgressEvent::Packet { msgs, .. }) = channels.egress_rx[1].try_recv() else {
+        let Ok(EgressEvent::Packet { body, .. }) = channels.egress_rx[1].try_recv() else {
             panic!("the flush queued one egress packet");
         };
-        let [WireMsg::Batch { dest, payload }, WireMsg::Progress { query: first, .. }, WireMsg::Progress { query: second, .. }] =
+        let msgs: Vec<WireMsg> = wire::decode_packet(&body)
+            .unwrap()
+            .into_iter()
+            .map(|(m, _)| m)
+            .collect();
+        let [WireMsg::Worker {
+            dest,
+            msg: WorkerMsg::Batch(batch),
+        }, WireMsg::Coord(CoordMsg::Progress { query: first, .. }), WireMsg::Coord(CoordMsg::Progress { query: second, .. })] =
             &msgs[..]
         else {
             panic!("batch, then both progress reports standalone: {msgs:?}");
         };
-        assert_eq!(*dest, WorkerId(0));
-        let (batch, trailer) = codec::decode_batch_borrowed(payload).unwrap();
-        assert_eq!((batch.len(), trailer.len()), (1, 0));
+        assert_eq!((*dest, batch.len()), (WorkerId(0), 1));
         assert_eq!((*first, *second), (QueryId(3), QueryId(4)));
     }
 
+    /// A corrupt body on the channel backend is counted and kept, delivers
+    /// nothing, and does not stop the lane: the next packet arrives. A
+    /// well-formed body naming a worker the topology lacks fails the same
+    /// way instead of indexing past the inboxes.
     #[test]
-    fn undecodable_batch_routes_to_error_counter() {
-        let (fabric, wrx, _crx, handles) = setup(IoMode::TwoTier);
-        fabric.deliver(WireMsg::Batch {
-            dest: WorkerId(0),
-            payload: vec![0xFF, 0x01],
-        });
-        let s = fabric.stats().snapshot();
-        assert_eq!(s.decode_errors, 1);
-        let err = fabric.take_decode_error().expect("error retained");
-        assert!(err.to_string().contains("truncated"), "got: {err}");
-        assert!(fabric.take_decode_error().is_none(), "error was taken");
+    fn corrupt_packet_is_counted_and_the_lane_carries_on() {
+        let cfg = EngineConfig::new(2, 2);
+        let (wtx, wrx): (Vec<_>, Vec<_>) = (0..4).map(|_| unbounded()).unzip();
+        let (ctx, crx) = unbounded();
+        let (fabric, mut channels) = Fabric::new_sim(&cfg, wtx, ctx);
+        let ingress = channels.ingress_tx.clone();
+        let channel = ChannelTransport {
+            fabric: Arc::clone(&fabric),
+            ingress: ingress.clone(),
+        };
+        use crate::transport::Transport;
+        channel.ship(NodeId(1), vec![0x01, 0, 0, 0, 0xFF]);
+        // Well-formed, but for a worker the 2 × 2 topology does not have.
+        let mut stray = Vec::new();
+        let msgs = [WireMsg::Worker {
+            dest: WorkerId(99),
+            msg: WorkerMsg::QueryEnd { query: QueryId(1) },
+        }];
+        wire::encode_packet(&mut stray, &msgs).unwrap();
+        channel.ship(NodeId(1), stray);
+        let mut ob = fabric.outbox(NodeId(0));
+        ob.send_traverser(WorkerId(3), t(9));
+        ob.flush_all();
+        let pump = EgressPump::new(Arc::clone(&fabric), channels.egress_rx.remove(0), ingress);
         assert!(
-            wrx[0].try_recv().is_err(),
-            "no batch delivered from a corrupt frame"
+            pump.pump(),
+            "the flushed packet ships behind the corrupt one"
         );
-        fabric.shutdown();
-        for h in handles {
-            h.join().unwrap();
+        // Node 1's ingress drains until it has seen one end-of-stream per
+        // node.
+        channel.end_of_stream();
+        channel.end_of_stream();
+        ingress_loop(Arc::clone(&fabric), channels.ingress_rx.remove(1));
+        assert_eq!(fabric.stats().snapshot().decode_errors, 2);
+        let err = fabric.take_decode_error().expect("error retained");
+        assert!(err.to_string().contains("no worker 99"), "got: {err}");
+        assert!(fabric.take_decode_error().is_none(), "error was taken");
+        match wrx[3].try_recv() {
+            Ok(WorkerMsg::Batch(b)) => assert_eq!(b, vec![t(9)]),
+            other => panic!("the lane's next packet arrives: {other:?}"),
         }
+        assert!(wrx.iter().all(|rx| rx.is_empty()), "nothing else delivered");
+        assert!(crx.is_empty());
     }
 
     #[test]
@@ -1381,45 +1381,6 @@ mod tests {
             .iter()
             .all(|e| e.src == NodeId(0) && e.dest == NodeId(1)));
         assert!(fabric.take_flush_trace().is_empty(), "trace was drained");
-        fabric.shutdown();
-        for h in handles {
-            h.join().unwrap();
-        }
-    }
-
-    #[test]
-    fn pool_frames_return_after_ingress_decode() {
-        let (fabric, wrx, _crx, handles) = setup(IoMode::TwoTier);
-        let mut ob = fabric.outbox(NodeId(0));
-        for round in 0..4u64 {
-            for i in 0..8 {
-                ob.send_traverser(WorkerId(2), t(round * 8 + i));
-            }
-            ob.flush_all();
-            let mut got = 0;
-            while got < 8 {
-                match wrx[2].recv_timeout(Duration::from_secs(2)).unwrap() {
-                    WorkerMsg::Batch(b) => got += b.len(),
-                    other => panic!("unexpected {other:?}"),
-                }
-            }
-        }
-        // The ingress thread returns each frame right after handing the
-        // decoded batch over, so the lease may lag the recv by an instant.
-        let deadline = Instant::now() + Duration::from_secs(2);
-        loop {
-            let ps = fabric.pool_stats();
-            if ps.outstanding == 0 {
-                assert!(ps.allocated >= 1);
-                assert!(
-                    ps.recycled >= ps.allocated.saturating_sub(2),
-                    "frames were reused, not re-allocated: {ps:?}"
-                );
-                break;
-            }
-            assert!(Instant::now() < deadline, "frames leaked: {ps:?}");
-            std::thread::yield_now();
-        }
         fabric.shutdown();
         for h in handles {
             h.join().unwrap();

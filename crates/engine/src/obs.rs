@@ -34,6 +34,7 @@ mod real {
     use graphdance_obs::{MetricId, Registry, ShardHandle, SpanRecord, TraceSink, COORD_WORKER};
     use graphdance_pstm::{MemoStats, Weight};
 
+    use crate::messages::CoordMsg;
     use crate::net::{Fabric, WireMsg};
     use crate::wire;
 
@@ -180,11 +181,11 @@ mod real {
     /// Encoded size of one standalone progress report (fixed: three `u64`s
     /// behind a tag), from the encoder like every other span byte figure.
     fn progress_len() -> u64 {
-        wire::encoded_len(&WireMsg::Progress {
+        wire::encoded_len(&WireMsg::Coord(CoordMsg::Progress {
             query: QueryId(0),
             weight: Weight(0),
             steps: 0,
-        }) as u64
+        })) as u64
     }
 
     /// Span accumulator for one `(query, stage)`; hops are folded into a

@@ -40,8 +40,8 @@ use graphdance_storage::{Graph, Timestamp};
 use crate::config::{EngineConfig, SimFaults};
 use crate::coordinator::Coordinator;
 use crate::engine::{assemble, send_submit, Assembly, QueryResult};
-use crate::messages::CoordMsg;
-use crate::net::{EgressPump, Fabric, IngressEvent, NetChannels, WireMsg};
+use crate::messages::{worker_migration_qid, CoordMsg, WorkerMsg};
+use crate::net::{EgressPump, Fabric, Fate, IngressEvent, NetChannels, WireMsg};
 use crate::worker::{PumpStatus, Worker};
 
 /// RNG stream ids for the simulator's own streams, far away from the
@@ -211,7 +211,8 @@ struct PendingPacket {
     at: Instant,
     /// Arrival order, for stable FIFO among same-instant packets.
     seq: u64,
-    msgs: Vec<WireMsg>,
+    /// The encoded body, decoded at delivery.
+    body: Vec<u8>,
 }
 
 impl PartialEq for PendingPacket {
@@ -558,15 +559,11 @@ impl SimCluster {
     fn pump_ingress(&mut self, i: usize) {
         let now = now();
         // Intake: packets the egress pump transmitted.
-        loop {
-            let ev = match self.ingress[i].rx.try_recv() {
-                Ok(ev) => ev,
-                Err(_) => break,
-            };
+        while let Ok(ev) = self.ingress[i].rx.try_recv() {
             match ev {
                 IngressEvent::Packet {
                     mut deliver_at,
-                    msgs,
+                    body,
                 } => {
                     if self.faults.delay_permille > 0
                         && roll(&mut self.fault_rng, self.faults.delay_permille)
@@ -580,7 +577,7 @@ impl SimCluster {
                     self.ingress[i].pending.push(Reverse(PendingPacket {
                         at: deliver_at,
                         seq,
-                        msgs,
+                        body,
                     }));
                 }
                 // The simulator tears down by drop, not by Shutdown.
@@ -605,96 +602,47 @@ impl SimCluster {
             self.counts.reorders += 1;
             self.trace.record(SimEventKind::Reorder);
         }
+        let fabric = Arc::clone(&self.fabric);
         for packet in due {
-            for msg in packet.msgs {
-                self.deliver_with_faults(msg);
-            }
+            fabric.deliver_packet(&packet.body, |msg| self.fault_fate(msg));
         }
     }
 
-    /// Deliver one wire message, rolling drop/duplicate faults for
-    /// traverser batches (the payloads the conservation ledger tracks).
-    fn deliver_with_faults(&mut self, msg: WireMsg) {
-        if let WireMsg::Batch { dest, payload } = msg {
-            if self.faults.drop_permille > 0 && roll(&mut self.fault_rng, self.faults.drop_permille)
-            {
-                // The batch sinks: `delivered` stays short of `sent`, which
-                // quiesce checking / the watchdog must turn into a
-                // diagnostic rather than a silent wrong answer. The leased
-                // frame still goes back to the pool — a drop fault loses
-                // the message, not buffer capacity.
-                self.counts.drops += 1;
-                self.trace.record(SimEventKind::DropBatch);
-                self.fabric.pool_put(payload);
-                return;
+    /// Roll the drop / duplicate faults for one decoded message. They apply
+    /// to traverser batches (the payloads the conservation ledger tracks)
+    /// and to the migration protocol's control messages, so the DST battery
+    /// can prove the state machine never hangs the cluster or corrupts
+    /// routing under a lost or repeated freeze/install/commit/retire/ack. A
+    /// dropped message leaves `delivered` short of `sent`, which quiesce
+    /// checking / the watchdog must turn into a diagnostic rather than a
+    /// silent wrong answer; a duplicate is its bytes decoded again.
+    /// Other control traffic stays reliable and consumes no fault
+    /// randomness, so existing repro schedules replay unchanged.
+    fn fault_fate(&mut self, msg: &WireMsg) -> Fate {
+        let (drop, dup) = match msg {
+            WireMsg::Worker {
+                msg: WorkerMsg::Batch(_),
+                ..
+            } => (SimEventKind::DropBatch, SimEventKind::DupBatch),
+            WireMsg::Worker { msg, .. } if worker_migration_qid(msg).is_some() => {
+                (SimEventKind::DropMigCtrl, SimEventKind::DupMigCtrl)
             }
-            if self.faults.dup_permille > 0 && roll(&mut self.fault_rng, self.faults.dup_permille) {
-                // Deliver a clone first, then the original below:
-                // `delivered` overshoots `sent`.
-                self.counts.dups += 1;
-                self.trace.record(SimEventKind::DupBatch);
-                self.fabric.deliver(WireMsg::Batch {
-                    dest,
-                    payload: payload.clone(),
-                });
+            WireMsg::Coord(CoordMsg::MigrateAck { .. }) => {
+                (SimEventKind::DropMigCtrl, SimEventKind::DupMigCtrl)
             }
-            self.fabric.deliver(WireMsg::Batch { dest, payload });
-            return;
+            _ => return Fate::Deliver,
+        };
+        if self.faults.drop_permille > 0 && roll(&mut self.fault_rng, self.faults.drop_permille) {
+            self.counts.drops += 1;
+            self.trace.record(drop);
+            return Fate::Drop;
         }
-        // The migration protocol's control messages ride the same lossy
-        // network: drop and duplicate faults apply to them too, so the DST
-        // battery can prove the state machine never hangs the cluster or
-        // corrupts routing under a lost freeze/install/commit/retire/ack.
-        // Non-migration control traffic stays reliable (as before), and the
-        // guard means runs without migrations consume no extra fault
-        // randomness — existing repro schedules replay unchanged.
-        match msg {
-            WireMsg::CtrlWorker { dest, msg }
-                if crate::messages::worker_migration_qid(&msg).is_some() =>
-            {
-                if self.faults.drop_permille > 0
-                    && roll(&mut self.fault_rng, self.faults.drop_permille)
-                {
-                    self.counts.drops += 1;
-                    self.trace.record(SimEventKind::DropMigCtrl);
-                    return;
-                }
-                if self.faults.dup_permille > 0
-                    && roll(&mut self.fault_rng, self.faults.dup_permille)
-                {
-                    if let Some(dup) = crate::messages::clone_migration_worker_msg(&msg) {
-                        self.counts.dups += 1;
-                        self.trace.record(SimEventKind::DupMigCtrl);
-                        self.fabric.deliver(WireMsg::CtrlWorker { dest, msg: dup });
-                    }
-                }
-                self.fabric.deliver(WireMsg::CtrlWorker { dest, msg });
-            }
-            WireMsg::CtrlCoord {
-                msg: CoordMsg::MigrateAck { seq, v, phase },
-            } => {
-                if self.faults.drop_permille > 0
-                    && roll(&mut self.fault_rng, self.faults.drop_permille)
-                {
-                    self.counts.drops += 1;
-                    self.trace.record(SimEventKind::DropMigCtrl);
-                    return;
-                }
-                if self.faults.dup_permille > 0
-                    && roll(&mut self.fault_rng, self.faults.dup_permille)
-                {
-                    self.counts.dups += 1;
-                    self.trace.record(SimEventKind::DupMigCtrl);
-                    self.fabric.deliver(WireMsg::CtrlCoord {
-                        msg: CoordMsg::MigrateAck { seq, v, phase },
-                    });
-                }
-                self.fabric.deliver(WireMsg::CtrlCoord {
-                    msg: CoordMsg::MigrateAck { seq, v, phase },
-                });
-            }
-            other => self.fabric.deliver(other),
+        if self.faults.dup_permille > 0 && roll(&mut self.fault_rng, self.faults.dup_permille) {
+            self.counts.dups += 1;
+            self.trace.record(dup);
+            return Fate::Duplicate;
         }
+        Fate::Deliver
     }
 
     /// Ask the coordinator to migrate the given vertices (an empty list

@@ -1,19 +1,23 @@
 //! The transport seam: how combined wire packets leave a node.
 //!
-//! [`crate::net::EgressPump`] performs tier-2 combining and then hands each
-//! per-destination packet to a [`Transport`]. Three backends implement the
-//! seam:
+//! [`crate::net::EgressPump`] performs tier-2 combining — joining the
+//! packet bodies flushed tier-1 buffers encoded once
+//! ([`crate::wire::encode_packet`]) — and hands each per-destination body
+//! to a [`Transport`]. No backend encodes or decodes: every one carries the
+//! body unchanged, and every receiver hands it to
+//! `Fabric::deliver_packet`, the one decode point. Three backends
+//! implement the seam:
 //!
 //! - **channel** ([`crate::net::ChannelTransport`]): the in-process fabric.
-//!   Charges the modeled send cost, stamps the propagation delay, and
-//!   forwards to the destination node's ingress channel. This is both the
-//!   threaded engine's backend and the DST target (the simulator pumps the
-//!   same code cooperatively under the virtual clock), so its event
-//!   sequence is bit-identical to the pre-seam fabric.
-//! - **tcp** / **unix** ([`TcpTransport`]): a real socket backend. Packets
-//!   are length-prefix framed over the zero-copy batch codec and written to
-//!   per-peer streams; per-peer reader threads reassemble frames from
-//!   arbitrary byte boundaries and deliver straight into the local fabric.
+//!   Charges the modeled send cost for the body, stamps the propagation
+//!   delay, and forwards the bytes to the destination node's ingress
+//!   channel. This is both the threaded engine's backend and the DST target
+//!   (the simulator pumps the same code cooperatively under the virtual
+//!   clock).
+//! - **tcp** / **unix** ([`TcpTransport`]): a real socket backend. Bodies
+//!   are length-prefix framed and written to per-peer streams; per-peer
+//!   reader threads reassemble frames from arbitrary byte boundaries and
+//!   deliver straight into the local fabric.
 //!
 //! ## Framing
 //!
@@ -23,7 +27,7 @@
 //! | kind | name    | body                                         |
 //! |------|---------|----------------------------------------------|
 //! | 1    | HELLO   | `u32 node` — sender's node id, first frame   |
-//! | 2    | PACKET  | `u16 count`, then `count` wire msgs (`wire`) |
+//! | 2    | PACKET  | `u32 count`, then `count` wire msgs (`wire`) |
 //! | 3    | GOODBYE | empty — sender will never write again        |
 //!
 //! Streams are directed: a node *connects* one stream to every peer and
@@ -59,28 +63,14 @@ use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Duration;
 
 use graphdance_common::time::now;
 use graphdance_common::{GdError, GdResult, NodeId};
 use parking_lot::Mutex;
 
-use crate::net::{Fabric, WireMsg};
-use crate::wire;
-
-/// One combined, per-destination wire packet handed from the egress pump
-/// to the transport backend.
-#[derive(Debug)]
-pub struct WirePacket {
-    /// Destination node.
-    pub dest_node: NodeId,
-    /// The messages riding in this packet, in lane-FIFO order.
-    pub msgs: Vec<WireMsg>,
-    /// Exact payload size: the sum of [`wire::encoded_len`] over `msgs`,
-    /// i.e. what a socket backend writes for them inside a PACKET frame.
-    pub bytes: usize,
-}
+use crate::net::{Fabric, Fate};
 
 /// How combined wire packets leave a node (and, for socket backends, how
 /// inbound bytes come back in). One transport instance serves one node.
@@ -92,8 +82,9 @@ pub trait Transport: Send + Sync {
     /// Called exactly once, before the egress pump runs.
     fn start(&self, fabric: Arc<Fabric>);
 
-    /// Ship one combined packet toward its destination node.
-    fn ship(&self, pkt: WirePacket);
+    /// Ship one combined packet body ([`crate::wire::encode_packet`]'s
+    /// bytes, messages in lane-FIFO order) toward its destination node.
+    fn ship(&self, dest_node: NodeId, body: Vec<u8>);
 
     /// The egress stream has ended (all flushed packets are shipped):
     /// propagate shutdown downstream. Socket backends append GOODBYE and
@@ -125,8 +116,7 @@ pub enum Frame {
         /// The sending peer's node id.
         node: NodeId,
     },
-    /// A combined wire packet body (decode with the packet codec in
-    /// [`crate::wire`]).
+    /// A combined wire packet body ([`crate::wire::decode_packet`]).
     Packet(Vec<u8>),
     /// Orderly end of stream.
     Goodbye,
@@ -492,7 +482,6 @@ pub struct TcpTransport {
     /// every node on an ephemeral port first may replace it (with the
     /// resolved addresses) via [`TcpTransport::set_peers`] before `start`.
     peers: Mutex<Vec<PeerAddr>>,
-    fabric: OnceLock<Arc<Fabric>>,
     /// Outbound send streams, indexed by node id (`None` at the local
     /// index and for peers that disconnected).
     senders: Mutex<Vec<Option<Conn>>>,
@@ -535,7 +524,6 @@ impl TcpTransport {
         Ok(Arc::new(TcpTransport {
             cfg,
             peers,
-            fabric: OnceLock::new(),
             senders: Mutex::new((0..n).map(|_| None).collect()),
             listener: Mutex::new(Some(listener)),
             local_addr,
@@ -678,16 +666,12 @@ fn reader_loop(mut conn: Conn, fabric: Arc<Fabric>, stats: Arc<TcpStats>) {
                     saw_hello = true;
                 }
                 Ok(Some(Frame::Goodbye)) => return,
-                Ok(Some(Frame::Packet(body))) => match wire::decode_packet(&body) {
-                    Ok(msgs) => {
+                Ok(Some(Frame::Packet(body))) => {
+                    if fabric.deliver_packet(&body, |_| Fate::Deliver) {
                         // sync: monotonic diagnostic counter
                         stats.frames_recv.fetch_add(1, Ordering::Relaxed);
-                        for m in msgs {
-                            fabric.deliver(m);
-                        }
                     }
-                    Err(e) => fabric.note_decode_error(e),
-                },
+                }
                 Err(e) => {
                     fabric.note_decode_error(e);
                     return;
@@ -710,7 +694,6 @@ impl Transport for TcpTransport {
     /// ourselves with HELLO. Returns once all outbound streams are up;
     /// inbound streams finish handshaking on their reader threads.
     fn start(&self, fabric: Arc<Fabric>) {
-        let _ = self.fabric.set(Arc::clone(&fabric));
         let n = self.cfg.peers.len();
         let local = self.cfg.local.as_usize();
         if n <= 1 {
@@ -773,40 +756,18 @@ impl Transport for TcpTransport {
         }
     }
 
-    fn ship(&self, pkt: WirePacket) {
-        let fabric = self
-            .fabric
-            .get()
-            // start() precedes the egress pump by construction.
-            .expect("transport started"); // lint: allow(hot-path-panics)
-        let WirePacket {
-            dest_node, msgs, ..
-        } = pkt;
-        // Frame layout is `u32 len | u8 kind | body`: reserve the header,
-        // encode the packet body in place, then patch the length — one
-        // buffer, one write_all per combined packet. That 1:1 packet-to-
-        // syscall shape is what `transport_ab` measures against the
-        // modeled per-packet cost.
+    fn ship(&self, dest_node: NodeId, body: Vec<u8>) {
+        // The frame header and the body go out in one buffer, one
+        // write_all per combined packet. That 1:1 packet-to-syscall shape
+        // is what `transport_ab` measures against the modeled per-packet
+        // cost.
         // lint: allow(hot-path-blocking) socket backend only — the DST
         // never constructs a TcpTransport, so no scheduler quantum can
         // reach this; the scratch mutex is per-transport and uncontended
         // (one egress pump ships at a time per node)
         let mut frame = self.scratch.lock();
         frame.clear();
-        frame.extend_from_slice(&[0, 0, 0, 0, FRAME_PACKET]);
-        let encode_res = wire::encode_packet(&mut *frame, &msgs);
-        // Recycle leased batch frames whether or not the encode succeeded.
-        for m in msgs {
-            if let WireMsg::Batch { payload, .. } = m {
-                fabric.pool_put(payload);
-            }
-        }
-        if let Err(e) = encode_res {
-            fabric.note_decode_error(e);
-            return;
-        }
-        let len = (frame.len() - 4) as u32;
-        frame[..4].copy_from_slice(&len.to_le_bytes());
+        encode_frame(&mut frame, FRAME_PACKET, &body);
         // lint: allow(hot-path-blocking) socket backend only — unreachable
         // from the DST (see scratch lock above); held for one write_all
         let mut senders = self.senders.lock();

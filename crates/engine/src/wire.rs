@@ -1,12 +1,19 @@
 //! The wire layout: every cross-node message's exact binary encoding, and
 //! the only source of a byte count.
 //!
-//! A socket transport puts these bytes on the stream. The in-process
-//! fabrics move [`WorkerMsg`] / [`CoordMsg`] values through channels
-//! unencoded, and charge the cost model what the same encoder *would* have
-//! written ([`encoded_len`]) — nothing else in the engine describes a
-//! message's size. Hand-rolled
-//! like the batch codec — no serde format — so the layout is stable and the
+//! One layout, every message written once: a flushed tier-1 buffer is
+//! encoded with [`encode_packet`] on the sending thread, tier-2 combining
+//! joins the flushed bodies for one destination into one packet
+//! (`append_packet` — the bytes `encode_packet` writes for the joined
+//! message list), and every backend carries those bytes unchanged — the
+//! channel backend (threaded engine and simulator alike) through its
+//! ingress channels, the socket backends inside a PACKET frame. Every
+//! receiver hands the body to the fabric's one decode point, the only
+//! caller of [`decode_packet`]. A traverser batch is a
+//! [`WorkerMsg::Batch`] like any other worker message; the flush policy
+//! sizes buffered messages with [`encoded_len`], the same encoder run into
+//! a counting sink, so nothing else in the engine describes a message's
+//! size. Hand-rolled — no serde format — so the layout is stable and the
 //! decoder surfaces `GdError` on any truncation or corruption instead of
 //! panicking.
 //!
@@ -1411,41 +1418,20 @@ pub(crate) fn decode_coord_msg(r: &mut Reader<'_>) -> GdResult<CoordMsg> {
 // WireMsg — the unit a transport packet carries
 // ---------------------------------------------------------------------------
 
-/// Encode one wire message into a packet body.
+/// Encode one wire message: `u8 0 | u32 dest | worker msg` or
+/// `u8 1 | coord msg`.
 pub fn encode_wire_msg(buf: &mut impl BufMut, msg: &WireMsg) -> GdResult<()> {
     match msg {
-        WireMsg::Batch { dest, payload } => {
+        WireMsg::Worker { dest, msg } => {
             buf.put_u8(0);
             buf.put_u32_le(dest.0);
-            put_usize(buf, payload.len());
-            buf.put_slice(payload);
+            encode_worker_msg(buf, msg)
         }
-        WireMsg::Progress {
-            query,
-            weight,
-            steps,
-        } => {
+        WireMsg::Coord(msg) => {
             buf.put_u8(1);
-            buf.put_u64_le(query.0);
-            buf.put_u64_le(weight.0);
-            buf.put_u64_le(*steps);
-        }
-        WireMsg::Rows { query, rows } => {
-            buf.put_u8(2);
-            buf.put_u64_le(query.0);
-            put_rows(buf, rows);
-        }
-        WireMsg::CtrlWorker { dest, msg } => {
-            buf.put_u8(3);
-            buf.put_u32_le(dest.0);
-            encode_worker_msg(buf, msg)?;
-        }
-        WireMsg::CtrlCoord { msg } => {
-            buf.put_u8(4);
-            encode_coord_msg(buf, msg)?;
+            encode_coord_msg(buf, msg)
         }
     }
-    Ok(())
 }
 
 /// A [`BufMut`] that keeps the length and drops the bytes: the sink
@@ -1477,65 +1463,74 @@ impl BufMut for ByteCount {
 }
 
 /// Exact size of `msg` inside a packet body — the one byte count the I/O
-/// scheduler and the cost model use. It is [`encode_wire_msg`] run into a
-/// counting sink, so there is no second description of the layout to keep
-/// in step (a `Batch` is its header plus `payload.len()`, no walk).
+/// scheduler sizes buffered messages with. It is [`encode_wire_msg`] run
+/// into a counting sink, so there is no second description of the layout
+/// to keep in step.
 pub fn encoded_len(msg: &WireMsg) -> usize {
     let mut n = ByteCount(0);
     // `CoordMsg::Submit` is the one refusal, and it never reaches a remote
-    // lane; the transport reports it if one ever does.
+    // lane; the flush that encodes reports it if one ever does.
     let _ = encode_wire_msg(&mut n, msg);
     n.0
 }
 
-/// Decode one wire message from a packet body.
-pub(crate) fn decode_wire_msg(r: &mut Reader<'_>) -> GdResult<WireMsg> {
+fn decode_wire_msg(r: &mut Reader<'_>) -> GdResult<WireMsg> {
     match r.u8()? {
         0 => {
             let dest = WorkerId(r.u32()?);
-            let n = get_usize(r)?;
-            let payload = r.take(n)?.to_vec();
-            Ok(WireMsg::Batch { dest, payload })
-        }
-        1 => Ok(WireMsg::Progress {
-            query: QueryId(r.u64()?),
-            weight: Weight(r.u64()?),
-            steps: r.u64()?,
-        }),
-        2 => Ok(WireMsg::Rows {
-            query: QueryId(r.u64()?),
-            rows: get_rows(r)?,
-        }),
-        3 => {
-            let dest = WorkerId(r.u32()?);
             let msg = decode_worker_msg(r)?;
-            Ok(WireMsg::CtrlWorker { dest, msg })
+            Ok(WireMsg::Worker { dest, msg })
         }
-        4 => Ok(WireMsg::CtrlCoord {
-            msg: decode_coord_msg(r)?,
-        }),
+        1 => Ok(WireMsg::Coord(decode_coord_msg(r)?)),
         t => Err(bad("wire-msg", t)),
     }
 }
 
-/// Encode a full packet body: `u16 count | count × wire msg`. The socket
-/// transport wraps this in a length-prefixed PACKET frame.
-pub(crate) fn encode_packet(buf: &mut impl BufMut, msgs: &[WireMsg]) -> GdResult<()> {
-    buf.put_u16_le(msgs.len() as u16);
+/// Decode exactly one wire message from the bytes [`decode_packet`] read
+/// it from (a fault-injected duplicate is those bytes decoded again).
+pub(crate) fn decode_msg(bytes: &[u8]) -> GdResult<WireMsg> {
+    let mut r = Reader::new(bytes);
+    let msg = decode_wire_msg(&mut r)?;
+    if !r.is_empty() {
+        return Err(GdError::Internal(
+            "wire: trailing bytes after message".into(),
+        ));
+    }
+    Ok(msg)
+}
+
+/// Encode a full packet body: `u32 count | count × wire msg`. The tier-1
+/// flush of a remote lane is the only caller outside tests, so every
+/// message crossing a wire is encoded exactly once.
+pub fn encode_packet(buf: &mut impl BufMut, msgs: &[WireMsg]) -> GdResult<()> {
+    buf.put_u32_le(msgs.len() as u32);
     for m in msgs {
         encode_wire_msg(buf, m)?;
     }
     Ok(())
 }
 
-/// Decode a full packet body. Rejects trailing garbage: a packet must be
-/// consumed exactly.
-pub(crate) fn decode_packet(body: &[u8]) -> GdResult<Vec<WireMsg>> {
+/// Tier-2 combining: append the messages of packet body `other` to packet
+/// body `body` (both written by [`encode_packet`]), leaving in `body` the
+/// bytes `encode_packet` writes for the two message lists joined.
+pub(crate) fn append_packet(body: &mut Vec<u8>, other: &[u8]) {
+    let count = |b: &[u8]| u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+    let total = count(body) + count(other);
+    body[..4].copy_from_slice(&total.to_le_bytes());
+    body.extend_from_slice(&other[4..]);
+}
+
+/// Decode a full packet body into its messages, each with the bytes it was
+/// read from. Rejects trailing garbage: a packet must be consumed exactly,
+/// and one bad byte anywhere fails the whole packet.
+pub fn decode_packet(body: &[u8]) -> GdResult<Vec<(WireMsg, &[u8])>> {
     let mut r = Reader::new(body);
-    let n = r.u16()? as usize;
+    let n = r.u32()? as usize;
     let mut out = Vec::with_capacity(n.min(1 << 12));
     for _ in 0..n {
-        out.push(decode_wire_msg(&mut r)?);
+        let start = r.pos();
+        let msg = decode_wire_msg(&mut r)?;
+        out.push((msg, &body[start..r.pos()]));
     }
     if !r.is_empty() {
         return Err(GdError::Internal(
@@ -1625,17 +1620,39 @@ mod tests {
 
     fn roundtrip_worker(msg: WorkerMsg) -> WorkerMsg {
         let dest = WorkerId(7);
-        match roundtrip_wire(WireMsg::CtrlWorker { dest, msg }) {
-            WireMsg::CtrlWorker { dest: d, msg } if d == dest => msg,
+        match roundtrip_wire(WireMsg::Worker { dest, msg }) {
+            WireMsg::Worker { dest: d, msg } if d == dest => msg,
             other => panic!("unexpected {other:?}"),
         }
     }
 
     fn roundtrip_coord(msg: CoordMsg) -> CoordMsg {
-        match roundtrip_wire(WireMsg::CtrlCoord { msg }) {
-            WireMsg::CtrlCoord { msg } => msg,
+        match roundtrip_wire(WireMsg::Coord(msg)) {
+            WireMsg::Coord(msg) => msg,
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    /// Encode `msgs` as one packet, check the body is the `u32` count plus
+    /// each message's [`encoded_len`], and decode it back: every message,
+    /// each paired with exactly the bytes it was read from.
+    fn roundtrip_packet(msgs: &[WireMsg]) -> (Vec<u8>, Vec<WireMsg>) {
+        let mut body = Vec::new();
+        encode_packet(&mut body, msgs).unwrap();
+        let payload: usize = msgs.iter().map(encoded_len).sum();
+        assert_eq!(4 + payload, body.len(), "u32 count + each encoded_len");
+        let back: Vec<WireMsg> = decode_packet(&body)
+            .unwrap()
+            .into_iter()
+            .map(|(msg, bytes)| {
+                assert_eq!(bytes.len(), encoded_len(&msg), "span of {msg:?}");
+                let again = decode_msg(bytes).unwrap();
+                assert_eq!(format!("{again:?}"), format!("{msg:?}"));
+                msg
+            })
+            .collect();
+        assert_eq!(format!("{back:?}"), format!("{msgs:?}"));
+        (body, back)
     }
 
     #[test]
@@ -1992,46 +2009,32 @@ mod tests {
     #[test]
     fn packet_roundtrips_and_rejects_garbage() {
         let msgs = vec![
-            WireMsg::Batch {
+            WireMsg::Worker {
                 dest: WorkerId(3),
-                payload: {
-                    let mut p = Vec::new();
-                    codec::encode_batch_into(
-                        &mut p,
-                        &[Traverser::root(QueryId(1), 0, VertexId(1), 1, Weight(1))],
-                        &[],
-                    );
-                    p
-                },
+                msg: WorkerMsg::Batch(vec![Traverser::root(
+                    QueryId(1),
+                    0,
+                    VertexId(1),
+                    1,
+                    Weight(1),
+                )]),
             },
-            WireMsg::Progress {
+            WireMsg::Coord(CoordMsg::Progress {
                 query: QueryId(1),
                 weight: Weight(2),
                 steps: 3,
-            },
-            WireMsg::Rows {
+            }),
+            WireMsg::Coord(CoordMsg::Rows {
                 query: QueryId(1),
                 rows: vec![vec![Value::Int(5)]],
-            },
-            WireMsg::CtrlWorker {
+            }),
+            WireMsg::Worker {
                 dest: WorkerId(0),
                 msg: WorkerMsg::QueryEnd { query: QueryId(1) },
             },
-            WireMsg::CtrlCoord {
-                msg: CoordMsg::Tick,
-            },
+            WireMsg::Coord(CoordMsg::Tick),
         ];
-        let mut body = Vec::new();
-        encode_packet(&mut body, &msgs).unwrap();
-        let payload: usize = msgs.iter().map(encoded_len).sum();
-        assert_eq!(
-            2 + payload,
-            body.len(),
-            "u16 count + each msg's encoded_len"
-        );
-        let back = decode_packet(&body).unwrap();
-        assert_eq!(back.len(), msgs.len());
-        assert_eq!(format!("{back:?}"), format!("{msgs:?}"));
+        let (body, _) = roundtrip_packet(&msgs);
         // Truncations at every boundary fail loudly, never panic.
         for cut in 0..body.len() {
             assert!(decode_packet(&body[..cut]).is_err(), "cut at {cut}");
@@ -2040,5 +2043,89 @@ mod tests {
         let mut noisy = body.clone();
         noisy.push(0xAB);
         assert!(decode_packet(&noisy).is_err());
+    }
+
+    /// Traverser batches of every shape the interpreter produces — locals,
+    /// aux keys, nested values, the empty batch — survive a packet exactly.
+    #[test]
+    fn packet_roundtrips_traverser_batches() {
+        let batch = |n: u64| {
+            (0..n)
+                .map(|i| {
+                    let mut t = Traverser::root(QueryId(i), 1, VertexId(i * 7), 3, Weight(!i));
+                    t.pc = i as u16;
+                    t.depth = u32::MAX - i as u32;
+                    t.set_slot(0, Value::Int(-(i as i64)));
+                    t.set_slot(2, Value::list(vec![Value::str("x"), Value::Float(0.5)]));
+                    if i % 2 == 0 {
+                        t.aux_key = Some(Value::Vertex(VertexId(i)));
+                    }
+                    t
+                })
+                .collect()
+        };
+        let msgs: Vec<WireMsg> = [0, 1, 17]
+            .into_iter()
+            .map(|n| WireMsg::Worker {
+                dest: WorkerId(n as u32),
+                msg: WorkerMsg::Batch(batch(n)),
+            })
+            .collect();
+        let (_, back) = roundtrip_packet(&msgs);
+        let WireMsg::Worker {
+            msg: WorkerMsg::Batch(ts),
+            ..
+        } = &back[2]
+        else {
+            panic!("a batch comes back a batch");
+        };
+        assert_eq!(ts, &batch(17));
+    }
+
+    /// Joining flushed bodies gives exactly the body of the joined list.
+    #[test]
+    fn appended_packets_equal_one_packet_of_both() {
+        let msgs: Vec<WireMsg> = (0..5u64)
+            .map(|i| {
+                WireMsg::Coord(CoordMsg::Progress {
+                    query: QueryId(i),
+                    weight: Weight(i),
+                    steps: i,
+                })
+            })
+            .collect();
+        let (mut joined, mut tail, mut whole) = (Vec::new(), Vec::new(), Vec::new());
+        encode_packet(&mut joined, &msgs[..2]).unwrap();
+        encode_packet(&mut tail, &msgs[2..]).unwrap();
+        encode_packet(&mut whole, &msgs).unwrap();
+        append_packet(&mut joined, &tail);
+        assert_eq!(joined, whole);
+    }
+
+    /// Tier-2 combining can put far more than 65 535 messages in one packet
+    /// (up to 65 merged flushes, each holding up to `flush_threshold / 25`
+    /// progress reports); the `u32` count carries them all.
+    #[test]
+    fn packet_count_survives_70000_messages() {
+        let msgs: Vec<WireMsg> = (0..70_000u64)
+            .map(|i| {
+                WireMsg::Coord(CoordMsg::Progress {
+                    query: QueryId(i),
+                    weight: Weight(i),
+                    steps: 1,
+                })
+            })
+            .collect();
+        let mut body = Vec::new();
+        encode_packet(&mut body, &msgs).unwrap();
+        let back = decode_packet(&body).expect("no count wrap-around");
+        assert_eq!(back.len(), 70_000);
+        assert!(matches!(
+            back[69_999].0,
+            WireMsg::Coord(CoordMsg::Progress {
+                query: QueryId(69_999),
+                ..
+            })
+        ));
     }
 }

@@ -301,13 +301,11 @@ impl Worker {
             }
             WorkerMsg::GatherAgg { query } => {
                 let state = self.memo.query_mut(query).take_stage_state();
-                let partial = WireMsg::CtrlCoord {
-                    msg: CoordMsg::AggPartial {
-                        query,
-                        part: self.id.part(),
-                        state: state.map(Box::new),
-                    },
-                };
+                let partial = WireMsg::Coord(CoordMsg::AggPartial {
+                    query,
+                    part: self.id.part(),
+                    state: state.map(Box::new),
+                });
                 #[cfg(feature = "obs")]
                 {
                     let stage = self.queries.get(&query).map_or(0, |a| a.stage);
@@ -696,10 +694,10 @@ impl Worker {
                                 }
                             }
                             if !out.emitted.is_empty() {
-                                let rows = WireMsg::Rows {
+                                let rows = WireMsg::Coord(CoordMsg::Rows {
                                     query,
                                     rows: std::mem::take(&mut out.emitted),
-                                };
+                                });
                                 #[cfg(feature = "obs")]
                                 {
                                     obs_rows = Some(wire::encoded_len(&rows) as u64);
@@ -820,10 +818,10 @@ impl Worker {
             self.idle.push(query);
         }
         if !out.emitted.is_empty() {
-            let rows = WireMsg::Rows {
+            let rows = WireMsg::Coord(CoordMsg::Rows {
                 query,
                 rows: out.emitted,
-            };
+            });
             #[cfg(feature = "obs")]
             {
                 obs_rows = Some(wire::encoded_len(&rows) as u64);

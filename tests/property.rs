@@ -1,12 +1,13 @@
-//! Property-based integration tests across crates: the wire codec over
-//! arbitrary value trees, TEL visibility against a naive multi-version
-//! oracle, and distributed k-hop answers against a BFS oracle on random
-//! graphs.
+//! Property-based integration tests across crates: the wire packet codec
+//! over arbitrary value trees and traverser batches, TEL visibility against
+//! a naive multi-version oracle, and distributed k-hop answers against a
+//! BFS oracle on random graphs.
 
 use proptest::prelude::*;
 
-use graphdance::common::{Partitioner, QueryId, Value, VertexId};
+use graphdance::common::{Partitioner, QueryId, Value, VertexId, WorkerId};
 use graphdance::engine::codec::{self, ProgressEntry};
+use graphdance::engine::messages::{CoordMsg, WorkerMsg};
 use graphdance::engine::net::WireMsg;
 use graphdance::engine::wire;
 use graphdance::engine::{EngineConfig, GraphDance};
@@ -65,47 +66,63 @@ fn arb_progress() -> impl Strategy<Value = ProgressEntry> {
     })
 }
 
+/// One packet through `wire::encode_packet` → `wire::decode_packet`: the
+/// body is exactly the `u32` count plus each message's `encoded_len`, and
+/// every message comes back with exactly its own bytes.
+fn packet_roundtrip(msgs: &[WireMsg]) -> Vec<WireMsg> {
+    let mut body = Vec::new();
+    wire::encode_packet(&mut body, msgs).expect("encodes");
+    let lens: Vec<usize> = msgs.iter().map(wire::encoded_len).collect();
+    assert_eq!(
+        body.len(),
+        4 + lens.iter().sum::<usize>(),
+        "encoded_len drifted"
+    );
+    let back = wire::decode_packet(&body).expect("decodes");
+    assert_eq!(back.iter().map(|(_, b)| b.len()).collect::<Vec<_>>(), lens);
+    back.into_iter().map(|(m, _)| m).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Anything the engine can put in a traverser round-trips the wire.
     #[test]
     fn codec_roundtrips_arbitrary_values(v in arb_value()) {
-        let mut buf = bytes::BytesMut::new();
-        codec::encode_value(&mut buf, &v);
-        let mut wire = buf.freeze();
-        let decoded = codec::decode_value(&mut wire).expect("decodes");
-        prop_assert_eq!(decoded, v);
-        prop_assert!(wire.is_empty(), "no trailing bytes");
+        let msg = WireMsg::Coord(CoordMsg::Rows { query: QueryId(1), rows: vec![vec![v.clone()]] });
+        match &packet_roundtrip(&[msg])[..] {
+            [WireMsg::Coord(CoordMsg::Rows { rows, .. })] => prop_assert_eq!(rows, &vec![vec![v]]),
+            other => prop_assert!(false, "unexpected {:?}", other),
+        }
     }
 
-    /// The zero-copy batch encoder produces byte-for-byte the legacy
-    /// encoding for any progress-free batch, and both decode paths (the
-    /// `Bytes`-cursor one and the borrowed zero-copy one) agree on it.
+    /// Any traverser batch crosses a packet exactly, and its size is the
+    /// message header plus each traverser's `wire_bytes` — the figure the
+    /// tier-1 buffer sizes it by.
     #[test]
-    fn zero_copy_batch_path_equals_legacy(ts in prop::collection::vec(arb_traverser(), 0..8)) {
-        let legacy = codec::encode_batch(&ts);
-        let mut frame = Vec::new();
-        codec::encode_batch_into(&mut frame, &ts, &[]);
-        prop_assert_eq!(&frame[..], &legacy[..], "encoders diverged");
-        let (borrowed, progress) = codec::decode_batch_borrowed(&frame).expect("decodes");
-        prop_assert_eq!(&borrowed, &ts);
-        prop_assert!(progress.is_empty());
-        let owned = codec::decode_batch(legacy).expect("legacy decodes");
-        prop_assert_eq!(owned, ts);
+    fn batch_packet_roundtrips_exactly(ts in prop::collection::vec(arb_traverser(), 0..8)) {
+        let msg = WireMsg::Worker { dest: WorkerId(3), msg: WorkerMsg::Batch(ts.clone()) };
+        let body: usize = ts.iter().map(|t| t.wire_bytes()).sum();
+        prop_assert_eq!(wire::encoded_len(&msg), 1 + 4 + 1 + 4 + body);
+        match &packet_roundtrip(&[msg])[..] {
+            [WireMsg::Worker { dest: WorkerId(3), msg: WorkerMsg::Batch(got) }] => {
+                prop_assert_eq!(got, &ts)
+            }
+            other => prop_assert!(false, "unexpected {:?}", other),
+        }
     }
 
-    /// A piggybacked progress trailer rides any batch and comes back
-    /// exactly, on both decode paths; the traverser wire-size accounting
-    /// stays exact (header + per-traverser sizes + trailer), and so does
-    /// the size the I/O scheduler takes for a rows message.
+    /// A piggybacked progress trailer rides any benchmark batch frame and
+    /// comes back exactly; the traverser wire-size accounting stays exact
+    /// (header + per-traverser sizes + trailer), and so does the size the
+    /// I/O scheduler takes for a rows message.
     #[test]
     fn piggybacked_progress_roundtrips(
         ts in prop::collection::vec(arb_traverser(), 0..6),
         ps in prop::collection::vec(arb_progress(), 0..5),
         rows in prop::collection::vec(prop::collection::vec(arb_value(), 0..4), 0..5),
     ) {
-        let msg = WireMsg::Rows { query: QueryId(7), rows };
+        let msg = WireMsg::Coord(CoordMsg::Rows { query: QueryId(7), rows });
         let mut encoded = Vec::new();
         wire::encode_wire_msg(&mut encoded, &msg).expect("rows encode");
         prop_assert_eq!(wire::encoded_len(&msg), encoded.len());
@@ -119,29 +136,27 @@ proptest! {
             "wire_bytes accounting drifted from the encoder"
         );
         let (got_ts, got_ps) = codec::decode_batch_borrowed(&frame).expect("decodes");
-        prop_assert_eq!(&got_ts, &ts);
-        prop_assert_eq!(&got_ps, &ps);
-        let (full_ts, full_ps) =
-            codec::decode_batch_full(bytes::Bytes::from(frame)).expect("decodes");
-        prop_assert_eq!(full_ts, ts);
-        prop_assert_eq!(full_ps, ps);
+        prop_assert_eq!(got_ts, ts);
+        prop_assert_eq!(got_ps, ps);
     }
 
-    /// Truncating an encoded frame at any point never panics the borrowed
-    /// decoder — it reports a `GdError` (the fabric routes it to the
-    /// `net_decode_errors` counter).
+    /// Truncating an encoded packet at any point never panics the decoder
+    /// — it reports a `GdError` (the fabric routes it to the
+    /// `net.decode_errors` counter).
     #[test]
     fn truncated_frames_error_instead_of_panicking(
         ts in prop::collection::vec(arb_traverser(), 1..4),
         ps in prop::collection::vec(arb_progress(), 0..3),
         cut in any::<prop::sample::Index>(),
     ) {
-        let mut frame = Vec::new();
-        codec::encode_batch_into(&mut frame, &ts, &ps);
-        let cut = cut.index(frame.len());
-        if cut < frame.len() {
-            prop_assert!(codec::decode_batch_borrowed(&frame[..cut]).is_err());
-        }
+        let mut msgs = vec![WireMsg::Worker { dest: WorkerId(0), msg: WorkerMsg::Batch(ts) }];
+        msgs.extend(ps.iter().map(|p| {
+            WireMsg::Coord(CoordMsg::Progress { query: p.query, weight: p.weight, steps: p.steps })
+        }));
+        let mut body = Vec::new();
+        wire::encode_packet(&mut body, &msgs).expect("encodes");
+        let cut = cut.index(body.len());
+        prop_assert!(wire::decode_packet(&body[..cut]).is_err());
     }
 
     /// TEL single-scan visibility equals a naive per-version filter.

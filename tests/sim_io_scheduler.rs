@@ -6,7 +6,7 @@
 //! they must be *bit-identical* on replay: same seed, same flush event
 //! trace, down to the virtual nanosecond. These tests pin that for the
 //! tier-1-only and the two-tier mode, plus oracle agreement across
-//! topologies and the frame pool's accounting.
+//! topologies.
 
 use graphdance::engine::{EngineConfig, FlushEvent, FlushTrigger, IoMode, SimCluster};
 use graphdance_sim::{check_detailed, GraphSpec, QuerySpec, Repro, SimFailure, Verdict};
@@ -118,24 +118,4 @@ fn batching_modes_match_oracle_across_topologies_and_seeds() {
             }
         }
     }
-}
-
-/// The pool's frame accounting holds under simulation: after a clean run
-/// quiesces, every leased frame came back (drop faults return frames via
-/// the fault injector's explicit `pool_put`).
-#[test]
-fn pool_frames_all_return_after_a_sim_run() {
-    let spec = GraphSpec::Ring { n: 24 };
-    let graph = spec.build(2, 2);
-    let (plan, params) = QuerySpec::Khop { hops: 4, start: 0 }.build(&graph);
-    let config = EngineConfig::new(2, 2).with_seed(9);
-    let mut sim = SimCluster::new(graph, config);
-    sim.query(&plan, params).expect("clean run");
-    let ps = sim.fabric().pool_stats();
-    assert_eq!(ps.outstanding, 0, "leaked frames: {ps:?}");
-    assert!(ps.allocated > 0, "remote batches really used the pool");
-    assert!(
-        ps.high_water <= ps.allocated as usize,
-        "high-water accounting is consistent: {ps:?}"
-    );
 }

@@ -11,8 +11,10 @@ use rand::rngs::SmallRng;
 use rand::Rng;
 
 use graphdance::common::time::sim as vclock;
-use graphdance::common::{rng, Value, VertexId};
-use graphdance::engine::codec;
+use graphdance::common::{rng, QueryId, Value, VertexId, WorkerId};
+use graphdance::engine::messages::{CoordMsg, WorkerMsg};
+use graphdance::engine::net::WireMsg;
+use graphdance::engine::wire;
 use graphdance::pstm::{Weight, WeightAccumulator};
 use graphdance_sim::{check, GraphSpec, QuerySpec, Repro, SimFailure, Verdict};
 
@@ -52,6 +54,24 @@ fn arb_value(rng: &mut SmallRng, depth: u8) -> Value {
     }
 }
 
+/// One packet through `wire::encode_packet` → `wire::decode_packet`: the
+/// body is exactly the `u32` count plus each message's `encoded_len`, and
+/// every message comes back with exactly its own bytes.
+fn packet_roundtrip(msgs: &[WireMsg], seed: u64) -> Vec<WireMsg> {
+    let mut body = Vec::new();
+    wire::encode_packet(&mut body, msgs).expect("encodes");
+    let lens: Vec<usize> = msgs.iter().map(wire::encoded_len).collect();
+    assert_eq!(
+        body.len(),
+        4 + lens.iter().sum::<usize>(),
+        "encoded_len drifted at seed {seed}"
+    );
+    let back = wire::decode_packet(&body).expect("decodes");
+    let spans: Vec<usize> = back.iter().map(|(_, b)| b.len()).collect();
+    assert_eq!(spans, lens, "message spans at seed {seed}");
+    back.into_iter().map(|(m, _)| m).collect()
+}
+
 /// Codec round-trips must hold under the frozen simulation clock too
 /// (encoding takes no time-dependent path), for each of 256 fixed seeds.
 #[test]
@@ -59,14 +79,16 @@ fn codec_roundtrips_256_fixed_seeds_under_sim_clock() {
     let clock = vclock::freeze_clock();
     for seed in 0..FIXED_SEEDS {
         let mut r = rng::seeded(seed);
-        for _ in 0..8 {
-            let v = arb_value(&mut r, 2);
-            let mut buf = bytes::BytesMut::new();
-            codec::encode_value(&mut buf, &v);
-            let mut wire = buf.freeze();
-            let decoded = codec::decode_value(&mut wire).expect("decodes");
-            assert_eq!(decoded, v, "seed {seed}");
-            assert!(wire.is_empty(), "trailing bytes at seed {seed}");
+        let row: Vec<Value> = (0..8).map(|_| arb_value(&mut r, 2)).collect();
+        let msg = WireMsg::Coord(CoordMsg::Rows {
+            query: QueryId(seed),
+            rows: vec![row.clone()],
+        });
+        match &packet_roundtrip(&[msg], seed)[..] {
+            [WireMsg::Coord(CoordMsg::Rows { rows, .. })] => {
+                assert_eq!(rows, &vec![row], "seed {seed}")
+            }
+            other => panic!("seed {seed}: unexpected {other:?}"),
         }
         vclock::advance(std::time::Duration::from_micros(1));
     }
@@ -150,7 +172,7 @@ fn arb_traverser(r: &mut SmallRng) -> graphdance::pstm::Traverser {
         None
     };
     Traverser {
-        query: graphdance::common::QueryId(r.gen()),
+        query: QueryId(r.gen()),
         pipeline: r.gen::<u32>() as u16,
         pc: r.gen::<u32>() as u16,
         vertex: VertexId(r.gen()),
@@ -161,112 +183,61 @@ fn arb_traverser(r: &mut SmallRng) -> graphdance::pstm::Traverser {
     }
 }
 
-/// Zero-copy batch codec vs. the legacy path, for 256 fixed seeds under
-/// the simulation clock: identical bytes, identical decodes, exact
-/// trailer accounting.
+/// Traverser batches through the packet codec, for 256 fixed seeds under
+/// the simulation clock: every batch and the progress reports behind it
+/// come back exactly, with exact per-message byte counts.
 #[test]
-fn zero_copy_batch_equals_legacy_256_fixed_seeds() {
-    use graphdance::engine::codec::ProgressEntry;
-    use graphdance::pstm::Weight;
+fn batch_packet_roundtrips_256_fixed_seeds() {
     let clock = vclock::freeze_clock();
     for seed in 0..FIXED_SEEDS {
         let mut r = rng::seeded(seed ^ 0xBA7C);
-        let ts: Vec<_> = (0..r.gen_range(0..6usize))
-            .map(|_| arb_traverser(&mut r))
-            .collect();
-        let legacy = codec::encode_batch(&ts);
-        let mut frame = Vec::new();
-        codec::encode_batch_into(&mut frame, &ts, &[]);
-        assert_eq!(&frame[..], &legacy[..], "encoders diverged at seed {seed}");
-        let (got, progress) = codec::decode_batch_borrowed(&frame).expect("decodes");
-        assert_eq!(got, ts, "seed {seed}");
-        assert!(progress.is_empty(), "seed {seed}");
-        // With a trailer, both decode paths agree.
-        let ps: Vec<ProgressEntry> = (0..r.gen_range(1..4usize))
-            .map(|_| ProgressEntry {
-                query: graphdance::common::QueryId(r.gen()),
-                weight: Weight(r.gen()),
-                steps: r.gen(),
+        let batches: Vec<Vec<_>> = (0..r.gen_range(1..4usize))
+            .map(|_| {
+                (0..r.gen_range(0..6usize))
+                    .map(|_| arb_traverser(&mut r))
+                    .collect()
             })
             .collect();
-        frame.clear();
-        codec::encode_batch_into(&mut frame, &ts, &ps);
-        let (bt, bp) = codec::decode_batch_borrowed(&frame).expect("decodes");
-        let (ft, fp) =
-            codec::decode_batch_full(bytes::Bytes::from(frame.clone())).expect("decodes");
-        assert_eq!(
-            (bt, bp),
-            (ft.clone(), fp.clone()),
-            "decode paths split at seed {seed}"
-        );
-        assert_eq!((ft, fp), (ts, ps), "round-trip at seed {seed}");
+        let mut msgs: Vec<WireMsg> = batches
+            .iter()
+            .enumerate()
+            .map(|(i, ts)| WireMsg::Worker {
+                dest: WorkerId(i as u32),
+                msg: WorkerMsg::Batch(ts.clone()),
+            })
+            .collect();
+        let progress: Vec<(u64, u64, u64)> = (0..r.gen_range(0..4usize))
+            .map(|_| (r.gen(), r.gen(), r.gen()))
+            .collect();
+        msgs.extend(progress.iter().map(|&(q, w, steps)| {
+            WireMsg::Coord(CoordMsg::Progress {
+                query: QueryId(q),
+                weight: Weight(w),
+                steps,
+            })
+        }));
+        let back = packet_roundtrip(&msgs, seed);
+        assert_eq!(back.len(), msgs.len(), "seed {seed}");
+        for (i, ts) in batches.iter().enumerate() {
+            match &back[i] {
+                WireMsg::Worker {
+                    dest,
+                    msg: WorkerMsg::Batch(got),
+                } => assert_eq!((dest.0, got), (i as u32, ts), "seed {seed}"),
+                other => panic!("seed {seed}: unexpected {other:?}"),
+            }
+        }
+        for (m, &(q, w, steps)) in back[batches.len()..].iter().zip(&progress) {
+            match m {
+                WireMsg::Coord(CoordMsg::Progress {
+                    query,
+                    weight,
+                    steps: s,
+                }) => assert_eq!((query.0, weight.0, *s), (q, w, steps), "seed {seed}"),
+                other => panic!("seed {seed}: unexpected {other:?}"),
+            }
+        }
         vclock::advance(std::time::Duration::from_micros(1));
     }
     drop(clock);
-}
-
-/// Pooled frames never alias a live lease: for 256 fixed seeds, frames
-/// checked out together are distinct allocations, a recycled frame only
-/// reappears after its `put`, and the stats stay conserved.
-#[test]
-fn pooled_buffers_never_alias_live_frames_256_fixed_seeds() {
-    use graphdance::engine::BytesPool;
-    for seed in 0..FIXED_SEEDS {
-        let mut r = rng::seeded(seed ^ 0x9001);
-        let pool = BytesPool::new();
-        let mut live: Vec<Vec<u8>> = Vec::new();
-        for step in 0..64u64 {
-            if live.is_empty() || r.gen_range(0..2u32) == 0 {
-                let mut f = pool.get();
-                assert!(f.is_empty(), "leased frame carries stale bytes");
-                f.extend_from_slice(&step.to_le_bytes());
-                // No two live leases share an allocation.
-                let p = f.as_ptr();
-                assert!(
-                    live.iter().all(|l| l.as_ptr() != p),
-                    "aliased live frame at seed {seed} step {step}"
-                );
-                live.push(f);
-            } else {
-                let i = r.gen_range(0..live.len());
-                pool.put(live.swap_remove(i));
-            }
-        }
-        let stats = pool.stats();
-        assert_eq!(
-            stats.outstanding,
-            live.len(),
-            "lease accounting at seed {seed}"
-        );
-        assert!(
-            stats.high_water as u64 <= stats.allocated,
-            "high-water above allocations at seed {seed}: {stats:?}"
-        );
-        for f in live.drain(..) {
-            pool.put(f);
-        }
-        assert_eq!(pool.stats().outstanding, 0, "all returned at seed {seed}");
-    }
-}
-
-/// The pool's high-water mark stays bounded across a sim seed sweep: the
-/// simulated cluster is 2×2, so in-flight frames are bounded by lanes ×
-/// packets-in-flight, not by traffic volume.
-#[test]
-fn pool_high_water_is_bounded_under_sim_sweep() {
-    use graphdance::engine::{EngineConfig, SimCluster};
-    for seed in 0..sim_seeds() {
-        let spec = GraphSpec::Ring { n: 24 };
-        let graph = spec.build(2, 2);
-        let (plan, params) = QuerySpec::Khop { hops: 4, start: 0 }.build(&graph);
-        let config = EngineConfig::new(2, 2).with_seed(seed);
-        let mut sim = SimCluster::new(graph, config);
-        sim.query(&plan, params).expect("clean run");
-        let ps = sim.fabric().pool_stats();
-        assert_eq!(ps.outstanding, 0, "frames leaked at seed {seed}: {ps:?}");
-        assert!(
-            ps.high_water <= 32,
-            "pool high-water unbounded at seed {seed}: {ps:?}"
-        );
-    }
 }

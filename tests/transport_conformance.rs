@@ -26,7 +26,10 @@
 //!    balance in aggregate; debug builds);
 //! 5. **drain-before-close** — packets flushed before shutdown are all
 //!    delivered even when shutdown begins immediately after the flush;
-//! 6. no backend ever reports a decode error on clean traffic.
+//! 6. no backend ever reports a decode error on clean traffic;
+//! 7. **one wire** — for the same flush, the packet body the receiving
+//!    fabric decodes is byte-identical on every backend: the flush encodes
+//!    it once and no backend re-encodes.
 //!
 //! The sim backend is additionally pinned end-to-end: the differential
 //! checker must report `Match` for a representative repro under every I/O
@@ -158,15 +161,16 @@ impl Cluster {
         got
     }
 
-    /// Payload bytes the cluster's fabrics counted onto wires: `wire_bytes`
-    /// less the modeled per-packet header (combining may change the packet
-    /// count between backends, never the payload).
+    /// Message bytes the cluster's fabrics counted onto wires: `wire_bytes`
+    /// less what every packet adds — the modeled header and the body's
+    /// `u32` message count (combining may change the packet count between
+    /// backends, never the messages).
     fn wire_payload(&self) -> u64 {
         self.fabrics
             .iter()
             .map(|f| {
                 let s = f.stats().snapshot();
-                s.wire_bytes - PACKET_HEADER_BYTES as u64 * s.wire_packets
+                s.wire_bytes - (PACKET_HEADER_BYTES as u64 + 4) * s.wire_packets
             })
             .sum()
     }
@@ -464,6 +468,43 @@ fn drain_before_close_delivers_flushed_packets_on_every_backend() {
         }
         assert_eq!(got, 500, "[{backend:?}] shutdown truncated the stream");
     }
+}
+
+// ---------------------------------------------------------------------------
+// 7. One wire: every backend carries the same bytes
+// ---------------------------------------------------------------------------
+
+#[test]
+fn every_backend_carries_the_same_packet_bytes() {
+    let mut bodies = Vec::new();
+    for backend in BACKENDS {
+        let cluster = Cluster::start(backend, &config(IoMode::TwoTier));
+        let receiver = Arc::clone(cluster.fabric(NodeId(1)));
+        receiver.record_flushes(true);
+        // Traversers for both node-1 workers, then a control message that
+        // flushes the lane: one packet, batches ahead of the control leg.
+        let mut ob0 = cluster.outbox(NodeId(0));
+        for seq in 0..5u64 {
+            ob0.send_traverser(WorkerId(2 + (seq % 2) as u32), t(1, seq));
+        }
+        ob0.send_ctrl_worker(WorkerId(3), WorkerMsg::CancelQuery { query: QueryId(1) });
+        assert_eq!(cluster.recv_traversers(2, 3), vec![0, 2, 4]);
+        assert_eq!(cluster.recv_traversers(3, 2), vec![1, 3]);
+        match cluster.worker_rx(3).recv_timeout(RECV_TIMEOUT) {
+            Ok(WorkerMsg::CancelQuery { query }) => assert_eq!(query, QueryId(1)),
+            other => panic!("[{backend:?}] expected CancelQuery, got {other:?}"),
+        }
+        let trace = receiver.take_packet_trace();
+        assert_eq!(trace.len(), 1, "[{backend:?}] one combined packet");
+        assert_eq!(trace[0][..4], 3u32.to_le_bytes(), "two batches + cancel");
+        bodies.push(trace);
+        cluster.assert_clean();
+        cluster.shutdown();
+    }
+    assert!(
+        bodies.iter().all(|b| *b == bodies[0]),
+        "channel, tcp and unix carried different bytes for the same flush"
+    );
 }
 
 // ---------------------------------------------------------------------------
