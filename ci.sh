@@ -23,6 +23,9 @@ cargo xtask check --deep
 echo "==> cargo test --workspace (debug: runtime invariant checkers active)"
 cargo test -q --workspace
 
+echo "==> vendored crossbeam shim: its own tests (vendor/ is outside the workspace)"
+cargo test -q --offline --manifest-path vendor/crossbeam/Cargo.toml
+
 echo "==> cargo test --features obs (instrumented build: tracing + metrics)"
 cargo test -q --features obs
 cargo test -q -p graphdance-engine --features obs
@@ -44,7 +47,8 @@ cargo test -q --test sim_repro
 echo "==> deterministic simulation: DST suites (default seed counts)"
 cargo test -q --test sim_dst --test sim_property --test sim_faults \
     --test sim_exhaustive --test sim_regression_khop --test sim_io_scheduler \
-    --test sim_service --test sim_partition --test sim_fairness
+    --test sim_service --test sim_partition --test sim_fairness \
+    --test sim_control_plane
 
 echo "==> transport: conformance battery (channel + tcp + unix loopback)"
 # One generic battery against every Transport backend — FIFO/no-loss,
@@ -139,7 +143,8 @@ if [ "${CI_NIGHTLY:-0}" = "1" ]; then
     echo "==> nightly: SIM_SEEDS=1000 fault-schedule + exhaustive-topology sweep"
     SIM_SEEDS=1000 cargo test -q --release --test sim_faults \
         --test sim_exhaustive --test sim_property --test sim_io_scheduler \
-        --test sim_service --test sim_partition --test sim_fairness
+        --test sim_service --test sim_partition --test sim_fairness \
+        --test sim_control_plane
 
     echo "==> nightly: hotpath arena comparison, paper-scale lane (--full)"
     cargo run -q --release -p graphdance-bench --bin hotpath_arena -- --full \

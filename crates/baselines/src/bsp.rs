@@ -81,7 +81,7 @@ impl BspWorker {
 
     fn handle(&mut self, msg: WorkerMsg) {
         match msg {
-            WorkerMsg::QueryBegin { ctx, stage } => {
+            WorkerMsg::QueryBegin { ctx, stage, .. } => {
                 let q = ctx.query;
                 self.queries.insert(q, (ctx, stage));
                 self.state.entry(q).or_default();
@@ -122,13 +122,14 @@ impl BspWorker {
                     round,
                 });
             }
-            WorkerMsg::GatherAgg { query } => {
-                let state = self.memo.query_mut(query).take_stage_state();
+            WorkerMsg::Bsp(BspSignal::Gather { query }) => {
+                // Partials are data (buffered like rows): flush the reply.
+                let state = self.memo.query_mut(query).take_agg();
                 self.outbox.send_ctrl_coord(CoordMsg::AggPartial {
                     query,
-                    part: self.id.part(),
                     state: state.map(Box::new),
                 });
+                self.outbox.flush_all();
             }
             WorkerMsg::QueryEnd { query } => {
                 self.memo.clear_query(query);
@@ -403,9 +404,12 @@ impl BspEngine {
         let mut d = self.driver.lock();
         // Drain any stale messages from a previously aborted query.
         while d.coord_rx.try_recv().is_ok() {}
+        // The superstep barrier addresses every worker every step, so the
+        // driver introduces the query everywhere up front.
         self.broadcast(&mut d, || WorkerMsg::QueryBegin {
             ctx: Arc::clone(&ctx),
             stage: 0,
+            from: None,
         });
         let mut rows = Vec::new();
         let result = (|| -> GdResult<Vec<Row>> {
@@ -422,6 +426,9 @@ impl BspEngine {
             Ok(stage_rows)
         })();
         self.broadcast(&mut d, || WorkerMsg::QueryEnd { query });
+        // `QueryEnd` waits in the buffer for a flush; the driver has none
+        // coming, so it flushes.
+        d.outbox.flush_all();
         self.fabric.invariants().forget(query);
         match result {
             Ok(r) => {
@@ -624,7 +631,7 @@ impl BspEngine {
         }
 
         if let Some(agg) = &stage.agg {
-            self.broadcast(d, || WorkerMsg::GatherAgg { query });
+            self.broadcast(d, || WorkerMsg::Bsp(BspSignal::Gather { query }));
             let mut partials: Vec<Option<Box<AggState>>> = Vec::new();
             while partials.len() < num_parts {
                 if let CoordMsg::AggPartial {

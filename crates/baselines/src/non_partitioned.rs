@@ -7,7 +7,11 @@
 //! insert) serializes on a node-wide mutex and every scheduling operation
 //! contends on the queue lock — the synchronization overhead the
 //! partitioned PSTM design eliminates. Cross-node routing, progress
-//! tracking, and the coordinator are identical to GraphDance.
+//! tracking, and the coordinator are identical to GraphDance, and so is
+//! the control plane (DESIGN.md §IV-A) at node granularity: a query's
+//! context, stage and teardown are registered node-wide, and any worker of
+//! the node introduces the query to a remote worker before the node's
+//! first work for it.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -23,10 +27,10 @@ use rand::rngs::SmallRng;
 use graphdance_common::{FxHashMap, FxHashSet, GdError, GdResult, QueryId, Value, WorkerId};
 use graphdance_engine::config::EngineConfig;
 use graphdance_engine::coordinator::Coordinator;
-use graphdance_engine::messages::{CoordMsg, QueryCtx, WorkerMsg};
+use graphdance_engine::messages::{CoordMsg, QueryCtx, QueryScope, WorkerMsg};
 use graphdance_engine::net::{Fabric, NetStatsSnapshot, Outbox};
 use graphdance_engine::QueryResult;
-use graphdance_pstm::{Interpreter, Memo, Outcome, Traverser, Weight};
+use graphdance_pstm::{AggState, Interpreter, Memo, Outcome, Traverser, Weight};
 use graphdance_query::plan::Plan;
 use graphdance_storage::Graph;
 
@@ -46,21 +50,56 @@ fn make_interp<'a>(graph: &'a Graph, ctx: &'a QueryCtx, stage: u16) -> Interpret
     }
 }
 
-/// Execution state shared by all worker threads of one node.
+/// A query as one node holds it.
+struct NodeQuery {
+    ctx: Arc<QueryCtx>,
+    stage: u16,
+    /// The node's control-plane reach, per remote worker (each inbox must
+    /// see the query's context and stage ahead of its work). Introductions
+    /// are made under the registry's write lock, so once one is recorded
+    /// its `QueryBegin` is already on the node's FIFO egress path.
+    scope: QueryScope,
+    cancelled: bool,
+}
+
+/// Move a node's copy of `query` to a later `stage` — resetting the node's
+/// per-stage memo state — and pass the advance, through `outbox`, to every
+/// remote worker the node knows holds the context. Called under the
+/// registry write lock, so no worker of the node sends work of the new
+/// stage before the advance is on its way.
+fn advance_node_stage(
+    memo: &Mutex<Memo>,
+    outbox: &mut Outbox,
+    query: QueryId,
+    nq: &mut NodeQuery,
+    stage: u16,
+) {
+    if stage <= nq.stage {
+        return;
+    }
+    nq.stage = stage;
+    let _ = memo.lock().query_mut(query).take_stage_state();
+    for dest in nq.scope.known.iter() {
+        outbox.send_ctrl_worker(dest, WorkerMsg::StageBegin { query, stage });
+    }
+}
+
+/// Execution state shared by all worker threads of one node. Locks are
+/// taken in field order.
 struct NodeShared {
-    queue: Mutex<VecDeque<Traverser>>,
-    memo: Mutex<Memo>,
-    queries: RwLock<FxHashMap<QueryId, (Arc<QueryCtx>, u16)>>,
     dead: Mutex<FxHashSet<QueryId>>,
+    queries: RwLock<FxHashMap<QueryId, NodeQuery>>,
+    memo: Mutex<Memo>,
+    queue: Mutex<VecDeque<Traverser>>,
 }
 
 impl NodeShared {
     fn new() -> Self {
         NodeShared {
-            queue: Mutex::new(VecDeque::new()),
-            memo: Mutex::new(Memo::new()),
-            queries: RwLock::new(FxHashMap::default()),
             dead: Mutex::new(FxHashSet::default()),
+            queries: RwLock::new(FxHashMap::default()),
+            memo: Mutex::new(Memo::new()),
+            queue: Mutex::new(VecDeque::new()),
         }
     }
 }
@@ -71,9 +110,6 @@ struct SharedWorker {
     inbox: Receiver<WorkerMsg>,
     outbox: Outbox,
     shared: Arc<NodeShared>,
-    /// The node's designated worker handles once-per-node duties
-    /// (aggregation gathers, stage resets).
-    designated: bool,
     rng: SmallRng,
     weight_coalescing: bool,
     /// Finished weight this worker has consumed but not yet reported,
@@ -84,6 +120,11 @@ struct SharedWorker {
     /// outbox, and the coordinator then completes the query before the
     /// rows arrive.
     finished: FxHashMap<QueryId, Weight>,
+    /// Aggregation this worker's executions built and it has not reported
+    /// yet, per query — moved out of the node-shared memo under the memo
+    /// lock after each execution, for the same reason: a partial must
+    /// travel ahead of the progress report of the weight that built it.
+    partials: FxHashMap<QueryId, AggState>,
     batch: usize,
 }
 
@@ -124,26 +165,47 @@ impl SharedWorker {
     fn handle(&mut self, msg: WorkerMsg) {
         match msg {
             WorkerMsg::Batch(ts) => {
-                let dead = self.shared.dead.lock();
-                let mut q = self.shared.queue.lock();
-                for t in ts {
-                    if !dead.contains(&t.query) {
-                        q.push_back(t);
+                let mut unintroduced = None;
+                {
+                    let dead = self.shared.dead.lock();
+                    let queries = self.shared.queries.read();
+                    let mut q = self.shared.queue.lock();
+                    for t in ts {
+                        if dead.contains(&t.query) {
+                        } else if queries.contains_key(&t.query) {
+                            q.push_back(t);
+                        } else {
+                            unintroduced = Some(t.query);
+                        }
                     }
                 }
+                if let Some(query) = unintroduced {
+                    self.unintroduced(query);
+                }
             }
-            WorkerMsg::QueryBegin { ctx, stage } => {
-                let qid = ctx.query;
-                self.shared.dead.lock().remove(&qid);
-                self.shared.queries.write().insert(qid, (ctx, stage));
+            WorkerMsg::QueryBegin { ctx, stage, from } => {
+                let query = ctx.query;
+                self.shared.dead.lock().remove(&query);
+                let mut qs = self.shared.queries.write();
+                let nq = match qs.get_mut(&query) {
+                    Some(nq) => {
+                        advance_node_stage(&self.shared.memo, &mut self.outbox, query, nq, stage);
+                        nq
+                    }
+                    None => qs.entry(query).or_insert(NodeQuery {
+                        ctx,
+                        stage,
+                        scope: QueryScope::default(),
+                        cancelled: false,
+                    }),
+                };
+                if let Some(w) = from {
+                    nq.scope.known.insert(w);
+                }
             }
             WorkerMsg::StageBegin { query, stage } => {
-                let mut qs = self.shared.queries.write();
-                if let Some((_, s)) = qs.get_mut(&query) {
-                    if *s != stage {
-                        *s = stage;
-                        let _ = self.shared.memo.lock().query_mut(query).take_stage_state();
-                    }
+                if let Some(nq) = self.shared.queries.write().get_mut(&query) {
+                    advance_node_stage(&self.shared.memo, &mut self.outbox, query, nq, stage);
                 }
             }
             WorkerMsg::StartSource {
@@ -151,9 +213,13 @@ impl SharedWorker {
                 pipeline,
                 weight,
             } => {
-                let ctx = match self.shared.queries.read().get(&query) {
-                    Some((c, s)) => (Arc::clone(c), *s),
-                    None => return,
+                let held = (self.shared.queries.read().get(&query))
+                    .map(|nq| (Arc::clone(&nq.ctx), nq.stage));
+                let Some(ctx) = held else {
+                    if !self.shared.dead.lock().contains(&query) {
+                        self.unintroduced(query);
+                    }
+                    return;
                 };
                 let interp = make_interp(&self.graph, &ctx.0, ctx.1);
                 let out = {
@@ -168,33 +234,33 @@ impl SharedWorker {
                     }
                 }
             }
-            WorkerMsg::GatherAgg { query } => {
-                // Only the designated worker holds the node's (single)
-                // partial; the others answer with an empty share so the
-                // coordinator still receives one reply per worker.
-                let state = if self.designated {
-                    self.shared.memo.lock().query_mut(query).take_stage_state()
-                } else {
-                    None
-                };
-                self.outbox.send_ctrl_coord(CoordMsg::AggPartial {
-                    query,
-                    part: self.id.part(),
-                    state: state.map(Box::new),
-                });
-            }
             WorkerMsg::QueryEnd { query } => {
                 self.shared.dead.lock().insert(query);
-                self.shared.queries.write().remove(&query);
+                let ended = self.shared.queries.write().remove(&query);
                 self.finished.remove(&query);
-                if self.designated {
+                self.partials.remove(&query);
+                // The first worker of the node to see the end tears the
+                // node's state down and passes the end on.
+                if let Some(nq) = ended {
+                    for dest in nq.scope.introduced.iter() {
+                        self.outbox
+                            .send_ctrl_worker(dest, WorkerMsg::QueryEnd { query });
+                    }
                     self.shared.memo.lock().clear_query(query);
                     self.shared.queue.lock().retain(|t| t.query != query);
                 }
             }
-            WorkerMsg::CancelQuery { .. } => {
-                // The shared-state baseline never issues cancels; the async
-                // engine's drain protocol does not apply here.
+            WorkerMsg::CancelQuery { query } => {
+                // The shared-state baseline runs no drain (its engine never
+                // cancels); it passes the cancel on, once, like the end.
+                if let Some(nq) = self.shared.queries.write().get_mut(&query) {
+                    if !std::mem::replace(&mut nq.cancelled, true) {
+                        for dest in nq.scope.introduced.iter() {
+                            self.outbox
+                                .send_ctrl_worker(dest, WorkerMsg::CancelQuery { query });
+                        }
+                    }
+                }
             }
             WorkerMsg::MigrateFreeze { .. }
             | WorkerMsg::MigrateInstall { .. }
@@ -208,12 +274,62 @@ impl SharedWorker {
         }
     }
 
+    /// Work for `query` is about to go to the remote worker `dest`:
+    /// introduce the query there first unless the node already did.
+    fn introduce_remote(&mut self, query: QueryId, dest: WorkerId) {
+        let known = |qs: &FxHashMap<QueryId, NodeQuery>| {
+            qs.get(&query)
+                .is_none_or(|nq| nq.scope.known.contains(dest))
+        };
+        // lint: allow(hot-path-blocking) shared-state baseline: the
+        // node-wide registry is the design under test; one map probe
+        if known(&self.shared.queries.read()) {
+            return;
+        }
+        // lint: allow(hot-path-blocking) shared-state baseline: once per
+        // (query, remote worker) per node, held for one introduction
+        let mut qs = self.shared.queries.write();
+        let Some(nq) = qs.get_mut(&query) else {
+            return;
+        };
+        if nq.scope.introduce(dest) {
+            let begin = WorkerMsg::QueryBegin {
+                ctx: Arc::clone(&nq.ctx),
+                stage: nq.stage,
+                from: Some(self.id),
+            };
+            self.outbox.send_ctrl_worker(dest, begin);
+        }
+    }
+
+    /// Work arrived for a query this node was never introduced to: a broken
+    /// protocol, reported as the query's failure.
+    fn unintroduced(&mut self, query: QueryId) {
+        let error = GdError::InvariantViolation(format!(
+            "worker {} got work for query {} it was never introduced to",
+            self.id.0, query.0
+        ));
+        self.outbox
+            .send_ctrl_coord(CoordMsg::WorkerError { query, error });
+    }
+
+    /// Report `query`'s unreported aggregation, ahead of any progress
+    /// report that follows on this outbox.
+    fn send_partial(&mut self, query: QueryId) {
+        if let Some(state) = self.partials.remove(&query) {
+            self.outbox.send_ctrl_coord(CoordMsg::AggPartial {
+                query,
+                state: Some(Box::new(state)),
+            });
+        }
+    }
+
     fn execute(&mut self, t: Traverser) {
         let query = t.query;
         // lint: allow(hot-path-blocking) shared-state baseline: this
         // cross-worker registry read IS the contention the baseline measures
         let ctx = match self.shared.queries.read().get(&query) {
-            Some((c, s)) => (Arc::clone(c), *s),
+            Some(nq) => (Arc::clone(&nq.ctx), nq.stage),
             None => return,
         };
         let interp = make_interp(&self.graph, &ctx.0, ctx.1);
@@ -221,13 +337,32 @@ impl SharedWorker {
         // partition (shared RwLock) and latch the node-wide memo for the
         // whole execution — the contention this baseline measures.
         let part_id = self.graph.part_of(t.vertex);
-        let out = {
+        let (out, built) = {
             let part = self.graph.read(part_id);
             // lint: allow(hot-path-blocking) shared-state baseline: the
             // node-wide memo latch is the bottleneck under test (§VI fig 9)
             let mut memo = self.shared.memo.lock();
-            interp.run_traverser(t, &part, memo.query_mut(query), &mut self.rng)
+            let m = memo.query_mut(query);
+            let out = interp.run_traverser(t, &part, m, &mut self.rng);
+            (out, m.take_agg())
         };
+        if let Some(built) = built {
+            let merged = match (
+                self.partials.get_mut(&query),
+                &ctx.0.plan.stages[ctx.1 as usize].agg,
+            ) {
+                (Some(p), Some(agg)) => p.merge(&agg.func, built),
+                _ => {
+                    self.partials.insert(query, built);
+                    Ok(())
+                }
+            };
+            if let Err(error) = merged {
+                self.outbox
+                    .send_ctrl_coord(CoordMsg::WorkerError { query, error });
+                return;
+            }
+        }
         match out {
             Ok(out) => self.route(query, out),
             Err(e) => {
@@ -246,6 +381,7 @@ impl SharedWorker {
                 // single global work queue by design, push is O(1)
                 self.shared.queue.lock().push_back(t);
             } else {
+                self.introduce_remote(query, dest_worker);
                 self.outbox.send_traverser(dest_worker, t);
             }
         }
@@ -259,6 +395,7 @@ impl SharedWorker {
                     .or_insert(Weight::ZERO)
                     .absorb(out.finished);
             } else {
+                self.send_partial(query);
                 self.outbox
                     .send_progress(query, out.finished, out.steps_executed as u64);
             }
@@ -268,6 +405,10 @@ impl SharedWorker {
     fn flush_progress(&mut self) {
         if !self.weight_coalescing {
             return;
+        }
+        let queries: Vec<QueryId> = self.partials.keys().copied().collect();
+        for q in queries {
+            self.send_partial(q);
         }
         for (q, w) in self.finished.drain() {
             self.outbox.send_progress(q, w, 0);
@@ -313,10 +454,10 @@ impl NonPartitionedEngine {
                 inbox,
                 outbox: fabric.outbox(node),
                 shared: Arc::clone(&shared[node.as_usize()]),
-                designated: id.0.is_multiple_of(config.workers_per_node),
                 rng: graphdance_common::rng::derive(config.seed, 0x2000 + i as u64),
                 weight_coalescing: config.weight_coalescing,
                 finished: FxHashMap::default(),
+                partials: FxHashMap::default(),
                 batch: config.worker_batch,
             };
             threads.push(

@@ -1,11 +1,13 @@
 //! The query coordinator.
 //!
 //! Runs on node 0. Handles submissions, starts stage sources, tracks scope
-//! completion via the weight mechanism, gathers aggregation partials at
-//! stage boundaries (Fig. 6), seeds inter-stage `PrevRows` sources, and
+//! completion via the weight mechanism, merges aggregation partials as
+//! they arrive (Fig. 6), seeds inter-stage `PrevRows` sources, and
 //! responds to clients. The coordinator is also the central progress
 //! tracker of §IV-A — workers talk to it through the same network fabric
-//! as all other traffic, so tracker load is measured realistically.
+//! as all other traffic, so tracker load is measured realistically. It
+//! never broadcasts: a query's context, stage advances, cancel and end go
+//! only to the workers it sent the query's work to (DESIGN.md §IV-A).
 
 use std::time::{Duration, Instant};
 
@@ -24,7 +26,9 @@ use graphdance_storage::{Graph, Timestamp};
 use crate::config::EngineConfig;
 use crate::engine::QueryResult;
 use crate::invariants::MsgLedger;
-use crate::messages::{migration_qid, CoordMsg, MigPhase, QueryCtx, ReplySink, WorkerMsg};
+use crate::messages::{
+    migration_qid, CoordMsg, MigPhase, QueryCtx, QueryScope, ReplySink, WorkerMsg,
+};
 use crate::net::{Fabric, Outbox, WireMsg};
 use crate::progress::ProgressTracker;
 use crate::rebalance::{plan_moves, RebalanceConfig};
@@ -40,9 +44,11 @@ struct QueryState {
     stage: u16,
     steps_executed: u64,
     rows: Vec<Row>,
-    partials: Vec<(PartId, Option<Box<AggState>>)>,
-    gathering: bool,
+    /// The running stage's aggregation partials, merged as they arrive.
+    agg: Option<AggState>,
     prev_rows: Vec<Row>,
+    /// The workers this coordinator introduced the query to.
+    scope: QueryScope,
     reply: ReplySink,
     submitted_at: Instant,
     deadline: Instant,
@@ -201,6 +207,8 @@ impl Coordinator {
         }
         worked |= self.enforce_deadlines() > 0;
         worked |= self.advance_migrations() > 0;
+        // What the quantum buffered — `QueryEnd`s above all — leaves now.
+        self.outbox.flush_all();
         if worked {
             crate::worker::PumpStatus::Worked
         } else {
@@ -289,11 +297,8 @@ impl Coordinator {
                     }
                 }
             }
-            CoordMsg::AggPartial { query, part, state } => {
-                if let Some(s) = self.queries.get_mut(&query) {
-                    s.last_activity = now();
-                }
-                self.agg_partial(query, part, state);
+            CoordMsg::AggPartial { query, state } => {
+                self.agg_partial(query, state);
             }
             CoordMsg::WorkerError { query, error } => {
                 self.finish(query, Err(error));
@@ -352,13 +357,13 @@ impl Coordinator {
         self.queries.insert(
             query,
             QueryState {
-                ctx: Arc::clone(&ctx),
+                ctx,
                 stage: 0,
                 steps_executed: 0,
                 rows: Vec::new(),
-                partials: Vec::new(),
-                gathering: false,
+                agg: None,
                 prev_rows: Vec::new(),
+                scope: QueryScope::default(),
                 reply,
                 submitted_at,
                 deadline,
@@ -366,15 +371,8 @@ impl Coordinator {
                 cancelled: false,
             },
         );
-        // Register the query at every worker before any traverser can reach
-        // them (workers also stash early arrivals defensively).
-        for w in 0..self.fabric.partitioner().num_parts() {
-            let begin = WorkerMsg::QueryBegin {
-                ctx: Arc::clone(&ctx),
-                stage: 0,
-            };
-            self.send_ctrl(query, 0, WorkerId(w), begin);
-        }
+        // No worker hears of the query before its first work: each is
+        // introduced on the lane that carries it (`introduce`).
         self.start_stage(query);
     }
 
@@ -386,6 +384,39 @@ impl Coordinator {
         #[cfg(feature = "obs")]
         self.obs.ctrl_sent(query, stage, &msg);
         self.outbox.send(msg);
+    }
+
+    /// Rule 1 (DESIGN.md §IV-A): the query's work is about to go to
+    /// `dest`. Unless this coordinator already introduced it there, send
+    /// the `QueryBegin` — context and current stage — on the same lane
+    /// first.
+    fn introduce(&mut self, query: QueryId, dest: WorkerId) {
+        let Some(state) = self.queries.get_mut(&query) else {
+            return;
+        };
+        if !state.scope.introduce(dest) {
+            return;
+        }
+        let (ctx, stage) = (Arc::clone(&state.ctx), state.stage);
+        let begin = WorkerMsg::QueryBegin {
+            ctx,
+            stage,
+            from: None,
+        };
+        self.send_ctrl(query, stage, dest, begin);
+    }
+
+    /// Send `msg(query)` to every worker this coordinator introduced the
+    /// query to (rules 2 and 3: they pass it on to the ones they did).
+    fn send_to_introduced(&mut self, query: QueryId, msg: impl Fn() -> WorkerMsg) {
+        let Some(state) = self.queries.get(&query) else {
+            return;
+        };
+        let (stage, dests): (u16, Vec<WorkerId>) =
+            (state.stage, state.scope.introduced.iter().collect());
+        for dest in dests {
+            self.send_ctrl(query, stage, dest, msg());
+        }
     }
 
     /// Begin the cancellation drain protocol for `query` (no-op if the
@@ -404,24 +435,7 @@ impl Coordinator {
         }
         state.cancelled = true;
         state.last_activity = now();
-        let stage_no = state.stage;
-        if state.gathering {
-            // The stage scope already terminated (no weight in flight);
-            // the query was only waiting on aggregation partials, which
-            // travel on the control lane. Finish immediately — late
-            // partials for a forgotten query are ignored.
-            self.finish(query, Err(GdError::QueryCancelled(query)));
-            return;
-        }
-        for w in 0..self.fabric.partitioner().num_parts() {
-            self.send_ctrl(
-                query,
-                stage_no,
-                WorkerId(w),
-                WorkerMsg::CancelQuery { query },
-            );
-        }
-        self.outbox.flush_all();
+        self.send_to_introduced(query, || WorkerMsg::CancelQuery { query });
     }
 
     /// Launch the current stage's sources for `query`.
@@ -432,8 +446,6 @@ impl Coordinator {
         let stage_idx = state.stage as usize;
         let ctx = Arc::clone(&state.ctx);
         let prev_rows = std::mem::take(&mut state.prev_rows);
-        state.gathering = false;
-        state.partials.clear();
         self.tracker.begin_stage(query);
         #[cfg(feature = "obs")]
         self.obs.stage_begin(query, stage_idx as u16);
@@ -450,6 +462,7 @@ impl Coordinator {
                             // Route by the query's pinned routing version,
                             // not the raw hash — `v` may have migrated.
                             let owner = self.graph.worker_of_at(v, ctx.routing_version);
+                            self.introduce(query, owner);
                             let start = WorkerMsg::StartSource {
                                 query,
                                 pipeline: pi as u16,
@@ -472,6 +485,7 @@ impl Coordinator {
                     let shares = pw.split(parts.len(), &mut self.rng);
                     for (p, w) in parts.iter().zip(shares) {
                         let dest = self.fabric.partitioner().worker_of_part(*p);
+                        self.introduce(query, dest);
                         let start = WorkerMsg::StartSource {
                             query,
                             pipeline: pi as u16,
@@ -494,6 +508,7 @@ impl Coordinator {
                         Ok(out) => {
                             for (dest, t) in out.spawned {
                                 let w = self.fabric.partitioner().worker_of_part(dest);
+                                self.introduce(query, w);
                                 #[cfg(feature = "obs")]
                                 self.obs.seed_sent(
                                     query,
@@ -513,14 +528,14 @@ impl Coordinator {
                 }
             }
         }
-        self.outbox.flush_all();
         if immediate != Weight::ZERO && self.tracker.report(query, immediate) {
             self.stage_complete(query);
         }
     }
 
-    /// The running stage's scope just terminated: gather aggregates or wrap
-    /// up the stage's rows.
+    /// The running stage's scope just terminated: every partial and row of
+    /// the stage is in (each travelled ahead of the weight that accounts
+    /// for it), so finalize the aggregate or wrap up the rows.
     fn stage_complete(&mut self, query: QueryId) {
         let Some(state) = self.queries.get_mut(&query) else {
             return;
@@ -532,64 +547,39 @@ impl Coordinator {
             self.finish(query, Err(GdError::QueryCancelled(query)));
             return;
         }
-        let stage = &state.ctx.plan.stages[state.stage as usize];
-        if stage.agg.is_some() {
-            let stage_no = state.stage;
-            state.gathering = true;
-            for w in 0..self.fabric.partitioner().num_parts() {
-                self.send_ctrl(query, stage_no, WorkerId(w), WorkerMsg::GatherAgg { query });
-            }
-        } else {
-            let rows = std::mem::take(&mut state.rows);
-            self.advance_stage(query, rows);
-        }
+        let rows = match &state.ctx.plan.stages[state.stage as usize].agg {
+            Some(agg) => (state.agg.take())
+                .unwrap_or_else(|| AggState::new(&agg.func))
+                .finalize(&agg.func),
+            None => std::mem::take(&mut state.rows),
+        };
+        self.advance_stage(query, rows);
     }
 
-    fn agg_partial(&mut self, query: QueryId, part: PartId, state: Option<Box<AggState>>) {
-        let num_parts = self.fabric.partitioner().num_parts() as usize;
+    /// Merge one worker's partial into the running stage's aggregate (rule
+    /// 4). A cancelled query's partials are discarded like its rows.
+    fn agg_partial(&mut self, query: QueryId, partial: Option<Box<AggState>>) {
         let Some(qs) = self.queries.get_mut(&query) else {
             return;
         };
-        if !qs.gathering {
-            return;
-        }
-        qs.partials.push((part, state));
-        if qs.partials.len() < num_parts {
-            return;
-        }
-        // All partials in: merge and finalize.
-        let stage = &qs.ctx.plan.stages[qs.stage as usize];
-        let Some(agg) = stage.agg.as_ref() else {
-            // `gathering` set on a non-aggregating stage is an engine bug;
-            // fail the query with a diagnostic rather than the coordinator
-            // thread (which would wedge every in-flight query).
-            let stage_no = qs.stage;
-            self.finish(
-                query,
-                Err(GdError::Internal(format!(
-                    "gather phase reached on non-aggregating stage {stage_no}"
-                ))),
-            );
+        qs.last_activity = now();
+        let (Some(p), false) = (partial, qs.cancelled) else {
             return;
         };
-        let func = &agg.func;
-        let mut merged: Option<AggState> = None;
-        let partials = std::mem::take(&mut qs.partials);
-        for (_, p) in partials {
-            if let Some(p) = p {
-                match &mut merged {
-                    None => merged = Some(*p),
-                    Some(m) => {
-                        if let Err(e) = m.merge(func, *p) {
-                            self.finish(query, Err(e));
-                            return;
-                        }
-                    }
-                }
+        let merged = match (&mut qs.agg, &qs.ctx.plan.stages[qs.stage as usize].agg) {
+            (_, None) => Err(GdError::Internal(format!(
+                "aggregation partial for non-aggregating stage {}",
+                qs.stage
+            ))),
+            (None, Some(_)) => {
+                qs.agg = Some(*p);
+                Ok(())
             }
+            (Some(m), Some(agg)) => m.merge(&agg.func, *p),
+        };
+        if let Err(e) = merged {
+            self.finish(query, Err(e));
         }
-        let rows = merged.unwrap_or_else(|| AggState::new(func)).finalize(func);
-        self.advance_stage(query, rows);
     }
 
     /// The stage produced `rows`; either respond or start the next stage.
@@ -619,10 +609,9 @@ impl Coordinator {
             state.prev_rows = rows;
             state.rows.clear();
             let next = state.stage;
-            for w in 0..self.fabric.partitioner().num_parts() {
-                let begin = WorkerMsg::StageBegin { query, stage: next };
-                self.send_ctrl(query, next, WorkerId(w), begin);
-            }
+            // Rule 2: the advance precedes the stage's first work on every
+            // lane this coordinator introduced the query on.
+            self.send_to_introduced(query, || WorkerMsg::StageBegin { query, stage: next });
             self.start_stage(query);
         }
     }
@@ -648,7 +637,7 @@ impl Coordinator {
             other => other,
         };
         // Capture ledger counts before `forget` wipes them; workers seal the
-        // trace when their QueryEnd (broadcast below) arrives.
+        // trace when their QueryEnd (sent below) arrives.
         #[cfg(feature = "obs")]
         {
             if let Some(state) = self.queries.get(&query) {
@@ -662,7 +651,14 @@ impl Coordinator {
                 self.obs.forget(query);
             }
         }
+        // Rule 3: the end goes to the workers this coordinator introduced,
+        // buffered — it leaves with this pump's closing flush — and they
+        // pass it on. A query finished before is not ended twice.
         if let Some(state) = self.queries.remove(&query) {
+            for dest in state.scope.introduced.iter() {
+                self.outbox
+                    .send_ctrl_worker(dest, WorkerMsg::QueryEnd { query });
+            }
             state.reply.complete(result);
         }
         self.tracker.finish_query(query);
@@ -671,10 +667,6 @@ impl Coordinator {
         // so the halves still add up after the query (debug builds only).
         if self.ledger_global {
             self.fabric.invariants().forget(query);
-        }
-        for w in 0..self.fabric.partitioner().num_parts() {
-            self.outbox
-                .send_ctrl_worker(WorkerId(w), WorkerMsg::QueryEnd { query });
         }
         // Query completion raises the minimum pinned routing version, which
         // can unblock retire-gated migrations.
@@ -697,7 +689,6 @@ impl Coordinator {
         } else {
             moves
         };
-        let mut sent = false;
         for (v, to) in moves {
             let from = self.graph.part_of(v);
             if from == to || self.migrations.values().any(|m| m.v == v) {
@@ -718,10 +709,6 @@ impl Coordinator {
             let src = self.fabric.partitioner().worker_of_part(from);
             self.outbox
                 .send_ctrl_worker(src, WorkerMsg::MigrateFreeze { seq, v, to });
-            sent = true;
-        }
-        if sent {
-            self.outbox.flush_all();
         }
     }
 
@@ -753,7 +740,6 @@ impl Coordinator {
                         version,
                     },
                 );
-                self.outbox.flush_all();
             }
             (MigPhase::Committed, MigState::Committing) => {
                 m.state = MigState::AwaitRetire;
@@ -812,9 +798,6 @@ impl Coordinator {
             let v = m.v;
             self.outbox
                 .send_ctrl_worker(src, WorkerMsg::MigrateRetire { seq, v });
-        }
-        if fired > 0 {
-            self.outbox.flush_all();
         }
         fired
     }

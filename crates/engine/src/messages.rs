@@ -8,14 +8,15 @@ use crossbeam::channel::Sender;
 
 use crate::engine::QueryResult;
 
-use graphdance_common::{GdError, GdResult, PartId, QueryId, Value, VertexId};
+use graphdance_common::{GdError, GdResult, PartId, QueryId, Value, VertexId, WorkerId};
 use graphdance_pstm::{AggState, Row, Traverser, Weight};
 use graphdance_query::plan::Plan;
 use graphdance_storage::{Timestamp, VertexSegment};
 
-/// Immutable per-query context, shipped once per query to every worker.
-/// (Same-node workers share it by `Arc`; a remote node gets the plan,
-/// params and snapshot encoded in its `QueryBegin`.)
+/// Immutable per-query context. It travels in a `QueryBegin` ahead of the
+/// query's first work on each lane, and so reaches only the workers that
+/// work reaches (same-node workers share it by `Arc`; a remote node gets
+/// the plan, params and snapshot encoded).
 #[derive(Debug)]
 pub struct QueryCtx {
     /// The query id.
@@ -38,11 +39,20 @@ pub struct QueryCtx {
 pub enum WorkerMsg {
     /// A batch of traversers routed to this worker's partition.
     Batch(Vec<Traverser>),
-    /// Register a query's context (precedes all other traffic for it,
-    /// except possibly traverser batches from fast remote workers, which
-    /// the worker stashes until this arrives).
-    QueryBegin { ctx: Arc<QueryCtx>, stage: u16 },
-    /// Advance to a new stage: clear per-stage memo state.
+    /// Introduce a query: its context and current stage. A sender sends it
+    /// on its lane to a worker ahead of the first work it sends that
+    /// worker (DESIGN.md §IV-A), so it precedes every message of the query
+    /// on that path. `from` is the introducing worker (`None`: the
+    /// coordinator); a second introduction only adds its sender to the
+    /// worker's [`QueryScope`] and, carrying a later stage, advances it.
+    QueryBegin {
+        ctx: Arc<QueryCtx>,
+        stage: u16,
+        from: Option<WorkerId>,
+    },
+    /// Advance to a later stage: clear per-stage memo state and pass the
+    /// advance on to every worker of the receiver's [`QueryScope`]. A
+    /// stage at or below the current one is a no-op.
     StageBegin { query: QueryId, stage: u16 },
     /// Execute a pipeline source on this worker's partition with the given
     /// share of the root weight.
@@ -51,15 +61,15 @@ pub enum WorkerMsg {
         pipeline: u16,
         weight: Weight,
     },
-    /// Reply with this partition's aggregation partial for the current
-    /// stage (scope completed; Fig. 6 gather phase).
-    GatherAgg { query: QueryId },
-    /// The query finished or failed: release its memoranda.
+    /// The query finished or failed: release its memoranda and pass the
+    /// end on to the workers this one introduced. Buffered like rows: it
+    /// leaves with its lane's next flush and never forces one.
     QueryEnd { query: QueryId },
-    /// Cancel a query mid-flight: purge its queued traversers and refund
+    /// Cancel a query mid-flight: purge its queued traversers, refund
     /// their weight to the coordinator as ordinary progress so the weight
     /// tracker still lands exactly on `Weight::ROOT` (the drain protocol,
-    /// DESIGN.md §13). The worker keeps the query in a `cancelled` set so
+    /// DESIGN.md §13), and pass the cancel on to the workers this one
+    /// introduced. The worker keeps the query in a `cancelled` set so
     /// late-delivered traversers are refunded too; `QueryEnd` follows once
     /// the coordinator observes completion and finishes the teardown.
     CancelQuery { query: QueryId },
@@ -108,6 +118,68 @@ pub enum BspSignal {
     /// straggler from an earlier round must not be counted against a later
     /// one.
     Probe { query: QueryId, round: u64 },
+    /// Reply with this partition's aggregation partial for the stage the
+    /// last barrier closed (Fig. 6 gather phase).
+    Gather { query: QueryId },
+}
+
+/// A set of workers, one bit each, sized to the topology on first insert.
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
+pub struct WorkerSet(Vec<u64>);
+
+impl WorkerSet {
+    /// Add `w`; `false` if it was already present.
+    pub fn insert(&mut self, w: WorkerId) -> bool {
+        let (word, bit) = (w.as_usize() / 64, 1u64 << (w.0 % 64));
+        if word >= self.0.len() {
+            self.0.resize(word + 1, 0);
+        }
+        let fresh = self.0[word] & bit == 0;
+        self.0[word] |= bit;
+        fresh
+    }
+
+    /// Is `w` present?
+    pub fn contains(&self, w: WorkerId) -> bool {
+        self.0
+            .get(w.as_usize() / 64)
+            .is_some_and(|word| word & (1u64 << (w.0 % 64)) != 0)
+    }
+
+    /// The members, in id order.
+    pub fn iter(&self) -> impl Iterator<Item = WorkerId> + '_ {
+        self.0.iter().enumerate().flat_map(|(i, &word)| {
+            (0..64)
+                .filter(move |b| word & (1u64 << b) != 0)
+                .map(move |b| WorkerId((i * 64 + b) as u32))
+        })
+    }
+}
+
+/// How far one participant's control plane for a query reaches
+/// (DESIGN.md §IV-A): the workers it knows hold the query's context, and
+/// the subset it introduced. Stage advances go to every known worker;
+/// cancel and end go to the introduced ones, which pass them on in turn.
+#[derive(Debug, Default, Clone)]
+pub struct QueryScope {
+    /// Workers known to hold the context: whoever introduced the query
+    /// here, and every worker introduced from here.
+    pub known: WorkerSet,
+    /// Workers this participant introduced the query to.
+    pub introduced: WorkerSet,
+}
+
+impl QueryScope {
+    /// Work is about to go to `dest`: `true` when `dest` is not known to
+    /// hold the context and must get a `QueryBegin` on the same lane first
+    /// (it is recorded as introduced from here).
+    pub fn introduce(&mut self, dest: WorkerId) -> bool {
+        let fresh = self.known.insert(dest);
+        if fresh {
+            self.introduced.insert(dest);
+        }
+        fresh
+    }
 }
 
 /// Where a query's result goes: a one-shot completion callback the
@@ -182,10 +254,13 @@ pub enum CoordMsg {
     },
     /// Result rows from a non-aggregating stage.
     Rows { query: QueryId, rows: Vec<Row> },
-    /// A partition's aggregation partial (reply to `GatherAgg`).
+    /// Aggregation state a worker accumulated since its last report. It is
+    /// result data, buffered like rows and sent ahead of the progress
+    /// report that accounts for the traversers which built it, so the
+    /// coordinator holds every partial of a stage when the stage's weight
+    /// completes. (`None` only from a BSP worker with nothing to gather.)
     AggPartial {
         query: QueryId,
-        part: PartId,
         state: Option<Box<AggState>>,
     },
     /// A worker hit an error executing this query.
@@ -278,6 +353,24 @@ pub fn coord_migration_qid(msg: &CoordMsg) -> Option<QueryId> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn worker_set_spans_the_topology() {
+        let mut s = WorkerSet::default();
+        for w in [WorkerId(200), WorkerId(3), WorkerId(64), WorkerId(3)] {
+            s.insert(w);
+        }
+        assert!(s.contains(WorkerId(64)) && !s.contains(WorkerId(65)));
+        assert!(!s.contains(WorkerId(9_999)));
+        let ids: Vec<u32> = s.iter().map(|w| w.0).collect();
+        assert_eq!(ids, vec![3, 64, 200]);
+        let mut scope = QueryScope::default();
+        scope.known.insert(WorkerId(1));
+        assert!(!scope.introduce(WorkerId(1)), "already holds the context");
+        assert!(scope.introduce(WorkerId(2)));
+        assert!(!scope.introduce(WorkerId(2)), "introduced once");
+        assert_eq!(scope.introduced.iter().collect::<Vec<_>>(), [WorkerId(2)]);
+    }
 
     #[test]
     fn worker_msg_is_send() {

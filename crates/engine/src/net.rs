@@ -51,9 +51,9 @@ pub enum MsgClass {
     Traverser = 0,
     /// Progress-tracking reports.
     Progress = 1,
-    /// Result rows.
+    /// Result rows and aggregation partials.
     Rows = 2,
-    /// Control plane (query begin/end, source starts, gathers).
+    /// Control plane (query begin/end, stage advances, source starts).
     Control = 3,
 }
 
@@ -158,16 +158,30 @@ pub enum WireMsg {
 
 impl WireMsg {
     /// The Fig. 11 class this message is counted under.
-    fn class(&self) -> MsgClass {
+    pub(crate) fn class(&self) -> MsgClass {
         match self {
             WireMsg::Worker {
                 msg: WorkerMsg::Batch(_),
                 ..
             } => MsgClass::Traverser,
             WireMsg::Coord(CoordMsg::Progress { .. }) => MsgClass::Progress,
-            WireMsg::Coord(CoordMsg::Rows { .. }) => MsgClass::Rows,
+            WireMsg::Coord(CoordMsg::Rows { .. } | CoordMsg::AggPartial { .. }) => MsgClass::Rows,
             _ => MsgClass::Control,
         }
+    }
+
+    /// Does this message flush its lane at once? The control plane does —
+    /// except `QueryEnd`, which only releases state and rides the lane's
+    /// next flush instead of forcing one.
+    fn flushes_lane(&self) -> bool {
+        self.class() == MsgClass::Control
+            && !matches!(
+                self,
+                WireMsg::Worker {
+                    msg: WorkerMsg::QueryEnd { .. },
+                    ..
+                }
+            )
     }
 }
 
@@ -182,6 +196,9 @@ pub(crate) enum EgressEvent {
 
 pub(crate) enum IngressEvent {
     Packet {
+        /// The sending node: packets of one `(src, dest)` path are
+        /// delivered in the order they were shipped.
+        src: NodeId,
         deliver_at: Instant,
         /// An encoded packet body ([`wire::encode_packet`]).
         body: Vec<u8>,
@@ -300,7 +317,7 @@ impl Fabric {
     ) -> (Arc<Fabric>, NetChannels) {
         let partitioner = Partitioner::new(config.nodes, config.workers_per_node);
         #[cfg(feature = "obs")]
-        let obs = Arc::new(crate::obs::EngineObs::new(partitioner.num_parts()));
+        let obs = Arc::new(crate::obs::EngineObs::new());
         let mut egress_tx = Vec::new();
         let mut egress_rx = Vec::new();
         let mut ingress_tx = Vec::new();
@@ -361,7 +378,8 @@ impl Fabric {
         } = channels;
         let mut handles = Vec::new();
         for (node, rx) in egress_rx.into_iter().enumerate() {
-            let pump = EgressPump::new(Arc::clone(&fabric), rx, ingress_tx.clone());
+            let src = NodeId(node as u32);
+            let pump = EgressPump::new(Arc::clone(&fabric), src, rx, ingress_tx.clone());
             handles.push(
                 std::thread::Builder::new()
                     .name(format!("gd-egress-{node}"))
@@ -563,8 +581,9 @@ impl Fabric {
     /// not decode delivers nothing: it names no query we could fail, so the
     /// message-conservation watchdog surfaces the stalled query (debug
     /// builds) or its deadline fires (release); the error and a counter are
-    /// kept for diagnostics. A message for a worker outside the topology
-    /// fails its packet the same way. Returns whether the body decoded.
+    /// kept for diagnostics. A message for, or introducing a query from, a
+    /// worker outside the topology fails its packet the same way. Returns
+    /// whether the body decoded.
     pub(crate) fn deliver_packet(
         &self,
         body: &[u8],
@@ -582,11 +601,16 @@ impl Fabric {
                 return false;
             }
         };
-        if let Some(dest) = msgs.iter().find_map(|(m, _)| match m {
-            WireMsg::Worker { dest, .. } if dest.as_usize() >= self.worker_tx.len() => Some(*dest),
+        let stray = |w: &WorkerId| w.as_usize() >= self.worker_tx.len();
+        if let Some(w) = msgs.iter().find_map(|(m, _)| match m {
+            WireMsg::Worker { dest, .. } if stray(dest) => Some(*dest),
+            WireMsg::Worker {
+                msg: WorkerMsg::QueryBegin { from: Some(w), .. },
+                ..
+            } if stray(w) => Some(*w),
             _ => None,
         }) {
-            self.note_decode_error(GdError::Internal(format!("wire: no worker {}", dest.0)));
+            self.note_decode_error(GdError::Internal(format!("wire: no worker {}", w.0)));
             return false;
         }
         for (msg, bytes) in msgs {
@@ -653,6 +677,8 @@ impl Fabric {
 /// deterministic simulator (the sim drains them under the virtual clock).
 pub(crate) struct ChannelTransport {
     fabric: Arc<Fabric>,
+    /// The node whose egress pump ships through this transport.
+    src: NodeId,
     ingress: Vec<Sender<IngressEvent>>,
 }
 
@@ -667,7 +693,11 @@ impl crate::transport::Transport for ChannelTransport {
         let net = &self.fabric.net_cfg;
         charge(net.send_cost(body.len() + PACKET_HEADER_BYTES));
         let deliver_at = now() + net.propagation_delay;
-        let _ = self.ingress[dest_node.as_usize()].send(IngressEvent::Packet { deliver_at, body });
+        let _ = self.ingress[dest_node.as_usize()].send(IngressEvent::Packet {
+            src: self.src,
+            deliver_at,
+            body,
+        });
     }
 
     fn end_of_stream(&self) {
@@ -695,15 +725,17 @@ pub(crate) struct EgressPump {
 }
 
 impl EgressPump {
-    /// In-process pump (threaded and simulated engines): packets ship over
-    /// the [`ChannelTransport`].
+    /// Node `src`'s in-process pump (threaded and simulated engines):
+    /// packets ship over the [`ChannelTransport`].
     pub(crate) fn new(
         fabric: Arc<Fabric>,
+        src: NodeId,
         rx: Receiver<EgressEvent>,
         ingress: Vec<Sender<IngressEvent>>,
     ) -> Self {
         let transport = Arc::new(ChannelTransport {
             fabric: Arc::clone(&fabric),
+            src,
             ingress,
         });
         EgressPump::with_transport(fabric, rx, transport)
@@ -809,7 +841,9 @@ fn ingress_loop(fabric: Arc<Fabric>, rx: Receiver<IngressEvent>) {
     let mut shutdowns = 0usize;
     while shutdowns < pumps {
         match rx.recv() {
-            Ok(IngressEvent::Packet { deliver_at, body }) => {
+            Ok(IngressEvent::Packet {
+                deliver_at, body, ..
+            }) => {
                 // The remainder is at most `propagation_delay` (µs): `charge`
                 // spins it out, where a sleep would round it up to the
                 // host's timer slack (~70 µs here).
@@ -855,8 +889,8 @@ struct OutBuf {
     /// Other pending wire messages (rows/progress/control), in send order.
     msgs: Vec<WireMsg>,
     /// Encoded bytes buffered toward the flush threshold: `wire_bytes()`
-    /// per traverser, [`wire::encoded_len`] per rows / progress message.
-    /// Control messages flush at once and add nothing.
+    /// per traverser, [`wire::encoded_len`] per other buffered message.
+    /// Messages that flush their lane at once add nothing.
     bytes: usize,
 }
 
@@ -912,9 +946,10 @@ impl Outbox {
         self.maybe_flush(node);
     }
 
-    /// Queue any message but a traverser: rows and progress are buffered
-    /// toward the threshold; the control plane is not batched, so a control
-    /// message flushes its lane at once and is never sized here.
+    /// Queue any message but a traverser: rows, partials, progress and
+    /// `QueryEnd` are buffered toward the threshold; the rest of the
+    /// control plane is not batched, so such a message flushes its lane at
+    /// once and is never sized here.
     pub(crate) fn send(&mut self, msg: WireMsg) {
         let node = match &msg {
             WireMsg::Worker { dest, .. } => {
@@ -932,7 +967,7 @@ impl Outbox {
                 self.fabric.invariants.record_sent(q, 1);
             }
         }
-        if msg.class() == MsgClass::Control {
+        if msg.flushes_lane() {
             self.bufs[node].msgs.push(msg);
             self.flush_node_as(NodeId(node as u32), FlushTrigger::Control);
         } else {
@@ -1049,9 +1084,12 @@ impl Outbox {
         });
     }
 
-    /// Flush every buffer (called before a worker sleeps, §IV-B).
+    /// Flush every buffer (called before a worker sleeps, §IV-B). Node
+    /// 0's lane — the one progress reports take to the coordinator — goes
+    /// last: once the coordinator sees a report, everything its sender
+    /// flushed with it is already on its path (DESIGN.md §IV-A).
     pub fn flush_all(&mut self) {
-        for n in 0..self.bufs.len() {
+        for n in (1..self.bufs.len()).chain([0]) {
             self.flush_node_as(NodeId(n as u32), FlushTrigger::Explicit);
         }
     }
@@ -1262,14 +1300,24 @@ mod tests {
         }
     }
 
+    /// The control plane flushes its lane at once — except `QueryEnd`,
+    /// which waits in the buffer for the lane's next flush and then
+    /// arrives ahead of what flushed it.
     #[test]
     fn control_messages_flush_immediately() {
         let (fabric, wrx, _crx, handles) = setup(IoMode::TwoTier);
         let mut ob = fabric.outbox(NodeId(0));
-        ob.send_ctrl_worker(WorkerId(3), WorkerMsg::QueryEnd { query: QueryId(2) });
-        match wrx[3].recv_timeout(Duration::from_secs(1)).unwrap() {
-            WorkerMsg::QueryEnd { query } => assert_eq!(query, QueryId(2)),
-            other => panic!("unexpected {other:?}"),
+        ob.send_ctrl_worker(WorkerId(3), WorkerMsg::QueryEnd { query: QueryId(1) });
+        assert!(ob.pending_bytes() > 0, "QueryEnd is buffered, not flushed");
+        ob.send_ctrl_worker(WorkerId(3), WorkerMsg::CancelQuery { query: QueryId(2) });
+        assert_eq!(ob.pending_bytes(), 0, "a cancel flushes the lane");
+        for want in [1, 2] {
+            match wrx[3].recv_timeout(Duration::from_secs(1)).unwrap() {
+                WorkerMsg::QueryEnd { query } | WorkerMsg::CancelQuery { query } => {
+                    assert_eq!(query, QueryId(want))
+                }
+                other => panic!("unexpected {other:?}"),
+            }
         }
         fabric.shutdown();
         for h in handles {
@@ -1314,8 +1362,9 @@ mod tests {
 
     /// A corrupt body on the channel backend is counted and kept, delivers
     /// nothing, and does not stop the lane: the next packet arrives. A
-    /// well-formed body naming a worker the topology lacks fails the same
-    /// way instead of indexing past the inboxes.
+    /// well-formed body naming a worker the topology lacks — as destination
+    /// or as a query's introducer — fails the same way instead of indexing
+    /// past the inboxes.
     #[test]
     fn corrupt_packet_is_counted_and_the_lane_carries_on() {
         let cfg = EngineConfig::new(2, 2);
@@ -1325,6 +1374,7 @@ mod tests {
         let ingress = channels.ingress_tx.clone();
         let channel = ChannelTransport {
             fabric: Arc::clone(&fabric),
+            src: NodeId(0),
             ingress: ingress.clone(),
         };
         use crate::transport::Transport;
@@ -1337,10 +1387,36 @@ mod tests {
         }];
         wire::encode_packet(&mut stray, &msgs).unwrap();
         channel.ship(NodeId(1), stray);
+        // A well-formed introduction naming an introducer it does not have.
+        let mut ctx_stray = Vec::new();
+        let begin = [WireMsg::Worker {
+            dest: WorkerId(3),
+            msg: WorkerMsg::QueryBegin {
+                ctx: Arc::new(crate::messages::QueryCtx {
+                    query: QueryId(1),
+                    plan: graphdance_query::plan::Plan {
+                        stages: vec![],
+                        num_params: 0,
+                    },
+                    params: vec![],
+                    read_ts: 1,
+                    routing_version: 0,
+                }),
+                stage: 0,
+                from: Some(WorkerId(77)),
+            },
+        }];
+        wire::encode_packet(&mut ctx_stray, &begin).unwrap();
+        channel.ship(NodeId(1), ctx_stray);
         let mut ob = fabric.outbox(NodeId(0));
         ob.send_traverser(WorkerId(3), t(9));
         ob.flush_all();
-        let pump = EgressPump::new(Arc::clone(&fabric), channels.egress_rx.remove(0), ingress);
+        let pump = EgressPump::new(
+            Arc::clone(&fabric),
+            NodeId(0),
+            channels.egress_rx.remove(0),
+            ingress,
+        );
         assert!(
             pump.pump(),
             "the flushed packet ships behind the corrupt one"
@@ -1350,9 +1426,9 @@ mod tests {
         channel.end_of_stream();
         channel.end_of_stream();
         ingress_loop(Arc::clone(&fabric), channels.ingress_rx.remove(1));
-        assert_eq!(fabric.stats().snapshot().decode_errors, 2);
+        assert_eq!(fabric.stats().snapshot().decode_errors, 3);
         let err = fabric.take_decode_error().expect("error retained");
-        assert!(err.to_string().contains("no worker 99"), "got: {err}");
+        assert!(err.to_string().contains("no worker 77"), "got: {err}");
         assert!(fabric.take_decode_error().is_none(), "error was taken");
         match wrx[3].try_recv() {
             Ok(WorkerMsg::Batch(b)) => assert_eq!(b, vec![t(9)]),
@@ -1369,7 +1445,7 @@ mod tests {
         let mut ob = fabric.outbox(NodeId(0));
         ob.send_traverser(WorkerId(2), t(1));
         ob.flush_all();
-        ob.send_ctrl_worker(WorkerId(3), WorkerMsg::QueryEnd { query: QueryId(2) });
+        ob.send_ctrl_worker(WorkerId(3), WorkerMsg::CancelQuery { query: QueryId(2) });
         for rx in [&wrx[2], &wrx[3]] {
             rx.recv_timeout(Duration::from_secs(2)).unwrap();
         }

@@ -91,9 +91,8 @@ mod real {
 
     impl EngineObs {
         /// Register the engine's metric namespace and create the trace
-        /// sink. `num_workers` is the number of seals expected per query
-        /// (every worker seals on `QueryEnd`).
-        pub fn new(num_workers: u32) -> Self {
+        /// sink.
+        pub(crate) fn new() -> Self {
             let r = Registry::new();
             let ids = EngineIds {
                 wire_packet_bytes: r.histogram("net.wire_packet_bytes"),
@@ -116,7 +115,7 @@ mod real {
             EngineObs {
                 registry: r,
                 ids,
-                sink: TraceSink::new(num_workers, TRACE_RING),
+                sink: TraceSink::new(TRACE_RING),
                 epoch: now(),
             }
         }
@@ -326,11 +325,13 @@ mod real {
             sp.rec.bytes[1] += progress_len();
         }
 
-        /// The control-plane message `msg` is going out for `(query, stage)`.
-        pub fn note_ctrl(&mut self, query: QueryId, stage: u16, msg: &WireMsg) {
+        /// `msg` — control plane or aggregation partial — is going out for
+        /// `(query, stage)`: counted on its class's lane.
+        pub fn note_msg(&mut self, query: QueryId, stage: u16, msg: &WireMsg) {
+            let lane = msg.class() as usize;
             let sp = span_entry(&mut self.spans, query, stage, self.worker);
-            sp.rec.msgs[3] += 1;
-            sp.rec.bytes[3] += wire::encoded_len(msg) as u64;
+            sp.rec.msgs[lane] += 1;
+            sp.rec.bytes[lane] += wire::encoded_len(msg) as u64;
         }
 
         /// Publish the local queue depth gauge.
@@ -351,6 +352,11 @@ mod real {
             if let Some(acc) = self.spans.remove(&(query, stage)) {
                 self.eng.sink().record(acc.into_record());
             }
+        }
+
+        /// The query reached this worker: it will seal the trace at the end.
+        pub fn begin_query(&self, query: QueryId) {
+            self.eng.sink().join(query.0);
         }
 
         /// The query ended: flush every remaining span and seal.

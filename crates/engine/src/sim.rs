@@ -17,7 +17,10 @@
 //! * **Fault schedules** — [`SimFaults`](crate::config::SimFaults) rolls
 //!   batch drops, duplicates, packet reorderings, delay spikes, and worker
 //!   stalls from a second seed-derived stream, so a fault scenario is named
-//!   by `(seed, SimFaults)` alone.
+//!   by `(seed, SimFaults)` alone. Reorderings and delay spikes keep every
+//!   `(source node → destination node)` path FIFO, as every real backend
+//!   does (a channel, the egress/ingress pair, one stream per direction):
+//!   they reorder packets of *different* source nodes only.
 //!
 //! The harness crate (`graphdance-sim`) layers oracle differential
 //! checking and repro minimization on top.
@@ -32,7 +35,7 @@ use rand::rngs::SmallRng;
 use rand::Rng;
 
 use graphdance_common::time::{now, sim as vclock};
-use graphdance_common::{fxhash, GdError, GdResult, PartId, Value};
+use graphdance_common::{fxhash, GdError, GdResult, NodeId, PartId, QueryId, Value};
 use graphdance_pstm::Row;
 use graphdance_query::plan::Plan;
 use graphdance_storage::{Graph, Timestamp};
@@ -189,13 +192,13 @@ pub enum SimStep {
 /// [`SimCluster::run`]; there is no blocking `wait` because nothing makes
 /// progress unless the simulation is stepped.
 pub struct SimHandle {
-    id: graphdance_common::QueryId,
+    id: QueryId,
     rx: Receiver<GdResult<QueryResult>>,
 }
 
 impl SimHandle {
     /// The pre-assigned query id (pass to [`SimCluster::cancel`]).
-    pub fn id(&self) -> graphdance_common::QueryId {
+    pub fn id(&self) -> QueryId {
         self.id
     }
 
@@ -211,6 +214,8 @@ struct PendingPacket {
     at: Instant,
     /// Arrival order, for stable FIFO among same-instant packets.
     seq: u64,
+    /// The sending node.
+    src: NodeId,
     /// The encoded body, decoded at delivery.
     body: Vec<u8>,
 }
@@ -240,6 +245,9 @@ struct IngressSim {
     rx: Receiver<IngressEvent>,
     pending: BinaryHeap<Reverse<PendingPacket>>,
     seq: u64,
+    /// Per source node, the latest delivery instant scheduled so far: a
+    /// delay spike holds back the packets behind it on its path too.
+    path_due: Vec<Instant>,
 }
 
 impl IngressSim {
@@ -307,7 +315,11 @@ impl SimCluster {
         let coordinator = coordinator.expect("sim hosts the coordinator"); // lint: allow(hot-path-panics)
         let egress: Vec<EgressPump> = egress_rx
             .into_iter()
-            .map(|rx| EgressPump::new(Arc::clone(&fabric), rx, ingress_tx.clone()))
+            .enumerate()
+            .map(|(n, rx)| {
+                let src = NodeId(n as u32);
+                EgressPump::new(Arc::clone(&fabric), src, rx, ingress_tx.clone())
+            })
             .collect();
         let ingress: Vec<IngressSim> = ingress_rx
             .into_iter()
@@ -315,6 +327,7 @@ impl SimCluster {
                 rx,
                 pending: BinaryHeap::new(),
                 seq: 0,
+                path_due: vec![now(); config.nodes as usize],
             })
             .collect();
         SimCluster {
@@ -379,7 +392,7 @@ impl SimCluster {
         read_ts: Timestamp,
         deadline: Option<Instant>,
     ) -> SimHandle {
-        let id = graphdance_common::QueryId(self.next_qid);
+        let id = QueryId(self.next_qid);
         self.next_qid += 1;
         let (reply, rx) = bounded(1);
         let (plan, reply) = (plan.clone(), reply.into());
@@ -393,7 +406,7 @@ impl SimCluster {
     /// simulation steps; the handle resolves to `QueryCancelled` once the
     /// drain protocol completes (or to the actual result if the query
     /// beat the cancel to the finish line).
-    pub fn cancel(&mut self, query: graphdance_common::QueryId) {
+    pub fn cancel(&mut self, query: QueryId) {
         self.coord_tx
             .send(CoordMsg::Cancel { query })
             .expect("sim coordinator inbox open"); // lint: allow(hot-path-panics)
@@ -448,8 +461,9 @@ impl SimCluster {
     }
 
     /// Step until the cluster is fully quiescent (drains post-completion
-    /// traffic such as `QueryEnd` broadcasts, so back-to-back queries start
-    /// from identical cluster state).
+    /// traffic such as the `QueryEnd`s spreading along a query's
+    /// introductions, so back-to-back queries start from identical cluster
+    /// state).
     pub fn settle(&mut self) {
         while self.steps < self.max_steps {
             if self.step() == SimStep::Quiescent {
@@ -555,13 +569,16 @@ impl SimCluster {
 
     /// One ingress quantum: pull newly-transmitted packets into the
     /// time-ordered buffer (applying delay-spike faults), then deliver
-    /// everything due, applying reorder/drop/duplicate faults.
+    /// everything due, applying reorder/drop/duplicate faults. Both
+    /// reorderings keep each source node's packets in the order it sent
+    /// them.
     fn pump_ingress(&mut self, i: usize) {
         let now = now();
         // Intake: packets the egress pump transmitted.
         while let Ok(ev) = self.ingress[i].rx.try_recv() {
             match ev {
                 IngressEvent::Packet {
+                    src,
                     mut deliver_at,
                     body,
                 } => {
@@ -572,11 +589,14 @@ impl SimCluster {
                         self.counts.delay_spikes += 1;
                         self.trace.record(SimEventKind::DelaySpike);
                     }
-                    self.ingress[i].seq += 1;
-                    let seq = self.ingress[i].seq;
-                    self.ingress[i].pending.push(Reverse(PendingPacket {
-                        at: deliver_at,
-                        seq,
+                    let ing = &mut self.ingress[i];
+                    let path_due = &mut ing.path_due[src.as_usize()];
+                    *path_due = deliver_at.max(*path_due);
+                    ing.seq += 1;
+                    ing.pending.push(Reverse(PendingPacket {
+                        at: *path_due,
+                        seq: ing.seq,
+                        src,
                         body,
                     }));
                 }
@@ -594,11 +614,19 @@ impl SimCluster {
             // The heap is non-empty by the check above.
             due.push(self.ingress[i].pending.pop().expect("peeked").0); // lint: allow(hot-path-panics)
         }
-        if due.len() > 1
+        if due.iter().any(|p| p.src != due[0].src)
             && self.faults.reorder_permille > 0
             && roll(&mut self.fault_rng, self.faults.reorder_permille)
         {
-            due.reverse();
+            // Reverse the order in which the source nodes' packets come,
+            // each source's own packets staying in sending order.
+            let mut srcs: Vec<NodeId> = Vec::new();
+            for p in &due {
+                if !srcs.contains(&p.src) {
+                    srcs.push(p.src);
+                }
+            }
+            due.sort_by_key(|p| Reverse(srcs.iter().position(|s| *s == p.src)));
             self.counts.reorders += 1;
             self.trace.record(SimEventKind::Reorder);
         }
@@ -669,6 +697,25 @@ impl SimCluster {
     /// Total traversers redirected by source-side forwarding stubs.
     pub fn forwarded(&self) -> u64 {
         self.workers.iter().map(Worker::forwarded).sum()
+    }
+
+    /// The workers (by index) that hold anything of `query` right now.
+    pub fn holders(&self, query: QueryId) -> Vec<u32> {
+        (self.workers.iter().enumerate())
+            .filter(|(_, w)| w.holds(query))
+            .map(|(i, _)| i as u32)
+            .collect()
+    }
+
+    /// A `(worker, query)` where a worker still holds a query this cluster
+    /// was submitted. Called on a quiescent cluster whose queries have all
+    /// resolved, `Some` means a teardown missed a worker: with no broadcast
+    /// left, `QueryEnd` reaches a worker only along the introductions.
+    pub fn leaked_query(&self) -> Option<(u32, QueryId)> {
+        (1..self.next_qid).map(QueryId).find_map(|q| {
+            let w = *self.holders(q).first()?;
+            Some((w, q))
+        })
     }
 }
 
@@ -751,6 +798,34 @@ mod tests {
         // identical answer through the migrated placement.
         let after = sorted(sim.query(&plan, vec![Value::Vertex(VertexId(0))]).unwrap());
         assert_eq!(before, after, "rows survive live migration");
+    }
+
+    /// A single-owner lookup on 1 × 2 costs three control messages — the
+    /// owner's `QueryBegin`, `StartSource` and `QueryEnd` (a begin and an
+    /// end for every worker made it five) — and the other worker is sent
+    /// nothing at all.
+    #[test]
+    fn single_owner_lookup_sends_three_control_messages() {
+        let g = ring(8, Partitioner::new(1, 2));
+        let mut b = graphdance_query::QueryBuilder::new(g.schema());
+        b.v_param(0).has_label("Person");
+        let plan = b.compile().unwrap();
+        let v = VertexId(3);
+        let other = (1 - g.partitioner().worker_of(v).0) as usize;
+        let mut sim = SimCluster::new(g, EngineConfig::new(1, 2));
+        let handle = sim.submit(&plan, vec![Value::Vertex(v)]);
+        let mut result = None;
+        loop {
+            result = result.or_else(|| handle.try_result());
+            let step = sim.step();
+            assert!(!sim.workers[other].has_work(), "the other worker got mail");
+            if result.is_some() && step == SimStep::Quiescent {
+                break;
+            }
+        }
+        let rows = result.expect("resolved").expect("answered").rows;
+        assert_eq!(rows, vec![vec![Value::Vertex(v)]]);
+        assert_eq!(sim.fabric().stats().snapshot().control_msgs, 3);
     }
 
     #[test]

@@ -49,6 +49,10 @@ use crate::codec::{self, Reader};
 use crate::messages::{BspSignal, CoordMsg, MigPhase, QueryCtx, WorkerMsg};
 use crate::net::WireMsg;
 
+/// `QueryBegin::from` on the wire when the coordinator introduced the
+/// query (no worker id reaches it: topologies index workers by `u32`).
+const FROM_COORDINATOR: u32 = u32::MAX;
+
 fn bad(what: &str, tag: u8) -> GdError {
     GdError::Internal(format!("wire: unknown {what} tag {tag}"))
 }
@@ -1067,9 +1071,10 @@ pub fn encode_worker_msg(buf: &mut impl BufMut, msg: &WorkerMsg) -> GdResult<()>
                 codec::encode_traverser(buf, t);
             }
         }
-        WorkerMsg::QueryBegin { ctx, stage } => {
+        WorkerMsg::QueryBegin { ctx, stage, from } => {
             buf.put_u8(1);
             buf.put_u16_le(*stage);
+            buf.put_u32_le(from.map_or(FROM_COORDINATOR, |w| w.0));
             buf.put_u64_le(ctx.query.0);
             encode_plan(buf, &ctx.plan);
             put_values(buf, &ctx.params);
@@ -1090,10 +1095,6 @@ pub fn encode_worker_msg(buf: &mut impl BufMut, msg: &WorkerMsg) -> GdResult<()>
             buf.put_u64_le(query.0);
             buf.put_u16_le(*pipeline);
             buf.put_u64_le(weight.0);
-        }
-        WorkerMsg::GatherAgg { query } => {
-            buf.put_u8(4);
-            buf.put_u64_le(query.0);
         }
         WorkerMsg::QueryEnd { query } => {
             buf.put_u8(5);
@@ -1148,6 +1149,10 @@ pub fn encode_worker_msg(buf: &mut impl BufMut, msg: &WorkerMsg) -> GdResult<()>
             buf.put_u64_le(query.0);
             buf.put_u64_le(*round);
         }
+        WorkerMsg::Bsp(BspSignal::Gather { query }) => {
+            buf.put_u8(4);
+            buf.put_u64_le(query.0);
+        }
         WorkerMsg::Shutdown => buf.put_u8(13),
     }
     Ok(())
@@ -1166,6 +1171,10 @@ pub(crate) fn decode_worker_msg(r: &mut Reader<'_>) -> GdResult<WorkerMsg> {
         }
         1 => {
             let stage = r.u16()?;
+            let from = match r.u32()? {
+                FROM_COORDINATOR => None,
+                w => Some(WorkerId(w)),
+            };
             let query = QueryId(r.u64()?);
             let plan = decode_plan(r)?;
             let params = get_values(r)?;
@@ -1180,6 +1189,7 @@ pub(crate) fn decode_worker_msg(r: &mut Reader<'_>) -> GdResult<WorkerMsg> {
                     routing_version,
                 }),
                 stage,
+                from,
             })
         }
         2 => Ok(WorkerMsg::StageBegin {
@@ -1191,9 +1201,9 @@ pub(crate) fn decode_worker_msg(r: &mut Reader<'_>) -> GdResult<WorkerMsg> {
             pipeline: r.u16()?,
             weight: Weight(r.u64()?),
         }),
-        4 => Ok(WorkerMsg::GatherAgg {
+        4 => Ok(WorkerMsg::Bsp(BspSignal::Gather {
             query: QueryId(r.u64()?),
-        }),
+        })),
         5 => Ok(WorkerMsg::QueryEnd {
             query: QueryId(r.u64()?),
         }),
@@ -1282,10 +1292,9 @@ pub fn encode_coord_msg(buf: &mut impl BufMut, msg: &CoordMsg) -> GdResult<()> {
             buf.put_u64_le(query.0);
             put_rows(buf, rows);
         }
-        CoordMsg::AggPartial { query, part, state } => {
+        CoordMsg::AggPartial { query, state } => {
             buf.put_u8(4);
             buf.put_u64_le(query.0);
-            buf.put_u32_le(part.0);
             match state {
                 None => buf.put_u8(0),
                 Some(s) => {
@@ -1366,13 +1375,12 @@ pub(crate) fn decode_coord_msg(r: &mut Reader<'_>) -> GdResult<CoordMsg> {
         }),
         4 => {
             let query = QueryId(r.u64()?);
-            let part = PartId(r.u32()?);
             let state = match r.u8()? {
                 0 => None,
                 1 => Some(Box::new(decode_agg_state(r)?)),
                 t => return Err(bad("agg-partial-option", t)),
             };
-            Ok(CoordMsg::AggPartial { query, part, state })
+            Ok(CoordMsg::AggPartial { query, state })
         }
         5 => Ok(CoordMsg::WorkerError {
             query: QueryId(r.u64()?),
@@ -1709,26 +1717,32 @@ mod tests {
 
     #[test]
     fn query_begin_roundtrips_with_full_plan() {
-        let msg = WorkerMsg::QueryBegin {
-            ctx: Arc::new(QueryCtx {
-                query: QueryId(42),
-                plan: sample_plan(),
-                params: vec![Value::str("alice"), Value::Int(7)],
-                read_ts: 9,
-                routing_version: 3,
-            }),
-            stage: 1,
-        };
-        match roundtrip_worker(msg) {
-            WorkerMsg::QueryBegin { ctx, stage } => {
-                assert_eq!(stage, 1);
-                assert_eq!(ctx.query, QueryId(42));
-                assert_eq!(ctx.plan, sample_plan());
-                assert_eq!(ctx.params, vec![Value::str("alice"), Value::Int(7)]);
-                assert_eq!(ctx.read_ts, 9);
-                assert_eq!(ctx.routing_version, 3);
-            }
-            other => panic!("unexpected {other:?}"),
+        for from in [None, Some(WorkerId(0)), Some(WorkerId(7))] {
+            let msg = WorkerMsg::QueryBegin {
+                ctx: Arc::new(QueryCtx {
+                    query: QueryId(42),
+                    plan: sample_plan(),
+                    params: vec![Value::str("alice"), Value::Int(7)],
+                    read_ts: 9,
+                    routing_version: 3,
+                }),
+                stage: 1,
+                from,
+            };
+            let WorkerMsg::QueryBegin {
+                ctx,
+                stage,
+                from: got,
+            } = roundtrip_worker(msg)
+            else {
+                panic!("decoded to another variant");
+            };
+            assert_eq!((stage, got), (1, from), "the introducer travels");
+            assert_eq!(ctx.query, QueryId(42));
+            assert_eq!(ctx.plan, sample_plan());
+            assert_eq!(ctx.params, vec![Value::str("alice"), Value::Int(7)]);
+            assert_eq!(ctx.read_ts, 9);
+            assert_eq!(ctx.routing_version, 3);
         }
     }
 
@@ -1766,7 +1780,6 @@ mod tests {
                 pipeline: 0,
                 weight: Weight(u64::MAX),
             },
-            WorkerMsg::GatherAgg { query: QueryId(1) },
             WorkerMsg::QueryEnd { query: QueryId(1) },
             WorkerMsg::CancelQuery { query: QueryId(1) },
             WorkerMsg::MigrateFreeze {
@@ -1798,6 +1811,7 @@ mod tests {
                 query: QueryId(1),
                 round: 7,
             }),
+            WorkerMsg::Bsp(BspSignal::Gather { query: QueryId(1) }),
             WorkerMsg::Shutdown,
         ];
         for msg in msgs {
@@ -1858,12 +1872,10 @@ mod tests {
             },
             CoordMsg::AggPartial {
                 query: QueryId(3),
-                part: PartId(2),
                 state: Some(Box::new(AggState::GroupCount { map })),
             },
             CoordMsg::AggPartial {
                 query: QueryId(3),
-                part: PartId(2),
                 state: None,
             },
             CoordMsg::WorkerError {
@@ -1965,7 +1977,6 @@ mod tests {
             assert!(r.is_empty());
             roundtrip_coord(CoordMsg::AggPartial {
                 query: QueryId(1),
-                part: PartId(0),
                 state: Some(Box::new(s.clone())),
             });
         }

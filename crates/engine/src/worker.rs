@@ -6,7 +6,10 @@
 //! at a time), routes spawned traversers through its tier-1 outbox,
 //! coalesces finished weights, reports a query's progress when that *query*
 //! has nothing left to run here, and — before going to sleep — flushes
-//! every buffer (§IV-A/B).
+//! every buffer (§IV-A/B). A query's control plane follows its work
+//! (DESIGN.md §IV-A): the worker introduces a query on a lane before the
+//! first work it sends there, and passes stage advances, cancels and ends
+//! on along the introductions.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -24,7 +27,7 @@ use graphdance_pstm::{
 use graphdance_storage::Graph;
 
 use crate::config::EngineConfig;
-use crate::messages::{CoordMsg, MigPhase, QueryCtx, WorkerMsg};
+use crate::messages::{CoordMsg, MigPhase, QueryCtx, QueryScope, WorkerMsg, WorkerSet};
 use crate::net::{Fabric, Outbox, WireMsg};
 use crate::run_queue::{QueryRing, RunEntry, RunQueue};
 #[cfg(feature = "obs")]
@@ -33,6 +36,51 @@ use crate::wire;
 struct ActiveQuery {
     ctx: Arc<QueryCtx>,
     stage: u16,
+    /// Who else holds the context, as far as this worker knows.
+    scope: QueryScope,
+}
+
+/// Rule 1 of the control plane (DESIGN.md §IV-A): send traverser `t` of
+/// `ctx`'s query from worker `me` to `dest`, introducing the query on the
+/// same lane first unless `dest` is known to hold the context.
+fn send_work(
+    outbox: &mut Outbox,
+    #[cfg(feature = "obs")] obs: &mut crate::obs::WorkerObs,
+    me: WorkerId,
+    (ctx, stage, scope): (&Arc<QueryCtx>, u16, &mut QueryScope),
+    dest: WorkerId,
+    t: Traverser,
+) {
+    if scope.introduce(dest) {
+        let msg = WorkerMsg::QueryBegin {
+            ctx: Arc::clone(ctx),
+            stage,
+            from: Some(me),
+        };
+        let begin = WireMsg::Worker { dest, msg };
+        #[cfg(feature = "obs")]
+        obs.note_msg(ctx.query, stage, &begin);
+        outbox.send(begin);
+    }
+    outbox.send_traverser(dest, t);
+}
+
+/// Rules 2 and 3: pass a stage advance, cancel or end of `query` (at
+/// `stage`, for tracing) on to each worker of `dests`.
+#[cfg_attr(not(feature = "obs"), allow(unused_variables))]
+fn pass_on(
+    outbox: &mut Outbox,
+    #[cfg(feature = "obs")] obs: &mut crate::obs::WorkerObs,
+    dests: &WorkerSet,
+    (query, stage): (QueryId, u16),
+    msg: impl Fn() -> WorkerMsg,
+) {
+    for dest in dests.iter() {
+        let msg = WireMsg::Worker { dest, msg: msg() };
+        #[cfg(feature = "obs")]
+        obs.note_msg(query, stage, &msg);
+        outbox.send(msg);
+    }
 }
 
 /// How many ended queries a worker remembers. A traverser can only trail
@@ -42,9 +90,9 @@ struct ActiveQuery {
 const DEAD_WINDOW: usize = 1024;
 
 /// The most recently ended queries, oldest evicted first: membership is
-/// what lets a late traverser or cancel for an ended query be dropped
-/// instead of stashed, in O(`DEAD_WINDOW`) memory however many queries the
-/// worker has served.
+/// what lets a late traverser or source for an ended query be dropped
+/// instead of failing the query as never introduced, in O(`DEAD_WINDOW`)
+/// memory however many queries the worker has served.
 #[derive(Default)]
 struct DeadWindow {
     set: FxHashSet<QueryId>,
@@ -68,8 +116,8 @@ impl DeadWindow {
         }
     }
 
-    /// A `QueryBegin` re-used the id (replayed or duplicated control
-    /// traffic): forget that it ended.
+    /// A `QueryBegin` re-used the id (a query that failed here was still
+    /// being introduced elsewhere): forget that it ended.
     fn remove(&mut self, q: QueryId) {
         if self.set.remove(&q) {
             self.order.retain(|d| *d != q);
@@ -98,16 +146,15 @@ pub struct Worker {
     inbox: Receiver<WorkerMsg>,
     outbox: Outbox,
     memo: Memo,
+    /// The queries introduced here and not yet ended.
     queries: FxHashMap<QueryId, ActiveQuery>,
-    /// Messages for queries whose `QueryBegin` has not arrived yet.
-    pending: FxHashMap<QueryId, Vec<WorkerMsg>>,
     /// Queries that ended recently; late traversers for them are dropped.
     dead: DeadWindow,
     /// Queries in the cancellation drain: queued work was purged and its
     /// weight refunded, and any late-delivered traverser or source for
     /// them is refunded too (never silently dropped) so the coordinator's
     /// tracker still lands on `Weight::ROOT`. Entries move to `dead` when
-    /// the `QueryEnd` broadcast arrives.
+    /// the `QueryEnd` arrives.
     cancelled: FxHashSet<QueryId>,
     /// Runnable traversers: one queue per query (shallowest first, FIFO
     /// within a depth), queries served round-robin.
@@ -169,7 +216,6 @@ impl Worker {
             outbox: fabric.outbox(node),
             memo: Memo::new(),
             queries: FxHashMap::default(),
-            pending: FxHashMap::default(),
             dead: DeadWindow::default(),
             cancelled: FxHashSet::default(),
             ring: QueryRing::default(),
@@ -270,28 +316,8 @@ impl Worker {
     fn handle(&mut self, msg: WorkerMsg) {
         match msg {
             WorkerMsg::Batch(ts) => self.admit_batch(ts),
-            WorkerMsg::QueryBegin { ctx, stage } => {
-                let q = ctx.query;
-                self.dead.remove(q);
-                self.queries.insert(q, ActiveQuery { ctx, stage });
-                if let Some(stash) = self.pending.remove(&q) {
-                    for m in stash {
-                        self.handle(m);
-                    }
-                }
-            }
-            WorkerMsg::StageBegin { query, stage } => {
-                if let Some(aq) = self.queries.get_mut(&query) {
-                    #[cfg(feature = "obs")]
-                    let prev_stage = aq.stage;
-                    aq.stage = stage;
-                    // Per-stage memo state (dedup sets, join tables, agg
-                    // partial) is dropped between stages.
-                    let _ = self.memo.query_mut(query).take_stage_state();
-                    #[cfg(feature = "obs")]
-                    self.obs.flush_stage(query, prev_stage);
-                }
-            }
+            WorkerMsg::QueryBegin { ctx, stage, from } => self.begin_query(ctx, stage, from),
+            WorkerMsg::StageBegin { query, stage } => self.advance_stage(query, stage),
             WorkerMsg::StartSource {
                 query,
                 pipeline,
@@ -299,39 +325,10 @@ impl Worker {
             } => {
                 self.start_source(query, pipeline, weight);
             }
-            WorkerMsg::GatherAgg { query } => {
-                let state = self.memo.query_mut(query).take_stage_state();
-                let partial = WireMsg::Coord(CoordMsg::AggPartial {
-                    query,
-                    part: self.id.part(),
-                    state: state.map(Box::new),
-                });
-                #[cfg(feature = "obs")]
-                {
-                    let stage = self.queries.get(&query).map_or(0, |a| a.stage);
-                    self.obs.note_ctrl(query, stage, &partial);
-                }
-                self.outbox.send(partial);
-            }
             WorkerMsg::CancelQuery { query } => {
                 self.cancel_query(query);
             }
-            WorkerMsg::QueryEnd { query } => {
-                #[cfg(feature = "obs")]
-                self.obs.end_query(query);
-                self.memo.clear_query(query);
-                self.queries.remove(&query);
-                self.pending.remove(&query);
-                self.steps.remove(&query);
-                self.cancelled.remove(&query);
-                self.dead.insert(query);
-                // Retire the dead query's queue: the handles still on it
-                // free their slab slots (the query's locals table is
-                // dropped wholesale below, values and all).
-                let arena = &mut self.arena;
-                self.ring.retire(query, |e| drop(arena.remove(e.handle)));
-                self.locals.remove(&query);
-            }
+            WorkerMsg::QueryEnd { query } => self.end_query(query),
             WorkerMsg::MigrateFreeze { seq, v, to } => self.migrate_freeze(seq, v, to),
             WorkerMsg::MigrateInstall {
                 seq, v, segment, ..
@@ -366,17 +363,118 @@ impl Worker {
         }
     }
 
-    /// The cancellation drain (DESIGN.md §13): purge every queued
-    /// traverser and stashed message of `query`, absorb this worker's
-    /// coalesced finished weight, and refund the total to the coordinator
-    /// as one ordinary `Progress` report. The query stays in `cancelled`
-    /// so weight still in flight when the purge ran is refunded on
-    /// arrival; once every share has reported, the coordinator's tracker
-    /// completes and its `QueryEnd` finishes the teardown.
-    fn cancel_query(&mut self, query: QueryId) {
-        if self.dead.contains(query) || !self.cancelled.insert(query) {
+    /// A `QueryBegin` (rule 1, DESIGN.md §IV-A). The first one registers
+    /// the context, knowing its sender holds it too. A later one — another
+    /// sender that did not know this worker held the query — never resets
+    /// anything: it advances the stage if it carries a later one, and adds
+    /// its sender to the scope.
+    fn begin_query(&mut self, ctx: Arc<QueryCtx>, stage: u16, from: Option<WorkerId>) {
+        let query = ctx.query;
+        if self.queries.contains_key(&query) {
+            self.advance_stage(query, stage);
+        } else {
+            self.dead.remove(query);
+            let scope = QueryScope::default();
+            self.queries
+                .insert(query, ActiveQuery { ctx, stage, scope });
+            #[cfg(feature = "obs")]
+            self.obs.begin_query(query);
+        }
+        if let (Some(w), Some(aq)) = (from, self.queries.get_mut(&query)) {
+            aq.scope.known.insert(w);
+        }
+    }
+
+    /// Rule 2: move `query` to `stage` if that is later than its stage
+    /// here — dropping the per-stage memo state (dedup sets, min-distance
+    /// records, join tables) — and pass the advance to every worker known
+    /// to hold the context before this worker sends any work of the new
+    /// stage. A stage at or below the current one changes nothing.
+    fn advance_stage(&mut self, query: QueryId, stage: u16) {
+        let Some(aq) = self.queries.get_mut(&query) else {
+            return;
+        };
+        if stage <= aq.stage {
             return;
         }
+        #[cfg(feature = "obs")]
+        self.obs.flush_stage(query, aq.stage);
+        aq.stage = stage;
+        let _ = self.memo.query_mut(query).take_stage_state();
+        pass_on(
+            &mut self.outbox,
+            #[cfg(feature = "obs")]
+            &mut self.obs,
+            &aq.scope.known,
+            (query, stage),
+            || WorkerMsg::StageBegin { query, stage },
+        );
+    }
+
+    /// Rule 3: the query finished or failed. Pass the end on to the
+    /// workers this one introduced (buffered: it leaves with the lane's
+    /// next flush), then release every piece of the query's state here.
+    fn end_query(&mut self, query: QueryId) {
+        if let Some(aq) = self.queries.remove(&query) {
+            pass_on(
+                &mut self.outbox,
+                #[cfg(feature = "obs")]
+                &mut self.obs,
+                &aq.scope.introduced,
+                (query, aq.stage),
+                || WorkerMsg::QueryEnd { query },
+            );
+            #[cfg(feature = "obs")]
+            self.obs.end_query(query);
+        }
+        self.memo.clear_query(query);
+        self.steps.remove(&query);
+        self.cancelled.remove(&query);
+        self.dead.insert(query);
+        // Retire the dead query's queue: the handles still on it free
+        // their slab slots (the query's locals table is dropped wholesale
+        // below, values and all).
+        let arena = &mut self.arena;
+        self.ring.retire(query, |e| drop(arena.remove(e.handle)));
+        self.locals.remove(&query);
+    }
+
+    /// Rule 5: a batch or source for a query this worker was never
+    /// introduced to. Every sender introduces a query on a lane before its
+    /// first work there, and every path is FIFO, so this is a broken
+    /// protocol: fail the query rather than run work without its context.
+    fn unintroduced(&mut self, query: QueryId) {
+        let error = GdError::InvariantViolation(format!(
+            "worker {} got work for query {} it was never introduced to",
+            self.id.0, query.0
+        ));
+        self.outbox
+            .send_ctrl_coord(CoordMsg::WorkerError { query, error });
+    }
+
+    /// The cancellation drain (DESIGN.md §13): pass the cancel on to the
+    /// workers this one introduced, purge every queued traverser of
+    /// `query`, absorb this worker's coalesced finished weight, and refund
+    /// the total to the coordinator as one ordinary `Progress` report. The
+    /// query stays in `cancelled` so weight still in flight when the purge
+    /// ran is refunded on arrival; once every share has reported, the
+    /// coordinator's tracker completes and its `QueryEnd` finishes the
+    /// teardown. Only a query held here is drained, once.
+    fn cancel_query(&mut self, query: QueryId) {
+        let Some(aq) = self.queries.get(&query) else {
+            return;
+        };
+        if !self.cancelled.insert(query) {
+            return;
+        }
+        pass_on(
+            &mut self.outbox,
+            #[cfg(feature = "obs")]
+            &mut self.obs,
+            &aq.scope.introduced,
+            (query, aq.stage),
+            || WorkerMsg::CancelQuery { query },
+        );
         let mut refund = Weight::ZERO;
         // Queued traversers: their handles free their slab slots and
         // release their interned locals — the table itself lives until
@@ -389,22 +487,11 @@ impl Worker {
             }
             refund.absorb(at.weight);
         });
-        // Messages stashed before `QueryBegin` (reordered delivery).
-        if let Some(stash) = self.pending.remove(&query) {
-            for m in stash {
-                match m {
-                    WorkerMsg::Batch(ts) => {
-                        for t in ts {
-                            refund.absorb(t.weight);
-                        }
-                    }
-                    WorkerMsg::StartSource { weight, .. } => refund.absorb(weight),
-                    _ => {}
-                }
-            }
-        }
-        // Finished weight coalesced but not yet reported.
-        if let Some(w) = self.memo.query_mut(query).finished.drain() {
+        // Finished weight coalesced but not yet reported; the aggregation
+        // built so far is discarded with the rows.
+        let memo = self.memo.query_mut(query);
+        let _ = memo.take_agg();
+        if let Some(w) = memo.finished.drain() {
             refund.absorb(w);
         }
         let steps = self.steps.remove(&query).unwrap_or(0);
@@ -456,12 +543,11 @@ impl Worker {
         self.id
     }
 
-    /// Does this worker hold anything for `query` — its context, stashed
-    /// messages, queued traversers, locals, unreported steps, a memo? Not
-    /// once the query's `QueryEnd` was handled (leak tests).
+    /// Does this worker hold anything for `query` — its context, queued
+    /// traversers, locals, unreported steps, a memo? Not once the query's
+    /// `QueryEnd` was handled (leak tests).
     pub fn holds(&self, query: QueryId) -> bool {
         self.queries.contains_key(&query)
-            || self.pending.contains_key(&query)
             || self.cancelled.contains(&query)
             || self.ring.holds(query)
             || self.idle.contains(&query)
@@ -471,7 +557,7 @@ impl Worker {
     }
 
     /// Admit an inbox batch. Everything that depends on the query alone —
-    /// ended, draining, begun yet, pinned routing version, locals table —
+    /// ended, draining, introduced, pinned routing version, locals table —
     /// is resolved once per run of same-query traversers, not per traverser.
     fn admit_batch(&mut self, ts: Vec<Traverser>) {
         let mut ts = ts.into_iter().peekable();
@@ -490,14 +576,12 @@ impl Worker {
                 self.idle.push(q);
                 continue;
             }
-            let Some(pinned) = self.queries.get(&q).map(|aq| aq.ctx.routing_version) else {
-                // The ctx has not arrived yet. Such traversers stash and
-                // re-enter here after `QueryBegin`, so they are never
-                // forwarded blind.
-                let early = WorkerMsg::Batch(run.collect());
-                self.pending.entry(q).or_default().push(early);
+            let Some(aq) = self.queries.get_mut(&q) else {
+                run.for_each(drop);
+                self.unintroduced(q);
                 continue;
             };
+            let pinned = aq.ctx.routing_version;
             let lt = self.locals.entry(q).or_default();
             self.ring.admit(q, |queue| {
                 for t in run {
@@ -516,7 +600,15 @@ impl Worker {
                             #[cfg(feature = "obs")]
                             self.obs.stub_forwarded();
                             let w = self.graph.partitioner().worker_of_part(dest);
-                            self.outbox.send_traverser(w, t);
+                            send_work(
+                                &mut self.outbox,
+                                #[cfg(feature = "obs")]
+                                &mut self.obs,
+                                self.id,
+                                (&aq.ctx, aq.stage, &mut aq.scope),
+                                w,
+                                t,
+                            );
                         }
                         _ => queue_local(
                             queue,
@@ -540,15 +632,11 @@ impl Worker {
             self.idle.push(query);
             return;
         }
+        if self.dead.contains(query) {
+            return;
+        }
         let Some(aq) = self.queries.get(&query) else {
-            self.pending
-                .entry(query)
-                .or_default()
-                .push(WorkerMsg::StartSource {
-                    query,
-                    pipeline,
-                    weight,
-                });
+            self.unintroduced(query);
             return;
         };
         let ctx = Arc::clone(&aq.ctx);
@@ -606,7 +694,7 @@ impl Worker {
             let Some((query, queue)) = self.ring.pop() else {
                 break;
             };
-            let Some(aq) = self.queries.get(&query) else {
+            let Some(aq) = self.queries.get_mut(&query) else {
                 // `QueryEnd` retires the queue, so none outlives its query;
                 // were one to, free its slots rather than run them.
                 let arena = &mut self.arena;
@@ -614,7 +702,7 @@ impl Worker {
                 continue;
             };
             let locals = self.locals.entry(query).or_default();
-            let (ctx, stage) = (&*aq.ctx, aq.stage);
+            let (ctx, stage, scope) = (&aq.ctx, aq.stage, &mut aq.scope);
             let interp = Interpreter {
                 graph: &self.graph,
                 plan: &ctx.plan,
@@ -690,7 +778,15 @@ impl Worker {
                                     }
                                     #[cfg(feature = "obs")]
                                     obs_remote.push((w.0, t.wire_bytes() as u64));
-                                    self.outbox.send_traverser(w, t);
+                                    send_work(
+                                        &mut self.outbox,
+                                        #[cfg(feature = "obs")]
+                                        &mut self.obs,
+                                        self.id,
+                                        (ctx, stage, scope),
+                                        w,
+                                        t,
+                                    );
                                 }
                             }
                             if !out.emitted.is_empty() {
@@ -710,9 +806,13 @@ impl Worker {
                                     memo.finished.add(out.finished);
                                 } else {
                                     // Naive progress tracking: one report per
-                                    // termination.
+                                    // termination, behind the aggregation it
+                                    // built.
                                     let since = self.steps.remove(&query).unwrap_or(0)
                                         + std::mem::take(&mut steps);
+                                    if let Some(state) = memo.take_agg() {
+                                        self.outbox.send(agg_partial(query, state));
+                                    }
                                     self.outbox.send_progress(query, out.finished, since);
                                     #[cfg(feature = "obs")]
                                     {
@@ -774,8 +874,6 @@ impl Worker {
             return;
         }
         #[cfg(feature = "obs")]
-        let obs_stage = self.queries.get(&query).map_or(0, |a| a.stage);
-        #[cfg(feature = "obs")]
         let mut obs_local = 0u64;
         #[cfg(feature = "obs")]
         let mut obs_remote: Vec<(u32, u64)> = Vec::new();
@@ -784,6 +882,10 @@ impl Worker {
         #[cfg(feature = "obs")]
         let mut obs_progress = false;
         let hot = self.outbox.fabric().hot_tracker().is_enabled();
+        let Some(aq) = self.queries.get_mut(&query) else {
+            return;
+        };
+        let (ctx, stage, scope) = (&aq.ctx, aq.stage, &mut aq.scope);
         let went_idle = self.ring.admit(query, |queue| {
             for (dest, t) in out.spawned {
                 if dest == self.id.part() {
@@ -807,7 +909,15 @@ impl Worker {
                     }
                     #[cfg(feature = "obs")]
                     obs_remote.push((w.0, t.wire_bytes() as u64));
-                    self.outbox.send_traverser(w, t);
+                    send_work(
+                        &mut self.outbox,
+                        #[cfg(feature = "obs")]
+                        &mut self.obs,
+                        self.id,
+                        (ctx, stage, scope),
+                        w,
+                        t,
+                    );
                 }
             }
             queue.is_empty()
@@ -833,8 +943,12 @@ impl Worker {
             if self.weight_coalescing {
                 self.memo.query_mut(query).finished.add(out.finished);
             } else {
-                // Naive progress tracking: one report per termination.
+                // Naive progress tracking: one report per termination,
+                // behind the aggregation it built.
                 let steps = self.steps.remove(&query).unwrap_or(0);
+                if let Some(state) = self.memo.query_mut(query).take_agg() {
+                    self.outbox.send(agg_partial(query, state));
+                }
                 self.outbox.send_progress(query, out.finished, steps);
                 #[cfg(feature = "obs")]
                 {
@@ -843,19 +957,16 @@ impl Worker {
             }
         }
         #[cfg(feature = "obs")]
-        self.obs.route_done(
-            query,
-            obs_stage,
-            obs_local,
-            &obs_remote,
-            obs_rows,
-            obs_progress,
-        );
+        self.obs
+            .route_done(query, stage, obs_local, &obs_remote, obs_rows, obs_progress);
     }
 
     /// Report the coalesced finished weight and step count of every query
     /// that went idle here since the last call (§IV-A): its queue emptied
-    /// after a run, a source or a cancel. Returns whether any query did.
+    /// after a run, a source or a cancel. Rule 4: the aggregation built
+    /// since the last report goes first, on the same lane, so it reaches
+    /// the coordinator before the weight that accounts for it. Returns
+    /// whether any query went idle.
     fn flush_progress(&mut self) -> bool {
         let went_idle = !self.idle.is_empty();
         for q in self.idle.drain(..) {
@@ -864,7 +975,16 @@ impl Worker {
             if !self.weight_coalescing || !self.queries.contains_key(&q) {
                 continue;
             }
-            if let Some(w) = self.memo.query_mut(q).finished.drain() {
+            #[cfg(feature = "obs")]
+            let stage = self.queries.get(&q).map_or(0, |a| a.stage);
+            let memo = self.memo.query_mut(q);
+            if let Some(state) = memo.take_agg() {
+                let partial = agg_partial(q, state);
+                #[cfg(feature = "obs")]
+                self.obs.note_msg(q, stage, &partial);
+                self.outbox.send(partial);
+            }
+            if let Some(w) = memo.finished.drain() {
                 let steps = self.steps.remove(&q).unwrap_or(0);
                 if self.fault.sim.progress_side_channel {
                     // Injected regression: pre-fix drain order where the
@@ -874,14 +994,19 @@ impl Worker {
                     self.outbox.send_progress(q, w, steps);
                 }
                 #[cfg(feature = "obs")]
-                {
-                    let stage = self.queries.get(&q).map_or(0, |a| a.stage);
-                    self.obs.note_progress(q, stage);
-                }
+                self.obs.note_progress(q, stage);
             }
         }
         went_idle
     }
+}
+
+/// An aggregation partial for the coordinator (rule 4).
+fn agg_partial(query: QueryId, state: graphdance_pstm::AggState) -> WireMsg {
+    WireMsg::Coord(CoordMsg::AggPartial {
+        query,
+        state: Some(Box::new(state)),
+    })
 }
 
 /// Admit a runnable traverser into the arena and queue its handle.
@@ -988,69 +1113,203 @@ mod handler_tests {
         ctx_with(worker, 5, 0)
     }
 
+    /// Introduce `ctx`'s query as the coordinator would, at stage 0.
+    fn begin(w: &mut Worker, ctx: Arc<QueryCtx>) {
+        w.handle(WorkerMsg::QueryBegin {
+            ctx,
+            stage: 0,
+            from: None,
+        });
+    }
+
     /// A traverser of `query` sitting on vertex 0 at the plan's first step.
     fn at_v0(query: u64, weight: u64) -> Traverser {
         Traverser::root(QueryId(query), 0, VertexId(0), 0, Weight(weight))
     }
 
+    /// Rule 5: every sender introduces a query on its lane ahead of its
+    /// work, so a batch or source for a query this worker was never
+    /// introduced to (and that has not ended here) is a broken protocol. It
+    /// fails that query with a typed error — no stash, no panic, no hang —
+    /// and leaves the worker holding nothing of it.
     #[test]
-    fn early_traversers_are_stashed_until_query_begin() {
+    fn work_for_an_unintroduced_query_fails_it() {
+        let (mut w, _fabric, _wrx, crx) = test_worker_with_coord();
+        w.handle(WorkerMsg::Batch(vec![at_v0(5, 1), at_v0(5, 2)]));
+        w.handle(WorkerMsg::StartSource {
+            query: QueryId(6),
+            pipeline: 0,
+            weight: Weight::ROOT,
+        });
+        assert!(w.ring.is_empty());
+        assert_eq!(w.pump(), PumpStatus::Idle);
+        let failed: Vec<u64> = std::iter::from_fn(|| crx.try_recv().ok())
+            .map(|m| match m {
+                CoordMsg::WorkerError {
+                    query,
+                    error: GdError::InvariantViolation(why),
+                } => {
+                    assert!(why.contains("never introduced"), "{why}");
+                    query.0
+                }
+                other => panic!("expected a WorkerError, got {other:?}"),
+            })
+            .collect();
+        assert_eq!(failed, vec![5, 6]);
+        assert!(!w.holds(QueryId(5)) && !w.holds(QueryId(6)));
+        // An ended query's stragglers are dropped quietly, as before.
+        let ctx = ctx_with(&w, 7, 0);
+        begin(&mut w, ctx);
+        w.handle(WorkerMsg::QueryEnd { query: QueryId(7) });
+        w.handle(WorkerMsg::Batch(vec![at_v0(7, 1)]));
+        assert_eq!(w.pump(), PumpStatus::Idle);
+        assert!(crx.try_recv().is_err());
+    }
+
+    /// Rule 2: a stage advance happens once. A repeated `StageBegin` (or one
+    /// for an older stage) after stage-2 dedup records exist leaves them in
+    /// place — it used to clear the stage's memo state again.
+    #[test]
+    fn repeated_stage_begin_keeps_the_stage_state() {
         let (mut w, _fabric, _wrx) = test_worker();
         let ctx = ctx_for(&w);
-        // A mixed batch before either QueryBegin: stashed, not queued —
-        // one stashed `Batch` per same-query run, in arrival order.
-        w.handle(WorkerMsg::Batch(vec![
-            at_v0(5, 1),
-            at_v0(5, 2),
-            at_v0(6, 3),
-            at_v0(5, 4),
-        ]));
-        assert!(w.ring.is_empty());
-        let runs = |w: &Worker, q: u64| -> Vec<Vec<u64>> {
-            w.pending[&QueryId(q)]
-                .iter()
+        begin(&mut w, ctx);
+        let q = QueryId(5);
+        for stage in [1, 2] {
+            w.handle(WorkerMsg::StageBegin { query: q, stage });
+        }
+        assert!(w.memo.query_mut(q).dedup_insert(0, 0, VertexId(0), vec![]));
+        for stage in [2, 1, 2] {
+            w.handle(WorkerMsg::StageBegin { query: q, stage });
+        }
+        assert_eq!(w.queries[&q].stage, 2);
+        assert!(
+            !w.memo.query_mut(q).dedup_insert(0, 0, VertexId(0), vec![]),
+            "the stage-2 dedup record survived"
+        );
+    }
+
+    /// Rules 1–3 at one worker: it introduces the query to a peer ahead of
+    /// the first traverser it sends there (here through a forwarding
+    /// stub), passes a stage advance to every worker it knows holds the
+    /// context, and passes the end to the ones it introduced. A second
+    /// `QueryBegin` — from a sender that did not know this worker held the
+    /// query, carrying an older stage — keeps the stage, the scope and the
+    /// queue.
+    #[test]
+    fn introductions_carry_stage_and_end_along_the_work() {
+        let (mut w, _fabric, wrx) = test_worker();
+        let other = WorkerId(1 - w.id.0);
+        let q = QueryId(6);
+        let ctx = ctx_with(&w, 6, 1);
+        begin(&mut w, ctx);
+        w.handle(WorkerMsg::MigrateCommit {
+            seq: 0,
+            v: VertexId(0),
+            to: other.part(),
+            version: 1,
+        });
+        w.handle(WorkerMsg::Batch(vec![at_v0(6, 2), at_v0(6, 3)]));
+        w.handle(WorkerMsg::StageBegin { query: q, stage: 1 });
+        w.handle(WorkerMsg::Batch(vec![at_v0(6, 4)]));
+        w.outbox.flush_all();
+        let at_other = || -> Vec<String> {
+            std::iter::from_fn(|| wrx[other.as_usize()].try_recv().ok())
                 .map(|m| match m {
-                    WorkerMsg::Batch(ts) => ts.iter().map(|t| t.weight.0).collect(),
-                    other => panic!("stashed a non-batch: {other:?}"),
+                    WorkerMsg::QueryBegin { stage, from, .. } => format!("begin {stage} {from:?}"),
+                    WorkerMsg::Batch(ts) => format!("batch {}", ts.len()),
+                    WorkerMsg::StageBegin { stage, .. } => format!("stage {stage}"),
+                    WorkerMsg::QueryEnd { .. } => "end".into(),
+                    other => format!("{other:?}"),
                 })
                 .collect()
         };
-        assert_eq!(runs(&w, 5), vec![vec![1, 2], vec![4]]);
-        assert_eq!(runs(&w, 6), vec![vec![3]]);
-        // QueryBegin replays that query's stash into the run queue, in the
-        // order the traversers arrived; the other query stays stashed.
-        w.handle(WorkerMsg::QueryBegin { ctx, stage: 0 });
-        assert_eq!(w.pending.len(), 1);
-        assert_eq!(w.ring.len(), 3);
-        assert_eq!(stage_next(&mut w), Some(QueryId(5)));
-        let order: Vec<u64> = (w.frontier.handles.iter())
-            .map(|h| w.arena.get(*h).weight.0)
+        let me = format!("{:?}", Some(w.id));
+        assert_eq!(
+            at_other(),
+            [
+                format!("begin 0 {me}"),
+                "batch 2".into(),
+                "stage 1".into(),
+                "batch 1".into()
+            ]
+        );
+        let scope_before = w.queries[&q].scope.clone();
+        w.handle(WorkerMsg::QueryBegin {
+            ctx: ctx_with(&w, 6, 1),
+            stage: 0,
+            from: Some(other),
+        });
+        let aq = &w.queries[&q];
+        assert_eq!(aq.stage, 1, "an older stage is not taken back");
+        assert_eq!(aq.scope.known, scope_before.known);
+        assert_eq!(aq.scope.introduced, scope_before.introduced);
+        w.handle(WorkerMsg::QueryEnd { query: q });
+        assert!(at_other().is_empty(), "the end waits for the lane's flush");
+        w.outbox.flush_all();
+        assert_eq!(at_other(), ["end".to_string()]);
+        assert!(!w.holds(q));
+    }
+
+    /// Rule 4: an aggregating query's partial is data sent ahead of the
+    /// progress report that accounts for the traversers which built it —
+    /// no gather round trip follows the stage.
+    #[test]
+    fn aggregation_partial_travels_ahead_of_its_progress() {
+        let (mut w, _fabric, _wrx, crx) = test_worker_with_coord();
+        let mut qb = QueryBuilder::new(w.graph.schema());
+        qb.v_param(0).out("e").count();
+        let ctx = Arc::new(QueryCtx {
+            query: QueryId(5),
+            plan: qb.compile().unwrap(),
+            params: vec![Value::Vertex(VertexId(0))],
+            read_ts: 1,
+            routing_version: 0,
+        });
+        begin(&mut w, ctx);
+        w.handle(WorkerMsg::StartSource {
+            query: QueryId(5),
+            pipeline: 0,
+            weight: Weight::ROOT,
+        });
+        while w.pump() == PumpStatus::Worked {}
+        let kinds: Vec<&str> = std::iter::from_fn(|| crx.try_recv().ok())
+            .map(|m| match m {
+                CoordMsg::AggPartial { state: Some(_), .. } => "partial",
+                CoordMsg::Progress { .. } => "progress",
+                other => panic!("unexpected {other:?}"),
+            })
             .collect();
-        assert_eq!(order, vec![1, 2, 4]);
+        assert_eq!(kinds, ["partial", "progress"]);
     }
 
     #[test]
     fn dead_query_traversers_are_dropped() {
         let (mut w, fabric, _wrx) = test_worker();
         let ctx = ctx_for(&w);
-        w.handle(WorkerMsg::QueryBegin { ctx, stage: 0 });
+        w.handle(WorkerMsg::QueryBegin {
+            ctx,
+            stage: 0,
+            from: None,
+        });
         w.handle(WorkerMsg::QueryEnd { query: QueryId(5) });
         w.handle(WorkerMsg::Batch(vec![at_v0(5, 1)]));
         assert!(
             w.ring.is_empty(),
             "late traversers for an ended query are dropped"
         );
-        assert!(w.pending.is_empty());
         // Mixed with a live query and a draining one: the dead query's runs
         // are dropped, the live query's traverser is queued, and each of
         // the draining query's is refunded as its own progress report.
         w.handle(WorkerMsg::QueryBegin {
             ctx: ctx_with(&w, 6, 0),
             stage: 0,
+            from: None,
         });
         w.handle(WorkerMsg::QueryBegin {
             ctx: ctx_with(&w, 7, 0),
             stage: 0,
+            from: None,
         });
         w.handle(WorkerMsg::CancelQuery { query: QueryId(7) });
         let before = fabric.stats().snapshot().progress_msgs;
@@ -1063,7 +1322,6 @@ mod handler_tests {
         ]));
         assert_eq!(w.ring.len(), 1);
         assert_eq!(stage_next(&mut w), Some(QueryId(6)));
-        assert!(w.pending.is_empty());
         // Sends are counted when their buffer is flushed.
         w.outbox.flush_all();
         assert_eq!(fabric.stats().snapshot().progress_msgs - before, 2);
@@ -1087,6 +1345,7 @@ mod handler_tests {
                 routing_version: 0,
             }),
             stage: 0,
+            from: None,
         };
         const CYCLES: u64 = 100_000;
         for i in 1..=CYCLES {
@@ -1105,11 +1364,9 @@ mod handler_tests {
                 weight: Weight::ROOT,
             });
             while w.pump() == PumpStatus::Worked {}
-            w.handle(WorkerMsg::GatherAgg { query: q });
             w.handle(WorkerMsg::QueryEnd { query: q });
         }
         assert!(w.queries.is_empty());
-        assert!(w.pending.is_empty());
         assert!(w.steps.is_empty());
         assert!(w.cancelled.is_empty());
         assert!(w.locals.is_empty());
@@ -1143,10 +1400,12 @@ mod handler_tests {
         w.handle(WorkerMsg::QueryBegin {
             ctx: ctx5,
             stage: 0,
+            from: None,
         });
         w.handle(WorkerMsg::QueryBegin {
             ctx: ctx6,
             stage: 0,
+            from: None,
         });
         w.handle(WorkerMsg::Batch(vec![at_v0(5, 1), at_v0(6, 2)]));
         assert_eq!(w.ring.len(), 2);
@@ -1170,6 +1429,7 @@ mod handler_tests {
             w.handle(WorkerMsg::QueryBegin {
                 ctx: ctx_with(&w, q, 0),
                 stage: 0,
+                from: None,
             });
         }
         w.handle(WorkerMsg::Batch(vec![at_v0(5, 1); 10_000]));
@@ -1197,6 +1457,7 @@ mod handler_tests {
         w.handle(WorkerMsg::QueryBegin {
             ctx: ctx_for(&w),
             stage: 0,
+            from: None,
         });
         for wave in [300, 5] {
             w.handle(WorkerMsg::Batch(vec![at_v0(5, 2); wave]));
@@ -1219,6 +1480,7 @@ mod handler_tests {
             w.handle(WorkerMsg::QueryBegin {
                 ctx: ctx_for(w),
                 stage: 0,
+                from: None,
             })
         };
         begin(&mut w);
@@ -1243,6 +1505,7 @@ mod handler_tests {
             w.handle(WorkerMsg::QueryBegin {
                 ctx: ctx_with(&w, q, 0),
                 stage: 0,
+                from: None,
             });
             w.handle(WorkerMsg::Batch(vec![at_v0(q, q); q as usize]));
         }
@@ -1258,22 +1521,6 @@ mod handler_tests {
         assert_eq!(progress_at(&crx), vec![(7, 49), (5, 25), (8, 64)]);
         assert_eq!(w.arena.live(), 0);
         assert_eq!(w.ring.free_queues(), 2);
-    }
-
-    #[test]
-    fn start_source_before_begin_is_replayed() {
-        let (mut w, _fabric, _wrx) = test_worker();
-        let ctx = ctx_for(&w);
-        w.handle(WorkerMsg::StartSource {
-            query: QueryId(5),
-            pipeline: 0,
-            weight: Weight::ROOT,
-        });
-        assert!(w.ring.is_empty());
-        w.handle(WorkerMsg::QueryBegin { ctx, stage: 0 });
-        // The replayed source spawned the root traverser (vertex 0 is local
-        // to this worker by construction).
-        assert_eq!(w.ring.len(), 1);
     }
 
     #[test]
@@ -1311,6 +1558,7 @@ mod handler_tests {
         w.handle(WorkerMsg::QueryBegin {
             ctx: Arc::clone(&ctx),
             stage: 0,
+            from: None,
         });
         let other = PartId(1 - w.id.part().0);
         // Arm a stub: vertex 0 committed to `other` at routing version 1.
@@ -1330,6 +1578,7 @@ mod handler_tests {
         w.handle(WorkerMsg::QueryBegin {
             ctx: ctx_with(&w, 6, 1),
             stage: 0,
+            from: None,
         });
         w.handle(WorkerMsg::Batch(vec![at_v0(6, 2)]));
         assert_eq!(
@@ -1359,6 +1608,7 @@ mod handler_tests {
         w.handle(WorkerMsg::QueryBegin {
             ctx: ctx_for(&w),
             stage: 0,
+            from: None,
         });
         let deep = |depth, weight| Traverser {
             depth,

@@ -3,12 +3,14 @@
 //! Each worker accumulates one [`SpanRecord`] per `(query, stage)` it
 //! participates in and pushes it to the shared [`TraceSink`] when the stage
 //! advances (or at query end). The coordinator stamps stage begin/end
-//! times, its own seeding spans, and the final message-ledger counts. Every
-//! participant **seals** the query when it has nothing more to contribute
-//! (workers seal on `QueryEnd`); once `expected_seals` seals have arrived
-//! *and* the coordinator marked the query done, the sink reassembles the
-//! spans into a per-stage [`QueryTrace`] timeline and parks it in a bounded
-//! ring for pickup.
+//! times, its own seeding spans, and the final message-ledger counts. A
+//! worker **joins** a query when the query reaches it and **seals** it
+//! when it has nothing more to contribute (workers join on their first
+//! `QueryBegin` and seal on `QueryEnd`); once every joined participant has
+//! sealed *and* the coordinator marked the query done, the sink
+//! reassembles the spans into a per-stage [`QueryTrace`] timeline and
+//! parks it in a bounded ring for pickup. (Every worker a query reaches
+//! joins before its work runs, so before the query can be done.)
 //!
 //! All timestamps are nanoseconds since an epoch chosen by the embedding
 //! engine (obs never reads a clock — see the crate docs).
@@ -316,6 +318,7 @@ struct StageBuild {
 #[derive(Debug, Default)]
 struct QueryBuild {
     stages: BTreeMap<u32, StageBuild>,
+    joins: u32,
     seals: u32,
     done: bool,
     total_ns: u64,
@@ -348,17 +351,14 @@ impl SinkInner {
 #[derive(Debug)]
 pub struct TraceSink {
     inner: Mutex<SinkInner>,
-    expected_seals: u32,
     cap: usize,
 }
 
 impl TraceSink {
-    /// A sink expecting `expected_seals` seals per query (one per worker),
-    /// retaining at most `cap` reassembled traces.
-    pub fn new(expected_seals: u32, cap: usize) -> Self {
+    /// A sink retaining at most `cap` reassembled traces.
+    pub fn new(cap: usize) -> Self {
         Self {
             inner: Mutex::new(SinkInner::default()),
-            expected_seals,
             cap: cap.max(1),
         }
     }
@@ -407,6 +407,11 @@ impl TraceSink {
         self.maybe_finish(&mut inner, query);
     }
 
+    /// A participant will contribute to `query` and seal it later.
+    pub fn join(&self, query: u64) {
+        self.lock().build(query).joins += 1;
+    }
+
     /// A participant has nothing more to contribute for `query`.
     pub fn seal(&self, query: u64) {
         let mut inner = self.lock();
@@ -418,7 +423,7 @@ impl TraceSink {
         let complete = inner
             .active
             .get(&query)
-            .is_some_and(|q| q.done && q.seals >= self.expected_seals);
+            .is_some_and(|q| q.done && q.seals >= q.joins);
         if !complete {
             return;
         }
@@ -500,8 +505,11 @@ mod tests {
     #[test]
     fn reassembles_three_stage_timeline() {
         let workers = 4u32;
-        let sink = TraceSink::new(workers, 8);
+        let sink = TraceSink::new(8);
         let q = 7u64;
+        for _ in 0..workers {
+            sink.join(q);
+        }
         // Coordinator drives stages 0..3; workers report spans in arbitrary
         // interleaved order, as they would under real scheduling.
         for stage in 0..3u32 {
@@ -562,7 +570,7 @@ mod tests {
 
     #[test]
     fn empty_spans_are_dropped_and_ring_is_bounded() {
-        let sink = TraceSink::new(1, 2);
+        let sink = TraceSink::new(2);
         sink.record(SpanRecord {
             query: 1,
             ..Default::default()
@@ -573,6 +581,7 @@ mod tests {
         assert!(t.stages.is_empty(), "empty span contributed nothing");
 
         for q in 10..15u64 {
+            sink.join(q);
             sink.query_done(q, 1, 0, 0);
             sink.seal(q);
         }
@@ -586,7 +595,7 @@ mod tests {
 
     #[test]
     fn forget_discards_partial_state() {
-        let sink = TraceSink::new(1, 4);
+        let sink = TraceSink::new(4);
         sink.record(span(3, 0, 0, 1));
         sink.forget(3);
         sink.query_done(3, 1, 0, 0);

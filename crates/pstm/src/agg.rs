@@ -1,9 +1,10 @@
 //! Aggregation partials (§III-C).
 //!
 //! All supported aggregation functions are commutative and associative, so
-//! each partition accumulates a partial [`AggState`] in its memo; when the
-//! stage's scope terminates, the coordinator gathers and [`AggState::merge`]s
-//! the partials and [`AggState::finalize`]s the result rows (Fig. 6).
+//! each partition accumulates a partial [`AggState`] in its memo and ships
+//! it ahead of each progress report; the coordinator [`AggState::merge`]s
+//! the partials as they arrive and, when the stage's scope terminates,
+//! [`AggState::finalize`]s the result rows (Fig. 6).
 
 use serde::{Deserialize, Serialize};
 

@@ -164,8 +164,15 @@ impl QueryMemo {
         self.agg.get_or_insert_with(init)
     }
 
-    /// Take the aggregation partial (gathered by the coordinator at scope
-    /// completion, Fig. 6), resetting join/dedup state for the next stage.
+    /// Take the aggregation state built since the last take: the worker
+    /// ships it to the coordinator ahead of each progress report (Fig. 6's
+    /// partials, gathered as the stage runs instead of after it).
+    pub fn take_agg(&mut self) -> Option<AggState> {
+        self.agg.take()
+    }
+
+    /// Reset dedup, min-distance and join state for the next stage, and
+    /// take any aggregation partial still held.
     pub fn take_stage_state(&mut self) -> Option<AggState> {
         self.dedup.clear();
         self.min_dist.clear();
@@ -317,6 +324,9 @@ mod tests {
         q.dedup_insert(0, 0, VertexId(1), vec![]);
         q.join_insert_probe(0, ValueKey::Int(1), true, vec![]);
         assert!(q.take_stage_state().is_none(), "no aggregation was started");
+        q.agg_mut(|| AggState::Count(0));
+        assert!(q.take_agg().is_some());
+        assert!(q.take_agg().is_none(), "taken once");
         assert!(
             q.dedup_insert(0, 0, VertexId(1), vec![]),
             "dedup state cleared"

@@ -129,6 +129,20 @@ pub(crate) fn normalize(rows: &[Row]) -> Vec<String> {
     v
 }
 
+/// A quiescent cluster whose queries have all resolved holds none of them:
+/// with no broadcast left, this is the check that each query's teardown
+/// reached every worker the query reached. Only an otherwise acceptable
+/// verdict is replaced, so a wrong answer keeps its class.
+pub(crate) fn with_leak_check(sim: &SimCluster, verdict: Verdict) -> Verdict {
+    match sim.leaked_query() {
+        Some((w, q)) if verdict.acceptable() => Verdict::Failed(GdError::Internal(format!(
+            "quiescent, yet worker {w} still holds query {}",
+            q.0
+        ))),
+        _ => verdict,
+    }
+}
+
 /// Run `repro` once and differentially check it against the oracle.
 pub fn check(repro: &Repro) -> Verdict {
     check_detailed(repro).verdict
@@ -196,6 +210,7 @@ pub fn check_detailed(repro: &Repro) -> RunReport {
         Err(e @ (GdError::InvariantViolation(_) | GdError::QueryTimeout(_))) => Verdict::Flagged(e),
         Err(e) => Verdict::Failed(e),
     };
+    let verdict = with_leak_check(&sim, verdict);
     RunReport {
         verdict,
         fingerprint: sim.trace().fingerprint(),

@@ -24,10 +24,10 @@ use graphdance_engine::{EngineConfig, FaultCounts, SimCluster, SimStep};
 
 use crate::repro::{QuerySpec, Repro};
 use crate::service::severity;
-use crate::{normalize, oracle_rows, Verdict};
+use crate::{normalize, oracle_rows, with_leak_check, Verdict};
 
 /// Scheduling quanta allowed after the last query resolves for the
-/// post-run drain (retire legs, `QueryEnd` broadcasts) to reach
+/// post-run drain (retire legs, `QueryEnd`s) to reach
 /// quiescence. Generous: clean drains take tens of quanta.
 const DRAIN_BUDGET: u64 = 200_000;
 
@@ -248,6 +248,8 @@ pub fn check_partition_detailed(repro: &Repro) -> PartitionReport {
         verdict = Verdict::Failed(GdError::Internal(
             "migration run resolved every query but never quiesced".into(),
         ));
+    } else if quiesced {
+        verdict = with_leak_check(&sim, verdict);
     }
     if pending > 0 && severity(&verdict) < 2 {
         // A stuck migration is only legitimate when the network actually

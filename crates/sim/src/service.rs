@@ -25,7 +25,7 @@ use graphdance_common::GdError;
 use graphdance_engine::{EngineConfig, FaultCounts, SimCluster, SimStep};
 
 use crate::repro::{QuerySpec, Repro, SvcSpec};
-use crate::{normalize, oracle_rows, Verdict};
+use crate::{normalize, oracle_rows, with_leak_check, Verdict};
 
 /// Scheduling quanta allowed after the last query resolves for the
 /// post-cancel drain (`QueryEnd` broadcasts, refund deliveries) to reach
@@ -272,6 +272,8 @@ pub fn check_service_detailed(repro: &Repro) -> ServiceReport {
         verdict = Verdict::Failed(GdError::Internal(
             "service run resolved every query but never quiesced".into(),
         ));
+    } else if quiesced {
+        verdict = with_leak_check(&sim, verdict);
     }
 
     ServiceReport {

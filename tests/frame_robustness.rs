@@ -315,8 +315,12 @@ fn hostile_depths_over_live_socket_are_queued_and_run() {
         read_ts: 1,
         routing_version: 0,
     });
-    tx.send(WorkerMsg::QueryBegin { ctx, stage: 0 })
-        .expect("inbox");
+    tx.send(WorkerMsg::QueryBegin {
+        ctx,
+        stage: 0,
+        from: None,
+    })
+    .expect("inbox");
     tx.send(arrived).expect("inbox");
     let mut quanta = 0;
     while worker.pump() != PumpStatus::Idle {

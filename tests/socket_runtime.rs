@@ -138,17 +138,23 @@ impl Mesh {
         assert_eq!(normalized(&got), normalized(&want), "follow-up rows");
         assert_eq!(got.len(), 24);
 
-        // A barrier: every worker answers this count's gather after — lanes
-        // are FIFO — it has handled the `QueryEnd`s of the two queries
-        // before it, and after the stragglers those queries still had on
-        // the wire were delivered.
+        // Barriers: a scan count reaches every worker, and a worker reports
+        // it only with everything it buffered before on its way (the
+        // coordinator's lane is flushed last; lanes are FIFO). A query's
+        // `QueryEnd` spreads along its introductions, at least one hop per
+        // barrier, and no chain of introductions is longer than the
+        // topology has workers: one barrier more than that, and every
+        // worker has handled the `QueryEnd`s of the two queries before,
+        // and the stragglers those queries still had on the wire were
+        // delivered.
         let mut b = QueryBuilder::new(self.graph.schema());
         b.v().has_label("Person").count();
-        let barrier = self
-            .head
-            .submit_at(&b.compile().expect("scan"), vec![], READ_TS);
-        let rows = barrier.wait_timeout(WAIT).expect("barrier query").rows;
-        assert_eq!(rows, vec![vec![Value::Int(64)]]);
+        let scan = b.compile().expect("scan");
+        for _ in 0..=self.graph.partitioner().num_parts() {
+            let barrier = self.head.submit_at(&scan, vec![], READ_TS);
+            let rows = barrier.wait_timeout(WAIT).expect("barrier query").rows;
+            assert_eq!(rows, vec![vec![Value::Int(64)]]);
+        }
 
         if MsgLedger::ENABLED {
             for q in [scenario, follow_up_id] {
