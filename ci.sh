@@ -90,7 +90,7 @@ cargo test -q --test sim_tcp_parity
 
 echo "==> transport: loopback A/B smoke (--quick)"
 # The recorded batching/latency budgets are asserted by the
-# graphdance-bench unit test recorded_transport_within_budget in the
+# graphdance-bench gate recorded_transport_within_budget in the
 # workspace pass; this lane smoke-runs the A/B itself.
 cargo run -q --release -p graphdance-bench --bin transport_ab -- --quick \
     >/dev/null
@@ -100,7 +100,7 @@ cargo run -q --release -p graphdance-bench --bin fig12_io_scheduler -- --quick \
     >/dev/null
 
 echo "==> hot-path arena: perf-regression floor (committed BENCH_hotpath.json)"
-# The floor itself is asserted by the graphdance-bench unit test
+# The floor itself is asserted by the graphdance-bench gate
 # recorded_hotpath_within_budget (runs in the workspace pass above); this
 # lane smoke-runs the comparison bin so the measurement path stays healthy.
 cargo run -q --release -p graphdance-bench --bin hotpath_arena >/dev/null
@@ -108,7 +108,7 @@ cargo run -q --release -p graphdance-bench --bin hotpath_arena >/dev/null
 echo "==> service front-end: SLO sweep smoke (--quick)"
 # The recorded SLO floor (interactive p99 < background p99, bounded
 # shedding, cancellation tolerance) is asserted by the graphdance-bench
-# unit test recorded_service_slo_within_budget in the workspace pass;
+# gate recorded_service_slo_within_budget in the workspace pass;
 # this lane smoke-runs the open-loop driver itself.
 cargo run -q --release -p graphdance-bench --bin service_slo -- --quick \
     >/dev/null
@@ -133,7 +133,7 @@ done
 
 echo "==> partitioning: hash-vs-fennel A/B smoke (--quick)"
 # The recorded cross-node floor (≥40% fewer traverser messages, p50/p99
-# within tolerance) is asserted by the graphdance-bench unit test
+# within tolerance) is asserted by the graphdance-bench gate
 # recorded_partitioning_within_budget in the workspace pass; this lane
 # smoke-runs the A/B itself.
 cargo run -q --release -p graphdance-bench --bin partitioning_ab -- --quick \

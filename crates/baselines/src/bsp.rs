@@ -29,25 +29,11 @@ use graphdance_engine::config::EngineConfig;
 use graphdance_engine::messages::{BspSignal, CoordMsg, QueryCtx, WorkerMsg};
 use graphdance_engine::net::{Fabric, NetStatsSnapshot, Outbox};
 use graphdance_engine::QueryResult;
-use graphdance_pstm::{AggState, Interpreter, Memo, Row, Traverser, Weight, WeightLedger};
+use graphdance_pstm::{AggState, Memo, Row, Traverser, Weight, WeightLedger};
 use graphdance_query::plan::{Plan, SourceSpec};
 use graphdance_storage::Graph;
 
 use crate::traits::QueryEngine;
-
-/// Build an interpreter over disjoint borrows (keeps `&mut self.rng` and
-/// `&mut self.memo` usable alongside it).
-fn make_interp<'a>(graph: &'a Graph, ctx: &'a QueryCtx, stage: u16) -> Interpreter<'a> {
-    Interpreter {
-        graph,
-        plan: &ctx.plan,
-        stage_idx: stage as usize,
-        query: ctx.query,
-        params: &ctx.params,
-        read_ts: ctx.read_ts,
-        routing_version: ctx.routing_version,
-    }
-}
 
 /// Per-query state at a BSP worker.
 #[derive(Default)]
@@ -156,7 +142,7 @@ impl BspWorker {
             return;
         };
         let (ctx, stage) = (Arc::clone(ctx), *stage);
-        let interp = make_interp(&self.graph, &ctx, stage);
+        let interp = ctx.interpreter(&self.graph, stage);
         let out = {
             let part = self.graph.read(self.id.part());
             interp.run_source(pipeline, weight, &part, &mut self.rng)
@@ -228,7 +214,7 @@ impl BspWorker {
         let mut count = 0u64;
         while let Some(t) = queue.pop() {
             let input = t.weight;
-            let interp = make_interp(&self.graph, &ctx, stage);
+            let interp = ctx.interpreter(&self.graph, stage);
             let out = {
                 let part = self.graph.read(self.id.part());
                 interp.run_traverser(t, &part, self.memo.query_mut(query), &mut self.rng)
@@ -500,15 +486,7 @@ impl BspEngine {
                     }
                 }
                 SourceSpec::PrevRows { .. } => {
-                    let interp = Interpreter {
-                        graph: &self.graph,
-                        plan: &ctx.plan,
-                        stage_idx,
-                        query,
-                        params: &ctx.params,
-                        read_ts: ctx.read_ts,
-                        routing_version: ctx.routing_version,
-                    };
+                    let interp = ctx.interpreter(&self.graph, stage_idx as u16);
                     let out = interp.seed_prev_rows(pi as u16, &prev_rows, pw, &mut d.rng)?;
                     for (dest, t) in out.spawned {
                         inflight_weight.absorb(t.weight);
@@ -544,13 +522,9 @@ impl BspEngine {
         }
 
         // Superstep loop.
-        let dbg = std::env::var("BSP_DEBUG").is_ok();
         let num_parts = self.num_parts() as usize;
         let mut depth = 0u32;
         while inflight_count > 0 {
-            if dbg {
-                eprintln!("[bsp {query:?}] step {depth}: {inflight_count} traversers in flight, weight {inflight_weight:?}");
-            }
             // Delivery barrier: wait until every issued traverser has been
             // parked somewhere. Each probe round is tagged so straggler
             // replies from a previous round are ignored.
@@ -561,31 +535,22 @@ impl BspEngine {
                 self.broadcast(d, || WorkerMsg::Bsp(BspSignal::Probe { query, round }));
                 let mut parked = Weight::ZERO;
                 let mut replies = 0;
-                let mut per_part: Vec<(u32, Weight)> = Vec::new();
                 while replies < num_parts {
                     if let CoordMsg::BspParked {
                         query: q,
                         parked: p,
                         round: r,
-                        part,
+                        ..
                     } = self.next_msg(d, query, deadline, &mut rows)?
                     {
                         if q == query && r == round {
                             parked.absorb(p);
-                            per_part.push((part.0, p));
                             replies += 1;
                         }
                     }
                 }
-                if dbg && parked != inflight_weight {
-                    per_part.sort_unstable_by_key(|x| x.0);
-                    eprintln!("[bsp {query:?}] per-part parked: {per_part:?}");
-                }
                 if parked == inflight_weight {
                     break;
-                }
-                if dbg {
-                    eprintln!("[bsp {query:?}] step {depth}: parked {parked:?} != in-flight {inflight_weight:?}");
                 }
                 // Exponential backoff keeps probe traffic from amplifying
                 // load when deliveries are slow (oversubscribed hosts).

@@ -30,25 +30,11 @@ use graphdance_engine::coordinator::Coordinator;
 use graphdance_engine::messages::{CoordMsg, QueryCtx, QueryScope, WorkerMsg};
 use graphdance_engine::net::{Fabric, NetStatsSnapshot, Outbox};
 use graphdance_engine::QueryResult;
-use graphdance_pstm::{AggState, Interpreter, Memo, Outcome, Traverser, Weight};
+use graphdance_pstm::{AggState, Memo, Outcome, Traverser, Weight};
 use graphdance_query::plan::Plan;
 use graphdance_storage::Graph;
 
 use crate::traits::QueryEngine;
-
-/// Build an interpreter over disjoint borrows (keeps `&mut self.rng` and
-/// `&mut self.memo` usable alongside it).
-fn make_interp<'a>(graph: &'a Graph, ctx: &'a QueryCtx, stage: u16) -> Interpreter<'a> {
-    Interpreter {
-        graph,
-        plan: &ctx.plan,
-        stage_idx: stage as usize,
-        query: ctx.query,
-        params: &ctx.params,
-        read_ts: ctx.read_ts,
-        routing_version: ctx.routing_version,
-    }
-}
 
 /// A query as one node holds it.
 struct NodeQuery {
@@ -221,7 +207,7 @@ impl SharedWorker {
                     }
                     return;
                 };
-                let interp = make_interp(&self.graph, &ctx.0, ctx.1);
+                let interp = ctx.0.interpreter(&self.graph, ctx.1);
                 let out = {
                     let part = self.graph.read(self.id.part());
                     interp.run_source(pipeline, weight, &part, &mut self.rng)
@@ -332,7 +318,7 @@ impl SharedWorker {
             Some(nq) => (Arc::clone(&nq.ctx), nq.stage),
             None => return,
         };
-        let interp = make_interp(&self.graph, &ctx.0, ctx.1);
+        let interp = ctx.0.interpreter(&self.graph, ctx.1);
         // The traverser may sit on any partition of this node; read that
         // partition (shared RwLock) and latch the node-wide memo for the
         // whole execution — the contention this baseline measures.

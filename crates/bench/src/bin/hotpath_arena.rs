@@ -12,7 +12,7 @@
 //!
 //! Prints one `JSON:` line; with `--record` it also rewrites
 //! `BENCH_hotpath.json` at the repo root, which the `graphdance-bench`
-//! unit test `recorded_hotpath_within_budget` asserts: the arena path must
+//! gate `recorded_hotpath_within_budget` asserts: the arena path must
 //! allocate ≤ 0.75× per step. Quick mode is the default lane recorded in
 //! CI; pass `--full` for the paper-scale drive.
 

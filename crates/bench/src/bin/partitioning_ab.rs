@@ -11,7 +11,7 @@
 //!
 //! Prints a table plus one `JSON:` line; `--record` writes it to
 //! `BENCH_partitioning.json` at the repo root, which the
-//! `graphdance-bench` unit test `recorded_partitioning_within_budget`
+//! `graphdance-bench` gate `recorded_partitioning_within_budget`
 //! gates against the floors below.
 
 use std::time::Duration;

@@ -19,7 +19,7 @@
 //!
 //! Prints a table plus one `JSON:` line; `--record` writes it to
 //! `BENCH_transport.json` at the repo root, which the `graphdance-bench`
-//! unit test `recorded_transport_within_budget` gates against the budgets
+//! gate `recorded_transport_within_budget` checks against the budgets
 //! below.
 
 use std::sync::Arc;

@@ -358,6 +358,42 @@ mod tests {
         assert_eq!(ms(Duration::MAX), "   FAIL ");
     }
 
+    /// A regression gate over one committed record: it reads the record's
+    /// numbers through `field` and asserts on them.
+    type Gate = fn(field: &dyn Fn(&str) -> f64);
+
+    /// Every committed `BENCH_*.json` regression gate: the record and the
+    /// named check it must pass.
+    const GATES: [(&str, Gate); 5] = [
+        (
+            include_str!("../../../BENCH_obs_baseline.json"),
+            recorded_obs_overhead_within_budget,
+        ),
+        (
+            include_str!("../../../BENCH_hotpath.json"),
+            recorded_hotpath_within_budget,
+        ),
+        (
+            include_str!("../../../BENCH_service_slo.json"),
+            recorded_service_slo_within_budget,
+        ),
+        (
+            include_str!("../../../BENCH_partitioning.json"),
+            recorded_partitioning_within_budget,
+        ),
+        (
+            include_str!("../../../BENCH_transport.json"),
+            recorded_transport_within_budget,
+        ),
+    ];
+
+    #[test]
+    fn recorded_gates_within_budget() {
+        for (raw, gate) in GATES {
+            gate(&|name| recorded(raw, name));
+        }
+    }
+
     /// The number recorded under `name` in a committed `BENCH_*.json`
     /// (`raw`): the first occurrence of the key, then its numeric value.
     fn recorded(raw: &str, name: &str) -> f64 {
@@ -376,10 +412,7 @@ mod tests {
     /// must show instrumentation overhead within the 3% k-hop budget.
     /// Asserting the committed artifact keeps the check deterministic;
     /// re-run the bin and update the file when the hot paths change.
-    #[test]
-    fn recorded_obs_overhead_within_budget() {
-        let raw = include_str!("../../../BENCH_obs_baseline.json");
-        let field = |name: &str| recorded(raw, name);
+    fn recorded_obs_overhead_within_budget(field: &dyn Fn(&str) -> f64) {
         let overhead = field("overhead_pct");
         let budget = field("budget_pct");
         assert!(
@@ -399,10 +432,7 @@ mod tests {
     /// Asserting the committed artifact keeps CI deterministic; re-record
     /// with `cargo run --release -p graphdance-bench --bin hotpath_arena
     /// -- --record` when the interpreter hot path changes.
-    #[test]
-    fn recorded_hotpath_within_budget() {
-        let raw = include_str!("../../../BENCH_hotpath.json");
-        let field = |name: &str| recorded(raw, name);
+    fn recorded_hotpath_within_budget(field: &dyn Fn(&str) -> f64) {
         let alloc_cloned = field("alloc_per_step_cloned");
         let alloc_arena = field("alloc_per_step_arena");
         let floor = field("alloc_floor_ratio");
@@ -428,10 +458,7 @@ mod tests {
     /// Asserting the committed artifact keeps CI deterministic;
     /// re-run the bin and update the file when the service or scheduler
     /// changes.
-    #[test]
-    fn recorded_service_slo_within_budget() {
-        let raw = include_str!("../../../BENCH_service_slo.json");
-        let field = |name: &str| recorded(raw, name);
+    fn recorded_service_slo_within_budget(field: &dyn Fn(&str) -> f64) {
         let interactive_p99 = field("mid_interactive_p99_ms");
         let background_p99 = field("mid_background_p99_ms");
         assert!(
@@ -475,10 +502,7 @@ mod tests {
     /// artifact keeps CI deterministic; re-record with `cargo run
     /// --release -p graphdance-bench --bin partitioning_ab -- --record`
     /// when the partitioner, router, or engine hot path changes.
-    #[test]
-    fn recorded_partitioning_within_budget() {
-        let raw = include_str!("../../../BENCH_partitioning.json");
-        let field = |name: &str| recorded(raw, name);
+    fn recorded_partitioning_within_budget(field: &dyn Fn(&str) -> f64) {
         let floor = field("reduction_floor_pct");
         assert_eq!(floor, 40.0, "floor is the acceptance figure");
         let hash_cross = field("hash_cross_node_msgs");
@@ -529,10 +553,7 @@ mod tests {
     /// committed artifact keeps CI deterministic; re-record with `cargo
     /// run --release -p graphdance-bench --bin transport_ab -- --record`
     /// when the framing, egress pump, or socket I/O changes.
-    #[test]
-    fn recorded_transport_within_budget() {
-        let raw = include_str!("../../../BENCH_transport.json");
-        let field = |name: &str| recorded(raw, name);
+    fn recorded_transport_within_budget(field: &dyn Fn(&str) -> f64) {
         let frame_budget = field("frames_per_batch_budget");
         let syscall_budget = field("syscalls_per_batch_budget");
         assert_eq!(frame_budget, 2.0, "budget is the acceptance figure");

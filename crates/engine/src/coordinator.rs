@@ -19,7 +19,7 @@ use rand::rngs::SmallRng;
 use graphdance_common::{
     FxHashMap, GdError, GdResult, NodeId, PartId, QueryId, Value, VertexId, WorkerId,
 };
-use graphdance_pstm::{AggState, Interpreter, Row, Weight};
+use graphdance_pstm::{AggState, Row, Weight};
 use graphdance_query::plan::{Plan, SourceSpec};
 use graphdance_storage::{Graph, Timestamp};
 
@@ -495,15 +495,7 @@ impl Coordinator {
                     }
                 }
                 SourceSpec::PrevRows { .. } => {
-                    let interp = Interpreter {
-                        graph: &self.graph,
-                        plan: &ctx.plan,
-                        stage_idx,
-                        query,
-                        params: &ctx.params,
-                        read_ts: ctx.read_ts,
-                        routing_version: ctx.routing_version,
-                    };
+                    let interp = ctx.interpreter(&self.graph, stage_idx as u16);
                     match interp.seed_prev_rows(pi as u16, &prev_rows, pw, &mut self.rng) {
                         Ok(out) => {
                             for (dest, t) in out.spawned {

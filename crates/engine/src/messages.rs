@@ -9,9 +9,9 @@ use crossbeam::channel::Sender;
 use crate::engine::QueryResult;
 
 use graphdance_common::{GdError, GdResult, PartId, QueryId, Value, VertexId, WorkerId};
-use graphdance_pstm::{AggState, Row, Traverser, Weight};
+use graphdance_pstm::{AggState, Interpreter, Row, Traverser, Weight};
 use graphdance_query::plan::Plan;
-use graphdance_storage::{Timestamp, VertexSegment};
+use graphdance_storage::{Graph, Timestamp, VertexSegment};
 
 /// Immutable per-query context. It travels in a `QueryBegin` ahead of the
 /// query's first work on each lane, and so reaches only the workers that
@@ -32,6 +32,23 @@ pub struct QueryCtx {
     /// against this pinned version, so a migration committing mid-query
     /// cannot split one vertex's deduplication across two partitions.
     pub routing_version: u64,
+}
+
+impl QueryCtx {
+    /// The interpreter for this query's stage `stage` over `graph`. It
+    /// borrows only the context and the graph, so the caller's memo and
+    /// RNG stay free to pass alongside it.
+    pub fn interpreter<'a>(&'a self, graph: &'a Graph, stage: u16) -> Interpreter<'a> {
+        Interpreter {
+            graph,
+            plan: &self.plan,
+            stage_idx: stage as usize,
+            query: self.query,
+            params: &self.params,
+            read_ts: self.read_ts,
+            routing_version: self.routing_version,
+        }
+    }
 }
 
 /// Messages delivered to a worker's inbox.
@@ -69,7 +86,7 @@ pub enum WorkerMsg {
     /// their weight to the coordinator as ordinary progress so the weight
     /// tracker still lands exactly on `Weight::ROOT` (the drain protocol,
     /// DESIGN.md §13), and pass the cancel on to the workers this one
-    /// introduced. The worker keeps the query in a `cancelled` set so
+    /// introduced. The worker marks its record of the query cancelled so
     /// late-delivered traversers are refunded too; `QueryEnd` follows once
     /// the coordinator observes completion and finishes the teardown.
     CancelQuery { query: QueryId },

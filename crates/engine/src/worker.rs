@@ -1,15 +1,17 @@
 //! The shared-nothing worker thread (§IV).
 //!
-//! Each worker owns one graph partition and one memo. It executes
-//! traversers from per-query, depth-ordered local queues (shorter
-//! trajectories first within a query, §III-B; queries round-robin a quantum
-//! at a time), routes spawned traversers through its tier-1 outbox,
-//! coalesces finished weights, reports a query's progress when that *query*
-//! has nothing left to run here, and — before going to sleep — flushes
-//! every buffer (§IV-A/B). A query's control plane follows its work
-//! (DESIGN.md §IV-A): the worker introduces a query on a lane before the
-//! first work it sends there, and passes stage advances, cancels and ends
-//! on along the introductions.
+//! Each worker owns one graph partition and one record per query — its
+//! context, stage, control-plane scope, memo, locals and unreported steps —
+//! which the query's end frees whole. It executes traversers from
+//! per-query, depth-ordered local queues (shorter trajectories first within
+//! a query, §III-B; queries round-robin a quantum at a time), routes every
+//! interpreter outcome — a source's or a queued traverser's — down one path
+//! to its tier-1 outbox, coalesces finished weights, reports a query's
+//! progress when that *query* has nothing left to run here, and — before
+//! going to sleep — flushes every buffer (§IV-A/B). A query's control plane
+//! follows its work (DESIGN.md §IV-A): the worker introduces a query on a
+//! lane before the first work it sends there, and passes stage advances,
+//! cancels and ends on along the introductions.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -18,69 +20,40 @@ use crossbeam::channel::Receiver;
 use rand::rngs::SmallRng;
 
 use graphdance_common::{
-    FxHashMap, FxHashSet, GdError, NodeId, PartId, QueryId, VertexId, WorkerId,
+    FxHashMap, FxHashSet, GdError, GdResult, NodeId, PartId, QueryId, VertexId, WorkerId,
 };
 use graphdance_pstm::{
-    ExpandCache, Frontier, HandleOutcome, Interpreter, LocalsTable, Memo, Outcome, Traverser,
-    TraverserArena, Weight, WeightLedger,
+    ExpandCache, Frontier, HandleOutcome, LocalsTable, QueryMemo, Traverser, TraverserArena,
+    TraverserHandle, Weight, WeightLedger,
 };
 use graphdance_storage::Graph;
 
-use crate::config::EngineConfig;
+use crate::config::{EngineConfig, FaultInjection};
 use crate::messages::{CoordMsg, MigPhase, QueryCtx, QueryScope, WorkerMsg, WorkerSet};
 use crate::net::{Fabric, Outbox, WireMsg};
 use crate::run_queue::{QueryRing, RunEntry, RunQueue};
 #[cfg(feature = "obs")]
 use crate::wire;
 
+/// Everything a worker holds for one query but its run queue (which the
+/// [`QueryRing`] keeps, to schedule it): `QueryEnd` frees it with one
+/// `remove`, as §III-B reclaims a memo "when the creating query
+/// terminates".
 struct ActiveQuery {
     ctx: Arc<QueryCtx>,
     stage: u16,
     /// Who else holds the context, as far as this worker knows.
     scope: QueryScope,
-}
-
-/// Rule 1 of the control plane (DESIGN.md §IV-A): send traverser `t` of
-/// `ctx`'s query from worker `me` to `dest`, introducing the query on the
-/// same lane first unless `dest` is known to hold the context.
-fn send_work(
-    outbox: &mut Outbox,
-    #[cfg(feature = "obs")] obs: &mut crate::obs::WorkerObs,
-    me: WorkerId,
-    (ctx, stage, scope): (&Arc<QueryCtx>, u16, &mut QueryScope),
-    dest: WorkerId,
-    t: Traverser,
-) {
-    if scope.introduce(dest) {
-        let msg = WorkerMsg::QueryBegin {
-            ctx: Arc::clone(ctx),
-            stage,
-            from: Some(me),
-        };
-        let begin = WireMsg::Worker { dest, msg };
-        #[cfg(feature = "obs")]
-        obs.note_msg(ctx.query, stage, &begin);
-        outbox.send(begin);
-    }
-    outbox.send_traverser(dest, t);
-}
-
-/// Rules 2 and 3: pass a stage advance, cancel or end of `query` (at
-/// `stage`, for tracing) on to each worker of `dests`.
-#[cfg_attr(not(feature = "obs"), allow(unused_variables))]
-fn pass_on(
-    outbox: &mut Outbox,
-    #[cfg(feature = "obs")] obs: &mut crate::obs::WorkerObs,
-    dests: &WorkerSet,
-    (query, stage): (QueryId, u16),
-    msg: impl Fn() -> WorkerMsg,
-) {
-    for dest in dests.iter() {
-        let msg = WireMsg::Worker { dest, msg: msg() };
-        #[cfg(feature = "obs")]
-        obs.note_msg(query, stage, &msg);
-        outbox.send(msg);
-    }
+    /// The query's memo records on this partition.
+    memo: QueryMemo,
+    /// The query's interned locals tables.
+    locals: LocalsTable,
+    /// Plan steps executed here since the last progress report.
+    steps: u64,
+    /// In the cancellation drain (DESIGN.md §13): queued work was purged
+    /// and its weight refunded, and work arriving late is refunded too —
+    /// never silently dropped, the coordinator's tracker is owed it.
+    cancelled: bool,
 }
 
 /// How many ended queries a worker remembers. A traverser can only trail
@@ -139,44 +112,196 @@ pub enum PumpStatus {
     Stopped,
 }
 
+/// The part of a worker an interpreter outcome goes through on its way
+/// out: the arena its traversers live in, the conservation check, the
+/// outbox. Split from [`Worker`] so a quantum can route while it holds a
+/// query's record, its run queue and the partition guard.
+struct Router {
+    id: WorkerId,
+    outbox: Outbox,
+    /// Slab of live local traversers: every queued traverser is admitted
+    /// here at the door and leaves it when it runs, is sent or is purged.
+    arena: TraverserArena,
+    weight_coalescing: bool,
+    /// Debug-build weight-conservation checker (no-op in release).
+    ledger: WeightLedger,
+    /// Interpreter outcomes seen (drives `leak_weight_nth` fault injection).
+    outcomes: u64,
+    fault: FaultInjection,
+    /// Hot-path instrumentation (metrics shard + span accumulator).
+    #[cfg(feature = "obs")]
+    obs: crate::obs::WorkerObs,
+}
+
+impl Router {
+    /// Route one interpreter outcome of `aq`'s query — a source's or a
+    /// queued traverser's; `result` is the interpreter's — after verifying
+    /// weight conservation (`input == Σ spawned + finished`, debug builds):
+    /// local children onto the query's `queue`, remote ones to their
+    /// owners, rows to the coordinator, and finished weight coalesced or,
+    /// without coalescing, reported behind the aggregation it built. An
+    /// interpreter error or a violation fails the query with its
+    /// diagnostic instead of letting the tracker hang or fire early.
+    /// Returns whether the outcome was routed.
+    fn route(
+        &mut self,
+        aq: &mut ActiveQuery,
+        queue: &mut RunQueue,
+        input: Weight,
+        out: &mut HandleOutcome,
+        result: GdResult<()>,
+    ) -> bool {
+        let query = aq.ctx.query;
+        let checked = result.and_then(|()| {
+            self.outcomes += 1;
+            if WeightLedger::ENABLED && self.fault.leak_weight_nth == Some(self.outcomes) {
+                // Injected fault: leak one unit of weight.
+                out.finished = out.finished.sub(Weight(1));
+            }
+            self.ledger
+                .check_step_arena(query, input, out, &self.arena)
+                .map_err(GdError::InvariantViolation)
+        });
+        if let Err(error) = checked {
+            // Free what a conservation failure left spawned (an
+            // interpreter error already unwound its own).
+            for (_, h) in out.spawned.drain(..) {
+                self.arena.discard(h, &mut aq.locals);
+            }
+            self.fail_query(query, error);
+            return false;
+        }
+        #[cfg(feature = "obs")]
+        let (mut obs_local, mut obs_remote, mut obs_rows, mut obs_progress) =
+            (0u64, Vec::<(u32, u64)>::new(), None, false);
+        let own = self.id.part();
+        for (dest, h) in out.spawned.drain(..) {
+            if dest == own {
+                self.enqueue(queue, h);
+                #[cfg(feature = "obs")]
+                {
+                    obs_local += 1;
+                }
+            } else {
+                let w = self.outbox.partitioner().worker_of_part(dest);
+                let t = self.arena.extract(h, &mut aq.locals);
+                self.outbox.fabric().hot_tracker().record(t.vertex, own);
+                #[cfg(feature = "obs")]
+                obs_remote.push((w.0, t.wire_bytes() as u64));
+                self.send_work(aq, w, t);
+            }
+        }
+        if !out.emitted.is_empty() {
+            let rows = WireMsg::Coord(CoordMsg::Rows {
+                query,
+                rows: std::mem::take(&mut out.emitted),
+            });
+            #[cfg(feature = "obs")]
+            {
+                obs_rows = Some(wire::encoded_len(&rows) as u64);
+            }
+            self.outbox.send(rows);
+        }
+        aq.steps += out.steps_executed as u64;
+        if out.finished != Weight::ZERO {
+            if self.weight_coalescing {
+                aq.memo.finished.add(out.finished);
+            } else {
+                // Naive progress tracking: one report per termination,
+                // behind the aggregation it built.
+                if let Some(state) = aq.memo.take_agg() {
+                    self.outbox.send(agg_partial(query, state));
+                }
+                let steps = std::mem::take(&mut aq.steps);
+                self.outbox.send_progress(query, out.finished, steps);
+                #[cfg(feature = "obs")]
+                {
+                    obs_progress = true;
+                }
+            }
+        }
+        #[cfg(feature = "obs")]
+        self.obs.route_done(
+            query,
+            aq.stage,
+            obs_local,
+            &obs_remote,
+            obs_rows,
+            obs_progress,
+        );
+        true
+    }
+
+    /// Queue the arena traverser `handle` on its query's `queue`, at its
+    /// depth.
+    fn enqueue(&self, queue: &mut RunQueue, handle: TraverserHandle) {
+        let entry = RunEntry {
+            handle,
+            #[cfg(feature = "obs")]
+            enq_ns: self.obs.now_ns(),
+        };
+        queue.push(self.arena.get(handle).depth, entry);
+    }
+
+    /// Rule 1 of the control plane (DESIGN.md §IV-A): send traverser `t` of
+    /// `aq`'s query to `dest`, introducing the query on the same lane first
+    /// unless `dest` is known to hold the context.
+    fn send_work(&mut self, aq: &mut ActiveQuery, dest: WorkerId, t: Traverser) {
+        if aq.scope.introduce(dest) {
+            let msg = WorkerMsg::QueryBegin {
+                ctx: Arc::clone(&aq.ctx),
+                stage: aq.stage,
+                from: Some(self.id),
+            };
+            let begin = WireMsg::Worker { dest, msg };
+            #[cfg(feature = "obs")]
+            self.obs.note_msg(aq.ctx.query, aq.stage, &begin);
+            self.outbox.send(begin);
+        }
+        self.outbox.send_traverser(dest, t);
+    }
+
+    /// Rules 2 and 3: pass a stage advance, cancel or end of `query` (at
+    /// `stage`, for tracing) on to each worker of `dests`.
+    #[cfg_attr(not(feature = "obs"), allow(unused_variables))]
+    fn pass_on(
+        &mut self,
+        dests: &WorkerSet,
+        query: QueryId,
+        stage: u16,
+        msg: impl Fn() -> WorkerMsg,
+    ) {
+        for dest in dests.iter() {
+            let msg = WireMsg::Worker { dest, msg: msg() };
+            #[cfg(feature = "obs")]
+            self.obs.note_msg(query, stage, &msg);
+            self.outbox.send(msg);
+        }
+    }
+
+    /// Fail `query` at the coordinator.
+    fn fail_query(&mut self, query: QueryId, error: GdError) {
+        self.outbox
+            .send_ctrl_coord(CoordMsg::WorkerError { query, error });
+    }
+}
+
 /// One worker's mutable state and main loop.
 pub struct Worker {
-    id: WorkerId,
     graph: Graph,
     inbox: Receiver<WorkerMsg>,
-    outbox: Outbox,
-    memo: Memo,
     /// The queries introduced here and not yet ended.
     queries: FxHashMap<QueryId, ActiveQuery>,
     /// Queries that ended recently; late traversers for them are dropped.
     dead: DeadWindow,
-    /// Queries in the cancellation drain: queued work was purged and its
-    /// weight refunded, and any late-delivered traverser or source for
-    /// them is refunded too (never silently dropped) so the coordinator's
-    /// tracker still lands on `Weight::ROOT`. Entries move to `dead` when
-    /// the `QueryEnd` arrives.
-    cancelled: FxHashSet<QueryId>,
     /// Runnable traversers: one queue per query (shallowest first, FIFO
     /// within a depth), queries served round-robin.
     ring: QueryRing,
     /// Queries whose queue here emptied since the last progress flush.
     idle: Vec<QueryId>,
-    /// Plan steps executed per query since the last progress flush.
-    steps: FxHashMap<QueryId, u64>,
     rng: SmallRng,
-    weight_coalescing: bool,
     batch: usize,
     sched_overhead: std::time::Duration,
-    /// Debug-build weight-conservation checker (no-op in release).
-    ledger: WeightLedger,
-    /// Interpreter outcomes seen (drives `leak_weight_nth` fault injection).
-    outcomes: u64,
-    fault: crate::config::FaultInjection,
-    /// Slab of live local traversers: every queued traverser is admitted
-    /// here at the door and leaves it when it runs, is sent or is purged.
-    arena: TraverserArena,
-    /// Per-query interned locals tables, dropped wholesale on `QueryEnd`.
-    locals: FxHashMap<QueryId, LocalsTable>,
     /// Reused staging batch for the run being executed.
     frontier: Frontier,
     /// Per-pump-quantum adjacency memo for batched expansion.
@@ -193,9 +318,8 @@ pub struct Worker {
     /// Traversers bounced through a forwarding stub (diagnostics / the
     /// `part.forwarded` counter).
     forwarded: u64,
-    /// Hot-path instrumentation (metrics shard + span accumulator).
-    #[cfg(feature = "obs")]
-    obs: crate::obs::WorkerObs,
+    /// Where every interpreter outcome goes out.
+    router: Router,
 }
 
 impl Worker {
@@ -210,33 +334,31 @@ impl Worker {
     ) -> Self {
         let node = fabric.partitioner().node_of_worker(id);
         Worker {
-            id,
             graph,
             inbox,
-            outbox: fabric.outbox(node),
-            memo: Memo::new(),
             queries: FxHashMap::default(),
             dead: DeadWindow::default(),
-            cancelled: FxHashSet::default(),
             ring: QueryRing::default(),
             idle: Vec::new(),
-            steps: FxHashMap::default(),
             rng: graphdance_common::rng::derive(config.seed, id.0 as u64),
-            weight_coalescing: config.weight_coalescing,
             batch: config.worker_batch,
             sched_overhead: config.sched_overhead_per_op,
-            ledger: WeightLedger::new(),
-            outcomes: 0,
-            fault: config.fault,
-            arena: TraverserArena::new(),
-            locals: FxHashMap::default(),
             frontier: Frontier::new(),
             expand_cache: ExpandCache::new(),
             scratch: HandleOutcome::new(),
             stubs: FxHashMap::default(),
             forwarded: 0,
-            #[cfg(feature = "obs")]
-            obs: crate::obs::WorkerObs::new(fabric, id),
+            router: Router {
+                id,
+                outbox: fabric.outbox(node),
+                arena: TraverserArena::new(),
+                weight_coalescing: config.weight_coalescing,
+                ledger: WeightLedger::new(),
+                outcomes: 0,
+                fault: config.fault,
+                #[cfg(feature = "obs")]
+                obs: crate::obs::WorkerObs::new(fabric, id),
+            },
         }
     }
 
@@ -282,9 +404,9 @@ impl Worker {
         let executed = self.run_quantum();
         worked |= executed > 0;
         #[cfg(feature = "obs")]
-        self.obs.queue_depth(self.ring.len() as u64);
+        self.router.obs.queue_depth(self.ring.len() as u64);
         // Keep same-node latency low.
-        self.outbox.flush_local();
+        self.router.outbox.flush_local();
         // §IV-A/B "no more traversers ready for execution", per *query*: a
         // query with nothing left to run here reports now, however much
         // work the queries beside it still have queued.
@@ -293,7 +415,7 @@ impl Worker {
             // Every query is idle and so is the worker: flush everything
             // (§IV-B "we flush all the buffers before the current thread
             // sleeps").
-            self.outbox.flush_all();
+            self.router.outbox.flush_all();
             if !worked {
                 return PumpStatus::Idle;
             }
@@ -301,7 +423,7 @@ impl Worker {
             // The worker stays busy with other queries: the idle query's
             // rows and report still leave tier 1 now, not when some other
             // query fills the coordinator lane.
-            self.outbox.flush_node(NodeId(0));
+            self.router.outbox.flush_node(NodeId(0));
         }
         PumpStatus::Worked
     }
@@ -334,7 +456,7 @@ impl Worker {
                 seq, v, segment, ..
             } => {
                 // Idempotent at the store: a duplicated install is Ok(false).
-                match self.graph.install_segment(self.id.part(), *segment) {
+                match self.graph.install_segment(self.id().part(), *segment) {
                     Ok(_) => self.migrate_ack(seq, v, MigPhase::Installed),
                     Err(_) => self.migrate_ack(seq, v, MigPhase::Failed),
                 }
@@ -352,7 +474,7 @@ impl Worker {
             WorkerMsg::MigrateRetire { seq, v } => {
                 // Idempotent purge of the retained frozen copy; the stub
                 // stays armed as a backstop for stragglers.
-                self.graph.purge_vertex(self.id.part(), v);
+                self.graph.purge_vertex(self.id().part(), v);
                 self.migrate_ack(seq, v, MigPhase::Retired);
             }
             WorkerMsg::Bsp(_) => {
@@ -364,21 +486,28 @@ impl Worker {
     }
 
     /// A `QueryBegin` (rule 1, DESIGN.md §IV-A). The first one registers
-    /// the context, knowing its sender holds it too. A later one — another
-    /// sender that did not know this worker held the query — never resets
-    /// anything: it advances the stage if it carries a later one, and adds
-    /// its sender to the scope.
+    /// the query's record, knowing its sender holds the context too. A
+    /// later one — another sender that did not know this worker held the
+    /// query — never resets anything: it advances the stage if it carries
+    /// a later one, and adds its sender to the scope.
     fn begin_query(&mut self, ctx: Arc<QueryCtx>, stage: u16, from: Option<WorkerId>) {
         let query = ctx.query;
         if self.queries.contains_key(&query) {
             self.advance_stage(query, stage);
         } else {
             self.dead.remove(query);
-            let scope = QueryScope::default();
-            self.queries
-                .insert(query, ActiveQuery { ctx, stage, scope });
+            let aq = ActiveQuery {
+                ctx,
+                stage,
+                scope: QueryScope::default(),
+                memo: QueryMemo::default(),
+                locals: LocalsTable::new(),
+                steps: 0,
+                cancelled: false,
+            };
+            self.queries.insert(query, aq);
             #[cfg(feature = "obs")]
-            self.obs.begin_query(query);
+            self.router.obs.begin_query(query);
         }
         if let (Some(w), Some(aq)) = (from, self.queries.get_mut(&query)) {
             aq.scope.known.insert(w);
@@ -398,111 +527,93 @@ impl Worker {
             return;
         }
         #[cfg(feature = "obs")]
-        self.obs.flush_stage(query, aq.stage);
+        self.router.obs.flush_stage(query, aq.stage);
         aq.stage = stage;
-        let _ = self.memo.query_mut(query).take_stage_state();
-        pass_on(
-            &mut self.outbox,
-            #[cfg(feature = "obs")]
-            &mut self.obs,
-            &aq.scope.known,
-            (query, stage),
-            || WorkerMsg::StageBegin { query, stage },
-        );
+        let _ = aq.memo.take_stage_state();
+        self.router
+            .pass_on(&aq.scope.known, query, stage, || WorkerMsg::StageBegin {
+                query,
+                stage,
+            });
     }
 
     /// Rule 3: the query finished or failed. Pass the end on to the
     /// workers this one introduced (buffered: it leaves with the lane's
-    /// next flush), then release every piece of the query's state here.
+    /// next flush), then release the query here: its record — memo, locals
+    /// and all — and its queue, whose handles free their slab slots.
     fn end_query(&mut self, query: QueryId) {
         if let Some(aq) = self.queries.remove(&query) {
-            pass_on(
-                &mut self.outbox,
-                #[cfg(feature = "obs")]
-                &mut self.obs,
-                &aq.scope.introduced,
-                (query, aq.stage),
-                || WorkerMsg::QueryEnd { query },
-            );
+            self.router
+                .pass_on(&aq.scope.introduced, query, aq.stage, || {
+                    WorkerMsg::QueryEnd { query }
+                });
             #[cfg(feature = "obs")]
-            self.obs.end_query(query);
+            self.router.obs.end_query(query);
         }
-        self.memo.clear_query(query);
-        self.steps.remove(&query);
-        self.cancelled.remove(&query);
         self.dead.insert(query);
-        // Retire the dead query's queue: the handles still on it free
-        // their slab slots (the query's locals table is dropped wholesale
-        // below, values and all).
-        let arena = &mut self.arena;
+        let arena = &mut self.router.arena;
         self.ring.retire(query, |e| drop(arena.remove(e.handle)));
-        self.locals.remove(&query);
     }
 
-    /// Rule 5: a batch or source for a query this worker was never
-    /// introduced to. Every sender introduces a query on a lane before its
-    /// first work there, and every path is FIFO, so this is a broken
-    /// protocol: fail the query rather than run work without its context.
-    fn unintroduced(&mut self, query: QueryId) {
+    /// A batch or source for a query this worker holds no record of. An
+    /// ended query's stragglers are dropped. Otherwise (rule 5) the worker
+    /// was never introduced to the query: every sender introduces a query
+    /// on a lane before its first work there, and every path is FIFO, so
+    /// this is a broken protocol — fail the query rather than run work
+    /// without its context.
+    fn stray(&mut self, query: QueryId) {
+        if self.dead.contains(query) {
+            return;
+        }
         let error = GdError::InvariantViolation(format!(
             "worker {} got work for query {} it was never introduced to",
-            self.id.0, query.0
+            self.id().0,
+            query.0
         ));
-        self.outbox
-            .send_ctrl_coord(CoordMsg::WorkerError { query, error });
+        self.router.fail_query(query, error);
     }
 
     /// The cancellation drain (DESIGN.md §13): pass the cancel on to the
     /// workers this one introduced, purge every queued traverser of
     /// `query`, absorb this worker's coalesced finished weight, and refund
     /// the total to the coordinator as one ordinary `Progress` report. The
-    /// query stays in `cancelled` so weight still in flight when the purge
-    /// ran is refunded on arrival; once every share has reported, the
+    /// record stays, marked cancelled, so weight still in flight when the
+    /// purge ran is refunded on arrival; once every share has reported, the
     /// coordinator's tracker completes and its `QueryEnd` finishes the
     /// teardown. Only a query held here is drained, once.
     fn cancel_query(&mut self, query: QueryId) {
-        let Some(aq) = self.queries.get(&query) else {
+        let Some(aq) = self.queries.get_mut(&query) else {
             return;
         };
-        if !self.cancelled.insert(query) {
+        if std::mem::replace(&mut aq.cancelled, true) {
             return;
         }
-        pass_on(
-            &mut self.outbox,
-            #[cfg(feature = "obs")]
-            &mut self.obs,
-            &aq.scope.introduced,
-            (query, aq.stage),
-            || WorkerMsg::CancelQuery { query },
-        );
+        self.router
+            .pass_on(&aq.scope.introduced, query, aq.stage, || {
+                WorkerMsg::CancelQuery { query }
+            });
         let mut refund = Weight::ZERO;
         // Queued traversers: their handles free their slab slots and
         // release their interned locals — the table itself lives until
-        // `QueryEnd` drops it wholesale.
-        let (arena, mut locals) = (&mut self.arena, self.locals.get_mut(&query));
+        // `QueryEnd` drops the record.
+        let (arena, locals) = (&mut self.router.arena, &mut aq.locals);
         self.ring.retire(query, |e| {
             let at = arena.remove(e.handle);
-            if let Some(lt) = locals.as_mut() {
-                lt.unref(at.locals);
-            }
+            locals.unref(at.locals);
             refund.absorb(at.weight);
         });
         // Finished weight coalesced but not yet reported; the aggregation
         // built so far is discarded with the rows.
-        let memo = self.memo.query_mut(query);
-        let _ = memo.take_agg();
-        if let Some(w) = memo.finished.drain() {
+        let _ = aq.memo.take_agg();
+        if let Some(w) = aq.memo.finished.drain() {
             refund.absorb(w);
         }
-        let steps = self.steps.remove(&query).unwrap_or(0);
+        let steps = std::mem::take(&mut aq.steps);
         if refund != Weight::ZERO || steps > 0 {
-            self.outbox.send_progress(query, refund, steps);
+            self.router.outbox.send_progress(query, refund, steps);
             self.idle.push(query);
             #[cfg(feature = "obs")]
-            {
-                let stage = self.queries.get(&query).map_or(0, |a| a.stage);
-                self.obs.note_progress(query, stage);
-            }
+            self.router.obs.note_progress(query, aq.stage);
         }
     }
 
@@ -511,15 +622,15 @@ impl Worker {
     /// destination deduplicates) and ship the segment to `to`'s owner. A
     /// vertex this partition never held fails the migration instead.
     fn migrate_freeze(&mut self, seq: u64, v: VertexId, to: PartId) {
-        match self.graph.freeze_and_clone(self.id.part(), v) {
+        match self.graph.freeze_and_clone(self.id().part(), v) {
             Ok(seg) => {
                 let dest = self.graph.partitioner().worker_of_part(to);
-                self.outbox.send_ctrl_worker(
+                self.router.outbox.send_ctrl_worker(
                     dest,
                     WorkerMsg::MigrateInstall {
                         seq,
                         v,
-                        from: self.id.part(),
+                        from: self.id().part(),
                         segment: Box::new(seg),
                     },
                 );
@@ -529,7 +640,8 @@ impl Worker {
     }
 
     fn migrate_ack(&mut self, seq: u64, v: VertexId, phase: MigPhase) {
-        self.outbox
+        self.router
+            .outbox
             .send_ctrl_coord(CoordMsg::MigrateAck { seq, v, phase });
     }
 
@@ -540,49 +652,39 @@ impl Worker {
 
     /// The partition this worker serves.
     pub fn id(&self) -> WorkerId {
-        self.id
+        self.router.id
     }
 
-    /// Does this worker hold anything for `query` — its context, queued
-    /// traversers, locals, unreported steps, a memo? Not once the query's
-    /// `QueryEnd` was handled (leak tests).
+    /// Does this worker hold anything for `query` — its record (context,
+    /// memo, locals, unreported steps), a run queue, a report still to
+    /// flush? Not once the query's `QueryEnd` was handled and a pump ran
+    /// (leak tests).
     pub fn holds(&self, query: QueryId) -> bool {
-        self.queries.contains_key(&query)
-            || self.cancelled.contains(&query)
-            || self.ring.holds(query)
-            || self.idle.contains(&query)
-            || self.steps.contains_key(&query)
-            || self.locals.contains_key(&query)
-            || self.memo.holds(query)
+        self.queries.contains_key(&query) || self.ring.holds(query) || self.idle.contains(&query)
     }
 
     /// Admit an inbox batch. Everything that depends on the query alone —
-    /// ended, draining, introduced, pinned routing version, locals table —
-    /// is resolved once per run of same-query traversers, not per traverser.
+    /// held, draining, pinned routing version, locals table, queue — is
+    /// resolved once per run of same-query traversers, not per traverser.
     fn admit_batch(&mut self, ts: Vec<Traverser>) {
         let mut ts = ts.into_iter().peekable();
         while let Some(q) = ts.peek().map(|t| t.query) {
             let run = std::iter::from_fn(|| ts.next_if(|t| t.query == q));
-            if self.dead.contains(q) {
+            let Some(aq) = self.queries.get_mut(&q) else {
                 run.for_each(drop);
+                self.stray(q);
                 continue;
-            }
-            if self.cancelled.contains(&q) {
+            };
+            if aq.cancelled {
                 // Late delivery during the drain: refund instead of running
                 // (or silently dropping — the tracker is owed this weight).
                 for t in run {
-                    self.outbox.send_progress(q, t.weight, 0);
+                    self.router.outbox.send_progress(q, t.weight, 0);
                 }
                 self.idle.push(q);
                 continue;
             }
-            let Some(aq) = self.queries.get_mut(&q) else {
-                run.for_each(drop);
-                self.unintroduced(q);
-                continue;
-            };
             let pinned = aq.ctx.routing_version;
-            let lt = self.locals.entry(q).or_default();
             self.ring.admit(q, |queue| {
                 for t in run {
                     // Forwarding-stub backstop: the traverser's query
@@ -598,68 +700,62 @@ impl Worker {
                         Some(&(commit_ver, dest)) if pinned >= commit_ver => {
                             self.forwarded += 1;
                             #[cfg(feature = "obs")]
-                            self.obs.stub_forwarded();
+                            self.router.obs.stub_forwarded();
                             let w = self.graph.partitioner().worker_of_part(dest);
-                            send_work(
-                                &mut self.outbox,
-                                #[cfg(feature = "obs")]
-                                &mut self.obs,
-                                self.id,
-                                (&aq.ctx, aq.stage, &mut aq.scope),
-                                w,
-                                t,
-                            );
+                            self.router.send_work(aq, w, t);
                         }
-                        _ => queue_local(
-                            queue,
-                            &mut self.arena,
-                            lt,
-                            t,
-                            #[cfg(feature = "obs")]
-                            self.obs.now_ns(),
-                        ),
+                        _ => {
+                            let h = self.router.arena.admit(t, &mut aq.locals);
+                            self.router.enqueue(queue, h);
+                        }
                     }
                 }
             });
         }
     }
 
+    /// Run a pipeline source on this partition. Its children join the
+    /// arena like an admitted batch, and its outcome is routed like a
+    /// run's.
     fn start_source(&mut self, query: QueryId, pipeline: u16, weight: Weight) {
-        if self.cancelled.contains(&query) {
+        let Some(aq) = self.queries.get_mut(&query) else {
+            self.stray(query);
+            return;
+        };
+        if aq.cancelled {
             // The drain already ran on this worker: refund the source's
             // whole share instead of expanding it.
-            self.outbox.send_progress(query, weight, 0);
+            self.router.outbox.send_progress(query, weight, 0);
             self.idle.push(query);
             return;
         }
-        if self.dead.contains(query) {
-            return;
-        }
-        let Some(aq) = self.queries.get(&query) else {
-            self.unintroduced(query);
-            return;
-        };
-        let ctx = Arc::clone(&aq.ctx);
-        let stage = aq.stage as usize;
-        let interp = Interpreter {
-            graph: &self.graph,
-            plan: &ctx.plan,
-            stage_idx: stage,
-            query,
-            params: &ctx.params,
-            read_ts: ctx.read_ts,
-            routing_version: ctx.routing_version,
-        };
         let result = {
-            let part = self.graph.read(self.id.part());
+            let part = self.graph.read(self.router.id.part());
+            let interp = aq.ctx.interpreter(&self.graph, aq.stage);
             interp.run_source(pipeline, weight, &part, &mut self.rng)
         };
-        match result {
-            Ok(out) => self.route(query, weight, out),
-            Err(e) => {
-                self.outbox
-                    .send_ctrl_coord(CoordMsg::WorkerError { query, error: e });
+        let source = match result {
+            Ok(source) => source,
+            Err(error) => {
+                self.router.fail_query(query, error);
+                return;
             }
+        };
+        let (router, out) = (&mut self.router, &mut self.scratch);
+        out.clear();
+        for (dest, t) in source.spawned {
+            out.spawned
+                .push((dest, router.arena.admit(t, &mut aq.locals)));
+        }
+        (out.emitted, out.finished, out.steps_executed) =
+            (source.emitted, source.finished, source.steps_executed);
+        let went_idle = self.ring.admit(query, |queue| {
+            router.route(aq, queue, weight, out, Ok(())) && queue.is_empty()
+        });
+        if went_idle {
+            // Nothing of the query is runnable here (the source spawned no
+            // local child): what it finished is reported by this pump.
+            self.idle.push(query);
         }
     }
 
@@ -667,9 +763,9 @@ impl Worker {
     /// query, a *run* (consecutive same-depth entries) at a time, moving on
     /// to the next query only if this one drains with budget left; a query
     /// that still has work goes to the back of the ring. Everything that is
-    /// per-query rather than per-traverser — queue, ctx and interpreter,
-    /// locals table, memo, step counter — is resolved once per query served;
-    /// children are routed inline (local ones straight back into the
+    /// per-query rather than per-traverser — queue, record and interpreter
+    /// — is resolved once per query served, and each traverser's outcome is
+    /// routed as it completes (local children straight back into the
     /// query's queue, remote ones flattened at the outbox). The adjacency
     /// cache and the partition guard span the quantum. Returns the number
     /// of traversers executed.
@@ -678,9 +774,6 @@ impl Worker {
             return 0;
         }
         self.expand_cache.begin_quantum();
-        let own = self.id.part();
-        let partitioner = self.graph.partitioner();
-        let hot = self.outbox.fabric().hot_tracker().is_enabled();
         // sync: the partition read guard is held for this quantum only —
         // at most `worker_batch` traversers — and is released before the
         // worker polls or blocks on its inbox, so a `txn` writer queued on
@@ -688,7 +781,7 @@ impl Worker {
         // lint: allow(hot-path-blocking) the guard spans `outbox.send_*`:
         // those push into unbounded channels and tier-1 buffers and take
         // no partition lock, so holding it adds no wait of its own.
-        let part = self.graph.read(own);
+        let part = self.graph.read(self.router.id.part());
         let mut executed = 0;
         while executed < self.batch {
             let Some((query, queue)) = self.ring.pop() else {
@@ -697,24 +790,14 @@ impl Worker {
             let Some(aq) = self.queries.get_mut(&query) else {
                 // `QueryEnd` retires the queue, so none outlives its query;
                 // were one to, free its slots rather than run them.
-                let arena = &mut self.arena;
+                let arena = &mut self.router.arena;
                 self.ring.retire(query, |e| drop(arena.remove(e.handle)));
                 continue;
             };
-            let locals = self.locals.entry(query).or_default();
-            let (ctx, stage, scope) = (&aq.ctx, aq.stage, &mut aq.scope);
-            let interp = Interpreter {
-                graph: &self.graph,
-                plan: &ctx.plan,
-                stage_idx: stage as usize,
-                query,
-                params: &ctx.params,
-                read_ts: ctx.read_ts,
-                routing_version: ctx.routing_version,
-            };
-            let memo = self.memo.query_mut(query);
-            let out = &mut self.scratch;
-            let mut steps = 0u64;
+            // The interpreter holds its own reference to the context, so
+            // the record stays free to lend to the router.
+            let ctx = Arc::clone(&aq.ctx);
+            let interp = ctx.interpreter(&self.graph, aq.stage);
             while queue.stage_run(self.batch - executed, &mut self.frontier) {
                 executed += self.frontier.len();
                 for i in 0..self.frontier.len() {
@@ -724,128 +807,27 @@ impl Worker {
                         crate::net::charge(self.sched_overhead * ctx.plan.num_steps() as u32);
                     }
                     #[cfg(feature = "obs")]
-                    let (t0, wait) = self.obs.exec_begin(self.frontier.enq_ns[i]);
-                    let input = self.arena.get(self.frontier.handles[i]).weight;
+                    let (t0, wait) = self.router.obs.exec_begin(self.frontier.enq_ns[i]);
+                    let input = self.router.arena.get(self.frontier.handles[i]).weight;
                     let result = interp.run_frontier(
                         &self.frontier,
                         i,
-                        &mut self.arena,
-                        locals,
+                        &mut self.router.arena,
+                        &mut aq.locals,
                         &mut self.expand_cache,
                         &part,
-                        memo,
+                        &mut aq.memo,
                         &mut self.rng,
-                        out,
+                        &mut self.scratch,
                     );
-                    // Verify weight conservation (`input == Σ spawned +
-                    // finished`, debug builds): a violation aborts the query
-                    // with the ledger's diagnostic instead of letting the
-                    // tracker hang or fire early.
-                    let result = result.and_then(|()| {
-                        self.outcomes += 1;
-                        if WeightLedger::ENABLED
-                            && self.fault.leak_weight_nth == Some(self.outcomes)
-                        {
-                            // Injected fault: leak one unit of weight.
-                            out.finished = out.finished.sub(Weight(1));
-                        }
-                        self.ledger
-                            .check_step_arena(query, input, out, &self.arena)
-                            .map_err(GdError::InvariantViolation)
-                    });
+                    self.router
+                        .route(aq, queue, input, &mut self.scratch, result);
                     #[cfg(feature = "obs")]
-                    let (mut obs_local, mut obs_remote, mut obs_rows, mut obs_progress) =
-                        (0u64, Vec::<(u32, u64)>::new(), None, false);
-                    match result {
-                        Ok(()) => {
-                            for (dest, h) in out.spawned.drain(..) {
-                                if dest == own {
-                                    let entry = RunEntry {
-                                        handle: h,
-                                        #[cfg(feature = "obs")]
-                                        enq_ns: self.obs.now_ns(),
-                                    };
-                                    queue.push(self.arena.get(h).depth, entry);
-                                    #[cfg(feature = "obs")]
-                                    {
-                                        obs_local += 1;
-                                    }
-                                } else {
-                                    let w = partitioner.worker_of_part(dest);
-                                    let t = self.arena.extract(h, locals);
-                                    if hot {
-                                        self.outbox.fabric().hot_tracker().record(t.vertex, own);
-                                    }
-                                    #[cfg(feature = "obs")]
-                                    obs_remote.push((w.0, t.wire_bytes() as u64));
-                                    send_work(
-                                        &mut self.outbox,
-                                        #[cfg(feature = "obs")]
-                                        &mut self.obs,
-                                        self.id,
-                                        (ctx, stage, scope),
-                                        w,
-                                        t,
-                                    );
-                                }
-                            }
-                            if !out.emitted.is_empty() {
-                                let rows = WireMsg::Coord(CoordMsg::Rows {
-                                    query,
-                                    rows: std::mem::take(&mut out.emitted),
-                                });
-                                #[cfg(feature = "obs")]
-                                {
-                                    obs_rows = Some(wire::encoded_len(&rows) as u64);
-                                }
-                                self.outbox.send(rows);
-                            }
-                            steps += out.steps_executed as u64;
-                            if out.finished != Weight::ZERO {
-                                if self.weight_coalescing {
-                                    memo.finished.add(out.finished);
-                                } else {
-                                    // Naive progress tracking: one report per
-                                    // termination, behind the aggregation it
-                                    // built.
-                                    let since = self.steps.remove(&query).unwrap_or(0)
-                                        + std::mem::take(&mut steps);
-                                    if let Some(state) = memo.take_agg() {
-                                        self.outbox.send(agg_partial(query, state));
-                                    }
-                                    self.outbox.send_progress(query, out.finished, since);
-                                    #[cfg(feature = "obs")]
-                                    {
-                                        obs_progress = true;
-                                    }
-                                }
-                            }
-                        }
-                        Err(error) => {
-                            // Free what a conservation failure left spawned
-                            // (an interpreter error already unwound its own).
-                            for (_, h) in out.spawned.drain(..) {
-                                self.arena.discard(h, locals);
-                            }
-                            self.outbox
-                                .send_ctrl_coord(CoordMsg::WorkerError { query, error });
-                        }
-                    }
-                    #[cfg(feature = "obs")]
-                    {
-                        self.obs.route_done(
-                            query,
-                            stage,
-                            obs_local,
-                            &obs_remote,
-                            obs_rows,
-                            obs_progress,
-                        );
-                        self.obs.exec_end(query, stage, t0, wait, memo.stats.take());
-                    }
+                    self.router
+                        .obs
+                        .exec_end(query, aq.stage, t0, wait, aq.memo.stats.take());
                 }
             }
-            *self.steps.entry(query).or_insert(0) += steps;
             if queue.is_empty() {
                 self.idle.push(query);
             } else {
@@ -853,112 +835,6 @@ impl Worker {
             }
         }
         executed
-    }
-
-    /// Route a source's outcome (owned traversers, straight from
-    /// `run_source`), first verifying weight conservation (`input == Σ
-    /// spawned + finished`, debug builds). A violation aborts the query
-    /// with the ledger's diagnostic instead of letting the tracker hang or
-    /// fire early.
-    fn route(&mut self, query: QueryId, input: Weight, mut out: Outcome) {
-        self.outcomes += 1;
-        if WeightLedger::ENABLED && self.fault.leak_weight_nth == Some(self.outcomes) {
-            // Injected fault: leak one unit of weight out of this outcome.
-            out.finished = out.finished.sub(Weight(1));
-        }
-        if let Err(diag) = self.ledger.check_step(query, input, &out) {
-            self.outbox.send_ctrl_coord(CoordMsg::WorkerError {
-                query,
-                error: GdError::InvariantViolation(diag),
-            });
-            return;
-        }
-        #[cfg(feature = "obs")]
-        let mut obs_local = 0u64;
-        #[cfg(feature = "obs")]
-        let mut obs_remote: Vec<(u32, u64)> = Vec::new();
-        #[cfg(feature = "obs")]
-        let mut obs_rows: Option<u64> = None;
-        #[cfg(feature = "obs")]
-        let mut obs_progress = false;
-        let hot = self.outbox.fabric().hot_tracker().is_enabled();
-        let Some(aq) = self.queries.get_mut(&query) else {
-            return;
-        };
-        let (ctx, stage, scope) = (&aq.ctx, aq.stage, &mut aq.scope);
-        let went_idle = self.ring.admit(query, |queue| {
-            for (dest, t) in out.spawned {
-                if dest == self.id.part() {
-                    #[cfg(feature = "obs")]
-                    {
-                        obs_local += 1;
-                    }
-                    queue_local(
-                        queue,
-                        &mut self.arena,
-                        self.locals.entry(query).or_default(),
-                        t,
-                        #[cfg(feature = "obs")]
-                        self.obs.now_ns(),
-                    );
-                } else {
-                    let w = self.graph.partitioner().worker_of_part(dest);
-                    if hot {
-                        let tracker = self.outbox.fabric().hot_tracker();
-                        tracker.record(t.vertex, self.id.part());
-                    }
-                    #[cfg(feature = "obs")]
-                    obs_remote.push((w.0, t.wire_bytes() as u64));
-                    send_work(
-                        &mut self.outbox,
-                        #[cfg(feature = "obs")]
-                        &mut self.obs,
-                        self.id,
-                        (ctx, stage, scope),
-                        w,
-                        t,
-                    );
-                }
-            }
-            queue.is_empty()
-        });
-        if went_idle {
-            // Nothing of the query is runnable here (the source spawned no
-            // local child): what it finished is reported by this pump.
-            self.idle.push(query);
-        }
-        if !out.emitted.is_empty() {
-            let rows = WireMsg::Coord(CoordMsg::Rows {
-                query,
-                rows: out.emitted,
-            });
-            #[cfg(feature = "obs")]
-            {
-                obs_rows = Some(wire::encoded_len(&rows) as u64);
-            }
-            self.outbox.send(rows);
-        }
-        *self.steps.entry(query).or_insert(0) += out.steps_executed as u64;
-        if out.finished != Weight::ZERO {
-            if self.weight_coalescing {
-                self.memo.query_mut(query).finished.add(out.finished);
-            } else {
-                // Naive progress tracking: one report per termination,
-                // behind the aggregation it built.
-                let steps = self.steps.remove(&query).unwrap_or(0);
-                if let Some(state) = self.memo.query_mut(query).take_agg() {
-                    self.outbox.send(agg_partial(query, state));
-                }
-                self.outbox.send_progress(query, out.finished, steps);
-                #[cfg(feature = "obs")]
-                {
-                    obs_progress = true;
-                }
-            }
-        }
-        #[cfg(feature = "obs")]
-        self.obs
-            .route_done(query, stage, obs_local, &obs_remote, obs_rows, obs_progress);
     }
 
     /// Report the coalesced finished weight and step count of every query
@@ -972,29 +848,27 @@ impl Worker {
         for q in self.idle.drain(..) {
             // Without coalescing the weight was sent eagerly; a query that
             // ended since it went idle has nothing left to report.
-            if !self.weight_coalescing || !self.queries.contains_key(&q) {
-                continue;
-            }
-            #[cfg(feature = "obs")]
-            let stage = self.queries.get(&q).map_or(0, |a| a.stage);
-            let memo = self.memo.query_mut(q);
-            if let Some(state) = memo.take_agg() {
+            let aq = match self.queries.get_mut(&q) {
+                Some(aq) if self.router.weight_coalescing => aq,
+                _ => continue,
+            };
+            if let Some(state) = aq.memo.take_agg() {
                 let partial = agg_partial(q, state);
                 #[cfg(feature = "obs")]
-                self.obs.note_msg(q, stage, &partial);
-                self.outbox.send(partial);
+                self.router.obs.note_msg(q, aq.stage, &partial);
+                self.router.outbox.send(partial);
             }
-            if let Some(w) = memo.finished.drain() {
-                let steps = self.steps.remove(&q).unwrap_or(0);
-                if self.fault.sim.progress_side_channel {
+            if let Some(w) = aq.memo.finished.drain() {
+                let steps = std::mem::take(&mut aq.steps);
+                if self.router.fault.sim.progress_side_channel {
                     // Injected regression: pre-fix drain order where the
                     // coalesced progress report bypasses the row FIFO.
-                    self.outbox.send_progress_sidechannel(q, w, steps);
+                    self.router.outbox.send_progress_sidechannel(q, w, steps);
                 } else {
-                    self.outbox.send_progress(q, w, steps);
+                    self.router.outbox.send_progress(q, w, steps);
                 }
                 #[cfg(feature = "obs")]
-                self.obs.note_progress(q, stage);
+                self.router.obs.note_progress(q, aq.stage);
             }
         }
         went_idle
@@ -1007,23 +881,6 @@ fn agg_partial(query: QueryId, state: graphdance_pstm::AggState) -> WireMsg {
         query,
         state: Some(Box::new(state)),
     })
-}
-
-/// Admit a runnable traverser into the arena and queue its handle.
-fn queue_local(
-    queue: &mut RunQueue,
-    arena: &mut TraverserArena,
-    locals: &mut LocalsTable,
-    t: Traverser,
-    #[cfg(feature = "obs")] enq_ns: u64,
-) {
-    let depth = t.depth;
-    let entry = RunEntry {
-        handle: arena.admit(t, locals),
-        #[cfg(feature = "obs")]
-        enq_ns,
-    };
-    queue.push(depth, entry);
 }
 
 #[cfg(test)]
@@ -1178,13 +1035,16 @@ mod handler_tests {
         for stage in [1, 2] {
             w.handle(WorkerMsg::StageBegin { query: q, stage });
         }
-        assert!(w.memo.query_mut(q).dedup_insert(0, 0, VertexId(0), vec![]));
+        fn memo(w: &mut Worker, q: QueryId) -> &mut QueryMemo {
+            &mut w.queries.get_mut(&q).unwrap().memo
+        }
+        assert!(memo(&mut w, q).dedup_insert(0, 0, VertexId(0), vec![]));
         for stage in [2, 1, 2] {
             w.handle(WorkerMsg::StageBegin { query: q, stage });
         }
         assert_eq!(w.queries[&q].stage, 2);
         assert!(
-            !w.memo.query_mut(q).dedup_insert(0, 0, VertexId(0), vec![]),
+            !memo(&mut w, q).dedup_insert(0, 0, VertexId(0), vec![]),
             "the stage-2 dedup record survived"
         );
     }
@@ -1199,7 +1059,7 @@ mod handler_tests {
     #[test]
     fn introductions_carry_stage_and_end_along_the_work() {
         let (mut w, _fabric, wrx) = test_worker();
-        let other = WorkerId(1 - w.id.0);
+        let other = WorkerId(1 - w.id().0);
         let q = QueryId(6);
         let ctx = ctx_with(&w, 6, 1);
         begin(&mut w, ctx);
@@ -1212,7 +1072,7 @@ mod handler_tests {
         w.handle(WorkerMsg::Batch(vec![at_v0(6, 2), at_v0(6, 3)]));
         w.handle(WorkerMsg::StageBegin { query: q, stage: 1 });
         w.handle(WorkerMsg::Batch(vec![at_v0(6, 4)]));
-        w.outbox.flush_all();
+        w.router.outbox.flush_all();
         let at_other = || -> Vec<String> {
             std::iter::from_fn(|| wrx[other.as_usize()].try_recv().ok())
                 .map(|m| match m {
@@ -1224,7 +1084,7 @@ mod handler_tests {
                 })
                 .collect()
         };
-        let me = format!("{:?}", Some(w.id));
+        let me = format!("{:?}", Some(w.id()));
         assert_eq!(
             at_other(),
             [
@@ -1246,7 +1106,7 @@ mod handler_tests {
         assert_eq!(aq.scope.introduced, scope_before.introduced);
         w.handle(WorkerMsg::QueryEnd { query: q });
         assert!(at_other().is_empty(), "the end waits for the lane's flush");
-        w.outbox.flush_all();
+        w.router.outbox.flush_all();
         assert_eq!(at_other(), ["end".to_string()]);
         assert!(!w.holds(q));
     }
@@ -1323,15 +1183,16 @@ mod handler_tests {
         assert_eq!(w.ring.len(), 1);
         assert_eq!(stage_next(&mut w), Some(QueryId(6)));
         // Sends are counted when their buffer is flushed.
-        w.outbox.flush_all();
+        w.router.outbox.flush_all();
         assert_eq!(fabric.stats().snapshot().progress_msgs - before, 2);
     }
 
     /// A long-lived worker's per-query state is O(active + `DEAD_WINDOW`),
-    /// not O(queries ever served): 100 k begin/run/end cycles leave every
-    /// per-query map and set — and the free list of recycled queues —
-    /// bounded, and the most recent ends are still remembered. A query that
-    /// is begun here but never runs here costs this worker no memo at all.
+    /// not O(queries ever served): 100 k begin/run/end cycles — every third
+    /// one cancelled with its source's child still queued, and a late batch
+    /// refunded in the drain — leave no query record, queue or arena slot
+    /// behind, the free list of recycled queues bounded, and the most
+    /// recent ends remembered.
     #[test]
     fn per_query_state_stays_bounded_over_100k_cycles() {
         let (mut w, _fabric, _wrx) = test_worker();
@@ -1352,7 +1213,6 @@ mod handler_tests {
             let q = QueryId(i);
             w.handle(begin(q));
             assert_eq!(w.pump(), PumpStatus::Idle);
-            assert_eq!(w.memo.live_queries(), 0, "begun, not run: no memo");
             if i == 1 {
                 // One burst, to grow a bucket well past what is kept.
                 w.handle(WorkerMsg::Batch(vec![at_v0(1, 1); 8 * BUCKET_KEEP]));
@@ -1363,13 +1223,19 @@ mod handler_tests {
                 pipeline: 0,
                 weight: Weight::ROOT,
             });
-            while w.pump() == PumpStatus::Worked {}
-            w.handle(WorkerMsg::QueryEnd { query: q });
+            if i % 3 == 0 {
+                w.handle(WorkerMsg::CancelQuery { query: q });
+                w.handle(WorkerMsg::Batch(vec![at_v0(i, 1)]));
+                w.handle(WorkerMsg::QueryEnd { query: q });
+                while w.pump() == PumpStatus::Worked {}
+                assert!(!w.holds(q), "cycle {i}: the cancelled query is held");
+                assert_eq!(w.router.arena.live(), 0, "cycle {i}");
+            } else {
+                while w.pump() == PumpStatus::Worked {}
+                w.handle(WorkerMsg::QueryEnd { query: q });
+            }
         }
         assert!(w.queries.is_empty());
-        assert!(w.steps.is_empty());
-        assert!(w.cancelled.is_empty());
-        assert!(w.locals.is_empty());
         assert!(w.ring.is_empty());
         assert!(w.idle.is_empty());
         assert!((1..=FREE_KEEP).contains(&w.ring.free_queues()));
@@ -1378,8 +1244,7 @@ mod handler_tests {
             "bucket storage a burst grew is given back: {} entries held",
             w.ring.capacity()
         );
-        assert_eq!(w.arena.live(), 0);
-        assert_eq!(w.memo.live_queries(), 0);
+        assert_eq!(w.router.arena.live(), 0);
         assert_eq!(w.dead.set.len(), DEAD_WINDOW);
         assert_eq!(w.dead.order.len(), DEAD_WINDOW);
         assert!(w.dead.contains(QueryId(CYCLES)));
@@ -1411,9 +1276,9 @@ mod handler_tests {
         assert_eq!(w.ring.len(), 2);
         w.handle(WorkerMsg::QueryEnd { query: QueryId(5) });
         assert_eq!(w.ring.len(), 1);
-        // The purged query's arena slot and locals table are gone too.
-        assert_eq!(w.arena.live(), 1);
-        assert!(!w.locals.contains_key(&QueryId(5)));
+        // The purged query's arena slot and record are gone too.
+        assert_eq!(w.router.arena.live(), 1);
+        assert!(!w.holds(QueryId(5)));
         assert_eq!(stage_next(&mut w), Some(QueryId(6)));
     }
 
@@ -1445,7 +1310,7 @@ mod handler_tests {
         // The long query reports once, when it too has drained.
         while w.pump() == PumpStatus::Worked {}
         assert_eq!(progress_at(&crx), vec![(5, 10_000)]);
-        assert_eq!(w.arena.live(), 0);
+        assert_eq!(w.router.arena.live(), 0);
     }
 
     /// With one query in flight "the query is idle here" and "the worker
@@ -1489,10 +1354,10 @@ mod handler_tests {
         let queued = w.ring.len();
         assert!(queued > 0);
         begin(&mut w);
-        assert_eq!((w.ring.len(), w.arena.live()), (queued, queued));
+        assert_eq!((w.ring.len(), w.router.arena.live()), (queued, queued));
         while w.pump() == PumpStatus::Worked {}
         assert_eq!(progress_at(&crx), vec![(5, 100)]);
-        assert_eq!(w.arena.live(), 0);
+        assert_eq!(w.router.arena.live(), 0);
     }
 
     /// `QueryEnd` and `CancelQuery` retire one query's queue: its arena
@@ -1509,24 +1374,24 @@ mod handler_tests {
             });
             w.handle(WorkerMsg::Batch(vec![at_v0(q, q); q as usize]));
         }
-        assert_eq!((w.ring.len(), w.arena.live()), (26, 26));
+        assert_eq!((w.ring.len(), w.router.arena.live()), (26, 26));
         w.handle(WorkerMsg::QueryEnd { query: QueryId(6) });
-        assert_eq!((w.ring.len(), w.arena.live()), (20, 20));
+        assert_eq!((w.ring.len(), w.router.arena.live()), (20, 20));
         w.handle(WorkerMsg::CancelQuery { query: QueryId(7) });
-        assert_eq!((w.ring.len(), w.arena.live()), (13, 13));
+        assert_eq!((w.ring.len(), w.router.arena.live()), (13, 13));
         // The ended query's traversers are dropped, the cancelled query's
         // refunded in one report; the two survivors fit one quantum and run
         // whole, 5 still ahead of 8.
         assert_eq!(w.pump(), PumpStatus::Worked);
         assert_eq!(progress_at(&crx), vec![(7, 49), (5, 25), (8, 64)]);
-        assert_eq!(w.arena.live(), 0);
+        assert_eq!(w.router.arena.live(), 0);
         assert_eq!(w.ring.free_queues(), 2);
     }
 
     #[test]
     fn migrate_freeze_clones_and_ships_the_segment() {
         let (mut w, _fabric, wrx) = test_worker();
-        let own = w.id.part();
+        let own = w.id().part();
         let other = PartId(1 - own.0);
         // `test_worker` builds the worker that owns vertex 0.
         w.handle(WorkerMsg::MigrateFreeze {
@@ -1560,7 +1425,7 @@ mod handler_tests {
             stage: 0,
             from: None,
         });
-        let other = PartId(1 - w.id.part().0);
+        let other = PartId(1 - w.id().part().0);
         // Arm a stub: vertex 0 committed to `other` at routing version 1.
         w.handle(WorkerMsg::MigrateCommit {
             seq: 0,
@@ -1625,6 +1490,6 @@ mod handler_tests {
         // saturates instead of wrapping to the front of the queue.
         while w.pump() == PumpStatus::Worked {}
         assert!(w.ring.is_empty());
-        assert_eq!(w.arena.live(), 0);
+        assert_eq!(w.router.arena.live(), 0);
     }
 }

@@ -209,25 +209,9 @@ impl Memo {
         self.queries.remove(&query);
     }
 
-    /// Does `query` have live memo records? (Leak tests; never creates
-    /// them, unlike [`Memo::query_mut`].)
-    pub fn holds(&self, query: QueryId) -> bool {
-        self.queries.contains_key(&query)
-    }
-
     /// Number of queries with live memo records (diagnostics / leak tests).
     pub fn live_queries(&self) -> usize {
         self.queries.len()
-    }
-
-    /// Drain the access statistics of `query` without creating memo state
-    /// for it (queries the worker no longer tracks return zeros).
-    #[cfg(feature = "obs")]
-    pub fn take_stats(&mut self, query: QueryId) -> MemoStats {
-        self.queries
-            .get_mut(&query)
-            .map(|q| q.stats.take())
-            .unwrap_or_default()
     }
 }
 
