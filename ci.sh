@@ -21,6 +21,9 @@ echo "==> cargo xtask check --deep (line rules + concurrency passes)"
 cargo xtask check --deep
 
 echo "==> cargo test --workspace (debug: runtime invariant checkers active)"
+# Includes graphdance-bench's recorded_gates_within_budget (the two
+# committed timing records) and pstm's live allocation floor,
+# arena_equivalence::arena_path_allocates_at_most_55_percent_per_step.
 cargo test -q --workspace
 
 echo "==> vendored crossbeam shim: its own tests (vendor/ is outside the workspace)"
@@ -45,6 +48,8 @@ echo "==> deterministic simulation: committed repro corpus (sim-repro/*.repro)"
 cargo test -q --test sim_repro
 
 echo "==> deterministic simulation: DST suites (default seed counts)"
+# sim_partition carries the live Fennel floor,
+# fennel_sends_at_most_six_tenths_of_hash_cross_partition_traversers.
 cargo test -q --test sim_dst --test sim_property --test sim_faults \
     --test sim_exhaustive --test sim_regression_khop --test sim_io_scheduler \
     --test sim_service --test sim_partition --test sim_fairness \
@@ -57,6 +62,8 @@ echo "==> transport: conformance battery (channel + tcp + unix loopback)"
 # query lifecycle on a 2x2 NodeRuntime mesh (cancel / deadline / sink /
 # drop-without-shutdown, TCP + Unix; its own file so the x200 loop below
 # stays the bare battery). Loopback sockets only; no external network.
+# per_lane_fifo_without_loss_on_every_backend also holds the socket
+# batching bound: at most one frame and two write calls per flushed batch.
 cargo test -q --test transport_conformance --test frame_robustness \
     --test socket_runtime
 
@@ -89,21 +96,12 @@ echo "==> transport: sim/TCP parity (multi-process loopback clusters)"
 cargo test -q --test sim_tcp_parity
 
 echo "==> transport: loopback A/B smoke (--quick)"
-# The recorded batching/latency budgets are asserted by the
-# graphdance-bench gate recorded_transport_within_budget in the
-# workspace pass; this lane smoke-runs the A/B itself.
 cargo run -q --release -p graphdance-bench --bin transport_ab -- --quick \
     >/dev/null
 
 echo "==> I/O scheduler: Fig. 12 ablation + threshold sweep smoke (--quick)"
 cargo run -q --release -p graphdance-bench --bin fig12_io_scheduler -- --quick \
     >/dev/null
-
-echo "==> hot-path arena: perf-regression floor (committed BENCH_hotpath.json)"
-# The floor itself is asserted by the graphdance-bench gate
-# recorded_hotpath_within_budget (runs in the workspace pass above); this
-# lane smoke-runs the comparison bin so the measurement path stays healthy.
-cargo run -q --release -p graphdance-bench --bin hotpath_arena >/dev/null
 
 echo "==> service front-end: SLO sweep smoke (--quick)"
 # The recorded SLO floor (interactive p99 < background p99, bounded
@@ -132,10 +130,6 @@ for workload in snb-rw khop-local snb-sessions khop-tcp; do
 done
 
 echo "==> partitioning: hash-vs-fennel A/B smoke (--quick)"
-# The recorded cross-node floor (≥40% fewer traverser messages, p50/p99
-# within tolerance) is asserted by the graphdance-bench gate
-# recorded_partitioning_within_budget in the workspace pass; this lane
-# smoke-runs the A/B itself.
 cargo run -q --release -p graphdance-bench --bin partitioning_ab -- --quick \
     >/dev/null
 
@@ -145,10 +139,6 @@ if [ "${CI_NIGHTLY:-0}" = "1" ]; then
         --test sim_exhaustive --test sim_property --test sim_io_scheduler \
         --test sim_service --test sim_partition --test sim_fairness \
         --test sim_control_plane
-
-    echo "==> nightly: hotpath arena comparison, paper-scale lane (--full)"
-    cargo run -q --release -p graphdance-bench --bin hotpath_arena -- --full \
-        >/dev/null
 
     echo "==> nightly: multi-process parity sweep (release, x10)"
     # Race-hunting lane: the parity battery spawns real OS processes and a

@@ -17,10 +17,10 @@
 //!   write-syscalls/batch: the whole point of threshold batching is that a
 //!   batch of N traversers ships as ~1 frame and ~1 `write(2)`, not N.
 //!
-//! Prints a table plus one `JSON:` line; `--record` writes it to
-//! `BENCH_transport.json` at the repo root, which the `graphdance-bench`
-//! gate `recorded_transport_within_budget` checks against the budgets
-//! below.
+//! Prints a table. The frames and write calls per flushed batch are
+//! asserted live by `per_lane_fifo_without_loss_on_every_backend` in
+//! `tests/transport_conformance.rs`; write syscalls per query on a real
+//! workload are the benchmark's `transport.write_syscalls_per_query`.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -35,17 +35,6 @@ use graphdance_pstm::{Traverser, Weight};
 /// Traversers per batch: comfortably under the 8 KB flush threshold, so
 /// each round ships exactly one explicitly-flushed packet.
 const BATCH: usize = 32;
-
-/// Recorded budget: a flushed batch must ship in at most this many write
-/// syscalls on the socket backends (batching, not per-message writes).
-const SYSCALLS_PER_BATCH_BUDGET: f64 = 2.0;
-/// Recorded budget: a flushed batch must ship in at most this many frames.
-const FRAMES_PER_BATCH_BUDGET: f64 = 2.0;
-/// Recorded ceilings for loopback batch latency — generous so the gate
-/// survives noisy CI machines, but low enough to catch a transport that
-/// starts sleeping, retrying, or copying per-message.
-const P50_BUDGET_MS: f64 = 2.0;
-const P99_BUDGET_MS: f64 = 20.0;
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Arm {
@@ -251,7 +240,6 @@ fn run_arm(arm: Arm, rounds: usize, batches: usize) -> Measured {
 
 fn main() {
     let quick = quick_mode();
-    let record = std::env::args().any(|a| a == "--record");
     let rounds = if quick { 200 } else { 2000 };
     let batches = if quick { 500 } else { 5000 };
 
@@ -285,57 +273,9 @@ fn main() {
     let get = |a: Arm| &arms.iter().find(|(x, _)| *x == a).expect("arm ran").1;
     let (ch, tcp, unix) = (get(Arm::Channel), get(Arm::Tcp), get(Arm::Unix));
     println!(
-        "\nchannel (two thread hops + the configured 6.5 us) {} / loopback TCP {} / unix {} per batch \
-         (recorded ceilings p50 {P50_BUDGET_MS} ms, p99 {P99_BUDGET_MS} ms)",
+        "\nchannel (two thread hops + the configured 6.5 us) {} / loopback TCP {} / unix {} per batch",
         ms(ch.p50).trim(),
         ms(tcp.p50).trim(),
         ms(unix.p50).trim(),
     );
-
-    let json = format!(
-        "{{\n  \"bench\": \"transport_ab\",\n  \"workload\": \"{}\",\n  \
-         \"method\": \"cargo run --release -p graphdance-bench --bin transport_ab -- --record; \
-         raw 2x2 Fabric mesh, {BATCH}-traverser batches to a remote worker inbox, one explicit \
-         flush per batch; latency = ping-pong rounds (channel arm pays two thread hops plus the \
-         NetConfig cost, 1.5 us/packet + exact bytes at 200 Gbps + 5 us propagation, spun not slept; \
-         socket arms pay real loopback syscalls); frames/writes per batch = sender-side TcpStats \
-         deltas over the back-to-back phase\",\n  \
-         \"channel_p50_ms\": {:.3},\n  \
-         \"channel_p99_ms\": {:.3},\n  \
-         \"tcp_p50_ms\": {:.3},\n  \
-         \"tcp_p99_ms\": {:.3},\n  \
-         \"unix_p50_ms\": {:.3},\n  \
-         \"unix_p99_ms\": {:.3},\n  \
-         \"tcp_frames_per_batch\": {:.3},\n  \
-         \"tcp_syscalls_per_batch\": {:.3},\n  \
-         \"tcp_bytes_per_batch\": {:.0},\n  \
-         \"unix_frames_per_batch\": {:.3},\n  \
-         \"unix_syscalls_per_batch\": {:.3},\n  \
-         \"p50_budget_ms\": {P50_BUDGET_MS:.1},\n  \
-         \"p99_budget_ms\": {P99_BUDGET_MS:.1},\n  \
-         \"frames_per_batch_budget\": {FRAMES_PER_BATCH_BUDGET:.1},\n  \
-         \"syscalls_per_batch_budget\": {SYSCALLS_PER_BATCH_BUDGET:.1}\n}}",
-        if quick {
-            "quick lane: 200 latency rounds, 500 batching rounds"
-        } else {
-            "full lane: 2000 latency rounds, 5000 batching rounds"
-        },
-        ch.p50.as_secs_f64() * 1e3,
-        ch.p99.as_secs_f64() * 1e3,
-        tcp.p50.as_secs_f64() * 1e3,
-        tcp.p99.as_secs_f64() * 1e3,
-        unix.p50.as_secs_f64() * 1e3,
-        unix.p99.as_secs_f64() * 1e3,
-        tcp.frames_per_batch,
-        tcp.syscalls_per_batch,
-        tcp.bytes_per_batch,
-        unix.frames_per_batch,
-        unix.syscalls_per_batch,
-    );
-    println!("\nJSON: {}", json.replace('\n', " "));
-    if record {
-        std::fs::write("BENCH_transport.json", format!("{json}\n"))
-            .expect("write BENCH_transport.json");
-        println!("recorded to BENCH_transport.json");
-    }
 }

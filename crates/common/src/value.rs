@@ -90,15 +90,6 @@ impl Value {
         }
     }
 
-    /// Returns the list payload, if this is a `List`.
-    #[inline]
-    pub fn as_list(&self) -> Option<&[Value]> {
-        match self {
-            Value::List(l) => Some(l),
-            _ => None,
-        }
-    }
-
     /// `true` if this value is `Null`.
     #[inline]
     pub fn is_null(&self) -> bool {

@@ -833,11 +833,6 @@ impl SnbDataset {
         self.persons.len()
     }
 
-    /// Number of posts / comments / forums.
-    pub fn num_messages(&self) -> usize {
-        self.posts.len() + self.comments.len()
-    }
-
     /// Vertex id of person `i`.
     pub fn person(&self, i: usize) -> VertexId {
         vid(Kind::Person, i)
@@ -853,11 +848,6 @@ impl SnbDataset {
         COUNTRIES.iter().map(|(n, _)| *n).collect()
     }
 
-    /// Country of a person's home city.
-    pub fn person_country(&self, i: usize) -> &'static str {
-        COUNTRIES[self.persons[i].city / CITIES_PER_COUNTRY].0
-    }
-
     /// A tag name.
     pub fn tag_name(&self, i: usize) -> &str {
         &self.tags[i].0
@@ -871,11 +861,6 @@ impl SnbDataset {
     /// Tag-class names (roots of the IC12 hierarchy walk).
     pub fn tag_class_names(&self) -> Vec<&'static str> {
         TAG_CLASSES.iter().map(|(n, _)| *n).collect()
-    }
-
-    /// The data window midpoint (handy default for date parameters).
-    pub fn mid_date(&self) -> i64 {
-        (date_millis(2010, 1, 1) + date_millis(2013, 1, 1)) / 2
     }
 
     /// Highest assigned indexes (for update-stream id allocation).

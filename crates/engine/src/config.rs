@@ -130,12 +130,6 @@ impl SimFaults {
         }
     }
 
-    /// Does this schedule inject message loss or duplication (outcomes the
-    /// conservation checkers must flag)?
-    pub fn is_lossy(&self) -> bool {
-        self.drop_permille > 0 || self.dup_permille > 0
-    }
-
     /// Does this schedule inject anything at all?
     pub fn is_quiet(&self) -> bool {
         *self == SimFaults::default()

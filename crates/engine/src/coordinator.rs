@@ -8,6 +8,14 @@
 //! as all other traffic, so tracker load is measured realistically. It
 //! never broadcasts: a query's context, stage advances, cancel and end go
 //! only to the workers it sent the query's work to (DESIGN.md §IV-A).
+//!
+//! Progress (§IV-A): each worker sums the weights of the traversers that
+//! finish on it and reports the coalesced sum per flush (**weight
+//! coalescing**; without it every finished weight is its own report — the
+//! cost Fig. 10/11 quantify). The coordinator adds the reports into the
+//! query's [`WeightAccumulator`], reset at every stage; the stage's scope
+//! is complete exactly when the wrapping sum lands on [`Weight::ROOT`]
+//! (false-positive probability ≤ (n−1)/2⁶⁴, Theorem 1).
 
 use std::time::{Duration, Instant};
 
@@ -19,7 +27,7 @@ use rand::rngs::SmallRng;
 use graphdance_common::{
     FxHashMap, GdError, GdResult, NodeId, PartId, QueryId, Value, VertexId, WorkerId,
 };
-use graphdance_pstm::{AggState, Row, Weight};
+use graphdance_pstm::{AggState, Row, Weight, WeightAccumulator};
 use graphdance_query::plan::{Plan, SourceSpec};
 use graphdance_storage::{Graph, Timestamp};
 
@@ -30,8 +38,6 @@ use crate::messages::{
     migration_qid, CoordMsg, MigPhase, QueryCtx, QueryScope, ReplySink, WorkerMsg,
 };
 use crate::net::{Fabric, Outbox, WireMsg};
-use crate::progress::ProgressTracker;
-use crate::rebalance::{plan_moves, RebalanceConfig};
 
 use std::sync::Arc;
 
@@ -42,6 +48,8 @@ const TRACKER_COST_PER_REPORT: Duration = Duration::from_nanos(900);
 struct QueryState {
     ctx: Arc<QueryCtx>,
     stage: u16,
+    /// The running stage's progress reports, summed.
+    progress: WeightAccumulator,
     steps_executed: u64,
     rows: Vec<Row>,
     /// The running stage's aggregation partials, merged as they arrive.
@@ -56,7 +64,7 @@ struct QueryState {
     /// liveness watchdog).
     last_activity: Instant,
     /// Set by `CoordMsg::Cancel`: the drain protocol is running. Workers
-    /// are purging and refunding this query's weight; when the tracker
+    /// are purging and refunding this query's weight; when `progress`
     /// lands on `Weight::ROOT` the query finishes with `QueryCancelled`
     /// instead of advancing stages (DESIGN.md §13).
     cancelled: bool,
@@ -110,7 +118,6 @@ pub struct Coordinator {
     fabric: Arc<Fabric>,
     inbox: Receiver<CoordMsg>,
     outbox: Outbox,
-    tracker: ProgressTracker,
     queries: FxHashMap<QueryId, QueryState>,
     rng: SmallRng,
     timeout: Duration,
@@ -127,9 +134,6 @@ pub struct Coordinator {
     migrations: FxHashMap<u64, Migration>,
     next_mig_seq: u64,
     migs_done: u64,
-    /// Dedicated stream for planner tie-breaking (never map iteration
-    /// order), so rebalance plans replay bit-identically per seed.
-    planner_rng: SmallRng,
     /// Stage-transition instrumentation (span sink + seeding spans).
     #[cfg(feature = "obs")]
     obs: crate::obs::CoordObs,
@@ -148,7 +152,6 @@ impl Coordinator {
             fabric: Arc::clone(fabric),
             inbox,
             outbox: fabric.outbox(NodeId(0)),
-            tracker: ProgressTracker::new(),
             queries: FxHashMap::default(),
             rng: graphdance_common::rng::derive(config.seed, u64::MAX),
             timeout: config.query_timeout,
@@ -157,10 +160,6 @@ impl Coordinator {
             migrations: FxHashMap::default(),
             next_mig_seq: 0,
             migs_done: 0,
-            planner_rng: graphdance_common::rng::derive(
-                config.seed,
-                crate::rebalance::REBALANCE_STREAM,
-            ),
             #[cfg(feature = "obs")]
             obs: crate::obs::CoordObs::new(fabric),
         }
@@ -278,12 +277,15 @@ impl Coordinator {
                 // this serialized work is the bottleneck the paper measures
                 // (§IV-A, Fig. 10/11).
                 crate::net::charge(TRACKER_COST_PER_REPORT);
+                // Reports for a query no longer here (finished, failed or
+                // never seen) are stragglers and change nothing.
                 if let Some(s) = self.queries.get_mut(&query) {
                     s.steps_executed += steps;
                     s.last_activity = now();
-                }
-                if self.tracker.report(query, weight) {
-                    self.stage_complete(query);
+                    s.progress.add(weight);
+                    if s.progress.is_complete() {
+                        self.stage_complete(query);
+                    }
                 }
             }
             CoordMsg::Rows { query, rows } => {
@@ -359,6 +361,7 @@ impl Coordinator {
             QueryState {
                 ctx,
                 stage: 0,
+                progress: WeightAccumulator::new(),
                 steps_executed: 0,
                 rows: Vec::new(),
                 agg: None,
@@ -446,7 +449,7 @@ impl Coordinator {
         let stage_idx = state.stage as usize;
         let ctx = Arc::clone(&state.ctx);
         let prev_rows = std::mem::take(&mut state.prev_rows);
-        self.tracker.begin_stage(query);
+        state.progress = WeightAccumulator::new();
         #[cfg(feature = "obs")]
         self.obs.stage_begin(query, stage_idx as u16);
 
@@ -520,8 +523,12 @@ impl Coordinator {
                 }
             }
         }
-        if immediate != Weight::ZERO && self.tracker.report(query, immediate) {
-            self.stage_complete(query);
+        // Weight the sources finished on the spot reports like any other.
+        if let Some(state) = self.queries.get_mut(&query) {
+            state.progress.add(immediate);
+            if state.progress.is_complete() {
+                self.stage_complete(query);
+            }
         }
     }
 
@@ -653,7 +660,6 @@ impl Coordinator {
             }
             state.reply.complete(result);
         }
-        self.tracker.finish_query(query);
         // A per-process ledger is one half of a sum whose other halves sit
         // in the peer processes, which never learn when to forget: keep it,
         // so the halves still add up after the query (debug builds only).
@@ -665,22 +671,9 @@ impl Coordinator {
         self.advance_migrations();
     }
 
-    /// Start the requested vertex migrations. An empty `moves` list asks
-    /// the coordinator to plan from the fabric's hot-vertex sketch (the
-    /// query-driven refinement path); an explicit list is the sim/test
-    /// path. Vertices already home or already mid-migration are skipped.
+    /// Start the requested vertex migrations. Vertices already home or
+    /// already mid-migration are skipped.
     fn rebalance(&mut self, moves: Vec<(VertexId, PartId)>) {
-        let moves = if moves.is_empty() {
-            let hot = self.fabric.hot_tracker().drain();
-            plan_moves(
-                hot,
-                &self.graph,
-                &RebalanceConfig::default(),
-                &mut self.planner_rng,
-            )
-        } else {
-            moves
-        };
         for (v, to) in moves {
             let from = self.graph.part_of(v);
             if from == to || self.migrations.values().any(|m| m.v == v) {
@@ -844,7 +837,6 @@ impl Coordinator {
             if let Some(state) = self.queries.remove(&q) {
                 state.reply.complete(Err(err.clone()));
             }
-            self.tracker.finish_query(q);
             self.fabric.invariants().forget(q);
             #[cfg(feature = "obs")]
             self.obs.forget(q);
@@ -857,5 +849,122 @@ impl Coordinator {
                 reply.complete(Err(err.clone()));
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::fixtures::ring;
+    use crossbeam::channel::{bounded, unbounded};
+    use graphdance_common::rng::seeded;
+    use graphdance_common::Partitioner;
+    use graphdance_query::expr::Expr;
+    use graphdance_query::plan::{Pipeline, Stage};
+
+    fn pipeline(source: SourceSpec) -> Pipeline {
+        Pipeline {
+            source,
+            steps: vec![],
+        }
+    }
+
+    /// Stage 0 reads `$0`; stage 1 reads the previous rows *and* `$0`
+    /// again, so it finishes part of its weight on the spot (no rows
+    /// came in) and sends the rest to the worker.
+    fn two_stage_plan() -> Plan {
+        let stage = |pipelines| Stage {
+            pipelines,
+            joins: vec![],
+            output: vec![Expr::VertexId],
+            agg: None,
+            num_slots: 0,
+        };
+        Plan {
+            stages: vec![
+                stage(vec![pipeline(SourceSpec::Param { param: 0 })]),
+                stage(vec![
+                    pipeline(SourceSpec::PrevRows {
+                        vertex_col: 0,
+                        seed: vec![],
+                    }),
+                    pipeline(SourceSpec::Param { param: 0 }),
+                ]),
+            ],
+            num_params: 1,
+        }
+    }
+
+    /// A bare coordinator on 1 × 1 with the worker's inbox in the test's
+    /// hands: progress is injected by hand and each `StartSource` is read
+    /// off the inbox. Each stage sums only its own reports, and a report
+    /// that arrives after the query finished changes nothing.
+    #[test]
+    fn each_stage_sums_its_own_reports_and_stragglers_are_ignored() {
+        let config = EngineConfig::new(1, 1);
+        let (wtx, wrx) = unbounded();
+        let (ctx, crx) = unbounded();
+        let (fabric, _net) = Fabric::new_sim(&config, vec![wtx], ctx.clone());
+        let graph = ring(4, Partitioner::new(1, 1));
+        let mut coord = Coordinator::new(graph, &fabric, crx, &config);
+        let q = QueryId(1);
+        let (reply, rx) = bounded(1);
+        let params = vec![Value::Vertex(VertexId(0))];
+        crate::engine::send_submit(&ctx, q, two_stage_plan(), params, 1, None, reply.into());
+        let report = |coord: &mut Coordinator, weight| {
+            let progress = CoordMsg::Progress {
+                query: q,
+                weight,
+                steps: 0,
+            };
+            ctx.send(progress).unwrap();
+            coord.pump();
+        };
+        let start_weight = || {
+            std::iter::from_fn(|| wrx.try_recv().ok())
+                .find_map(|m| match m {
+                    WorkerMsg::StartSource { weight, .. } => Some(weight),
+                    _ => None,
+                })
+                .expect("a StartSource reached the worker")
+        };
+        coord.pump();
+
+        // Stage 0: the source holds the whole root weight; its pieces add
+        // up to completion only together.
+        assert_eq!(start_weight(), Weight::ROOT);
+        let pieces = Weight::ROOT.split(3, &mut seeded(7));
+        report(&mut coord, pieces[0]);
+        report(&mut coord, pieces[1]);
+        assert_eq!(coord.queries[&q].stage, 0, "two of three pieces in");
+        report(&mut coord, pieces[2]);
+
+        // Stage 1 starts from zero: all it holds is what its `PrevRows`
+        // source finished at once — the root minus what the worker got.
+        let state = &coord.queries[&q];
+        assert_eq!(state.stage, 1);
+        let sent = start_weight();
+        assert_eq!(
+            state.progress.sum(),
+            Weight::ROOT.sub(sent),
+            "stage 0's sum leaked into stage 1"
+        );
+        assert!(rx.try_recv().is_err(), "not done before the worker reports");
+        report(&mut coord, sent);
+        let rows = rx.try_recv().expect("replied").expect("answered").rows;
+        assert!(rows.is_empty());
+        assert!(coord.queries.is_empty());
+
+        // A straggler: reports and rows for the finished query neither
+        // bring its state back nor reply twice.
+        report(&mut coord, Weight::ROOT);
+        ctx.send(CoordMsg::Rows {
+            query: q,
+            rows: vec![vec![Value::Vertex(VertexId(0))]],
+        })
+        .unwrap();
+        coord.pump();
+        assert!(coord.queries.is_empty(), "a straggler re-created the query");
+        assert!(rx.try_recv().is_err(), "replied twice");
     }
 }

@@ -37,7 +37,7 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, SendError, Sender};
 
 use graphdance_common::time::now;
-use graphdance_common::{GdError, GdResult, NodeId, PartId, QueryId, Value, VertexId, WorkerId};
+use graphdance_common::{GdError, GdResult, NodeId, QueryId, Value, WorkerId};
 use graphdance_pstm::Row;
 use graphdance_query::plan::Plan;
 use graphdance_storage::{Graph, Timestamp};
@@ -555,18 +555,6 @@ impl GraphDance {
         self.submit(plan, params).wait()
     }
 
-    /// Ask the coordinator to migrate the given vertices to new home
-    /// partitions while queries keep running (an empty list requests a
-    /// plan from the fabric's hot-vertex sketch — enable it first with
-    /// `fabric().hot_tracker().set_enabled(true)`). Asynchronous: each
-    /// migration runs the freeze → install → commit → retire protocol of
-    /// DESIGN.md §14; in-flight queries keep their pinned routing. Here
-    /// because the `RoutingTable` is one process's `Arc`: a commit on a
-    /// socket mesh's head alone would desynchronise the followers.
-    pub fn rebalance(&self, moves: Vec<(VertexId, PartId)>) {
-        let _ = self.runtime.coord_tx.send(CoordMsg::Rebalance { moves });
-    }
-
     /// Submit, wait, and return the result together with the reassembled
     /// per-stage [`graphdance_obs::QueryTrace`]. The trace is `None` only
     /// if reassembly does not complete within a short grace period (all
@@ -600,7 +588,7 @@ impl GraphDance {
 mod tests {
     use super::*;
     use crate::fixtures::{khop_plan, ring};
-    use graphdance_common::Partitioner;
+    use graphdance_common::{Partitioner, VertexId};
     use graphdance_query::expr::Expr;
     use graphdance_query::plan::{AggFunc, Order};
     use graphdance_query::QueryBuilder;

@@ -18,7 +18,7 @@
 //!   primitives), decoded once at its receiver, and charged against a
 //!   configurable network cost model.
 //! * Query completion is detected with **progression weights** and
-//!   **weight coalescing** (§IV-A, [`progress`]): workers locally sum the
+//!   **weight coalescing** (§IV-A, [`coordinator`]): workers locally sum the
 //!   weights of finished traversers and send one coalesced report per
 //!   flush.
 //!
@@ -38,8 +38,6 @@ pub mod invariants;
 pub mod messages;
 pub mod net;
 pub mod obs;
-pub mod progress;
-pub mod rebalance;
 mod run_queue;
 pub mod sim;
 pub mod transport;
@@ -52,7 +50,6 @@ pub use engine::{GraphDance, NodeRuntime, QueryHandle, QueryResult};
 pub use invariants::{MsgCounts, MsgLedger};
 pub use messages::{MigPhase, ReplySink};
 pub use net::{Fabric, FlushEvent, FlushTrigger, MsgClass, NetStats, NetStatsSnapshot};
-pub use rebalance::{HotTracker, HotVertex, RebalanceConfig};
 pub use sim::{
     FaultCounts, SimActor, SimCluster, SimEvent, SimEventKind, SimHandle, SimStep, SimTrace,
 };

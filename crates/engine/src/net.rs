@@ -299,9 +299,6 @@ pub struct Fabric {
     /// Most recent undecodable-packet error, surfaced to diagnostics
     /// instead of stderr.
     last_decode_error: Mutex<Option<GdError>>,
-    /// Remote-traffic sketch feeding the rebalance planner (off by
-    /// default; see [`crate::rebalance`]).
-    hot: crate::rebalance::HotTracker,
     /// Cluster-wide observability state (registry + trace sink).
     #[cfg(feature = "obs")]
     obs: Arc<crate::obs::EngineObs>,
@@ -351,7 +348,6 @@ impl Fabric {
             flush_trace: Mutex::new(Vec::new()),
             packet_trace: Mutex::new(Vec::new()),
             last_decode_error: Mutex::new(None),
-            hot: crate::rebalance::HotTracker::new(),
             #[cfg(feature = "obs")]
             obs,
         });
@@ -474,11 +470,6 @@ impl Fabric {
     pub fn ledger_is_global(&self) -> bool {
         // sync: single-writer flag set at construction, read-only after
         self.ledger_global.load(Ordering::Relaxed)
-    }
-
-    /// The hot-vertex sketch feeding the rebalance planner.
-    pub fn hot_tracker(&self) -> &crate::rebalance::HotTracker {
-        &self.hot
     }
 
     /// The cluster's observability state (metrics registry + trace sink).
@@ -914,12 +905,6 @@ impl Outbox {
     /// The topology (convenience).
     pub fn partitioner(&self) -> Partitioner {
         self.fabric.partitioner()
-    }
-
-    /// The owning fabric (workers reach shared fabric state — e.g. the
-    /// hot-vertex sketch — through their outbox).
-    pub(crate) fn fabric(&self) -> &Arc<Fabric> {
-        &self.fabric
     }
 
     fn maybe_flush(&mut self, node: usize) {

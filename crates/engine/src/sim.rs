@@ -350,11 +350,6 @@ impl SimCluster {
         }
     }
 
-    /// Override the step budget (default 20M quanta) for long sweeps.
-    pub fn set_max_steps(&mut self, max: u64) {
-        self.max_steps = max;
-    }
-
     /// The network fabric (counters, conservation ledger).
     pub fn fabric(&self) -> &Arc<Fabric> {
         &self.fabric

@@ -185,7 +185,6 @@ impl Router {
             } else {
                 let w = self.outbox.partitioner().worker_of_part(dest);
                 let t = self.arena.extract(h, &mut aq.locals);
-                self.outbox.fabric().hot_tracker().record(t.vertex, own);
                 #[cfg(feature = "obs")]
                 obs_remote.push((w.0, t.wire_bytes() as u64));
                 self.send_work(aq, w, t);

@@ -176,6 +176,26 @@ mod tests {
     }
 
     #[test]
+    fn accumulator_sum_wraps_and_completes_exactly_at_root() {
+        // Splits routinely yield "negative" parts (ROOT = w + (1 - w) with
+        // w > 1), so the sum must wrap; completion means it lands exactly
+        // on ROOT — passing near it or through zero means nothing.
+        let mut acc = WeightAccumulator::new();
+        acc.add(Weight(u64::MAX));
+        assert!(!acc.is_complete(), "sum = 2^64 - 1 ≠ ROOT");
+        acc.add(Weight(3));
+        assert!(!acc.is_complete(), "sum wraps to 2 ≠ ROOT");
+        acc.add(Weight(u64::MAX));
+        assert!(acc.is_complete(), "sum wraps to exactly ROOT");
+        // A zero report on a fresh accumulator is one short of ROOT.
+        let mut fresh = WeightAccumulator::new();
+        fresh.add(Weight::ZERO);
+        assert!(!fresh.is_complete());
+        fresh.add(Weight::ROOT);
+        assert!(fresh.is_complete());
+    }
+
+    #[test]
     fn drain_resets() {
         let mut acc = WeightAccumulator::new();
         assert_eq!(acc.drain(), None);

@@ -47,12 +47,6 @@ impl PatternHop {
         self
     }
 
-    /// Attach property captures.
-    pub fn with_loads(mut self, loads: Vec<(PropKey, Slot)>) -> Self {
-        self.loads = loads;
-        self
-    }
-
     fn reversed_dir(&self) -> Direction {
         match self.dir {
             Direction::Out => Direction::In,

@@ -42,14 +42,6 @@ impl VertexRecord {
             .ok()
             .map(|i| &self.props[i].1)
     }
-
-    /// Insert or overwrite one property, keeping the row sorted.
-    pub fn set_prop(&mut self, key: PropKey, value: Value) {
-        match self.props.binary_search_by_key(&key, |(k, _)| *k) {
-            Ok(i) => self.props[i].1 = value,
-            Err(i) => self.props.insert(i, (key, value)),
-        }
-    }
 }
 
 /// A borrowed view of one adjacency-list entry plus its direction-resolved
@@ -217,14 +209,6 @@ impl GraphPartition {
     /// The record of `v`.
     pub fn vertex(&self, v: VertexId) -> GdResult<&VertexRecord> {
         Ok(&self.records[self.local(v)? as usize])
-    }
-
-    /// Mutable record of `v` (load-time property fixes; the engine only uses
-    /// this under an exclusive partition lock).
-    pub fn vertex_mut(&mut self, v: VertexId) -> GdResult<&mut VertexRecord> {
-        self.check_unfrozen(v)?;
-        let li = self.local(v)?;
-        Ok(&mut self.records[li as usize])
     }
 
     #[inline]

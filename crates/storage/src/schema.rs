@@ -111,16 +111,6 @@ impl Schema {
     pub fn num_vertex_labels(&self) -> usize {
         self.vertex_labels.len()
     }
-
-    /// Number of edge labels.
-    pub fn num_edge_labels(&self) -> usize {
-        self.edge_labels.len()
-    }
-
-    /// Number of property keys.
-    pub fn num_props(&self) -> usize {
-        self.prop_keys.len()
-    }
 }
 
 #[cfg(test)]

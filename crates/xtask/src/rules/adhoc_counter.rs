@@ -141,7 +141,7 @@ mod tests {
         let fixture = "struct S { n: AtomicU64 }\n";
         assert_eq!(run("crates/bench/src/lib.rs", fixture).len(), 1);
         assert_eq!(
-            run("crates/bench/src/bin/hotpath_arena.rs", fixture).len(),
+            run("crates/bench/src/bin/transport_ab.rs", fixture).len(),
             1
         );
         assert_eq!(run("crates/sim/src/oracle.rs", fixture).len(), 1);

@@ -15,7 +15,8 @@
 //!
 //! 1. **per-lane FIFO, no loss** — traversers sent from one node to one
 //!    destination worker arrive exactly once, in send order, in both
-//!    directions of the mesh;
+//!    directions of the mesh; on the socket backends each flushed batch
+//!    costs the sender at most one frame and two write calls;
 //! 2. **control legs** — cancel and migration control messages survive the
 //!    wire with field-exact round-trips, in both directions, and every
 //!    backend counts the same payload bytes for them;
@@ -67,6 +68,8 @@ struct Cluster {
     wrx: Vec<Vec<Receiver<WorkerMsg>>>,
     /// Coordinator inbox receivers, indexed like `fabrics`.
     crx: Vec<Receiver<CoordMsg>>,
+    /// The socket transports, indexed like `fabrics` (none on channel).
+    transports: Vec<Arc<TcpTransport>>,
     threads: Vec<std::thread::JoinHandle<()>>,
 }
 
@@ -82,6 +85,7 @@ impl Cluster {
                     fabrics: vec![fabric],
                     wrx: vec![wrx],
                     crx: vec![crx],
+                    transports: Vec::new(),
                     threads,
                 }
             }
@@ -96,11 +100,11 @@ impl Cluster {
                 let mut wrx_all = Vec::new();
                 let mut crx_all = Vec::new();
                 let mut threads = Vec::new();
-                for (i, t) in transports.into_iter().enumerate() {
+                for (i, t) in transports.iter().enumerate() {
                     let (wtx, wrx) = channels(4);
                     let (ctx, crx) = unbounded();
                     let (fabric, mut handles) =
-                        Fabric::new_with_transport(config, NodeId(i as u32), wtx, ctx, t);
+                        Fabric::new_with_transport(config, NodeId(i as u32), wtx, ctx, t.clone());
                     fabrics.push(fabric);
                     wrx_all.push(wrx);
                     crx_all.push(crx);
@@ -111,6 +115,7 @@ impl Cluster {
                     fabrics,
                     wrx: wrx_all,
                     crx: crx_all,
+                    transports,
                     threads,
                 }
             }
@@ -234,7 +239,10 @@ fn per_lane_fifo_without_loss_on_every_backend() {
 
         // node 0 → node 1: interleave two destination workers (slots 2,
         // 3). Each slot's sub-sequence must arrive complete and in order.
+        let node0 = cluster.transports.first().cloned();
+        let before = node0.as_ref().map(|t| t.stats());
         let mut ob0 = cluster.outbox(NodeId(0));
+        let mut flushes = 0u64;
         for seq in 0..300u64 {
             let slot = if seq % 2 == 0 {
                 WorkerId(2)
@@ -244,9 +252,11 @@ fn per_lane_fifo_without_loss_on_every_backend() {
             ob0.send_traverser(slot, t(1, seq));
             if seq % 7 == 6 {
                 ob0.flush_all(); // many small packets, not one big one
+                flushes += 1;
             }
         }
         ob0.flush_all();
+        flushes += 1;
         let even = cluster.recv_traversers(2, 150);
         let odd = cluster.recv_traversers(3, 150);
         let want_even: Vec<u64> = (0..300).filter(|s| s % 2 == 0).collect();
@@ -270,6 +280,27 @@ fn per_lane_fifo_without_loss_on_every_backend() {
 
         cluster.assert_clean();
         cluster.shutdown();
+
+        // Node 0 sent only the batches above (and, at shutdown, its
+        // goodbye). A flushed batch — here two workers' traversers — ships
+        // as at most one frame in at most two write calls, never one per
+        // message; tier 2 may join batches, so fewer is fine. Read after
+        // the shutdown joined node 0's egress pump: a frame can reach the
+        // receiver before its sender counts it.
+        if let (Some(t), Some(b)) = (node0, before) {
+            let a = t.stats();
+            let frames = a.frames_sent - b.frames_sent;
+            let writes = a.write_syscalls - b.write_syscalls;
+            assert!(frames > 0, "[{backend:?}] no frame counted");
+            assert!(
+                frames <= flushes,
+                "[{backend:?}] {frames} frames for {flushes} flushed batches"
+            );
+            assert!(
+                writes <= 2 * flushes,
+                "[{backend:?}] {writes} write calls for {flushes} flushed batches"
+            );
+        }
     }
 }
 
