@@ -44,11 +44,19 @@ for i in $(seq 1 20); do
         || { echo "shared_state_khop failed on iteration $i"; exit 1; }
 done
 
+echo "==> ic_results_identical_on_bsp x20 (release; IC rows must not depend on the schedule)"
+cargo test -q --release --test ldbc_queries ic_results_identical_on_bsp >/dev/null
+for i in $(seq 1 20); do
+    cargo test -q --release --test ldbc_queries ic_results_identical_on_bsp >/dev/null 2>&1 \
+        || { echo "ic_results_identical_on_bsp failed on iteration $i"; exit 1; }
+done
+
 echo "==> deterministic simulation: committed repro corpus (sim-repro/*.repro)"
 cargo test -q --test sim_repro
 
 echo "==> deterministic simulation: DST suites (default seed counts)"
-# sim_partition carries the live Fennel floor,
+# sim_partition is placement only: Fennel and hash rows agree, and it
+# carries the live Fennel floor,
 # fennel_sends_at_most_six_tenths_of_hash_cross_partition_traversers.
 cargo test -q --test sim_dst --test sim_property --test sim_faults \
     --test sim_exhaustive --test sim_regression_khop --test sim_io_scheduler \

@@ -126,13 +126,6 @@ impl BspWorker {
                 // The BSP driver never issues cancels; the async engine's
                 // drain protocol does not apply to the superstep barrier.
             }
-            WorkerMsg::MigrateFreeze { .. }
-            | WorkerMsg::MigrateInstall { .. }
-            | WorkerMsg::MigrateCommit { .. }
-            | WorkerMsg::MigrateRetire { .. } => {
-                // The BSP baseline runs on a static hash placement; live
-                // migration is an async-engine feature.
-            }
             WorkerMsg::Shutdown => unreachable!("handled in run()"),
         }
     }
@@ -385,7 +378,6 @@ impl BspEngine {
             plan: plan.clone(),
             params,
             read_ts: graphdance_storage::TS_LIVE - 1,
-            routing_version: self.graph.routing_version(),
         });
         let mut d = self.driver.lock();
         // Drain any stale messages from a previously aborted query.

@@ -248,13 +248,6 @@ impl SharedWorker {
                     }
                 }
             }
-            WorkerMsg::MigrateFreeze { .. }
-            | WorkerMsg::MigrateInstall { .. }
-            | WorkerMsg::MigrateCommit { .. }
-            | WorkerMsg::MigrateRetire { .. } => {
-                // The shared-state baseline has no partitions to migrate
-                // between; live migration is an async-engine feature.
-            }
             WorkerMsg::Bsp(_) => {}
             WorkerMsg::Shutdown => unreachable!("handled by run()"),
         }

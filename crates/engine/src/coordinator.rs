@@ -24,9 +24,7 @@ use graphdance_common::time::now;
 use crossbeam::channel::Receiver;
 use rand::rngs::SmallRng;
 
-use graphdance_common::{
-    FxHashMap, GdError, GdResult, NodeId, PartId, QueryId, Value, VertexId, WorkerId,
-};
+use graphdance_common::{FxHashMap, GdError, GdResult, NodeId, PartId, QueryId, Value, WorkerId};
 use graphdance_pstm::{AggState, Row, Weight, WeightAccumulator};
 use graphdance_query::plan::{Plan, SourceSpec};
 use graphdance_storage::{Graph, Timestamp};
@@ -34,9 +32,7 @@ use graphdance_storage::{Graph, Timestamp};
 use crate::config::EngineConfig;
 use crate::engine::QueryResult;
 use crate::invariants::MsgLedger;
-use crate::messages::{
-    migration_qid, CoordMsg, MigPhase, QueryCtx, QueryScope, ReplySink, WorkerMsg,
-};
+use crate::messages::{CoordMsg, QueryCtx, QueryScope, ReplySink, WorkerMsg};
 use crate::net::{Fabric, Outbox, WireMsg};
 
 use std::sync::Arc;
@@ -70,36 +66,6 @@ struct QueryState {
     cancelled: bool,
 }
 
-/// Where one in-flight vertex migration stands (DESIGN.md §14). Every
-/// transition is driven by a worker `MigrateAck`; dropped or duplicated
-/// control messages therefore stall or re-fire a single migration — they
-/// can never corrupt routing, because the routing table only changes at
-/// the single `commit_move` call in `Installed`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum MigState {
-    /// `MigrateFreeze` sent to the source; waiting for the destination's
-    /// `Installed` ack (the source ships the segment directly).
-    Freezing,
-    /// Routing committed; `MigrateCommit` sent to arm the source's
-    /// forwarding stub, waiting for `Committed`.
-    Committing,
-    /// Stub armed. Retire is gated: every active query must be pinned at
-    /// or above `commit_version` before the frozen source copy may go.
-    AwaitRetire,
-    /// `MigrateRetire` sent; waiting for `Retired`.
-    Retiring,
-}
-
-/// One in-flight vertex migration, keyed by its `seq`.
-struct Migration {
-    v: VertexId,
-    from: PartId,
-    to: PartId,
-    state: MigState,
-    /// Routing version this move committed at (0 until `Committing`).
-    commit_version: u64,
-}
-
 /// A destructured `CoordMsg::Submit` (bundled so `submit` keeps a short
 /// signature).
 struct Submission {
@@ -130,10 +96,6 @@ pub struct Coordinator {
     /// conservation is instead asserted by summing ledgers across
     /// processes (the transport conformance suite does exactly that).
     ledger_global: bool,
-    /// In-flight vertex migrations keyed by sequence number.
-    migrations: FxHashMap<u64, Migration>,
-    next_mig_seq: u64,
-    migs_done: u64,
     /// Stage-transition instrumentation (span sink + seeding spans).
     #[cfg(feature = "obs")]
     obs: crate::obs::CoordObs,
@@ -157,9 +119,6 @@ impl Coordinator {
             timeout: config.query_timeout,
             watchdog_stall: config.watchdog_stall,
             ledger_global: fabric.ledger_is_global(),
-            migrations: FxHashMap::default(),
-            next_mig_seq: 0,
-            migs_done: 0,
             #[cfg(feature = "obs")]
             obs: crate::obs::CoordObs::new(fabric),
         }
@@ -205,7 +164,6 @@ impl Coordinator {
             }
         }
         worked |= self.enforce_deadlines() > 0;
-        worked |= self.advance_migrations() > 0;
         // What the quantum buffered — `QueryEnd`s above all — leaves now.
         self.outbox.flush_all();
         if worked {
@@ -305,12 +263,6 @@ impl Coordinator {
             CoordMsg::WorkerError { query, error } => {
                 self.finish(query, Err(error));
             }
-            CoordMsg::Rebalance { moves } => {
-                self.rebalance(moves);
-            }
-            CoordMsg::MigrateAck { seq, v, phase } => {
-                self.migrate_ack(seq, v, phase);
-            }
             CoordMsg::BspStepDone { .. } | CoordMsg::BspParked { .. } => {
                 // BSP control traffic is only meaningful to the BSP driver.
             }
@@ -353,7 +305,6 @@ impl Coordinator {
             plan,
             params,
             read_ts: read_ts.unwrap_or(graphdance_storage::TS_LIVE - 1),
-            routing_version: self.graph.routing_version(),
         });
         let deadline = deadline.unwrap_or(submitted_at + self.timeout);
         self.queries.insert(
@@ -462,9 +413,9 @@ impl Coordinator {
                 SourceSpec::Param { param } => {
                     match ctx.params.get(*param).and_then(Value::as_vertex) {
                         Some(v) => {
-                            // Route by the query's pinned routing version,
-                            // not the raw hash — `v` may have migrated.
-                            let owner = self.graph.worker_of_at(v, ctx.routing_version);
+                            // Route by the graph's placement, not the raw
+                            // hash — Fennel may have placed `v` elsewhere.
+                            let owner = self.graph.worker_of(v);
                             self.introduce(query, owner);
                             let start = WorkerMsg::StartSource {
                                 query,
@@ -666,135 +617,6 @@ impl Coordinator {
         if self.ledger_global {
             self.fabric.invariants().forget(query);
         }
-        // Query completion raises the minimum pinned routing version, which
-        // can unblock retire-gated migrations.
-        self.advance_migrations();
-    }
-
-    /// Start the requested vertex migrations. Vertices already home or
-    /// already mid-migration are skipped.
-    fn rebalance(&mut self, moves: Vec<(VertexId, PartId)>) {
-        for (v, to) in moves {
-            let from = self.graph.part_of(v);
-            if from == to || self.migrations.values().any(|m| m.v == v) {
-                continue;
-            }
-            let seq = self.next_mig_seq;
-            self.next_mig_seq += 1;
-            self.migrations.insert(
-                seq,
-                Migration {
-                    v,
-                    from,
-                    to,
-                    state: MigState::Freezing,
-                    commit_version: 0,
-                },
-            );
-            let src = self.fabric.partitioner().worker_of_part(from);
-            self.outbox
-                .send_ctrl_worker(src, WorkerMsg::MigrateFreeze { seq, v, to });
-        }
-    }
-
-    /// Drive one migration's state machine from a worker ack. Duplicated
-    /// acks (fault-injected control-lane dup) are absorbed by the phase
-    /// guards; acks for unknown `seq` (already completed) are ignored.
-    fn migrate_ack(&mut self, seq: u64, v: VertexId, phase: MigPhase) {
-        let Some(m) = self.migrations.get_mut(&seq) else {
-            return;
-        };
-        debug_assert_eq!(m.v, v, "migration {seq} acked with foreign vertex");
-        match (phase, m.state) {
-            (MigPhase::Installed, MigState::Freezing) => {
-                // The copy is physically at the destination; flip routing.
-                // New queries pin the bumped version and route to `to`;
-                // already-pinned queries keep resolving the source, whose
-                // frozen copy survives until retire.
-                let version = self.graph.commit_move(m.v, m.to);
-                m.commit_version = version;
-                m.state = MigState::Committing;
-                let src = self.fabric.partitioner().worker_of_part(m.from);
-                let (v, to) = (m.v, m.to);
-                self.outbox.send_ctrl_worker(
-                    src,
-                    WorkerMsg::MigrateCommit {
-                        seq,
-                        v,
-                        to,
-                        version,
-                    },
-                );
-            }
-            (MigPhase::Committed, MigState::Committing) => {
-                m.state = MigState::AwaitRetire;
-                self.advance_migrations();
-            }
-            (MigPhase::Retired, MigState::Retiring) => {
-                self.migrations.remove(&seq);
-                self.migs_done += 1;
-                self.fabric.invariants().forget(migration_qid(seq));
-                #[cfg(feature = "obs")]
-                {
-                    self.obs.migration_done();
-                    if self.migrations.is_empty() {
-                        // Rebalance round drained: publish the new cut.
-                        self.obs.set_cut_edges(self.graph.edge_cut().0);
-                    }
-                }
-            }
-            (MigPhase::Failed, MigState::Freezing) => {
-                // Freeze or install failed before any routing change: the
-                // migration simply never happened.
-                self.migrations.remove(&seq);
-                self.fabric.invariants().forget(migration_qid(seq));
-            }
-            // Everything else is a duplicate or stale ack.
-            _ => {}
-        }
-    }
-
-    /// Send `MigrateRetire` for every committed migration whose old
-    /// routing can no longer be observed: every active query must be
-    /// pinned at or above the move's commit version (queries submitted
-    /// before the commit may still route traversers to the frozen source
-    /// copy). Returns how many retires were sent.
-    fn advance_migrations(&mut self) -> usize {
-        if self.migrations.is_empty() {
-            return 0;
-        }
-        let min_pinned = self.queries.values().map(|s| s.ctx.routing_version).min();
-        let mut ready: Vec<u64> = self
-            .migrations
-            .iter()
-            .filter(|(_, m)| {
-                m.state == MigState::AwaitRetire && min_pinned.is_none_or(|p| p >= m.commit_version)
-            })
-            .map(|(seq, _)| *seq)
-            .collect();
-        ready.sort_unstable();
-        let fired = ready.len();
-        for seq in ready {
-            let Some(m) = self.migrations.get_mut(&seq) else {
-                continue;
-            };
-            m.state = MigState::Retiring;
-            let src = self.fabric.partitioner().worker_of_part(m.from);
-            let v = m.v;
-            self.outbox
-                .send_ctrl_worker(src, WorkerMsg::MigrateRetire { seq, v });
-        }
-        fired
-    }
-
-    /// Number of migrations still in flight (sim quiesce checks).
-    pub fn pending_migrations(&self) -> usize {
-        self.migrations.len()
-    }
-
-    /// Number of migrations fully retired since startup.
-    pub fn migrations_done(&self) -> u64 {
-        self.migs_done
     }
 
     /// Deadline enforcement plus the liveness watchdog: a query that made
@@ -858,7 +680,7 @@ mod tests {
     use crate::fixtures::ring;
     use crossbeam::channel::{bounded, unbounded};
     use graphdance_common::rng::seeded;
-    use graphdance_common::Partitioner;
+    use graphdance_common::{Partitioner, VertexId};
     use graphdance_query::expr::Expr;
     use graphdance_query::plan::{Pipeline, Stage};
 

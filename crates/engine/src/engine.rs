@@ -7,8 +7,8 @@
 //! either every node over the in-process channel backend, or exactly one
 //! node of a **multi-process** cluster over a real [`Transport`].
 //! [`GraphDance`] is a `NodeRuntime` hosting every node plus what needs the
-//! whole cluster in one address space (transactions, live rebalancing,
-//! merged traces), and reaches everything else through `Deref`.
+//! whole cluster in one address space (transactions, merged traces), and
+//! reaches everything else through `Deref`.
 //!
 //! In a multi-process cluster every process builds the same full graph
 //! (same seed ⇒ bit-identical data) and hosts only its node's workers, its

@@ -48,7 +48,7 @@ pub use codec::ProgressEntry;
 pub use config::{EngineConfig, FaultInjection, IoMode, NetConfig, SimFaults};
 pub use engine::{GraphDance, NodeRuntime, QueryHandle, QueryResult};
 pub use invariants::{MsgCounts, MsgLedger};
-pub use messages::{MigPhase, ReplySink};
+pub use messages::ReplySink;
 pub use net::{Fabric, FlushEvent, FlushTrigger, MsgClass, NetStats, NetStatsSnapshot};
 pub use sim::{
     FaultCounts, SimActor, SimCluster, SimEvent, SimEventKind, SimHandle, SimStep, SimTrace,

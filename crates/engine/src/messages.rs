@@ -8,10 +8,10 @@ use crossbeam::channel::Sender;
 
 use crate::engine::QueryResult;
 
-use graphdance_common::{GdError, GdResult, PartId, QueryId, Value, VertexId, WorkerId};
+use graphdance_common::{GdError, GdResult, PartId, QueryId, Value, WorkerId};
 use graphdance_pstm::{AggState, Interpreter, Row, Traverser, Weight};
 use graphdance_query::plan::Plan;
-use graphdance_storage::{Graph, Timestamp, VertexSegment};
+use graphdance_storage::{Graph, Timestamp};
 
 /// Immutable per-query context. It travels in a `QueryBegin` ahead of the
 /// query's first work on each lane, and so reaches only the workers that
@@ -27,11 +27,6 @@ pub struct QueryCtx {
     pub params: Vec<Value>,
     /// Snapshot timestamp.
     pub read_ts: Timestamp,
-    /// Routing version captured at submit: every ownership decision the
-    /// query makes (spawn routing, scan filters, memo placement) resolves
-    /// against this pinned version, so a migration committing mid-query
-    /// cannot split one vertex's deduplication across two partitions.
-    pub routing_version: u64,
 }
 
 impl QueryCtx {
@@ -46,7 +41,6 @@ impl QueryCtx {
             query: self.query,
             params: &self.params,
             read_ts: self.read_ts,
-            routing_version: self.routing_version,
         }
     }
 }
@@ -90,34 +84,6 @@ pub enum WorkerMsg {
     /// late-delivered traversers are refunded too; `QueryEnd` follows once
     /// the coordinator observes completion and finishes the teardown.
     CancelQuery { query: QueryId },
-    /// Migration phase 1 (coordinator → source worker): freeze `v`'s
-    /// segment (writes abort) and ship its clone to `to`'s owner. `seq`
-    /// threads the coordinator's migration state machine through every
-    /// phase; acks echo it.
-    MigrateFreeze { seq: u64, v: VertexId, to: PartId },
-    /// Migration phase 2 (source worker → destination worker): install
-    /// the cloned segment. Idempotent at the destination, so fault
-    /// duplication is safe.
-    MigrateInstall {
-        seq: u64,
-        v: VertexId,
-        from: PartId,
-        segment: Box<VertexSegment>,
-    },
-    /// Migration phase 3 (coordinator → source worker): routing has
-    /// committed at `version`; arm the forwarding stub so traversers of
-    /// queries pinned at `>= version` that still arrive here are
-    /// forwarded to `to`.
-    MigrateCommit {
-        seq: u64,
-        v: VertexId,
-        to: PartId,
-        version: u64,
-    },
-    /// Migration phase 4 (coordinator → source worker): no live query can
-    /// route `v` here any more — purge the retained frozen copy. The stub
-    /// stays as a backstop for stragglers.
-    MigrateRetire { seq: u64, v: VertexId },
     /// BSP control signal (used only by the BSP baseline engine, which
     /// reuses this fabric; the asynchronous worker ignores these).
     Bsp(BspSignal),
@@ -305,66 +271,10 @@ pub enum CoordMsg {
         parked: Weight,
         round: u64,
     },
-    /// Ask the coordinator to migrate each `(vertex, dest)` pair through
-    /// the live-migration state machine (freeze → install → commit →
-    /// retire). Sent by the rebalance planner or injected by the DST
-    /// harness; moves whose vertex already routes to `dest` are skipped.
-    Rebalance { moves: Vec<(VertexId, PartId)> },
-    /// A worker's acknowledgement of a migration phase for `seq`.
-    MigrateAck {
-        seq: u64,
-        v: VertexId,
-        phase: MigPhase,
-    },
     /// Periodic tick for deadline enforcement.
     Tick,
     /// Stop the coordinator thread.
     Shutdown,
-}
-
-/// Migration phases acknowledged by workers (DESIGN.md §14). Ordered by
-/// protocol progress; `Failed` aborts the migration (e.g. freezing a
-/// vertex that is absent or already frozen).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum MigPhase {
-    /// Destination installed the segment.
-    Installed,
-    /// Source armed the forwarding stub after routing commit.
-    Committed,
-    /// Source purged the retained frozen copy.
-    Retired,
-    /// The migration cannot proceed; the coordinator drops its state.
-    Failed,
-}
-
-/// Migration control messages are tracked in the [`crate::invariants::MsgLedger`]
-/// under pseudo query ids in a namespace disjoint from real queries
-/// (engine qids count up from 1, the sim oracle uses `u64::MAX`).
-pub const MIG_QID_BASE: u64 = 1 << 63;
-
-/// The ledger pseudo-qid for migration `seq`.
-#[inline]
-pub fn migration_qid(seq: u64) -> QueryId {
-    QueryId(MIG_QID_BASE | seq)
-}
-
-/// If `msg` is a migration control message, its ledger pseudo-qid.
-pub fn worker_migration_qid(msg: &WorkerMsg) -> Option<QueryId> {
-    match msg {
-        WorkerMsg::MigrateFreeze { seq, .. }
-        | WorkerMsg::MigrateInstall { seq, .. }
-        | WorkerMsg::MigrateCommit { seq, .. }
-        | WorkerMsg::MigrateRetire { seq, .. } => Some(migration_qid(*seq)),
-        _ => None,
-    }
-}
-
-/// If `msg` is a migration ack, its ledger pseudo-qid.
-pub fn coord_migration_qid(msg: &CoordMsg) -> Option<QueryId> {
-    match msg {
-        CoordMsg::MigrateAck { seq, .. } => Some(migration_qid(*seq)),
-        _ => None,
-    }
 }
 
 #[cfg(test)]

@@ -633,8 +633,8 @@ impl Fabric {
     }
 
     /// Hand a message to its inbox — the shared-memory shortcut, or after
-    /// decode — recording ledger deliveries (traversers per query,
-    /// migration control per migration; no-op in release builds).
+    /// decode — recording ledger deliveries (traversers per query; no-op in
+    /// release builds).
     fn deliver(&self, msg: WireMsg) {
         match msg {
             WireMsg::Worker { dest, msg } => {
@@ -643,18 +643,11 @@ impl Fabric {
                         for t in batch {
                             self.invariants.record_delivered(t.query, 1);
                         }
-                    } else if let Some(q) = crate::messages::worker_migration_qid(&msg) {
-                        self.invariants.record_delivered(q, 1);
                     }
                 }
                 let _ = self.worker_tx[dest.as_usize()].send(msg);
             }
             WireMsg::Coord(msg) => {
-                if MsgLedger::ENABLED {
-                    if let Some(q) = crate::messages::coord_migration_qid(&msg) {
-                        self.invariants.record_delivered(q, 1);
-                    }
-                }
                 let _ = self.coord_tx.send(msg);
             }
         }
@@ -943,15 +936,6 @@ impl Outbox {
             // The coordinator lives on node 0.
             WireMsg::Coord(_) => 0,
         };
-        if MsgLedger::ENABLED {
-            let migration = match &msg {
-                WireMsg::Worker { msg, .. } => crate::messages::worker_migration_qid(msg),
-                WireMsg::Coord(msg) => crate::messages::coord_migration_qid(msg),
-            };
-            if let Some(q) = migration {
-                self.fabric.invariants.record_sent(q, 1);
-            }
-        }
         if msg.flushes_lane() {
             self.bufs[node].msgs.push(msg);
             self.flush_node_as(NodeId(node as u32), FlushTrigger::Control);
@@ -1385,7 +1369,6 @@ mod tests {
                     },
                     params: vec![],
                     read_ts: 1,
-                    routing_version: 0,
                 }),
                 stage: 0,
                 from: Some(WorkerId(77)),

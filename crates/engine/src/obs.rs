@@ -71,13 +71,6 @@ mod real {
         pub join_probes: MetricId,
         /// Aggregation partial updates.
         pub agg_updates: MetricId,
-        /// Vertex migrations fully retired (live rebalancing, §14).
-        pub migrations: MetricId,
-        /// Traversers redirected by a source-side forwarding stub while a
-        /// migration awaited retirement.
-        pub forwarded: MetricId,
-        /// Cross-partition edge cut at the last rebalance (gauge).
-        pub cut_edges: MetricId,
     }
 
     /// Cluster-wide observability state, owned by the [`Fabric`].
@@ -108,9 +101,6 @@ mod real {
                 memo_misses: r.counter("memo.misses"),
                 join_probes: r.counter("memo.join_probes"),
                 agg_updates: r.counter("memo.agg_updates"),
-                migrations: r.counter("part.migrations"),
-                forwarded: r.counter("part.forwarded"),
-                cut_edges: r.gauge("part.cut_edges"),
             };
             EngineObs {
                 registry: r,
@@ -340,13 +330,6 @@ mod real {
             self.shard.set(self.eng.ids().queue_depth, depth);
         }
 
-        /// A forwarding stub redirected one traverser to a migrated
-        /// vertex's new home.
-        #[inline]
-        pub fn stub_forwarded(&self) {
-            self.shard.inc(self.eng.ids().forwarded);
-        }
-
         /// The stage advanced: push the finished stage's span to the sink.
         pub fn flush_stage(&mut self, query: QueryId, stage: u16) {
             if let Some(acc) = self.spans.remove(&(query, stage)) {
@@ -381,7 +364,6 @@ mod real {
     #[derive(Debug)]
     pub struct CoordObs {
         eng: Arc<EngineObs>,
-        shard: ShardHandle,
         spans: FxHashMap<(QueryId, u16), SpanAcc>,
     }
 
@@ -390,23 +372,9 @@ mod real {
         pub fn new(fabric: &Arc<Fabric>) -> Self {
             let eng = Arc::clone(fabric.obs());
             CoordObs {
-                shard: eng.registry().shard(),
                 spans: FxHashMap::default(),
                 eng,
             }
-        }
-
-        /// One vertex migration fully retired.
-        #[inline]
-        pub fn migration_done(&self) {
-            self.shard.inc(self.eng.ids().migrations);
-        }
-
-        /// Publish the routed cross-partition edge cut (set after each
-        /// rebalance round, not per-query).
-        #[inline]
-        pub fn set_cut_edges(&self, cut: u64) {
-            self.shard.set(self.eng.ids().cut_edges, cut);
         }
 
         /// Stamp the begin time of `(query, stage)`.

@@ -35,7 +35,7 @@ use rand::rngs::SmallRng;
 use rand::Rng;
 
 use graphdance_common::time::{now, sim as vclock};
-use graphdance_common::{fxhash, GdError, GdResult, NodeId, PartId, QueryId, Value};
+use graphdance_common::{fxhash, GdError, GdResult, NodeId, QueryId, Value};
 use graphdance_pstm::Row;
 use graphdance_query::plan::Plan;
 use graphdance_storage::{Graph, Timestamp};
@@ -43,7 +43,7 @@ use graphdance_storage::{Graph, Timestamp};
 use crate::config::{EngineConfig, SimFaults};
 use crate::coordinator::Coordinator;
 use crate::engine::{assemble, send_submit, Assembly, QueryResult};
-use crate::messages::{worker_migration_qid, CoordMsg, WorkerMsg};
+use crate::messages::{CoordMsg, WorkerMsg};
 use crate::net::{EgressPump, Fabric, Fate, IngressEvent, NetChannels, WireMsg};
 use crate::worker::{PumpStatus, Worker};
 
@@ -87,10 +87,6 @@ pub enum SimEventKind {
     DupBatch,
     Reorder,
     DelaySpike,
-    /// A migration control message was dropped / duplicated (the lossy
-    /// faults also cover the migration protocol's control plane).
-    DropMigCtrl,
-    DupMigCtrl,
 }
 
 impl SimEventKind {
@@ -107,8 +103,6 @@ impl SimEventKind {
             SimEventKind::DupBatch => 8 << 32,
             SimEventKind::Reorder => 9 << 32,
             SimEventKind::DelaySpike => 10 << 32,
-            SimEventKind::DropMigCtrl => 11 << 32,
-            SimEventKind::DupMigCtrl => 12 << 32,
         }
     }
 }
@@ -632,66 +626,31 @@ impl SimCluster {
     }
 
     /// Roll the drop / duplicate faults for one decoded message. They apply
-    /// to traverser batches (the payloads the conservation ledger tracks)
-    /// and to the migration protocol's control messages, so the DST battery
-    /// can prove the state machine never hangs the cluster or corrupts
-    /// routing under a lost or repeated freeze/install/commit/retire/ack. A
-    /// dropped message leaves `delivered` short of `sent`, which quiesce
+    /// to traverser batches (the payloads the conservation ledger tracks): a
+    /// dropped batch leaves `delivered` short of `sent`, which quiesce
     /// checking / the watchdog must turn into a diagnostic rather than a
     /// silent wrong answer; a duplicate is its bytes decoded again.
-    /// Other control traffic stays reliable and consumes no fault
-    /// randomness, so existing repro schedules replay unchanged.
+    /// Control traffic stays reliable and consumes no fault randomness, so
+    /// existing repro schedules replay unchanged.
     fn fault_fate(&mut self, msg: &WireMsg) -> Fate {
-        let (drop, dup) = match msg {
-            WireMsg::Worker {
-                msg: WorkerMsg::Batch(_),
-                ..
-            } => (SimEventKind::DropBatch, SimEventKind::DupBatch),
-            WireMsg::Worker { msg, .. } if worker_migration_qid(msg).is_some() => {
-                (SimEventKind::DropMigCtrl, SimEventKind::DupMigCtrl)
-            }
-            WireMsg::Coord(CoordMsg::MigrateAck { .. }) => {
-                (SimEventKind::DropMigCtrl, SimEventKind::DupMigCtrl)
-            }
-            _ => return Fate::Deliver,
+        let WireMsg::Worker {
+            msg: WorkerMsg::Batch(_),
+            ..
+        } = msg
+        else {
+            return Fate::Deliver;
         };
         if self.faults.drop_permille > 0 && roll(&mut self.fault_rng, self.faults.drop_permille) {
             self.counts.drops += 1;
-            self.trace.record(drop);
+            self.trace.record(SimEventKind::DropBatch);
             return Fate::Drop;
         }
         if self.faults.dup_permille > 0 && roll(&mut self.fault_rng, self.faults.dup_permille) {
             self.counts.dups += 1;
-            self.trace.record(dup);
+            self.trace.record(SimEventKind::DupBatch);
             return Fate::Duplicate;
         }
         Fate::Deliver
-    }
-
-    /// Ask the coordinator to migrate the given vertices (an empty list
-    /// requests a plan from the hot-vertex sketch). Takes effect as the
-    /// simulation steps.
-    pub fn rebalance(&mut self, moves: Vec<(graphdance_common::VertexId, PartId)>) {
-        self.coord_tx
-            .send(CoordMsg::Rebalance { moves })
-            .expect("sim coordinator inbox open"); // lint: allow(hot-path-panics)
-    }
-
-    /// Migrations the coordinator has started but not fully retired. Under
-    /// lossy faults a dropped control message leaves a migration parked
-    /// here forever — visible, never a hang.
-    pub fn pending_migrations(&self) -> usize {
-        self.coordinator.pending_migrations()
-    }
-
-    /// Migrations fully retired since the cluster was built.
-    pub fn migrations_done(&self) -> u64 {
-        self.coordinator.migrations_done()
-    }
-
-    /// Total traversers redirected by source-side forwarding stubs.
-    pub fn forwarded(&self) -> u64 {
-        self.workers.iter().map(Worker::forwarded).sum()
     }
 
     /// The workers (by index) that hold anything of `query` right now.
@@ -766,33 +725,6 @@ mod tests {
                 .unwrap();
             assert_eq!(rows.len(), 2, "2-hop from {start} on a ring");
         }
-    }
-
-    #[test]
-    fn sim_migration_retires_and_preserves_answers() {
-        let g = ring(16, Partitioner::new(2, 2));
-        let plan = khop_plan(&g, 3);
-        let mut sim = SimCluster::new(g, EngineConfig::new(2, 2));
-        let sorted = |mut rows: Vec<Row>| {
-            rows.sort_by(|a, b| a[0].cmp_total(&b[0]));
-            rows
-        };
-        let before = sorted(sim.query(&plan, vec![Value::Vertex(VertexId(0))]).unwrap());
-        // Move two vertices off their hash homes while the cluster idles;
-        // with no active queries the retire gate opens immediately.
-        let p = sim.fabric().partitioner();
-        let moves: Vec<_> = [VertexId(1), VertexId(2)]
-            .into_iter()
-            .map(|v| (v, PartId((p.part_of(v).0 + 1) % p.num_parts())))
-            .collect();
-        sim.rebalance(moves);
-        sim.settle();
-        assert_eq!(sim.migrations_done(), 2, "both migrations fully retired");
-        assert_eq!(sim.pending_migrations(), 0);
-        // New queries pin the bumped routing version and must see the
-        // identical answer through the migrated placement.
-        let after = sorted(sim.query(&plan, vec![Value::Vertex(VertexId(0))]).unwrap());
-        assert_eq!(before, after, "rows survive live migration");
     }
 
     /// A single-owner lookup on 1 × 2 costs three control messages — the

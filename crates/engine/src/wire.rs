@@ -34,8 +34,7 @@ use bytes::BufMut;
 
 use graphdance_common::value::ValueKey;
 use graphdance_common::{
-    EdgeId, FxHashMap, GdError, GdResult, Label, PartId, PropKey, QueryId, Value, VertexId,
-    WorkerId,
+    FxHashMap, GdError, GdResult, Label, PartId, PropKey, QueryId, Value, VertexId, WorkerId,
 };
 use graphdance_pstm::{AggState, Row, Weight};
 use graphdance_query::expr::{CmpOp, Expr};
@@ -43,10 +42,10 @@ use graphdance_query::plan::{
     AggFunc, AggSpec, GroupOrder, JoinSide, JoinSpec, Order, Pipeline, Plan, PlanStep, SourceSpec,
     Stage,
 };
-use graphdance_storage::{Direction, TelEntry, TelList, VertexRecord, VertexSegment};
+use graphdance_storage::Direction;
 
 use crate::codec::{self, Reader};
-use crate::messages::{BspSignal, CoordMsg, MigPhase, QueryCtx, WorkerMsg};
+use crate::messages::{BspSignal, CoordMsg, QueryCtx, WorkerMsg};
 use crate::net::WireMsg;
 
 /// `QueryBegin::from` on the wire when the coordinator introduced the
@@ -978,86 +977,6 @@ fn decode_error(r: &mut Reader<'_>) -> GdResult<GdError> {
 }
 
 // ---------------------------------------------------------------------------
-// Migration segments
-// ---------------------------------------------------------------------------
-
-fn put_props(buf: &mut impl BufMut, props: &[(PropKey, Value)]) {
-    put_usize(buf, props.len());
-    for (k, v) in props {
-        buf.put_u16_le(k.0);
-        codec::encode_value(buf, v);
-    }
-}
-
-fn get_props(r: &mut Reader<'_>) -> GdResult<Vec<(PropKey, Value)>> {
-    let n = get_usize(r)?;
-    let mut out = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        let k = PropKey(r.u16()?);
-        let v = codec::decode_value_borrowed(r)?;
-        out.push((k, v));
-    }
-    Ok(out)
-}
-
-fn encode_tel(buf: &mut impl BufMut, tel: &TelList) {
-    let entries = tel.entries();
-    put_usize(buf, entries.len());
-    for e in entries {
-        buf.put_u16_le(e.label.0);
-        buf.put_u64_le(e.other.0);
-        buf.put_u64_le(e.eid.0);
-        buf.put_u64_le(e.create_ts);
-        buf.put_u64_le(e.delete_ts);
-        put_props(buf, &e.props);
-    }
-}
-
-fn decode_tel(r: &mut Reader<'_>) -> GdResult<TelList> {
-    let n = get_usize(r)?;
-    let mut entries = Vec::with_capacity(n.min(4096));
-    for _ in 0..n {
-        entries.push(TelEntry {
-            label: Label(r.u16()?),
-            other: VertexId(r.u64()?),
-            eid: EdgeId(r.u64()?),
-            create_ts: r.u64()?,
-            delete_ts: r.u64()?,
-            props: get_props(r)?,
-        });
-    }
-    Ok(TelList::from_entries(entries))
-}
-
-fn encode_segment(buf: &mut impl BufMut, seg: &VertexSegment) {
-    buf.put_u64_le(seg.v.0);
-    buf.put_u16_le(seg.record.label.0);
-    buf.put_u64_le(seg.record.create_ts);
-    put_props(buf, &seg.record.props);
-    encode_tel(buf, &seg.out);
-    encode_tel(buf, &seg.inn);
-}
-
-fn decode_segment(r: &mut Reader<'_>) -> GdResult<VertexSegment> {
-    let v = VertexId(r.u64()?);
-    let label = Label(r.u16()?);
-    let create_ts = r.u64()?;
-    let props = get_props(r)?;
-    let out = decode_tel(r)?;
-    let inn = decode_tel(r)?;
-    Ok(VertexSegment {
-        v,
-        record: VertexRecord {
-            label,
-            create_ts,
-            props,
-        },
-        out,
-        inn,
-    })
-}
-
-// ---------------------------------------------------------------------------
 // WorkerMsg / CoordMsg
 // ---------------------------------------------------------------------------
 
@@ -1079,7 +998,6 @@ pub fn encode_worker_msg(buf: &mut impl BufMut, msg: &WorkerMsg) -> GdResult<()>
             encode_plan(buf, &ctx.plan);
             put_values(buf, &ctx.params);
             buf.put_u64_le(ctx.read_ts);
-            buf.put_u64_le(ctx.routing_version);
         }
         WorkerMsg::StageBegin { query, stage } => {
             buf.put_u8(2);
@@ -1103,41 +1021,6 @@ pub fn encode_worker_msg(buf: &mut impl BufMut, msg: &WorkerMsg) -> GdResult<()>
         WorkerMsg::CancelQuery { query } => {
             buf.put_u8(6);
             buf.put_u64_le(query.0);
-        }
-        WorkerMsg::MigrateFreeze { seq, v, to } => {
-            buf.put_u8(7);
-            buf.put_u64_le(*seq);
-            buf.put_u64_le(v.0);
-            buf.put_u32_le(to.0);
-        }
-        WorkerMsg::MigrateInstall {
-            seq,
-            v,
-            from,
-            segment,
-        } => {
-            buf.put_u8(8);
-            buf.put_u64_le(*seq);
-            buf.put_u64_le(v.0);
-            buf.put_u32_le(from.0);
-            encode_segment(buf, segment);
-        }
-        WorkerMsg::MigrateCommit {
-            seq,
-            v,
-            to,
-            version,
-        } => {
-            buf.put_u8(9);
-            buf.put_u64_le(*seq);
-            buf.put_u64_le(v.0);
-            buf.put_u32_le(to.0);
-            buf.put_u64_le(*version);
-        }
-        WorkerMsg::MigrateRetire { seq, v } => {
-            buf.put_u8(10);
-            buf.put_u64_le(*seq);
-            buf.put_u64_le(v.0);
         }
         WorkerMsg::Bsp(BspSignal::RunStep { query, depth }) => {
             buf.put_u8(11);
@@ -1179,14 +1062,12 @@ pub(crate) fn decode_worker_msg(r: &mut Reader<'_>) -> GdResult<WorkerMsg> {
             let plan = decode_plan(r)?;
             let params = get_values(r)?;
             let read_ts = r.u64()?;
-            let routing_version = r.u64()?;
             Ok(WorkerMsg::QueryBegin {
                 ctx: Arc::new(QueryCtx {
                     query,
                     plan,
                     params,
                     read_ts,
-                    routing_version,
                 }),
                 stage,
                 from,
@@ -1210,27 +1091,6 @@ pub(crate) fn decode_worker_msg(r: &mut Reader<'_>) -> GdResult<WorkerMsg> {
         6 => Ok(WorkerMsg::CancelQuery {
             query: QueryId(r.u64()?),
         }),
-        7 => Ok(WorkerMsg::MigrateFreeze {
-            seq: r.u64()?,
-            v: VertexId(r.u64()?),
-            to: PartId(r.u32()?),
-        }),
-        8 => Ok(WorkerMsg::MigrateInstall {
-            seq: r.u64()?,
-            v: VertexId(r.u64()?),
-            from: PartId(r.u32()?),
-            segment: Box::new(decode_segment(r)?),
-        }),
-        9 => Ok(WorkerMsg::MigrateCommit {
-            seq: r.u64()?,
-            v: VertexId(r.u64()?),
-            to: PartId(r.u32()?),
-            version: r.u64()?,
-        }),
-        10 => Ok(WorkerMsg::MigrateRetire {
-            seq: r.u64()?,
-            v: VertexId(r.u64()?),
-        }),
         11 => Ok(WorkerMsg::Bsp(BspSignal::RunStep {
             query: QueryId(r.u64()?),
             depth: r.u32()?,
@@ -1241,25 +1101,6 @@ pub(crate) fn decode_worker_msg(r: &mut Reader<'_>) -> GdResult<WorkerMsg> {
         })),
         13 => Ok(WorkerMsg::Shutdown),
         t => Err(bad("worker-msg", t)),
-    }
-}
-
-fn encode_mig_phase(buf: &mut impl BufMut, p: MigPhase) {
-    buf.put_u8(match p {
-        MigPhase::Installed => 0,
-        MigPhase::Committed => 1,
-        MigPhase::Retired => 2,
-        MigPhase::Failed => 3,
-    });
-}
-
-fn decode_mig_phase(r: &mut Reader<'_>) -> GdResult<MigPhase> {
-    match r.u8()? {
-        0 => Ok(MigPhase::Installed),
-        1 => Ok(MigPhase::Committed),
-        2 => Ok(MigPhase::Retired),
-        3 => Ok(MigPhase::Failed),
-        t => Err(bad("mig-phase", t)),
     }
 }
 
@@ -1338,20 +1179,6 @@ pub fn encode_coord_msg(buf: &mut impl BufMut, msg: &CoordMsg) -> GdResult<()> {
             buf.put_u64_le(parked.0);
             buf.put_u64_le(*round);
         }
-        CoordMsg::Rebalance { moves } => {
-            buf.put_u8(8);
-            put_usize(buf, moves.len());
-            for (v, p) in moves {
-                buf.put_u64_le(v.0);
-                buf.put_u32_le(p.0);
-            }
-        }
-        CoordMsg::MigrateAck { seq, v, phase } => {
-            buf.put_u8(9);
-            buf.put_u64_le(*seq);
-            buf.put_u64_le(v.0);
-            encode_mig_phase(buf, *phase);
-        }
         CoordMsg::Tick => buf.put_u8(10),
         CoordMsg::Shutdown => buf.put_u8(11),
     }
@@ -1400,21 +1227,6 @@ pub(crate) fn decode_coord_msg(r: &mut Reader<'_>) -> GdResult<CoordMsg> {
             part: PartId(r.u32()?),
             parked: Weight(r.u64()?),
             round: r.u64()?,
-        }),
-        8 => {
-            let n = get_usize(r)?;
-            let mut moves = Vec::with_capacity(n.min(4096));
-            for _ in 0..n {
-                let v = VertexId(r.u64()?);
-                let p = PartId(r.u32()?);
-                moves.push((v, p));
-            }
-            Ok(CoordMsg::Rebalance { moves })
-        }
-        9 => Ok(CoordMsg::MigrateAck {
-            seq: r.u64()?,
-            v: VertexId(r.u64()?),
-            phase: decode_mig_phase(r)?,
         }),
         10 => Ok(CoordMsg::Tick),
         11 => Ok(CoordMsg::Shutdown),
@@ -1724,7 +1536,6 @@ mod tests {
                     plan: sample_plan(),
                     params: vec![Value::str("alice"), Value::Int(7)],
                     read_ts: 9,
-                    routing_version: 3,
                 }),
                 stage: 1,
                 from,
@@ -1742,27 +1553,11 @@ mod tests {
             assert_eq!(ctx.plan, sample_plan());
             assert_eq!(ctx.params, vec![Value::str("alice"), Value::Int(7)]);
             assert_eq!(ctx.read_ts, 9);
-            assert_eq!(ctx.routing_version, 3);
         }
     }
 
     #[test]
     fn every_worker_msg_variant_roundtrips() {
-        let seg = VertexSegment {
-            v: VertexId(5),
-            record: VertexRecord {
-                label: Label(1),
-                create_ts: 0,
-                props: vec![(PropKey(0), Value::str("x"))],
-            },
-            out: {
-                let mut t = TelList::new();
-                t.insert(Label(2), VertexId(6), EdgeId(1), 3, vec![]);
-                t.delete(Label(2), VertexId(6), 9);
-                t
-            },
-            inn: TelList::new(),
-        };
         let msgs = vec![
             WorkerMsg::Batch(vec![Traverser::root(
                 QueryId(1),
@@ -1782,27 +1577,6 @@ mod tests {
             },
             WorkerMsg::QueryEnd { query: QueryId(1) },
             WorkerMsg::CancelQuery { query: QueryId(1) },
-            WorkerMsg::MigrateFreeze {
-                seq: 9,
-                v: VertexId(5),
-                to: PartId(3),
-            },
-            WorkerMsg::MigrateInstall {
-                seq: 9,
-                v: VertexId(5),
-                from: PartId(1),
-                segment: Box::new(seg),
-            },
-            WorkerMsg::MigrateCommit {
-                seq: 9,
-                v: VertexId(5),
-                to: PartId(3),
-                version: 11,
-            },
-            WorkerMsg::MigrateRetire {
-                seq: 9,
-                v: VertexId(5),
-            },
             WorkerMsg::Bsp(BspSignal::RunStep {
                 query: QueryId(1),
                 depth: 4,
@@ -1819,38 +1593,6 @@ mod tests {
             // which include every payload field.
             let sent = format!("{msg:?}");
             assert_eq!(sent, format!("{:?}", roundtrip_worker(msg)));
-        }
-    }
-
-    #[test]
-    fn migrate_install_preserves_mvcc_history() {
-        let mut out = TelList::new();
-        out.insert(Label(1), VertexId(2), EdgeId(1), 1, vec![]);
-        out.delete(Label(1), VertexId(2), 5);
-        out.insert(Label(1), VertexId(2), EdgeId(2), 8, vec![]);
-        let msg = WorkerMsg::MigrateInstall {
-            seq: 1,
-            v: VertexId(1),
-            from: PartId(0),
-            segment: Box::new(VertexSegment {
-                v: VertexId(1),
-                record: VertexRecord {
-                    label: Label(0),
-                    create_ts: 0,
-                    props: vec![],
-                },
-                out,
-                inn: TelList::new(),
-            }),
-        };
-        match roundtrip_worker(msg) {
-            WorkerMsg::MigrateInstall { segment, .. } => {
-                assert_eq!(segment.out.len_versions(), 2);
-                assert_eq!(segment.out.scan_visible(Label(1), 3).count(), 1);
-                assert_eq!(segment.out.scan_visible(Label(1), 6).count(), 0);
-                assert_eq!(segment.out.scan_visible(Label(1), 9).count(), 1);
-            }
-            other => panic!("unexpected {other:?}"),
         }
     }
 
@@ -1896,14 +1638,6 @@ mod tests {
                 part: PartId(1),
                 parked: Weight(6),
                 round: 2,
-            },
-            CoordMsg::Rebalance {
-                moves: vec![(VertexId(1), PartId(2)), (VertexId(3), PartId(0))],
-            },
-            CoordMsg::MigrateAck {
-                seq: 4,
-                v: VertexId(1),
-                phase: MigPhase::Installed,
             },
             CoordMsg::Tick,
             CoordMsg::Shutdown,

@@ -19,9 +19,7 @@ use std::sync::Arc;
 use crossbeam::channel::Receiver;
 use rand::rngs::SmallRng;
 
-use graphdance_common::{
-    FxHashMap, FxHashSet, GdError, GdResult, NodeId, PartId, QueryId, VertexId, WorkerId,
-};
+use graphdance_common::{FxHashMap, FxHashSet, GdError, GdResult, NodeId, QueryId, WorkerId};
 use graphdance_pstm::{
     ExpandCache, Frontier, HandleOutcome, LocalsTable, QueryMemo, Traverser, TraverserArena,
     TraverserHandle, Weight, WeightLedger,
@@ -29,7 +27,7 @@ use graphdance_pstm::{
 use graphdance_storage::Graph;
 
 use crate::config::{EngineConfig, FaultInjection};
-use crate::messages::{CoordMsg, MigPhase, QueryCtx, QueryScope, WorkerMsg, WorkerSet};
+use crate::messages::{CoordMsg, QueryCtx, QueryScope, WorkerMsg, WorkerSet};
 use crate::net::{Fabric, Outbox, WireMsg};
 use crate::run_queue::{QueryRing, RunEntry, RunQueue};
 #[cfg(feature = "obs")]
@@ -307,16 +305,6 @@ pub struct Worker {
     expand_cache: ExpandCache,
     /// Reused outcome buffers (no per-traverser spawned/emitted Vec churn).
     scratch: HandleOutcome,
-    /// Forwarding stubs for vertices migrated away from this partition:
-    /// `v → (commit routing version, destination)`. Armed by
-    /// `MigrateCommit` and kept after retirement as a backstop: a
-    /// traverser whose query routes `v` at or past the commit version but
-    /// that still lands here (it raced the commit) is bounced to the
-    /// destination instead of executing against the stale frozen copy.
-    stubs: FxHashMap<VertexId, (u64, PartId)>,
-    /// Traversers bounced through a forwarding stub (diagnostics / the
-    /// `part.forwarded` counter).
-    forwarded: u64,
     /// Where every interpreter outcome goes out.
     router: Router,
 }
@@ -345,8 +333,6 @@ impl Worker {
             frontier: Frontier::new(),
             expand_cache: ExpandCache::new(),
             scratch: HandleOutcome::new(),
-            stubs: FxHashMap::default(),
-            forwarded: 0,
             router: Router {
                 id,
                 outbox: fabric.outbox(node),
@@ -450,32 +436,6 @@ impl Worker {
                 self.cancel_query(query);
             }
             WorkerMsg::QueryEnd { query } => self.end_query(query),
-            WorkerMsg::MigrateFreeze { seq, v, to } => self.migrate_freeze(seq, v, to),
-            WorkerMsg::MigrateInstall {
-                seq, v, segment, ..
-            } => {
-                // Idempotent at the store: a duplicated install is Ok(false).
-                match self.graph.install_segment(self.id().part(), *segment) {
-                    Ok(_) => self.migrate_ack(seq, v, MigPhase::Installed),
-                    Err(_) => self.migrate_ack(seq, v, MigPhase::Failed),
-                }
-            }
-            WorkerMsg::MigrateCommit {
-                seq,
-                v,
-                to,
-                version,
-            } => {
-                // Arm (or re-arm, under duplication) the forwarding stub.
-                self.stubs.insert(v, (version, to));
-                self.migrate_ack(seq, v, MigPhase::Committed);
-            }
-            WorkerMsg::MigrateRetire { seq, v } => {
-                // Idempotent purge of the retained frozen copy; the stub
-                // stays armed as a backstop for stragglers.
-                self.graph.purge_vertex(self.id().part(), v);
-                self.migrate_ack(seq, v, MigPhase::Retired);
-            }
             WorkerMsg::Bsp(_) => {
                 // BSP signals are for the BSP baseline's workers only.
             }
@@ -616,39 +576,6 @@ impl Worker {
         }
     }
 
-    /// Migration phase 1 at the source: freeze `v` (idempotent — a
-    /// duplicated freeze re-clones and re-sends the install, which the
-    /// destination deduplicates) and ship the segment to `to`'s owner. A
-    /// vertex this partition never held fails the migration instead.
-    fn migrate_freeze(&mut self, seq: u64, v: VertexId, to: PartId) {
-        match self.graph.freeze_and_clone(self.id().part(), v) {
-            Ok(seg) => {
-                let dest = self.graph.partitioner().worker_of_part(to);
-                self.router.outbox.send_ctrl_worker(
-                    dest,
-                    WorkerMsg::MigrateInstall {
-                        seq,
-                        v,
-                        from: self.id().part(),
-                        segment: Box::new(seg),
-                    },
-                );
-            }
-            Err(_) => self.migrate_ack(seq, v, MigPhase::Failed),
-        }
-    }
-
-    fn migrate_ack(&mut self, seq: u64, v: VertexId, phase: MigPhase) {
-        self.router
-            .outbox
-            .send_ctrl_coord(CoordMsg::MigrateAck { seq, v, phase });
-    }
-
-    /// Traversers bounced through a forwarding stub so far.
-    pub fn forwarded(&self) -> u64 {
-        self.forwarded
-    }
-
     /// The partition this worker serves.
     pub fn id(&self) -> WorkerId {
         self.router.id
@@ -663,8 +590,8 @@ impl Worker {
     }
 
     /// Admit an inbox batch. Everything that depends on the query alone —
-    /// held, draining, pinned routing version, locals table, queue — is
-    /// resolved once per run of same-query traversers, not per traverser.
+    /// held, draining, locals table, queue — is resolved once per run of
+    /// same-query traversers, not per traverser.
     fn admit_batch(&mut self, ts: Vec<Traverser>) {
         let mut ts = ts.into_iter().peekable();
         while let Some(q) = ts.peek().map(|t| t.query) {
@@ -683,31 +610,10 @@ impl Worker {
                 self.idle.push(q);
                 continue;
             }
-            let pinned = aq.ctx.routing_version;
             self.ring.admit(q, |queue| {
                 for t in run {
-                    // Forwarding-stub backstop: the traverser's query
-                    // routes its vertex to the migration destination (its
-                    // pinned routing version is at or past the commit), but
-                    // the traverser landed here anyway — it was spawned
-                    // against the pre-commit routing and raced the commit.
-                    // Bounce it to the destination rather than executing
-                    // against the retained frozen copy. Queries pinned
-                    // *before* the commit still execute here: the frozen
-                    // copy is exactly the state their snapshot routes to.
-                    match self.stubs.get(&t.vertex) {
-                        Some(&(commit_ver, dest)) if pinned >= commit_ver => {
-                            self.forwarded += 1;
-                            #[cfg(feature = "obs")]
-                            self.router.obs.stub_forwarded();
-                            let w = self.graph.partitioner().worker_of_part(dest);
-                            self.router.send_work(aq, w, t);
-                        }
-                        _ => {
-                            let h = self.router.arena.admit(t, &mut aq.locals);
-                            self.router.enqueue(queue, h);
-                        }
-                    }
+                    let h = self.router.arena.admit(t, &mut aq.locals);
+                    self.router.enqueue(queue, h);
                 }
             });
         }
@@ -912,9 +818,18 @@ mod handler_tests {
         let mut b = GraphBuilder::new(Partitioner::new(1, 2));
         let n = b.schema_mut().register_vertex_label("N");
         let e = b.schema_mut().register_edge_label("e");
+        let far = b.schema_mut().register_edge_label("far");
         b.add_vertex(VertexId(0), n, vec![]).unwrap();
         b.add_vertex(VertexId(1), n, vec![]).unwrap();
         b.add_edge(VertexId(0), e, VertexId(1), vec![]).unwrap();
+        // `0 -far-> v`, `v` owned by the other worker: a real cross-worker hop.
+        let p = b.partitioner();
+        let v = (2..)
+            .map(VertexId)
+            .find(|v| p.worker_of(*v) != p.worker_of(VertexId(0)))
+            .unwrap();
+        b.add_vertex(v, n, vec![]).unwrap();
+        b.add_edge(VertexId(0), far, v, vec![]).unwrap();
         let graph = b.finish();
         let config = EngineConfig::new(1, 2);
         let mut wtx = Vec::new();
@@ -952,21 +867,25 @@ mod handler_tests {
             .collect()
     }
 
-    /// `v(param 0).out("e")` as query `query`, pinned at `routing_version`.
-    fn ctx_with(worker: &Worker, query: u64, routing_version: u64) -> Arc<QueryCtx> {
+    /// `v(param 0).out("e")` as query `query`.
+    fn ctx_with(worker: &Worker, query: u64) -> Arc<QueryCtx> {
+        ctx_over(worker, query, "e")
+    }
+
+    /// `v(param 0).out(label)` as query `query`.
+    fn ctx_over(worker: &Worker, query: u64, label: &str) -> Arc<QueryCtx> {
         let mut qb = QueryBuilder::new(worker.graph.schema());
-        qb.v_param(0).out("e");
+        qb.v_param(0).out(label);
         Arc::new(QueryCtx {
             query: QueryId(query),
             plan: qb.compile().unwrap(),
             params: vec![Value::Vertex(VertexId(0))],
             read_ts: 1,
-            routing_version,
         })
     }
 
     fn ctx_for(worker: &Worker) -> Arc<QueryCtx> {
-        ctx_with(worker, 5, 0)
+        ctx_with(worker, 5)
     }
 
     /// Introduce `ctx`'s query as the coordinator would, at stage 0.
@@ -1014,7 +933,7 @@ mod handler_tests {
         assert_eq!(failed, vec![5, 6]);
         assert!(!w.holds(QueryId(5)) && !w.holds(QueryId(6)));
         // An ended query's stragglers are dropped quietly, as before.
-        let ctx = ctx_with(&w, 7, 0);
+        let ctx = ctx_with(&w, 7);
         begin(&mut w, ctx);
         w.handle(WorkerMsg::QueryEnd { query: QueryId(7) });
         w.handle(WorkerMsg::Batch(vec![at_v0(7, 1)]));
@@ -1049,28 +968,24 @@ mod handler_tests {
     }
 
     /// Rules 1–3 at one worker: it introduces the query to a peer ahead of
-    /// the first traverser it sends there (here through a forwarding
-    /// stub), passes a stage advance to every worker it knows holds the
-    /// context, and passes the end to the ones it introduced. A second
-    /// `QueryBegin` — from a sender that did not know this worker held the
-    /// query, carrying an older stage — keeps the stage, the scope and the
-    /// queue.
+    /// the first traverser it sends there (the children of its runs along
+    /// `far`, whose vertex the peer owns), passes a stage advance to
+    /// every worker it knows holds the context, and passes the end to the
+    /// ones it introduced. A second `QueryBegin` — from a sender that did
+    /// not know this worker held the query, carrying an older stage — keeps
+    /// the stage, the scope and the queue.
     #[test]
     fn introductions_carry_stage_and_end_along_the_work() {
         let (mut w, _fabric, wrx) = test_worker();
         let other = WorkerId(1 - w.id().0);
         let q = QueryId(6);
-        let ctx = ctx_with(&w, 6, 1);
+        let ctx = ctx_over(&w, 6, "far");
         begin(&mut w, ctx);
-        w.handle(WorkerMsg::MigrateCommit {
-            seq: 0,
-            v: VertexId(0),
-            to: other.part(),
-            version: 1,
-        });
-        w.handle(WorkerMsg::Batch(vec![at_v0(6, 2), at_v0(6, 3)]));
+        for wave in [vec![at_v0(6, 2), at_v0(6, 3)], vec![at_v0(6, 4)]] {
+            w.handle(WorkerMsg::Batch(wave));
+            while w.pump() == PumpStatus::Worked {}
+        }
         w.handle(WorkerMsg::StageBegin { query: q, stage: 1 });
-        w.handle(WorkerMsg::Batch(vec![at_v0(6, 4)]));
         w.router.outbox.flush_all();
         let at_other = || -> Vec<String> {
             std::iter::from_fn(|| wrx[other.as_usize()].try_recv().ok())
@@ -1089,13 +1004,13 @@ mod handler_tests {
             [
                 format!("begin 0 {me}"),
                 "batch 2".into(),
-                "stage 1".into(),
-                "batch 1".into()
+                "batch 1".into(),
+                "stage 1".into()
             ]
         );
         let scope_before = w.queries[&q].scope.clone();
         w.handle(WorkerMsg::QueryBegin {
-            ctx: ctx_with(&w, 6, 1),
+            ctx: ctx_over(&w, 6, "far"),
             stage: 0,
             from: Some(other),
         });
@@ -1123,7 +1038,6 @@ mod handler_tests {
             plan: qb.compile().unwrap(),
             params: vec![Value::Vertex(VertexId(0))],
             read_ts: 1,
-            routing_version: 0,
         });
         begin(&mut w, ctx);
         w.handle(WorkerMsg::StartSource {
@@ -1161,12 +1075,12 @@ mod handler_tests {
         // are dropped, the live query's traverser is queued, and each of
         // the draining query's is refunded as its own progress report.
         w.handle(WorkerMsg::QueryBegin {
-            ctx: ctx_with(&w, 6, 0),
+            ctx: ctx_with(&w, 6),
             stage: 0,
             from: None,
         });
         w.handle(WorkerMsg::QueryBegin {
-            ctx: ctx_with(&w, 7, 0),
+            ctx: ctx_with(&w, 7),
             stage: 0,
             from: None,
         });
@@ -1202,7 +1116,6 @@ mod handler_tests {
                 plan: base.plan.clone(),
                 params: base.params.clone(),
                 read_ts: 1,
-                routing_version: 0,
             }),
             stage: 0,
             from: None,
@@ -1260,7 +1173,7 @@ mod handler_tests {
     fn query_end_purges_queued_traversers_of_that_query_only() {
         let (mut w, _fabric, _wrx) = test_worker();
         let ctx5 = ctx_for(&w);
-        let ctx6 = ctx_with(&w, 6, 0);
+        let ctx6 = ctx_with(&w, 6);
         w.handle(WorkerMsg::QueryBegin {
             ctx: ctx5,
             stage: 0,
@@ -1291,7 +1204,7 @@ mod handler_tests {
         let (mut w, _fabric, _wrx, crx) = test_worker_with_coord();
         for q in [5, 6] {
             w.handle(WorkerMsg::QueryBegin {
-                ctx: ctx_with(&w, q, 0),
+                ctx: ctx_with(&w, q),
                 stage: 0,
                 from: None,
             });
@@ -1367,7 +1280,7 @@ mod handler_tests {
         let (mut w, _fabric, _wrx, crx) = test_worker_with_coord();
         for q in 5..=8 {
             w.handle(WorkerMsg::QueryBegin {
-                ctx: ctx_with(&w, q, 0),
+                ctx: ctx_with(&w, q),
                 stage: 0,
                 from: None,
             });
@@ -1385,82 +1298,6 @@ mod handler_tests {
         assert_eq!(progress_at(&crx), vec![(7, 49), (5, 25), (8, 64)]);
         assert_eq!(w.router.arena.live(), 0);
         assert_eq!(w.ring.free_queues(), 2);
-    }
-
-    #[test]
-    fn migrate_freeze_clones_and_ships_the_segment() {
-        let (mut w, _fabric, wrx) = test_worker();
-        let own = w.id().part();
-        let other = PartId(1 - own.0);
-        // `test_worker` builds the worker that owns vertex 0.
-        w.handle(WorkerMsg::MigrateFreeze {
-            seq: 3,
-            v: VertexId(0),
-            to: other,
-        });
-        let dest = w.graph.partitioner().worker_of_part(other);
-        match wrx[dest.0 as usize].try_recv() {
-            Ok(WorkerMsg::MigrateInstall {
-                seq,
-                v,
-                from,
-                segment,
-            }) => {
-                assert_eq!(seq, 3);
-                assert_eq!(v, VertexId(0));
-                assert_eq!(from, own);
-                assert_eq!(segment.v, VertexId(0));
-            }
-            got => panic!("expected MigrateInstall at the destination, got {got:?}"),
-        }
-    }
-
-    #[test]
-    fn forwarding_stub_respects_pinned_routing_version() {
-        let (mut w, _fabric, _wrx) = test_worker();
-        let ctx = ctx_for(&w); // QueryId(5), pinned at routing version 0
-        w.handle(WorkerMsg::QueryBegin {
-            ctx: Arc::clone(&ctx),
-            stage: 0,
-            from: None,
-        });
-        let other = PartId(1 - w.id().part().0);
-        // Arm a stub: vertex 0 committed to `other` at routing version 1.
-        w.handle(WorkerMsg::MigrateCommit {
-            seq: 0,
-            v: VertexId(0),
-            to: other,
-            version: 1,
-        });
-        // Pinned below the commit: the retained frozen copy here is exactly
-        // the state this query's snapshot routes to — execute locally.
-        w.handle(WorkerMsg::Batch(vec![at_v0(5, 1)]));
-        assert_eq!(w.ring.len(), 1, "pre-commit query executes locally");
-        assert_eq!(w.forwarded(), 0);
-        // Pinned at the commit: the traverser raced the routing flip and
-        // must bounce to the new home instead of running on the old copy.
-        w.handle(WorkerMsg::QueryBegin {
-            ctx: ctx_with(&w, 6, 1),
-            stage: 0,
-            from: None,
-        });
-        w.handle(WorkerMsg::Batch(vec![at_v0(6, 2)]));
-        assert_eq!(
-            w.ring.len(),
-            1,
-            "post-commit traverser was forwarded, not queued"
-        );
-        assert_eq!(w.forwarded(), 1);
-        // One batch mixing the two: the pinned version is resolved per
-        // same-query run, and every traverser still goes its query's way.
-        w.handle(WorkerMsg::Batch(vec![
-            at_v0(5, 3),
-            at_v0(6, 4),
-            at_v0(6, 5),
-            at_v0(5, 6),
-        ]));
-        assert_eq!(w.ring.len(), 3);
-        assert_eq!(w.forwarded(), 3);
     }
 
     /// A decoded traverser can carry any `u32` depth. The queue must take

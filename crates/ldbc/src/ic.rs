@@ -40,7 +40,7 @@ pub fn build_ic_plans(schema: &Schema) -> GdResult<Vec<Plan>> {
 /// Shared prelude: friends (and optionally friends-of-friends) of `$0`
 /// with min-distance pruning; excludes the start person. Returns the
 /// distance slot.
-fn friends_prefix(b: &mut QueryBuilder<'_>, max_hops: i64) -> (u8, u8) {
+fn friends_prefix(b: &mut QueryBuilder<'_>, max_hops: i64) -> u8 {
     b.v_param(0);
     let c = b.alloc_slot();
     let d = b.alloc_slot();
@@ -53,7 +53,17 @@ fn friends_prefix(b: &mut QueryBuilder<'_>, max_hops: i64) -> (u8, u8) {
         r.min_dist(d);
     });
     b.filter(Expr::ne(Expr::VertexId, Expr::Param(0)));
-    (c, d)
+    d
+}
+
+/// [`friends_prefix`] with each friend emitted once. Async delivery can
+/// route a longer path through `MinDist` before the shortest arrives, and
+/// the prefix then emits that friend once per improvement; a query that
+/// counts or lists per friend must see each friend once. (`dedup` keeps the
+/// first arrival, so a query that reads the distance slot cannot use it.)
+fn distinct_friends(b: &mut QueryBuilder<'_>, max_hops: i64) {
+    friends_prefix(b, max_hops);
+    b.dedup();
 }
 
 /// IC1 — transitive friends with a given first name.
@@ -63,7 +73,7 @@ fn friends_prefix(b: &mut QueryBuilder<'_>, max_hops: i64) -> (u8, u8) {
 /// (distance asc, lastName asc, id asc).
 pub fn ic1(schema: &Schema) -> GdResult<Plan> {
     let mut b = QueryBuilder::new(schema);
-    let (_, d) = friends_prefix(&mut b, 3);
+    let d = friends_prefix(&mut b, 3);
     b.has("firstName", CmpOp::Eq, Expr::Param(1));
     let last = b.load("lastName");
     // `distinct` by vertex: async delivery can route a longer path through
@@ -116,7 +126,7 @@ pub fn ic2(schema: &Schema) -> GdResult<Plan> {
 /// `$4` endDate. Returns top 20 `(friend, messageCount)`.
 pub fn ic3(schema: &Schema) -> GdResult<Plan> {
     let mut b = QueryBuilder::new(schema);
-    let (_, _) = friends_prefix(&mut b, 2);
+    distinct_friends(&mut b, 2);
     let f = b.alloc_slot();
     b.compute(f, Expr::VertexId);
     b.in_("hasCreator");
@@ -165,7 +175,7 @@ pub fn ic4(schema: &Schema) -> GdResult<Plan> {
 /// Returns top 20 `(forum, postCount)`.
 pub fn ic5(schema: &Schema) -> GdResult<Plan> {
     let mut b = QueryBuilder::new(schema);
-    let (_, _) = friends_prefix(&mut b, 2);
+    distinct_friends(&mut b, 2);
     let f = b.alloc_slot();
     b.compute(f, Expr::VertexId);
     let join_date = b.alloc_slot();
@@ -191,11 +201,7 @@ pub fn ic5(schema: &Schema) -> GdResult<Plan> {
 /// Returns top 10 `(tagName, postCount)`.
 pub fn ic6(schema: &Schema) -> GdResult<Plan> {
     let mut b = QueryBuilder::new(schema);
-    let (_, _) = friends_prefix(&mut b, 2);
-    // Async delivery can route a longer path through MinDist before the
-    // shortest arrives, emitting a friend once per improvement; each
-    // friend's posts must be counted once.
-    b.dedup();
+    distinct_friends(&mut b, 2);
     b.in_("hasCreator");
     b.has_label("Post");
     let post = b.alloc_slot();
@@ -267,7 +273,7 @@ pub fn ic8(schema: &Schema) -> GdResult<Plan> {
 /// `(friend, message, creationDate)`.
 pub fn ic9(schema: &Schema) -> GdResult<Plan> {
     let mut b = QueryBuilder::new(schema);
-    let (_, _) = friends_prefix(&mut b, 2);
+    distinct_friends(&mut b, 2);
     let f = b.alloc_slot();
     b.compute(f, Expr::VertexId);
     b.in_("hasCreator");
@@ -292,9 +298,13 @@ pub fn ic9(schema: &Schema) -> GdResult<Plan> {
 ///
 /// Params: `$0` person, `$1` month (1..=12).
 /// Returns top 10 `(candidate, postCount)`.
+///
+/// No [`distinct_friends`] here: the query filters on the distance slot,
+/// and `dedup` keeps a vertex's first arrival, which can be the longer
+/// path.
 pub fn ic10(schema: &Schema) -> GdResult<Plan> {
     let mut b = QueryBuilder::new(schema);
-    let (_, d) = friends_prefix(&mut b, 2);
+    let d = friends_prefix(&mut b, 2);
     b.filter(Expr::eq(Expr::Slot(d), Expr::int(2))); // FoF only
     let bday = b.load("birthday");
     b.filter(Expr::eq(
@@ -316,7 +326,7 @@ pub fn ic10(schema: &Schema) -> GdResult<Plan> {
 /// Returns top 10 `(friend, companyName, workFrom)` earliest first.
 pub fn ic11(schema: &Schema) -> GdResult<Plan> {
     let mut b = QueryBuilder::new(schema);
-    let (_, _) = friends_prefix(&mut b, 2);
+    distinct_friends(&mut b, 2);
     let f = b.alloc_slot();
     b.compute(f, Expr::VertexId);
     let work_from = b.alloc_slot();

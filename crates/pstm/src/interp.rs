@@ -70,20 +70,9 @@ pub struct Interpreter<'a> {
     pub params: &'a [Value],
     /// Snapshot timestamp.
     pub read_ts: Timestamp,
-    /// Routing version pinned at query submit. Every spawn-routing and
-    /// scan-ownership decision resolves against this version so one query
-    /// sees a single consistent `H : V → PartId`, even while migrations
-    /// commit underneath it (the frozen source copy is retained until no
-    /// pinned query can still route there).
-    pub routing_version: u64,
 }
 
 impl<'a> Interpreter<'a> {
-    /// Owner of `v` under this query's pinned routing version.
-    #[inline]
-    fn route(&self, v: VertexId) -> PartId {
-        self.graph.part_of_at(v, self.routing_version)
-    }
     /// The running stage.
     #[inline]
     pub fn stage(&self) -> &'a Stage {
@@ -108,15 +97,6 @@ impl<'a> Interpreter<'a> {
             let t = Traverser::root(self.query, pipeline, v, stage.num_slots, w.split_one(rng));
             out.spawned.push((part.part(), t));
         };
-        // While a migration is in flight (or after one committed) a vertex
-        // can be physically present at two partitions: the retained frozen
-        // source copy and the installed destination copy. Scans must then
-        // keep only vertices this partition *owns* at the query's pinned
-        // routing version, or the vertex would be counted twice. The flag
-        // check keeps the common no-migration path filter-free.
-        let filter = self.graph.scan_filter_needed();
-        let owned =
-            |v: VertexId| !filter || self.graph.owned_at(v, part.part(), self.routing_version);
         match spec {
             SourceSpec::Param { param } => {
                 let v = self
@@ -132,9 +112,7 @@ impl<'a> Interpreter<'a> {
             }
             SourceSpec::ScanLabel { label } => {
                 for v in part.scan_label(*label, self.read_ts) {
-                    if owned(v) {
-                        spawn_at(v, &mut out, &mut w);
-                    }
+                    spawn_at(v, &mut out, &mut w);
                 }
             }
             SourceSpec::IndexLookup { label, key, value } => {
@@ -147,14 +125,12 @@ impl<'a> Interpreter<'a> {
                 let needle = value.eval(&ctx)?;
                 if part.has_prop_index(*label, *key) {
                     for v in part.index_lookup(*label, *key, &needle, self.read_ts)? {
-                        if owned(v) {
-                            spawn_at(v, &mut out, &mut w);
-                        }
+                        spawn_at(v, &mut out, &mut w);
                     }
                 } else {
                     // No index built: degrade to a filtered label scan.
                     for v in part.scan_label(*label, self.read_ts) {
-                        if owned(v) && part.vertex(v)?.prop(*key) == Some(&needle) {
+                        if part.vertex(v)?.prop(*key) == Some(&needle) {
                             spawn_at(v, &mut out, &mut w);
                         }
                     }
@@ -206,7 +182,7 @@ impl<'a> Interpreter<'a> {
             for (slot, col) in seed {
                 t.set_slot(*slot, row.get(*col).cloned().unwrap_or(Value::Null));
             }
-            out.spawned.push((self.route(v), t));
+            out.spawned.push((self.graph.part_of(v), t));
         }
         out.finished.absorb(w);
         Ok(out)
@@ -271,7 +247,7 @@ impl<'a> Interpreter<'a> {
                         for (k, slot) in edge_loads {
                             child.set_slot(*slot, e.entry.prop(*k).cloned().unwrap_or(Value::Null));
                         }
-                        out.spawned.push((self.route(e.neighbor), child));
+                        out.spawned.push((self.graph.part_of(e.neighbor), child));
                     }
                     out.finished.absorb(w);
                     return Ok(out);
@@ -425,7 +401,7 @@ impl<'a> Interpreter<'a> {
                     let cont_vertex = key_val.as_vertex().unwrap_or(t.vertex);
                     let cont_part = key_val
                         .as_vertex()
-                        .map(|v| self.route(v))
+                        .map(|v| self.graph.part_of(v))
                         .unwrap_or(part.part());
                     let mut w = t.weight;
                     for other in matches {
@@ -457,7 +433,7 @@ impl<'a> Interpreter<'a> {
                     })?;
                     t.vertex = v;
                     t.pc += 1;
-                    let target = self.route(v);
+                    let target = self.graph.part_of(v);
                     if target != part.part() {
                         out.spawned.push((target, t));
                         return Ok(out);
@@ -608,7 +584,7 @@ impl<'a> Interpreter<'a> {
                                         depth: cur.depth.saturating_add(1),
                                         aux_key: cur.aux_key.clone(),
                                     });
-                                    out.spawned.push((self.route(nb), h));
+                                    out.spawned.push((self.graph.part_of(nb), h));
                                 }
                             }
                             None => {
@@ -626,7 +602,7 @@ impl<'a> Interpreter<'a> {
                                         depth: cur.depth.saturating_add(1),
                                         aux_key: cur.aux_key.clone(),
                                     });
-                                    out.spawned.push((self.route(e.neighbor), h));
+                                    out.spawned.push((self.graph.part_of(e.neighbor), h));
                                 }
                             }
                         }
@@ -657,7 +633,7 @@ impl<'a> Interpreter<'a> {
                                 depth: cur.depth.saturating_add(1),
                                 aux_key: cur.aux_key.clone(),
                             });
-                            out.spawned.push((self.route(e.neighbor), h));
+                            out.spawned.push((self.graph.part_of(e.neighbor), h));
                         }
                     }
                     out.finished.absorb(w);
@@ -869,7 +845,7 @@ impl<'a> Interpreter<'a> {
                     let cont_vertex = key_val.as_vertex().unwrap_or(cur.vertex);
                     let cont_part = key_val
                         .as_vertex()
-                        .map(|v| self.route(v))
+                        .map(|v| self.graph.part_of(v))
                         .unwrap_or(part.part());
                     let mut w = cur.weight;
                     for other in matches {
@@ -906,7 +882,7 @@ impl<'a> Interpreter<'a> {
                         })?;
                     cur.vertex = v;
                     cur.pc += 1;
-                    let target = self.route(v);
+                    let target = self.graph.part_of(v);
                     if target != part.part() {
                         let h = arena.insert(std::mem::replace(cur, ArenaTraverser::vacant()));
                         out.spawned.push((target, h));
@@ -921,7 +897,7 @@ impl<'a> Interpreter<'a> {
     /// (so continuations can read its properties); other keys hash.
     pub fn join_key_part(&self, key: &Value) -> PartId {
         match key.as_vertex() {
-            Some(v) => self.route(v),
+            Some(v) => self.graph.part_of(v),
             None => {
                 let mut h = FxHasher::default();
                 key.group_key().hash(&mut h);
@@ -1003,7 +979,6 @@ mod tests {
             query: QueryId(1),
             params,
             read_ts: 1,
-            routing_version: 0,
         };
         let mut rng = seeded(7);
         let mut memos: Vec<Memo> = (0..graph.partitioner().num_parts())
@@ -1467,7 +1442,6 @@ mod edge_case_tests {
             query: QueryId(9),
             params,
             read_ts: 1,
-            routing_version: 0,
         };
         let mut rng = seeded(3);
         let mut memos: Vec<Memo> = (0..graph.partitioner().num_parts())

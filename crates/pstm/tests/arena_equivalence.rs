@@ -164,7 +164,6 @@ fn drive_cloned(graph: &Graph, plan: &Plan, params: &[Value], seed: u64) -> (Vec
         query: QueryId(1),
         params,
         read_ts: 1,
-        routing_version: 0,
     };
     let mut rng = seeded(seed);
     let mut memos: Vec<Memo> = (0..graph.partitioner().num_parts())
@@ -215,7 +214,6 @@ fn drive_arena(graph: &Graph, plan: &Plan, params: &[Value], seed: u64) -> (Vec<
         query: QueryId(1),
         params,
         read_ts: 1,
-        routing_version: 0,
     };
     let mut rng = seeded(seed);
     let mut memos: Vec<Memo> = (0..graph.partitioner().num_parts())

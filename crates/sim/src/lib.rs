@@ -22,7 +22,6 @@
 //! bug; [`Verdict::Flagged`] never is under injected faults.
 
 pub mod oracle;
-pub mod partition;
 pub mod repro;
 pub mod service;
 
@@ -37,8 +36,7 @@ pub use graphdance_storage::fennel::{
     adjacency, balance_ok, edge_cut, partition_stream, FennelConfig, PartitionMode,
 };
 pub use oracle::oracle_rows;
-pub use partition::{check_partition_detailed, PartitionReport};
-pub use repro::{GraphSpec, PartSpec, QuerySpec, Repro, SvcSpec};
+pub use repro::{GraphSpec, QuerySpec, Repro, SvcSpec};
 pub use service::{check_service_detailed, QueryOutcome, ServiceReport};
 
 /// The outcome of one differentially-checked simulation run.
@@ -69,8 +67,9 @@ impl Verdict {
         matches!(self, Verdict::Match | Verdict::Flagged(_))
     }
 
-    /// Coarse class, used by [`minimize`] to preserve the failure mode
-    /// while shrinking.
+    /// Coarse class, worst last: used by [`minimize`] to preserve the
+    /// failure mode while shrinking, and by the service runner to report
+    /// the worst per-query verdict.
     fn class(&self) -> u8 {
         match self {
             Verdict::Match => 0,
@@ -152,10 +151,9 @@ pub fn check(repro: &Repro) -> Verdict {
 /// determinism assertions and sweep statistics).
 ///
 /// A repro carrying a `svc=` key routes through the service-workload
-/// runner, and one carrying a `part=` key through the live-migration
-/// runner: in both cases the report's verdict is the aggregate (worst
-/// per-query) verdict, so corpus `expect=` lines and [`sweep`] /
-/// [`minimize`] work unchanged over either.
+/// runner, whose report's verdict is the aggregate (worst per-query)
+/// verdict, so corpus `expect=` lines and [`sweep`] / [`minimize`] work
+/// unchanged over it. A `part=` key only chooses the graph's placement.
 pub fn check_detailed(repro: &Repro) -> RunReport {
     if repro.svc.is_some() {
         let report = check_service_detailed(repro);
@@ -167,17 +165,9 @@ pub fn check_detailed(repro: &Repro) -> RunReport {
             steps: report.steps,
         };
     }
-    if repro.part.is_some() {
-        let report = check_partition_detailed(repro);
-        return RunReport {
-            verdict: report.verdict,
-            fingerprint: report.fingerprint,
-            trace_len: report.trace_len,
-            faults_fired: report.faults_fired,
-            steps: report.steps,
-        };
-    }
-    let graph = repro.graph.build(repro.nodes, repro.workers);
+    let graph = repro
+        .graph
+        .build_with_mode(repro.nodes, repro.workers, repro.part);
     let (plan, params) = repro.query.build(&graph);
     let want = match oracle_rows(&graph, &plan, &params, 1, repro.seed) {
         Ok(rows) => rows,
@@ -326,28 +316,11 @@ fn shrink_candidates(r: &Repro) -> Vec<Repro> {
         }),
         _ => {}
     }
-    // Strip or thin the migration workload.
-    if let Some(p) = r.part {
-        push(Repro { part: None, ..*r });
-        if p.migrations > 1 {
-            push(Repro {
-                part: Some(PartSpec {
-                    migrations: p.migrations / 2,
-                    ..p
-                }),
-                ..*r
-            });
-        }
-        if p.mode == PartitionMode::Fennel {
-            push(Repro {
-                part: Some(PartSpec {
-                    mode: PartitionMode::Hash,
-                    ..p
-                }),
-                ..*r
-            });
-        }
-    }
+    // Fall back to hash placement.
+    push(Repro {
+        part: PartitionMode::Hash,
+        ..*r
+    });
     // Collapse the topology.
     if r.workers > 1 {
         push(Repro { workers: 1, ..*r });

@@ -71,7 +71,6 @@ pub fn oracle_rows(
             query,
             params,
             read_ts,
-            routing_version: graph.routing_version(),
         };
         let stage = &plan.stages[stage_idx];
         let mut acc = WeightAccumulator::new();

@@ -184,28 +184,6 @@ pub struct SvcSpec {
     pub cancel_after: u16,
 }
 
-/// A live-migration workload layered over a base [`Repro`] (`part=`
-/// key). When present, the run goes through the partition-migration
-/// runner ([`crate::check_partition_detailed`]) instead of the
-/// single-query differential check: a small batch of staggered queries
-/// (the base `query=` shape with shifted start vertices) executes while
-/// seeded single-vertex migrations are injected mid-flight.
-///
-/// Spelled `part=<mode>:<mig_seed>:<migrations>:<every>`:
-///
-/// * `mode` — initial placement: `hash` or `fennel`.
-/// * `mig_seed` — RNG stream for picking which vertices migrate and
-///   where to (independent of the scheduler seed).
-/// * `migrations` — how many single-vertex migrations are injected.
-/// * `every` — scheduling quanta between successive injections.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct PartSpec {
-    pub mode: PartitionMode,
-    pub mig_seed: u64,
-    pub migrations: u16,
-    pub every: u16,
-}
-
 /// One fully-specified simulation run: everything the deterministic
 /// scheduler consumes, in one copyable value.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -227,9 +205,9 @@ pub struct Repro {
     /// Optional service-workload layer (`svc=` key; absent lines run the
     /// classic single-query differential check).
     pub svc: Option<SvcSpec>,
-    /// Optional partition-migration workload (`part=` key; placement
-    /// mode plus a seeded live-migration schedule).
-    pub part: Option<PartSpec>,
+    /// Vertex placement the graph is built with (`part=` key; absent
+    /// lines are hash-placed).
+    pub part: PartitionMode,
 }
 
 impl Repro {
@@ -244,7 +222,7 @@ impl Repro {
             io: IoMode::TwoTier,
             faults: SimFaults::default(),
             svc: None,
-            part: None,
+            part: PartitionMode::Hash,
         }
     }
 
@@ -260,9 +238,9 @@ impl Repro {
         self
     }
 
-    /// The same run with a partition-migration workload layered on top.
-    pub fn with_part(mut self, part: PartSpec) -> Self {
-        self.part = Some(part);
+    /// The same run over a graph placed by `part`.
+    pub fn with_part(mut self, part: PartitionMode) -> Self {
+        self.part = part;
         self
     }
 
@@ -309,7 +287,7 @@ impl Repro {
             io: io.unwrap_or(IoMode::TwoTier),
             faults: faults.unwrap_or_default(),
             svc,
-            part,
+            part: part.unwrap_or_default(),
         })
     }
 }
@@ -349,12 +327,8 @@ impl fmt::Display for Repro {
                 svc.arrival_seed, svc.queries, svc.mix, svc.cancel_mask, svc.cancel_after
             )?;
         }
-        if let Some(part) = self.part {
-            write!(
-                f,
-                " part={}:{:#x}:{}:{}",
-                part.mode, part.mig_seed, part.migrations, part.every
-            )?;
+        if self.part != PartitionMode::Hash {
+            write!(f, " part={}", self.part)?;
         }
         Ok(())
     }
@@ -442,27 +416,13 @@ fn parse_svc(s: &str) -> Result<SvcSpec, String> {
     Ok(spec)
 }
 
-fn parse_part(s: &str) -> Result<PartSpec, String> {
-    let mut it = s.split(':');
-    let mode = it
-        .next()
-        .and_then(PartitionMode::parse)
-        .ok_or_else(|| format!("bad part mode in {s:?}"))?;
-    let mut next = |what: &str| {
-        it.next()
-            .ok_or_else(|| format!("part needs :{what}"))
-            .and_then(parse_u64)
-    };
-    let spec = PartSpec {
-        mode,
-        mig_seed: next("mig_seed")?,
-        migrations: next("migrations")? as u16,
-        every: next("every")? as u16,
-    };
-    if it.next().is_some() {
-        return Err(format!("part has trailing fields in {s:?}"));
-    }
-    Ok(spec)
+fn parse_part(s: &str) -> Result<PartitionMode, String> {
+    PartitionMode::parse(s).ok_or_else(|| {
+        format!(
+            "bad part={s:?}: expected part=<hash|fennel> (placement only; \
+             the migration fields after the mode were removed)"
+        )
+    })
 }
 
 fn parse_faults(s: &str) -> Result<SimFaults, String> {
@@ -522,7 +482,7 @@ mod tests {
                 progress_side_channel: true,
             },
             svc: None,
-            part: None,
+            part: PartitionMode::Fennel,
         };
         let line = r.to_line();
         assert_eq!(Repro::parse(&line), Ok(r), "line was: {line}");
@@ -537,29 +497,27 @@ mod tests {
             2,
             5,
         )
-        .with_part(PartSpec {
-            mode: PartitionMode::Fennel,
-            mig_seed: 0xfeed,
-            migrations: 4,
-            every: 24,
-        });
+        .with_part(PartitionMode::Fennel);
         let line = r.to_line();
-        assert!(line.contains("part=fennel:0xfeed:4:24"), "line was: {line}");
+        assert!(line.ends_with(" part=fennel"), "line was: {line}");
         assert_eq!(Repro::parse(&line), Ok(r), "line was: {line}");
+        let line = "graph=ring:8 query=khop:1:0 nodes=1 workers=1 seed=1";
+        let hash = Repro::parse(&format!("{line} part=hash")).unwrap();
+        assert_eq!(hash, Repro::parse(line).unwrap(), "hash is the default");
         assert!(
-            Repro::parse("graph=ring:8 query=khop:1:0 nodes=1 workers=1 seed=1 part=warp:1:1:1")
-                .is_err(),
+            !hash.to_line().contains("part="),
+            "the default is not written"
+        );
+        assert!(
+            Repro::parse(&format!("{line} part=warp")).is_err(),
             "unknown placement mode fails loudly"
         );
+        // Lines recorded while `part=` also scheduled live migrations.
+        let err = Repro::parse(&format!("{line} part=fennel:0x11:3:10"))
+            .expect_err("the migration fields are gone");
         assert!(
-            Repro::parse("graph=ring:8 query=khop:1:0 nodes=1 workers=1 seed=1 part=hash:1:1")
-                .is_err(),
-            "truncated part key fails loudly"
-        );
-        assert!(
-            Repro::parse("graph=ring:8 query=khop:1:0 nodes=1 workers=1 seed=1 part=hash:1:1:1:9")
-                .is_err(),
-            "over-long part key fails loudly"
+            err.contains("part=<hash|fennel>"),
+            "error names the form: {err}"
         );
     }
 

@@ -119,21 +119,13 @@ fn plan_workload(repro: &Repro, spec: &SvcSpec) -> Vec<PlannedQuery> {
         .collect()
 }
 
-/// Worst verdict wins: `Failed` > `WrongAnswer` > `Flagged` > `Match`.
-pub(crate) fn severity(v: &Verdict) -> u8 {
-    match v {
-        Verdict::Match => 0,
-        Verdict::Flagged(_) => 1,
-        Verdict::WrongAnswer { .. } => 2,
-        Verdict::Failed(_) => 3,
-    }
-}
-
 /// Run the service workload named by `repro` (which must carry a `svc=`
 /// spec) and classify every query against the oracle.
 pub fn check_service_detailed(repro: &Repro) -> ServiceReport {
     let spec = repro.svc.expect("check_service_detailed needs repro.svc");
-    let graph = repro.graph.build(repro.nodes, repro.workers);
+    let graph = repro
+        .graph
+        .build_with_mode(repro.nodes, repro.workers, repro.part);
     let workload = plan_workload(repro, &spec);
 
     let mut config = EngineConfig::new(repro.nodes, repro.workers)
@@ -263,10 +255,10 @@ pub fn check_service_detailed(repro: &Repro) -> ServiceReport {
     let mut verdict = outcomes
         .iter()
         .map(|o| &o.verdict)
-        .max_by_key(|v| severity(v))
+        .max_by_key(|v| v.class())
         .cloned()
         .unwrap_or(Verdict::Match);
-    if !quiesced && severity(&verdict) < 3 {
+    if !quiesced && verdict.class() < 3 {
         // A cluster that cannot drain after every reply is a leak —
         // stranded weight or undrained messages escaped both ledgers.
         verdict = Verdict::Failed(GdError::Internal(

@@ -4,7 +4,7 @@
 //! Fennel (Tsourakakis et al., WSDM'14) places each arriving vertex on
 //! the partition maximizing `|neighbours already there| − c(load)`,
 //! where `c` is a convex load penalty — interpolating between locality
-//! (minimize cut) and balance. The placement feeds the versioned
+//! (minimize cut) and balance. The placement feeds the immutable
 //! [`crate::routing::RoutingTable`] as the *initial* map, so the rest of
 //! the system still sees a pure `H : V → PartId` function.
 //!

@@ -11,7 +11,7 @@ use graphdance_common::{
     WorkerId,
 };
 
-use crate::partition_store::{Direction, GraphPartition, VertexSegment};
+use crate::partition_store::{Direction, GraphPartition};
 use crate::routing::RoutingTable;
 use crate::schema::Schema;
 use crate::stats::GraphStats;
@@ -63,111 +63,23 @@ impl Graph {
         self.partitioner
     }
 
-    /// Partition id *currently* owning `v` (versioned routing: initial
-    /// Fennel placement plus any committed migrations).
+    /// Partition id owning `v` (hash, or the graph's load-time Fennel
+    /// placement). Fixed for the graph's lifetime.
     #[inline]
     pub fn part_of(&self, v: VertexId) -> PartId {
         self.routing.part_of(v)
     }
 
-    /// Owner of `v` as seen by a query pinned at routing version `at`.
+    /// Worker owning `v`.
     #[inline]
-    pub fn part_of_at(&self, v: VertexId, at: u64) -> PartId {
-        self.routing.part_of_at(v, at)
+    pub fn worker_of(&self, v: VertexId) -> WorkerId {
+        self.partitioner.worker_of_part(self.routing.part_of(v))
     }
 
-    /// Does partition `p` own `v` at routing version `at`? Scan filters
-    /// use this so a query never reads the same vertex from both the
-    /// retained source copy and the installed destination copy.
-    #[inline]
-    pub fn owned_at(&self, v: VertexId, p: PartId, at: u64) -> bool {
-        self.routing.part_of_at(v, at) == p
-    }
-
-    /// The versioned routing table.
+    /// The routing table.
     #[inline]
     pub fn routing(&self) -> &Arc<RoutingTable> {
         &self.routing
-    }
-
-    /// Current routing version (0 = no migration ever committed).
-    #[inline]
-    pub fn routing_version(&self) -> u64 {
-        self.routing.version()
-    }
-
-    /// Must scans consult the versioned routing filter? False while no
-    /// migration has ever started — then a vertex's physical partition
-    /// always equals its routed owner. The divergence latch covers the
-    /// install→commit window where the destination physically holds a
-    /// copy that still routes to the source at version 0.
-    #[inline]
-    pub fn scan_filter_needed(&self) -> bool {
-        self.routing.version() > 0 || self.routing.physically_diverged()
-    }
-
-    /// Worker owning `v` at routing version `at`.
-    #[inline]
-    pub fn worker_of_at(&self, v: VertexId, at: u64) -> WorkerId {
-        self.partitioner
-            .worker_of_part(self.routing.part_of_at(v, at))
-    }
-
-    /// Commit a migration of `v` to `to` in the routing table, returning
-    /// the new routing version (the engine's migration state machine
-    /// calls this between segment install and stub retirement).
-    pub fn commit_move(&self, v: VertexId, to: PartId) -> u64 {
-        self.routing.commit_move(v, to)
-    }
-
-    /// Freeze `v` at its physical source partition `src` (writes abort
-    /// until retire/rollback) and clone its segment for transfer.
-    pub fn freeze_and_clone(&self, src: PartId, v: VertexId) -> GdResult<VertexSegment> {
-        let mut g = self.write(src);
-        g.freeze_vertex(v)?;
-        g.clone_segment(v)
-    }
-
-    /// Install a migrated segment at destination partition `dst`
-    /// (idempotent; see [`GraphPartition::install_segment`]).
-    pub fn install_segment(&self, dst: PartId, seg: VertexSegment) -> GdResult<bool> {
-        // Latch before the install is visible so no scan can observe the
-        // copy without also observing the divergence flag.
-        self.routing.mark_physical_divergence();
-        self.write(dst).install_segment(seg)
-    }
-
-    /// Purge the retained frozen copy of `v` from `src` after its
-    /// forwarding stub retires (idempotent).
-    pub fn purge_vertex(&self, src: PartId, v: VertexId) {
-        self.write(src).purge_vertex(v);
-    }
-
-    /// Count edges whose endpoints currently route to different
-    /// partitions / different nodes: `(cut_parts, cut_nodes, total)`.
-    /// O(edges); drives the `part.cut_edges` gauge and the partitioning
-    /// bench, not a query path.
-    pub fn edge_cut(&self) -> (u64, u64, u64) {
-        let (mut cut_parts, mut cut_nodes, mut total) = (0u64, 0u64, 0u64);
-        for p in self.partitioner.parts() {
-            self.read(p).for_each_live_out_edge(|s, d| {
-                total += 1;
-                let (ps, pd) = (self.part_of(s), self.part_of(d));
-                if ps != pd {
-                    cut_parts += 1;
-                    let ns = self
-                        .partitioner
-                        .node_of_worker(self.partitioner.worker_of_part(ps));
-                    let nd = self
-                        .partitioner
-                        .node_of_worker(self.partitioner.worker_of_part(pd));
-                    if ns != nd {
-                        cut_nodes += 1;
-                    }
-                }
-            });
-        }
-        (cut_parts, cut_nodes, total)
     }
 
     /// Shared read access to a partition. The PSTM engine only calls this
@@ -234,9 +146,6 @@ impl Graph {
         let (ps, pd) = (self.part_of(src), self.part_of(dst));
         if ps == pd {
             let mut g = self.write(ps);
-            // Pre-check both endpoints so a frozen destination cannot
-            // leave a half-written edge behind.
-            g.check_unfrozen_pair(src, dst)?;
             g.insert_out_edge(src, label, dst, eid, ts, props.clone())?;
             g.insert_in_edge(dst, label, src, eid, ts, props)?;
         } else {
@@ -248,8 +157,6 @@ impl Graph {
             } else {
                 (&mut g2, &mut g1)
             };
-            gs.check_unfrozen_pair(src, src)?;
-            gd.check_unfrozen_pair(dst, dst)?;
             gs.insert_out_edge(src, label, dst, eid, ts, props.clone())?;
             gd.insert_in_edge(dst, label, src, eid, ts, props)?;
         }
@@ -267,7 +174,6 @@ impl Graph {
         let (ps, pd) = (self.part_of(src), self.part_of(dst));
         let found = if ps == pd {
             let mut g = self.write(ps);
-            g.check_unfrozen_pair(src, dst)?;
             let f = g.delete_out_edge(src, label, dst, ts)?;
             g.delete_in_edge(dst, label, src, ts)?;
             f
@@ -280,8 +186,6 @@ impl Graph {
             } else {
                 (&mut g2, &mut g1)
             };
-            gs.check_unfrozen_pair(src, src)?;
-            gd.check_unfrozen_pair(dst, dst)?;
             let f = gs.delete_out_edge(src, label, dst, ts)?;
             gd.delete_in_edge(dst, label, src, ts)?;
             f
@@ -668,44 +572,6 @@ mod tests {
             assert!(g.read(g.part_of(v)).contains(v));
         }
         assert_eq!(g.routing().initial_overrides(), 4);
-        assert!(!g.scan_filter_needed());
-    }
-
-    #[test]
-    fn graph_level_migration_roundtrip() {
-        let g = build();
-        let knows = g.schema().edge_label("knows").unwrap();
-        let v = VertexId(2);
-        let src = g.part_of(v);
-        let dst = PartId((src.0 + 1) % g.partitioner().num_parts());
-
-        let seg = g.freeze_and_clone(src, v).unwrap();
-        // Frozen: runtime writes through the graph abort.
-        assert!(matches!(
-            g.insert_edge(v, knows, VertexId(0), vec![], 9),
-            Err(GdError::TxnAborted(_))
-        ));
-        assert!(g.install_segment(dst, seg).unwrap());
-        let ver = g.commit_move(v, dst);
-        assert_eq!(ver, 1);
-        // Old-version readers still resolve the source; current resolves dst.
-        assert_eq!(g.part_of_at(v, 0), src);
-        assert_eq!(g.part_of(v), dst);
-        assert!(g.scan_filter_needed());
-        assert!(g.owned_at(v, dst, ver));
-        assert!(!g.owned_at(v, src, ver));
-        // Adjacency serves identically from the new home.
-        assert_eq!(
-            g.neighbors(v, Direction::Out, knows, 1).unwrap(),
-            vec![VertexId(3)]
-        );
-        g.purge_vertex(src, v);
-        assert!(!g.read(src).contains(v));
-        assert!(g.read(dst).contains(v));
-        // Edge cut measured over current routing stays sane.
-        let (cut, _, total) = g.edge_cut();
-        assert_eq!(total, 4);
-        assert!(cut <= total);
     }
 
     #[test]

@@ -30,8 +30,8 @@ pub use fennel::{adjacency, edge_cut, partition_stream, FennelConfig, PartitionM
 pub use graph::{Graph, GraphBuilder};
 #[cfg(feature = "obs")]
 pub use partition_store::ScanStats;
-pub use partition_store::{Direction, EdgeRef, GraphPartition, VertexRecord, VertexSegment};
-pub use routing::{RoutingTable, ROUTING_NOW};
+pub use partition_store::{Direction, EdgeRef, GraphPartition, VertexRecord};
+pub use routing::RoutingTable;
 pub use schema::Schema;
 pub use stats::GraphStats;
 pub use tel::{TelEntry, TelList, Timestamp, TS_BULK, TS_LIVE};

@@ -7,7 +7,7 @@
 
 use graphdance_common::value::ValueKey;
 use graphdance_common::{
-    EdgeId, FxHashMap, FxHashSet, GdError, GdResult, Label, PartId, PropKey, Value, VertexId,
+    EdgeId, FxHashMap, GdError, GdResult, Label, PartId, PropKey, Value, VertexId,
 };
 
 use crate::tel::{TelEntry, TelList, Timestamp};
@@ -68,22 +68,6 @@ pub struct ScanStats {
     pub scan_len: graphdance_obs::SharedHistogram,
 }
 
-/// A migrating vertex's portable state: its record plus both TEL
-/// adjacency logs, cloned at freeze time and shipped to the destination
-/// partition in a `MigrateInstall` control message (DESIGN.md §14).
-#[derive(Debug, Clone)]
-pub struct VertexSegment {
-    /// The vertex being migrated.
-    pub v: VertexId,
-    /// Label, creation timestamp, property row.
-    pub record: VertexRecord,
-    /// Out-adjacency TEL (all versions — MVCC history travels with the
-    /// vertex).
-    pub out: TelList,
-    /// In-adjacency TEL.
-    pub inn: TelList,
-}
-
 /// One graph partition (see module docs).
 #[derive(Debug)]
 pub struct GraphPartition {
@@ -101,9 +85,6 @@ pub struct GraphPartition {
     label_index: FxHashMap<Label, Vec<u32>>,
     /// Count of live (bulk + committed) directed edges stored on the out side.
     out_edge_count: u64,
-    /// Vertices frozen for migration: reads still serve (queries pinned
-    /// at pre-commit routing versions execute here), writes abort.
-    frozen: FxHashSet<VertexId>,
     /// TEL scan-length statistics (obs builds only).
     #[cfg(feature = "obs")]
     scan_stats: ScanStats,
@@ -122,7 +103,6 @@ impl GraphPartition {
             prop_index: FxHashMap::default(),
             label_index: FxHashMap::default(),
             out_edge_count: 0,
-            frozen: FxHashSet::default(),
             #[cfg(feature = "obs")]
             scan_stats: ScanStats::default(),
         }
@@ -211,119 +191,6 @@ impl GraphPartition {
         Ok(&self.records[self.local(v)? as usize])
     }
 
-    #[inline]
-    fn check_unfrozen(&self, v: VertexId) -> GdResult<()> {
-        if self.frozen.contains(&v) {
-            return Err(GdError::TxnAborted(format!(
-                "vertex {v:?} is frozen for migration"
-            )));
-        }
-        Ok(())
-    }
-
-    /// Pre-check that neither endpoint of an edge write is frozen (used
-    /// by `Graph::insert_edge`/`delete_edge` before the first side is
-    /// written, so a frozen endpoint cannot leave a half-written edge).
-    pub fn check_unfrozen_pair(&self, a: VertexId, b: VertexId) -> GdResult<()> {
-        self.check_unfrozen(a)?;
-        self.check_unfrozen(b)
-    }
-
-    /// Is `v` frozen for migration (writes abort, reads still serve)?
-    #[inline]
-    pub fn is_frozen(&self, v: VertexId) -> bool {
-        self.frozen.contains(&v)
-    }
-
-    /// Freeze `v` for migration: subsequent writes to it abort with
-    /// `TxnAborted` until the frozen copy is purged (stub retirement) or
-    /// [`unfreeze_vertex`](Self::unfreeze_vertex) rolls the migration back.
-    pub fn freeze_vertex(&mut self, v: VertexId) -> GdResult<()> {
-        self.local(v)?;
-        self.frozen.insert(v);
-        Ok(())
-    }
-
-    /// Roll back a freeze (migration aborted before commit).
-    pub fn unfreeze_vertex(&mut self, v: VertexId) {
-        self.frozen.remove(&v);
-    }
-
-    /// Clone the full migratable state of `v` (record + both TELs). The
-    /// caller freezes first so the clone cannot race a write.
-    pub fn clone_segment(&self, v: VertexId) -> GdResult<VertexSegment> {
-        let li = self.local(v)? as usize;
-        Ok(VertexSegment {
-            v,
-            record: self.records[li].clone(),
-            out: self.out[li].clone(),
-            inn: self.inn[li].clone(),
-        })
-    }
-
-    /// Install a migrated segment at this (destination) partition.
-    /// Idempotent: re-delivery of a duplicated `MigrateInstall` is a no-op
-    /// (`Ok(false)`). Returns `Ok(true)` if the segment was installed.
-    pub fn install_segment(&mut self, seg: VertexSegment) -> GdResult<bool> {
-        if self.idx.contains_key(&seg.v) {
-            return Ok(false);
-        }
-        let li = self.vids.len() as u32;
-        self.idx.insert(seg.v, li);
-        self.vids.push(seg.v);
-        self.out_edge_count += seg.out.len_versions() as u64;
-        self.label_index
-            .entry(seg.record.label)
-            .or_default()
-            .push(li);
-        let indexed: Vec<(Label, PropKey)> = self
-            .prop_index
-            .keys()
-            .filter(|(l, _)| *l == seg.record.label)
-            .copied()
-            .collect();
-        for (ilabel, key) in indexed {
-            if let Some(val) = seg.record.prop(key) {
-                let gk = val.group_key();
-                if let Some(m) = self.prop_index.get_mut(&(ilabel, key)) {
-                    m.entry(gk).or_default().push(li);
-                }
-            }
-        }
-        self.records.push(seg.record);
-        self.out.push(seg.out);
-        self.inn.push(seg.inn);
-        Ok(true)
-    }
-
-    /// Purge the retained frozen copy of `v` after its forwarding stub
-    /// retires: the record is tombstoned (invisible to every scan), the
-    /// TELs are dropped, and the indexes forget the vertex. Idempotent.
-    pub fn purge_vertex(&mut self, v: VertexId) {
-        self.frozen.remove(&v);
-        let Some(li) = self.idx.remove(&v) else {
-            return;
-        };
-        let li = li as usize;
-        self.out_edge_count = self
-            .out_edge_count
-            .saturating_sub(self.out[li].len_versions() as u64);
-        self.out[li] = TelList::new();
-        self.inn[li] = TelList::new();
-        // Tombstone: `scan_all` walks the dense arrays directly, so make
-        // the record invisible at every real read timestamp.
-        self.records[li].create_ts = Timestamp::MAX;
-        let label = self.records[li].label;
-        if let Some(lis) = self.label_index.get_mut(&label) {
-            lis.retain(|x| *x as usize != li);
-        }
-        for m in self.prop_index.values_mut() {
-            for lis in m.values_mut() {
-                lis.retain(|x| *x as usize != li);
-            }
-        }
-    }
-
     /// Label of `v`.
     pub fn vertex_label(&self, v: VertexId) -> GdResult<Label> {
         Ok(self.vertex(v)?.label)
@@ -344,7 +211,6 @@ impl GraphPartition {
         ts: Timestamp,
         props: Vec<(PropKey, Value)>,
     ) -> GdResult<()> {
-        self.check_unfrozen(src)?;
         let li = self.local(src)?;
         self.out[li as usize].insert(label, dst, eid, ts, props);
         self.out_edge_count += 1;
@@ -361,7 +227,6 @@ impl GraphPartition {
         ts: Timestamp,
         props: Vec<(PropKey, Value)>,
     ) -> GdResult<()> {
-        self.check_unfrozen(dst)?;
         let li = self.local(dst)?;
         self.inn[li as usize].insert(label, src, eid, ts, props);
         Ok(())
@@ -375,7 +240,6 @@ impl GraphPartition {
         dst: VertexId,
         ts: Timestamp,
     ) -> GdResult<bool> {
-        self.check_unfrozen(src)?;
         let li = self.local(src)?;
         Ok(self.out[li as usize].delete(label, dst, ts))
     }
@@ -388,7 +252,6 @@ impl GraphPartition {
         src: VertexId,
         ts: Timestamp,
     ) -> GdResult<bool> {
-        self.check_unfrozen(dst)?;
         let li = self.local(dst)?;
         Ok(self.inn[li as usize].delete(label, src, ts))
     }
@@ -519,18 +382,6 @@ impl GraphPartition {
             .filter(|&&li| self.records[li as usize].create_ts <= ts)
             .map(|&li| self.vids[li as usize])
             .collect())
-    }
-
-    /// Visit every live (not deleted, any label) out-edge stored at this
-    /// partition as `(src, dst)`. Drives the `part.cut_edges` gauge and
-    /// the partitioning bench's cut measurement — not a query path.
-    pub fn for_each_live_out_edge(&self, mut f: impl FnMut(VertexId, VertexId)) {
-        for (li, t) in self.out.iter().enumerate() {
-            let src = self.vids[li];
-            for e in t.scan_visible(Label::ANY, Timestamp::MAX - 1) {
-                f(src, e.other);
-            }
-        }
     }
 
     /// Crash recovery: remove all effects after `lct` (§IV-C). Uncommitted
@@ -757,79 +608,6 @@ mod tests {
         // index still consistent
         let hits = p.index_lookup(PERSON, NAME, &Value::str("a"), 200).unwrap();
         assert_eq!(hits, vec![VertexId(1)]);
-    }
-
-    #[test]
-    fn freeze_rejects_writes_but_serves_reads() {
-        let mut p = part();
-        add_v(&mut p, 1, "a");
-        p.insert_out_edge(VertexId(1), KNOWS, VertexId(9), EdgeId(1), TS_BULK, vec![])
-            .unwrap();
-        p.freeze_vertex(VertexId(1)).unwrap();
-        assert!(p.is_frozen(VertexId(1)));
-        assert!(matches!(
-            p.insert_out_edge(VertexId(1), KNOWS, VertexId(2), EdgeId(2), 5, vec![]),
-            Err(GdError::TxnAborted(_))
-        ));
-        assert!(matches!(
-            p.delete_out_edge(VertexId(1), KNOWS, VertexId(9), 5),
-            Err(GdError::TxnAborted(_))
-        ));
-        // Reads still serve the frozen copy.
-        assert_eq!(p.degree(VertexId(1), Direction::Out, KNOWS, 1).unwrap(), 1);
-        p.unfreeze_vertex(VertexId(1));
-        assert!(p
-            .insert_out_edge(VertexId(1), KNOWS, VertexId(2), EdgeId(2), 5, vec![])
-            .is_ok());
-    }
-
-    #[test]
-    fn segment_roundtrip_between_partitions() {
-        let mut src = part();
-        add_v(&mut src, 1, "alice");
-        add_v(&mut src, 2, "bob");
-        src.insert_out_edge(VertexId(1), KNOWS, VertexId(2), EdgeId(1), TS_BULK, vec![])
-            .unwrap();
-        src.insert_in_edge(VertexId(1), KNOWS, VertexId(7), EdgeId(2), TS_BULK, vec![])
-            .unwrap();
-        src.build_prop_index(PERSON, NAME);
-        src.freeze_vertex(VertexId(1)).unwrap();
-        let seg = src.clone_segment(VertexId(1)).unwrap();
-
-        let mut dst = GraphPartition::new(PartId(1));
-        dst.build_prop_index(PERSON, NAME);
-        assert!(dst.install_segment(seg.clone()).unwrap());
-        // Duplicate install (dup-faulted message) is a no-op.
-        assert!(!dst.install_segment(seg).unwrap());
-        assert_eq!(
-            dst.degree(VertexId(1), Direction::Out, KNOWS, 1).unwrap(),
-            1
-        );
-        assert_eq!(dst.degree(VertexId(1), Direction::In, KNOWS, 1).unwrap(), 1);
-        assert_eq!(
-            dst.vertex_prop(VertexId(1), NAME).unwrap(),
-            Some(&Value::str("alice"))
-        );
-        // The destination's indexes learned the vertex.
-        assert_eq!(
-            dst.index_lookup(PERSON, NAME, &Value::str("alice"), 1)
-                .unwrap(),
-            vec![VertexId(1)]
-        );
-
-        // Retire: the frozen source copy vanishes from every access path.
-        src.purge_vertex(VertexId(1));
-        assert!(!src.contains(VertexId(1)));
-        assert!(!src.is_frozen(VertexId(1)));
-        assert!(src.vertex(VertexId(1)).is_err());
-        assert_eq!(src.scan_all(100).count(), 1);
-        assert_eq!(src.scan_label(PERSON, 100).count(), 1);
-        assert!(src
-            .index_lookup(PERSON, NAME, &Value::str("alice"), 100)
-            .unwrap()
-            .is_empty());
-        // Idempotent (dup-faulted retire).
-        src.purge_vertex(VertexId(1));
     }
 
     #[test]

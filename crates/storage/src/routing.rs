@@ -1,67 +1,22 @@
-//! Versioned vertex-to-partition routing: the paper's `H : V → PartId`
-//! abstraction extended with (a) a graph-aware *initial placement* map
-//! (Fennel, [`crate::fennel`]) layered over the hash partitioner, and
-//! (b) an online *migration log* so vertex ownership can change while
-//! queries are running.
+//! Vertex-to-partition routing: the paper's `H : V → PartId` with an
+//! optional graph-aware *initial placement* map (Fennel,
+//! [`crate::fennel`]) layered over the hash partitioner.
 //!
-//! Every committed migration bumps a monotone routing **version**. A
-//! query captures the version current at submit time and resolves every
-//! ownership question against that version (`part_of_at`), so a scan
-//! that started before a migration committed still sees the vertex at
-//! its old partition (where the frozen source copy is retained until the
-//! stub retires — DESIGN.md §14), while new traverser *spawns* route by
-//! the current version and are corrected by the source-side forwarding
-//! stub if they raced a commit.
-//!
-//! Hot path: when no migration has ever committed (`version == 0`) the
-//! lookup is a single relaxed atomic load plus, for Fennel-placed
-//! graphs, one immutable hash-map probe — no lock is taken.
+//! Placement is decided once, when the graph is built, and never changes:
+//! a vertex lives where the routing table says for the graph's whole
+//! lifetime (DESIGN.md §14). The lookup is one immutable hash-map probe
+//! plus the hash — no lock, no atomic.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use graphdance_common::{FxHashMap, PartId, Partitioner, VertexId};
 
-use parking_lot::RwLock;
-
-use graphdance_common::{FxHashMap, PartId, Partitioner, VertexId, WorkerId};
-
-/// Routing version used to resolve "current" ownership.
-pub const ROUTING_NOW: u64 = u64::MAX;
-
-/// The versioned routing table (see module docs). One per [`crate::Graph`],
-/// shared by every worker through the graph's `Arc`.
+/// The immutable routing table (see module docs). One per
+/// [`crate::Graph`], shared by every worker through the graph's `Arc`.
+#[derive(Debug)]
 pub struct RoutingTable {
     base: Partitioner,
     /// Graph-aware initial placement: overrides the hash for the listed
-    /// vertices at *every* version. Immutable after build, so reads are
-    /// lock-free.
-    initial: Arc<FxHashMap<VertexId, PartId>>,
-    /// Highest committed routing version; `0` means no vertex has ever
-    /// migrated and the lock below is never taken on the read path.
-    // sync: monotonic publish — stored with Release *after* the move is
-    // visible in `moves` (both happen under the write lock), loaded with
-    // Acquire on the lock-free fast path
-    // lint: allow(adhoc-counter) routing version, not a metric
-    version: AtomicU64,
-    /// Per-vertex committed moves `(version, dest)`, version ascending.
-    moves: RwLock<FxHashMap<VertexId, Vec<(u64, PartId)>>>,
-    /// Set when some partition physically holds a vertex it does not
-    /// route (a migrated segment installed but not yet committed, or a
-    /// retained frozen source copy). Scans must then apply the ownership
-    /// filter even at version 0, or the install→commit window would
-    /// double-count the vertex.
-    // lint: allow(adhoc-counter) divergence latch, not a metric
-    dirty: AtomicBool,
-}
-
-impl std::fmt::Debug for RoutingTable {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RoutingTable")
-            .field("base", &self.base)
-            .field("initial_overrides", &self.initial.len())
-            // sync: diagnostic-only read; Debug output needs no ordering
-            .field("version", &self.version.load(Ordering::Relaxed))
-            .finish()
-    }
+    /// vertices. Fixed at build.
+    initial: FxHashMap<VertexId, PartId>,
 }
 
 impl RoutingTable {
@@ -72,34 +27,7 @@ impl RoutingTable {
 
     /// Hash routing with a graph-aware initial placement layered on top.
     pub fn with_initial(base: Partitioner, initial: FxHashMap<VertexId, PartId>) -> Self {
-        RoutingTable {
-            base,
-            initial: Arc::new(initial),
-            // lint: allow(adhoc-counter) routing version, not a metric
-            version: AtomicU64::new(0),
-            moves: RwLock::new(FxHashMap::default()),
-            dirty: AtomicBool::new(false),
-        }
-    }
-
-    /// Latch that physical placement has diverged from routed ownership
-    /// (a segment copy exists somewhere it does not route). Sticky: the
-    /// retained-source-copy window reopens on every migration, so scans
-    /// keep filtering once any migration has started.
-    pub fn mark_physical_divergence(&self) {
-        // sync: sticky one-way latch — Release pairs with the Acquire
-        // load in physically_diverged; latched before the segment install
-        // that creates the divergence becomes visible
-        self.dirty.store(true, Ordering::Release);
-    }
-
-    /// Whether scans must apply the ownership filter even at version 0.
-    #[inline]
-    pub fn physically_diverged(&self) -> bool {
-        // sync: pairs with the Release store in mark_physical_divergence;
-        // a stale false is impossible once the installing worker's message
-        // is delivered (channel edge orders the latch before the data)
-        self.dirty.load(Ordering::Acquire)
+        RoutingTable { base, initial }
     }
 
     /// The underlying hash partitioner / cluster topology.
@@ -108,103 +36,18 @@ impl RoutingTable {
         self.base
     }
 
-    /// Highest committed routing version (0 = no migrations yet).
-    #[inline]
-    pub fn version(&self) -> u64 {
-        // sync: pairs with the Release store in commit_move — a reader
-        // seeing version v also sees every move entry up to v
-        self.version.load(Ordering::Acquire)
-    }
-
     /// Number of vertices whose initial placement overrides the hash.
     pub fn initial_overrides(&self) -> usize {
         self.initial.len()
     }
 
+    /// Owner of `v`.
     #[inline]
-    fn initial_or_base(&self, v: VertexId) -> PartId {
+    pub fn part_of(&self, v: VertexId) -> PartId {
         match self.initial.get(&v) {
             Some(p) => *p,
             None => self.base.part_of(v),
         }
-    }
-
-    /// Owner of `v` as seen by a reader pinned at routing version `at`
-    /// (a query's submit-time snapshot). [`ROUTING_NOW`] resolves the
-    /// current owner.
-    pub fn part_of_at(&self, v: VertexId, at: u64) -> PartId {
-        // sync: lock-free fast path — Acquire pairs with commit_move's
-        // Release store, so version 0 guarantees `moves` is empty
-        if self.version.load(Ordering::Acquire) == 0 {
-            return self.initial_or_base(v);
-        }
-        // lint: allow(hot-path-blocking) taken only once a migration has
-        // committed; uncontended outside the rebalance window
-        let moves = self.moves.read();
-        match moves.get(&v) {
-            Some(log) => log
-                .iter()
-                .rev()
-                .find(|(ver, _)| *ver <= at)
-                .map(|(_, p)| *p)
-                .unwrap_or_else(|| self.initial_or_base(v)),
-            None => self.initial_or_base(v),
-        }
-    }
-
-    /// Current owner of `v`.
-    #[inline]
-    pub fn part_of(&self, v: VertexId) -> PartId {
-        self.part_of_at(v, ROUTING_NOW)
-    }
-
-    /// Current owning worker of `v` (partitions map 1:1 onto workers).
-    #[inline]
-    pub fn worker_of(&self, v: VertexId) -> WorkerId {
-        self.base.worker_of_part(self.part_of(v))
-    }
-
-    /// Commit a migration of `v` to `to`, returning the new routing
-    /// version. Queries submitted at or after the returned version route
-    /// `v` to `to`; earlier queries keep resolving the old owner.
-    pub fn commit_move(&self, v: VertexId, to: PartId) -> u64 {
-        let mut moves = self.moves.write();
-        // sync: single writer — the version bump is serialized by the
-        // write lock, so the Relaxed read cannot race another bump
-        let ver = self.version.load(Ordering::Relaxed) + 1;
-        moves.entry(v).or_default().push((ver, to));
-        // sync: Release pairs with the Acquire fast-path/version loads —
-        // the move entry above happens-before any reader that sees `ver`
-        self.version.store(ver, Ordering::Release);
-        ver
-    }
-
-    /// Every vertex whose *current* owner differs from its hash home,
-    /// with that owner — sorted by vertex id for deterministic iteration.
-    /// Drives the edge-cut gauge and the rebalance planner's balance view.
-    pub fn current_overrides(&self) -> Vec<(VertexId, PartId)> {
-        let mut out: Vec<(VertexId, PartId)> = Vec::new();
-        for (v, p) in self.initial.iter() {
-            out.push((*v, *p));
-        }
-        {
-            // lint: allow(lock-order) false positive — the tracker's
-            // `inner` mutex (engine::rebalance) and this `moves` lock are
-            // never held simultaneously; the shared-name edge comes from
-            // unrelated callgraph fan-out through Partitioner::part_of
-            let moves = self.moves.read();
-            for (v, log) in moves.iter() {
-                if let Some((_, p)) = log.last() {
-                    match out.iter_mut().find(|(ov, _)| ov == v) {
-                        Some(slot) => slot.1 = *p,
-                        None => out.push((*v, *p)),
-                    }
-                }
-            }
-        }
-        out.retain(|(v, p)| *p != self.base.part_of(*v));
-        out.sort_unstable_by_key(|(v, _)| v.0);
-        out
     }
 }
 
@@ -218,13 +61,11 @@ mod tests {
         for i in 0..100u64 {
             let v = VertexId(i);
             assert_eq!(rt.part_of(v), rt.base().part_of(v));
-            assert_eq!(rt.part_of_at(v, 0), rt.base().part_of(v));
         }
-        assert_eq!(rt.version(), 0);
     }
 
     #[test]
-    fn initial_placement_overrides_hash_at_all_versions() {
+    fn initial_placement_overrides_hash() {
         let base = Partitioner::new(2, 2);
         let mut init = FxHashMap::default();
         let v = VertexId(7);
@@ -233,41 +74,6 @@ mod tests {
         init.insert(v, away);
         let rt = RoutingTable::with_initial(base, init);
         assert_eq!(rt.part_of(v), away);
-        assert_eq!(rt.part_of_at(v, 0), away);
         assert_eq!(rt.part_of(VertexId(8)), base.part_of(VertexId(8)));
-    }
-
-    #[test]
-    fn moves_are_version_pinned() {
-        let base = Partitioner::new(2, 2);
-        let rt = RoutingTable::new(base);
-        let v = VertexId(3);
-        let home = base.part_of(v);
-        let away = PartId((home.0 + 1) % base.num_parts());
-        let far = PartId((home.0 + 2) % base.num_parts());
-        let v1 = rt.commit_move(v, away);
-        assert_eq!(v1, 1);
-        let v2 = rt.commit_move(v, far);
-        assert_eq!(v2, 2);
-        // A reader pinned before the first commit still sees the hash home.
-        assert_eq!(rt.part_of_at(v, 0), home);
-        assert_eq!(rt.part_of_at(v, v1), away);
-        assert_eq!(rt.part_of_at(v, v2), far);
-        assert_eq!(rt.part_of(v), far);
-        assert_eq!(rt.version(), 2);
-    }
-
-    #[test]
-    fn current_overrides_reflects_latest_state() {
-        let base = Partitioner::new(2, 2);
-        let rt = RoutingTable::new(base);
-        let v = VertexId(11);
-        let home = base.part_of(v);
-        let away = PartId((home.0 + 1) % base.num_parts());
-        rt.commit_move(v, away);
-        assert_eq!(rt.current_overrides(), vec![(v, away)]);
-        // Moving back home removes the override.
-        rt.commit_move(v, home);
-        assert!(rt.current_overrides().is_empty());
     }
 }

@@ -133,19 +133,6 @@ impl TelList {
         }
     }
 
-    /// All log entries, every version, in append order. The wire codec uses
-    /// this to serialize migration segments without re-deriving visibility.
-    pub fn entries(&self) -> &[TelEntry] {
-        &self.entries
-    }
-
-    /// Rebuild a log from entries decoded off the wire. The entries must be
-    /// in the original append order (the codec preserves it), otherwise
-    /// [`TelList::delete`]'s backwards scan could stamp the wrong version.
-    pub fn from_entries(entries: Vec<TelEntry>) -> Self {
-        Self { entries }
-    }
-
     /// Approximate heap bytes used by this log (for the Table II "raw size"
     /// report and the single-node memory-capacity simulation).
     pub fn approx_bytes(&self) -> usize {

@@ -68,8 +68,8 @@ fn parse_args() -> Result<Args, String> {
     if repro.faults != Default::default() {
         return Err("fault injection is sim-only; refuse to serve a faulty repro".into());
     }
-    if repro.svc.is_some() || repro.part.is_some() {
-        return Err("svc=/part= workloads are sim-only; serve a plain repro".into());
+    if repro.svc.is_some() {
+        return Err("svc= workloads are sim-only; serve a plain repro".into());
     }
     Ok(Args {
         node: node.ok_or("missing --node")?,
@@ -103,7 +103,9 @@ fn serve(args: Args) -> Result<(), String> {
 
     // Deterministic replica of the cluster's data — identical in every
     // process because it derives only from the repro line.
-    let graph = repro.graph.build(repro.nodes, repro.workers);
+    let graph = repro
+        .graph
+        .build_with_mode(repro.nodes, repro.workers, repro.part);
     let config = EngineConfig::new(repro.nodes, repro.workers)
         .with_seed(repro.seed)
         .with_io_mode(repro.io);

@@ -313,7 +313,6 @@ fn hostile_depths_over_live_socket_are_queued_and_run() {
         plan: qb.compile().expect("plan"),
         params: vec![Value::Vertex(VertexId(0))],
         read_ts: 1,
-        routing_version: 0,
     });
     tx.send(WorkerMsg::QueryBegin {
         ctx,

@@ -1,19 +1,7 @@
-//! Migration-safety DST (`part=` repros): live single-vertex migrations
-//! interleaved with a concurrent query batch, under clean and lossy
-//! fault schedules.
-//!
-//! The safety property for live migration: a lossy network may *stall*
-//! a move mid-protocol (a dropped `MigrateInstall` leaves the segment
-//! frozen at the source, a dropped `MigrateRetire` leaves the
-//! forwarding stub armed) — that surfaces as a flagged run — but the
-//! queries racing the move must still match the oracle or be flagged,
-//! the cluster must still drain, and the whole interleaving must replay
-//! bit-identically from the repro line. On a clean network every
-//! injected migration must complete the full
-//! freeze→install→commit→retire protocol.
-//!
-//! And what Fennel placement is for: fewer traversers crossing partitions
-//! on a community-structured graph than hash placement sends.
+//! Placement DST (`part=` repros): Fennel placement changes where vertices
+//! live, never what a query answers — and it is worth having: fewer
+//! traversers cross partitions on a community-structured graph than under
+//! hash placement.
 
 use graphdance::common::rng::seeded;
 use graphdance::common::{Partitioner, Value};
@@ -24,186 +12,46 @@ use graphdance::query::plan::{Order, Plan};
 use graphdance::query::QueryBuilder;
 use graphdance::storage::Graph;
 use graphdance_sim::{
-    adjacency, balance_ok, check_partition_detailed, partition_stream, FennelConfig, GraphSpec,
-    PartSpec, PartitionMode, QuerySpec, Repro, SimFailure, Verdict, VertexId,
+    adjacency, balance_ok, check, oracle_rows, partition_stream, FennelConfig, GraphSpec,
+    PartitionMode, QuerySpec, Repro, SimFailure, Verdict, VertexId,
 };
 use rand::Rng;
 
-fn seeds() -> u64 {
-    std::env::var("SIM_SEEDS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(40)
-}
-
-fn base(mode: PartitionMode, migrations: u16, every: u16) -> Repro {
-    Repro::clean(
-        GraphSpec::Ring { n: 20 },
-        QuerySpec::Khop { hops: 3, start: 0 },
-        2,
-        2,
-        0,
-    )
-    .with_part(PartSpec {
-        mode,
-        mig_seed: 0x9e37,
-        migrations,
-        every,
-    })
-}
-
-/// Fault-free migrations racing a query batch: every query matches the
-/// oracle mid-migration, every injected move completes the full
-/// protocol, and the cluster drains.
+/// 256 fixed seeds, starts spread over the ring: a Fennel-placed run and a
+/// hash-placed run of the same line both match the oracle, and the oracle
+/// answers the same on either placement — placement is invisible to query
+/// semantics.
 #[test]
-fn clean_migrations_complete_and_match_across_seeds() {
-    for mode in [PartitionMode::Hash, PartitionMode::Fennel] {
-        let mut total_done = 0u64;
-        for seed in 0..seeds() {
-            let repro = Repro {
-                seed,
-                ..base(mode, 4, 12)
-            };
-            let report = check_partition_detailed(&repro);
-            if report.verdict != Verdict::Match {
-                panic!(
-                    "{}",
-                    SimFailure {
-                        repro,
-                        verdict: report.verdict
-                    }
-                );
-            }
-            assert!(report.quiesced, "seed {seed} ({mode}) leaked: {report:?}");
-            assert_eq!(
-                report.migrations_done, report.injected,
-                "seed {seed} ({mode}): clean network must complete every move: {report:?}"
-            );
-            assert_eq!(report.migrations_pending, 0, "seed {seed} ({mode})");
-            total_done += report.migrations_done;
-        }
-        assert!(total_done > 0, "{mode}: no migration ever ran");
-    }
-}
-
-/// Migrations under drop/dup faults: a lost control-plane leg may stall
-/// a move (flagged) or cost a query its answer (flagged), but never a
-/// hang, a leak, or a silent wrong answer.
-#[test]
-fn migration_under_lossy_faults_never_corrupts() {
-    let mut lossy_runs = 0u64;
-    let mut stalled = 0u64;
-    for seed in 0..seeds() {
-        let mut repro = Repro {
-            seed,
-            ..base(PartitionMode::Fennel, 4, 8)
-        };
-        repro.faults.drop_permille = 60;
-        repro.faults.dup_permille = 60;
-        repro.faults.reorder_permille = 200;
-        let report = check_partition_detailed(&repro);
-        if report.faults_fired.lossy() {
-            lossy_runs += 1;
-        }
-        stalled += report.migrations_pending;
-        if !report.verdict.acceptable() {
-            panic!(
-                "{}",
-                SimFailure {
-                    repro,
-                    verdict: report.verdict
-                }
-            );
-        }
-    }
-    assert!(lossy_runs > 0, "the fault schedule never fired");
-    // Not asserted > 0: dropped *query* batches can flag a run before a
-    // migration leg is ever lost. `stalled` is tracked so a sweep where
-    // migrations do stall exercises the Flagged path above.
-    let _ = stalled;
-}
-
-/// Benign perturbations (reorder, delay spikes, worker stalls) deliver
-/// every control-plane leg eventually: answers and the migration
-/// protocol must both ride them out.
-#[test]
-fn migration_under_benign_faults_still_completes() {
-    for seed in 0..seeds() {
-        let mut repro = Repro {
-            seed,
-            ..base(PartitionMode::Fennel, 3, 10)
-        };
-        repro.faults.reorder_permille = 300;
-        repro.faults.delay_permille = 200;
-        repro.faults.delay_spike = std::time::Duration::from_micros(400);
-        repro.faults.stall_permille = 100;
-        repro.faults.stall = std::time::Duration::from_micros(800);
-        let report = check_partition_detailed(&repro);
-        if !report.verdict.acceptable() {
-            panic!(
-                "{}",
-                SimFailure {
-                    repro,
-                    verdict: report.verdict
-                }
-            );
-        }
-        assert!(report.quiesced, "seed {seed} leaked: {report:?}");
-        if report.verdict == Verdict::Match {
-            assert_eq!(
-                report.migrations_done, report.injected,
-                "seed {seed}: nothing was lost, every move must land: {report:?}"
-            );
-        }
-    }
-}
-
-/// The whole migration interleaving — arrivals, freeze/install/commit/
-/// retire legs, faults, drain — replays bit-identically from the line.
-#[test]
-fn migration_schedules_replay_bit_identically() {
-    for seed in 0..seeds().min(10) {
-        let mut repro = Repro {
-            seed,
-            ..base(PartitionMode::Fennel, 4, 8)
-        };
-        repro.faults.drop_permille = 40;
-        repro.faults.reorder_permille = 150;
-        let line = repro.to_line();
-        let reparsed = Repro::parse(&line).expect("partition repro line parses");
-        assert_eq!(reparsed, repro, "line was: {line}");
-        let a = check_partition_detailed(&repro);
-        let b = check_partition_detailed(&reparsed);
-        assert_eq!(a.verdict, b.verdict, "replay of {line}");
-        assert_eq!(a.fingerprint, b.fingerprint, "replay of {line}");
-        assert_eq!(a.trace_len, b.trace_len, "replay of {line}");
-        assert_eq!(a.steps, b.steps, "replay of {line}");
-        assert_eq!(a.migrations_done, b.migrations_done, "replay of {line}");
-    }
-}
-
-/// 256 fixed seeds: a Fennel-placed run with live migrations yields
-/// exactly the row multisets of the static hash-partitioned run —
-/// placement and migration are invisible to query semantics.
-#[test]
-fn fennel_migrated_rows_equal_hash_rows_across_256_seeds() {
+fn fennel_rows_equal_hash_rows_across_256_seeds() {
+    let spec = GraphSpec::Ring { n: 20 };
     for seed in 0..256u64 {
-        let migrated = Repro {
-            seed,
-            ..base(PartitionMode::Fennel, 3, 9)
+        let query = QuerySpec::Khop {
+            hops: 3,
+            start: seed % 20,
         };
-        let static_hash = Repro {
-            seed,
-            ..base(PartitionMode::Hash, 0, 9)
+        let want = |mode| {
+            let g = spec.build_with_mode(2, 2, mode);
+            let (plan, params) = query.build(&g);
+            let mut rows: Vec<String> = oracle_rows(&g, &plan, &params, 1, seed)
+                .unwrap()
+                .iter()
+                .map(|r| format!("{r:?}"))
+                .collect();
+            rows.sort();
+            rows
         };
-        let m = check_partition_detailed(&migrated);
-        let h = check_partition_detailed(&static_hash);
-        assert_eq!(m.verdict, Verdict::Match, "seed {seed}: {m:?}");
-        assert_eq!(h.verdict, Verdict::Match, "seed {seed}: {h:?}");
         assert_eq!(
-            m.rows, h.rows,
-            "seed {seed}: migration or placement changed an answer"
+            want(PartitionMode::Fennel),
+            want(PartitionMode::Hash),
+            "seed {seed}: placement changed the oracle's answer"
         );
+        for mode in [PartitionMode::Hash, PartitionMode::Fennel] {
+            let repro = Repro::clean(spec, query, 2, 2, seed).with_part(mode);
+            let verdict = check(&repro);
+            if verdict != Verdict::Match {
+                panic!("{}", SimFailure { repro, verdict });
+            }
+        }
     }
 }
 

@@ -17,8 +17,9 @@
 //!    destination worker arrive exactly once, in send order, in both
 //!    directions of the mesh; on the socket backends each flushed batch
 //!    costs the sender at most one frame and two write calls;
-//! 2. **control legs** — cancel and migration control messages survive the
-//!    wire with field-exact round-trips, in both directions, and every
+//! 2. **control legs** — cancel, stage and end messages out to a worker,
+//!    error and rows back to the coordinator, survive the wire with
+//!    field-exact round-trips, in both directions, and every
 //!    backend counts the same payload bytes for them;
 //! 3. **flush observability** — threshold flushes are recorded in the
 //!    flush trace with the correct trigger;
@@ -40,11 +41,11 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use crossbeam::channel::{unbounded, Receiver};
-use graphdance::common::{NodeId, QueryId, VertexId, WorkerId};
+use graphdance::common::{GdError, NodeId, QueryId, VertexId, WorkerId};
 use graphdance::engine::messages::{CoordMsg, WorkerMsg};
 use graphdance::engine::net::{Outbox, PACKET_HEADER_BYTES};
 use graphdance::engine::{
-    EngineConfig, Fabric, FlushTrigger, IoMode, MigPhase, MsgLedger, SocketFamily, TcpTransport,
+    EngineConfig, Fabric, FlushTrigger, IoMode, MsgLedger, SocketFamily, TcpTransport,
 };
 use graphdance::pstm::{Traverser, Weight};
 
@@ -305,7 +306,7 @@ fn per_lane_fifo_without_loss_on_every_backend() {
 }
 
 // ---------------------------------------------------------------------------
-// 2. Control legs: cancel + migration phases, both directions
+// 2. Control legs: cancel, stage and end out; error and rows back
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -319,64 +320,42 @@ fn control_legs_round_trip_on_every_backend() {
         ob0.send_ctrl_worker(WorkerId(3), WorkerMsg::CancelQuery { query: QueryId(9) });
         ob0.send_ctrl_worker(
             WorkerId(3),
-            WorkerMsg::MigrateFreeze {
-                seq: 41,
-                v: VertexId(17),
-                to: graphdance::common::PartId(1),
+            WorkerMsg::StageBegin {
+                query: QueryId(9),
+                stage: 2,
             },
         );
-        ob0.send_ctrl_worker(
-            WorkerId(3),
-            WorkerMsg::MigrateCommit {
-                seq: 41,
-                v: VertexId(17),
-                to: graphdance::common::PartId(1),
-                version: 7,
-            },
-        );
+        ob0.send_ctrl_worker(WorkerId(3), WorkerMsg::QueryEnd { query: QueryId(9) });
         ob0.flush_all();
         match cluster.worker_rx(3).recv_timeout(RECV_TIMEOUT).unwrap() {
             WorkerMsg::CancelQuery { query } => assert_eq!(query, QueryId(9)),
             other => panic!("[{backend:?}] expected CancelQuery, got {other:?}"),
         }
         match cluster.worker_rx(3).recv_timeout(RECV_TIMEOUT).unwrap() {
-            WorkerMsg::MigrateFreeze { seq, v, to } => {
-                assert_eq!(
-                    (seq, v, to),
-                    (41, VertexId(17), graphdance::common::PartId(1))
-                );
+            WorkerMsg::StageBegin { query, stage } => {
+                assert_eq!((query, stage), (QueryId(9), 2));
             }
-            other => panic!("[{backend:?}] expected MigrateFreeze, got {other:?}"),
+            other => panic!("[{backend:?}] expected StageBegin, got {other:?}"),
         }
         match cluster.worker_rx(3).recv_timeout(RECV_TIMEOUT).unwrap() {
-            WorkerMsg::MigrateCommit {
-                seq,
-                v,
-                to,
-                version,
-            } => {
-                assert_eq!(
-                    (seq, v, to, version),
-                    (41, VertexId(17), graphdance::common::PartId(1), 7)
-                );
-            }
-            other => panic!("[{backend:?}] expected MigrateCommit, got {other:?}"),
+            WorkerMsg::QueryEnd { query } => assert_eq!(query, QueryId(9)),
+            other => panic!("[{backend:?}] expected QueryEnd, got {other:?}"),
         }
 
         // Worker-side legs (node 1 → the coordinator on node 0).
         let mut ob1 = cluster.outbox(NodeId(1));
-        ob1.send_ctrl_coord(CoordMsg::MigrateAck {
-            seq: 41,
-            v: VertexId(17),
-            phase: MigPhase::Committed,
+        let error = GdError::TxnAborted("write conflict on v17".into());
+        ob1.send_ctrl_coord(CoordMsg::WorkerError {
+            query: QueryId(9),
+            error: error.clone(),
         });
         ob1.send_rows(QueryId(9), vec![vec![graphdance::common::Value::Int(5)]]);
         ob1.flush_all();
         match cluster.coord_rx().recv_timeout(RECV_TIMEOUT).unwrap() {
-            CoordMsg::MigrateAck { seq, v, phase } => {
-                assert_eq!((seq, v, phase), (41, VertexId(17), MigPhase::Committed));
+            CoordMsg::WorkerError { query, error: got } => {
+                assert_eq!((query, got), (QueryId(9), error));
             }
-            other => panic!("[{backend:?}] expected MigrateAck, got {other:?}"),
+            other => panic!("[{backend:?}] expected WorkerError, got {other:?}"),
         }
         match cluster.coord_rx().recv_timeout(RECV_TIMEOUT).unwrap() {
             CoordMsg::Rows { query, rows } => {
