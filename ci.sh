@@ -22,8 +22,9 @@ cargo xtask check --deep
 
 echo "==> cargo test --workspace (debug: runtime invariant checkers active)"
 # Includes graphdance-bench's recorded_gates_within_budget (the two
-# committed timing records) and pstm's live allocation floor,
-# arena_equivalence::arena_path_allocates_at_most_55_percent_per_step.
+# committed timing records) and the live allocation floor beside the
+# oracle (-p graphdance-sim --test arena_equivalence),
+# arena_path_allocates_at_most_55_percent_per_step.
 cargo test -q --workspace
 
 echo "==> vendored crossbeam shim: its own tests (vendor/ is outside the workspace)"

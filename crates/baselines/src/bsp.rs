@@ -10,9 +10,10 @@
 //! submissions serialize on the driver lock, which is precisely the
 //! concurrency weakness the paper attributes to BSP systems.
 //!
-//! The engine shares the storage, plan interpreter, memo semantics, and the
-//! simulated network fabric with GraphDance, so latency differences isolate
-//! BSP-vs-asynchronous scheduling.
+//! The engine shares the storage, the arena step
+//! ([`graphdance_pstm::Interpreter::run_handle`]) and its memory layout,
+//! memo semantics, and the simulated network fabric with GraphDance, so
+//! latency differences isolate BSP-vs-asynchronous scheduling.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -29,18 +30,14 @@ use graphdance_engine::config::EngineConfig;
 use graphdance_engine::messages::{BspSignal, CoordMsg, QueryCtx, WorkerMsg};
 use graphdance_engine::net::{Fabric, NetStatsSnapshot, Outbox};
 use graphdance_engine::QueryResult;
-use graphdance_pstm::{AggState, Memo, Row, Traverser, Weight, WeightLedger};
+use graphdance_pstm::{
+    AggState, ExpandCache, HandleOutcome, LocalsTable, Memo, Row, Traverser, TraverserArena,
+    TraverserHandle, Weight, WeightLedger,
+};
 use graphdance_query::plan::{Plan, SourceSpec};
 use graphdance_storage::Graph;
 
 use crate::traits::QueryEngine;
-
-/// Per-query state at a BSP worker.
-#[derive(Default)]
-struct BspQuery {
-    parked: Vec<Traverser>,
-    parked_weight: Weight,
-}
 
 struct BspWorker {
     id: WorkerId,
@@ -49,13 +46,47 @@ struct BspWorker {
     outbox: Outbox,
     memo: Memo,
     queries: FxHashMap<QueryId, (Arc<QueryCtx>, u16)>,
-    state: FxHashMap<QueryId, BspQuery>,
+    /// Each query's parked frontier, as arena handles.
+    parked: FxHashMap<QueryId, Vec<TraverserHandle>>,
+    /// Slab of the traversers parked or running here; one leaves it for
+    /// the wire only at the outbox, as on the asynchronous worker.
+    arena: TraverserArena,
+    /// The arena traversers' interned register files.
+    locals: LocalsTable,
+    /// Adjacency memo, reset every superstep.
+    cache: ExpandCache,
+    /// Reused outcome buffers.
+    scratch: HandleOutcome,
     rng: SmallRng,
     /// Debug-build weight-conservation checker (no-op in release).
     ledger: WeightLedger,
 }
 
 impl BspWorker {
+    fn new(
+        id: WorkerId,
+        graph: Graph,
+        fabric: &Arc<Fabric>,
+        inbox: Receiver<WorkerMsg>,
+        seed: u64,
+    ) -> Self {
+        BspWorker {
+            id,
+            graph,
+            inbox,
+            outbox: fabric.outbox(fabric.partitioner().node_of_worker(id)),
+            memo: Memo::new(),
+            queries: FxHashMap::default(),
+            parked: FxHashMap::default(),
+            arena: TraverserArena::new(),
+            locals: LocalsTable::new(),
+            cache: ExpandCache::new(),
+            scratch: HandleOutcome::new(),
+            rng: graphdance_common::rng::derive(seed, 0x1000 + id.0 as u64),
+            ledger: WeightLedger::new(),
+        }
+    }
+
     fn run(mut self) {
         while let Ok(msg) = self.inbox.recv() {
             match msg {
@@ -68,22 +99,18 @@ impl BspWorker {
     fn handle(&mut self, msg: WorkerMsg) {
         match msg {
             WorkerMsg::QueryBegin { ctx, stage, .. } => {
-                let q = ctx.query;
-                self.queries.insert(q, (ctx, stage));
-                self.state.entry(q).or_default();
+                self.queries.insert(ctx.query, (ctx, stage));
             }
             WorkerMsg::StageBegin { query, stage } => {
                 if let Some((_, s)) = self.queries.get_mut(&query) {
                     *s = stage;
                 }
                 let _ = self.memo.query_mut(query).take_stage_state();
-                self.state.insert(query, BspQuery::default());
+                self.release(query);
             }
             WorkerMsg::Batch(ts) => {
                 for t in ts {
-                    let s = self.state.entry(t.query).or_default();
-                    s.parked_weight.absorb(t.weight);
-                    s.parked.push(t);
+                    self.park(t);
                 }
             }
             WorkerMsg::StartSource {
@@ -97,10 +124,8 @@ impl BspWorker {
                 self.run_step(query, depth);
             }
             WorkerMsg::Bsp(BspSignal::Probe { query, round }) => {
-                let parked = self
-                    .state
-                    .get(&query)
-                    .map_or(Weight::ZERO, |s| s.parked_weight);
+                let parked = (self.parked.get(&query).into_iter().flatten())
+                    .fold(Weight::ZERO, |acc, h| acc.add(self.arena.get(*h).weight));
                 self.outbox.send_ctrl_coord(CoordMsg::BspParked {
                     query,
                     part: self.id.part(),
@@ -120,13 +145,27 @@ impl BspWorker {
             WorkerMsg::QueryEnd { query } => {
                 self.memo.clear_query(query);
                 self.queries.remove(&query);
-                self.state.remove(&query);
+                self.release(query);
             }
             WorkerMsg::CancelQuery { .. } => {
                 // The BSP driver never issues cancels; the async engine's
                 // drain protocol does not apply to the superstep barrier.
             }
             WorkerMsg::Shutdown => unreachable!("handled in run()"),
+        }
+    }
+
+    /// Intern a wire traverser into the arena and park it for a later
+    /// superstep.
+    fn park(&mut self, t: Traverser) {
+        let parked = self.parked.entry(t.query).or_default();
+        parked.push(self.arena.admit(t, &mut self.locals));
+    }
+
+    /// Drop `query`'s parked frontier, freeing its arena slots and locals.
+    fn release(&mut self, query: QueryId) {
+        for h in self.parked.remove(&query).into_iter().flatten() {
+            self.arena.discard(h, &mut self.locals);
         }
     }
 
@@ -150,13 +189,10 @@ impl BspWorker {
                     return;
                 }
                 let mut issued = Weight::ZERO;
-                let mut count = 0u64;
-                let s = self.state.entry(query).or_default();
+                let count = out.spawned.len() as u64;
                 for (_, t) in out.spawned {
                     issued.absorb(t.weight);
-                    s.parked_weight.absorb(t.weight);
-                    s.parked.push(t);
-                    count += 1;
+                    self.park(t);
                 }
                 self.outbox.send_ctrl_coord(CoordMsg::BspStepDone {
                     query,
@@ -166,6 +202,7 @@ impl BspWorker {
                     count,
                     consumed: Weight::ZERO,
                     consumed_count: 0,
+                    steps: 0,
                 });
             }
             Err(e) => {
@@ -191,62 +228,69 @@ impl BspWorker {
             return;
         };
         let (ctx, stage) = (Arc::clone(ctx), *stage);
-        let mut queue = {
-            let s = self.state.entry(query).or_default();
-            let all = std::mem::take(&mut s.parked);
-            let (runnable, keep): (Vec<_>, Vec<_>) =
-                all.into_iter().partition(|t| t.depth <= depth);
-            s.parked_weight = keep.iter().fold(Weight::ZERO, |acc, t| acc.add(t.weight));
-            s.parked = keep;
-            runnable
-        };
-        let consumed = queue.iter().fold(Weight::ZERO, |acc, t| acc.add(t.weight));
+        let (arena, parked) = (&self.arena, self.parked.entry(query).or_default());
+        let (mut queue, keep): (Vec<_>, Vec<_>) = std::mem::take(parked)
+            .into_iter()
+            .partition(|h| arena.get(*h).depth <= depth);
+        *parked = keep;
+        let consumed = (queue.iter()).fold(Weight::ZERO, |acc, h| acc.add(arena.get(*h).weight));
         let consumed_count = queue.len() as u64;
-        let mut finished = Weight::ZERO;
-        let mut issued = Weight::ZERO;
-        let mut count = 0u64;
-        while let Some(t) = queue.pop() {
-            let input = t.weight;
-            let interp = ctx.interpreter(&self.graph, stage);
-            let out = {
-                let part = self.graph.read(self.id.part());
-                interp.run_traverser(t, &part, self.memo.query_mut(query), &mut self.rng)
+        let (mut finished, mut issued, mut count, mut steps) = (Weight::ZERO, Weight::ZERO, 0, 0);
+        let interp = ctx.interpreter(&self.graph, stage);
+        let own = self.id.part();
+        let out = &mut self.scratch;
+        self.cache.begin_quantum();
+        while let Some(h) = queue.pop() {
+            let input = self.arena.get(h).weight;
+            let result = {
+                let part = self.graph.read(own);
+                interp.run_handle(
+                    h,
+                    &mut self.arena,
+                    &mut self.locals,
+                    &mut self.cache,
+                    &part,
+                    self.memo.query_mut(query),
+                    &mut self.rng,
+                    out,
+                )
             };
-            let out = match out {
-                Ok(o) => o,
-                Err(e) => {
-                    self.outbox
-                        .send_ctrl_coord(CoordMsg::WorkerError { query, error: e });
-                    return;
+            let checked = result.and_then(|()| {
+                (self.ledger.check_step_arena(query, input, out, &self.arena))
+                    .map_err(GdError::InvariantViolation)
+            });
+            if let Err(error) = checked {
+                // Free the step's children and the rest of the frontier;
+                // what is parked goes at `QueryEnd`.
+                for h in out.spawned.drain(..).map(|(_, h)| h).chain(queue) {
+                    self.arena.discard(h, &mut self.locals);
                 }
-            };
-            if let Err(diag) = self.ledger.check_step(query, input, &out) {
-                self.outbox.send_ctrl_coord(CoordMsg::WorkerError {
-                    query,
-                    error: GdError::InvariantViolation(diag),
-                });
+                self.outbox
+                    .send_ctrl_coord(CoordMsg::WorkerError { query, error });
                 return;
             }
-            for (dest, t) in out.spawned {
-                if dest == self.id.part() && t.depth <= depth {
+            steps += u64::from(out.steps_executed);
+            for (dest, h) in out.spawned.drain(..) {
+                let child = self.arena.get(h);
+                if dest == own && child.depth <= depth {
                     // Same superstep (e.g. a LoopEnd fork continuing the
                     // current frontier's expansion).
-                    queue.push(t);
-                } else if dest == self.id.part() {
-                    issued.absorb(t.weight);
-                    count += 1;
-                    let s = self.state.entry(query).or_default();
-                    s.parked_weight.absorb(t.weight);
-                    s.parked.push(t);
+                    queue.push(h);
+                    continue;
+                }
+                issued.absorb(child.weight);
+                count += 1;
+                if dest == own {
+                    self.parked.entry(query).or_default().push(h);
                 } else {
-                    issued.absorb(t.weight);
-                    count += 1;
+                    let t = self.arena.extract(h, &mut self.locals);
                     self.outbox
                         .send_traverser(self.graph.partitioner().worker_of_part(dest), t);
                 }
             }
             if !out.emitted.is_empty() {
-                self.outbox.send_rows(query, out.emitted);
+                self.outbox
+                    .send_rows(query, std::mem::take(&mut out.emitted));
             }
             finished.absorb(out.finished);
         }
@@ -254,12 +298,13 @@ impl BspWorker {
         self.outbox.flush_all();
         self.outbox.send_ctrl_coord(CoordMsg::BspStepDone {
             query,
-            part: self.id.part(),
+            part: own,
             finished,
             issued,
             count,
             consumed,
             consumed_count,
+            steps,
         });
     }
 }
@@ -298,18 +343,13 @@ impl BspEngine {
         let (coord_tx, coord_rx) = unbounded();
         let (fabric, mut threads) = Fabric::new(&config, worker_tx.clone(), coord_tx);
         for (i, inbox) in worker_rx.into_iter().enumerate() {
-            let id = WorkerId(i as u32);
-            let worker = BspWorker {
-                id,
-                graph: graph.clone(),
+            let worker = BspWorker::new(
+                WorkerId(i as u32),
+                graph.clone(),
+                &fabric,
                 inbox,
-                outbox: fabric.outbox(fabric.partitioner().node_of_worker(id)),
-                memo: Memo::new(),
-                queries: FxHashMap::default(),
-                state: FxHashMap::default(),
-                rng: graphdance_common::rng::derive(config.seed, 0x1000 + i as u64),
-                ledger: WeightLedger::new(),
-            };
+                config.seed,
+            );
             threads.push(
                 std::thread::Builder::new()
                     .name(format!("bsp-worker-{i}"))
@@ -390,6 +430,7 @@ impl BspEngine {
             from: None,
         });
         let mut rows = Vec::new();
+        let mut steps = 0;
         let result = (|| -> GdResult<Vec<Row>> {
             let mut stage_rows: Vec<Row> = Vec::new();
             for stage_idx in 0..ctx.plan.stages.len() {
@@ -399,7 +440,8 @@ impl BspEngine {
                         stage: stage_idx as u16,
                     });
                 }
-                stage_rows = self.run_stage(&mut d, &ctx, stage_idx, stage_rows, deadline)?;
+                stage_rows =
+                    self.run_stage(&mut d, &ctx, stage_idx, stage_rows, deadline, &mut steps)?;
             }
             Ok(stage_rows)
         })();
@@ -415,14 +457,15 @@ impl BspEngine {
                     query,
                     rows,
                     latency: started.elapsed(),
-                    steps_executed: 0,
+                    steps_executed: steps,
                 })
             }
             Err(e) => Err(e),
         }
     }
 
-    /// Execute one stage as a sequence of supersteps.
+    /// Execute one stage as a sequence of supersteps, adding the plan
+    /// steps its workers report to `steps`.
     fn run_stage(
         &self,
         d: &mut Driver,
@@ -430,6 +473,7 @@ impl BspEngine {
         stage_idx: usize,
         prev_rows: Vec<Row>,
         deadline: Instant,
+        steps: &mut u64,
     ) -> GdResult<Vec<Row>> {
         let query = ctx.query;
         let stage = &ctx.plan.stages[stage_idx];
@@ -560,6 +604,7 @@ impl BspEngine {
                     count,
                     consumed,
                     consumed_count,
+                    steps: s,
                     ..
                 } = self.next_msg(d, query, deadline, &mut rows)?
                 {
@@ -568,6 +613,7 @@ impl BspEngine {
                         inflight_weight.absorb(issued);
                         inflight_weight = inflight_weight.sub(consumed);
                         inflight_count += count as i64 - consumed_count as i64;
+                        *steps += s;
                         replies += 1;
                     }
                 }
@@ -682,8 +728,8 @@ mod tests {
     use graphdance_query::QueryBuilder;
     use graphdance_storage::GraphBuilder;
 
-    fn ring(n: u64) -> Graph {
-        let mut b = GraphBuilder::new(Partitioner::new(2, 2));
+    fn ring(n: u64, parts: Partitioner) -> Graph {
+        let mut b = GraphBuilder::new(parts);
         let person = b.schema_mut().register_vertex_label("Person");
         let knows = b.schema_mut().register_edge_label("knows");
         let weight = b.schema_mut().register_prop("weight");
@@ -700,7 +746,7 @@ mod tests {
 
     #[test]
     fn bsp_khop_matches_expectation() {
-        let g = ring(32);
+        let g = ring(32, Partitioner::new(2, 2));
         let engine = BspEngine::start(g.clone(), EngineConfig::new(2, 2));
         let mut b = QueryBuilder::new(g.schema());
         b.v_param(0);
@@ -722,7 +768,7 @@ mod tests {
 
     #[test]
     fn bsp_count_aggregation() {
-        let g = ring(16);
+        let g = ring(16, Partitioner::new(2, 2));
         let engine = BspEngine::start(g.clone(), EngineConfig::new(2, 2));
         let mut b = QueryBuilder::new(g.schema());
         b.v().has_label("Person").count();
@@ -734,7 +780,7 @@ mod tests {
 
     #[test]
     fn bsp_sequential_queries_reuse_cluster() {
-        let g = ring(16);
+        let g = ring(16, Partitioner::new(2, 2));
         let engine = BspEngine::start(g.clone(), EngineConfig::new(2, 2));
         let mut b = QueryBuilder::new(g.schema());
         b.v_param(0).out("knows");
@@ -747,5 +793,56 @@ mod tests {
             assert_eq!(rows, vec![vec![Value::Vertex(VertexId((i + 1) % 16))]]);
         }
         engine.shutdown();
+    }
+
+    /// A query's parked frontier lives in the worker's arena until the
+    /// query ends: `QueryEnd` frees every slot and interned register file.
+    #[test]
+    fn query_end_frees_the_parked_frontier() {
+        let g = ring(16, Partitioner::new(1, 1));
+        let config = EngineConfig::new(1, 1);
+        let (wtx, _wrx) = unbounded();
+        let (ctx_tx, crx) = unbounded();
+        let (fabric, _threads) = Fabric::new(&config, vec![wtx], ctx_tx);
+        let (_, inbox) = unbounded();
+        let mut w = BspWorker::new(WorkerId(0), g.clone(), &fabric, inbox, 7);
+        let mut b = QueryBuilder::new(g.schema());
+        b.v_param(0);
+        let c = b.alloc_slot();
+        b.repeat(1, 4, c, |r| {
+            r.out("knows");
+        });
+        let query = QueryId(1);
+        w.handle(WorkerMsg::QueryBegin {
+            ctx: Arc::new(QueryCtx {
+                query,
+                plan: b.compile().unwrap(),
+                params: vec![Value::Vertex(VertexId(0))],
+                read_ts: graphdance_storage::TS_LIVE - 1,
+            }),
+            stage: 0,
+            from: None,
+        });
+        w.handle(WorkerMsg::StartSource {
+            query,
+            pipeline: 0,
+            weight: Weight::ROOT,
+        });
+        for depth in 0..2 {
+            w.handle(WorkerMsg::Bsp(BspSignal::RunStep { query, depth }));
+        }
+        assert!(
+            w.arena.live() > 0 && w.locals.live() > 0,
+            "deeper hops parked"
+        );
+        let steps: u64 = std::iter::from_fn(|| crx.try_recv().ok())
+            .filter_map(|m| match m {
+                CoordMsg::BspStepDone { steps, .. } => Some(steps),
+                _ => None,
+            })
+            .sum();
+        assert!(steps > 0, "supersteps report the plan steps they ran");
+        w.handle(WorkerMsg::QueryEnd { query });
+        assert_eq!((w.arena.live(), w.locals.live()), (0, 0));
     }
 }

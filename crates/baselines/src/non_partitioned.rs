@@ -6,7 +6,8 @@
 //! memo**, so every stateful step (Dedup, MinDist, Join, aggregation
 //! insert) serializes on a node-wide mutex and every scheduling operation
 //! contends on the queue lock — the synchronization overhead the
-//! partitioned PSTM design eliminates. Cross-node routing, progress
+//! partitioned PSTM design eliminates. The step itself is GraphDance's
+//! arena step, run per popped traverser. Cross-node routing, progress
 //! tracking, and the coordinator are identical to GraphDance, and so is
 //! the control plane (DESIGN.md §IV-A) at node granularity: a query's
 //! context, stage and teardown are registered node-wide, and any worker of
@@ -30,7 +31,9 @@ use graphdance_engine::coordinator::Coordinator;
 use graphdance_engine::messages::{CoordMsg, QueryCtx, QueryScope, WorkerMsg};
 use graphdance_engine::net::{Fabric, NetStatsSnapshot, Outbox};
 use graphdance_engine::QueryResult;
-use graphdance_pstm::{AggState, Memo, Outcome, Traverser, Weight};
+use graphdance_pstm::{
+    AggState, ExpandCache, HandleOutcome, LocalsTable, Memo, Traverser, TraverserArena, Weight,
+};
 use graphdance_query::plan::Plan;
 use graphdance_storage::Graph;
 
@@ -97,15 +100,25 @@ struct SharedWorker {
     outbox: Outbox,
     shared: Arc<NodeShared>,
     rng: SmallRng,
+    /// This thread's arena step: a traverser popped from the node-shared
+    /// queue is interned here, runs, and its children are flattened back
+    /// to wire traversers as they are pushed, so between executions the
+    /// arena and the locals table are empty.
+    arena: TraverserArena,
+    locals: LocalsTable,
+    /// Adjacency memo, reset every batch.
+    cache: ExpandCache,
+    /// Reused outcome buffers.
+    scratch: HandleOutcome,
     weight_coalescing: bool,
-    /// Finished weight this worker has consumed but not yet reported,
-    /// per query. Kept per-worker (NOT in the node-shared memo) so the
-    /// progress report travels through the *same* outbox FIFO as the rows
-    /// this worker emitted: a node-shared accumulator drained by another
-    /// thread lets progress overtake rows still buffered in this worker's
-    /// outbox, and the coordinator then completes the query before the
-    /// rows arrive.
-    finished: FxHashMap<QueryId, Weight>,
+    /// Finished weight and plan steps this worker has consumed but not yet
+    /// reported, per query. Kept per-worker (NOT in the node-shared memo)
+    /// so the progress report travels through the *same* outbox FIFO as
+    /// the rows this worker emitted: a node-shared accumulator drained by
+    /// another thread lets progress overtake rows still buffered in this
+    /// worker's outbox, and the coordinator then completes the query
+    /// before the rows arrive.
+    finished: FxHashMap<QueryId, (Weight, u64)>,
     /// Aggregation this worker's executions built and it has not reported
     /// yet, per query — moved out of the node-shared memo under the memo
     /// lock after each execution, for the same reason: a partial must
@@ -115,6 +128,32 @@ struct SharedWorker {
 }
 
 impl SharedWorker {
+    fn new(
+        id: WorkerId,
+        graph: Graph,
+        fabric: &Arc<Fabric>,
+        inbox: Receiver<WorkerMsg>,
+        shared: Arc<NodeShared>,
+        config: &EngineConfig,
+    ) -> Self {
+        SharedWorker {
+            id,
+            graph,
+            inbox,
+            outbox: fabric.outbox(fabric.partitioner().node_of_worker(id)),
+            shared,
+            rng: graphdance_common::rng::derive(config.seed, 0x2000 + id.0 as u64),
+            arena: TraverserArena::new(),
+            locals: LocalsTable::new(),
+            cache: ExpandCache::new(),
+            scratch: HandleOutcome::new(),
+            weight_coalescing: config.weight_coalescing,
+            finished: FxHashMap::default(),
+            partials: FxHashMap::default(),
+            batch: config.worker_batch,
+        }
+    }
+
     fn run(mut self) {
         loop {
             // Drain control/batch messages.
@@ -126,6 +165,7 @@ impl SharedWorker {
                 }
             }
             // Pull from the shared (contended) queue.
+            self.cache.begin_quantum();
             let mut executed = 0;
             while executed < self.batch {
                 let Some(t) = self.shared.queue.lock().pop_front() else {
@@ -208,17 +248,22 @@ impl SharedWorker {
                     return;
                 };
                 let interp = ctx.0.interpreter(&self.graph, ctx.1);
-                let out = {
+                let source = {
                     let part = self.graph.read(self.id.part());
                     interp.run_source(pipeline, weight, &part, &mut self.rng)
                 };
-                match out {
-                    Ok(out) => self.route(query, out),
-                    Err(e) => {
+                let source = match source {
+                    Ok(source) => source,
+                    Err(error) => {
                         self.outbox
-                            .send_ctrl_coord(CoordMsg::WorkerError { query, error: e });
+                            .send_ctrl_coord(CoordMsg::WorkerError { query, error });
+                        return;
                     }
-                }
+                };
+                let mut out = std::mem::take(&mut self.scratch);
+                out.admit(source, &mut self.arena, &mut self.locals);
+                self.route(query, &mut out);
+                self.scratch = out;
             }
             WorkerMsg::QueryEnd { query } => {
                 self.shared.dead.lock().insert(query);
@@ -316,44 +361,57 @@ impl SharedWorker {
         // partition (shared RwLock) and latch the node-wide memo for the
         // whole execution — the contention this baseline measures.
         let part_id = self.graph.part_of(t.vertex);
-        let (out, built) = {
+        let h = self.arena.admit(t, &mut self.locals);
+        let mut out = std::mem::take(&mut self.scratch);
+        let (result, built) = {
             let part = self.graph.read(part_id);
             // lint: allow(hot-path-blocking) shared-state baseline: the
             // node-wide memo latch is the bottleneck under test (§VI fig 9)
             let mut memo = self.shared.memo.lock();
             let m = memo.query_mut(query);
-            let out = interp.run_traverser(t, &part, m, &mut self.rng);
-            (out, m.take_agg())
+            let result = interp.run_handle(
+                h,
+                &mut self.arena,
+                &mut self.locals,
+                &mut self.cache,
+                &part,
+                m,
+                &mut self.rng,
+                &mut out,
+            );
+            (result, m.take_agg())
         };
-        if let Some(built) = built {
-            let merged = match (
-                self.partials.get_mut(&query),
-                &ctx.0.plan.stages[ctx.1 as usize].agg,
-            ) {
-                (Some(p), Some(agg)) => p.merge(&agg.func, built),
-                _ => {
-                    self.partials.insert(query, built);
-                    Ok(())
+        let agg = &ctx.0.plan.stages[ctx.1 as usize].agg;
+        let merged = match (built, self.partials.get_mut(&query), agg) {
+            (None, ..) => Ok(()),
+            (Some(built), Some(p), Some(agg)) => p.merge(&agg.func, built),
+            (Some(built), ..) => {
+                self.partials.insert(query, built);
+                Ok(())
+            }
+        };
+        match merged.and(result) {
+            Ok(()) => self.route(query, &mut out),
+            Err(error) => {
+                for (_, h) in out.spawned.drain(..) {
+                    self.arena.discard(h, &mut self.locals);
                 }
-            };
-            if let Err(error) = merged {
                 self.outbox
                     .send_ctrl_coord(CoordMsg::WorkerError { query, error });
-                return;
             }
         }
-        match out {
-            Ok(out) => self.route(query, out),
-            Err(e) => {
-                self.outbox
-                    .send_ctrl_coord(CoordMsg::WorkerError { query, error: e });
-            }
-        }
+        self.scratch = out;
     }
 
-    fn route(&mut self, query: QueryId, out: Outcome) {
+    /// Route one outcome of `query`: each child is flattened back to a
+    /// wire traverser as it leaves the arena, onto the node-shared queue
+    /// or to its remote owner; rows to the coordinator; finished weight and
+    /// steps coalesced or, without coalescing, reported at once behind the
+    /// aggregation they built.
+    fn route(&mut self, query: QueryId, out: &mut HandleOutcome) {
         let my_node = self.graph.partitioner().node_of_worker(self.id);
-        for (dest, t) in out.spawned {
+        for (dest, h) in out.spawned.drain(..) {
+            let t = self.arena.extract(h, &mut self.locals);
             let dest_worker = self.graph.partitioner().worker_of_part(dest);
             if self.graph.partitioner().node_of_worker(dest_worker) == my_node {
                 // lint: allow(hot-path-blocking) shared-state baseline:
@@ -365,19 +423,16 @@ impl SharedWorker {
             }
         }
         if !out.emitted.is_empty() {
-            self.outbox.send_rows(query, out.emitted);
+            self.outbox
+                .send_rows(query, std::mem::take(&mut out.emitted));
         }
-        if out.finished != Weight::ZERO {
-            if self.weight_coalescing {
-                self.finished
-                    .entry(query)
-                    .or_insert(Weight::ZERO)
-                    .absorb(out.finished);
-            } else {
-                self.send_partial(query);
-                self.outbox
-                    .send_progress(query, out.finished, out.steps_executed as u64);
-            }
+        let pending = self.finished.entry(query).or_default();
+        pending.0.absorb(out.finished);
+        pending.1 += u64::from(out.steps_executed);
+        if !self.weight_coalescing && out.finished != Weight::ZERO {
+            let (weight, steps) = std::mem::take(pending);
+            self.send_partial(query);
+            self.outbox.send_progress(query, weight, steps);
         }
     }
 
@@ -389,8 +444,10 @@ impl SharedWorker {
         for q in queries {
             self.send_partial(q);
         }
-        for (q, w) in self.finished.drain() {
-            self.outbox.send_progress(q, w, 0);
+        for (q, (w, steps)) in self.finished.drain() {
+            if w != Weight::ZERO || steps > 0 {
+                self.outbox.send_progress(q, w, steps);
+            }
         }
     }
 }
@@ -427,18 +484,8 @@ impl NonPartitionedEngine {
         for (i, inbox) in worker_rx.into_iter().enumerate() {
             let id = WorkerId(i as u32);
             let node = fabric.partitioner().node_of_worker(id);
-            let worker = SharedWorker {
-                id,
-                graph: graph.clone(),
-                inbox,
-                outbox: fabric.outbox(node),
-                shared: Arc::clone(&shared[node.as_usize()]),
-                rng: graphdance_common::rng::derive(config.seed, 0x2000 + i as u64),
-                weight_coalescing: config.weight_coalescing,
-                finished: FxHashMap::default(),
-                partials: FxHashMap::default(),
-                batch: config.worker_batch,
-            };
+            let shared = Arc::clone(&shared[node.as_usize()]);
+            let worker = SharedWorker::new(id, graph.clone(), &fabric, inbox, shared, &config);
             threads.push(
                 std::thread::Builder::new()
                     .name(format!("np-worker-{i}"))
@@ -514,8 +561,8 @@ mod tests {
     use graphdance_query::QueryBuilder;
     use graphdance_storage::GraphBuilder;
 
-    fn ring(n: u64) -> Graph {
-        let mut b = GraphBuilder::new(Partitioner::new(2, 2));
+    fn ring(n: u64, parts: Partitioner) -> Graph {
+        let mut b = GraphBuilder::new(parts);
         let person = b.schema_mut().register_vertex_label("Person");
         let knows = b.schema_mut().register_edge_label("knows");
         for i in 0..n {
@@ -530,7 +577,7 @@ mod tests {
 
     #[test]
     fn shared_state_khop() {
-        let g = ring(32);
+        let g = ring(32, Partitioner::new(2, 2));
         let engine = NonPartitionedEngine::start(g.clone(), EngineConfig::new(2, 2));
         let mut b = QueryBuilder::new(g.schema());
         b.v_param(0);
@@ -552,7 +599,7 @@ mod tests {
 
     #[test]
     fn shared_state_count() {
-        let g = ring(20);
+        let g = ring(20, Partitioner::new(2, 2));
         let engine = NonPartitionedEngine::start(g.clone(), EngineConfig::new(2, 2));
         let mut b = QueryBuilder::new(g.schema());
         b.v().has_label("Person").count();
@@ -560,5 +607,40 @@ mod tests {
         let rows = engine.query_timed(&plan, vec![]).unwrap().rows;
         assert_eq!(rows, vec![vec![Value::Int(20)]]);
         engine.shutdown();
+    }
+
+    /// A thread interns a popped traverser, runs it, and flattens every
+    /// child back onto the node-shared queue: nothing stays in its arena.
+    #[test]
+    fn execute_leaves_the_arena_empty() {
+        let g = ring(8, Partitioner::new(1, 2));
+        let config = EngineConfig::new(1, 2);
+        let (wtx, _wrx): (Vec<_>, Vec<_>) = (0..2).map(|_| unbounded()).unzip();
+        let (ctx_tx, _crx) = unbounded();
+        let (fabric, _threads) = Fabric::new(&config, wtx, ctx_tx);
+        let shared = Arc::new(NodeShared::new());
+        let (_, inbox) = unbounded();
+        let mut w = SharedWorker::new(WorkerId(0), g.clone(), &fabric, inbox, shared, &config);
+        let mut b = QueryBuilder::new(g.schema());
+        b.v_param(0);
+        let c = b.alloc_slot();
+        b.repeat(1, 3, c, |r| {
+            r.out("knows");
+        });
+        let query = QueryId(1);
+        w.handle(WorkerMsg::QueryBegin {
+            ctx: Arc::new(QueryCtx {
+                query,
+                plan: b.compile().unwrap(),
+                params: vec![Value::Vertex(VertexId(0))],
+                read_ts: graphdance_storage::TS_LIVE - 1,
+            }),
+            stage: 0,
+            from: None,
+        });
+        w.execute(Traverser::root(query, 0, VertexId(0), 1, Weight::ROOT));
+        assert_eq!((w.arena.live(), w.locals.live()), (0, 0));
+        let queued = w.shared.queue.lock().len();
+        assert_eq!(queued, 1, "the hop's child waits on the node-shared queue");
     }
 }

@@ -252,9 +252,10 @@ pub enum CoordMsg {
     /// weight released during the step; `issued`/`count` describe the
     /// traversers this worker parked or sent for a later superstep, and
     /// `consumed`/`consumed_count` the previously parked traversers it
-    /// executed. The driver's in-flight ledger (Σissued − Σconsumed) makes
-    /// the delivery barrier immune to data-path messages overtaking the
-    /// `RunStep` control signal.
+    /// executed, and `steps` the plan steps they ran. The driver's
+    /// in-flight ledger (Σissued − Σconsumed) makes the delivery barrier
+    /// immune to data-path messages overtaking the `RunStep` control
+    /// signal.
     BspStepDone {
         query: QueryId,
         part: PartId,
@@ -263,6 +264,7 @@ pub enum CoordMsg {
         count: u64,
         consumed: Weight,
         consumed_count: u64,
+        steps: u64,
     },
     /// BSP baseline: reply to a delivery-barrier probe.
     BspParked {

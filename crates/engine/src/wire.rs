@@ -1157,6 +1157,7 @@ pub fn encode_coord_msg(buf: &mut impl BufMut, msg: &CoordMsg) -> GdResult<()> {
             count,
             consumed,
             consumed_count,
+            steps,
         } => {
             buf.put_u8(6);
             buf.put_u64_le(query.0);
@@ -1166,6 +1167,7 @@ pub fn encode_coord_msg(buf: &mut impl BufMut, msg: &CoordMsg) -> GdResult<()> {
             buf.put_u64_le(*count);
             buf.put_u64_le(consumed.0);
             buf.put_u64_le(*consumed_count);
+            buf.put_u64_le(*steps);
         }
         CoordMsg::BspParked {
             query,
@@ -1221,6 +1223,7 @@ pub(crate) fn decode_coord_msg(r: &mut Reader<'_>) -> GdResult<CoordMsg> {
             count: r.u64()?,
             consumed: Weight(r.u64()?),
             consumed_count: r.u64()?,
+            steps: r.u64()?,
         }),
         7 => Ok(CoordMsg::BspParked {
             query: QueryId(r.u64()?),
@@ -1632,6 +1635,7 @@ mod tests {
                 count: 3,
                 consumed: Weight(4),
                 consumed_count: 5,
+                steps: 6,
             },
             CoordMsg::BspParked {
                 query: QueryId(3),

@@ -647,13 +647,7 @@ impl Worker {
             }
         };
         let (router, out) = (&mut self.router, &mut self.scratch);
-        out.clear();
-        for (dest, t) in source.spawned {
-            out.spawned
-                .push((dest, router.arena.admit(t, &mut aq.locals)));
-        }
-        (out.emitted, out.finished, out.steps_executed) =
-            (source.emitted, source.finished, source.steps_executed);
+        out.admit(source, &mut router.arena, &mut aq.locals);
         let went_idle = self.ring.admit(query, |queue| {
             router.route(aq, queue, weight, out, Ok(())) && queue.is_empty()
         });
@@ -713,10 +707,10 @@ impl Worker {
                     }
                     #[cfg(feature = "obs")]
                     let (t0, wait) = self.router.obs.exec_begin(self.frontier.enq_ns[i]);
-                    let input = self.router.arena.get(self.frontier.handles[i]).weight;
-                    let result = interp.run_frontier(
-                        &self.frontier,
-                        i,
+                    let h = self.frontier.handles[i];
+                    let input = self.router.arena.get(h).weight;
+                    let result = interp.run_handle(
+                        h,
                         &mut self.router.arena,
                         &mut aq.locals,
                         &mut self.expand_cache,

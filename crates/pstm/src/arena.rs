@@ -1,10 +1,11 @@
 //! Arena-allocated traversers and interned locals: the hot-path memory
 //! layout (ROADMAP item 5).
 //!
-//! The baseline `Traverser` is a heap object — its `locals: Vec<Value>`
-//! register file is `clone()`d on every neighbor expansion and loop
-//! continuation, so the interpreter's inner loop is allocator-bound. This
-//! module replaces that layout for the worker's local execution path:
+//! The wire `Traverser` is a heap object — its `locals: Vec<Value>`
+//! register file would be `clone()`d on every neighbor expansion and loop
+//! continuation, leaving the interpreter's inner loop allocator-bound
+//! (the oracle's reference in `graphdance-sim` still runs that way). This
+//! module is the layout every engine executes on:
 //!
 //! * [`TraverserArena`] — a generation-indexed slab. Live traversers are
 //!   addressed by a copyable 8-byte [`TraverserHandle`] (`u32` slot +
@@ -25,8 +26,7 @@
 //! The arena layout never crosses the wire: handles are flattened back to
 //! the plain [`Traverser`] at the outbox boundary ([`TraverserArena::extract`])
 //! and interned again at the inbox ([`TraverserArena::admit`]), so the
-//! codec, `net.rs`, and the sim fabric are byte-identical to the cloned
-//! path.
+//! codec, `net.rs`, and the sim fabric see only wire traversers.
 
 use graphdance_common::{QueryId, Value, VertexId};
 
@@ -99,6 +99,21 @@ impl ArenaTraverser {
             weight: Weight::ZERO,
             depth: 0,
             aux_key: None,
+        }
+    }
+
+    /// The child one hop on, at `vertex`: next step, one hop deeper, with
+    /// register file `locals` and weight `weight`.
+    pub(crate) fn hop(&self, vertex: VertexId, locals: LocalsId, weight: Weight) -> Self {
+        ArenaTraverser {
+            query: self.query,
+            pipeline: self.pipeline,
+            pc: self.pc + 1,
+            vertex,
+            locals,
+            weight,
+            depth: self.depth.saturating_add(1),
+            aux_key: self.aux_key.clone(),
         }
     }
 }
@@ -210,8 +225,8 @@ impl TraverserArena {
 
     /// Flatten an arena traverser back to the wire format (outbox
     /// boundary). The locals record is moved out when this was its last
-    /// reference, cloned otherwise — the bytes on the wire are identical
-    /// to the cloned path either way.
+    /// reference, cloned otherwise — the bytes on the wire are the same
+    /// either way.
     pub fn extract(&mut self, h: TraverserHandle, locals: &mut LocalsTable) -> Traverser {
         let at = self.remove(h);
         Traverser {

@@ -21,8 +21,8 @@
 use graphdance_common::{FxHashMap, Label, PartId, VertexId};
 use graphdance_storage::{Direction, Timestamp};
 
-use crate::arena::TraverserHandle;
-use crate::interp::Row;
+use crate::arena::{LocalsTable, TraverserArena, TraverserHandle};
+use crate::interp::{Outcome, Row};
 use crate::weight::Weight;
 
 /// One staged run: the arena handles of consecutive same-depth, same-query
@@ -97,6 +97,19 @@ impl HandleOutcome {
         self.emitted.clear();
         self.finished = Weight::ZERO;
         self.steps_executed = 0;
+    }
+
+    /// Replace the contents with a source's [`Outcome`], interning each
+    /// spawned traverser into `arena` — how a source's result enters the
+    /// arena path.
+    pub fn admit(&mut self, source: Outcome, arena: &mut TraverserArena, locals: &mut LocalsTable) {
+        self.clear();
+        for (dest, t) in source.spawned {
+            self.spawned.push((dest, arena.admit(t, locals)));
+        }
+        self.emitted = source.emitted;
+        self.finished = source.finished;
+        self.steps_executed = source.steps_executed;
     }
 }
 
@@ -234,9 +247,22 @@ mod tests {
     }
 
     #[test]
+    fn full_cache_keeps_its_spans_and_refuses_new_scans() {
+        let mut c = ExpandCache::new();
+        let s = c.begin_insert().unwrap();
+        for i in 0..EXPAND_CACHE_NEIGHBOR_CAP as u64 {
+            c.push(VertexId(i));
+        }
+        c.commit_scan(key(1), s);
+        assert!(c.begin_insert().is_none());
+        let span = c.lookup(key(1)).unwrap();
+        assert_eq!(c.span(span).len(), EXPAND_CACHE_NEIGHBOR_CAP);
+    }
+
+    #[test]
     fn frontier_stages_handles_in_order() {
         let mut f = Frontier::new();
-        let mut arena = crate::arena::TraverserArena::new();
+        let mut arena = TraverserArena::new();
         let mut stage = |vertex| {
             let h = arena.insert(crate::arena::ArenaTraverser {
                 query: graphdance_common::QueryId(1),

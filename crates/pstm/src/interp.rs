@@ -10,10 +10,14 @@
 //!   returned as a result row, or
 //! * finishes (filtered out, deduplicated, pruned) — its weight is released.
 //!
-//! Every engine (asynchronous PSTM, BSP, non-partitioned, dataflow
-//! simulations) executes queries through this same interpreter, so results
-//! are identical by construction and engine comparisons measure *execution
-//! strategy*, not query semantics.
+//! Every engine in the library (asynchronous PSTM, BSP, non-partitioned,
+//! dataflow simulations) runs its traversers through this interpreter's
+//! one step entry, [`Interpreter::run_handle`], on the same arena layout,
+//! so results are identical by construction and engine comparisons
+//! measure *execution strategy*, not query semantics or interpreter
+//! layout. The only other implementation of the step chain is the
+//! oracle's reference in `graphdance-sim`, kept independent so it can
+//! check this one.
 
 use std::hash::{Hash, Hasher};
 
@@ -27,8 +31,10 @@ use graphdance_query::plan::{JoinSide, Plan, PlanStep, SourceSpec, Stage};
 use graphdance_storage::{Graph, GraphPartition, Timestamp};
 
 use crate::agg::AggState;
-use crate::arena::{set_slot_vec, slot_of, ArenaTraverser, LocalsId, LocalsTable, TraverserArena};
-use crate::frontier::{ExpandCache, Frontier, HandleOutcome};
+use crate::arena::{
+    set_slot_vec, slot_of, ArenaTraverser, LocalsId, LocalsTable, TraverserArena, TraverserHandle,
+};
+use crate::frontier::{ExpandCache, HandleOutcome};
 use crate::memo::QueryMemo;
 use crate::traverser::Traverser;
 use crate::weight::Weight;
@@ -36,7 +42,9 @@ use crate::weight::Weight;
 /// One emitted result row.
 pub type Row = Vec<Value>;
 
-/// What one interpreter invocation produced.
+/// What a source or a `PrevRows` seeding produced: wire-format
+/// traversers, which the engine interns into its arena. (The oracle's
+/// reference step in `graphdance-sim` reports in the same shape.)
 #[derive(Debug, Default)]
 pub struct Outcome {
     /// Spawned traversers with their destination partitions (may include the
@@ -48,12 +56,6 @@ pub struct Outcome {
     pub finished: Weight,
     /// Number of plan steps executed (for Table I stage accounting).
     pub steps_executed: u32,
-}
-
-impl Outcome {
-    fn new() -> Self {
-        Self::default()
-    }
 }
 
 /// Interpreter for one query's current stage.
@@ -91,7 +93,7 @@ impl<'a> Interpreter<'a> {
     ) -> GdResult<Outcome> {
         let stage = self.stage();
         let spec = &stage.pipelines[pipeline as usize].source;
-        let mut out = Outcome::new();
+        let mut out = Outcome::default();
         let mut w = weight;
         let mut spawn_at = |v: VertexId, out: &mut Outcome, w: &mut Weight| {
             let t = Traverser::root(self.query, pipeline, v, stage.num_slots, w.split_one(rng));
@@ -167,7 +169,7 @@ impl<'a> Interpreter<'a> {
                 )))
             }
         };
-        let mut out = Outcome::new();
+        let mut out = Outcome::default();
         let mut w = weight;
         for row in rows {
             let v = row
@@ -188,286 +190,29 @@ impl<'a> Interpreter<'a> {
         Ok(out)
     }
 
-    /// Advance one traverser. `part` must be the partition the traverser was
-    /// routed to; `memo` is that partition's memo for this query.
-    pub fn run_traverser(
-        &self,
-        mut t: Traverser,
-        part: &GraphPartition,
-        memo: &mut QueryMemo,
-        rng: &mut SmallRng,
-    ) -> GdResult<Outcome> {
-        let stage = self.stage();
-        let pipe = &stage.pipelines[t.pipeline as usize];
-        let mut out = Outcome::new();
-        loop {
-            // Emit position: end of pipeline.
-            if t.pc as usize >= pipe.steps.len() {
-                out.steps_executed += 1;
-                let record = if part.contains(t.vertex) {
-                    Some(part.vertex(t.vertex)?)
-                } else {
-                    None
-                };
-                let ctx = EvalCtx {
-                    vertex: t.vertex,
-                    record,
-                    locals: &t.locals,
-                    params: self.params,
-                };
-                if let Some(agg) = &stage.agg {
-                    memo.agg_mut(|| AggState::new(&agg.func))
-                        .insert(&agg.func, &ctx)?;
-                } else {
-                    let row = stage
-                        .output
-                        .iter()
-                        .map(|e| e.eval(&ctx))
-                        .collect::<GdResult<Vec<_>>>()?;
-                    out.emitted.push(row);
-                }
-                out.finished.absorb(t.weight);
-                return Ok(out);
-            }
-
-            out.steps_executed += 1;
-            match &pipe.steps[t.pc as usize] {
-                PlanStep::Expand {
-                    dir,
-                    label,
-                    edge_loads,
-                } => {
-                    let mut w = t.weight;
-                    for e in part.edges(t.vertex, *dir, *label, self.read_ts)? {
-                        let mut child = t.clone();
-                        child.vertex = e.neighbor;
-                        child.pc = t.pc + 1;
-                        child.depth = t.depth.saturating_add(1);
-                        child.weight = w.split_one(rng);
-                        for (k, slot) in edge_loads {
-                            child.set_slot(*slot, e.entry.prop(*k).cloned().unwrap_or(Value::Null));
-                        }
-                        out.spawned.push((self.graph.part_of(e.neighbor), child));
-                    }
-                    out.finished.absorb(w);
-                    return Ok(out);
-                }
-                PlanStep::Filter(pred) => {
-                    let record = if part.contains(t.vertex) {
-                        Some(part.vertex(t.vertex)?)
-                    } else {
-                        None
-                    };
-                    let ctx = EvalCtx {
-                        vertex: t.vertex,
-                        record,
-                        locals: &t.locals,
-                        params: self.params,
-                    };
-                    if !pred.eval_bool(&ctx)? {
-                        out.finished.absorb(t.weight);
-                        return Ok(out);
-                    }
-                    t.pc += 1;
-                }
-                PlanStep::Load(loads) => {
-                    let values: Vec<(u8, Value)> = {
-                        let record = part.vertex(t.vertex)?;
-                        loads
-                            .iter()
-                            .map(|(k, slot)| {
-                                (*slot, record.prop(*k).cloned().unwrap_or(Value::Null))
-                            })
-                            .collect()
-                    };
-                    for (slot, v) in values {
-                        t.set_slot(slot, v);
-                    }
-                    t.pc += 1;
-                }
-                PlanStep::Compute(sets) => {
-                    let values: Vec<(u8, Value)> = {
-                        let record = if part.contains(t.vertex) {
-                            Some(part.vertex(t.vertex)?)
-                        } else {
-                            None
-                        };
-                        let ctx = EvalCtx {
-                            vertex: t.vertex,
-                            record,
-                            locals: &t.locals,
-                            params: self.params,
-                        };
-                        sets.iter()
-                            .map(|(slot, e)| Ok((*slot, e.eval(&ctx)?)))
-                            .collect::<GdResult<Vec<_>>>()?
-                    };
-                    for (slot, v) in values {
-                        t.set_slot(slot, v);
-                    }
-                    t.pc += 1;
-                }
-                PlanStep::Dedup { slots } => {
-                    let key: Vec<ValueKey> = slots.iter().map(|s| t.slot(*s).group_key()).collect();
-                    if memo.dedup_insert(t.pipeline, t.pc, t.vertex, key) {
-                        t.pc += 1;
-                    } else {
-                        out.finished.absorb(t.weight);
-                        return Ok(out);
-                    }
-                }
-                PlanStep::MinDist { dist_slot } => {
-                    let dist = t.slot(*dist_slot).as_int().unwrap_or(0);
-                    if memo.min_dist_update(t.pipeline, t.pc, t.vertex, dist) {
-                        t.pc += 1;
-                    } else {
-                        out.finished.absorb(t.weight);
-                        return Ok(out);
-                    }
-                }
-                PlanStep::LoopEnd {
-                    counter,
-                    min,
-                    max,
-                    back_to,
-                } => {
-                    let n = t.slot(*counter).as_int().unwrap_or(0) + 1;
-                    t.set_slot(*counter, Value::Int(n));
-                    let go_back = n < *max;
-                    let fall_through = n >= *min;
-                    match (go_back, fall_through) {
-                        (true, true) => {
-                            // Fork: one copy loops, this one falls through.
-                            let parts = t.weight.split(2, rng);
-                            let mut looper = t.clone();
-                            looper.weight = parts[0];
-                            looper.pc = *back_to;
-                            out.spawned.push((part.part(), looper));
-                            t.weight = parts[1];
-                            t.pc += 1;
-                        }
-                        (true, false) => t.pc = *back_to,
-                        (false, true) => t.pc += 1,
-                        (false, false) => {
-                            // Unreachable for validated bounds; be safe.
-                            out.finished.absorb(t.weight);
-                            return Ok(out);
-                        }
-                    }
-                }
-                PlanStep::Join { join_id, side, key } => {
-                    // Evaluate the key once, at the traverser's own vertex.
-                    let key_val = match t.aux_key.take() {
-                        Some(v) => v,
-                        None => {
-                            let record = if part.contains(t.vertex) {
-                                Some(part.vertex(t.vertex)?)
-                            } else {
-                                None
-                            };
-                            let ctx = EvalCtx {
-                                vertex: t.vertex,
-                                record,
-                                locals: &t.locals,
-                                params: self.params,
-                            };
-                            key.eval(&ctx)?
-                        }
-                    };
-                    let target = self.join_key_part(&key_val);
-                    if target != part.part() {
-                        // Route to the key's owner (partitionable by h_Join,
-                        // §III-A); carry the evaluated key along.
-                        t.aux_key = Some(key_val);
-                        out.spawned.push((target, t));
-                        return Ok(out);
-                    }
-                    let spec = stage
-                        .joins
-                        .iter()
-                        .find(|j| j.join_id == *join_id)
-                        .ok_or_else(|| GdError::Internal(format!("join {join_id} unspecified")))?;
-                    let is_probe_side = *side == JoinSide::Probe;
-                    let matches = memo.join_insert_probe(
-                        *join_id,
-                        key_val.group_key(),
-                        is_probe_side,
-                        t.locals.clone(),
-                    );
-                    // Continuation position: after the Join step in the
-                    // probe pipeline.
-                    let cont_pipe = spec.probe_pipeline;
-                    let cont_pc = join_step_pc(stage, cont_pipe, *join_id)? + 1;
-                    let cont_vertex = key_val.as_vertex().unwrap_or(t.vertex);
-                    let cont_part = key_val
-                        .as_vertex()
-                        .map(|v| self.graph.part_of(v))
-                        .unwrap_or(part.part());
-                    let mut w = t.weight;
-                    for other in matches {
-                        let locals = if is_probe_side {
-                            merge_locals(&t.locals, &other)
-                        } else {
-                            merge_locals(&other, &t.locals)
-                        };
-                        let child = Traverser {
-                            query: t.query,
-                            pipeline: cont_pipe,
-                            pc: cont_pc,
-                            vertex: cont_vertex,
-                            locals,
-                            weight: w.split_one(rng),
-                            depth: t.depth.saturating_add(1),
-                            aux_key: None,
-                        };
-                        out.spawned.push((cont_part, child));
-                    }
-                    out.finished.absorb(w);
-                    return Ok(out);
-                }
-                PlanStep::MoveTo { vertex_slot } => {
-                    let v = t.slot(*vertex_slot).as_vertex().ok_or_else(|| {
-                        GdError::TypeError(format!(
-                            "MoveTo slot {vertex_slot} does not hold a vertex"
-                        ))
-                    })?;
-                    t.vertex = v;
-                    t.pc += 1;
-                    let target = self.graph.part_of(v);
-                    if target != part.part() {
-                        out.spawned.push((target, t));
-                        return Ok(out);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Advance one traverser of a staged [`Frontier`] run on the arena
-    /// execution path: the allocation-free analogue of the reference
-    /// implementation, [`run_traverser`](Self::run_traverser).
+    /// Advance the arena traverser `h`: the one step entry every engine
+    /// runs. The traverser lives in `arena`, its register file is interned
+    /// in `locals` (children share it copy-on-write), and `Expand` steps
+    /// with no edge-property loads read neighbors through `cache` instead
+    /// of re-walking the TEL per traverser.
     ///
-    /// Semantics are step-for-step identical to the reference — same RNG
-    /// draw order, same memo operation order, same rows and routing — only
-    /// the memory layout differs: the traverser lives in `arena`, its
-    /// register file is interned in `locals` (children share it
-    /// copy-on-write), and `Expand` steps with no edge-property loads read
-    /// neighbors through the per-quantum `cache` instead of re-walking the
-    /// TEL per traverser. The 256-seed differential proptest in
-    /// `tests/arena_equivalence.rs` pins the two paths together.
+    /// The independent check is the oracle's reference interpreter in
+    /// `graphdance-sim`, over plain cloned traversers: the 256-case
+    /// differential proptest in `crates/sim/tests/arena_equivalence.rs`
+    /// holds the two to the same rows, RNG draws, memo operations and
+    /// routing.
     ///
-    /// The staged handle is removed from the arena before execution. On
-    /// error, everything this call interned or spawned is released again,
-    /// so the arena and locals table never leak across a failed step.
+    /// `h` is removed from the arena before execution. On error,
+    /// everything this call interned or spawned is released again, so the
+    /// arena and locals table never leak across a failed step.
     ///
     /// Results accumulate into `out`, which is cleared first — callers
     /// keep one scratch [`HandleOutcome`] across a batch so its buffers
     /// are reused instead of reallocated per traverser.
     #[allow(clippy::too_many_arguments)]
-    pub fn run_frontier(
+    pub fn run_handle(
         &self,
-        frontier: &Frontier,
-        idx: usize,
+        h: TraverserHandle,
         arena: &mut TraverserArena,
         locals: &mut LocalsTable,
         cache: &mut ExpandCache,
@@ -477,19 +222,17 @@ impl<'a> Interpreter<'a> {
         out: &mut HandleOutcome,
     ) -> GdResult<()> {
         out.clear();
-        let mut cur = arena.remove(frontier.handles[idx]);
-        match self.run_arena_cursor(&mut cur, arena, locals, cache, part, memo, rng, out) {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                // Unwind: release the cursor's locals (if still owned) and
-                // every child spawned before the failure.
-                locals.unref(cur.locals);
-                for (_, h) in out.spawned.drain(..) {
-                    arena.discard(h, locals);
-                }
-                Err(e)
+        let mut cur = arena.remove(h);
+        let result = self.run_arena_cursor(&mut cur, arena, locals, cache, part, memo, rng, out);
+        if result.is_err() {
+            // Unwind: release the cursor's locals (if still owned) and
+            // every child spawned before the failure.
+            locals.unref(cur.locals);
+            for (_, h) in out.spawned.drain(..) {
+                arena.discard(h, locals);
             }
         }
+        result
     }
 
     /// The arena-path step loop. `cur` has been removed from the arena; on
@@ -515,17 +258,7 @@ impl<'a> Interpreter<'a> {
             // Emit position: end of pipeline.
             if cur.pc as usize >= pipe.steps.len() {
                 out.steps_executed += 1;
-                let record = if part.contains(cur.vertex) {
-                    Some(part.vertex(cur.vertex)?)
-                } else {
-                    None
-                };
-                let ctx = EvalCtx {
-                    vertex: cur.vertex,
-                    record,
-                    locals: locals.get(cur.locals),
-                    params: self.params,
-                };
+                let ctx = self.eval_ctx(part, cur.vertex, locals.get(cur.locals))?;
                 if let Some(agg) = &stage.agg {
                     memo.agg_mut(|| AggState::new(&agg.func))
                         .insert(&agg.func, &ctx)?;
@@ -537,10 +270,7 @@ impl<'a> Interpreter<'a> {
                         .collect::<GdResult<Vec<_>>>()?;
                     out.emitted.push(row);
                 }
-                out.finished.absorb(cur.weight);
-                locals.unref(cur.locals);
-                cur.locals = LocalsId::INVALID;
-                return Ok(());
+                return retire(cur, cur.weight, locals, out);
             }
 
             out.steps_executed += 1;
@@ -569,47 +299,24 @@ impl<'a> Interpreter<'a> {
                                 None => None,
                             },
                         };
+                        let mut spawn = |nb: VertexId| {
+                            locals.retain(cur.locals);
+                            let h = arena.insert(cur.hop(nb, cur.locals, w.split_one(rng)));
+                            out.spawned.push((self.graph.part_of(nb), h));
+                        };
                         match span {
-                            Some(span) => {
-                                for &nb in cache.span(span) {
-                                    let child_w = w.split_one(rng);
-                                    locals.retain(cur.locals);
-                                    let h = arena.insert(ArenaTraverser {
-                                        query: cur.query,
-                                        pipeline: cur.pipeline,
-                                        pc: cur.pc + 1,
-                                        vertex: nb,
-                                        locals: cur.locals,
-                                        weight: child_w,
-                                        depth: cur.depth.saturating_add(1),
-                                        aux_key: cur.aux_key.clone(),
-                                    });
-                                    out.spawned.push((self.graph.part_of(nb), h));
-                                }
-                            }
+                            Some(span) => cache.span(span).iter().for_each(|&nb| spawn(nb)),
+                            // Cache full this quantum: scan directly.
                             None => {
-                                // Cache full this quantum: scan directly.
                                 for e in part.edges(cur.vertex, *dir, *label, self.read_ts)? {
-                                    let child_w = w.split_one(rng);
-                                    locals.retain(cur.locals);
-                                    let h = arena.insert(ArenaTraverser {
-                                        query: cur.query,
-                                        pipeline: cur.pipeline,
-                                        pc: cur.pc + 1,
-                                        vertex: e.neighbor,
-                                        locals: cur.locals,
-                                        weight: child_w,
-                                        depth: cur.depth.saturating_add(1),
-                                        aux_key: cur.aux_key.clone(),
-                                    });
-                                    out.spawned.push((self.graph.part_of(e.neighbor), h));
+                                    spawn(e.neighbor);
                                 }
                             }
                         }
                     } else {
                         // Edge-property loads need the full EdgeRef: scan
                         // directly and give each child its own (pooled)
-                        // register file, like the cloned path does.
+                        // register file, like the reference does.
                         for e in part.edges(cur.vertex, *dir, *label, self.read_ts)? {
                             let child_w = w.split_one(rng);
                             let mut lid = locals.clone_entry(cur.locals);
@@ -623,46 +330,21 @@ impl<'a> Interpreter<'a> {
                                     );
                                 }
                             }
-                            let h = arena.insert(ArenaTraverser {
-                                query: cur.query,
-                                pipeline: cur.pipeline,
-                                pc: cur.pc + 1,
-                                vertex: e.neighbor,
-                                locals: lid,
-                                weight: child_w,
-                                depth: cur.depth.saturating_add(1),
-                                aux_key: cur.aux_key.clone(),
-                            });
+                            let h = arena.insert(cur.hop(e.neighbor, lid, child_w));
                             out.spawned.push((self.graph.part_of(e.neighbor), h));
                         }
                     }
-                    out.finished.absorb(w);
-                    locals.unref(cur.locals);
-                    cur.locals = LocalsId::INVALID;
-                    return Ok(());
+                    return retire(cur, w, locals, out);
                 }
                 PlanStep::Filter(pred) => {
-                    let record = if part.contains(cur.vertex) {
-                        Some(part.vertex(cur.vertex)?)
-                    } else {
-                        None
-                    };
-                    let ctx = EvalCtx {
-                        vertex: cur.vertex,
-                        record,
-                        locals: locals.get(cur.locals),
-                        params: self.params,
-                    };
+                    let ctx = self.eval_ctx(part, cur.vertex, locals.get(cur.locals))?;
                     if !pred.eval_bool(&ctx)? {
-                        out.finished.absorb(cur.weight);
-                        locals.unref(cur.locals);
-                        cur.locals = LocalsId::INVALID;
-                        return Ok(());
+                        return retire(cur, cur.weight, locals, out);
                     }
                     cur.pc += 1;
                 }
                 PlanStep::Load(loads) => {
-                    // Unlike the cloned path there is no temp Vec: the
+                    // Unlike the reference there is no temp Vec: the
                     // vertex record borrows `part`, the register file
                     // borrows `locals` — disjoint.
                     let record = part.vertex(cur.vertex)?;
@@ -678,17 +360,7 @@ impl<'a> Interpreter<'a> {
                         // shape): evaluate, drop the read borrow, write —
                         // no temp buffer.
                         let v = {
-                            let record = if part.contains(cur.vertex) {
-                                Some(part.vertex(cur.vertex)?)
-                            } else {
-                                None
-                            };
-                            let ctx = EvalCtx {
-                                vertex: cur.vertex,
-                                record,
-                                locals: locals.get(cur.locals),
-                                params: self.params,
-                            };
+                            let ctx = self.eval_ctx(part, cur.vertex, locals.get(cur.locals))?;
                             e.eval(&ctx)?
                         };
                         set_slot_vec(locals.make_mut(&mut cur.locals), *slot, v);
@@ -696,17 +368,7 @@ impl<'a> Interpreter<'a> {
                         // Multi-assignment: every expression sees the
                         // pre-write register file, so buffer the values.
                         let values: Vec<(u8, Value)> = {
-                            let record = if part.contains(cur.vertex) {
-                                Some(part.vertex(cur.vertex)?)
-                            } else {
-                                None
-                            };
-                            let ctx = EvalCtx {
-                                vertex: cur.vertex,
-                                record,
-                                locals: locals.get(cur.locals),
-                                params: self.params,
-                            };
+                            let ctx = self.eval_ctx(part, cur.vertex, locals.get(cur.locals))?;
                             sets.iter()
                                 .map(|(slot, e)| Ok((*slot, e.eval(&ctx)?)))
                                 .collect::<GdResult<Vec<_>>>()?
@@ -729,10 +391,7 @@ impl<'a> Interpreter<'a> {
                     if memo.dedup_insert(cur.pipeline, cur.pc, cur.vertex, key) {
                         cur.pc += 1;
                     } else {
-                        out.finished.absorb(cur.weight);
-                        locals.unref(cur.locals);
-                        cur.locals = LocalsId::INVALID;
-                        return Ok(());
+                        return retire(cur, cur.weight, locals, out);
                     }
                 }
                 PlanStep::MinDist { dist_slot } => {
@@ -742,10 +401,7 @@ impl<'a> Interpreter<'a> {
                     if memo.min_dist_update(cur.pipeline, cur.pc, cur.vertex, dist) {
                         cur.pc += 1;
                     } else {
-                        out.finished.absorb(cur.weight);
-                        locals.unref(cur.locals);
-                        cur.locals = LocalsId::INVALID;
-                        return Ok(());
+                        return retire(cur, cur.weight, locals, out);
                     }
                 }
                 PlanStep::LoopEnd {
@@ -767,7 +423,7 @@ impl<'a> Interpreter<'a> {
                             // The looper shares the just-updated register
                             // file copy-on-write. `split_one` draws the
                             // same value `split(2, rng)` puts in
-                            // `parts[0]` (the cloned path's looper share)
+                            // `parts[0]` (the reference's looper share)
                             // without materializing the parts Vec.
                             let mut w = cur.weight;
                             let looper_w = w.split_one(rng);
@@ -790,10 +446,7 @@ impl<'a> Interpreter<'a> {
                         (false, true) => cur.pc += 1,
                         (false, false) => {
                             // Unreachable for validated bounds; be safe.
-                            out.finished.absorb(cur.weight);
-                            locals.unref(cur.locals);
-                            cur.locals = LocalsId::INVALID;
-                            return Ok(());
+                            return retire(cur, cur.weight, locals, out);
                         }
                     }
                 }
@@ -802,17 +455,7 @@ impl<'a> Interpreter<'a> {
                     let key_val = match cur.aux_key.take() {
                         Some(v) => v,
                         None => {
-                            let record = if part.contains(cur.vertex) {
-                                Some(part.vertex(cur.vertex)?)
-                            } else {
-                                None
-                            };
-                            let ctx = EvalCtx {
-                                vertex: cur.vertex,
-                                record,
-                                locals: locals.get(cur.locals),
-                                params: self.params,
-                            };
+                            let ctx = self.eval_ctx(part, cur.vertex, locals.get(cur.locals))?;
                             key.eval(&ctx)?
                         }
                     };
@@ -867,10 +510,7 @@ impl<'a> Interpreter<'a> {
                         });
                         out.spawned.push((cont_part, h));
                     }
-                    out.finished.absorb(w);
-                    locals.unref(cur.locals);
-                    cur.locals = LocalsId::INVALID;
-                    return Ok(());
+                    return retire(cur, w, locals, out);
                 }
                 PlanStep::MoveTo { vertex_slot } => {
                     let v = slot_of(locals.get(cur.locals), *vertex_slot)
@@ -893,9 +533,29 @@ impl<'a> Interpreter<'a> {
         }
     }
 
+    /// Expression context at `v`: its record when `part` holds it.
+    fn eval_ctx<'r>(
+        &'r self,
+        part: &'r GraphPartition,
+        v: VertexId,
+        locals: &'r [Value],
+    ) -> GdResult<EvalCtx<'r>> {
+        let record = if part.contains(v) {
+            Some(part.vertex(v)?)
+        } else {
+            None
+        };
+        Ok(EvalCtx {
+            vertex: v,
+            record,
+            locals,
+            params: self.params,
+        })
+    }
+
     /// Partition owning a join key: vertex keys go to the vertex's owner
     /// (so continuations can read its properties); other keys hash.
-    pub fn join_key_part(&self, key: &Value) -> PartId {
+    fn join_key_part(&self, key: &Value) -> PartId {
         match key.as_vertex() {
             Some(v) => self.graph.part_of(v),
             None => {
@@ -905,6 +565,20 @@ impl<'a> Interpreter<'a> {
             }
         }
     }
+}
+
+/// The cursor ends here: its remaining weight `w` is released and its
+/// locals reference dropped, leaving `cur.locals` invalid.
+fn retire(
+    cur: &mut ArenaTraverser,
+    w: Weight,
+    locals: &mut LocalsTable,
+    out: &mut HandleOutcome,
+) -> GdResult<()> {
+    out.finished.absorb(w);
+    locals.unref(cur.locals);
+    cur.locals = LocalsId::INVALID;
+    Ok(())
 }
 
 /// Merge probe-side and build-side register files: probe slots win where
@@ -969,8 +643,9 @@ mod tests {
         b.finish()
     }
 
-    /// Drive a single-stage plan to completion against the graph, simulating
-    /// the engine loop sequentially. Returns (rows, agg partial merge).
+    /// Drive a single-stage plan to completion against the graph on the
+    /// arena path, simulating the engine loop sequentially (LIFO). Returns
+    /// (rows, agg partial merge).
     fn drive(graph: &Graph, plan: &Plan, params: &[Value]) -> (Vec<Row>, Option<AggState>) {
         let interp = Interpreter {
             graph,
@@ -985,7 +660,8 @@ mod tests {
             .map(|_| Memo::new())
             .collect();
         let mut tracker = WeightAccumulator::new();
-        let mut queue: Vec<(PartId, Traverser)> = Vec::new();
+        let (mut arena, mut locals) = (TraverserArena::new(), LocalsTable::new());
+        let mut queue: Vec<(PartId, TraverserHandle)> = Vec::new();
         let stage = interp.stage();
         // Source phase: split root weight across pipelines then partitions.
         let pipe_weights = Weight::ROOT.split(stage.pipelines.len(), &mut rng);
@@ -997,25 +673,34 @@ mod tests {
                     .run_source(pi as u16, w, &graph.read(p), &mut rng)
                     .unwrap();
                 tracker.add(out.finished);
-                queue.extend(out.spawned);
+                for (dest, t) in out.spawned {
+                    queue.push((dest, arena.admit(t, &mut locals)));
+                }
             }
         }
-        let mut rows = Vec::new();
-        while let Some((p, t)) = queue.pop() {
+        let (mut rows, mut cache, mut out) =
+            (Vec::new(), ExpandCache::new(), HandleOutcome::default());
+        while let Some((p, h)) = queue.pop() {
             let part = graph.read(p);
-            let out = interp
-                .run_traverser(
-                    t,
+            let memo = memos[p.as_usize()].query_mut(QueryId(1));
+            interp
+                .run_handle(
+                    h,
+                    &mut arena,
+                    &mut locals,
+                    &mut cache,
                     &part,
-                    memos[p.as_usize()].query_mut(QueryId(1)),
+                    memo,
                     &mut rng,
+                    &mut out,
                 )
                 .unwrap();
             tracker.add(out.finished);
-            rows.extend(out.emitted);
-            queue.extend(out.spawned);
+            rows.append(&mut out.emitted);
+            queue.append(&mut out.spawned);
         }
         assert!(tracker.is_complete(), "weights must balance at completion");
+        assert_eq!((arena.live(), locals.live()), (0, 0), "arena path leaked");
         // Gather agg partials.
         let mut merged: Option<AggState> = None;
         if let Some(agg) = &stage.agg {
@@ -1405,18 +1090,6 @@ mod tests {
         let (rows, _) = drive(&g, &plan, &[Value::Vertex(VertexId(0))]);
         assert_eq!(rows, vec![vec![Value::Int(2009)]]);
     }
-}
-
-#[cfg(test)]
-mod edge_case_tests {
-    use super::*;
-    use graphdance_common::rng::seeded;
-    use graphdance_common::Partitioner;
-    use graphdance_query::expr::Expr;
-    use graphdance_query::plan::{Pipeline, Plan, Stage};
-    use graphdance_storage::{Direction, GraphBuilder};
-
-    use crate::memo::Memo;
 
     fn tiny_graph() -> Graph {
         let mut b = GraphBuilder::new(Partitioner::new(2, 2));
@@ -1432,43 +1105,6 @@ mod edge_case_tests {
                 .unwrap();
         }
         b.finish()
-    }
-
-    fn drive_collect(graph: &Graph, plan: &Plan, params: &[Value]) -> Vec<Row> {
-        let interp = Interpreter {
-            graph,
-            plan,
-            stage_idx: 0,
-            query: QueryId(9),
-            params,
-            read_ts: 1,
-        };
-        let mut rng = seeded(3);
-        let mut memos: Vec<Memo> = (0..graph.partitioner().num_parts())
-            .map(|_| Memo::new())
-            .collect();
-        let mut queue: Vec<(PartId, Traverser)> = Vec::new();
-        for p in graph.partitioner().parts() {
-            let out = interp
-                .run_source(0, Weight(1 << p.0), &graph.read(p), &mut rng)
-                .unwrap();
-            queue.extend(out.spawned);
-        }
-        let mut rows = Vec::new();
-        while let Some((p, t)) = queue.pop() {
-            let part = graph.read(p);
-            let out = interp
-                .run_traverser(
-                    t,
-                    &part,
-                    memos[p.as_usize()].query_mut(QueryId(9)),
-                    &mut rng,
-                )
-                .unwrap();
-            rows.extend(out.emitted);
-            queue.extend(out.spawned);
-        }
-        rows
     }
 
     #[test]
@@ -1504,7 +1140,7 @@ mod edge_case_tests {
             }],
             num_params: 1,
         };
-        let rows = drive_collect(&g, &plan, &[Value::Vertex(VertexId(0))]);
+        let (rows, _) = drive(&g, &plan, &[Value::Vertex(VertexId(0))]);
         // The same vertex may appear with counter=1 and counter=2, but never
         // twice with the same counter.
         let mut seen = std::collections::HashSet::new();
@@ -1537,7 +1173,7 @@ mod edge_case_tests {
             num_params: 2,
         };
         for target in 0..8u64 {
-            let rows = drive_collect(
+            let (rows, _) = drive(
                 &g,
                 &plan,
                 &[Value::Vertex(VertexId(0)), Value::Vertex(VertexId(target))],
@@ -1570,7 +1206,7 @@ mod edge_case_tests {
             }],
             num_params: 1,
         };
-        let rows = drive_collect(&g, &plan, &[Value::Vertex(VertexId(2))]);
+        let (rows, _) = drive(&g, &plan, &[Value::Vertex(VertexId(2))]);
         assert!(rows.is_empty());
     }
 }

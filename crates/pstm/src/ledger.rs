@@ -40,8 +40,8 @@ impl WeightLedger {
         Self::default()
     }
 
-    /// Verify that one interpreter invocation (split/merge/terminate)
-    /// conserved its input weight. Returns a diagnostic on violation.
+    /// Verify that one source or seeding (wire-format children) conserved
+    /// its input weight. Returns a diagnostic on violation.
     #[inline]
     pub fn check_step(
         &mut self,
@@ -49,33 +49,11 @@ impl WeightLedger {
         input: Weight,
         out: &Outcome,
     ) -> Result<(), String> {
-        if !Self::ENABLED {
-            return Ok(());
-        }
-        self.steps += 1;
-        let spawned = out
-            .spawned
-            .iter()
-            .fold(Weight::ZERO, |acc, (_, t)| acc.add(t.weight));
-        let redistributed = spawned.add(out.finished);
-        if redistributed != input {
-            return Err(format!(
-                "weight conservation violated for query {:?} (ledger step {}): \
-                 input {:?} != spawned {:?} (over {} children) + finished {:?}; \
-                 delta {:?}",
-                query,
-                self.steps,
-                input,
-                spawned,
-                out.spawned.len(),
-                out.finished,
-                input.sub(redistributed),
-            ));
-        }
-        Ok(())
+        let spawned = out.spawned.iter().map(|(_, t)| t.weight);
+        self.check(query, input, spawned, out.finished)
     }
 
-    /// Arena-path twin of [`check_step`](Self::check_step): spawned
+    /// Verify that one arena step conserved its input weight. Spawned
     /// children are arena handles, so their weights are re-read through
     /// the arena's generation-checked accessor — a stale handle (ABA)
     /// panics right here in debug builds, wiring the arena's recycling
@@ -88,15 +66,25 @@ impl WeightLedger {
         out: &HandleOutcome,
         arena: &TraverserArena,
     ) -> Result<(), String> {
+        let spawned = out.spawned.iter().map(|(_, h)| arena.get(*h).weight);
+        self.check(query, input, spawned, out.finished)
+    }
+
+    /// The law itself: `input == Σ spawned + finished`.
+    fn check(
+        &mut self,
+        query: QueryId,
+        input: Weight,
+        spawned: impl ExactSizeIterator<Item = Weight>,
+        finished: Weight,
+    ) -> Result<(), String> {
         if !Self::ENABLED {
             return Ok(());
         }
         self.steps += 1;
-        let spawned = out
-            .spawned
-            .iter()
-            .fold(Weight::ZERO, |acc, (_, h)| acc.add(arena.get(*h).weight));
-        let redistributed = spawned.add(out.finished);
+        let children = spawned.len();
+        let spawned = spawned.fold(Weight::ZERO, Weight::add);
+        let redistributed = spawned.add(finished);
         if redistributed != input {
             return Err(format!(
                 "weight conservation violated for query {:?} (ledger step {}): \
@@ -106,8 +94,8 @@ impl WeightLedger {
                 self.steps,
                 input,
                 spawned,
-                out.spawned.len(),
-                out.finished,
+                children,
+                finished,
                 input.sub(redistributed),
             ));
         }

@@ -8,8 +8,9 @@
 //! * **Fault schedules** ([`repro`]) — a run is named by one [`Repro`]
 //!   line: graph, query, topology, seed, and per-mille fault knobs.
 //! * **Oracle differential checking** ([`oracle`], [`check`]) — every
-//!   simulated answer is compared against a sequential single-machine
-//!   interpreter over the same plan. Disagreement is an execution bug by
+//!   simulated answer is compared against a sequential single-machine run
+//!   of the same plan on [`mod@reference`], a step chain kept independent of
+//!   the arena step the engines run. Disagreement is an execution bug by
 //!   construction.
 //! * **Repro minimization** ([`minimize`]) — a failing repro is shrunk
 //!   (fault knobs zeroed, graph and topology reduced) while the failure
@@ -22,6 +23,7 @@
 //! bug; [`Verdict::Flagged`] never is under injected faults.
 
 pub mod oracle;
+pub mod reference;
 pub mod repro;
 pub mod service;
 

@@ -2,11 +2,13 @@
 //!
 //! Runs a compiled plan to completion on one thread with a plain FIFO work
 //! list — no network, no partitioned memo ownership races, no scheduling.
-//! Because every GraphDance engine executes queries through the same PSTM
-//! [`Interpreter`], the oracle's answer is the query's semantics by
-//! construction; any simulated run that disagrees has an *execution* bug
-//! (lost message, progress/rows reordering, memo corruption), which is
-//! exactly what differential checking is for.
+//! Sources and `PrevRows` seeding go through the PSTM [`Interpreter`], as
+//! on every engine; each traverser then runs on the reference step
+//! ([`crate::reference`]), an implementation of the step chain independent
+//! of the arena step the engines run. Any simulated run that disagrees has
+//! an *execution* bug (lost message, progress/rows reordering, memo
+//! corruption) or an arena-path bug, which is exactly what differential
+//! checking is for.
 //!
 //! The oracle still keeps one memo **per partition** and routes spawned
 //! traversers to their destination partition's memo, mirroring the
@@ -23,6 +25,8 @@ use graphdance_pstm::{
 };
 use graphdance_query::plan::{Plan, SourceSpec};
 use graphdance_storage::{Graph, Timestamp};
+
+use crate::reference;
 
 /// RNG stream for the oracle's weight splits, away from worker streams
 /// (`0..num_parts`), the coordinator (`u64::MAX`), and the simulator's
@@ -109,8 +113,8 @@ pub fn oracle_rows(
         while let Some((p, t)) = queue.pop_front() {
             let input = t.weight;
             let part = graph.read(p);
-            let out =
-                interp.run_traverser(t, &part, memos[p.as_usize()].query_mut(query), &mut rng)?;
+            let memo = memos[p.as_usize()].query_mut(query);
+            let out = reference::run_traverser(&interp, t, &part, memo, &mut rng)?;
             ledger
                 .check_step(query, input, &out)
                 .map_err(GdError::InvariantViolation)?;

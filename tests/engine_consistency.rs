@@ -62,6 +62,15 @@ fn khop_topk_plan(graph: &Graph, k: i64) -> Plan {
     b.compile().expect("compiles")
 }
 
+/// Two plain undirected hops and no stateful step: how many plan steps the query
+/// runs does not depend on the schedule, so every engine must report the
+/// same count.
+fn two_hop_plan(graph: &Graph) -> Plan {
+    let mut b = QueryBuilder::new(graph.schema());
+    b.v_param(0).both("link").both("link");
+    b.compile().expect("compiles")
+}
+
 /// Sequential BFS oracle: the set of vertices within k out-hops.
 fn bfs_oracle(graph: &Graph, start: VertexId, k: u32) -> HashSet<VertexId> {
     let link = graph.schema().edge_label("link").expect("schema");
@@ -126,17 +135,19 @@ fn khop_matches_bfs_oracle_on_graphdance() {
 #[test]
 fn all_engines_agree_on_khop_topk() {
     let data = dataset();
-    // Reference answer from GraphDance.
-    let reference = {
+    let start = || vec![Value::Vertex(VertexId(42))];
+    // Reference answer and step count from GraphDance.
+    let (reference, reference_steps) = {
         let graph = data.build(Partitioner::new(2, 2)).expect("builds");
-        let plan = khop_topk_plan(&graph, 3);
-        let engine = GraphDance::start(graph, EngineConfig::new(2, 2));
+        let engine = GraphDance::start(graph.clone(), EngineConfig::new(2, 2));
         let rows = engine
-            .query(&plan, vec![Value::Vertex(VertexId(42))])
+            .query(&khop_topk_plan(&graph, 3), start())
             .expect("query runs");
+        let hops = engine.query_timed(&two_hop_plan(&graph), start());
         engine.shutdown();
-        rows
+        (rows, hops.expect("query runs").steps_executed)
     };
+    assert!(reference_steps > 0, "GraphDance counts the steps it runs");
     assert!(!reference.is_empty(), "reference must find vertices");
 
     let mk_engine = |name: &str| -> Box<dyn QueryEngine> {
@@ -157,11 +168,17 @@ fn all_engines_agree_on_khop_topk() {
     for name in ["bsp", "np", "gaia", "banyan", "hybrid", "single"] {
         let engine = mk_engine(name);
         let graph = data.build(Partitioner::new(2, 2)).expect("builds");
-        let plan = khop_topk_plan(&graph, 3);
         let rows = engine
-            .query(&plan, vec![Value::Vertex(VertexId(42))])
+            .query(&khop_topk_plan(&graph, 3), start())
             .unwrap_or_else(|e| panic!("{name}: {e}"));
         assert_eq!(rows, reference, "engine {name} disagrees");
+        let hops = engine
+            .query_timed(&two_hop_plan(&graph), start())
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(
+            hops.steps_executed, reference_steps,
+            "engine {name} reports a different step count"
+        );
         engine.stop();
     }
 }
