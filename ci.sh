@@ -180,9 +180,9 @@ if [ "${CI_SANITIZERS:-0}" = "1" ]; then
             echo "    tsan lane unavailable (needs nightly rust-src); skipped"
         fi
 
-        echo "==> sanitizers: Miri over obs registry, wire packet round-trips, and lock-table suites"
+        echo "==> sanitizers: Miri over obs registry, wire packet round-trips and nesting budget, and lock-table suites"
         if cargo +nightly miri test -q -p graphdance-obs registry 2>/dev/null \
-            && cargo +nightly miri test -q -p graphdance-engine wire::tests::packet_roundtrips 2>/dev/null \
+            && cargo +nightly miri test -q -p graphdance-engine -- wire::tests::packet_roundtrips wire::tests::nesting_ 2>/dev/null \
             && cargo +nightly miri test -q -p graphdance-txn lock_table 2>/dev/null; then
             echo "    miri lane clean"
         else

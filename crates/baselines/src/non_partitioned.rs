@@ -26,7 +26,7 @@ use parking_lot::{Mutex, RwLock};
 use rand::rngs::SmallRng;
 
 use graphdance_common::{FxHashMap, FxHashSet, GdError, GdResult, QueryId, Value, WorkerId};
-use graphdance_engine::config::EngineConfig;
+use graphdance_engine::config::{EngineConfig, WORKER_BATCH};
 use graphdance_engine::coordinator::Coordinator;
 use graphdance_engine::messages::{CoordMsg, QueryCtx, QueryScope, WorkerMsg};
 use graphdance_engine::net::{Fabric, NetStatsSnapshot, Outbox};
@@ -124,7 +124,6 @@ struct SharedWorker {
     /// lock after each execution, for the same reason: a partial must
     /// travel ahead of the progress report of the weight that built it.
     partials: FxHashMap<QueryId, AggState>,
-    batch: usize,
 }
 
 impl SharedWorker {
@@ -150,7 +149,6 @@ impl SharedWorker {
             weight_coalescing: config.weight_coalescing,
             finished: FxHashMap::default(),
             partials: FxHashMap::default(),
-            batch: config.worker_batch,
         }
     }
 
@@ -167,7 +165,7 @@ impl SharedWorker {
             // Pull from the shared (contended) queue.
             self.cache.begin_quantum();
             let mut executed = 0;
-            while executed < self.batch {
+            while executed < WORKER_BATCH {
                 let Some(t) = self.shared.queue.lock().pop_front() else {
                     break;
                 };

@@ -3,6 +3,9 @@
 
 use std::time::Duration;
 
+/// Max traversers a worker executes between inbox polls.
+pub const WORKER_BATCH: usize = 64;
+
 /// Which tiers of the I/O scheduler are active (§IV-B / Fig. 12 ablation).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum IoMode {
@@ -155,8 +158,6 @@ pub struct EngineConfig {
     pub net: NetConfig,
     /// Master RNG seed (worker streams are derived from it).
     pub seed: u64,
-    /// Max traversers a worker executes between inbox polls.
-    pub worker_batch: usize,
     /// Per-query deadline; queries exceeding it fail with `QueryTimeout`.
     pub query_timeout: Duration,
     /// Liveness watchdog window (debug builds): a query that reports no
@@ -185,7 +186,6 @@ impl EngineConfig {
             io_mode: IoMode::TwoTier,
             net: NetConfig::modern(),
             seed: 0xDA7A_BA5E,
-            worker_batch: 64,
             query_timeout: Duration::from_secs(60),
             watchdog_stall: Duration::from_secs(10),
             fault: FaultInjection::default(),

@@ -266,7 +266,6 @@ impl Coordinator {
             CoordMsg::BspStepDone { .. } | CoordMsg::BspParked { .. } => {
                 // BSP control traffic is only meaningful to the BSP driver.
             }
-            CoordMsg::Tick => {}
             // The run() loop exits on Shutdown before dispatching here.
             CoordMsg::Shutdown => unreachable!("handled in run()"), // lint: allow(hot-path-panics)
         }
@@ -460,7 +459,7 @@ impl Coordinator {
                                     query,
                                     stage_idx as u16,
                                     w.0,
-                                    t.wire_bytes() as u64,
+                                    crate::wire::encoded_len(&t) as u64,
                                 );
                                 self.outbox.send_traverser(w, t);
                             }

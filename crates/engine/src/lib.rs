@@ -14,16 +14,16 @@
 //!   node (flushed at 8 KB or on idle), tier 2 combines packets from all
 //!   local workers per destination node. Same-node messages take the
 //!   shared-memory shortcut. Every remote message is serialized once, at
-//!   its tier-1 flush ([`wire`], on [`codec`]'s value and traverser
-//!   primitives), decoded once at its receiver, and charged against a
-//!   configurable network cost model.
+//!   its tier-1 flush ([`wire`]), decoded once at its receiver, and
+//!   charged against a configurable network cost model.
 //! * Query completion is detected with **progression weights** and
 //!   **weight coalescing** (§IV-A, [`coordinator`]): workers locally sum the
 //!   weights of finished traversers and send one coalesced report per
 //!   flush.
 //!
-//! The [`net::Fabric`] and [`codec`] are public so that the baseline engines
-//! (`graphdance-baselines`) run on the identical simulated cluster.
+//! The [`net::Fabric`] is public so that the baseline engines
+//! (`graphdance-baselines`) run on the identical simulated cluster;
+//! [`codec`] holds only the benchmark's standalone batch frame.
 
 //! Runtime invariants (weight conservation, message conservation, the
 //! liveness watchdog) are checked in debug builds by [`invariants`] and

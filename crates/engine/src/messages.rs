@@ -273,8 +273,6 @@ pub enum CoordMsg {
         parked: Weight,
         round: u64,
     },
-    /// Periodic tick for deadline enforcement.
-    Tick,
     /// Stop the coordinator thread.
     Shutdown,
 }

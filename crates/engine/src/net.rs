@@ -872,8 +872,8 @@ struct OutBuf {
     traversers: Vec<(WorkerId, Traverser)>,
     /// Other pending wire messages (rows/progress/control), in send order.
     msgs: Vec<WireMsg>,
-    /// Encoded bytes buffered toward the flush threshold: `wire_bytes()`
-    /// per traverser, [`wire::encoded_len`] per other buffered message.
+    /// Encoded bytes buffered toward the flush threshold:
+    /// [`wire::encoded_len`] of each buffered traverser and message.
     /// Messages that flush their lane at once add nothing.
     bytes: usize,
 }
@@ -919,7 +919,7 @@ impl Outbox {
         let node = self.fabric.partitioner.node_of_worker(dest).as_usize();
         self.fabric.invariants.record_sent(t.query, 1);
         let buf = &mut self.bufs[node];
-        buf.bytes += t.wire_bytes();
+        buf.bytes += wire::encoded_len(&t);
         buf.traversers.push((dest, t));
         self.maybe_flush(node);
     }

@@ -10,20 +10,27 @@
 //! ingress channels, the socket backends inside a PACKET frame. Every
 //! receiver hands the body to the fabric's one decode point, the only
 //! caller of [`decode_packet`]. A traverser batch is a
-//! [`WorkerMsg::Batch`] like any other worker message; the flush policy
-//! sizes buffered messages with [`encoded_len`], the same encoder run into
-//! a counting sink, so nothing else in the engine describes a message's
-//! size. Hand-rolled — no serde format — so the layout is stable and the
-//! decoder surfaces `GdError` on any truncation or corruption instead of
-//! panicking.
+//! [`WorkerMsg::Batch`] like any other worker message.
+//!
+//! Each shape's layout is written once, as its [`Wire`] impl: how it is
+//! put into any [`BufMut`] and read back from a bounds-checked [`Reader`].
+//! Messages are built from the impls of their parts — fixed-width
+//! little-endian integers and id newtypes, `u32`-length strings and
+//! sequences, options (`u8 0 | u8 1 + item`), boxes and tuples. The flush
+//! policy sizes a buffered traverser or message with [`encoded_len`], the
+//! same impl run into a counting sink, so nothing else in the engine
+//! describes a message's size. Hand-rolled — no serde format — so the
+//! layout is stable and reviewable, and the decoder surfaces `GdError` on
+//! any truncation, corruption or over-deep nesting ([`MAX_NESTING`])
+//! instead of panicking or overflowing a reader thread's stack.
 //!
 //! Matches are deliberately exhaustive (no wildcard arms): adding a message
 //! or plan variant is a compile error until its encoding is defined here.
 //!
 //! Two messages intentionally do not cross the wire:
 //! - [`CoordMsg::Submit`] carries the client's crossbeam reply channel;
-//!   clients always talk to the coordinator's own node. Encoding it is an
-//!   error, not a panic.
+//!   clients always talk to the coordinator's own node. [`encode_packet`]
+//!   refuses it with an error, not a panic, before writing a byte.
 //! - Map-shaped aggregation partials ([`AggState::GroupCount`]/`GroupSum`)
 //!   are encoded with entries sorted by key so the same state always
 //!   produces the same bytes (hash-map iteration order is not stable).
@@ -36,7 +43,7 @@ use graphdance_common::value::ValueKey;
 use graphdance_common::{
     FxHashMap, GdError, GdResult, Label, PartId, PropKey, QueryId, Value, VertexId, WorkerId,
 };
-use graphdance_pstm::{AggState, Row, Weight};
+use graphdance_pstm::{AggState, Traverser, Weight};
 use graphdance_query::expr::{CmpOp, Expr};
 use graphdance_query::plan::{
     AggFunc, AggSpec, GroupOrder, JoinSide, JoinSpec, Order, Pipeline, Plan, PlanStep, SourceSpec,
@@ -44,9 +51,15 @@ use graphdance_query::plan::{
 };
 use graphdance_storage::Direction;
 
-use crate::codec::{self, Reader};
 use crate::messages::{BspSignal, CoordMsg, QueryCtx, WorkerMsg};
 use crate::net::WireMsg;
+
+/// How deep decoded values, value keys and expressions may nest, counted
+/// together: a `List` inside a `List`, an `Expr` inside an `Expr`, a
+/// constant inside an expression. The plans and values the engine ships
+/// reach 4 (DESIGN §10); a deeper body is hostile, and recursing into it
+/// would overflow the reader thread's stack.
+pub const MAX_NESTING: u32 = 128;
 
 /// `QueryBegin::from` on the wire when the coordinator introduced the
 /// query (no worker id reaches it: topologies index workers by `u32`).
@@ -56,1205 +69,92 @@ fn bad(what: &str, tag: u8) -> GdError {
     GdError::Internal(format!("wire: unknown {what} tag {tag}"))
 }
 
-// ---------------------------------------------------------------------------
-// Primitives
-// ---------------------------------------------------------------------------
-
-fn put_str(buf: &mut impl BufMut, s: &str) {
-    buf.put_u32_le(s.len() as u32);
-    buf.put_slice(s.as_bytes());
+/// A bounds-checked cursor over a borrowed byte slice, with the nesting
+/// budget the recursive shapes are charged against: what every decoder
+/// reads through.
+pub struct Reader<'a> {
+    buf: &'a [u8],
+    pos: usize,
+    depth: u32,
 }
 
-fn get_str(r: &mut Reader<'_>) -> GdResult<String> {
-    let n = r.u32()? as usize;
-    let raw = r.take(n)?;
-    std::str::from_utf8(raw)
-        .map(str::to_owned)
-        .map_err(|_| GdError::Internal("wire: invalid utf8".into()))
-}
-
-fn put_usize(buf: &mut impl BufMut, n: usize) {
-    buf.put_u32_le(n as u32);
-}
-
-fn get_usize(r: &mut Reader<'_>) -> GdResult<usize> {
-    Ok(r.u32()? as usize)
-}
-
-fn put_values(buf: &mut impl BufMut, vs: &[Value]) {
-    put_usize(buf, vs.len());
-    for v in vs {
-        codec::encode_value(buf, v);
-    }
-}
-
-fn get_values(r: &mut Reader<'_>) -> GdResult<Vec<Value>> {
-    let n = get_usize(r)?;
-    let mut out = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        out.push(codec::decode_value_borrowed(r)?);
-    }
-    Ok(out)
-}
-
-fn put_rows(buf: &mut impl BufMut, rows: &[Row]) {
-    put_usize(buf, rows.len());
-    for row in rows {
-        put_values(buf, row);
-    }
-}
-
-fn get_rows(r: &mut Reader<'_>) -> GdResult<Vec<Row>> {
-    let n = get_usize(r)?;
-    let mut out = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        out.push(get_values(r)?);
-    }
-    Ok(out)
-}
-
-// ---------------------------------------------------------------------------
-// ValueKey
-// ---------------------------------------------------------------------------
-//
-// Same tag space as the Value codec, with `Float` keyed by IEEE-754 bits.
-
-fn encode_value_key(buf: &mut impl BufMut, k: &ValueKey) {
-    match k {
-        ValueKey::Null => buf.put_u8(0),
-        ValueKey::Bool(false) => buf.put_u8(1),
-        ValueKey::Bool(true) => buf.put_u8(2),
-        ValueKey::Int(i) => {
-            buf.put_u8(3);
-            buf.put_i64_le(*i);
+impl<'a> Reader<'a> {
+    /// A reader at the start of `buf`.
+    pub fn new(buf: &'a [u8]) -> Self {
+        Reader {
+            buf,
+            pos: 0,
+            depth: 0,
         }
-        ValueKey::Float(bits) => {
-            buf.put_u8(4);
-            buf.put_u64_le(*bits);
+    }
+
+    /// The next `n` bytes.
+    fn take(&mut self, n: usize) -> GdResult<&'a [u8]> {
+        if self.buf.len() - self.pos < n {
+            return Err(GdError::Internal("wire: message truncated".into()));
         }
-        ValueKey::Str(s) => {
-            buf.put_u8(5);
-            put_str(buf, s);
+        let s = &self.buf[self.pos..self.pos + n];
+        self.pos += n;
+        Ok(s)
+    }
+
+    fn array<const N: usize>(&mut self) -> GdResult<[u8; N]> {
+        let mut a = [0; N];
+        a.copy_from_slice(self.take(N)?);
+        Ok(a)
+    }
+
+    /// A `u32`-length UTF-8 string, borrowed.
+    fn str(&mut self) -> GdResult<&'a str> {
+        let n = u32::get(self)? as usize;
+        std::str::from_utf8(self.take(n)?)
+            .map_err(|_| GdError::Internal("wire: invalid utf8".into()))
+    }
+
+    /// Run one nested decode of a recursive shape, charged against
+    /// [`MAX_NESTING`].
+    fn nested<T>(&mut self, get: impl FnOnce(&mut Self) -> GdResult<T>) -> GdResult<T> {
+        if self.depth == MAX_NESTING {
+            return Err(GdError::Internal(format!(
+                "wire: nesting deeper than {MAX_NESTING}"
+            )));
         }
-        ValueKey::Vertex(v) => {
-            buf.put_u8(6);
-            buf.put_u64_le(v.0);
-        }
-        ValueKey::List(l) => {
-            buf.put_u8(7);
-            put_usize(buf, l.len());
-            for x in l {
-                encode_value_key(buf, x);
-            }
+        self.depth += 1;
+        let out = get(self);
+        self.depth -= 1;
+        out
+    }
+
+    /// Fail unless every byte was consumed: a body must decode exactly.
+    pub(crate) fn finish(&self, what: &str) -> GdResult<()> {
+        if self.pos == self.buf.len() {
+            Ok(())
+        } else {
+            Err(GdError::Internal(format!(
+                "wire: trailing bytes after {what}"
+            )))
         }
     }
 }
 
-fn decode_value_key(r: &mut Reader<'_>) -> GdResult<ValueKey> {
-    match r.u8()? {
-        0 => Ok(ValueKey::Null),
-        1 => Ok(ValueKey::Bool(false)),
-        2 => Ok(ValueKey::Bool(true)),
-        3 => Ok(ValueKey::Int(r.i64()?)),
-        4 => Ok(ValueKey::Float(r.u64()?)),
-        5 => Ok(ValueKey::Str(Arc::from(get_str(r)?.as_str()))),
-        6 => Ok(ValueKey::Vertex(VertexId(r.u64()?))),
-        7 => {
-            let n = get_usize(r)?;
-            let mut out = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                out.push(decode_value_key(r)?);
-            }
-            Ok(ValueKey::List(out))
-        }
-        t => Err(bad("value-key", t)),
-    }
+/// One shape's wire layout, written once: what [`put`](Wire::put) writes,
+/// [`get`](Wire::get) reads back, and [`encoded_len`] counts.
+pub trait Wire: Sized {
+    /// Append this value's encoding.
+    fn put<B: BufMut>(&self, buf: &mut B);
+    /// Read one value, failing on truncation, an unknown tag or nesting
+    /// past [`MAX_NESTING`].
+    fn get(r: &mut Reader<'_>) -> GdResult<Self>;
 }
 
-// ---------------------------------------------------------------------------
-// Expressions
-// ---------------------------------------------------------------------------
-
-fn encode_cmp_op(buf: &mut impl BufMut, op: CmpOp) {
-    buf.put_u8(match op {
-        CmpOp::Eq => 0,
-        CmpOp::Ne => 1,
-        CmpOp::Lt => 2,
-        CmpOp::Le => 3,
-        CmpOp::Gt => 4,
-        CmpOp::Ge => 5,
-    });
-}
-
-fn decode_cmp_op(r: &mut Reader<'_>) -> GdResult<CmpOp> {
-    match r.u8()? {
-        0 => Ok(CmpOp::Eq),
-        1 => Ok(CmpOp::Ne),
-        2 => Ok(CmpOp::Lt),
-        3 => Ok(CmpOp::Le),
-        4 => Ok(CmpOp::Gt),
-        5 => Ok(CmpOp::Ge),
-        t => Err(bad("cmp-op", t)),
-    }
-}
-
-fn put_exprs(buf: &mut impl BufMut, xs: &[Expr]) {
-    put_usize(buf, xs.len());
-    for x in xs {
-        encode_expr(buf, x);
-    }
-}
-
-fn get_exprs(r: &mut Reader<'_>) -> GdResult<Vec<Expr>> {
-    let n = get_usize(r)?;
-    let mut out = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        out.push(decode_expr(r)?);
-    }
-    Ok(out)
-}
-
-fn encode_expr(buf: &mut impl BufMut, e: &Expr) {
-    match e {
-        Expr::Const(v) => {
-            buf.put_u8(0);
-            codec::encode_value(buf, v);
-        }
-        Expr::Param(i) => {
-            buf.put_u8(1);
-            put_usize(buf, *i);
-        }
-        Expr::Slot(s) => {
-            buf.put_u8(2);
-            buf.put_u8(*s);
-        }
-        Expr::VertexId => buf.put_u8(3),
-        Expr::Prop(k) => {
-            buf.put_u8(4);
-            buf.put_u16_le(k.0);
-        }
-        Expr::LabelIs(l) => {
-            buf.put_u8(5);
-            buf.put_u16_le(l.0);
-        }
-        Expr::Cmp(a, op, b) => {
-            buf.put_u8(6);
-            encode_expr(buf, a);
-            encode_cmp_op(buf, *op);
-            encode_expr(buf, b);
-        }
-        Expr::And(xs) => {
-            buf.put_u8(7);
-            put_exprs(buf, xs);
-        }
-        Expr::Or(xs) => {
-            buf.put_u8(8);
-            put_exprs(buf, xs);
-        }
-        Expr::Not(x) => {
-            buf.put_u8(9);
-            encode_expr(buf, x);
-        }
-        Expr::In(x, set) => {
-            buf.put_u8(10);
-            encode_expr(buf, x);
-            put_values(buf, set);
-        }
-        Expr::IsNull(x) => {
-            buf.put_u8(11);
-            encode_expr(buf, x);
-        }
-        Expr::Add(a, b) => {
-            buf.put_u8(12);
-            encode_expr(buf, a);
-            encode_expr(buf, b);
-        }
-        Expr::Sub(a, b) => {
-            buf.put_u8(13);
-            encode_expr(buf, a);
-            encode_expr(buf, b);
-        }
-        Expr::Mul(a, b) => {
-            buf.put_u8(14);
-            encode_expr(buf, a);
-            encode_expr(buf, b);
-        }
-        Expr::Tuple(xs) => {
-            buf.put_u8(15);
-            put_exprs(buf, xs);
-        }
-        Expr::Month(x) => {
-            buf.put_u8(16);
-            encode_expr(buf, x);
-        }
-        Expr::Day(x) => {
-            buf.put_u8(17);
-            encode_expr(buf, x);
-        }
-    }
-}
-
-fn decode_expr(r: &mut Reader<'_>) -> GdResult<Expr> {
-    match r.u8()? {
-        0 => Ok(Expr::Const(codec::decode_value_borrowed(r)?)),
-        1 => Ok(Expr::Param(get_usize(r)?)),
-        2 => Ok(Expr::Slot(r.u8()?)),
-        3 => Ok(Expr::VertexId),
-        4 => Ok(Expr::Prop(PropKey(r.u16()?))),
-        5 => Ok(Expr::LabelIs(Label(r.u16()?))),
-        6 => {
-            let a = decode_expr(r)?;
-            let op = decode_cmp_op(r)?;
-            let b = decode_expr(r)?;
-            Ok(Expr::Cmp(Box::new(a), op, Box::new(b)))
-        }
-        7 => Ok(Expr::And(get_exprs(r)?)),
-        8 => Ok(Expr::Or(get_exprs(r)?)),
-        9 => Ok(Expr::Not(Box::new(decode_expr(r)?))),
-        10 => {
-            let x = decode_expr(r)?;
-            let set = get_values(r)?;
-            Ok(Expr::In(Box::new(x), set))
-        }
-        11 => Ok(Expr::IsNull(Box::new(decode_expr(r)?))),
-        12 => {
-            let a = decode_expr(r)?;
-            let b = decode_expr(r)?;
-            Ok(Expr::Add(Box::new(a), Box::new(b)))
-        }
-        13 => {
-            let a = decode_expr(r)?;
-            let b = decode_expr(r)?;
-            Ok(Expr::Sub(Box::new(a), Box::new(b)))
-        }
-        14 => {
-            let a = decode_expr(r)?;
-            let b = decode_expr(r)?;
-            Ok(Expr::Mul(Box::new(a), Box::new(b)))
-        }
-        15 => Ok(Expr::Tuple(get_exprs(r)?)),
-        16 => Ok(Expr::Month(Box::new(decode_expr(r)?))),
-        17 => Ok(Expr::Day(Box::new(decode_expr(r)?))),
-        t => Err(bad("expr", t)),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Plans
-// ---------------------------------------------------------------------------
-
-fn encode_order(buf: &mut impl BufMut, o: Order) {
-    buf.put_u8(match o {
-        Order::Asc => 0,
-        Order::Desc => 1,
-    });
-}
-
-fn decode_order(r: &mut Reader<'_>) -> GdResult<Order> {
-    match r.u8()? {
-        0 => Ok(Order::Asc),
-        1 => Ok(Order::Desc),
-        t => Err(bad("order", t)),
-    }
-}
-
-fn encode_group_order(buf: &mut impl BufMut, o: GroupOrder) {
-    buf.put_u8(match o {
-        GroupOrder::CountDesc => 0,
-        GroupOrder::CountAsc => 1,
-        GroupOrder::KeyAsc => 2,
-    });
-}
-
-fn decode_group_order(r: &mut Reader<'_>) -> GdResult<GroupOrder> {
-    match r.u8()? {
-        0 => Ok(GroupOrder::CountDesc),
-        1 => Ok(GroupOrder::CountAsc),
-        2 => Ok(GroupOrder::KeyAsc),
-        t => Err(bad("group-order", t)),
-    }
-}
-
-fn encode_direction(buf: &mut impl BufMut, d: Direction) {
-    buf.put_u8(match d {
-        Direction::Out => 0,
-        Direction::In => 1,
-        Direction::Both => 2,
-    });
-}
-
-fn decode_direction(r: &mut Reader<'_>) -> GdResult<Direction> {
-    match r.u8()? {
-        0 => Ok(Direction::Out),
-        1 => Ok(Direction::In),
-        2 => Ok(Direction::Both),
-        t => Err(bad("direction", t)),
-    }
-}
-
-fn encode_source(buf: &mut impl BufMut, s: &SourceSpec) {
-    match s {
-        SourceSpec::Param { param } => {
-            buf.put_u8(0);
-            put_usize(buf, *param);
-        }
-        SourceSpec::IndexLookup { label, key, value } => {
-            buf.put_u8(1);
-            buf.put_u16_le(label.0);
-            buf.put_u16_le(key.0);
-            encode_expr(buf, value);
-        }
-        SourceSpec::ScanLabel { label } => {
-            buf.put_u8(2);
-            buf.put_u16_le(label.0);
-        }
-        SourceSpec::PrevRows { vertex_col, seed } => {
-            buf.put_u8(3);
-            put_usize(buf, *vertex_col);
-            put_usize(buf, seed.len());
-            for (slot, col) in seed {
-                buf.put_u8(*slot);
-                put_usize(buf, *col);
-            }
-        }
-    }
-}
-
-fn decode_source(r: &mut Reader<'_>) -> GdResult<SourceSpec> {
-    match r.u8()? {
-        0 => Ok(SourceSpec::Param {
-            param: get_usize(r)?,
-        }),
-        1 => Ok(SourceSpec::IndexLookup {
-            label: Label(r.u16()?),
-            key: PropKey(r.u16()?),
-            value: decode_expr(r)?,
-        }),
-        2 => Ok(SourceSpec::ScanLabel {
-            label: Label(r.u16()?),
-        }),
-        3 => {
-            let vertex_col = get_usize(r)?;
-            let n = get_usize(r)?;
-            let mut seed = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                let slot = r.u8()?;
-                let col = get_usize(r)?;
-                seed.push((slot, col));
-            }
-            Ok(SourceSpec::PrevRows { vertex_col, seed })
-        }
-        t => Err(bad("source", t)),
-    }
-}
-
-fn put_prop_slots(buf: &mut impl BufMut, loads: &[(PropKey, u8)]) {
-    put_usize(buf, loads.len());
-    for (k, s) in loads {
-        buf.put_u16_le(k.0);
-        buf.put_u8(*s);
-    }
-}
-
-fn get_prop_slots(r: &mut Reader<'_>) -> GdResult<Vec<(PropKey, u8)>> {
-    let n = get_usize(r)?;
-    let mut out = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        let k = PropKey(r.u16()?);
-        let s = r.u8()?;
-        out.push((k, s));
-    }
-    Ok(out)
-}
-
-fn encode_step(buf: &mut impl BufMut, step: &PlanStep) {
-    match step {
-        PlanStep::Expand {
-            dir,
-            label,
-            edge_loads,
-        } => {
-            buf.put_u8(0);
-            encode_direction(buf, *dir);
-            buf.put_u16_le(label.0);
-            put_prop_slots(buf, edge_loads);
-        }
-        PlanStep::Filter(e) => {
-            buf.put_u8(1);
-            encode_expr(buf, e);
-        }
-        PlanStep::Load(loads) => {
-            buf.put_u8(2);
-            put_prop_slots(buf, loads);
-        }
-        PlanStep::Compute(assigns) => {
-            buf.put_u8(3);
-            put_usize(buf, assigns.len());
-            for (slot, e) in assigns {
-                buf.put_u8(*slot);
-                encode_expr(buf, e);
-            }
-        }
-        PlanStep::Dedup { slots } => {
-            buf.put_u8(4);
-            put_usize(buf, slots.len());
-            for s in slots {
-                buf.put_u8(*s);
-            }
-        }
-        PlanStep::MinDist { dist_slot } => {
-            buf.put_u8(5);
-            buf.put_u8(*dist_slot);
-        }
-        PlanStep::LoopEnd {
-            counter,
-            min,
-            max,
-            back_to,
-        } => {
-            buf.put_u8(6);
-            buf.put_u8(*counter);
-            buf.put_i64_le(*min);
-            buf.put_i64_le(*max);
-            buf.put_u16_le(*back_to);
-        }
-        PlanStep::Join { join_id, side, key } => {
-            buf.put_u8(7);
-            buf.put_u16_le(*join_id);
-            buf.put_u8(match side {
-                JoinSide::Probe => 0,
-                JoinSide::Build => 1,
-            });
-            encode_expr(buf, key);
-        }
-        PlanStep::MoveTo { vertex_slot } => {
-            buf.put_u8(8);
-            buf.put_u8(*vertex_slot);
-        }
-    }
-}
-
-fn decode_step(r: &mut Reader<'_>) -> GdResult<PlanStep> {
-    match r.u8()? {
-        0 => Ok(PlanStep::Expand {
-            dir: decode_direction(r)?,
-            label: Label(r.u16()?),
-            edge_loads: get_prop_slots(r)?,
-        }),
-        1 => Ok(PlanStep::Filter(decode_expr(r)?)),
-        2 => Ok(PlanStep::Load(get_prop_slots(r)?)),
-        3 => {
-            let n = get_usize(r)?;
-            let mut assigns = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                let slot = r.u8()?;
-                let e = decode_expr(r)?;
-                assigns.push((slot, e));
-            }
-            Ok(PlanStep::Compute(assigns))
-        }
-        4 => {
-            let n = get_usize(r)?;
-            let mut slots = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                slots.push(r.u8()?);
-            }
-            Ok(PlanStep::Dedup { slots })
-        }
-        5 => Ok(PlanStep::MinDist { dist_slot: r.u8()? }),
-        6 => Ok(PlanStep::LoopEnd {
-            counter: r.u8()?,
-            min: r.i64()?,
-            max: r.i64()?,
-            back_to: r.u16()?,
-        }),
-        7 => {
-            let join_id = r.u16()?;
-            let side = match r.u8()? {
-                0 => JoinSide::Probe,
-                1 => JoinSide::Build,
-                t => return Err(bad("join-side", t)),
-            };
-            let key = decode_expr(r)?;
-            Ok(PlanStep::Join { join_id, side, key })
-        }
-        8 => Ok(PlanStep::MoveTo {
-            vertex_slot: r.u8()?,
-        }),
-        t => Err(bad("plan-step", t)),
-    }
-}
-
-fn encode_agg_func(buf: &mut impl BufMut, f: &AggFunc) {
-    match f {
-        AggFunc::Count => buf.put_u8(0),
-        AggFunc::Sum(e) => {
-            buf.put_u8(1);
-            encode_expr(buf, e);
-        }
-        AggFunc::Min(e) => {
-            buf.put_u8(2);
-            encode_expr(buf, e);
-        }
-        AggFunc::Max(e) => {
-            buf.put_u8(3);
-            encode_expr(buf, e);
-        }
-        AggFunc::Avg(e) => {
-            buf.put_u8(4);
-            encode_expr(buf, e);
-        }
-        AggFunc::TopK {
-            k,
-            sort,
-            output,
-            distinct,
-        } => {
-            buf.put_u8(5);
-            put_usize(buf, *k);
-            put_usize(buf, sort.len());
-            for (e, o) in sort {
-                encode_expr(buf, e);
-                encode_order(buf, *o);
-            }
-            put_exprs(buf, output);
-            put_exprs(buf, distinct);
-        }
-        AggFunc::GroupCount { key, order, limit } => {
-            buf.put_u8(6);
-            encode_expr(buf, key);
-            encode_group_order(buf, *order);
-            put_usize(buf, *limit);
-        }
-        AggFunc::GroupSum {
-            key,
-            value,
-            order,
-            limit,
-        } => {
-            buf.put_u8(7);
-            encode_expr(buf, key);
-            encode_expr(buf, value);
-            encode_group_order(buf, *order);
-            put_usize(buf, *limit);
-        }
-        AggFunc::Collect { output, limit } => {
-            buf.put_u8(8);
-            put_exprs(buf, output);
-            put_usize(buf, *limit);
-        }
-    }
-}
-
-fn decode_agg_func(r: &mut Reader<'_>) -> GdResult<AggFunc> {
-    match r.u8()? {
-        0 => Ok(AggFunc::Count),
-        1 => Ok(AggFunc::Sum(decode_expr(r)?)),
-        2 => Ok(AggFunc::Min(decode_expr(r)?)),
-        3 => Ok(AggFunc::Max(decode_expr(r)?)),
-        4 => Ok(AggFunc::Avg(decode_expr(r)?)),
-        5 => {
-            let k = get_usize(r)?;
-            let n = get_usize(r)?;
-            let mut sort = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                let e = decode_expr(r)?;
-                let o = decode_order(r)?;
-                sort.push((e, o));
-            }
-            let output = get_exprs(r)?;
-            let distinct = get_exprs(r)?;
-            Ok(AggFunc::TopK {
-                k,
-                sort,
-                output,
-                distinct,
-            })
-        }
-        6 => Ok(AggFunc::GroupCount {
-            key: decode_expr(r)?,
-            order: decode_group_order(r)?,
-            limit: get_usize(r)?,
-        }),
-        7 => Ok(AggFunc::GroupSum {
-            key: decode_expr(r)?,
-            value: decode_expr(r)?,
-            order: decode_group_order(r)?,
-            limit: get_usize(r)?,
-        }),
-        8 => Ok(AggFunc::Collect {
-            output: get_exprs(r)?,
-            limit: get_usize(r)?,
-        }),
-        t => Err(bad("agg-func", t)),
-    }
-}
-
-/// Encode a full plan.
-pub fn encode_plan(buf: &mut impl BufMut, plan: &Plan) {
-    put_usize(buf, plan.num_params);
-    put_usize(buf, plan.stages.len());
-    for stage in &plan.stages {
-        put_usize(buf, stage.num_slots);
-        put_usize(buf, stage.pipelines.len());
-        for p in &stage.pipelines {
-            encode_source(buf, &p.source);
-            put_usize(buf, p.steps.len());
-            for s in &p.steps {
-                encode_step(buf, s);
-            }
-        }
-        put_usize(buf, stage.joins.len());
-        for j in &stage.joins {
-            buf.put_u16_le(j.join_id);
-            buf.put_u16_le(j.probe_pipeline);
-        }
-        put_exprs(buf, &stage.output);
-        match &stage.agg {
-            None => buf.put_u8(0),
-            Some(spec) => {
-                buf.put_u8(1);
-                encode_agg_func(buf, &spec.func);
-            }
-        }
-    }
-}
-
-/// Decode a full plan.
-pub(crate) fn decode_plan(r: &mut Reader<'_>) -> GdResult<Plan> {
-    let num_params = get_usize(r)?;
-    let n_stages = get_usize(r)?;
-    let mut stages = Vec::with_capacity(n_stages.min(64));
-    for _ in 0..n_stages {
-        let num_slots = get_usize(r)?;
-        let n_pipes = get_usize(r)?;
-        let mut pipelines = Vec::with_capacity(n_pipes.min(64));
-        for _ in 0..n_pipes {
-            let source = decode_source(r)?;
-            let n_steps = get_usize(r)?;
-            let mut steps = Vec::with_capacity(n_steps.min(1024));
-            for _ in 0..n_steps {
-                steps.push(decode_step(r)?);
-            }
-            pipelines.push(Pipeline { source, steps });
-        }
-        let n_joins = get_usize(r)?;
-        let mut joins = Vec::with_capacity(n_joins.min(64));
-        for _ in 0..n_joins {
-            joins.push(JoinSpec {
-                join_id: r.u16()?,
-                probe_pipeline: r.u16()?,
-            });
-        }
-        let output = get_exprs(r)?;
-        let agg = match r.u8()? {
-            0 => None,
-            1 => Some(AggSpec {
-                func: decode_agg_func(r)?,
-            }),
-            t => return Err(bad("agg-option", t)),
-        };
-        stages.push(Stage {
-            pipelines,
-            joins,
-            output,
-            agg,
-            num_slots,
-        });
-    }
-    Ok(Plan { stages, num_params })
-}
-
-// ---------------------------------------------------------------------------
-// Aggregation partials
-// ---------------------------------------------------------------------------
-
-fn put_sorted_map(buf: &mut impl BufMut, map: &FxHashMap<ValueKey, i64>) {
-    let mut entries: Vec<(&ValueKey, &i64)> = map.iter().collect();
-    // Sorted by the key's total order so identical states are identical
-    // bytes regardless of hash-map iteration order.
-    entries.sort_by(|a, b| a.0.cmp(b.0));
-    put_usize(buf, entries.len());
-    for (k, v) in entries {
-        encode_value_key(buf, k);
-        buf.put_i64_le(*v);
-    }
-}
-
-fn get_map(r: &mut Reader<'_>) -> GdResult<FxHashMap<ValueKey, i64>> {
-    let n = get_usize(r)?;
-    let mut map = FxHashMap::default();
-    map.reserve(n.min(4096));
-    for _ in 0..n {
-        let k = decode_value_key(r)?;
-        let v = r.i64()?;
-        map.insert(k, v);
-    }
-    Ok(map)
-}
-
-/// Encode an aggregation partial.
-pub fn encode_agg_state(buf: &mut impl BufMut, s: &AggState) {
-    match s {
-        AggState::Count(n) => {
-            buf.put_u8(0);
-            buf.put_u64_le(*n);
-        }
-        AggState::Sum(v) => {
-            buf.put_u8(1);
-            codec::encode_value(buf, v);
-        }
-        AggState::Min(v) => {
-            buf.put_u8(2);
-            match v {
-                None => buf.put_u8(0),
-                Some(v) => {
-                    buf.put_u8(1);
-                    codec::encode_value(buf, v);
-                }
-            }
-        }
-        AggState::Max(v) => {
-            buf.put_u8(3);
-            match v {
-                None => buf.put_u8(0),
-                Some(v) => {
-                    buf.put_u8(1);
-                    codec::encode_value(buf, v);
-                }
-            }
-        }
-        AggState::Avg { sum, count } => {
-            buf.put_u8(4);
-            buf.put_f64_le(*sum);
-            buf.put_u64_le(*count);
-        }
-        AggState::TopK { rows } => {
-            buf.put_u8(5);
-            put_usize(buf, rows.len());
-            for (sort, row, distinct) in rows {
-                put_values(buf, sort);
-                put_values(buf, row);
-                put_usize(buf, distinct.len());
-                for k in distinct {
-                    encode_value_key(buf, k);
-                }
-            }
-        }
-        AggState::GroupCount { map } => {
-            buf.put_u8(6);
-            put_sorted_map(buf, map);
-        }
-        AggState::GroupSum { map } => {
-            buf.put_u8(7);
-            put_sorted_map(buf, map);
-        }
-        AggState::Collect { rows } => {
-            buf.put_u8(8);
-            put_rows(buf, rows);
-        }
-    }
-}
-
-/// Decode an aggregation partial.
-pub(crate) fn decode_agg_state(r: &mut Reader<'_>) -> GdResult<AggState> {
-    match r.u8()? {
-        0 => Ok(AggState::Count(r.u64()?)),
-        1 => Ok(AggState::Sum(codec::decode_value_borrowed(r)?)),
-        2 => {
-            let present = r.u8()? != 0;
-            Ok(AggState::Min(if present {
-                Some(codec::decode_value_borrowed(r)?)
-            } else {
-                None
-            }))
-        }
-        3 => {
-            let present = r.u8()? != 0;
-            Ok(AggState::Max(if present {
-                Some(codec::decode_value_borrowed(r)?)
-            } else {
-                None
-            }))
-        }
-        4 => Ok(AggState::Avg {
-            sum: r.f64()?,
-            count: r.u64()?,
-        }),
-        5 => {
-            let n = get_usize(r)?;
-            let mut rows = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                let sort = get_values(r)?;
-                let row = get_values(r)?;
-                let nd = get_usize(r)?;
-                let mut distinct = Vec::with_capacity(nd.min(1024));
-                for _ in 0..nd {
-                    distinct.push(decode_value_key(r)?);
-                }
-                rows.push((sort, row, distinct));
-            }
-            Ok(AggState::TopK { rows })
-        }
-        6 => Ok(AggState::GroupCount { map: get_map(r)? }),
-        7 => Ok(AggState::GroupSum { map: get_map(r)? }),
-        8 => Ok(AggState::Collect { rows: get_rows(r)? }),
-        t => Err(bad("agg-state", t)),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Errors
-// ---------------------------------------------------------------------------
-
-fn encode_error(buf: &mut impl BufMut, e: &GdError) {
-    match e {
-        GdError::VertexNotFound(v) => {
-            buf.put_u8(0);
-            buf.put_u64_le(v.0);
-        }
-        GdError::UnknownSymbol(s) => {
-            buf.put_u8(1);
-            put_str(buf, s);
-        }
-        GdError::InvalidProgram(s) => {
-            buf.put_u8(2);
-            put_str(buf, s);
-        }
-        GdError::Parse { offset, message } => {
-            buf.put_u8(3);
-            put_usize(buf, *offset);
-            put_str(buf, message);
-        }
-        GdError::TypeError(s) => {
-            buf.put_u8(4);
-            put_str(buf, s);
-        }
-        GdError::EngineClosed => buf.put_u8(5),
-        GdError::QueryTimeout(q) => {
-            buf.put_u8(6);
-            buf.put_u64_le(q.0);
-        }
-        GdError::QueryCancelled(q) => {
-            buf.put_u8(7);
-            buf.put_u64_le(q.0);
-        }
-        GdError::Overloaded => buf.put_u8(8),
-        GdError::TxnAborted(s) => {
-            buf.put_u8(9);
-            put_str(buf, s);
-        }
-        GdError::InvariantViolation(s) => {
-            buf.put_u8(10);
-            put_str(buf, s);
-        }
-        GdError::Internal(s) => {
-            buf.put_u8(11);
-            put_str(buf, s);
-        }
-    }
-}
-
-fn decode_error(r: &mut Reader<'_>) -> GdResult<GdError> {
-    match r.u8()? {
-        0 => Ok(GdError::VertexNotFound(VertexId(r.u64()?))),
-        1 => Ok(GdError::UnknownSymbol(get_str(r)?)),
-        2 => Ok(GdError::InvalidProgram(get_str(r)?)),
-        3 => Ok(GdError::Parse {
-            offset: get_usize(r)?,
-            message: get_str(r)?,
-        }),
-        4 => Ok(GdError::TypeError(get_str(r)?)),
-        5 => Ok(GdError::EngineClosed),
-        6 => Ok(GdError::QueryTimeout(QueryId(r.u64()?))),
-        7 => Ok(GdError::QueryCancelled(QueryId(r.u64()?))),
-        8 => Ok(GdError::Overloaded),
-        9 => Ok(GdError::TxnAborted(get_str(r)?)),
-        10 => Ok(GdError::InvariantViolation(get_str(r)?)),
-        11 => Ok(GdError::Internal(get_str(r)?)),
-        t => Err(bad("error", t)),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// WorkerMsg / CoordMsg
-// ---------------------------------------------------------------------------
-
-/// Encode a worker control message. Every variant crosses the wire.
-pub fn encode_worker_msg(buf: &mut impl BufMut, msg: &WorkerMsg) -> GdResult<()> {
-    match msg {
-        WorkerMsg::Batch(ts) => {
-            buf.put_u8(0);
-            put_usize(buf, ts.len());
-            for t in ts {
-                codec::encode_traverser(buf, t);
-            }
-        }
-        WorkerMsg::QueryBegin { ctx, stage, from } => {
-            buf.put_u8(1);
-            buf.put_u16_le(*stage);
-            buf.put_u32_le(from.map_or(FROM_COORDINATOR, |w| w.0));
-            buf.put_u64_le(ctx.query.0);
-            encode_plan(buf, &ctx.plan);
-            put_values(buf, &ctx.params);
-            buf.put_u64_le(ctx.read_ts);
-        }
-        WorkerMsg::StageBegin { query, stage } => {
-            buf.put_u8(2);
-            buf.put_u64_le(query.0);
-            buf.put_u16_le(*stage);
-        }
-        WorkerMsg::StartSource {
-            query,
-            pipeline,
-            weight,
-        } => {
-            buf.put_u8(3);
-            buf.put_u64_le(query.0);
-            buf.put_u16_le(*pipeline);
-            buf.put_u64_le(weight.0);
-        }
-        WorkerMsg::QueryEnd { query } => {
-            buf.put_u8(5);
-            buf.put_u64_le(query.0);
-        }
-        WorkerMsg::CancelQuery { query } => {
-            buf.put_u8(6);
-            buf.put_u64_le(query.0);
-        }
-        WorkerMsg::Bsp(BspSignal::RunStep { query, depth }) => {
-            buf.put_u8(11);
-            buf.put_u64_le(query.0);
-            buf.put_u32_le(*depth);
-        }
-        WorkerMsg::Bsp(BspSignal::Probe { query, round }) => {
-            buf.put_u8(12);
-            buf.put_u64_le(query.0);
-            buf.put_u64_le(*round);
-        }
-        WorkerMsg::Bsp(BspSignal::Gather { query }) => {
-            buf.put_u8(4);
-            buf.put_u64_le(query.0);
-        }
-        WorkerMsg::Shutdown => buf.put_u8(13),
-    }
-    Ok(())
-}
-
-/// Decode a worker control message.
-pub(crate) fn decode_worker_msg(r: &mut Reader<'_>) -> GdResult<WorkerMsg> {
-    match r.u8()? {
-        0 => {
-            let n = get_usize(r)?;
-            let mut ts = Vec::with_capacity(n.min(1 << 16));
-            for _ in 0..n {
-                ts.push(codec::decode_traverser_borrowed(r)?);
-            }
-            Ok(WorkerMsg::Batch(ts))
-        }
-        1 => {
-            let stage = r.u16()?;
-            let from = match r.u32()? {
-                FROM_COORDINATOR => None,
-                w => Some(WorkerId(w)),
-            };
-            let query = QueryId(r.u64()?);
-            let plan = decode_plan(r)?;
-            let params = get_values(r)?;
-            let read_ts = r.u64()?;
-            Ok(WorkerMsg::QueryBegin {
-                ctx: Arc::new(QueryCtx {
-                    query,
-                    plan,
-                    params,
-                    read_ts,
-                }),
-                stage,
-                from,
-            })
-        }
-        2 => Ok(WorkerMsg::StageBegin {
-            query: QueryId(r.u64()?),
-            stage: r.u16()?,
-        }),
-        3 => Ok(WorkerMsg::StartSource {
-            query: QueryId(r.u64()?),
-            pipeline: r.u16()?,
-            weight: Weight(r.u64()?),
-        }),
-        4 => Ok(WorkerMsg::Bsp(BspSignal::Gather {
-            query: QueryId(r.u64()?),
-        })),
-        5 => Ok(WorkerMsg::QueryEnd {
-            query: QueryId(r.u64()?),
-        }),
-        6 => Ok(WorkerMsg::CancelQuery {
-            query: QueryId(r.u64()?),
-        }),
-        11 => Ok(WorkerMsg::Bsp(BspSignal::RunStep {
-            query: QueryId(r.u64()?),
-            depth: r.u32()?,
-        })),
-        12 => Ok(WorkerMsg::Bsp(BspSignal::Probe {
-            query: QueryId(r.u64()?),
-            round: r.u64()?,
-        })),
-        13 => Ok(WorkerMsg::Shutdown),
-        t => Err(bad("worker-msg", t)),
-    }
-}
-
-/// Encode a coordinator message. [`CoordMsg::Submit`] is the one variant
-/// that legitimately never crosses node boundaries (it carries the client's
-/// in-process reply channel), so encoding it is an error.
-pub fn encode_coord_msg(buf: &mut impl BufMut, msg: &CoordMsg) -> GdResult<()> {
-    match msg {
-        CoordMsg::Submit { .. } => {
-            return Err(GdError::Internal(
-                "wire: CoordMsg::Submit cannot cross node boundaries".into(),
-            ));
-        }
-        CoordMsg::Cancel { query } => {
-            buf.put_u8(1);
-            buf.put_u64_le(query.0);
-        }
-        CoordMsg::Progress {
-            query,
-            weight,
-            steps,
-        } => {
-            buf.put_u8(2);
-            buf.put_u64_le(query.0);
-            buf.put_u64_le(weight.0);
-            buf.put_u64_le(*steps);
-        }
-        CoordMsg::Rows { query, rows } => {
-            buf.put_u8(3);
-            buf.put_u64_le(query.0);
-            put_rows(buf, rows);
-        }
-        CoordMsg::AggPartial { query, state } => {
-            buf.put_u8(4);
-            buf.put_u64_le(query.0);
-            match state {
-                None => buf.put_u8(0),
-                Some(s) => {
-                    buf.put_u8(1);
-                    encode_agg_state(buf, s);
-                }
-            }
-        }
-        CoordMsg::WorkerError { query, error } => {
-            buf.put_u8(5);
-            buf.put_u64_le(query.0);
-            encode_error(buf, error);
-        }
-        CoordMsg::BspStepDone {
-            query,
-            part,
-            finished,
-            issued,
-            count,
-            consumed,
-            consumed_count,
-            steps,
-        } => {
-            buf.put_u8(6);
-            buf.put_u64_le(query.0);
-            buf.put_u32_le(part.0);
-            buf.put_u64_le(finished.0);
-            buf.put_u64_le(issued.0);
-            buf.put_u64_le(*count);
-            buf.put_u64_le(consumed.0);
-            buf.put_u64_le(*consumed_count);
-            buf.put_u64_le(*steps);
-        }
-        CoordMsg::BspParked {
-            query,
-            part,
-            parked,
-            round,
-        } => {
-            buf.put_u8(7);
-            buf.put_u64_le(query.0);
-            buf.put_u32_le(part.0);
-            buf.put_u64_le(parked.0);
-            buf.put_u64_le(*round);
-        }
-        CoordMsg::Tick => buf.put_u8(10),
-        CoordMsg::Shutdown => buf.put_u8(11),
-    }
-    Ok(())
-}
-
-/// Decode a coordinator message.
-pub(crate) fn decode_coord_msg(r: &mut Reader<'_>) -> GdResult<CoordMsg> {
-    match r.u8()? {
-        1 => Ok(CoordMsg::Cancel {
-            query: QueryId(r.u64()?),
-        }),
-        2 => Ok(CoordMsg::Progress {
-            query: QueryId(r.u64()?),
-            weight: Weight(r.u64()?),
-            steps: r.u64()?,
-        }),
-        3 => Ok(CoordMsg::Rows {
-            query: QueryId(r.u64()?),
-            rows: get_rows(r)?,
-        }),
-        4 => {
-            let query = QueryId(r.u64()?);
-            let state = match r.u8()? {
-                0 => None,
-                1 => Some(Box::new(decode_agg_state(r)?)),
-                t => return Err(bad("agg-partial-option", t)),
-            };
-            Ok(CoordMsg::AggPartial { query, state })
-        }
-        5 => Ok(CoordMsg::WorkerError {
-            query: QueryId(r.u64()?),
-            error: decode_error(r)?,
-        }),
-        6 => Ok(CoordMsg::BspStepDone {
-            query: QueryId(r.u64()?),
-            part: PartId(r.u32()?),
-            finished: Weight(r.u64()?),
-            issued: Weight(r.u64()?),
-            count: r.u64()?,
-            consumed: Weight(r.u64()?),
-            consumed_count: r.u64()?,
-            steps: r.u64()?,
-        }),
-        7 => Ok(CoordMsg::BspParked {
-            query: QueryId(r.u64()?),
-            part: PartId(r.u32()?),
-            parked: Weight(r.u64()?),
-            round: r.u64()?,
-        }),
-        10 => Ok(CoordMsg::Tick),
-        11 => Ok(CoordMsg::Shutdown),
-        t => Err(bad("coord-msg", t)),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// WireMsg — the unit a transport packet carries
-// ---------------------------------------------------------------------------
-
-/// Encode one wire message: `u8 0 | u32 dest | worker msg` or
-/// `u8 1 | coord msg`.
-pub fn encode_wire_msg(buf: &mut impl BufMut, msg: &WireMsg) -> GdResult<()> {
-    match msg {
-        WireMsg::Worker { dest, msg } => {
-            buf.put_u8(0);
-            buf.put_u32_le(dest.0);
-            encode_worker_msg(buf, msg)
-        }
-        WireMsg::Coord(msg) => {
-            buf.put_u8(1);
-            encode_coord_msg(buf, msg)
-        }
-    }
+/// Exact encoded size of `x` — the one byte count: the I/O scheduler sizes
+/// each buffered traverser and message with it, and it is [`Wire::put`]
+/// run into a counting sink, so there is no second description of the
+/// layout to keep in step.
+pub fn encoded_len<T: Wire>(x: &T) -> usize {
+    let mut n = ByteCount(0);
+    x.put(&mut n);
+    n.0
 }
 
 /// A [`BufMut`] that keeps the length and drops the bytes: the sink
@@ -1285,40 +185,1144 @@ impl BufMut for ByteCount {
     }
 }
 
-/// Exact size of `msg` inside a packet body — the one byte count the I/O
-/// scheduler sizes buffered messages with. It is [`encode_wire_msg`] run
-/// into a counting sink, so there is no second description of the layout
-/// to keep in step.
-pub fn encoded_len(msg: &WireMsg) -> usize {
-    let mut n = ByteCount(0);
-    // `CoordMsg::Submit` is the one refusal, and it never reaches a remote
-    // lane; the flush that encodes reports it if one ever does.
-    let _ = encode_wire_msg(&mut n, msg);
-    n.0
+// ---------------------------------------------------------------------------
+// Primitives: integers, id newtypes, strings, sequences, options, tuples
+// ---------------------------------------------------------------------------
+
+/// Put each field in order: a struct or variant body written as its
+/// field list.
+macro_rules! put {
+    ($buf:ident, $($field:expr),+ $(,)?) => {{
+        $($field.put($buf);)+
+    }};
 }
 
-fn decode_wire_msg(r: &mut Reader<'_>) -> GdResult<WireMsg> {
-    match r.u8()? {
-        0 => {
-            let dest = WorkerId(r.u32()?);
-            let msg = decode_worker_msg(r)?;
-            Ok(WireMsg::Worker { dest, msg })
+/// Fixed-width integers, little-endian.
+macro_rules! int_wire {
+    ($($t:ty => $put:ident),* $(,)?) => {$(
+        impl Wire for $t {
+            fn put<B: BufMut>(&self, buf: &mut B) {
+                buf.$put(*self);
+            }
+            fn get(r: &mut Reader<'_>) -> GdResult<Self> {
+                Ok(<$t>::from_le_bytes(r.array()?))
+            }
         }
-        1 => Ok(WireMsg::Coord(decode_coord_msg(r)?)),
-        t => Err(bad("wire-msg", t)),
+    )*};
+}
+
+int_wire!(u8 => put_u8, u16 => put_u16_le, u32 => put_u32_le, u64 => put_u64_le,
+    i64 => put_i64_le, f64 => put_f64_le);
+
+/// The id newtypes: their integer's layout.
+macro_rules! newtype_wire {
+    ($($t:ident($inner:ty)),* $(,)?) => {$(
+        impl Wire for $t {
+            fn put<B: BufMut>(&self, buf: &mut B) {
+                self.0.put(buf);
+            }
+            fn get(r: &mut Reader<'_>) -> GdResult<Self> {
+                Ok($t(<$inner>::get(r)?))
+            }
+        }
+    )*};
+}
+
+newtype_wire!(
+    QueryId(u64),
+    Weight(u64),
+    PartId(u32),
+    WorkerId(u32),
+    VertexId(u64),
+    Label(u16),
+    PropKey(u16)
+);
+
+/// Counts, indices and limits travel as `u32`.
+impl Wire for usize {
+    fn put<B: BufMut>(&self, buf: &mut B) {
+        buf.put_u32_le(*self as u32);
+    }
+    fn get(r: &mut Reader<'_>) -> GdResult<Self> {
+        Ok(u32::get(r)? as usize)
     }
 }
+
+/// `u32 len | len bytes of UTF-8`.
+impl Wire for String {
+    fn put<B: BufMut>(&self, buf: &mut B) {
+        buf.put_u32_le(self.len() as u32);
+        buf.put_slice(self.as_bytes());
+    }
+    fn get(r: &mut Reader<'_>) -> GdResult<Self> {
+        Ok(r.str()?.to_owned())
+    }
+}
+
+/// Same layout as `String`.
+impl Wire for Arc<str> {
+    fn put<B: BufMut>(&self, buf: &mut B) {
+        buf.put_u32_le(self.len() as u32);
+        buf.put_slice(self.as_bytes());
+    }
+    fn get(r: &mut Reader<'_>) -> GdResult<Self> {
+        Ok(Arc::from(r.str()?))
+    }
+}
+
+/// `count | count × item`: the one sequence layout. `count` is a `u32`
+/// everywhere but a traverser's locals and the batch frame's progress
+/// trailer, which count in a `u16`.
+pub(crate) fn put_seq<T: Wire, B: BufMut>(buf: &mut B, count: impl Wire, items: &[T]) {
+    count.put(buf);
+    for x in items {
+        x.put(buf);
+    }
+}
+
+/// Read the `n` items of a sequence whose count was just read: the one
+/// decode loop every sequence shares.
+pub(crate) fn get_seq<'a, T>(
+    r: &mut Reader<'a>,
+    n: usize,
+    mut item: impl FnMut(&mut Reader<'a>) -> GdResult<T>,
+) -> GdResult<Vec<T>> {
+    // A count read off the wire must not size the allocation; a body too
+    // short for it ends the loop with a truncation error.
+    let mut out = Vec::with_capacity(n.min(1024));
+    for _ in 0..n {
+        out.push(item(r)?);
+    }
+    Ok(out)
+}
+
+impl<T: Wire> Wire for Vec<T> {
+    fn put<B: BufMut>(&self, buf: &mut B) {
+        put_seq(buf, self.len() as u32, self);
+    }
+    fn get(r: &mut Reader<'_>) -> GdResult<Self> {
+        let n = u32::get(r)? as usize;
+        get_seq(r, n, T::get)
+    }
+}
+
+/// `u8 0`, or `u8 1` and the item.
+impl<T: Wire> Wire for Option<T> {
+    fn put<B: BufMut>(&self, buf: &mut B) {
+        match self {
+            None => buf.put_u8(0),
+            Some(x) => {
+                buf.put_u8(1);
+                x.put(buf);
+            }
+        }
+    }
+    fn get(r: &mut Reader<'_>) -> GdResult<Self> {
+        match u8::get(r)? {
+            0 => Ok(None),
+            1 => Ok(Some(T::get(r)?)),
+            t => Err(bad("option", t)),
+        }
+    }
+}
+
+impl<T: Wire> Wire for Box<T> {
+    fn put<B: BufMut>(&self, buf: &mut B) {
+        (**self).put(buf);
+    }
+    fn get(r: &mut Reader<'_>) -> GdResult<Self> {
+        Ok(Box::new(T::get(r)?))
+    }
+}
+
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    fn put<M: BufMut>(&self, buf: &mut M) {
+        put!(buf, self.0, self.1);
+    }
+    fn get(r: &mut Reader<'_>) -> GdResult<Self> {
+        Ok((A::get(r)?, B::get(r)?))
+    }
+}
+
+impl<A: Wire, B: Wire, C: Wire> Wire for (A, B, C) {
+    fn put<M: BufMut>(&self, buf: &mut M) {
+        put!(buf, self.0, self.1, self.2);
+    }
+    fn get(r: &mut Reader<'_>) -> GdResult<Self> {
+        Ok((A::get(r)?, B::get(r)?, C::get(r)?))
+    }
+}
+
+/// Entries sorted by the key's total order, so identical maps are
+/// identical bytes whatever the hash-map iteration order.
+impl<K: Wire + Ord + std::hash::Hash, V: Wire> Wire for FxHashMap<K, V> {
+    fn put<B: BufMut>(&self, buf: &mut B) {
+        let mut entries: Vec<(&K, &V)> = self.iter().collect();
+        entries.sort_by(|a, b| a.0.cmp(b.0));
+        buf.put_u32_le(entries.len() as u32);
+        for (k, v) in entries {
+            put!(buf, k, v);
+        }
+    }
+    fn get(r: &mut Reader<'_>) -> GdResult<Self> {
+        Ok(Vec::<(K, V)>::get(r)?.into_iter().collect())
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Values and traversers
+// ---------------------------------------------------------------------------
+//
+// `ValueKey` shares `Value`'s tag space, with `Float` keyed by IEEE-754 bits.
+
+const TAG_NULL: u8 = 0;
+const TAG_BOOL_FALSE: u8 = 1;
+const TAG_BOOL_TRUE: u8 = 2;
+const TAG_INT: u8 = 3;
+const TAG_FLOAT: u8 = 4;
+const TAG_STR: u8 = 5;
+const TAG_VERTEX: u8 = 6;
+const TAG_LIST: u8 = 7;
+
+impl Wire for Value {
+    fn put<B: BufMut>(&self, buf: &mut B) {
+        match self {
+            Value::Null => buf.put_u8(TAG_NULL),
+            Value::Bool(false) => buf.put_u8(TAG_BOOL_FALSE),
+            Value::Bool(true) => buf.put_u8(TAG_BOOL_TRUE),
+            Value::Int(i) => {
+                buf.put_u8(TAG_INT);
+                buf.put_i64_le(*i);
+            }
+            Value::Float(f) => {
+                buf.put_u8(TAG_FLOAT);
+                buf.put_f64_le(*f);
+            }
+            Value::Str(s) => {
+                buf.put_u8(TAG_STR);
+                s.put(buf);
+            }
+            Value::Vertex(v) => {
+                buf.put_u8(TAG_VERTEX);
+                v.put(buf);
+            }
+            Value::List(l) => {
+                buf.put_u8(TAG_LIST);
+                put_seq(buf, l.len() as u32, l);
+            }
+        }
+    }
+    fn get(r: &mut Reader<'_>) -> GdResult<Self> {
+        r.nested(|r| match u8::get(r)? {
+            TAG_NULL => Ok(Value::Null),
+            TAG_BOOL_FALSE => Ok(Value::Bool(false)),
+            TAG_BOOL_TRUE => Ok(Value::Bool(true)),
+            TAG_INT => Ok(Value::Int(i64::get(r)?)),
+            TAG_FLOAT => Ok(Value::Float(f64::get(r)?)),
+            TAG_STR => Ok(Value::Str(Arc::get(r)?)),
+            TAG_VERTEX => Ok(Value::Vertex(VertexId::get(r)?)),
+            TAG_LIST => Ok(Value::list(Vec::get(r)?)),
+            t => Err(bad("value", t)),
+        })
+    }
+}
+
+impl Wire for ValueKey {
+    fn put<B: BufMut>(&self, buf: &mut B) {
+        match self {
+            ValueKey::Null => buf.put_u8(TAG_NULL),
+            ValueKey::Bool(false) => buf.put_u8(TAG_BOOL_FALSE),
+            ValueKey::Bool(true) => buf.put_u8(TAG_BOOL_TRUE),
+            ValueKey::Int(i) => {
+                buf.put_u8(TAG_INT);
+                buf.put_i64_le(*i);
+            }
+            ValueKey::Float(bits) => {
+                buf.put_u8(TAG_FLOAT);
+                buf.put_u64_le(*bits);
+            }
+            ValueKey::Str(s) => {
+                buf.put_u8(TAG_STR);
+                s.put(buf);
+            }
+            ValueKey::Vertex(v) => {
+                buf.put_u8(TAG_VERTEX);
+                v.put(buf);
+            }
+            ValueKey::List(l) => {
+                buf.put_u8(TAG_LIST);
+                l.put(buf);
+            }
+        }
+    }
+    fn get(r: &mut Reader<'_>) -> GdResult<Self> {
+        r.nested(|r| match u8::get(r)? {
+            TAG_NULL => Ok(ValueKey::Null),
+            TAG_BOOL_FALSE => Ok(ValueKey::Bool(false)),
+            TAG_BOOL_TRUE => Ok(ValueKey::Bool(true)),
+            TAG_INT => Ok(ValueKey::Int(i64::get(r)?)),
+            TAG_FLOAT => Ok(ValueKey::Float(u64::get(r)?)),
+            TAG_STR => Ok(ValueKey::Str(Arc::get(r)?)),
+            TAG_VERTEX => Ok(ValueKey::Vertex(VertexId::get(r)?)),
+            TAG_LIST => Ok(ValueKey::List(Vec::get(r)?)),
+            t => Err(bad("value-key", t)),
+        })
+    }
+}
+
+/// `u64 query | u16 pipeline | u16 pc | u64 vertex | u64 weight |
+/// u32 depth | aux key option | u16 n | n × local`.
+impl Wire for Traverser {
+    fn put<B: BufMut>(&self, buf: &mut B) {
+        self.query.put(buf);
+        self.pipeline.put(buf);
+        self.pc.put(buf);
+        self.vertex.put(buf);
+        self.weight.put(buf);
+        self.depth.put(buf);
+        self.aux_key.put(buf);
+        put_seq(buf, self.locals.len() as u16, &self.locals);
+    }
+    fn get(r: &mut Reader<'_>) -> GdResult<Self> {
+        let query = QueryId::get(r)?;
+        let pipeline = u16::get(r)?;
+        let pc = u16::get(r)?;
+        let vertex = VertexId::get(r)?;
+        let weight = Weight::get(r)?;
+        let depth = u32::get(r)?;
+        let aux_key = Option::get(r)?;
+        let n = u16::get(r)? as usize;
+        let locals = get_seq(r, n, Value::get)?;
+        Ok(Traverser {
+            query,
+            pipeline,
+            pc,
+            vertex,
+            locals,
+            weight,
+            depth,
+            aux_key,
+        })
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Expressions and plans
+// ---------------------------------------------------------------------------
+
+/// A fieldless enum as one `u8` tag, in declaration order.
+macro_rules! tag_wire {
+    ($t:ident, $what:literal, $($v:ident = $tag:literal),* $(,)?) => {
+        impl Wire for $t {
+            fn put<B: BufMut>(&self, buf: &mut B) {
+                buf.put_u8(match self {
+                    $($t::$v => $tag,)*
+                });
+            }
+            fn get(r: &mut Reader<'_>) -> GdResult<Self> {
+                match u8::get(r)? {
+                    $($tag => Ok($t::$v),)*
+                    t => Err(bad($what, t)),
+                }
+            }
+        }
+    };
+}
+
+tag_wire!(
+    CmpOp,
+    "cmp-op",
+    Eq = 0,
+    Ne = 1,
+    Lt = 2,
+    Le = 3,
+    Gt = 4,
+    Ge = 5
+);
+tag_wire!(Order, "order", Asc = 0, Desc = 1);
+tag_wire!(
+    GroupOrder,
+    "group-order",
+    CountDesc = 0,
+    CountAsc = 1,
+    KeyAsc = 2
+);
+tag_wire!(Direction, "direction", Out = 0, In = 1, Both = 2);
+tag_wire!(JoinSide, "join-side", Probe = 0, Build = 1);
+
+impl Wire for Expr {
+    fn put<B: BufMut>(&self, buf: &mut B) {
+        match self {
+            Expr::Const(v) => {
+                buf.put_u8(0);
+                v.put(buf);
+            }
+            Expr::Param(i) => {
+                buf.put_u8(1);
+                i.put(buf);
+            }
+            Expr::Slot(s) => {
+                buf.put_u8(2);
+                s.put(buf);
+            }
+            Expr::VertexId => buf.put_u8(3),
+            Expr::Prop(k) => {
+                buf.put_u8(4);
+                k.put(buf);
+            }
+            Expr::LabelIs(l) => {
+                buf.put_u8(5);
+                l.put(buf);
+            }
+            Expr::Cmp(a, op, b) => {
+                buf.put_u8(6);
+                a.put(buf);
+                op.put(buf);
+                b.put(buf);
+            }
+            Expr::And(xs) => {
+                buf.put_u8(7);
+                xs.put(buf);
+            }
+            Expr::Or(xs) => {
+                buf.put_u8(8);
+                xs.put(buf);
+            }
+            Expr::Not(x) => {
+                buf.put_u8(9);
+                x.put(buf);
+            }
+            Expr::In(x, set) => {
+                buf.put_u8(10);
+                x.put(buf);
+                set.put(buf);
+            }
+            Expr::IsNull(x) => {
+                buf.put_u8(11);
+                x.put(buf);
+            }
+            Expr::Add(a, b) => {
+                buf.put_u8(12);
+                put!(buf, a, b);
+            }
+            Expr::Sub(a, b) => {
+                buf.put_u8(13);
+                put!(buf, a, b);
+            }
+            Expr::Mul(a, b) => {
+                buf.put_u8(14);
+                put!(buf, a, b);
+            }
+            Expr::Tuple(xs) => {
+                buf.put_u8(15);
+                xs.put(buf);
+            }
+            Expr::Month(x) => {
+                buf.put_u8(16);
+                x.put(buf);
+            }
+            Expr::Day(x) => {
+                buf.put_u8(17);
+                x.put(buf);
+            }
+        }
+    }
+    fn get(r: &mut Reader<'_>) -> GdResult<Self> {
+        r.nested(|r| match u8::get(r)? {
+            0 => Ok(Expr::Const(Value::get(r)?)),
+            1 => Ok(Expr::Param(usize::get(r)?)),
+            2 => Ok(Expr::Slot(u8::get(r)?)),
+            3 => Ok(Expr::VertexId),
+            4 => Ok(Expr::Prop(PropKey::get(r)?)),
+            5 => Ok(Expr::LabelIs(Label::get(r)?)),
+            6 => Ok(Expr::Cmp(Box::get(r)?, CmpOp::get(r)?, Box::get(r)?)),
+            7 => Ok(Expr::And(Vec::get(r)?)),
+            8 => Ok(Expr::Or(Vec::get(r)?)),
+            9 => Ok(Expr::Not(Box::get(r)?)),
+            10 => Ok(Expr::In(Box::get(r)?, Vec::get(r)?)),
+            11 => Ok(Expr::IsNull(Box::get(r)?)),
+            12 => Ok(Expr::Add(Box::get(r)?, Box::get(r)?)),
+            13 => Ok(Expr::Sub(Box::get(r)?, Box::get(r)?)),
+            14 => Ok(Expr::Mul(Box::get(r)?, Box::get(r)?)),
+            15 => Ok(Expr::Tuple(Vec::get(r)?)),
+            16 => Ok(Expr::Month(Box::get(r)?)),
+            17 => Ok(Expr::Day(Box::get(r)?)),
+            t => Err(bad("expr", t)),
+        })
+    }
+}
+
+impl Wire for SourceSpec {
+    fn put<B: BufMut>(&self, buf: &mut B) {
+        match self {
+            SourceSpec::Param { param } => {
+                buf.put_u8(0);
+                param.put(buf);
+            }
+            SourceSpec::IndexLookup { label, key, value } => {
+                buf.put_u8(1);
+                put!(buf, label, key, value);
+            }
+            SourceSpec::ScanLabel { label } => {
+                buf.put_u8(2);
+                label.put(buf);
+            }
+            SourceSpec::PrevRows { vertex_col, seed } => {
+                buf.put_u8(3);
+                put!(buf, vertex_col, seed);
+            }
+        }
+    }
+    fn get(r: &mut Reader<'_>) -> GdResult<Self> {
+        match u8::get(r)? {
+            0 => Ok(SourceSpec::Param {
+                param: usize::get(r)?,
+            }),
+            1 => Ok(SourceSpec::IndexLookup {
+                label: Label::get(r)?,
+                key: PropKey::get(r)?,
+                value: Expr::get(r)?,
+            }),
+            2 => Ok(SourceSpec::ScanLabel {
+                label: Label::get(r)?,
+            }),
+            3 => Ok(SourceSpec::PrevRows {
+                vertex_col: usize::get(r)?,
+                seed: Vec::get(r)?,
+            }),
+            t => Err(bad("source", t)),
+        }
+    }
+}
+
+impl Wire for PlanStep {
+    fn put<B: BufMut>(&self, buf: &mut B) {
+        match self {
+            PlanStep::Expand {
+                dir,
+                label,
+                edge_loads,
+            } => {
+                buf.put_u8(0);
+                put!(buf, dir, label, edge_loads);
+            }
+            PlanStep::Filter(e) => {
+                buf.put_u8(1);
+                e.put(buf);
+            }
+            PlanStep::Load(loads) => {
+                buf.put_u8(2);
+                loads.put(buf);
+            }
+            PlanStep::Compute(assigns) => {
+                buf.put_u8(3);
+                assigns.put(buf);
+            }
+            PlanStep::Dedup { slots } => {
+                buf.put_u8(4);
+                slots.put(buf);
+            }
+            PlanStep::MinDist { dist_slot } => {
+                buf.put_u8(5);
+                dist_slot.put(buf);
+            }
+            PlanStep::LoopEnd {
+                counter,
+                min,
+                max,
+                back_to,
+            } => {
+                buf.put_u8(6);
+                put!(buf, counter, min, max, back_to);
+            }
+            PlanStep::Join { join_id, side, key } => {
+                buf.put_u8(7);
+                put!(buf, join_id, side, key);
+            }
+            PlanStep::MoveTo { vertex_slot } => {
+                buf.put_u8(8);
+                vertex_slot.put(buf);
+            }
+        }
+    }
+    fn get(r: &mut Reader<'_>) -> GdResult<Self> {
+        match u8::get(r)? {
+            0 => Ok(PlanStep::Expand {
+                dir: Direction::get(r)?,
+                label: Label::get(r)?,
+                edge_loads: Vec::get(r)?,
+            }),
+            1 => Ok(PlanStep::Filter(Expr::get(r)?)),
+            2 => Ok(PlanStep::Load(Vec::get(r)?)),
+            3 => Ok(PlanStep::Compute(Vec::get(r)?)),
+            4 => Ok(PlanStep::Dedup {
+                slots: Vec::get(r)?,
+            }),
+            5 => Ok(PlanStep::MinDist {
+                dist_slot: u8::get(r)?,
+            }),
+            6 => Ok(PlanStep::LoopEnd {
+                counter: u8::get(r)?,
+                min: i64::get(r)?,
+                max: i64::get(r)?,
+                back_to: u16::get(r)?,
+            }),
+            7 => Ok(PlanStep::Join {
+                join_id: u16::get(r)?,
+                side: JoinSide::get(r)?,
+                key: Expr::get(r)?,
+            }),
+            8 => Ok(PlanStep::MoveTo {
+                vertex_slot: u8::get(r)?,
+            }),
+            t => Err(bad("plan-step", t)),
+        }
+    }
+}
+
+impl Wire for AggFunc {
+    fn put<B: BufMut>(&self, buf: &mut B) {
+        match self {
+            AggFunc::Count => buf.put_u8(0),
+            AggFunc::Sum(e) => {
+                buf.put_u8(1);
+                e.put(buf);
+            }
+            AggFunc::Min(e) => {
+                buf.put_u8(2);
+                e.put(buf);
+            }
+            AggFunc::Max(e) => {
+                buf.put_u8(3);
+                e.put(buf);
+            }
+            AggFunc::Avg(e) => {
+                buf.put_u8(4);
+                e.put(buf);
+            }
+            AggFunc::TopK {
+                k,
+                sort,
+                output,
+                distinct,
+            } => {
+                buf.put_u8(5);
+                put!(buf, k, sort, output, distinct);
+            }
+            AggFunc::GroupCount { key, order, limit } => {
+                buf.put_u8(6);
+                put!(buf, key, order, limit);
+            }
+            AggFunc::GroupSum {
+                key,
+                value,
+                order,
+                limit,
+            } => {
+                buf.put_u8(7);
+                put!(buf, key, value, order, limit);
+            }
+            AggFunc::Collect { output, limit } => {
+                buf.put_u8(8);
+                put!(buf, output, limit);
+            }
+        }
+    }
+    fn get(r: &mut Reader<'_>) -> GdResult<Self> {
+        match u8::get(r)? {
+            0 => Ok(AggFunc::Count),
+            1 => Ok(AggFunc::Sum(Expr::get(r)?)),
+            2 => Ok(AggFunc::Min(Expr::get(r)?)),
+            3 => Ok(AggFunc::Max(Expr::get(r)?)),
+            4 => Ok(AggFunc::Avg(Expr::get(r)?)),
+            5 => Ok(AggFunc::TopK {
+                k: usize::get(r)?,
+                sort: Vec::get(r)?,
+                output: Vec::get(r)?,
+                distinct: Vec::get(r)?,
+            }),
+            6 => Ok(AggFunc::GroupCount {
+                key: Expr::get(r)?,
+                order: GroupOrder::get(r)?,
+                limit: usize::get(r)?,
+            }),
+            7 => Ok(AggFunc::GroupSum {
+                key: Expr::get(r)?,
+                value: Expr::get(r)?,
+                order: GroupOrder::get(r)?,
+                limit: usize::get(r)?,
+            }),
+            8 => Ok(AggFunc::Collect {
+                output: Vec::get(r)?,
+                limit: usize::get(r)?,
+            }),
+            t => Err(bad("agg-func", t)),
+        }
+    }
+}
+
+/// `u16 join_id | u16 probe_pipeline`.
+impl Wire for JoinSpec {
+    fn put<B: BufMut>(&self, buf: &mut B) {
+        put!(buf, self.join_id, self.probe_pipeline);
+    }
+    fn get(r: &mut Reader<'_>) -> GdResult<Self> {
+        Ok(JoinSpec {
+            join_id: u16::get(r)?,
+            probe_pipeline: u16::get(r)?,
+        })
+    }
+}
+
+/// `source | steps`.
+impl Wire for Pipeline {
+    fn put<B: BufMut>(&self, buf: &mut B) {
+        put!(buf, self.source, self.steps);
+    }
+    fn get(r: &mut Reader<'_>) -> GdResult<Self> {
+        Ok(Pipeline {
+            source: SourceSpec::get(r)?,
+            steps: Vec::get(r)?,
+        })
+    }
+}
+
+/// `num_slots | pipelines | joins | output | agg option`.
+impl Wire for Stage {
+    fn put<B: BufMut>(&self, buf: &mut B) {
+        put!(
+            buf,
+            self.num_slots,
+            self.pipelines,
+            self.joins,
+            self.output,
+            self.agg
+        );
+    }
+    fn get(r: &mut Reader<'_>) -> GdResult<Self> {
+        let num_slots = usize::get(r)?;
+        Ok(Stage {
+            pipelines: Vec::get(r)?,
+            joins: Vec::get(r)?,
+            output: Vec::get(r)?,
+            agg: Option::get(r)?,
+            num_slots,
+        })
+    }
+}
+
+/// The function alone.
+impl Wire for AggSpec {
+    fn put<B: BufMut>(&self, buf: &mut B) {
+        self.func.put(buf);
+    }
+    fn get(r: &mut Reader<'_>) -> GdResult<Self> {
+        Ok(AggSpec {
+            func: AggFunc::get(r)?,
+        })
+    }
+}
+
+/// `num_params | stages`.
+impl Wire for Plan {
+    fn put<B: BufMut>(&self, buf: &mut B) {
+        put!(buf, self.num_params, self.stages);
+    }
+    fn get(r: &mut Reader<'_>) -> GdResult<Self> {
+        let num_params = usize::get(r)?;
+        Ok(Plan {
+            stages: Vec::get(r)?,
+            num_params,
+        })
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Aggregation partials and errors
+// ---------------------------------------------------------------------------
+
+impl Wire for AggState {
+    fn put<B: BufMut>(&self, buf: &mut B) {
+        match self {
+            AggState::Count(n) => {
+                buf.put_u8(0);
+                n.put(buf);
+            }
+            AggState::Sum(v) => {
+                buf.put_u8(1);
+                v.put(buf);
+            }
+            AggState::Min(v) => {
+                buf.put_u8(2);
+                v.put(buf);
+            }
+            AggState::Max(v) => {
+                buf.put_u8(3);
+                v.put(buf);
+            }
+            AggState::Avg { sum, count } => {
+                buf.put_u8(4);
+                put!(buf, sum, count);
+            }
+            AggState::TopK { rows } => {
+                buf.put_u8(5);
+                rows.put(buf);
+            }
+            AggState::GroupCount { map } => {
+                buf.put_u8(6);
+                map.put(buf);
+            }
+            AggState::GroupSum { map } => {
+                buf.put_u8(7);
+                map.put(buf);
+            }
+            AggState::Collect { rows } => {
+                buf.put_u8(8);
+                rows.put(buf);
+            }
+        }
+    }
+    fn get(r: &mut Reader<'_>) -> GdResult<Self> {
+        match u8::get(r)? {
+            0 => Ok(AggState::Count(u64::get(r)?)),
+            1 => Ok(AggState::Sum(Value::get(r)?)),
+            2 => Ok(AggState::Min(Option::get(r)?)),
+            3 => Ok(AggState::Max(Option::get(r)?)),
+            4 => Ok(AggState::Avg {
+                sum: f64::get(r)?,
+                count: u64::get(r)?,
+            }),
+            5 => Ok(AggState::TopK { rows: Vec::get(r)? }),
+            6 => Ok(AggState::GroupCount { map: Wire::get(r)? }),
+            7 => Ok(AggState::GroupSum { map: Wire::get(r)? }),
+            8 => Ok(AggState::Collect { rows: Vec::get(r)? }),
+            t => Err(bad("agg-state", t)),
+        }
+    }
+}
+
+impl Wire for GdError {
+    fn put<B: BufMut>(&self, buf: &mut B) {
+        match self {
+            GdError::VertexNotFound(v) => {
+                buf.put_u8(0);
+                v.put(buf);
+            }
+            GdError::UnknownSymbol(s) => {
+                buf.put_u8(1);
+                s.put(buf);
+            }
+            GdError::InvalidProgram(s) => {
+                buf.put_u8(2);
+                s.put(buf);
+            }
+            GdError::Parse { offset, message } => {
+                buf.put_u8(3);
+                put!(buf, offset, message);
+            }
+            GdError::TypeError(s) => {
+                buf.put_u8(4);
+                s.put(buf);
+            }
+            GdError::EngineClosed => buf.put_u8(5),
+            GdError::QueryTimeout(q) => {
+                buf.put_u8(6);
+                q.put(buf);
+            }
+            GdError::QueryCancelled(q) => {
+                buf.put_u8(7);
+                q.put(buf);
+            }
+            GdError::Overloaded => buf.put_u8(8),
+            GdError::TxnAborted(s) => {
+                buf.put_u8(9);
+                s.put(buf);
+            }
+            GdError::InvariantViolation(s) => {
+                buf.put_u8(10);
+                s.put(buf);
+            }
+            GdError::Internal(s) => {
+                buf.put_u8(11);
+                s.put(buf);
+            }
+        }
+    }
+    fn get(r: &mut Reader<'_>) -> GdResult<Self> {
+        match u8::get(r)? {
+            0 => Ok(GdError::VertexNotFound(VertexId::get(r)?)),
+            1 => Ok(GdError::UnknownSymbol(String::get(r)?)),
+            2 => Ok(GdError::InvalidProgram(String::get(r)?)),
+            3 => Ok(GdError::Parse {
+                offset: usize::get(r)?,
+                message: String::get(r)?,
+            }),
+            4 => Ok(GdError::TypeError(String::get(r)?)),
+            5 => Ok(GdError::EngineClosed),
+            6 => Ok(GdError::QueryTimeout(QueryId::get(r)?)),
+            7 => Ok(GdError::QueryCancelled(QueryId::get(r)?)),
+            8 => Ok(GdError::Overloaded),
+            9 => Ok(GdError::TxnAborted(String::get(r)?)),
+            10 => Ok(GdError::InvariantViolation(String::get(r)?)),
+            11 => Ok(GdError::Internal(String::get(r)?)),
+            t => Err(bad("error", t)),
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// WorkerMsg / CoordMsg / WireMsg
+// ---------------------------------------------------------------------------
+
+/// Every variant crosses the wire.
+impl Wire for WorkerMsg {
+    fn put<B: BufMut>(&self, buf: &mut B) {
+        match self {
+            WorkerMsg::Batch(ts) => {
+                buf.put_u8(0);
+                ts.put(buf);
+            }
+            WorkerMsg::QueryBegin { ctx, stage, from } => {
+                buf.put_u8(1);
+                stage.put(buf);
+                buf.put_u32_le(from.map_or(FROM_COORDINATOR, |w| w.0));
+                put!(buf, ctx.query, ctx.plan, ctx.params, ctx.read_ts);
+            }
+            WorkerMsg::StageBegin { query, stage } => {
+                buf.put_u8(2);
+                put!(buf, query, stage);
+            }
+            WorkerMsg::StartSource {
+                query,
+                pipeline,
+                weight,
+            } => {
+                buf.put_u8(3);
+                put!(buf, query, pipeline, weight);
+            }
+            WorkerMsg::QueryEnd { query } => {
+                buf.put_u8(5);
+                query.put(buf);
+            }
+            WorkerMsg::CancelQuery { query } => {
+                buf.put_u8(6);
+                query.put(buf);
+            }
+            WorkerMsg::Bsp(BspSignal::RunStep { query, depth }) => {
+                buf.put_u8(11);
+                put!(buf, query, depth);
+            }
+            WorkerMsg::Bsp(BspSignal::Probe { query, round }) => {
+                buf.put_u8(12);
+                put!(buf, query, round);
+            }
+            WorkerMsg::Bsp(BspSignal::Gather { query }) => {
+                buf.put_u8(4);
+                query.put(buf);
+            }
+            WorkerMsg::Shutdown => buf.put_u8(13),
+        }
+    }
+    fn get(r: &mut Reader<'_>) -> GdResult<Self> {
+        match u8::get(r)? {
+            0 => Ok(WorkerMsg::Batch(Vec::get(r)?)),
+            1 => {
+                let stage = u16::get(r)?;
+                let from = match u32::get(r)? {
+                    FROM_COORDINATOR => None,
+                    w => Some(WorkerId(w)),
+                };
+                let ctx = QueryCtx {
+                    query: QueryId::get(r)?,
+                    plan: Plan::get(r)?,
+                    params: Vec::get(r)?,
+                    read_ts: u64::get(r)?,
+                };
+                Ok(WorkerMsg::QueryBegin {
+                    ctx: Arc::new(ctx),
+                    stage,
+                    from,
+                })
+            }
+            2 => Ok(WorkerMsg::StageBegin {
+                query: QueryId::get(r)?,
+                stage: u16::get(r)?,
+            }),
+            3 => Ok(WorkerMsg::StartSource {
+                query: QueryId::get(r)?,
+                pipeline: u16::get(r)?,
+                weight: Weight::get(r)?,
+            }),
+            4 => Ok(WorkerMsg::Bsp(BspSignal::Gather {
+                query: QueryId::get(r)?,
+            })),
+            5 => Ok(WorkerMsg::QueryEnd {
+                query: QueryId::get(r)?,
+            }),
+            6 => Ok(WorkerMsg::CancelQuery {
+                query: QueryId::get(r)?,
+            }),
+            11 => Ok(WorkerMsg::Bsp(BspSignal::RunStep {
+                query: QueryId::get(r)?,
+                depth: u32::get(r)?,
+            })),
+            12 => Ok(WorkerMsg::Bsp(BspSignal::Probe {
+                query: QueryId::get(r)?,
+                round: u64::get(r)?,
+            })),
+            13 => Ok(WorkerMsg::Shutdown),
+            t => Err(bad("worker-msg", t)),
+        }
+    }
+}
+
+/// [`CoordMsg::Submit`] is the one variant that never crosses node
+/// boundaries (it carries the client's in-process reply channel):
+/// [`encode_packet`] refuses it before writing a byte, so its arm here
+/// writes nothing.
+impl Wire for CoordMsg {
+    fn put<B: BufMut>(&self, buf: &mut B) {
+        match self {
+            CoordMsg::Submit { .. } => {}
+            CoordMsg::Cancel { query } => {
+                buf.put_u8(1);
+                query.put(buf);
+            }
+            CoordMsg::Progress {
+                query,
+                weight,
+                steps,
+            } => {
+                buf.put_u8(2);
+                put!(buf, query, weight, steps);
+            }
+            CoordMsg::Rows { query, rows } => {
+                buf.put_u8(3);
+                put!(buf, query, rows);
+            }
+            CoordMsg::AggPartial { query, state } => {
+                buf.put_u8(4);
+                put!(buf, query, state);
+            }
+            CoordMsg::WorkerError { query, error } => {
+                buf.put_u8(5);
+                put!(buf, query, error);
+            }
+            CoordMsg::BspStepDone {
+                query,
+                part,
+                finished,
+                issued,
+                count,
+                consumed,
+                consumed_count,
+                steps,
+            } => {
+                buf.put_u8(6);
+                put!(
+                    buf,
+                    query,
+                    part,
+                    finished,
+                    issued,
+                    count,
+                    consumed,
+                    consumed_count,
+                    steps
+                );
+            }
+            CoordMsg::BspParked {
+                query,
+                part,
+                parked,
+                round,
+            } => {
+                buf.put_u8(7);
+                put!(buf, query, part, parked, round);
+            }
+            CoordMsg::Shutdown => buf.put_u8(11),
+        }
+    }
+    fn get(r: &mut Reader<'_>) -> GdResult<Self> {
+        match u8::get(r)? {
+            1 => Ok(CoordMsg::Cancel {
+                query: QueryId::get(r)?,
+            }),
+            2 => Ok(CoordMsg::Progress {
+                query: QueryId::get(r)?,
+                weight: Weight::get(r)?,
+                steps: u64::get(r)?,
+            }),
+            3 => Ok(CoordMsg::Rows {
+                query: QueryId::get(r)?,
+                rows: Vec::get(r)?,
+            }),
+            4 => Ok(CoordMsg::AggPartial {
+                query: QueryId::get(r)?,
+                state: Option::get(r)?,
+            }),
+            5 => Ok(CoordMsg::WorkerError {
+                query: QueryId::get(r)?,
+                error: GdError::get(r)?,
+            }),
+            6 => Ok(CoordMsg::BspStepDone {
+                query: QueryId::get(r)?,
+                part: PartId::get(r)?,
+                finished: Weight::get(r)?,
+                issued: Weight::get(r)?,
+                count: u64::get(r)?,
+                consumed: Weight::get(r)?,
+                consumed_count: u64::get(r)?,
+                steps: u64::get(r)?,
+            }),
+            7 => Ok(CoordMsg::BspParked {
+                query: QueryId::get(r)?,
+                part: PartId::get(r)?,
+                parked: Weight::get(r)?,
+                round: u64::get(r)?,
+            }),
+            11 => Ok(CoordMsg::Shutdown),
+            t => Err(bad("coord-msg", t)),
+        }
+    }
+}
+
+/// `u8 0 | u32 dest | worker msg` or `u8 1 | coord msg`.
+impl Wire for WireMsg {
+    fn put<B: BufMut>(&self, buf: &mut B) {
+        match self {
+            WireMsg::Worker { dest, msg } => {
+                buf.put_u8(0);
+                put!(buf, dest, msg);
+            }
+            WireMsg::Coord(msg) => {
+                buf.put_u8(1);
+                msg.put(buf);
+            }
+        }
+    }
+    fn get(r: &mut Reader<'_>) -> GdResult<Self> {
+        match u8::get(r)? {
+            0 => Ok(WireMsg::Worker {
+                dest: WorkerId::get(r)?,
+                msg: WorkerMsg::get(r)?,
+            }),
+            1 => Ok(WireMsg::Coord(CoordMsg::get(r)?)),
+            t => Err(bad("wire-msg", t)),
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Packets
+// ---------------------------------------------------------------------------
 
 /// Decode exactly one wire message from the bytes [`decode_packet`] read
 /// it from (a fault-injected duplicate is those bytes decoded again).
 pub(crate) fn decode_msg(bytes: &[u8]) -> GdResult<WireMsg> {
     let mut r = Reader::new(bytes);
-    let msg = decode_wire_msg(&mut r)?;
-    if !r.is_empty() {
-        return Err(GdError::Internal(
-            "wire: trailing bytes after message".into(),
-        ));
-    }
+    let msg = WireMsg::get(&mut r)?;
+    r.finish("message")?;
     Ok(msg)
 }
 
@@ -1326,10 +1330,15 @@ pub(crate) fn decode_msg(bytes: &[u8]) -> GdResult<WireMsg> {
 /// flush of a remote lane is the only caller outside tests, so every
 /// message crossing a wire is encoded exactly once.
 pub fn encode_packet(buf: &mut impl BufMut, msgs: &[WireMsg]) -> GdResult<()> {
-    buf.put_u32_le(msgs.len() as u32);
-    for m in msgs {
-        encode_wire_msg(buf, m)?;
+    if msgs
+        .iter()
+        .any(|m| matches!(m, WireMsg::Coord(CoordMsg::Submit { .. })))
+    {
+        return Err(GdError::Internal(
+            "wire: CoordMsg::Submit cannot cross node boundaries".into(),
+        ));
     }
+    put_seq(buf, msgs.len() as u32, msgs);
     Ok(())
 }
 
@@ -1348,25 +1357,19 @@ pub(crate) fn append_packet(body: &mut Vec<u8>, other: &[u8]) {
 /// and one bad byte anywhere fails the whole packet.
 pub fn decode_packet(body: &[u8]) -> GdResult<Vec<(WireMsg, &[u8])>> {
     let mut r = Reader::new(body);
-    let n = r.u32()? as usize;
-    let mut out = Vec::with_capacity(n.min(1 << 12));
-    for _ in 0..n {
-        let start = r.pos();
-        let msg = decode_wire_msg(&mut r)?;
-        out.push((msg, &body[start..r.pos()]));
-    }
-    if !r.is_empty() {
-        return Err(GdError::Internal(
-            "wire: trailing bytes after packet body".into(),
-        ));
-    }
-    Ok(out)
+    let n = u32::get(&mut r)? as usize;
+    let msgs = get_seq(&mut r, n, |r| {
+        let start = r.pos;
+        let msg = WireMsg::get(r)?;
+        Ok((msg, &body[start..r.pos]))
+    })?;
+    r.finish("packet body")?;
+    Ok(msgs)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use graphdance_pstm::Traverser;
 
     fn sample_plan() -> Plan {
         Plan {
@@ -1429,28 +1432,29 @@ mod tests {
         }
     }
 
-    /// Encode, check that [`encoded_len`] is the encoder's own count, and
-    /// decode back — every round-trip test below goes through here.
-    fn roundtrip_wire(msg: WireMsg) -> WireMsg {
+    /// Put `x`, check that [`encoded_len`] is the encoder's own count, and
+    /// read it back, consuming every byte — every round-trip test below
+    /// goes through here.
+    fn roundtrip<T: Wire>(x: &T) -> T {
         let mut buf = Vec::new();
-        encode_wire_msg(&mut buf, &msg).unwrap();
-        assert_eq!(encoded_len(&msg), buf.len(), "encoded_len of {msg:?}");
+        x.put(&mut buf);
+        assert_eq!(encoded_len(x), buf.len(), "encoded_len drifted");
         let mut r = Reader::new(&buf);
-        let back = decode_wire_msg(&mut r).unwrap();
-        assert!(r.is_empty(), "wire msg fully consumed");
+        let back = T::get(&mut r).unwrap();
+        r.finish("test value").unwrap();
         back
     }
 
     fn roundtrip_worker(msg: WorkerMsg) -> WorkerMsg {
         let dest = WorkerId(7);
-        match roundtrip_wire(WireMsg::Worker { dest, msg }) {
+        match roundtrip(&WireMsg::Worker { dest, msg }) {
             WireMsg::Worker { dest: d, msg } if d == dest => msg,
             other => panic!("unexpected {other:?}"),
         }
     }
 
     fn roundtrip_coord(msg: CoordMsg) -> CoordMsg {
-        match roundtrip_wire(WireMsg::Coord(msg)) {
+        match roundtrip(&WireMsg::Coord(msg)) {
             WireMsg::Coord(msg) => msg,
             other => panic!("unexpected {other:?}"),
         }
@@ -1479,55 +1483,74 @@ mod tests {
     }
 
     #[test]
+    fn value_roundtrips() {
+        for v in [
+            Value::Null,
+            Value::Bool(true),
+            Value::Bool(false),
+            Value::Int(-42),
+            Value::Int(i64::MAX),
+            Value::Float(3.5),
+            Value::str(""),
+            Value::str("hello – unicode ✓"),
+            Value::Vertex(VertexId(u64::MAX)),
+            Value::list(vec![
+                Value::Int(1),
+                Value::list(vec![Value::str("nested")]),
+                Value::Null,
+            ]),
+        ] {
+            assert_eq!(roundtrip(&v), v);
+        }
+    }
+
+    #[test]
+    fn garbage_tag_rejected() {
+        assert!(Value::get(&mut Reader::new(&[99])).is_err());
+    }
+
+    #[test]
+    fn traverser_roundtrip() {
+        let mut t = Traverser::root(QueryId(9), 2, VertexId(77), 3, Weight(0xDEAD));
+        t.pc = 5;
+        t.depth = 4;
+        t.set_slot(1, Value::str("x"));
+        t.aux_key = Some(Value::Vertex(VertexId(3)));
+        assert_eq!(roundtrip(&t), t);
+    }
+
+    #[test]
+    fn truncated_input_is_an_error() {
+        let mut t = Traverser::root(QueryId(1), 0, VertexId(1), 1, Weight(1));
+        t.set_slot(0, Value::str("hello"));
+        let mut full = Vec::new();
+        t.put(&mut full);
+        for cut in [0, 1, 8, full.len() - 1] {
+            let mut r = Reader::new(&full[..cut]);
+            assert!(Traverser::get(&mut r).is_err(), "cut at {cut}");
+        }
+    }
+
+    /// The size the outbox buffers a traverser by, field by field.
+    #[test]
+    fn encoded_len_counts_every_traverser_field() {
+        let mut t = Traverser::root(QueryId(1), 0, VertexId(5), 0, Weight::ROOT);
+        let fixed = 8 + 2 + 2 + 8 + 8 + 4 + 1 + 2;
+        assert_eq!(encoded_len(&t), fixed);
+        t.aux_key = Some(Value::str("key"));
+        assert_eq!(encoded_len(&t), fixed + 1 + 4 + 3);
+        t.set_slot(0, Value::Int(9));
+        assert_eq!(encoded_len(&t), fixed + 1 + 4 + 3 + 9);
+    }
+
+    #[test]
     fn plan_roundtrips() {
-        let plan = sample_plan();
-        let mut buf = Vec::new();
-        encode_plan(&mut buf, &plan);
-        let mut r = Reader::new(&buf);
-        assert_eq!(decode_plan(&mut r).unwrap(), plan);
-        assert!(r.is_empty());
+        assert_eq!(roundtrip(&sample_plan()), sample_plan());
     }
 
     #[test]
     fn every_source_and_agg_variant_roundtrips() {
-        for src in [
-            SourceSpec::Param { param: 2 },
-            SourceSpec::ScanLabel { label: Label(7) },
-            SourceSpec::PrevRows {
-                vertex_col: 1,
-                seed: vec![(0, 2), (1, 0)],
-            },
-        ] {
-            let mut buf = Vec::new();
-            encode_source(&mut buf, &src);
-            assert_eq!(decode_source(&mut Reader::new(&buf)).unwrap(), src);
-        }
-        for f in [
-            AggFunc::Count,
-            AggFunc::Sum(Expr::Slot(0)),
-            AggFunc::Min(Expr::Slot(0)),
-            AggFunc::Max(Expr::Slot(0)),
-            AggFunc::Avg(Expr::Slot(0)),
-            AggFunc::GroupCount {
-                key: Expr::VertexId,
-                order: GroupOrder::CountDesc,
-                limit: 10,
-            },
-            AggFunc::GroupSum {
-                key: Expr::VertexId,
-                value: Expr::Slot(1),
-                order: GroupOrder::KeyAsc,
-                limit: 3,
-            },
-            AggFunc::Collect {
-                output: vec![Expr::VertexId],
-                limit: 100,
-            },
-        ] {
-            let mut buf = Vec::new();
-            encode_agg_func(&mut buf, &f);
-            assert_eq!(decode_agg_func(&mut Reader::new(&buf)).unwrap(), f);
-        }
+        assert_eq!(roundtrip(&pinned_plan()), pinned_plan());
     }
 
     #[test]
@@ -1643,7 +1666,6 @@ mod tests {
                 parked: Weight(6),
                 round: 2,
             },
-            CoordMsg::Tick,
             CoordMsg::Shutdown,
         ];
         for msg in msgs {
@@ -1665,7 +1687,7 @@ mod tests {
             deadline: None,
         };
         let mut buf = Vec::new();
-        assert!(encode_coord_msg(&mut buf, &msg).is_err());
+        assert!(encode_packet(&mut buf, &[WireMsg::Coord(msg)]).is_err());
         assert!(buf.is_empty(), "nothing written before the refusal");
     }
 
@@ -1682,75 +1704,29 @@ mod tests {
         }
         let mut ba = Vec::new();
         let mut bb = Vec::new();
-        encode_agg_state(&mut ba, &AggState::GroupSum { map: a });
-        encode_agg_state(&mut bb, &AggState::GroupSum { map: b });
+        AggState::GroupSum { map: a }.put(&mut ba);
+        AggState::GroupSum { map: b }.put(&mut bb);
         assert_eq!(ba, bb, "sorted-entry encoding is order independent");
     }
 
     #[test]
     fn all_agg_states_roundtrip() {
-        let states = vec![
-            AggState::Count(9),
-            AggState::Sum(Value::Float(1.5)),
-            AggState::Min(None),
-            AggState::Min(Some(Value::Int(-3))),
-            AggState::Max(Some(Value::str("z"))),
-            AggState::Avg { sum: 2.5, count: 4 },
-            AggState::TopK {
-                rows: vec![(
-                    vec![Value::Int(1)],
-                    vec![Value::str("row")],
-                    vec![ValueKey::Vertex(VertexId(4))],
-                )],
-            },
-            AggState::Collect {
-                rows: vec![vec![Value::Int(1)], vec![]],
-            },
-        ];
-        for s in &states {
-            let mut buf = Vec::new();
-            encode_agg_state(&mut buf, s);
-            let mut r = Reader::new(&buf);
-            assert_eq!(&decode_agg_state(&mut r).unwrap(), s);
-            assert!(r.is_empty());
+        for s in pinned_agg_states() {
+            assert_eq!(roundtrip(&s), s);
             roundtrip_coord(CoordMsg::AggPartial {
                 query: QueryId(1),
-                state: Some(Box::new(s.clone())),
+                state: Some(Box::new(s)),
             });
         }
     }
 
     #[test]
     fn all_errors_roundtrip() {
-        let errs = vec![
-            GdError::VertexNotFound(VertexId(1)),
-            GdError::UnknownSymbol("name".into()),
-            GdError::InvalidProgram("bad".into()),
-            GdError::Parse {
-                offset: 3,
-                message: "oops".into(),
-            },
-            GdError::TypeError("t".into()),
-            GdError::EngineClosed,
-            GdError::QueryTimeout(QueryId(2)),
-            GdError::QueryCancelled(QueryId(3)),
-            GdError::Overloaded,
-            GdError::TxnAborted("w".into()),
-            GdError::InvariantViolation("inv".into()),
-            GdError::Internal("i".into()),
-        ];
-        for e in &errs {
-            let mut buf = Vec::new();
-            encode_error(&mut buf, e);
-            let mut r = Reader::new(&buf);
-            assert_eq!(
-                format!("{:?}", decode_error(&mut r).unwrap()),
-                format!("{e:?}")
-            );
-            assert!(r.is_empty());
+        for e in pinned_errors() {
+            assert_eq!(format!("{:?}", roundtrip(&e)), format!("{e:?}"));
             roundtrip_coord(CoordMsg::WorkerError {
                 query: QueryId(1),
-                error: e.clone(),
+                error: e,
             });
         }
     }
@@ -1781,7 +1757,7 @@ mod tests {
                 dest: WorkerId(0),
                 msg: WorkerMsg::QueryEnd { query: QueryId(1) },
             },
-            WireMsg::Coord(CoordMsg::Tick),
+            WireMsg::Coord(CoordMsg::Shutdown),
         ];
         let (body, _) = roundtrip_packet(&msgs);
         // Truncations at every boundary fail loudly, never panic.
@@ -1798,26 +1774,11 @@ mod tests {
     /// aux keys, nested values, the empty batch — survive a packet exactly.
     #[test]
     fn packet_roundtrips_traverser_batches() {
-        let batch = |n: u64| {
-            (0..n)
-                .map(|i| {
-                    let mut t = Traverser::root(QueryId(i), 1, VertexId(i * 7), 3, Weight(!i));
-                    t.pc = i as u16;
-                    t.depth = u32::MAX - i as u32;
-                    t.set_slot(0, Value::Int(-(i as i64)));
-                    t.set_slot(2, Value::list(vec![Value::str("x"), Value::Float(0.5)]));
-                    if i % 2 == 0 {
-                        t.aux_key = Some(Value::Vertex(VertexId(i)));
-                    }
-                    t
-                })
-                .collect()
-        };
         let msgs: Vec<WireMsg> = [0, 1, 17]
             .into_iter()
             .map(|n| WireMsg::Worker {
                 dest: WorkerId(n as u32),
-                msg: WorkerMsg::Batch(batch(n)),
+                msg: WorkerMsg::Batch(pinned_batch(n)),
             })
             .collect();
         let (_, back) = roundtrip_packet(&msgs);
@@ -1828,7 +1789,7 @@ mod tests {
         else {
             panic!("a batch comes back a batch");
         };
-        assert_eq!(ts, &batch(17));
+        assert_eq!(ts, &pinned_batch(17));
     }
 
     /// Joining flushed bodies gives exactly the body of the joined list.
@@ -1876,5 +1837,424 @@ mod tests {
                 ..
             })
         ));
+    }
+
+    /// A packet of one `CoordMsg::Rows` whose single value is a `List`
+    /// nested `lists` deep around a `Null`, written byte by byte (building
+    /// and dropping such a `Value` would recurse as deeply as decoding it).
+    fn deep_rows_packet(lists: usize) -> Vec<u8> {
+        let mut body = Vec::new();
+        body.put_u32_le(1); // one message
+        body.put_u8(1); // for the coordinator
+        body.put_u8(3); // Rows
+        body.put_u64_le(7); // query
+        body.put_u32_le(1); // one row
+        body.put_u32_le(1); // of one value
+        for _ in 0..lists {
+            body.put_u8(TAG_LIST);
+            body.put_u32_le(1);
+        }
+        body.put_u8(TAG_NULL);
+        body
+    }
+
+    fn nesting_error<T>(r: GdResult<T>) -> bool {
+        matches!(r, Err(GdError::Internal(m)) if m.contains("nesting deeper than"))
+    }
+
+    /// A ~100 KB packet nested 20 000 deep — far under the frame limit —
+    /// once overflowed a socket reader thread's default 2 MiB stack and
+    /// aborted the node. It is now a typed error on such a thread.
+    #[test]
+    fn nesting_past_the_budget_fails_typed_on_a_2mib_thread() {
+        let body = deep_rows_packet(20_000);
+        assert_eq!(body.len(), 100_023);
+        let decoded = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || decode_packet(&body).map(|msgs| msgs.len()))
+            .unwrap()
+            .join()
+            .expect("the decoder returns instead of overflowing its stack");
+        assert!(nesting_error(decoded));
+    }
+
+    /// The budget is exact, and values, value keys and expressions are
+    /// charged against it together.
+    #[test]
+    fn nesting_budget_is_exact_and_shared() {
+        let depth = MAX_NESTING as usize;
+        // `depth - 1` lists around the `Null` are `depth` nested values.
+        assert!(decode_packet(&deep_rows_packet(depth - 1)).is_ok());
+        assert!(nesting_error(decode_packet(&deep_rows_packet(depth))));
+        let nots = |n: usize, leaf: &[u8]| {
+            let mut b = vec![9u8; n]; // Expr::Not
+            b.extend_from_slice(leaf);
+            b
+        };
+        let vertex_id = [3u8];
+        assert!(Expr::get(&mut Reader::new(&nots(depth - 1, &vertex_id))).is_ok());
+        assert!(nesting_error(Expr::get(&mut Reader::new(&nots(
+            depth, &vertex_id
+        )))));
+        // An `Expr::Const` holding a one-list value: two more levels.
+        let const_list = [0u8, TAG_LIST, 0, 0, 0, 0];
+        assert!(Expr::get(&mut Reader::new(&nots(depth - 2, &const_list))).is_ok());
+        assert!(nesting_error(Expr::get(&mut Reader::new(&nots(
+            depth - 1,
+            &const_list
+        )))));
+        let mut keys = Vec::new();
+        for _ in 0..depth {
+            keys.extend_from_slice(&[TAG_LIST, 1, 0, 0, 0]);
+        }
+        keys.push(TAG_NULL);
+        assert!(ValueKey::get(&mut Reader::new(&keys[5..])).is_ok());
+        assert!(nesting_error(ValueKey::get(&mut Reader::new(&keys))));
+    }
+
+    /// Every `Expr` variant, and every `CmpOp` inside a `Cmp`.
+    fn pinned_exprs() -> Vec<Expr> {
+        let slot = |s| Box::new(Expr::Slot(s));
+        let mut xs: Vec<Expr> = [
+            CmpOp::Eq,
+            CmpOp::Ne,
+            CmpOp::Lt,
+            CmpOp::Le,
+            CmpOp::Gt,
+            CmpOp::Ge,
+        ]
+        .into_iter()
+        .map(|op| Expr::Cmp(slot(0), op, slot(1)))
+        .collect();
+        xs.extend([
+            Expr::Const(Value::list(vec![Value::str("c"), Value::Bool(true)])),
+            Expr::Param(3),
+            Expr::Slot(4),
+            Expr::VertexId,
+            Expr::Prop(PropKey(5)),
+            Expr::LabelIs(Label(6)),
+            Expr::And(vec![Expr::Slot(0), Expr::Slot(1)]),
+            Expr::Or(vec![Expr::Slot(2)]),
+            Expr::Not(slot(0)),
+            Expr::In(
+                slot(1),
+                vec![Value::Int(1), Value::Float(-0.5), Value::Null],
+            ),
+            Expr::IsNull(slot(2)),
+            Expr::Add(slot(0), slot(1)),
+            Expr::Sub(slot(1), slot(0)),
+            Expr::Mul(slot(2), slot(2)),
+            Expr::Tuple(vec![Expr::VertexId, Expr::Param(0)]),
+            Expr::Month(slot(3)),
+            Expr::Day(slot(3)),
+        ]);
+        xs
+    }
+
+    /// A plan naming every source, step, aggregation, order and direction
+    /// variant, beside the round-trip tests' `sample_plan`.
+    fn pinned_plan() -> Plan {
+        let sources = [
+            SourceSpec::Param { param: 2 },
+            SourceSpec::IndexLookup {
+                label: Label(1),
+                key: PropKey(2),
+                value: Expr::Param(1),
+            },
+            SourceSpec::ScanLabel { label: Label(7) },
+            SourceSpec::PrevRows {
+                vertex_col: 1,
+                seed: vec![(0, 2), (1, 0)],
+            },
+        ];
+        let mut steps: Vec<PlanStep> = [Direction::Out, Direction::In, Direction::Both]
+            .into_iter()
+            .map(|dir| PlanStep::Expand {
+                dir,
+                label: Label(3),
+                edge_loads: vec![(PropKey(4), 1), (PropKey(5), 2)],
+            })
+            .collect();
+        steps.extend(pinned_exprs().into_iter().map(PlanStep::Filter));
+        steps.extend([
+            PlanStep::Load(vec![(PropKey(1), 0)]),
+            PlanStep::Compute(vec![(0, Expr::Slot(1)), (2, Expr::Param(0))]),
+            PlanStep::Dedup { slots: vec![0, 2] },
+            PlanStep::MinDist { dist_slot: 2 },
+            PlanStep::LoopEnd {
+                counter: 2,
+                min: -1,
+                max: i64::MAX,
+                back_to: 3,
+            },
+            PlanStep::Join {
+                join_id: 1,
+                side: JoinSide::Build,
+                key: Expr::VertexId,
+            },
+            PlanStep::Join {
+                join_id: 1,
+                side: JoinSide::Probe,
+                key: Expr::Slot(0),
+            },
+            PlanStep::MoveTo { vertex_slot: 1 },
+        ]);
+        let group = [
+            GroupOrder::CountDesc,
+            GroupOrder::CountAsc,
+            GroupOrder::KeyAsc,
+        ];
+        let mut aggs: Vec<Option<AggSpec>> = vec![None];
+        aggs.extend(
+            [
+                AggFunc::Count,
+                AggFunc::Sum(Expr::Slot(0)),
+                AggFunc::Min(Expr::Slot(1)),
+                AggFunc::Max(Expr::Slot(2)),
+                AggFunc::Avg(Expr::Slot(0)),
+                AggFunc::TopK {
+                    k: 5,
+                    sort: vec![(Expr::Slot(0), Order::Desc), (Expr::Slot(1), Order::Asc)],
+                    output: vec![Expr::VertexId],
+                    distinct: vec![Expr::VertexId, Expr::Slot(2)],
+                },
+                AggFunc::GroupSum {
+                    key: Expr::VertexId,
+                    value: Expr::Slot(1),
+                    order: GroupOrder::KeyAsc,
+                    limit: 3,
+                },
+                AggFunc::Collect {
+                    output: vec![Expr::VertexId],
+                    limit: 100,
+                },
+            ]
+            .into_iter()
+            .chain(group.into_iter().map(|order| AggFunc::GroupCount {
+                key: Expr::VertexId,
+                order,
+                limit: 10,
+            }))
+            .map(|func| Some(AggSpec { func })),
+        );
+        let mut plan = sample_plan();
+        plan.num_params = 2;
+        plan.stages.extend(aggs.into_iter().map(|agg| {
+            Stage {
+                pipelines: sources
+                    .iter()
+                    .map(|source| Pipeline {
+                        source: source.clone(),
+                        steps: steps.clone(),
+                    })
+                    .collect(),
+                joins: vec![JoinSpec {
+                    join_id: 1,
+                    probe_pipeline: 3,
+                }],
+                output: vec![Expr::Slot(0), Expr::Param(1)],
+                agg,
+                num_slots: 4,
+            }
+        }));
+        plan
+    }
+
+    /// Every aggregation-state variant, both map shapes with several keys.
+    fn pinned_agg_states() -> Vec<AggState> {
+        let map = |n: i64| {
+            let mut m = FxHashMap::default();
+            for i in 0..n {
+                m.insert(ValueKey::Int(i - 2), i * 3);
+            }
+            m.insert(ValueKey::Str(Arc::from("k")), -2);
+            m.insert(ValueKey::List(vec![ValueKey::Float(7), ValueKey::Null]), 1);
+            m
+        };
+        vec![
+            AggState::Count(9),
+            AggState::Sum(Value::Float(1.5)),
+            AggState::Min(None),
+            AggState::Min(Some(Value::Int(-3))),
+            AggState::Max(None),
+            AggState::Max(Some(Value::str("z"))),
+            AggState::Avg { sum: 2.5, count: 4 },
+            AggState::TopK {
+                rows: vec![
+                    (
+                        vec![Value::Int(1)],
+                        vec![Value::str("row")],
+                        vec![ValueKey::Vertex(VertexId(4)), ValueKey::Bool(true)],
+                    ),
+                    (vec![], vec![], vec![]),
+                ],
+            },
+            AggState::GroupCount { map: map(5) },
+            AggState::GroupSum { map: map(20) },
+            AggState::Collect {
+                rows: vec![vec![Value::Int(1)], vec![]],
+            },
+        ]
+    }
+
+    /// Every error variant.
+    fn pinned_errors() -> Vec<GdError> {
+        vec![
+            GdError::VertexNotFound(VertexId(1)),
+            GdError::UnknownSymbol("name".into()),
+            GdError::InvalidProgram("bad".into()),
+            GdError::Parse {
+                offset: 3,
+                message: "oops".into(),
+            },
+            GdError::TypeError("t".into()),
+            GdError::EngineClosed,
+            GdError::QueryTimeout(QueryId(2)),
+            GdError::QueryCancelled(QueryId(3)),
+            GdError::Overloaded,
+            GdError::TxnAborted("w".into()),
+            GdError::InvariantViolation("inv".into()),
+            GdError::Internal("i".into()),
+        ]
+    }
+
+    /// Traversers of every shape: locals of every value kind, a string
+    /// local, aux keys, nested lists, hostile depths.
+    fn pinned_batch(n: u64) -> Vec<Traverser> {
+        (0..n)
+            .map(|i| {
+                let mut t = Traverser::root(QueryId(i), 1, VertexId(i * 7), 3, Weight(!i));
+                t.pc = i as u16;
+                t.depth = u32::MAX - i as u32;
+                t.set_slot(0, Value::Int(-(i as i64)));
+                t.set_slot(1, Value::str("local"));
+                t.set_slot(2, Value::list(vec![Value::str("x"), Value::Float(0.5)]));
+                match i % 3 {
+                    0 => t.aux_key = Some(Value::Vertex(VertexId(i))),
+                    1 => t.aux_key = Some(Value::str("key")),
+                    _ => {}
+                }
+                t
+            })
+            .collect()
+    }
+
+    /// Every worker and coordinator message that crosses a wire, carrying
+    /// every sample above.
+    fn pinned_packet() -> Vec<WireMsg> {
+        let q = QueryId(0x0102_0304_0506_0708);
+        let mut worker = vec![
+            WorkerMsg::Batch(pinned_batch(17)),
+            WorkerMsg::Batch(vec![]),
+            WorkerMsg::StageBegin { query: q, stage: 2 },
+            WorkerMsg::StartSource {
+                query: q,
+                pipeline: 3,
+                weight: Weight(u64::MAX),
+            },
+            WorkerMsg::QueryEnd { query: q },
+            WorkerMsg::CancelQuery { query: q },
+            WorkerMsg::Bsp(BspSignal::RunStep { query: q, depth: 4 }),
+            WorkerMsg::Bsp(BspSignal::Probe { query: q, round: 7 }),
+            WorkerMsg::Bsp(BspSignal::Gather { query: q }),
+            WorkerMsg::Shutdown,
+        ];
+        for from in [None, Some(WorkerId(0)), Some(WorkerId(7))] {
+            worker.push(WorkerMsg::QueryBegin {
+                ctx: Arc::new(QueryCtx {
+                    query: q,
+                    plan: pinned_plan(),
+                    params: vec![Value::str("alice"), Value::Int(7)],
+                    read_ts: 9,
+                }),
+                stage: 1,
+                from,
+            });
+        }
+        let mut coord = vec![
+            CoordMsg::Cancel { query: q },
+            CoordMsg::Progress {
+                query: q,
+                weight: Weight(77),
+                steps: 5,
+            },
+            CoordMsg::Rows {
+                query: q,
+                rows: vec![
+                    vec![Value::Int(1), Value::str("x")],
+                    vec![],
+                    vec![Value::list(vec![Value::list(vec![Value::Null])])],
+                ],
+            },
+            CoordMsg::AggPartial {
+                query: q,
+                state: None,
+            },
+            CoordMsg::BspStepDone {
+                query: q,
+                part: PartId(0),
+                finished: Weight(1),
+                issued: Weight(2),
+                count: 3,
+                consumed: Weight(4),
+                consumed_count: 5,
+                steps: 6,
+            },
+            CoordMsg::BspParked {
+                query: q,
+                part: PartId(1),
+                parked: Weight(6),
+                round: 2,
+            },
+            CoordMsg::Shutdown,
+        ];
+        coord.extend(
+            pinned_agg_states()
+                .into_iter()
+                .map(|s| CoordMsg::AggPartial {
+                    query: q,
+                    state: Some(Box::new(s)),
+                }),
+        );
+        coord.extend(
+            pinned_errors()
+                .into_iter()
+                .map(|error| CoordMsg::WorkerError { query: q, error }),
+        );
+        let mut msgs: Vec<WireMsg> = worker
+            .into_iter()
+            .enumerate()
+            .map(|(i, msg)| WireMsg::Worker {
+                dest: WorkerId(i as u32),
+                msg,
+            })
+            .collect();
+        msgs.extend(coord.into_iter().map(WireMsg::Coord));
+        msgs
+    }
+
+    /// The layout, pinned: one packet holding every sample above, checked
+    /// by length and FNV-1a hash. The byte count is the cost model's and
+    /// the flush schedule's input, so a refactor of the encoder must leave
+    /// this test passing unchanged.
+    #[test]
+    fn packet_layout_is_pinned() {
+        let msgs = pinned_packet();
+        let mut body = Vec::new();
+        encode_packet(&mut body, &msgs).unwrap();
+        let fnv = body.iter().fold(0xcbf2_9ce4_8422_2325_u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        });
+        assert_eq!(
+            (body.len(), fnv),
+            (45_658, 0x0402_2604_b235_151c),
+            "the wire layout moved"
+        );
+        let back: Vec<WireMsg> = decode_packet(&body)
+            .unwrap()
+            .into_iter()
+            .map(|(msg, _)| msg)
+            .collect();
+        assert_eq!(format!("{back:?}"), format!("{msgs:?}"));
     }
 }

@@ -26,7 +26,7 @@ use graphdance_pstm::{
 };
 use graphdance_storage::Graph;
 
-use crate::config::{EngineConfig, FaultInjection};
+use crate::config::{EngineConfig, FaultInjection, WORKER_BATCH};
 use crate::messages::{CoordMsg, QueryCtx, QueryScope, WorkerMsg, WorkerSet};
 use crate::net::{Fabric, Outbox, WireMsg};
 use crate::run_queue::{QueryRing, RunEntry, RunQueue};
@@ -184,7 +184,7 @@ impl Router {
                 let w = self.outbox.partitioner().worker_of_part(dest);
                 let t = self.arena.extract(h, &mut aq.locals);
                 #[cfg(feature = "obs")]
-                obs_remote.push((w.0, t.wire_bytes() as u64));
+                obs_remote.push((w.0, wire::encoded_len(&t) as u64));
                 self.send_work(aq, w, t);
             }
         }
@@ -297,7 +297,6 @@ pub struct Worker {
     /// Queries whose queue here emptied since the last progress flush.
     idle: Vec<QueryId>,
     rng: SmallRng,
-    batch: usize,
     sched_overhead: std::time::Duration,
     /// Reused staging batch for the run being executed.
     frontier: Frontier,
@@ -328,7 +327,6 @@ impl Worker {
             ring: QueryRing::default(),
             idle: Vec::new(),
             rng: graphdance_common::rng::derive(config.seed, id.0 as u64),
-            batch: config.worker_batch,
             sched_overhead: config.sched_overhead_per_op,
             frontier: Frontier::new(),
             expand_cache: ExpandCache::new(),
@@ -674,7 +672,7 @@ impl Worker {
         }
         self.expand_cache.begin_quantum();
         // sync: the partition read guard is held for this quantum only —
-        // at most `worker_batch` traversers — and is released before the
+        // at most `WORKER_BATCH` traversers — and is released before the
         // worker polls or blocks on its inbox, so a `txn` writer queued on
         // the partition waits out one quantum at most.
         // lint: allow(hot-path-blocking) the guard spans `outbox.send_*`:
@@ -682,7 +680,7 @@ impl Worker {
         // no partition lock, so holding it adds no wait of its own.
         let part = self.graph.read(self.router.id.part());
         let mut executed = 0;
-        while executed < self.batch {
+        while executed < WORKER_BATCH {
             let Some((query, queue)) = self.ring.pop() else {
                 break;
             };
@@ -697,7 +695,7 @@ impl Worker {
             // the record stays free to lend to the router.
             let ctx = Arc::clone(&aq.ctx);
             let interp = ctx.interpreter(&self.graph, aq.stage);
-            while queue.stage_run(self.batch - executed, &mut self.frontier) {
+            while queue.stage_run(WORKER_BATCH - executed, &mut self.frontier) {
                 executed += self.frontier.len();
                 for i in 0..self.frontier.len() {
                     if !self.sched_overhead.is_zero() {

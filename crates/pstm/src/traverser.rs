@@ -73,33 +73,6 @@ impl Traverser {
         }
         self.locals[i] = v;
     }
-
-    /// Exact serialized size in bytes, mirroring the engine wire codec's
-    /// layout byte for byte (the codec's tests pin the two together). The
-    /// I/O scheduler counts its tier-1 buffers with this (§IV-B's 8 KB
-    /// flush threshold tracks real frame bytes), once per traverser sent —
-    /// which is why it is arithmetic here and not a run of the encoder.
-    pub fn wire_bytes(&self) -> usize {
-        let mut n = 8 + 2 + 2 + 8 + 8 + 4 + 1; // fixed fields + aux flag
-        if let Some(k) = &self.aux_key {
-            n += value_wire_bytes(k);
-        }
-        n += 2; // locals count
-        for v in &self.locals {
-            n += value_wire_bytes(v);
-        }
-        n
-    }
-}
-
-/// Exact encoded size of one [`Value`] on the wire (tag byte + payload).
-fn value_wire_bytes(v: &Value) -> usize {
-    1 + match v {
-        Value::Null | Value::Bool(_) => 0,
-        Value::Int(_) | Value::Float(_) | Value::Vertex(_) => 8,
-        Value::Str(s) => 4 + s.len(),
-        Value::List(l) => 4 + l.iter().map(value_wire_bytes).sum::<usize>(),
-    }
 }
 
 #[cfg(test)]
@@ -122,24 +95,5 @@ mod tests {
         t.set_slot(7, Value::Int(9));
         assert_eq!(*t.slot(7), Value::Int(9));
         assert_eq!(t.locals.len(), 8);
-    }
-
-    #[test]
-    fn approx_bytes_counts_strings() {
-        let mut t = Traverser::root(QueryId(1), 0, VertexId(5), 0, Weight::ROOT);
-        let base = t.wire_bytes();
-        t.set_slot(0, Value::str("0123456789"));
-        assert!(t.wire_bytes() >= base + 10);
-    }
-
-    #[test]
-    fn wire_bytes_counts_every_field() {
-        let mut t = Traverser::root(QueryId(1), 0, VertexId(5), 0, Weight::ROOT);
-        let fixed = 8 + 2 + 2 + 8 + 8 + 4 + 1 + 2;
-        assert_eq!(t.wire_bytes(), fixed);
-        t.aux_key = Some(Value::str("key"));
-        assert_eq!(t.wire_bytes(), fixed + 1 + 4 + 3);
-        t.set_slot(0, Value::Int(9));
-        assert_eq!(t.wire_bytes(), fixed + 1 + 4 + 3 + 9);
     }
 }

@@ -18,7 +18,9 @@
 //!
 //! The end-to-end half feeds a real `TcpTransport` reader garbage over a
 //! live socket and asserts the fabric counts it in `net.decode_errors`
-//! (and keeps the typed error for diagnostics) instead of crashing — and
+//! (and keeps the typed error for diagnostics) instead of crashing — the
+//! garbage includes a packet nested too deep to decode, which must leave
+//! the stream delivering the packet after it — and
 //! a well-formed frame whose traversers carry hostile *depths*
 //! (`u32::MAX`, just past the run queue's dense bound), which a worker
 //! must queue and run like any other.
@@ -166,9 +168,19 @@ fn hostile_length_prefixes_are_typed_errors() {
 
 /// End-to-end: a live `TcpTransport` reader fed garbage over a real socket
 /// surfaces `net.decode_errors` on the fabric — no panic, no crash, and
-/// the typed error is retained for diagnostics.
+/// the typed error is retained for diagnostics. The first garbage is a
+/// ~100 KB packet whose one row value is a list nested 20 000 deep — far
+/// under [`MAX_FRAME_BYTES`] — which once overflowed the reader thread's
+/// 2 MiB stack and aborted the node: the decoder's nesting budget makes it
+/// one counted error, and the packet after it on the same stream is still
+/// delivered.
 #[test]
 fn garbage_over_live_socket_counts_decode_errors() {
+    use graphdance::common::{QueryId, WorkerId};
+    use graphdance::engine::messages::WorkerMsg;
+    use graphdance::engine::net::WireMsg;
+    use graphdance::engine::wire;
+
     // Fake node 1: a plain listener that accepts node 0's outbound dial
     // but never speaks the protocol.
     let fake_peer = std::net::TcpListener::bind("127.0.0.1:0").expect("bind fake peer");
@@ -188,27 +200,64 @@ fn garbage_over_live_socket_counts_decode_errors() {
     };
 
     let config = EngineConfig::new(2, 2);
-    let (wtx, _wrx) = (0..4).map(|_| unbounded()).unzip::<_, _, Vec<_>, Vec<_>>();
+    let (wtx, wrx) = (0..4).map(|_| unbounded()).unzip::<_, _, Vec<_>, Vec<_>>();
     let (ctx, _crx) = unbounded();
     let (fabric, threads) =
         Fabric::new_with_transport(&config, NodeId(0), wtx, ctx, Arc::clone(&t0) as Arc<_>);
 
-    // Impersonate node 1: introduce ourselves properly, then send a
-    // well-framed PACKET whose body is not a decodable wire packet,
-    // followed by a corrupt length prefix.
+    // One `CoordMsg::Rows` packet, written byte by byte: its single value
+    // is 20 000 nested one-element lists around a `Null`.
+    let mut deep = Vec::new();
+    deep.extend_from_slice(&1u32.to_le_bytes()); // one message
+    deep.extend_from_slice(&[1, 3]); // for the coordinator: Rows
+    deep.extend_from_slice(&7u64.to_le_bytes()); // query
+    deep.extend_from_slice(&1u32.to_le_bytes()); // one row
+    deep.extend_from_slice(&1u32.to_le_bytes()); // of one value
+    for _ in 0..20_000 {
+        deep.push(7); // List
+        deep.extend_from_slice(&1u32.to_le_bytes());
+    }
+    deep.push(0); // Null
+    assert_eq!(deep.len(), 100_023);
+    let mut valid = Vec::new();
+    let cancel = WorkerMsg::CancelQuery { query: QueryId(5) };
+    let msg = WireMsg::Worker {
+        dest: WorkerId(0),
+        msg: cancel,
+    };
+    wire::encode_packet(&mut valid, &[msg]).expect("encodes");
+
+    // Impersonate node 1: introduce ourselves properly, send the deep
+    // packet and a valid one behind it, then a well-framed PACKET whose
+    // body is not a decodable wire packet, followed by a corrupt length
+    // prefix.
     let mut sock = std::net::TcpStream::connect(&t0_addr).expect("connect to node 0");
     let mut bytes = Vec::new();
     encode_frame(&mut bytes, FRAME_HELLO, &1u32.to_le_bytes());
+    encode_frame(&mut bytes, FRAME_PACKET, &deep);
+    encode_frame(&mut bytes, FRAME_PACKET, &valid);
+    sock.write_all(&bytes).expect("write the deep packet");
+    match wrx[0].recv_timeout(Duration::from_secs(5)) {
+        Ok(WorkerMsg::CancelQuery { query }) => assert_eq!(query, QueryId(5)),
+        other => panic!("the packet after the deep one never arrived: {other:?}"),
+    }
+    assert_eq!(fabric.stats().snapshot().decode_errors, 1);
+    let err = fabric
+        .take_decode_error()
+        .expect("typed decode error retained");
+    assert!(err.to_string().contains("nesting"), "{err}");
+
+    bytes.clear();
     encode_frame(&mut bytes, FRAME_PACKET, &[0xFF; 48]); // undecodable body
     bytes.extend_from_slice(&0u32.to_le_bytes()); // corrupt frame length
     sock.write_all(&bytes).expect("write garbage");
     sock.flush().expect("flush garbage");
 
-    // Both errors must be counted: one packet-decode, one framing.
+    // Every error must be counted: two packet-decode, one framing.
     let deadline = Instant::now() + Duration::from_secs(5);
     loop {
         let n = fabric.stats().snapshot().decode_errors;
-        if n >= 2 {
+        if n >= 3 {
             break;
         }
         assert!(

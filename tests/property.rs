@@ -9,7 +9,7 @@ use graphdance::common::{Partitioner, QueryId, Value, VertexId, WorkerId};
 use graphdance::engine::codec::{self, ProgressEntry};
 use graphdance::engine::messages::{CoordMsg, WorkerMsg};
 use graphdance::engine::net::WireMsg;
-use graphdance::engine::wire;
+use graphdance::engine::wire::{self, Wire};
 use graphdance::engine::{EngineConfig, GraphDance};
 use graphdance::pstm::{Traverser, Weight};
 use graphdance::query::expr::Expr;
@@ -97,12 +97,12 @@ proptest! {
     }
 
     /// Any traverser batch crosses a packet exactly, and its size is the
-    /// message header plus each traverser's `wire_bytes` — the figure the
+    /// message header plus each traverser's `encoded_len` — the figure the
     /// tier-1 buffer sizes it by.
     #[test]
     fn batch_packet_roundtrips_exactly(ts in prop::collection::vec(arb_traverser(), 0..8)) {
         let msg = WireMsg::Worker { dest: WorkerId(3), msg: WorkerMsg::Batch(ts.clone()) };
-        let body: usize = ts.iter().map(|t| t.wire_bytes()).sum();
+        let body: usize = ts.iter().map(wire::encoded_len).sum();
         prop_assert_eq!(wire::encoded_len(&msg), 1 + 4 + 1 + 4 + body);
         match &packet_roundtrip(&[msg])[..] {
             [WireMsg::Worker { dest: WorkerId(3), msg: WorkerMsg::Batch(got) }] => {
@@ -124,16 +124,16 @@ proptest! {
     ) {
         let msg = WireMsg::Coord(CoordMsg::Rows { query: QueryId(7), rows });
         let mut encoded = Vec::new();
-        wire::encode_wire_msg(&mut encoded, &msg).expect("rows encode");
+        msg.put(&mut encoded);
         prop_assert_eq!(wire::encoded_len(&msg), encoded.len());
 
         let mut frame = Vec::new();
         codec::encode_batch_into(&mut frame, &ts, &ps);
-        let body: usize = ts.iter().map(|t| t.wire_bytes()).sum();
+        let body: usize = ts.iter().map(wire::encoded_len).sum();
         prop_assert_eq!(
             frame.len(),
             4 + body + 2 + codec::PROGRESS_ENTRY_BYTES * ps.len(),
-            "wire_bytes accounting drifted from the encoder"
+            "traverser sizes drifted from the batch frame"
         );
         let (got_ts, got_ps) = codec::decode_batch_borrowed(&frame).expect("decodes");
         prop_assert_eq!(got_ts, ts);
