@@ -112,6 +112,11 @@ echo "==> I/O scheduler: Fig. 12 ablation + threshold sweep smoke (--quick)"
 cargo run -q --release -p graphdance-bench --bin fig12_io_scheduler -- --quick \
     >/dev/null
 
+echo "==> Fig. 9 scalability smoke, obs off (--quick)"
+# Built without obs, as the figure is timed: BSP carries no obs hooks.
+cargo run -q --release -p graphdance-bench --no-default-features --bin fig9_scalability -- --quick \
+    >/dev/null
+
 echo "==> service front-end: SLO sweep smoke (--quick)"
 # The recorded SLO floor (interactive p99 < background p99, bounded
 # shedding, cancellation tolerance) is asserted by the graphdance-bench

@@ -13,10 +13,6 @@
 //!   §V-A3): all workers on one node (no network path) plus a simulated
 //!   DRAM-capacity limit that charges swap penalties when the dataset
 //!   exceeds node memory.
-//! * [`dataflow`] — **GAIA-sim** and **Banyan-sim**: asynchronous dataflow
-//!   engines that instantiate every operator in every worker (modelled as
-//!   per-operator scheduling overhead) and, for GAIA, run the final
-//!   aggregation centralized (§V-B).
 //! * [`hybrid`] — the paper's future-work extension (§VI-c): PowerSwitch-
 //!   style per-query Sync/Async selection from a frontier-size estimate.
 //!
@@ -24,14 +20,12 @@
 //! benchmark harnesses treat them uniformly.
 
 pub mod bsp;
-pub mod dataflow;
 pub mod hybrid;
 pub mod non_partitioned;
 pub mod single_node;
 pub mod traits;
 
 pub use bsp::BspEngine;
-pub use dataflow::{BanyanSim, GaiaSim};
 pub use hybrid::HybridEngine;
 pub use non_partitioned::NonPartitionedEngine;
 pub use single_node::SingleNodeEngine;

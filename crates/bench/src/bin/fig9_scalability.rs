@@ -1,12 +1,16 @@
 //! Fig. 9 — vertical and horizontal scalability of the k-hop query.
 //!
 //! Vertical: 1 node, 1..=8 workers. Horizontal: 1..=8 nodes × 2 workers.
-//! Engines: GraphDance, BSP, GAIA-sim, Banyan-sim, on lj-sim and fs-sim.
+//! Engines: GraphDance and BSP, on lj-sim and fs-sim.
 //!
 //! Expected shape (paper): GraphDance scales near-linearly for medium and
-//! large queries; the dataflow sims flatten (per-worker operator-instance
-//! overhead); BSP is slowest at low hop counts but competitive on the
-//! largest queries (amortized barriers).
+//! large queries; BSP is slowest at low hop counts but competitive on the
+//! largest queries (amortized barriers). The paper's dataflow comparators,
+//! GAIA and Banyan, are not reproduced: their flattening comes from every
+//! worker hosting every operator, and no dataflow engine exists here.
+//!
+//! Build with `--no-default-features` to time GraphDance without the `obs`
+//! instrumentation, which BSP does not carry.
 
 use graphdance_bench::*;
 use graphdance_engine::EngineConfig;
@@ -15,12 +19,7 @@ fn main() {
     let quick = quick_mode();
     let trials = if quick { 2 } else { 5 };
     let hops: &[i64] = if quick { &[2, 3] } else { &[2, 3, 4] };
-    let engines = [
-        EngineKind::GraphDance,
-        EngineKind::Bsp,
-        EngineKind::GaiaSim,
-        EngineKind::BanyanSim,
-    ];
+    let engines = [EngineKind::GraphDance, EngineKind::Bsp];
     let datasets = if quick {
         vec![("lj-sim", lj_dataset(true))]
     } else {

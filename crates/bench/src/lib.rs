@@ -17,7 +17,7 @@
 
 use std::time::Duration;
 
-use graphdance_baselines::{BanyanSim, BspEngine, GaiaSim, NonPartitionedEngine, QueryEngine};
+use graphdance_baselines::{BspEngine, NonPartitionedEngine, QueryEngine};
 use graphdance_common::rng::seeded;
 use graphdance_common::{Partitioner, Value, VertexId};
 use graphdance_datagen::{KhopDataset, KhopParams, SnbDataset, SnbParams};
@@ -210,8 +210,6 @@ pub enum EngineKind {
     GraphDance,
     Bsp,
     NonPartitioned,
-    GaiaSim,
-    BanyanSim,
 }
 
 impl EngineKind {
@@ -221,8 +219,6 @@ impl EngineKind {
             EngineKind::GraphDance => "GraphDance",
             EngineKind::Bsp => "BSP",
             EngineKind::NonPartitioned => "NonPart",
-            EngineKind::GaiaSim => "GAIA-sim",
-            EngineKind::BanyanSim => "Banyan-sim",
         }
     }
 
@@ -232,8 +228,6 @@ impl EngineKind {
             EngineKind::GraphDance => Box::new(GraphDance::start(graph, config)),
             EngineKind::Bsp => Box::new(BspEngine::start(graph, config)),
             EngineKind::NonPartitioned => Box::new(NonPartitionedEngine::start(graph, config)),
-            EngineKind::GaiaSim => Box::new(GaiaSim::start(graph, config)),
-            EngineKind::BanyanSim => Box::new(BanyanSim::start(graph, config)),
         }
     }
 }
@@ -340,8 +334,6 @@ mod tests {
             EngineKind::GraphDance,
             EngineKind::Bsp,
             EngineKind::NonPartitioned,
-            EngineKind::GaiaSim,
-            EngineKind::BanyanSim,
         ] {
             let g = build_khop_graph(&d, 1, 2);
             let plan = khop_topk_plan(&g, 2);

@@ -167,11 +167,6 @@ pub struct EngineConfig {
     pub watchdog_stall: Duration,
     /// Debug-build fault injection (see [`FaultInjection`]).
     pub fault: FaultInjection,
-    /// Extra scheduling cost charged per executed traverser per plan
-    /// operator. Zero for GraphDance; the dataflow baselines (GAIA-sim,
-    /// Banyan-sim) set it to model per-worker operator-instance polling,
-    /// whose aggregate cost grows linearly with the worker count (§V-B).
-    pub sched_overhead_per_op: Duration,
 }
 
 impl EngineConfig {
@@ -189,7 +184,6 @@ impl EngineConfig {
             query_timeout: Duration::from_secs(60),
             watchdog_stall: Duration::from_secs(10),
             fault: FaultInjection::default(),
-            sched_overhead_per_op: Duration::ZERO,
         }
     }
 

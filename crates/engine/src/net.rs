@@ -841,11 +841,10 @@ fn ingress_loop(fabric: Arc<Fabric>, rx: Receiver<IngressEvent>) {
 }
 
 /// Burn (or sleep) a simulated cost: spins for sub-50 µs durations (sleep
-/// granularity is too coarse), sleeps otherwise. Public so the baseline
-/// engines charge their simulated overheads identically. Under a frozen
-/// clock the cost advances virtual time instead — spinning on a clock that
-/// only the simulator can move would hang forever.
-pub fn charge(d: Duration) {
+/// granularity is too coarse), sleeps otherwise. Under a frozen clock the
+/// cost advances virtual time instead — spinning on a clock that only the
+/// simulator can move would hang forever.
+pub(crate) fn charge(d: Duration) {
     if d.is_zero() {
         return;
     }

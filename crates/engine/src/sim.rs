@@ -274,6 +274,8 @@ pub struct SimCluster {
     stalled_until: Vec<Option<Instant>>,
     trace: SimTrace,
     steps: u64,
+    /// Traversers the workers executed, cluster-wide.
+    executed: u64,
     max_steps: u64,
     /// Pre-assigned query ids (single-threaded, so a plain counter).
     next_qid: u64,
@@ -338,6 +340,7 @@ impl SimCluster {
             counts: FaultCounts::default(),
             trace: SimTrace::default(),
             steps: 0,
+            executed: 0,
             max_steps: 20_000_000,
             next_qid: 1,
             _clock: clock,
@@ -362,6 +365,12 @@ impl SimCluster {
     /// Scheduling quanta executed so far.
     pub fn steps(&self) -> u64 {
         self.steps
+    }
+
+    /// Traversers the workers have executed so far, cluster-wide: the
+    /// work a reply waited out, counted rather than timed.
+    pub fn traversers_executed(&self) -> u64 {
+        self.executed
     }
 
     /// Submit a query at snapshot `read_ts` (defaults to 1 — the
@@ -519,7 +528,8 @@ impl SimCluster {
             SimActor::Worker(i) => {
                 // `Stopped` cannot happen: the simulator never sends
                 // `Shutdown`; teardown is by drop.
-                let _ = self.workers[i as usize].pump();
+                let (_, executed) = self.workers[i as usize].pump_counted();
+                self.executed += executed as u64;
             }
             SimActor::Coordinator => {
                 let _: PumpStatus = self.coordinator.pump();

@@ -297,7 +297,6 @@ pub struct Worker {
     /// Queries whose queue here emptied since the last progress flush.
     idle: Vec<QueryId>,
     rng: SmallRng,
-    sched_overhead: std::time::Duration,
     /// Reused staging batch for the run being executed.
     frontier: Frontier,
     /// Per-pump-quantum adjacency memo for batched expansion.
@@ -327,7 +326,6 @@ impl Worker {
             ring: QueryRing::default(),
             idle: Vec::new(),
             rng: graphdance_common::rng::derive(config.seed, id.0 as u64),
-            sched_overhead: config.sched_overhead_per_op,
             frontier: Frontier::new(),
             expand_cache: ExpandCache::new(),
             scratch: HandleOutcome::new(),
@@ -370,11 +368,17 @@ impl Worker {
     /// [`Worker::run`] loop calls this and blocks on [`PumpStatus::Idle`];
     /// the deterministic simulator calls it directly.
     pub fn pump(&mut self) -> PumpStatus {
+        self.pump_counted().0
+    }
+
+    /// [`Worker::pump`], also returning how many traversers the quantum
+    /// executed: the simulator totals them.
+    pub(crate) fn pump_counted(&mut self) -> (PumpStatus, usize) {
         let mut worked = false;
         // Drain the inbox without blocking.
         loop {
             match self.inbox.try_recv() {
-                Ok(WorkerMsg::Shutdown) => return PumpStatus::Stopped,
+                Ok(WorkerMsg::Shutdown) => return (PumpStatus::Stopped, 0),
                 Ok(msg) => {
                     self.handle(msg);
                     worked = true;
@@ -400,7 +404,7 @@ impl Worker {
             // sleeps").
             self.router.outbox.flush_all();
             if !worked {
-                return PumpStatus::Idle;
+                return (PumpStatus::Idle, 0);
             }
         } else if went_idle {
             // The worker stays busy with other queries: the idle query's
@@ -408,7 +412,7 @@ impl Worker {
             // query fills the coordinator lane.
             self.router.outbox.flush_node(NodeId(0));
         }
-        PumpStatus::Worked
+        (PumpStatus::Worked, executed)
     }
 
     /// Is a quantum worth scheduling — queued input or runnable
@@ -698,11 +702,6 @@ impl Worker {
             while queue.stage_run(WORKER_BATCH - executed, &mut self.frontier) {
                 executed += self.frontier.len();
                 for i in 0..self.frontier.len() {
-                    if !self.sched_overhead.is_zero() {
-                        // Dataflow-baseline mode: model polling one operator
-                        // instance per plan step per scheduled traverser (§V-B).
-                        crate::net::charge(self.sched_overhead * ctx.plan.num_steps() as u32);
-                    }
                     #[cfg(feature = "obs")]
                     let (t0, wait) = self.router.obs.exec_begin(self.frontier.enq_ns[i]);
                     let h = self.frontier.handles[i];

@@ -11,7 +11,7 @@
 //! * finishes (filtered out, deduplicated, pruned) — its weight is released.
 //!
 //! Every engine in the library (asynchronous PSTM, BSP, non-partitioned,
-//! dataflow simulations) runs its traversers through this interpreter's
+//! single-node, hybrid) runs its traversers through this interpreter's
 //! one step entry, [`Interpreter::run_handle`], on the same arena layout,
 //! so results are identical by construction and engine comparisons
 //! measure *execution strategy*, not query semantics or interpreter

@@ -13,9 +13,10 @@
 //!    replaces a full scan + filter with an index lookup, and filter fusion
 //!    merges adjacent predicates.
 //! 3. **The physical plan** ([`plan`]) — a stage/pipeline/step program that
-//!    every execution engine (PSTM async, BSP, non-partitioned, dataflow
-//!    sims) interprets identically. Joins (§III-A) and aggregations (§III-C)
-//!    appear here with their partitioning and scope structure made explicit.
+//!    every execution engine (PSTM async, BSP, non-partitioned,
+//!    single-node, hybrid) interprets identically. Joins (§III-A) and
+//!    aggregations (§III-C) appear here with their partitioning and scope
+//!    structure made explicit.
 //!
 //! The cost-based [`planner`] chooses between unidirectional expansion and
 //! bidirectional join plans for path patterns (Fig. 3).

@@ -1,14 +1,13 @@
 //! Cross-engine consistency: every execution engine (asynchronous PSTM,
-//! BSP, non-partitioned, single-node, GAIA-sim, Banyan-sim) must return
-//! identical results for identical plans — they differ only in execution
+//! BSP, non-partitioned, single-node, hybrid) must return identical
+//! results for identical plans — they differ only in execution
 //! strategy (DESIGN.md §2). Results are also checked against a sequential
 //! BFS oracle.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 
 use graphdance::baselines::{
-    BanyanSim, BspEngine, GaiaSim, HybridEngine, NonPartitionedEngine, QueryEngine,
-    SingleNodeEngine,
+    BspEngine, HybridEngine, NonPartitionedEngine, QueryEngine, SingleNodeEngine,
 };
 use graphdance::common::{Partitioner, Value, VertexId};
 use graphdance::datagen::{KhopDataset, KhopParams};
@@ -155,8 +154,6 @@ fn all_engines_agree_on_khop_topk() {
         match name {
             "bsp" => Box::new(BspEngine::start(graph, EngineConfig::new(2, 2))),
             "np" => Box::new(NonPartitionedEngine::start(graph, EngineConfig::new(2, 2))),
-            "gaia" => Box::new(GaiaSim::start(graph, EngineConfig::new(2, 2))),
-            "banyan" => Box::new(BanyanSim::start(graph, EngineConfig::new(2, 2))),
             "hybrid" => Box::new(HybridEngine::start(graph, EngineConfig::new(2, 2))),
             "single" => {
                 let g1 = data.build(Partitioner::new(1, 4)).expect("builds");
@@ -165,7 +162,7 @@ fn all_engines_agree_on_khop_topk() {
             _ => unreachable!(),
         }
     };
-    for name in ["bsp", "np", "gaia", "banyan", "hybrid", "single"] {
+    for name in ["bsp", "np", "hybrid", "single"] {
         let engine = mk_engine(name);
         let graph = data.build(Partitioner::new(2, 2)).expect("builds");
         let rows = engine
