@@ -55,6 +55,16 @@ done
 echo "==> deterministic simulation: committed repro corpus (sim-repro/*.repro)"
 cargo test -q --test sim_repro
 
+echo "==> deterministic simulation: schedule identity (sim-repro/fingerprints.txt)"
+# Every corpus line x 24 seeds, dumped as `file:line seed fingerprint
+# trace_len steps verdict` (release, ~30 s), must match the committed
+# dump byte for byte. A change that means to move a schedule re-records
+# the file in release with
+#   cargo run -q --release --example sim_fingerprints > sim-repro/fingerprints.txt
+# and says so in CHANGES.md.
+cargo run -q --release --example sim_fingerprints | diff -u sim-repro/fingerprints.txt - \
+    || { echo "sim schedules moved: see the diff above"; exit 1; }
+
 echo "==> deterministic simulation: DST suites (default seed counts)"
 # sim_partition is placement only: Fennel and hash rows agree, and it
 # carries the live Fennel floor,

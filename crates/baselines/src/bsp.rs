@@ -48,8 +48,9 @@ struct BspWorker {
     queries: FxHashMap<QueryId, (Arc<QueryCtx>, u16)>,
     /// Each query's parked frontier, as arena handles.
     parked: FxHashMap<QueryId, Vec<TraverserHandle>>,
-    /// Slab of the traversers parked or running here; one leaves it for
-    /// the wire only at the outbox, as on the asynchronous worker.
+    /// Slab of the traversers parked or running here; one leaves it at the
+    /// outbox — handed off to a co-located worker, flattened for the wire
+    /// otherwise — as on the asynchronous worker.
     arena: TraverserArena,
     /// The arena traversers' interned register files.
     locals: LocalsTable,
@@ -111,6 +112,14 @@ impl BspWorker {
             WorkerMsg::Batch(ts) => {
                 for t in ts {
                     self.park(t);
+                }
+            }
+            WorkerMsg::HandOff(run) => {
+                let (ts, mut from) = run.into_parts();
+                for at in ts {
+                    let query = at.query;
+                    let h = self.arena.import(at, &mut from, &mut self.locals);
+                    self.parked.entry(query).or_default().push(h);
                 }
             }
             WorkerMsg::StartSource {
@@ -283,11 +292,12 @@ impl BspWorker {
                 if dest == own {
                     self.parked.entry(query).or_default().push(h);
                 } else {
-                    let t = self.arena.extract(h, &mut self.locals);
+                    let w = self.graph.partitioner().worker_of_part(dest);
                     self.outbox
-                        .send_traverser(self.graph.partitioner().worker_of_part(dest), t);
+                        .send_handle(w, h, &mut self.arena, &mut self.locals);
                 }
             }
+            self.outbox.seal_handoffs();
             if !out.emitted.is_empty() {
                 self.outbox
                     .send_rows(query, std::mem::take(&mut out.emitted));

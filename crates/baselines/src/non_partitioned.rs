@@ -207,6 +207,8 @@ impl SharedWorker {
                     self.unintroduced(query);
                 }
             }
+            // NP's workers share one queue and send only wire batches.
+            WorkerMsg::HandOff(_) => {}
             WorkerMsg::QueryBegin { ctx, stage, from } => {
                 let query = ctx.query;
                 self.shared.dead.lock().remove(&query);

@@ -454,14 +454,10 @@ impl Coordinator {
                             for (dest, t) in out.spawned {
                                 let w = self.fabric.partitioner().worker_of_part(dest);
                                 self.introduce(query, w);
+                                let _bytes = self.outbox.send_traverser(w, t);
                                 #[cfg(feature = "obs")]
-                                self.obs.seed_sent(
-                                    query,
-                                    stage_idx as u16,
-                                    w.0,
-                                    crate::wire::encoded_len(&t) as u64,
-                                );
-                                self.outbox.send_traverser(w, t);
+                                self.obs
+                                    .seed_sent(query, stage_idx as u16, w.0, _bytes as u64);
                             }
                             immediate.absorb(out.finished);
                         }

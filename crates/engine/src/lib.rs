@@ -13,7 +13,8 @@
 //!   (§IV-B, [`net`]): tier 1 batches messages per worker per destination
 //!   node (flushed at 8 KB or on idle), tier 2 combines packets from all
 //!   local workers per destination node. Same-node messages take the
-//!   shared-memory shortcut. Every remote message is serialized once, at
+//!   shared-memory shortcut, a traverser there as an arena record
+//!   ([`messages::WorkerMsg::HandOff`]). Every remote message is serialized once, at
 //!   its tier-1 flush ([`wire`]), decoded once at its receiver, and
 //!   charged against a configurable network cost model.
 //! * Query completion is detected with **progression weights** and

@@ -9,7 +9,7 @@ use crossbeam::channel::Sender;
 use crate::engine::QueryResult;
 
 use graphdance_common::{GdError, GdResult, PartId, QueryId, Value, WorkerId};
-use graphdance_pstm::{AggState, Interpreter, Row, Traverser, Weight};
+use graphdance_pstm::{AggState, HandOff, Interpreter, Row, Traverser, Weight};
 use graphdance_query::plan::Plan;
 use graphdance_storage::{Graph, Timestamp};
 
@@ -50,6 +50,9 @@ impl QueryCtx {
 pub enum WorkerMsg {
     /// A batch of traversers routed to this worker's partition.
     Batch(Vec<Traverser>),
+    /// Traversers a co-located worker handed over as arena records
+    /// (DESIGN.md §12): same-node lanes only — it never crosses a wire.
+    HandOff(HandOff),
     /// Introduce a query: its context and current stage. A sender sends it
     /// on its lane to a worker ahead of the first work it sends that
     /// worker (DESIGN.md §IV-A), so it precedes every message of the query

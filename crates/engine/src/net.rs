@@ -13,7 +13,10 @@
 //!
 //! Same-node messages take the **shared-memory shortcut**: the tier-1 flush
 //! delivers them straight into the destination inbox without serialization
-//! or cost, and without being sized. A remote message — traverser batch,
+//! or cost. A same-node traverser travels as an arena record in a
+//! [`WorkerMsg::HandOff`] run ([`Outbox::send_handle`]), never flattened to
+//! its wire form, yet sized as that form would be, so the flush schedule is
+//! the wire lanes' (DESIGN.md §10). A remote message — traverser batch,
 //! progress report, rows, or control plane alike — stays a Rust value in
 //! its tier-1 buffer and is serialized exactly once, when its buffer is
 //! flushed ([`wire::encode_packet`], on the sending thread); tier-2
@@ -37,7 +40,9 @@ use rand::rngs::SmallRng;
 use rand::RngCore;
 
 use graphdance_common::{GdError, NodeId, Partitioner, QueryId, WorkerId};
-use graphdance_pstm::{Row, Traverser, Weight};
+use graphdance_pstm::{
+    HandOff, LocalsTable, Row, Traverser, TraverserArena, TraverserHandle, Weight,
+};
 
 use crate::config::{EngineConfig, FaultInjection, IoMode, NetConfig};
 use crate::invariants::MsgLedger;
@@ -145,7 +150,8 @@ impl NetStatsSnapshot {
 #[derive(Debug)]
 pub enum WireMsg {
     /// A message for worker `dest` — a traverser batch
-    /// ([`WorkerMsg::Batch`]) or the control plane.
+    /// ([`WorkerMsg::Batch`]), a same-node hand-off
+    /// ([`WorkerMsg::HandOff`]) or the control plane.
     Worker {
         /// Destination worker.
         dest: WorkerId,
@@ -161,7 +167,7 @@ impl WireMsg {
     pub(crate) fn class(&self) -> MsgClass {
         match self {
             WireMsg::Worker {
-                msg: WorkerMsg::Batch(_),
+                msg: WorkerMsg::Batch(_) | WorkerMsg::HandOff(_),
                 ..
             } => MsgClass::Traverser,
             WireMsg::Coord(CoordMsg::Progress { .. }) => MsgClass::Progress,
@@ -639,10 +645,13 @@ impl Fabric {
         match msg {
             WireMsg::Worker { dest, msg } => {
                 if MsgLedger::ENABLED {
-                    if let WorkerMsg::Batch(batch) = &msg {
-                        for t in batch {
-                            self.invariants.record_delivered(t.query, 1);
+                    let delivered = |q| self.invariants.record_delivered(q, 1);
+                    match &msg {
+                        WorkerMsg::Batch(ts) => ts.iter().for_each(|t| delivered(t.query)),
+                        WorkerMsg::HandOff(run) => {
+                            run.traversers.iter().for_each(|t| delivered(t.query))
                         }
+                        _ => {}
                     }
                 }
                 let _ = self.worker_tx[dest.as_usize()].send(msg);
@@ -869,18 +878,30 @@ pub(crate) fn charge(d: Duration) {
 struct OutBuf {
     /// Unserialized traversers, grouped at flush time.
     traversers: Vec<(WorkerId, Traverser)>,
+    /// Same-node lane only: one hand-off run per destination worker, in
+    /// first-send order.
+    handoffs: Vec<HandOffBuf>,
     /// Other pending wire messages (rows/progress/control), in send order.
     msgs: Vec<WireMsg>,
     /// Encoded bytes buffered toward the flush threshold:
-    /// [`wire::encoded_len`] of each buffered traverser and message.
-    /// Messages that flush their lane at once add nothing.
+    /// [`wire::encoded_len`] of each buffered traverser and message — a
+    /// handed-off traverser's wire form included. Messages that flush
+    /// their lane at once add nothing.
     bytes: usize,
 }
 
 impl OutBuf {
     fn is_empty(&self) -> bool {
-        self.traversers.is_empty() && self.msgs.is_empty()
+        self.traversers.is_empty() && self.handoffs.is_empty() && self.msgs.is_empty()
     }
+}
+
+/// One destination worker's hand-off run, with the wire size of each of
+/// its records ([`wire::locals_len`]), computed when the record joins.
+struct HandOffBuf {
+    dest: WorkerId,
+    run: HandOff,
+    record_bytes: Vec<usize>,
 }
 
 /// A sending endpoint: per-destination-node buffers (tier 1).
@@ -913,14 +934,86 @@ impl Outbox {
     }
 
     /// Queue a traverser for `dest` (tier-1 buffering; flushes at the
-    /// threshold, immediately under `Sync`).
-    pub fn send_traverser(&mut self, dest: WorkerId, t: Traverser) {
+    /// threshold, immediately under `Sync`). Returns the bytes it added
+    /// toward the threshold: its encoded size.
+    pub fn send_traverser(&mut self, dest: WorkerId, t: Traverser) -> usize {
         let node = self.fabric.partitioner.node_of_worker(dest).as_usize();
         self.fabric.invariants.record_sent(t.query, 1);
+        let bytes = wire::encoded_len(&t);
         let buf = &mut self.bufs[node];
-        buf.bytes += wire::encoded_len(&t);
+        buf.bytes += bytes;
         buf.traversers.push((dest, t));
         self.maybe_flush(node);
+        bytes
+    }
+
+    /// Send arena traverser `h` to `dest`: handed off as an arena record
+    /// when `dest` shares this node (`send_handoff`), flattened to its wire
+    /// form otherwise. Returns the bytes it added toward the
+    /// flush threshold — its wire form's either way.
+    pub fn send_handle(
+        &mut self,
+        dest: WorkerId,
+        h: TraverserHandle,
+        arena: &mut TraverserArena,
+        locals: &mut LocalsTable,
+    ) -> usize {
+        if self.fabric.partitioner.node_of_worker(dest) == self.src_node {
+            self.send_handoff(dest, h, arena, locals)
+        } else {
+            let t = arena.extract(h, locals);
+            self.send_traverser(dest, t)
+        }
+    }
+
+    /// Hand arena traverser `h` to `dest`, a worker on this node: it joins
+    /// `dest`'s hand-off run on the same-node lane, sharing the record of
+    /// a sibling of the current outcome (see [`Outbox::seal_handoffs`]).
+    /// It is sized, and counted, as the traverser [`TraverserArena::extract`]
+    /// would have built; returns those bytes.
+    fn send_handoff(
+        &mut self,
+        dest: WorkerId,
+        h: TraverserHandle,
+        arena: &mut TraverserArena,
+        locals: &mut LocalsTable,
+    ) -> usize {
+        let node = self.src_node.as_usize();
+        let buf = &mut self.bufs[node];
+        let i = match buf.handoffs.iter().position(|b| b.dest == dest) {
+            Some(i) => i,
+            None => {
+                buf.handoffs.push(HandOffBuf {
+                    dest,
+                    run: HandOff::default(),
+                    record_bytes: Vec::new(),
+                });
+                buf.handoffs.len() - 1
+            }
+        };
+        let lane = &mut buf.handoffs[i];
+        arena.export(h, locals, &mut lane.run);
+        let run = &lane.run;
+        if let Some(record) = run.records.get(lane.record_bytes.len()) {
+            lane.record_bytes.push(wire::locals_len(record));
+        }
+        let at = &run.traversers[run.len() - 1];
+        self.fabric.invariants.record_sent(at.query, 1);
+        let bytes = wire::head_len(at) + lane.record_bytes[at.locals.index()];
+        buf.bytes += bytes;
+        self.maybe_flush(node);
+        bytes
+    }
+
+    /// End one interpreter outcome's hand-offs: records are shared among
+    /// the traversers of one outcome only, because the sender may free and
+    /// reuse a locals id before its next.
+    pub fn seal_handoffs(&mut self) {
+        for lane in &mut self.bufs[self.src_node.as_usize()].handoffs {
+            // Qualified: `cargo xtask check --deep` resolves a bare
+            // `.seal()` by name, to the trace sink's too.
+            HandOff::seal(&mut lane.run);
+        }
     }
 
     /// Queue any message but a traverser: rows, partials, progress and
@@ -997,7 +1090,8 @@ impl Outbox {
         }
         let stats = &self.fabric.stats;
         let mut sent = [0usize; 4];
-        sent[MsgClass::Traverser as usize] = buf.traversers.len();
+        sent[MsgClass::Traverser as usize] =
+            buf.traversers.len() + buf.handoffs.iter().map(|b| b.run.len()).sum::<usize>();
         for m in &buf.msgs {
             sent[m.class() as usize] += 1;
         }
@@ -1008,8 +1102,8 @@ impl Outbox {
             .note_flush(self.src_node, node, buf.bytes, trigger);
         #[cfg(feature = "obs")]
         self.obs.flush_buf_bytes(buf.bytes);
-        // One batch per destination worker, in first-send order, ahead of
-        // the lane's other messages.
+        // One batch or hand-off run per destination worker, in first-send
+        // order, ahead of the lane's other messages.
         let mut groups: Vec<(WorkerId, Vec<Traverser>)> = Vec::new();
         for (dest, t) in buf.traversers {
             if let Some(g) = groups.iter_mut().find(|g| g.0 == dest) {
@@ -1018,17 +1112,17 @@ impl Outbox {
                 groups.push((dest, vec![t]));
             }
         }
-        let msgs: Vec<WireMsg> = groups
-            .into_iter()
-            .map(|(dest, batch)| WireMsg::Worker {
-                dest,
-                msg: WorkerMsg::Batch(batch),
-            })
-            .chain(buf.msgs)
-            .collect();
+        let batches = groups.into_iter().map(|(dest, batch)| WireMsg::Worker {
+            dest,
+            msg: WorkerMsg::Batch(batch),
+        });
+        let handoffs = buf.handoffs.into_iter().map(|b| WireMsg::Worker {
+            dest: b.dest,
+            msg: WorkerMsg::HandOff(b.run),
+        });
+        let msgs: Vec<WireMsg> = batches.chain(handoffs).chain(buf.msgs).collect();
         if node == self.src_node {
-            // Shared-memory shortcut: no serialization, no network thread,
-            // and nothing is sized.
+            // Shared-memory shortcut: no serialization, no network thread.
             bump(&stats.same_node_msgs, msgs.len());
             for m in msgs {
                 self.fabric.deliver(m);
@@ -1041,8 +1135,8 @@ impl Outbox {
         // critical path — DESIGN.md §10.)
         let mut body = Vec::with_capacity(4 + buf.bytes);
         if let Err(e) = wire::encode_packet(&mut body, &msgs) {
-            // Only `CoordMsg::Submit` refuses, and it never leaves the
-            // coordinator's node.
+            // Only `CoordMsg::Submit` and `WorkerMsg::HandOff` refuse, and
+            // neither is ever buffered on a remote lane.
             self.fabric.note_decode_error(e);
             return;
         }
@@ -1078,7 +1172,9 @@ impl Outbox {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use graphdance_common::Value;
+    use graphdance_common::{Value, VertexId};
+    use graphdance_pstm::ArenaTraverser;
+    use proptest::prelude::*;
 
     type FabricUnderTest = (
         Arc<Fabric>,
@@ -1104,7 +1200,7 @@ mod tests {
     }
 
     fn t(v: u64) -> Traverser {
-        Traverser::root(QueryId(1), 0, graphdance_common::VertexId(v), 2, Weight(v))
+        Traverser::root(QueryId(1), 0, VertexId(v), 2, Weight(v))
     }
 
     #[test]
@@ -1139,7 +1235,7 @@ mod tests {
         match wrx[3].recv_timeout(Duration::from_secs(1)).unwrap() {
             WorkerMsg::Batch(b) => {
                 assert_eq!(b.len(), 5);
-                assert_eq!(b[0].vertex, graphdance_common::VertexId(0));
+                assert_eq!(b[0].vertex, VertexId(0));
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -1403,6 +1499,85 @@ mod tests {
         }
         assert!(wrx.iter().all(|rx| rx.is_empty()), "nothing else delivered");
         assert!(crx.is_empty());
+    }
+
+    fn arb_value() -> impl Strategy<Value = Value> {
+        let leaf = prop_oneof![
+            Just(Value::Null),
+            any::<i64>().prop_map(Value::Int),
+            "[a-z]{0,8}".prop_map(|s| Value::str(&s)),
+            any::<u64>().prop_map(|v| Value::Vertex(VertexId(v))),
+        ];
+        leaf.prop_recursive(2, 8, 3, |inner| {
+            prop::collection::vec(inner, 0..3).prop_map(Value::list)
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// A handed-off traverser adds to its lane exactly the bytes of the
+        /// wire traverser `extract` would have built — a shared record's
+        /// bytes counted for every sibling — and the peer imports the
+        /// traversers that were sent.
+        #[test]
+        fn hand_off_is_sized_as_its_wire_form(
+            outcomes in prop::collection::vec(
+                (
+                    prop::collection::vec(arb_value(), 0..5),
+                    prop::option::of(arb_value()),
+                    1usize..4,
+                ),
+                1..8,
+            )
+        ) {
+            let mut cfg = EngineConfig::new(1, 2);
+            cfg.flush_threshold = usize::MAX;
+            let (wtx, wrx): (Vec<_>, Vec<_>) = (0..2).map(|_| unbounded()).unzip();
+            let (ctx, _crx) = unbounded();
+            let (fabric, _channels) = Fabric::new_sim(&cfg, wtx, ctx);
+            let mut ob = fabric.outbox(NodeId(0));
+            let (mut arena, mut locals) = (TraverserArena::new(), LocalsTable::new());
+            let mut sent = Vec::new();
+            for (i, (vals, aux_key, siblings)) in outcomes.into_iter().enumerate() {
+                let mut tr = t(i as u64);
+                tr.locals = vals;
+                tr.aux_key = aux_key;
+                let want = wire::encoded_len(&tr);
+                let first = arena.admit(tr.clone(), &mut locals);
+                let mut hs = vec![first];
+                for _ in 1..siblings {
+                    let at = arena.get(first);
+                    let sibling = ArenaTraverser {
+                        aux_key: at.aux_key.clone(),
+                        ..*at
+                    };
+                    locals.retain(sibling.locals);
+                    hs.push(arena.insert(sibling));
+                }
+                for h in hs {
+                    let before = ob.pending_bytes();
+                    let added = ob.send_handoff(WorkerId(1), h, &mut arena, &mut locals);
+                    prop_assert_eq!(added, want);
+                    prop_assert_eq!(ob.pending_bytes() - before, want);
+                    sent.push(tr.clone());
+                }
+                ob.seal_handoffs();
+            }
+            prop_assert_eq!((arena.live(), locals.live()), (0, 0));
+            ob.flush_all();
+            let Ok(WorkerMsg::HandOff(run)) = wrx[1].try_recv() else {
+                panic!("one hand-off run for worker 1");
+            };
+            let (ts, mut from) = run.into_parts();
+            let hs: Vec<_> = ts
+                .into_iter()
+                .map(|at| arena.import(at, &mut from, &mut locals))
+                .collect();
+            let got: Vec<_> = hs.into_iter().map(|h| arena.extract(h, &mut locals)).collect();
+            prop_assert_eq!(got, sent);
+            prop_assert_eq!((arena.live(), locals.live()), (0, 0));
+        }
     }
 
     #[test]

@@ -27,10 +27,14 @@
 //! Matches are deliberately exhaustive (no wildcard arms): adding a message
 //! or plan variant is a compile error until its encoding is defined here.
 //!
-//! Two messages intentionally do not cross the wire:
+//! Three messages intentionally do not cross the wire:
 //! - [`CoordMsg::Submit`] carries the client's crossbeam reply channel;
 //!   clients always talk to the coordinator's own node. [`encode_packet`]
 //!   refuses it with an error, not a panic, before writing a byte.
+//! - [`WorkerMsg::HandOff`] carries arena records between co-located
+//!   workers; [`encode_packet`] refuses it the same way. Each of its
+//!   traversers is still sized as its wire form ([`head_len`] +
+//!   [`locals_len`]), so the flush schedule does not see the difference.
 //! - Map-shaped aggregation partials ([`AggState::GroupCount`]/`GroupSum`)
 //!   are encoded with entries sorted by key so the same state always
 //!   produces the same bytes (hash-map iteration order is not stable).
@@ -43,7 +47,7 @@ use graphdance_common::value::ValueKey;
 use graphdance_common::{
     FxHashMap, GdError, GdResult, Label, PartId, PropKey, QueryId, Value, VertexId, WorkerId,
 };
-use graphdance_pstm::{AggState, Traverser, Weight};
+use graphdance_pstm::{AggState, ArenaTraverser, Traverser, Weight};
 use graphdance_query::expr::{CmpOp, Expr};
 use graphdance_query::plan::{
     AggFunc, AggSpec, GroupOrder, JoinSide, JoinSpec, Order, Pipeline, Plan, PlanStep, SourceSpec,
@@ -470,18 +474,77 @@ impl Wire for ValueKey {
     }
 }
 
+/// A traverser's fields but its register file, as the wire traverser and
+/// the arena one both hold them.
+struct Head<'a> {
+    query: QueryId,
+    pipeline: u16,
+    pc: u16,
+    vertex: VertexId,
+    weight: Weight,
+    depth: u32,
+    aux_key: &'a Option<Value>,
+}
+
+impl Head<'_> {
+    fn put<B: BufMut>(&self, buf: &mut B) {
+        put!(
+            buf,
+            self.query,
+            self.pipeline,
+            self.pc,
+            self.vertex,
+            self.weight,
+            self.depth
+        );
+        self.aux_key.put(buf);
+    }
+}
+
+/// A register file: `u16 n | n × local`.
+fn put_locals<B: BufMut>(buf: &mut B, locals: &[Value]) {
+    put_seq(buf, locals.len() as u16, locals);
+}
+
+/// Encoded size of an arena traverser's wire form but its register file.
+pub(crate) fn head_len(at: &ArenaTraverser) -> usize {
+    let mut n = ByteCount(0);
+    Head {
+        query: at.query,
+        pipeline: at.pipeline,
+        pc: at.pc,
+        vertex: at.vertex,
+        weight: at.weight,
+        depth: at.depth,
+        aux_key: &at.aux_key,
+    }
+    .put(&mut n);
+    n.0
+}
+
+/// Encoded size of a register file in a wire traverser: with
+/// [`head_len`], exactly [`encoded_len`] of the traverser holding it.
+pub(crate) fn locals_len(locals: &[Value]) -> usize {
+    let mut n = ByteCount(0);
+    put_locals(&mut n, locals);
+    n.0
+}
+
 /// `u64 query | u16 pipeline | u16 pc | u64 vertex | u64 weight |
 /// u32 depth | aux key option | u16 n | n × local`.
 impl Wire for Traverser {
     fn put<B: BufMut>(&self, buf: &mut B) {
-        self.query.put(buf);
-        self.pipeline.put(buf);
-        self.pc.put(buf);
-        self.vertex.put(buf);
-        self.weight.put(buf);
-        self.depth.put(buf);
-        self.aux_key.put(buf);
-        put_seq(buf, self.locals.len() as u16, &self.locals);
+        Head {
+            query: self.query,
+            pipeline: self.pipeline,
+            pc: self.pc,
+            vertex: self.vertex,
+            weight: self.weight,
+            depth: self.depth,
+            aux_key: &self.aux_key,
+        }
+        .put(buf);
+        put_locals(buf, &self.locals);
     }
     fn get(r: &mut Reader<'_>) -> GdResult<Self> {
         let query = QueryId::get(r)?;
@@ -1074,7 +1137,7 @@ impl Wire for GdError {
 // WorkerMsg / CoordMsg / WireMsg
 // ---------------------------------------------------------------------------
 
-/// Every variant crosses the wire.
+/// Every variant but [`WorkerMsg::HandOff`] crosses the wire.
 impl Wire for WorkerMsg {
     fn put<B: BufMut>(&self, buf: &mut B) {
         match self {
@@ -1082,6 +1145,8 @@ impl Wire for WorkerMsg {
                 buf.put_u8(0);
                 ts.put(buf);
             }
+            // Same-node only: `encode_packet` refuses it before a byte.
+            WorkerMsg::HandOff(_) => {}
             WorkerMsg::QueryBegin { ctx, stage, from } => {
                 buf.put_u8(1);
                 stage.put(buf);
@@ -1330,13 +1395,18 @@ pub(crate) fn decode_msg(bytes: &[u8]) -> GdResult<WireMsg> {
 /// flush of a remote lane is the only caller outside tests, so every
 /// message crossing a wire is encoded exactly once.
 pub fn encode_packet(buf: &mut impl BufMut, msgs: &[WireMsg]) -> GdResult<()> {
-    if msgs
-        .iter()
-        .any(|m| matches!(m, WireMsg::Coord(CoordMsg::Submit { .. })))
-    {
-        return Err(GdError::Internal(
-            "wire: CoordMsg::Submit cannot cross node boundaries".into(),
-        ));
+    for m in msgs {
+        let what = match m {
+            WireMsg::Coord(CoordMsg::Submit { .. }) => "CoordMsg::Submit",
+            WireMsg::Worker {
+                msg: WorkerMsg::HandOff(_),
+                ..
+            } => "WorkerMsg::HandOff",
+            _ => continue,
+        };
+        return Err(GdError::Internal(format!(
+            "wire: {what} cannot cross node boundaries"
+        )));
     }
     put_seq(buf, msgs.len() as u32, msgs);
     Ok(())
@@ -1688,6 +1758,32 @@ mod tests {
         };
         let mut buf = Vec::new();
         assert!(encode_packet(&mut buf, &[WireMsg::Coord(msg)]).is_err());
+        assert!(buf.is_empty(), "nothing written before the refusal");
+    }
+
+    #[test]
+    fn hand_off_refuses_to_cross_the_wire() {
+        let mut run = graphdance_pstm::HandOff::default();
+        let (mut arena, mut locals) = (
+            graphdance_pstm::TraverserArena::new(),
+            graphdance_pstm::LocalsTable::new(),
+        );
+        let t = Traverser::root(QueryId(1), 0, VertexId(2), 1, Weight(3));
+        let h = arena.admit(t, &mut locals);
+        arena.export(h, &mut locals, &mut run);
+        let msgs = [
+            WireMsg::Worker {
+                dest: WorkerId(0),
+                msg: WorkerMsg::QueryEnd { query: QueryId(1) },
+            },
+            WireMsg::Worker {
+                dest: WorkerId(1),
+                msg: WorkerMsg::HandOff(run),
+            },
+        ];
+        let mut buf = Vec::new();
+        let err = encode_packet(&mut buf, &msgs).unwrap_err();
+        assert!(err.to_string().contains("HandOff"), "{err}");
         assert!(buf.is_empty(), "nothing written before the refusal");
     }
 

@@ -21,8 +21,8 @@ use rand::rngs::SmallRng;
 
 use graphdance_common::{FxHashMap, FxHashSet, GdError, GdResult, NodeId, QueryId, WorkerId};
 use graphdance_pstm::{
-    ExpandCache, Frontier, HandleOutcome, LocalsTable, QueryMemo, Traverser, TraverserArena,
-    TraverserHandle, Weight, WeightLedger,
+    ExpandCache, Frontier, HandleOutcome, LocalsTable, QueryMemo, TraverserArena, TraverserHandle,
+    Weight, WeightLedger,
 };
 use graphdance_storage::Graph;
 
@@ -182,12 +182,12 @@ impl Router {
                 }
             } else {
                 let w = self.outbox.partitioner().worker_of_part(dest);
-                let t = self.arena.extract(h, &mut aq.locals);
+                let _bytes = self.send_work(aq, w, h);
                 #[cfg(feature = "obs")]
-                obs_remote.push((w.0, wire::encoded_len(&t) as u64));
-                self.send_work(aq, w, t);
+                obs_remote.push((w.0, _bytes as u64));
             }
         }
+        self.outbox.seal_handoffs();
         if !out.emitted.is_empty() {
             let rows = WireMsg::Coord(CoordMsg::Rows {
                 query,
@@ -240,10 +240,11 @@ impl Router {
         queue.push(self.arena.get(handle).depth, entry);
     }
 
-    /// Rule 1 of the control plane (DESIGN.md §IV-A): send traverser `t` of
-    /// `aq`'s query to `dest`, introducing the query on the same lane first
-    /// unless `dest` is known to hold the context.
-    fn send_work(&mut self, aq: &mut ActiveQuery, dest: WorkerId, t: Traverser) {
+    /// Rule 1 of the control plane (DESIGN.md §IV-A): send arena traverser
+    /// `h` of `aq`'s query to `dest` — handed off on this node, flattened
+    /// for another — introducing the query on the same lane first unless
+    /// `dest` is known to hold the context. Returns the bytes it added.
+    fn send_work(&mut self, aq: &mut ActiveQuery, dest: WorkerId, h: TraverserHandle) -> usize {
         if aq.scope.introduce(dest) {
             let msg = WorkerMsg::QueryBegin {
                 ctx: Arc::clone(&aq.ctx),
@@ -255,7 +256,8 @@ impl Router {
             self.obs.note_msg(aq.ctx.query, aq.stage, &begin);
             self.outbox.send(begin);
         }
-        self.outbox.send_traverser(dest, t);
+        self.outbox
+            .send_handle(dest, h, &mut self.arena, &mut aq.locals)
     }
 
     /// Rules 2 and 3: pass a stage advance, cancel or end of `query` (at
@@ -424,7 +426,19 @@ impl Worker {
 
     fn handle(&mut self, msg: WorkerMsg) {
         match msg {
-            WorkerMsg::Batch(ts) => self.admit_batch(ts),
+            WorkerMsg::Batch(ts) => self.admit(
+                ts,
+                |t| (t.query, t.weight),
+                |t, arena, locals| arena.admit(t, locals),
+            ),
+            WorkerMsg::HandOff(run) => {
+                let (ts, mut from) = run.into_parts();
+                self.admit(
+                    ts,
+                    |t| (t.query, t.weight),
+                    |t, arena, locals| arena.import(t, &mut from, locals),
+                );
+            }
             WorkerMsg::QueryBegin { ctx, stage, from } => self.begin_query(ctx, stage, from),
             WorkerMsg::StageBegin { query, stage } => self.advance_stage(query, stage),
             WorkerMsg::StartSource {
@@ -591,13 +605,20 @@ impl Worker {
         self.queries.contains_key(&query) || self.ring.holds(query) || self.idle.contains(&query)
     }
 
-    /// Admit an inbox batch. Everything that depends on the query alone —
-    /// held, draining, locals table, queue — is resolved once per run of
+    /// Admit an inbox batch or hand-off run: `head` reads a traverser's
+    /// query and weight, `intern` puts it into the arena and the query's
+    /// locals table. Everything that depends on the query alone — held,
+    /// draining, locals table, queue — is resolved once per run of
     /// same-query traversers, not per traverser.
-    fn admit_batch(&mut self, ts: Vec<Traverser>) {
+    fn admit<T>(
+        &mut self,
+        ts: Vec<T>,
+        head: fn(&T) -> (QueryId, Weight),
+        mut intern: impl FnMut(T, &mut TraverserArena, &mut LocalsTable) -> TraverserHandle,
+    ) {
         let mut ts = ts.into_iter().peekable();
-        while let Some(q) = ts.peek().map(|t| t.query) {
-            let run = std::iter::from_fn(|| ts.next_if(|t| t.query == q));
+        while let Some((q, _)) = ts.peek().map(head) {
+            let run = std::iter::from_fn(|| ts.next_if(|t| head(t).0 == q));
             let Some(aq) = self.queries.get_mut(&q) else {
                 run.for_each(drop);
                 self.stray(q);
@@ -607,14 +628,14 @@ impl Worker {
                 // Late delivery during the drain: refund instead of running
                 // (or silently dropping — the tracker is owed this weight).
                 for t in run {
-                    self.router.outbox.send_progress(q, t.weight, 0);
+                    self.router.outbox.send_progress(q, head(&t).1, 0);
                 }
                 self.idle.push(q);
                 continue;
             }
             self.ring.admit(q, |queue| {
                 for t in run {
-                    let h = self.router.arena.admit(t, &mut aq.locals);
+                    let h = intern(t, &mut self.router.arena, &mut aq.locals);
                     self.router.enqueue(queue, h);
                 }
             });
@@ -785,7 +806,7 @@ mod handler_tests {
     use crate::run_queue::{BUCKET_KEEP, FREE_KEEP};
     use crossbeam::channel::unbounded;
     use graphdance_common::{Partitioner, Value, VertexId};
-    use graphdance_pstm::Weight;
+    use graphdance_pstm::{Traverser, Weight};
     use graphdance_query::QueryBuilder;
     use graphdance_storage::GraphBuilder;
 
@@ -932,6 +953,54 @@ mod handler_tests {
         assert!(crx.try_recv().is_err());
     }
 
+    /// `ts` as a co-located worker hands them over: a run of arena
+    /// records.
+    fn hand_off(ts: Vec<Traverser>) -> WorkerMsg {
+        let (mut arena, mut locals) = (TraverserArena::new(), LocalsTable::new());
+        let mut run = graphdance_pstm::HandOff::default();
+        for t in ts {
+            let h = arena.admit(t, &mut locals);
+            arena.export(h, &mut locals, &mut run);
+        }
+        WorkerMsg::HandOff(run)
+    }
+
+    /// A hand-off run goes through the batch's admission: for a query never
+    /// introduced it fails the query, for an ended one it is dropped, for a
+    /// draining one each traverser is refunded, and a live query's
+    /// traversers are queued and run.
+    #[test]
+    fn hand_offs_are_admitted_like_batches() {
+        let (mut w, _fabric, _wrx, crx) = test_worker_with_coord();
+        w.handle(hand_off(vec![at_v0(5, 1), at_v0(5, 2)]));
+        assert_eq!(w.pump(), PumpStatus::Idle);
+        match crx.try_recv() {
+            Ok(CoordMsg::WorkerError {
+                query: QueryId(5),
+                error: GdError::InvariantViolation(why),
+            }) => assert!(why.contains("never introduced"), "{why}"),
+            other => panic!("expected query 5 to fail, got {other:?}"),
+        }
+        assert!(!w.holds(QueryId(5)));
+        for q in 6..=8 {
+            let ctx = ctx_with(&w, q);
+            begin(&mut w, ctx);
+        }
+        w.handle(WorkerMsg::QueryEnd { query: QueryId(7) });
+        w.handle(WorkerMsg::CancelQuery { query: QueryId(8) });
+        w.handle(hand_off(vec![
+            at_v0(7, 1),
+            at_v0(8, 2),
+            at_v0(8, 3),
+            at_v0(6, 4),
+            at_v0(6, 5),
+        ]));
+        assert_eq!((w.ring.len(), w.router.arena.live()), (2, 2));
+        while w.pump() == PumpStatus::Worked {}
+        assert_eq!(progress_at(&crx), vec![(8, 2), (8, 3), (6, 9)]);
+        assert_eq!(w.router.arena.live(), 0);
+    }
+
     /// Rule 2: a stage advance happens once. A repeated `StageBegin` (or one
     /// for an older stage) after stage-2 dedup records exist leaves them in
     /// place — it used to clear the stage's memo state again.
@@ -983,6 +1052,7 @@ mod handler_tests {
                 .map(|m| match m {
                     WorkerMsg::QueryBegin { stage, from, .. } => format!("begin {stage} {from:?}"),
                     WorkerMsg::Batch(ts) => format!("batch {}", ts.len()),
+                    WorkerMsg::HandOff(run) => format!("batch {}", run.len()),
                     WorkerMsg::StageBegin { stage, .. } => format!("stage {stage}"),
                     WorkerMsg::QueryEnd { .. } => "end".into(),
                     other => format!("{other:?}"),

@@ -23,10 +23,15 @@
 //!   zero donate their `Vec` back to a small pool, so even CoW copies
 //!   reuse capacity instead of allocating.
 //!
-//! The arena layout never crosses the wire: handles are flattened back to
-//! the plain [`Traverser`] at the outbox boundary ([`TraverserArena::extract`])
-//! and interned again at the inbox ([`TraverserArena::admit`]), so the
-//! codec, `net.rs`, and the sim fabric see only wire traversers.
+//! The arena layout never crosses the wire. A traverser bound for another
+//! node is flattened back to the plain [`Traverser`] at the outbox
+//! boundary ([`TraverserArena::extract`]) and interned again at the inbox
+//! ([`TraverserArena::admit`]), so the codec and the sockets see only wire
+//! traversers. One bound for a co-located worker stays an arena record: it
+//! is [exported](TraverserArena::export) into a [`HandOff`] run, which
+//! carries each register file its siblings share once, and
+//! [imported](TraverserArena::import) into the peer's arena and table —
+//! nothing on a node is flattened or re-interned one traverser at a time.
 
 use graphdance_common::{QueryId, Value, VertexId};
 
@@ -60,6 +65,12 @@ pub struct LocalsId(u32);
 impl LocalsId {
     /// Sentinel for vacant arena slots (never a valid table index).
     pub const INVALID: LocalsId = LocalsId(u32::MAX);
+
+    /// The index behind the id: a table slot, or — in a [`HandOff`] — the
+    /// traverser's record.
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
 }
 
 /// Arena-resident traverser state: the wire [`Traverser`] with its
@@ -247,6 +258,107 @@ impl TraverserArena {
         let at = self.remove(h);
         locals.unref(at.locals);
     }
+
+    /// Remove a traverser bound for a co-located worker into `run`. The
+    /// first traverser of the current outcome to carry a register file
+    /// takes it out of `locals` (moved when it was the last owner, cloned
+    /// otherwise); a sibling sharing it only releases its reference and
+    /// points at the same record.
+    pub fn export(&mut self, h: TraverserHandle, locals: &mut LocalsTable, run: &mut HandOff) {
+        let mut at = self.remove(h);
+        let sent = at.locals;
+        let record = match run.open.iter().find(|(id, _)| *id == sent) {
+            Some(&(_, record)) => {
+                locals.unref(sent);
+                record
+            }
+            None => {
+                let record = run.records.len() as u32;
+                // Only a shared record can have a sibling still to come.
+                if locals.refcount(sent) > 1 {
+                    run.open.push((sent, record));
+                }
+                run.records.push(locals.take(sent));
+                record
+            }
+        };
+        at.locals = LocalsId(record);
+        run.traversers.push(at);
+    }
+
+    /// Insert a traverser of a [`HandOff`] run, interning its record into
+    /// `locals` on first use and sharing it after that.
+    pub fn import(
+        &mut self,
+        mut at: ArenaTraverser,
+        from: &mut Importer,
+        locals: &mut LocalsTable,
+    ) -> TraverserHandle {
+        let i = at.locals.index();
+        let id = &mut from.ids[i];
+        if *id == LocalsId::INVALID {
+            *id = locals.alloc(std::mem::take(&mut from.records[i]));
+        } else {
+            locals.retain(*id);
+        }
+        at.locals = *id;
+        self.insert(at)
+    }
+}
+
+/// A run of traversers one worker hands a co-located peer as arena
+/// records: each traverser's `locals` indexes `records`, and a register
+/// file its siblings share is carried once. Records are shared within one
+/// interpreter outcome only — [`HandOff::seal`] ends it — because the
+/// sender may free a [`LocalsId`] and reuse it for another file between
+/// outcomes.
+#[derive(Debug, Default)]
+pub struct HandOff {
+    /// The traversers, in send order; `locals` is a record index.
+    pub traversers: Vec<ArenaTraverser>,
+    /// The register files the traversers index.
+    pub records: Vec<Vec<Value>>,
+    /// The current outcome's shared records: the sender's id, and the
+    /// record it was carried as.
+    open: Vec<(LocalsId, u32)>,
+}
+
+impl HandOff {
+    /// Number of traversers in the run.
+    pub fn len(&self) -> usize {
+        self.traversers.len()
+    }
+
+    /// Does the run carry no traverser?
+    pub fn is_empty(&self) -> bool {
+        self.traversers.is_empty()
+    }
+
+    /// End the current outcome: no later traverser shares a record carried
+    /// so far.
+    pub fn seal(&mut self) {
+        self.open.clear();
+    }
+
+    /// The traversers, and the importer their records are interned through.
+    pub fn into_parts(self) -> (Vec<ArenaTraverser>, Importer) {
+        let ids = vec![LocalsId::INVALID; self.records.len()];
+        let importer = Importer {
+            records: self.records,
+            ids,
+        };
+        (self.traversers, importer)
+    }
+}
+
+/// A [`HandOff`]'s records on the receiving side: each is interned on
+/// first use ([`TraverserArena::import`]) and shared after that. Records
+/// never used — their query ended or is draining — drop with it.
+#[derive(Debug)]
+pub struct Importer {
+    records: Vec<Vec<Value>>,
+    /// Each record's id in the receiver's table, once interned.
+    ids: Vec<LocalsId>,
 }
 
 /// Freed `Vec<Value>` backings kept for reuse; beyond this the extras are
@@ -528,6 +640,114 @@ mod tests {
         let id2 = l.alloc_from(&[Value::Int(1)]);
         assert!(l.get(id2).len() == 1);
         assert_eq!(id2, id, "slot recycled through the free list");
+    }
+
+    /// Export `hs` (one outcome) into `run`, then seal it.
+    fn export_outcome(
+        a: &mut TraverserArena,
+        l: &mut LocalsTable,
+        hs: &[TraverserHandle],
+        run: &mut HandOff,
+    ) {
+        for h in hs {
+            a.export(*h, l, run);
+        }
+        run.seal();
+    }
+
+    /// Import every traverser of `run` into a fresh arena and table.
+    fn import_all(run: HandOff) -> (TraverserArena, LocalsTable, Vec<TraverserHandle>) {
+        let (mut a, mut l) = (TraverserArena::new(), LocalsTable::new());
+        let (ts, mut from) = run.into_parts();
+        let hs = ts
+            .into_iter()
+            .map(|t| a.import(t, &mut from, &mut l))
+            .collect();
+        (a, l, hs)
+    }
+
+    #[test]
+    fn siblings_share_one_record_across_a_hand_off() {
+        let (mut a, mut l) = (TraverserArena::new(), LocalsTable::new());
+        let shared = l.alloc(vec![Value::Int(1), Value::str("s")]);
+        l.retain(shared);
+        l.retain(shared);
+        let own = l.alloc(vec![Value::Int(2)]);
+        let hs = [
+            a.insert(at(1, 10, 1, shared)),
+            a.insert(at(1, 11, 2, own)),
+            a.insert(at(1, 12, 3, shared)),
+            a.insert(at(1, 13, 4, shared)),
+        ];
+        let mut run = HandOff::default();
+        export_outcome(&mut a, &mut l, &hs, &mut run);
+        assert_eq!((a.live(), l.live()), (0, 0), "the sender keeps nothing");
+        assert_eq!(run.len(), 4);
+        assert_eq!(run.records.len(), 2, "the shared file crosses once");
+        let (b, m, got) = import_all(run);
+        assert_eq!((b.live(), m.live()), (4, 2));
+        let ids: Vec<LocalsId> = got.iter().map(|h| b.get(*h).locals).collect();
+        assert_eq!((ids[0], ids[2], ids[3]), (ids[0], ids[0], ids[0]));
+        assert_eq!(m.refcount(ids[0]), 3, "one owner per sibling");
+        assert_eq!(m.refcount(ids[1]), 1);
+        assert_eq!(m.get(ids[0]), &[Value::Int(1), Value::str("s")]);
+        assert_eq!(m.get(ids[1]), &[Value::Int(2)]);
+        let vertices: Vec<u64> = got.iter().map(|h| b.get(*h).vertex.0).collect();
+        assert_eq!(vertices, [10, 11, 12, 13], "send order kept");
+        let (mut b, mut m) = (b, m);
+        for h in got {
+            b.discard(h, &mut m);
+        }
+        assert_eq!((b.live(), m.live()), (0, 0));
+    }
+
+    #[test]
+    fn a_record_at_refcount_one_is_moved_not_cloned() {
+        let (mut a, mut l) = (TraverserArena::new(), LocalsTable::new());
+        let vals = vec![Value::Int(7); 4];
+        let backing = vals.as_ptr();
+        let h = a.insert(at(1, 1, 1, l.alloc(vals)));
+        let mut run = HandOff::default();
+        export_outcome(&mut a, &mut l, &[h], &mut run);
+        assert_eq!(run.records[0].as_ptr(), backing, "moved into the run");
+        let (b, m, got) = import_all(run);
+        assert_eq!(
+            m.get(b.get(got[0]).locals).as_ptr(),
+            backing,
+            "and into the peer's table"
+        );
+    }
+
+    /// The sender frees a shared record with its last sibling and reuses the
+    /// id for another register file in the next outcome: that file must
+    /// cross as a record of its own. Without the seal the later traverser
+    /// would be pointed at the earlier outcome's record.
+    #[test]
+    fn an_id_reused_after_a_seal_is_not_shared() {
+        let (mut a, mut l) = (TraverserArena::new(), LocalsTable::new());
+        let first = l.alloc(vec![Value::Int(1)]);
+        l.retain(first);
+        let hs = [a.insert(at(1, 1, 1, first)), a.insert(at(1, 2, 1, first))];
+        let mut run = HandOff::default();
+        export_outcome(&mut a, &mut l, &hs, &mut run);
+        let second = l.alloc(vec![Value::Int(2)]);
+        assert_eq!(second, first, "the id was recycled");
+        l.retain(second);
+        let hs = [a.insert(at(1, 3, 1, second)), a.insert(at(1, 4, 1, second))];
+        export_outcome(&mut a, &mut l, &hs, &mut run);
+        assert_eq!(run.records.len(), 2);
+        assert_eq!(l.live(), 0);
+        let (b, m, got) = import_all(run);
+        let files: Vec<&[Value]> = got.iter().map(|h| m.get(b.get(*h).locals)).collect();
+        assert_eq!(
+            files,
+            [
+                [Value::Int(1)],
+                [Value::Int(1)],
+                [Value::Int(2)],
+                [Value::Int(2)]
+            ]
+        );
     }
 
     #[test]

@@ -30,7 +30,9 @@ pub mod traverser;
 pub mod weight;
 
 pub use agg::AggState;
-pub use arena::{ArenaTraverser, LocalsId, LocalsTable, TraverserArena, TraverserHandle};
+pub use arena::{
+    ArenaTraverser, HandOff, Importer, LocalsId, LocalsTable, TraverserArena, TraverserHandle,
+};
 pub use frontier::{ExpandCache, Frontier, HandleOutcome};
 pub use interp::{Interpreter, Outcome, Row};
 pub use ledger::WeightLedger;
