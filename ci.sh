@@ -11,8 +11,15 @@ cd "$(dirname "$0")"
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
-echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+echo "==> cargo clippy --workspace --all-targets -- -D warnings (obs off)"
+# No workspace member turns `obs` on by default, so this is the build that
+# ships and that every figure is timed with.
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> cargo clippy --workspace --all-targets --features graphdance-bench/obs (obs on)"
+# The bench crate's `obs` feature turns it on through the engine, pstm,
+# storage, service and baselines, so the instrumented code is linted too.
+cargo clippy --workspace --all-targets --features graphdance-bench/obs -- -D warnings
 
 echo "==> cargo xtask check --deep (line rules + concurrency passes)"
 # Plain `cargo xtask check` stays the fast pre-commit invocation; the CI
@@ -20,7 +27,7 @@ echo "==> cargo xtask check --deep (line rules + concurrency passes)"
 # atomics/unsafe audits — see README "Static analysis").
 cargo xtask check --deep
 
-echo "==> cargo test --workspace (debug: runtime invariant checkers active)"
+echo "==> cargo test --workspace (debug, obs off: runtime invariant checkers active)"
 # Includes graphdance-bench's recorded_gates_within_budget (the two
 # committed timing records) and the live allocation floor beside the
 # oracle (-p graphdance-sim --test arena_equivalence),
@@ -34,9 +41,8 @@ echo "==> cargo test --features obs (instrumented build: tracing + metrics)"
 cargo test -q --features obs
 cargo test -q -p graphdance-engine --features obs
 cargo test -q -p graphdance-service --features obs
-
-echo "==> obs-off bench bins still build (--no-default-features)"
-cargo check -q -p graphdance-bench --no-default-features
+cargo test -q -p graphdance-baselines --features obs
+cargo test -q -p graphdance-bench --features obs
 
 echo "==> shared_state_khop x20 (progress/rows ordering regression)"
 cargo test -q -p graphdance-baselines shared_state_khop >/dev/null
@@ -122,9 +128,8 @@ echo "==> I/O scheduler: Fig. 12 ablation + threshold sweep smoke (--quick)"
 cargo run -q --release -p graphdance-bench --bin fig12_io_scheduler -- --quick \
     >/dev/null
 
-echo "==> Fig. 9 scalability smoke, obs off (--quick)"
-# Built without obs, as the figure is timed: BSP carries no obs hooks.
-cargo run -q --release -p graphdance-bench --no-default-features --bin fig9_scalability -- --quick \
+echo "==> Fig. 9 scalability smoke (--quick)"
+cargo run -q --release -p graphdance-bench --bin fig9_scalability -- --quick \
     >/dev/null
 
 echo "==> service front-end: SLO sweep smoke (--quick)"

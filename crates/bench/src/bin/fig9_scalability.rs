@@ -8,9 +8,6 @@
 //! largest queries (amortized barriers). The paper's dataflow comparators,
 //! GAIA and Banyan, are not reproduced: their flattening comes from every
 //! worker hosting every operator, and no dataflow engine exists here.
-//!
-//! Build with `--no-default-features` to time GraphDance without the `obs`
-//! instrumentation, which BSP does not carry.
 
 use graphdance_bench::*;
 use graphdance_engine::EngineConfig;

@@ -1,11 +1,11 @@
-//! Overhead baseline for the `obs` instrumentation (PR 3 acceptance:
-//! enabling metrics + tracing must cost ≤3% on the k-hop macro bench).
+//! Overhead baseline for the `obs` instrumentation: enabling metrics +
+//! tracing must cost ≤3% on the k-hop macro bench.
 //!
 //! Run **twice** and compare:
 //!
 //! ```text
-//! cargo run --release -p graphdance-bench --bin obs_baseline                         # obs on (default)
-//! cargo run --release -p graphdance-bench --no-default-features --bin obs_baseline   # obs off
+//! cargo run --release -p graphdance-bench --features obs --bin obs_baseline   # obs on
+//! cargo run --release -p graphdance-bench --bin obs_baseline                  # obs off (default)
 //! ```
 //!
 //! Each run prints a human summary plus one `JSON:` line; the two JSON

@@ -332,9 +332,11 @@ fn main() {
         stats.in_flight,
         stats.reconciles(),
     );
-    #[cfg(feature = "obs")]
     if metrics_mode() {
+        #[cfg(feature = "obs")]
         print!("{}", svc.metrics().to_prometheus());
+        #[cfg(not(feature = "obs"))]
+        println!("--- metrics (service): built without the `obs` feature ---");
     }
 
     println!(

@@ -45,7 +45,7 @@ pub fn quick_mode() -> bool {
 }
 
 /// Is `--trace` on the command line? (Per-query span tracing; requires
-/// the `obs` feature, which is on by default for bench bins.)
+/// building with `--features obs`, which bench bins are not by default.)
 pub fn trace_mode() -> bool {
     std::env::args().any(|a| a == "--trace")
 }
@@ -58,7 +58,8 @@ pub fn metrics_mode() -> bool {
 
 /// Run one traced query and print the per-stage timeline plus the
 /// reconciliation line against the engine's `MsgLedger` conservation
-/// counters. No-op unless built with the `obs` feature (the default).
+/// counters. Needs the `obs` feature (`--features obs`); without it this
+/// says the instrumentation is compiled out.
 #[cfg(feature = "obs")]
 pub fn print_trace(engine: &dyn QueryEngine, label: &str, plan: &Plan, params: Vec<Value>) {
     match engine.query_traced(plan, params) {

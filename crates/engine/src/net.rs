@@ -1019,8 +1019,9 @@ impl Outbox {
     /// Queue any message but a traverser: rows, partials, progress and
     /// `QueryEnd` are buffered toward the threshold; the rest of the
     /// control plane is not batched, so such a message flushes its lane at
-    /// once and is never sized here.
-    pub(crate) fn send(&mut self, msg: WireMsg) {
+    /// once and is never sized here. Returns the bytes it added toward the
+    /// threshold: its encoded size, or 0 for a lane-flushing message.
+    pub(crate) fn send(&mut self, msg: WireMsg) -> usize {
         let node = match &msg {
             WireMsg::Worker { dest, .. } => {
                 self.fabric.partitioner.node_of_worker(*dest).as_usize()
@@ -1031,21 +1032,25 @@ impl Outbox {
         if msg.flushes_lane() {
             self.bufs[node].msgs.push(msg);
             self.flush_node_as(NodeId(node as u32), FlushTrigger::Control);
+            0
         } else {
+            let bytes = wire::encoded_len(&msg);
             let buf = &mut self.bufs[node];
-            buf.bytes += wire::encoded_len(&msg);
+            buf.bytes += bytes;
             buf.msgs.push(msg);
             self.maybe_flush(node);
+            bytes
         }
     }
 
-    /// Queue a progress report for the coordinator (node 0).
-    pub fn send_progress(&mut self, query: QueryId, weight: Weight, steps: u64) {
+    /// Queue a progress report for the coordinator (node 0). Returns its
+    /// encoded size.
+    pub fn send_progress(&mut self, query: QueryId, weight: Weight, steps: u64) -> usize {
         self.send(WireMsg::Coord(CoordMsg::Progress {
             query,
             weight,
             steps,
-        }));
+        }))
     }
 
     /// **Fault injection only** (`SimFaults::progress_side_channel`): send
@@ -1063,9 +1068,10 @@ impl Outbox {
         });
     }
 
-    /// Queue result rows for the coordinator (node 0).
-    pub fn send_rows(&mut self, query: QueryId, rows: Vec<Row>) {
-        self.send(WireMsg::Coord(CoordMsg::Rows { query, rows }));
+    /// Queue result rows for the coordinator (node 0). Returns their
+    /// encoded size.
+    pub fn send_rows(&mut self, query: QueryId, rows: Vec<Row>) -> usize {
+        self.send(WireMsg::Coord(CoordMsg::Rows { query, rows }))
     }
 
     /// Send a control message to a worker (flushes that node immediately).

@@ -13,13 +13,15 @@
 //! * [`WorkerObs`] / [`CoordObs`] — per-thread span accumulators that batch
 //!   `(query, stage)` activity locally and push one [`SpanRecord`] per
 //!   stage into the sink (so the sink mutex is touched once per stage, not
-//!   once per traverser).
+//!   once per traverser). A worker accounts per *turn* — one pop of a query
+//!   from its ring until the query is requeued or drained: two clock reads
+//!   and one span update per turn, with counts tallied exactly in between.
 //!
 //! With the feature **disabled**, the same names exist as zero-sized stubs
 //! so type-level references stay valid, and every call site in the engine
 //! is `#[cfg(feature = "obs")]`-gated — the instrumentation compiles to
-//! nothing (verified by `zero_cost_tests` below and the `Queued` layout
-//! test in `worker.rs`).
+//! nothing (verified by `zero_cost_tests` below; the run queue's one stamp
+//! field is gated the same way).
 
 #[cfg(feature = "obs")]
 pub use real::*;
@@ -31,11 +33,13 @@ mod real {
 
     use graphdance_common::time::now;
     use graphdance_common::{FxHashMap, QueryId, WorkerId};
-    use graphdance_obs::{MetricId, Registry, ShardHandle, SpanRecord, TraceSink, COORD_WORKER};
+    use graphdance_obs::{
+        MetricId, Registry, ShardHandle, SpanRecord, TraceSink, COORD_WORKER, LANES,
+    };
     use graphdance_pstm::{MemoStats, Weight};
 
     use crate::messages::CoordMsg;
-    use crate::net::{Fabric, WireMsg};
+    use crate::net::{Fabric, MsgClass, WireMsg};
     use crate::wire;
 
     /// How many reassembled traces the sink retains for pickup.
@@ -59,9 +63,10 @@ mod real {
         pub sent_remote: MetricId,
         /// Local queue depth at the end of each execution batch.
         pub queue_depth: MetricId,
-        /// Time traversers waited in the local queue (ns).
+        /// Per turn: time from the query entering the worker's ring to the
+        /// turn's start (ns).
         pub queue_wait_ns: MetricId,
-        /// Per-traverser interpreter execution time (ns).
+        /// Per turn: time from its start to its end (ns).
         pub exec_ns: MetricId,
         /// Memo lookups that hit existing state (dedup/min-dist/join).
         pub memo_hits: MetricId,
@@ -211,6 +216,33 @@ mod real {
         })
     }
 
+    /// What the outcomes routed in one turn (or from one source) sent,
+    /// folded into the shard and the `(query, stage)` span once, at its
+    /// end.
+    #[derive(Debug, Default)]
+    struct Tally {
+        spawned_local: u64,
+        /// Traversers sent, by destination worker id.
+        hops: Vec<u64>,
+        msgs: [u64; LANES],
+        bytes: [u64; LANES],
+    }
+
+    /// One turn in progress: a query popped from the ring, served until it
+    /// is requeued or drained (see [`WorkerObs::turn_begin`]).
+    #[derive(Debug, Clone, Copy)]
+    pub struct Turn {
+        start: Instant,
+        wait_ns: u64,
+        /// Traversers the quantum had executed when the turn began.
+        executed: usize,
+    }
+
+    /// Nanoseconds from `from` to `to` (0 if `to` is earlier).
+    fn nanos(to: Instant, from: Instant) -> u64 {
+        to.saturating_duration_since(from).as_nanos() as u64
+    }
+
     /// One worker thread's instrumentation state.
     #[derive(Debug)]
     pub struct WorkerObs {
@@ -218,6 +250,7 @@ mod real {
         shard: ShardHandle,
         worker: u32,
         spans: FxHashMap<(QueryId, u16), SpanAcc>,
+        tally: Tally,
     }
 
     impl WorkerObs {
@@ -228,84 +261,104 @@ mod real {
                 shard: eng.registry().shard(),
                 worker: id.0,
                 spans: FxHashMap::default(),
+                tally: Tally::default(),
                 eng,
             }
         }
 
-        /// Nanoseconds since the engine epoch.
-        #[inline]
-        pub fn now_ns(&self) -> u64 {
-            self.eng.now_ns()
+        /// A turn begins: the query entered the ring at `ringed_at`, and
+        /// the quantum has executed `executed` traversers so far. One clock
+        /// read; the turn's queue wait runs from `ringed_at` to here.
+        pub fn turn_begin(&self, ringed_at: Option<Instant>, executed: usize) -> Turn {
+            let start = now();
+            Turn {
+                start,
+                wait_ns: ringed_at.map_or(0, |at| nanos(start, at)),
+                executed,
+            }
         }
 
-        /// A traverser enqueued at `enq_ns` is about to execute. Returns
-        /// `(now_ns, wait_ns)`.
-        #[inline]
-        pub fn exec_begin(&self, enq_ns: u64) -> (u64, u64) {
-            let t0 = self.eng.now_ns();
-            (t0, t0.saturating_sub(enq_ns))
-        }
-
-        /// One traverser finished executing: fold timing and the drained
-        /// memo stats into the `(query, stage)` span and the shard.
-        pub fn exec_end(
+        /// `turn` of `(query, stage)` ends with `executed` traversers run in
+        /// the quantum and `m` drained from the query's memo: one clock
+        /// read, one observe of its wait and of its exec time, and its
+        /// counts folded into the shard and the span. Returns the end
+        /// stamp, which is the ring entry of a requeued query.
+        pub fn turn_end(
             &mut self,
+            turn: Turn,
             query: QueryId,
             stage: u16,
-            t0_ns: u64,
-            wait_ns: u64,
+            executed: usize,
             m: MemoStats,
-        ) {
-            let exec_ns = self.eng.now_ns().saturating_sub(t0_ns);
+        ) -> Instant {
+            let end = now();
+            let exec_ns = nanos(end, turn.start);
+            let ran = (executed - turn.executed) as u64;
             let ids = self.eng.ids();
-            self.shard.inc(ids.executed);
+            self.shard.add(ids.executed, ran);
             self.shard.observe(ids.exec_ns, exec_ns);
-            self.shard.observe(ids.queue_wait_ns, wait_ns);
+            self.shard.observe(ids.queue_wait_ns, turn.wait_ns);
             let (hits, misses) = (m.hits(), m.misses());
             self.shard.add(ids.memo_hits, hits);
             self.shard.add(ids.memo_misses, misses);
             self.shard.add(ids.join_probes, m.join_probes);
             self.shard.add(ids.agg_updates, m.agg_updates);
-            let sp = span_entry(&mut self.spans, query, stage, self.worker);
-            sp.rec.executed += 1;
-            sp.rec.exec_ns += exec_ns;
-            sp.rec.queue_wait_ns += wait_ns;
-            sp.rec.memo_hits += hits;
-            sp.rec.memo_misses += misses;
+            let rec = self.fold(query, stage);
+            rec.executed += ran;
+            rec.exec_ns += exec_ns;
+            rec.queue_wait_ns += turn.wait_ns;
+            rec.memo_hits += hits;
+            rec.memo_misses += misses;
+            end
         }
 
-        /// Fold one routed interpreter outcome into the span: local spawns,
-        /// remote sends (`(dest worker, wire bytes)`), the encoded size of
-        /// the emitted rows message, and whether an eager progress report
-        /// went out.
-        pub fn route_done(
-            &mut self,
-            query: QueryId,
-            stage: u16,
-            local: u64,
-            remote: &[(u32, u64)],
-            rows_len: Option<u64>,
-            progress: bool,
-        ) {
+        /// A routed outcome queued a child on this worker.
+        #[inline]
+        pub fn spawned_local(&mut self) {
+            self.tally.spawned_local += 1;
+        }
+
+        /// A routed outcome sent a child of `bytes` to worker `dest`.
+        #[inline]
+        pub fn sent_remote(&mut self, dest: WorkerId, bytes: usize) {
+            let hops = &mut self.tally.hops;
+            if dest.as_usize() >= hops.len() {
+                hops.resize(dest.as_usize() + 1, 0);
+            }
+            hops[dest.as_usize()] += 1;
+            self.sent(MsgClass::Traverser, bytes);
+        }
+
+        /// A routed outcome sent a message of `class` and `bytes`.
+        #[inline]
+        pub fn sent(&mut self, class: MsgClass, bytes: usize) {
+            self.tally.msgs[class as usize] += 1;
+            self.tally.bytes[class as usize] += bytes as u64;
+        }
+
+        /// Fold what was routed since the last fold into the shard and the
+        /// `(query, stage)` span, leaving the tally zeroed: at each turn's
+        /// end, and after a source, which is routed outside any turn.
+        /// Returns the span's record.
+        pub fn fold(&mut self, query: QueryId, stage: u16) -> &mut SpanRecord {
+            let t = &mut self.tally;
             let ids = self.eng.ids();
-            self.shard.add(ids.spawned_local, local);
-            self.shard.add(ids.sent_remote, remote.len() as u64);
+            let remote = t.msgs[MsgClass::Traverser as usize];
+            self.shard.add(ids.spawned_local, t.spawned_local);
+            self.shard.add(ids.sent_remote, remote);
             let sp = span_entry(&mut self.spans, query, stage, self.worker);
-            sp.rec.spawned_local += local;
-            for &(dest, bytes) in remote {
-                sp.rec.sent_remote += 1;
-                sp.rec.msgs[0] += 1;
-                sp.rec.bytes[0] += bytes;
-                *sp.hops.entry(dest).or_insert(0) += 1;
+            sp.rec.spawned_local += std::mem::take(&mut t.spawned_local);
+            sp.rec.sent_remote += remote;
+            for lane in 0..LANES {
+                sp.rec.msgs[lane] += std::mem::take(&mut t.msgs[lane]);
+                sp.rec.bytes[lane] += std::mem::take(&mut t.bytes[lane]);
             }
-            if let Some(b) = rows_len {
-                sp.rec.msgs[2] += 1;
-                sp.rec.bytes[2] += b;
+            for (dest, n) in t.hops.iter_mut().enumerate() {
+                if *n > 0 {
+                    *sp.hops.entry(dest as u32).or_insert(0) += std::mem::take(n);
+                }
             }
-            if progress {
-                sp.rec.msgs[1] += 1;
-                sp.rec.bytes[1] += progress_len();
-            }
+            &mut sp.rec
         }
 
         /// A coalesced progress report went out for `(query, stage)`.
@@ -470,9 +523,9 @@ pub struct CoordObs;
 mod zero_cost_tests {
     #[test]
     fn stubs_are_zero_sized() {
-        assert_eq!(std::mem::size_of::<super::EngineObs>(), 0);
-        assert_eq!(std::mem::size_of::<super::NetShard>(), 0);
-        assert_eq!(std::mem::size_of::<super::WorkerObs>(), 0);
-        assert_eq!(std::mem::size_of::<super::CoordObs>(), 0);
+        assert_eq!(size_of::<super::EngineObs>(), 0);
+        assert_eq!(size_of::<super::NetShard>(), 0);
+        assert_eq!(size_of::<super::WorkerObs>(), 0);
+        assert_eq!(size_of::<super::CoordObs>(), 0);
     }
 }

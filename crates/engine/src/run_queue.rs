@@ -8,7 +8,13 @@
 //! single-query sim schedule and DST fingerprint was recorded under —
 //! without the heap's O(log n) sifts or its per-entry `depth`/`seq` words:
 //! the bucket *is* the depth, the position *is* the sequence number, and
-//! the queue *is* the query, which leaves the entry an 8-byte handle.
+//! the queue *is* the query, which leaves the entry the arena handle alone.
+//!
+//! A quantum takes a query's entries a *run* at a time: the front entries
+//! of its shallowest bucket. Staging only same-depth entries keeps the
+//! schedule bit-identical to popping one entry at a time: any child
+//! spawned mid-run (deeper, or same-depth but pushed later) sorts after
+//! every entry already staged.
 //!
 //! Depths below [`DENSE_DEPTHS`] index a dense vector grown to the deepest
 //! depth seen; anything deeper — only a hostile or corrupt frame carries
@@ -20,13 +26,19 @@
 //! front query for a quantum and sends it to the back if it still has
 //! work: plain round-robin, so a nine-step lookup never waits out more
 //! than one quantum of each query beside it. With one query in flight the
-//! ring has one member and the schedule is the single queue's.
+//! ring has one member and the schedule is the single queue's. One pop of
+//! a query, until it is requeued or drained, is a *turn*: the unit obs
+//! builds time (DESIGN.md §8), from a stamp taken when the query entered
+//! the ring.
 
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, VecDeque};
 
+#[cfg(feature = "obs")]
+use std::time::Instant;
+
 use graphdance_common::{FxHashMap, QueryId};
-use graphdance_pstm::{Frontier, TraverserHandle};
+use graphdance_pstm::TraverserHandle;
 
 /// Depths indexed densely. Plans in this repo stay below a dozen hops.
 pub(crate) const DENSE_DEPTHS: usize = 64;
@@ -39,23 +51,19 @@ pub(crate) const BUCKET_KEEP: usize = 1024;
 /// in steady state neither end of a query's life allocates.
 pub(crate) const FREE_KEEP: usize = 32;
 
-/// A queued traverser: its state lives in the worker's `TraverserArena`.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct RunEntry {
-    pub handle: TraverserHandle,
-    /// Enqueue timestamp for queue-wait tracking (obs builds only).
-    #[cfg(feature = "obs")]
-    pub enq_ns: u64,
-}
-
-/// One query's depth-bucketed FIFO of [`RunEntry`]s (see the module docs).
+/// One query's depth-bucketed FIFO of queued traversers' arena handles
+/// (see the module docs).
 #[derive(Debug, Default)]
 pub(crate) struct RunQueue {
-    dense: Vec<VecDeque<RunEntry>>,
-    overflow: BTreeMap<u32, VecDeque<RunEntry>>,
+    dense: Vec<VecDeque<TraverserHandle>>,
+    overflow: BTreeMap<u32, VecDeque<TraverserHandle>>,
     /// No dense bucket below this index holds an entry.
     min: usize,
     len: usize,
+    /// When the query last entered the ring (obs builds): its next turn's
+    /// queue wait runs from here.
+    #[cfg(feature = "obs")]
+    pub ringed_at: Option<Instant>,
 }
 
 impl RunQueue {
@@ -68,24 +76,24 @@ impl RunQueue {
         self.len == 0
     }
 
-    pub fn push(&mut self, depth: u32, entry: RunEntry) {
+    pub fn push(&mut self, depth: u32, handle: TraverserHandle) {
         let d = depth as usize;
         if d < DENSE_DEPTHS {
             if d >= self.dense.len() {
                 self.dense.resize_with(d + 1, VecDeque::new);
             }
-            self.dense[d].push_back(entry);
+            self.dense[d].push_back(handle);
             self.min = self.min.min(d);
         } else {
-            self.overflow.entry(depth).or_default().push_back(entry);
+            self.overflow.entry(depth).or_default().push_back(handle);
         }
         self.len += 1;
     }
 
     /// Pop the next *run* — the front entries of the shallowest non-empty
-    /// bucket, at most `budget` — into `run` (cleared first). Returns
-    /// `false` when the queue is empty or `budget` is zero.
-    pub fn stage_run(&mut self, budget: usize, run: &mut Frontier) -> bool {
+    /// bucket, at most `budget`, in pop order — into `run` (cleared first).
+    /// Returns `false` when the queue is empty or `budget` is zero.
+    pub fn stage_run(&mut self, budget: usize, run: &mut Vec<TraverserHandle>) -> bool {
         run.clear();
         if self.len == 0 || budget == 0 {
             return false;
@@ -113,7 +121,7 @@ impl RunQueue {
     /// Empty the queue, handing each entry to `removed`, and give back
     /// bucket storage beyond [`BUCKET_KEEP`] (once per query, not per
     /// traverser).
-    fn clear(&mut self, mut removed: impl FnMut(RunEntry)) {
+    fn clear(&mut self, mut removed: impl FnMut(TraverserHandle)) {
         for b in &mut self.dense {
             b.drain(..).for_each(&mut removed);
             b.shrink_to(BUCKET_KEEP);
@@ -134,14 +142,12 @@ impl RunQueue {
 }
 
 /// Move the front of `bucket`, at most `budget` entries, into `run`.
-fn drain_run(bucket: &mut VecDeque<RunEntry>, budget: usize, run: &mut Frontier) {
-    for e in bucket.drain(..budget.min(bucket.len())) {
-        run.push(
-            e.handle,
-            #[cfg(feature = "obs")]
-            e.enq_ns,
-        );
-    }
+fn drain_run(
+    bucket: &mut VecDeque<TraverserHandle>,
+    budget: usize,
+    run: &mut Vec<TraverserHandle>,
+) {
+    run.extend(bucket.drain(..budget.min(bucket.len())));
 }
 
 /// Every begun query's [`RunQueue`] and the service order among them.
@@ -176,7 +182,8 @@ impl QueryRing {
 
     /// Let `fill` push onto `query`'s queue (taken from the free list on
     /// the query's first use) and enrol the query at the back of the ring
-    /// if that made it runnable. Not for a query that is out for service.
+    /// if that made it runnable — stamped, in obs builds, as it enters.
+    /// Not for a query that is out for service.
     pub fn admit<R>(&mut self, query: QueryId, fill: impl FnOnce(&mut RunQueue) -> R) -> R {
         let queue = match self.queues.entry(query) {
             Entry::Occupied(e) => e.into_mut(),
@@ -185,6 +192,10 @@ impl QueryRing {
         let was_idle = queue.is_empty();
         let filled = fill(queue);
         if was_idle && !queue.is_empty() {
+            #[cfg(feature = "obs")]
+            {
+                queue.ringed_at = Some(graphdance_common::time::now());
+            }
             self.ring.push_back(query);
         }
         filled
@@ -198,7 +209,8 @@ impl QueryRing {
     }
 
     /// The quantum ended with `query` (from [`QueryRing::pop`]) still
-    /// runnable: to the back of the ring.
+    /// runnable: to the back of the ring. (Obs builds stamp its entry with
+    /// the end of the turn that just ran.)
     pub fn requeue(&mut self, query: QueryId) {
         self.ring.push_back(query);
     }
@@ -206,7 +218,7 @@ impl QueryRing {
     /// `query` ended or was cancelled: hand each of its queued entries to
     /// `removed`, drop it from the ring and recycle its queue. No other
     /// query's entries or ring position are touched.
-    pub fn retire(&mut self, query: QueryId, removed: impl FnMut(RunEntry)) {
+    pub fn retire(&mut self, query: QueryId, removed: impl FnMut(TraverserHandle)) {
         let Some(mut queue) = self.queues.remove(&query) else {
             return;
         };
@@ -265,23 +277,15 @@ mod tests {
             .collect()
     }
 
-    fn entry(handle: TraverserHandle) -> RunEntry {
-        RunEntry {
-            handle,
-            #[cfg(feature = "obs")]
-            enq_ns: 0,
-        }
-    }
-
     fn id_of(h: TraverserHandle) -> usize {
         h.slot() as usize
     }
 
     fn drain(q: &mut RunQueue) -> Vec<TraverserHandle> {
-        let mut run = Frontier::new();
+        let mut run = Vec::new();
         let mut order = Vec::new();
         while q.stage_run(1, &mut run) {
-            order.push(run.handles[0]);
+            order.push(run[0]);
         }
         order
     }
@@ -291,28 +295,19 @@ mod tests {
         let hs = handles(4);
         let mut q = RunQueue::default();
         for (depth, h) in [(2, hs[0]), (0, hs[1]), (1, hs[2]), (0, hs[3])] {
-            q.push(depth, entry(h));
+            q.push(depth, h);
         }
         assert_eq!(drain(&mut q), vec![hs[1], hs[3], hs[2], hs[0]]);
         assert!(q.is_empty());
-    }
-
-    /// The hot-path entry is the handle and nothing else: depth is the
-    /// bucket, sequence is the position, the query is the queue, and with
-    /// `obs` disabled the instrumentation compiles to nothing.
-    #[cfg(not(feature = "obs"))]
-    #[test]
-    fn run_entry_is_8_bytes() {
-        assert_eq!(size_of::<RunEntry>(), 8);
     }
 
     #[test]
     fn hostile_depths_cost_one_overflow_bucket_each() {
         let hs = handles(3);
         let mut q = RunQueue::default();
-        q.push(u32::MAX, entry(hs[0]));
-        q.push(DENSE_DEPTHS as u32, entry(hs[1]));
-        q.push(3, entry(hs[2]));
+        q.push(u32::MAX, hs[0]);
+        q.push(DENSE_DEPTHS as u32, hs[1]);
+        q.push(3, hs[2]);
         assert_eq!(
             q.dense.len(),
             4,
@@ -396,11 +391,11 @@ mod tests {
             // Per waiting query: who has been served since it last was
             // (or since it became runnable).
             let mut served_since: [Option<BTreeSet<u64>>; 3] = Default::default();
-            let mut run = Frontier::new();
+            let mut run = Vec::new();
             for (i, op) in ops.iter().enumerate() {
                 match *op {
                     Op::Push { depth, query } => {
-                        ring.admit(QueryId(query), |q| q.push(depth, entry(hs[i])));
+                        ring.admit(QueryId(query), |q| q.push(depth, hs[i]));
                         models[query as usize].heap.push(Reverse((depth, i as u64, i)));
                         served_since[query as usize].get_or_insert_with(BTreeSet::new);
                     }
@@ -424,7 +419,7 @@ mod tests {
                                     break;
                                 }
                                 executed += run.len();
-                                let got: Vec<usize> = run.handles.iter().map(|h| id_of(*h)).collect();
+                                let got: Vec<usize> = run.iter().map(|h| id_of(*h)).collect();
                                 prop_assert_eq!(got, models[query as usize].run(left));
                             }
                             served_since[query as usize] = if queue.is_empty() {
@@ -437,7 +432,7 @@ mod tests {
                     }
                     Op::Retire { query } => {
                         let mut gone = Vec::new();
-                        ring.retire(QueryId(query), |e| gone.push(id_of(e.handle)));
+                        ring.retire(QueryId(query), |h| gone.push(id_of(h)));
                         gone.sort_unstable();
                         let mut want: Vec<usize> =
                             models[query as usize].heap.drain().map(|Reverse((_, _, id))| id).collect();
@@ -458,8 +453,8 @@ mod tests {
     fn retiring_gives_back_burst_capacity_and_recycles_the_queue() {
         let hs = handles(8 * BUCKET_KEEP);
         let mut ring = QueryRing::default();
-        ring.admit(QueryId(1), |q| hs.iter().for_each(|h| q.push(2, entry(*h))));
-        ring.admit(QueryId(2), |q| q.push(0, entry(hs[0])));
+        ring.admit(QueryId(1), |q| hs.iter().for_each(|h| q.push(2, *h)));
+        ring.admit(QueryId(2), |q| q.push(0, hs[0]));
         assert!(ring.capacity() >= hs.len());
         let mut gone = 0;
         ring.retire(QueryId(1), |_| gone += 1);
@@ -468,7 +463,7 @@ mod tests {
         // The other query keeps its entry and its place; the retired
         // queue's buckets serve the next query to begin.
         assert_eq!((ring.len(), ring.free_queues()), (1, 1));
-        ring.admit(QueryId(3), |q| q.push(2, entry(hs[1])));
+        ring.admit(QueryId(3), |q| q.push(2, hs[1]));
         assert_eq!(ring.free_queues(), 0);
         let order: Vec<u64> = std::iter::from_fn(|| ring.pop().map(|(q, _)| q.0)).collect();
         assert_eq!(order, vec![2, 3]);

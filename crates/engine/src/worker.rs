@@ -21,17 +21,17 @@ use rand::rngs::SmallRng;
 
 use graphdance_common::{FxHashMap, FxHashSet, GdError, GdResult, NodeId, QueryId, WorkerId};
 use graphdance_pstm::{
-    ExpandCache, Frontier, HandleOutcome, LocalsTable, QueryMemo, TraverserArena, TraverserHandle,
-    Weight, WeightLedger,
+    ExpandCache, HandleOutcome, LocalsTable, QueryMemo, TraverserArena, TraverserHandle, Weight,
+    WeightLedger,
 };
 use graphdance_storage::Graph;
 
 use crate::config::{EngineConfig, FaultInjection, WORKER_BATCH};
 use crate::messages::{CoordMsg, QueryCtx, QueryScope, WorkerMsg, WorkerSet};
-use crate::net::{Fabric, Outbox, WireMsg};
-use crate::run_queue::{QueryRing, RunEntry, RunQueue};
 #[cfg(feature = "obs")]
-use crate::wire;
+use crate::net::MsgClass;
+use crate::net::{Fabric, Outbox, WireMsg};
+use crate::run_queue::{QueryRing, RunQueue};
 
 /// Everything a worker holds for one query but its run queue (which the
 /// [`QueryRing`] keeps, to schedule it): `QueryEnd` frees it with one
@@ -126,7 +126,8 @@ struct Router {
     /// Interpreter outcomes seen (drives `leak_weight_nth` fault injection).
     outcomes: u64,
     fault: FaultInjection,
-    /// Hot-path instrumentation (metrics shard + span accumulator).
+    /// Instrumentation (metrics shard, span accumulator, and the tally of
+    /// the turn being routed).
     #[cfg(feature = "obs")]
     obs: crate::obs::WorkerObs,
 }
@@ -169,35 +170,26 @@ impl Router {
             self.fail_query(query, error);
             return false;
         }
-        #[cfg(feature = "obs")]
-        let (mut obs_local, mut obs_remote, mut obs_rows, mut obs_progress) =
-            (0u64, Vec::<(u32, u64)>::new(), None, false);
         let own = self.id.part();
         for (dest, h) in out.spawned.drain(..) {
             if dest == own {
                 self.enqueue(queue, h);
                 #[cfg(feature = "obs")]
-                {
-                    obs_local += 1;
-                }
+                self.obs.spawned_local();
             } else {
                 let w = self.outbox.partitioner().worker_of_part(dest);
                 let _bytes = self.send_work(aq, w, h);
                 #[cfg(feature = "obs")]
-                obs_remote.push((w.0, _bytes as u64));
+                self.obs.sent_remote(w, _bytes);
             }
         }
         self.outbox.seal_handoffs();
         if !out.emitted.is_empty() {
-            let rows = WireMsg::Coord(CoordMsg::Rows {
-                query,
-                rows: std::mem::take(&mut out.emitted),
-            });
+            let _bytes = self
+                .outbox
+                .send_rows(query, std::mem::take(&mut out.emitted));
             #[cfg(feature = "obs")]
-            {
-                obs_rows = Some(wire::encoded_len(&rows) as u64);
-            }
-            self.outbox.send(rows);
+            self.obs.sent(MsgClass::Rows, _bytes);
         }
         aq.steps += out.steps_executed as u64;
         if out.finished != Weight::ZERO {
@@ -207,37 +199,23 @@ impl Router {
                 // Naive progress tracking: one report per termination,
                 // behind the aggregation it built.
                 if let Some(state) = aq.memo.take_agg() {
-                    self.outbox.send(agg_partial(query, state));
+                    let _bytes = self.outbox.send(agg_partial(query, state));
+                    #[cfg(feature = "obs")]
+                    self.obs.sent(MsgClass::Rows, _bytes);
                 }
                 let steps = std::mem::take(&mut aq.steps);
-                self.outbox.send_progress(query, out.finished, steps);
+                let _bytes = self.outbox.send_progress(query, out.finished, steps);
                 #[cfg(feature = "obs")]
-                {
-                    obs_progress = true;
-                }
+                self.obs.sent(MsgClass::Progress, _bytes);
             }
         }
-        #[cfg(feature = "obs")]
-        self.obs.route_done(
-            query,
-            aq.stage,
-            obs_local,
-            &obs_remote,
-            obs_rows,
-            obs_progress,
-        );
         true
     }
 
     /// Queue the arena traverser `handle` on its query's `queue`, at its
     /// depth.
     fn enqueue(&self, queue: &mut RunQueue, handle: TraverserHandle) {
-        let entry = RunEntry {
-            handle,
-            #[cfg(feature = "obs")]
-            enq_ns: self.obs.now_ns(),
-        };
-        queue.push(self.arena.get(handle).depth, entry);
+        queue.push(self.arena.get(handle).depth, handle);
     }
 
     /// Rule 1 of the control plane (DESIGN.md §IV-A): send arena traverser
@@ -299,8 +277,9 @@ pub struct Worker {
     /// Queries whose queue here emptied since the last progress flush.
     idle: Vec<QueryId>,
     rng: SmallRng,
-    /// Reused staging batch for the run being executed.
-    frontier: Frontier,
+    /// Reused staging buffer for the run being executed: the handles of
+    /// one query's same-depth queue entries, in pop order.
+    run: Vec<TraverserHandle>,
     /// Per-pump-quantum adjacency memo for batched expansion.
     expand_cache: ExpandCache,
     /// Reused outcome buffers (no per-traverser spawned/emitted Vec churn).
@@ -328,7 +307,7 @@ impl Worker {
             ring: QueryRing::default(),
             idle: Vec::new(),
             rng: graphdance_common::rng::derive(config.seed, id.0 as u64),
-            frontier: Frontier::new(),
+            run: Vec::new(),
             expand_cache: ExpandCache::new(),
             scratch: HandleOutcome::new(),
             router: Router {
@@ -527,7 +506,7 @@ impl Worker {
         }
         self.dead.insert(query);
         let arena = &mut self.router.arena;
-        self.ring.retire(query, |e| drop(arena.remove(e.handle)));
+        self.ring.retire(query, |h| drop(arena.remove(h)));
     }
 
     /// A batch or source for a query this worker holds no record of. An
@@ -572,8 +551,8 @@ impl Worker {
         // release their interned locals — the table itself lives until
         // `QueryEnd` drops the record.
         let (arena, locals) = (&mut self.router.arena, &mut aq.locals);
-        self.ring.retire(query, |e| {
-            let at = arena.remove(e.handle);
+        self.ring.retire(query, |h| {
+            let at = arena.remove(h);
             locals.unref(at.locals);
             refund.absorb(at.weight);
         });
@@ -674,6 +653,8 @@ impl Worker {
         let went_idle = self.ring.admit(query, |queue| {
             router.route(aq, queue, weight, out, Ok(())) && queue.is_empty()
         });
+        #[cfg(feature = "obs")]
+        router.obs.fold(query, aq.stage);
         if went_idle {
             // Nothing of the query is runnable here (the source spawned no
             // local child): what it finished is reported by this pump.
@@ -685,12 +666,13 @@ impl Worker {
     /// query, a *run* (consecutive same-depth entries) at a time, moving on
     /// to the next query only if this one drains with budget left; a query
     /// that still has work goes to the back of the ring. Everything that is
-    /// per-query rather than per-traverser — queue, record and interpreter
-    /// — is resolved once per query served, and each traverser's outcome is
-    /// routed as it completes (local children straight back into the
-    /// query's queue, remote ones flattened at the outbox). The adjacency
-    /// cache and the partition guard span the quantum. Returns the number
-    /// of traversers executed.
+    /// per-query rather than per-traverser — queue, record, interpreter
+    /// and, in obs builds, the turn's stamps and span — is resolved once
+    /// per query served (a *turn*), and each traverser's outcome is routed
+    /// as it completes (local children straight back into the query's
+    /// queue, remote ones flattened at the outbox). The adjacency cache and
+    /// the partition guard span the quantum. Returns the number of
+    /// traversers executed.
     fn run_quantum(&mut self) -> usize {
         if self.ring.is_empty() {
             return 0;
@@ -713,19 +695,18 @@ impl Worker {
                 // `QueryEnd` retires the queue, so none outlives its query;
                 // were one to, free its slots rather than run them.
                 let arena = &mut self.router.arena;
-                self.ring.retire(query, |e| drop(arena.remove(e.handle)));
+                self.ring.retire(query, |h| drop(arena.remove(h)));
                 continue;
             };
             // The interpreter holds its own reference to the context, so
             // the record stays free to lend to the router.
             let ctx = Arc::clone(&aq.ctx);
             let interp = ctx.interpreter(&self.graph, aq.stage);
-            while queue.stage_run(WORKER_BATCH - executed, &mut self.frontier) {
-                executed += self.frontier.len();
-                for i in 0..self.frontier.len() {
-                    #[cfg(feature = "obs")]
-                    let (t0, wait) = self.router.obs.exec_begin(self.frontier.enq_ns[i]);
-                    let h = self.frontier.handles[i];
+            #[cfg(feature = "obs")]
+            let turn = self.router.obs.turn_begin(queue.ringed_at, executed);
+            while queue.stage_run(WORKER_BATCH - executed, &mut self.run) {
+                executed += self.run.len();
+                for &h in &self.run {
                     let input = self.router.arena.get(h).weight;
                     let result = interp.run_handle(
                         h,
@@ -739,11 +720,12 @@ impl Worker {
                     );
                     self.router
                         .route(aq, queue, input, &mut self.scratch, result);
-                    #[cfg(feature = "obs")]
-                    self.router
-                        .obs
-                        .exec_end(query, aq.stage, t0, wait, aq.memo.stats.take());
                 }
+            }
+            #[cfg(feature = "obs")]
+            {
+                let (obs, memo) = (&mut self.router.obs, aq.memo.stats.take());
+                queue.ringed_at = Some(obs.turn_end(turn, query, aq.stage, executed, memo));
             }
             if queue.is_empty() {
                 self.idle.push(query);
@@ -864,7 +846,7 @@ mod handler_tests {
     /// quantum would.
     fn stage_next(w: &mut Worker) -> Option<QueryId> {
         let (query, queue) = w.ring.pop()?;
-        queue.stage_run(8, &mut w.frontier);
+        queue.stage_run(8, &mut w.run);
         Some(query)
     }
 

@@ -56,9 +56,11 @@ pub struct SpanRecord {
     pub msgs: [u64; LANES],
     /// Bytes sent, by lane.
     pub bytes: [u64; LANES],
-    /// Time traversers spent queued before execution (ns).
+    /// Time the query waited in this worker's ring before its turns began
+    /// (ns, summed over turns). A worker's turns of one query are disjoint,
+    /// so with `exec_ns` it sums to at most the query's latency.
     pub queue_wait_ns: u64,
-    /// Time spent executing traversers (ns).
+    /// Time this worker spent in the query's turns (ns, summed over turns).
     pub exec_ns: u64,
     /// Cross-worker hop edges: `(destination worker, traversers sent)`.
     pub hops: Vec<(u32, u64)>,

@@ -1,14 +1,10 @@
-//! Staged runs and the per-quantum adjacency cache.
+//! What an arena-path interpreter call hands back, and the per-quantum
+//! adjacency cache it expands through.
 //!
-//! The worker pops a *run* — consecutive same-depth, same-query entries of
-//! its run queue — into a [`Frontier`] and executes it in one loop that
-//! resolves everything per-query (context, locals table, memo, partition
-//! guard) once. The batch holds arena handles only: the traverser state
-//! lives in the arena, and the interpreter's cursor takes it from there.
-//! Staging only *same-depth* entries keeps the schedule bit-identical to
-//! popping one entry at a time: queue order within a depth is FIFO, and any
-//! child spawned mid-run (deeper, or same-depth but pushed later) sorts
-//! after every entry already staged.
+//! A [`HandleOutcome`] carries one traverser's (or one source's) children
+//! as arena handles with their destination partitions, its rows, its
+//! finished weight and its step count; the worker routes it and reuses the
+//! buffers for the next traverser.
 //!
 //! The [`ExpandCache`] memoizes one CSR adjacency scan per distinct
 //! `(vertex, direction, label, read_ts)` within a pump quantum, so a batch
@@ -24,48 +20,6 @@ use graphdance_storage::{Direction, Timestamp};
 use crate::arena::{LocalsTable, TraverserArena, TraverserHandle};
 use crate::interp::{Outcome, Row};
 use crate::weight::Weight;
-
-/// One staged run: the arena handles of consecutive same-depth, same-query
-/// queue entries, in pop order.
-#[derive(Debug, Default)]
-pub struct Frontier {
-    /// Arena handles (the authoritative state lives in the arena).
-    pub handles: Vec<TraverserHandle>,
-    /// Enqueue timestamps carried through for queue-wait accounting.
-    #[cfg(feature = "obs")]
-    pub enq_ns: Vec<u64>,
-}
-
-impl Frontier {
-    /// Fresh empty frontier.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of staged traversers.
-    pub fn len(&self) -> usize {
-        self.handles.len()
-    }
-
-    /// Whether the batch is empty.
-    pub fn is_empty(&self) -> bool {
-        self.handles.is_empty()
-    }
-
-    /// Drop all staged entries (the arena still owns the traversers).
-    pub fn clear(&mut self) {
-        self.handles.clear();
-        #[cfg(feature = "obs")]
-        self.enq_ns.clear();
-    }
-
-    /// Stage one traverser.
-    pub fn push(&mut self, handle: TraverserHandle, #[cfg(feature = "obs")] enq_ns: u64) {
-        self.handles.push(handle);
-        #[cfg(feature = "obs")]
-        self.enq_ns.push(enq_ns);
-    }
-}
 
 /// What one arena-path interpreter invocation produced: the handle
 /// analogue of [`crate::interp::Outcome`]. Spawned children live in the
@@ -125,10 +79,6 @@ const EXPAND_CACHE_NEIGHBOR_CAP: usize = 64 * 1024;
 pub struct ExpandCache {
     spans: FxHashMap<(VertexId, Direction, Label, Timestamp), (u32, u32)>,
     neighbors: Vec<VertexId>,
-    #[cfg(feature = "obs")]
-    hits: u64,
-    #[cfg(feature = "obs")]
-    misses: u64,
 }
 
 impl ExpandCache {
@@ -147,17 +97,8 @@ impl ExpandCache {
     /// it. Resolve the indices with [`Self::span`]; the slice preserves the
     /// TEL's edge order exactly.
     #[inline]
-    pub fn lookup(&mut self, key: (VertexId, Direction, Label, Timestamp)) -> Option<(u32, u32)> {
-        let found = self.spans.get(&key).copied();
-        #[cfg(feature = "obs")]
-        {
-            if found.is_some() {
-                self.hits += 1;
-            } else {
-                self.misses += 1;
-            }
-        }
-        found
+    pub fn lookup(&self, key: (VertexId, Direction, Label, Timestamp)) -> Option<(u32, u32)> {
+        self.spans.get(&key).copied()
     }
 
     /// Resolve a span returned by [`Self::lookup`] / [`Self::commit_scan`].
@@ -195,12 +136,6 @@ impl ExpandCache {
         let end = self.neighbors.len() as u32;
         self.spans.insert(key, (start, end));
         (start, end)
-    }
-
-    /// `(hits, misses)` since construction.
-    #[cfg(feature = "obs")]
-    pub fn stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
     }
 }
 
@@ -257,34 +192,5 @@ mod tests {
         assert!(c.begin_insert().is_none());
         let span = c.lookup(key(1)).unwrap();
         assert_eq!(c.span(span).len(), EXPAND_CACHE_NEIGHBOR_CAP);
-    }
-
-    #[test]
-    fn frontier_stages_handles_in_order() {
-        let mut f = Frontier::new();
-        let mut arena = TraverserArena::new();
-        let mut stage = |vertex| {
-            let h = arena.insert(crate::arena::ArenaTraverser {
-                query: graphdance_common::QueryId(1),
-                pipeline: 0,
-                pc: 3,
-                vertex: VertexId(vertex),
-                locals: crate::arena::LocalsId::INVALID,
-                weight: Weight(5),
-                depth: 2,
-                aux_key: None,
-            });
-            f.push(
-                h,
-                #[cfg(feature = "obs")]
-                0,
-            );
-            h
-        };
-        let (a, b) = (stage(9), stage(4));
-        assert_eq!(f.len(), 2);
-        assert_eq!(f.handles, vec![a, b]);
-        f.clear();
-        assert!(f.is_empty());
     }
 }

@@ -33,7 +33,7 @@ pub use agg::AggState;
 pub use arena::{
     ArenaTraverser, HandOff, Importer, LocalsId, LocalsTable, TraverserArena, TraverserHandle,
 };
-pub use frontier::{ExpandCache, Frontier, HandleOutcome};
+pub use frontier::{ExpandCache, HandleOutcome};
 pub use interp::{Interpreter, Outcome, Row};
 pub use ledger::WeightLedger;
 #[cfg(feature = "obs")]

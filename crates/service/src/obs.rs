@@ -126,6 +126,6 @@ mod zero_cost_tests {
 
     #[test]
     fn stub_is_zero_sized() {
-        assert_eq!(std::mem::size_of::<SvcObs>(), 0);
+        assert_eq!(size_of::<SvcObs>(), 0);
     }
 }

@@ -1,17 +1,20 @@
-//! End-to-end observability (PR 3 acceptance): a 3-stage query on a
-//! 2-node simulated cluster produces a complete per-stage `QueryTrace`
-//! whose traverser-lane totals reconcile with the `MsgLedger` conservation
-//! counters, and the metrics snapshot covers every instrumented layer.
+//! End-to-end observability: a 3-stage query on a 2-node simulated
+//! cluster produces a complete per-stage `QueryTrace` whose traverser-lane
+//! totals reconcile with the `MsgLedger` conservation counters, the
+//! metrics snapshot covers every instrumented layer, and a worker's wait
+//! and exec times for a query add up to no more than its latency.
 //!
 //! Only built with the `obs` feature (`cargo test --features obs`).
 #![cfg(feature = "obs")]
 
 use graphdance::common::{Partitioner, Value, VertexId};
 use graphdance::engine::{EngineConfig, GraphDance, MsgLedger};
+use graphdance::obs::COORD_WORKER;
 use graphdance::query::expr::Expr;
 use graphdance::query::plan::{
     AggFunc, AggSpec, Order, Pipeline, Plan, PlanStep, SourceSpec, Stage,
 };
+use graphdance::query::QueryBuilder;
 use graphdance::storage::{Direction, Graph, GraphBuilder};
 
 /// A ring of `n` vertices (i -> i+1 mod n) on a 2-node, 4-worker cluster.
@@ -196,5 +199,63 @@ fn traces_are_per_query_and_repeatable() {
             assert_eq!(t.traverser_msgs(), t.ledger_sent);
         }
     }
+    engine.shutdown();
+}
+
+/// Workers time a query per turn — one pop from the ring until requeued
+/// or drained — so on each worker its wait and exec intervals are disjoint
+/// and lie inside its life: summed over stages they cannot exceed the
+/// latency, however many traversers sat queued at once (a per-traverser
+/// sum of waits would). Counts are folded per turn and lose nothing:
+/// `worker.executed` is exactly what the trace says ran.
+#[test]
+fn per_worker_wait_and_exec_add_up_to_at_most_the_latency() {
+    // Out-degree 8, three hops: hundreds of traversers queued per worker.
+    const N: u64 = 512;
+    let mut b = GraphBuilder::new(Partitioner::new(1, 2));
+    let node = b.schema_mut().register_vertex_label("N");
+    let e = b.schema_mut().register_edge_label("e");
+    for i in 0..N {
+        b.add_vertex(VertexId(i), node, vec![]).unwrap();
+    }
+    for i in 0..N {
+        for k in 0..8 {
+            let j = (i * 7 + k * 61 + 1) % N;
+            b.add_edge(VertexId(i), e, VertexId(j), vec![]).unwrap();
+        }
+    }
+    let g = b.finish();
+    let mut qb = QueryBuilder::new(g.schema());
+    qb.v_param(0).out("e").out("e").out("e");
+    let plan = qb.compile().unwrap();
+    let engine = GraphDance::start(g, EngineConfig::new(1, 2));
+    let (r, trace) = engine
+        .query_traced(&plan, vec![Value::Vertex(VertexId(3))])
+        .unwrap();
+    assert_eq!(r.rows.len(), 512, "8^3 walks of three hops");
+    let t = trace.expect("trace reassembled after query completion");
+
+    let mut per_worker = std::collections::BTreeMap::<u32, u64>::new();
+    let spans = t.stages.iter().flat_map(|st| &st.spans);
+    for span in spans.filter(|s| s.worker != COORD_WORKER) {
+        *per_worker.entry(span.worker).or_default() += span.queue_wait_ns + span.exec_ns;
+    }
+    assert_eq!(
+        per_worker.len(),
+        2,
+        "both workers ran turns:\n{}",
+        t.pretty()
+    );
+    for (worker, busy) in per_worker {
+        assert!(
+            busy <= t.total_ns,
+            "worker {worker}: wait + exec = {busy} ns > latency {} ns:\n{}",
+            t.total_ns,
+            t.pretty()
+        );
+    }
+    let executed: u64 = t.stages.iter().map(|st| st.executed()).sum();
+    assert_eq!(executed, 1 + 8 + 64 + 512, "one traverser per walk prefix");
+    assert_eq!(engine.metrics().scalar("worker.executed"), executed);
     engine.shutdown();
 }
