@@ -558,6 +558,7 @@ impl QueryEngine for NonPartitionedEngine {
 mod tests {
     use super::*;
     use graphdance_common::{Partitioner, VertexId};
+    use graphdance_query::expr::Expr;
     use graphdance_query::QueryBuilder;
     use graphdance_storage::GraphBuilder;
 
@@ -584,6 +585,37 @@ mod tests {
         let c = b.alloc_slot();
         b.repeat(1, 3, c, |r| {
             r.out("knows");
+        });
+        b.dedup();
+        let plan = b.compile().unwrap();
+        let mut rows = engine
+            .query_timed(&plan, vec![Value::Vertex(VertexId(4))])
+            .unwrap()
+            .rows;
+        rows.sort_by(|a, b| a[0].cmp_total(&b[0]));
+        let got: Vec<u64> = rows.iter().map(|r| r[0].as_vertex().unwrap().0).collect();
+        assert_eq!(got, vec![5, 6, 7]);
+        engine.shutdown();
+    }
+
+    /// The fused `Expand` -> `MinDist` on the node-wide memo: a child bound
+    /// for another partition of the node is checked against the same memo
+    /// that logged its send, and must not be pruned by that log.
+    #[test]
+    fn shared_memo_khop_min_reaches_every_hop() {
+        let g = ring(32, Partitioner::new(1, 4));
+        let engine = NonPartitionedEngine::start(g.clone(), EngineConfig::new(1, 4));
+        let mut b = QueryBuilder::new(g.schema());
+        b.v_param(0);
+        let c = b.alloc_slot();
+        let d = b.alloc_slot();
+        b.repeat(1, 3, c, |r| {
+            r.compute(
+                d,
+                Expr::Add(Box::new(Expr::Slot(d)), Box::new(Expr::int(1))),
+            );
+            r.out("knows");
+            r.min_dist(d);
         });
         b.dedup();
         let plan = b.compile().unwrap();

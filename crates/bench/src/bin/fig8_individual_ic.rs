@@ -1,6 +1,9 @@
 //! Fig. 8 — per-query latency and throughput of the 14 Interactive
 //! Complex queries: GraphDance vs BSP (TigerGraph-sim) vs the
-//! non-partitioned ablation, on SF300-sim and SF1000-sim.
+//! non-partitioned ablation, on SF300-sim and SF1000-sim, at both
+//! topologies EXPERIMENTS.md compares (1 × 2 and 2 × 4). The plan steps
+//! each engine executed per query (mean over the latency trials) are
+//! printed beside the latencies, GraphDance's and BSP's.
 //!
 //! Expected shape: GraphDance delivers large latency reductions and
 //! order-of-magnitude throughput gains over BSP; partitioning alone buys
@@ -16,8 +19,10 @@ use graphdance_ldbc::params::ic_params;
 use graphdance_ldbc::IC_NAMES;
 use std::time::Duration;
 
-fn bench_dataset(name: &str, data: &SnbDataset, quick: bool) {
-    let (nodes, wpn) = (2u32, 4u32);
+/// Topologies run, as (nodes, workers per node).
+const SHAPES: [(u32, u32); 2] = [(1, 2), (2, 4)];
+
+fn bench_dataset(name: &str, data: &SnbDataset, quick: bool, (nodes, wpn): (u32, u32)) {
     let lat_trials = if quick { 2 } else { 4 };
     let tp_window = if quick {
         Duration::from_millis(400)
@@ -31,9 +36,19 @@ fn bench_dataset(name: &str, data: &SnbDataset, quick: bool) {
         EngineKind::NonPartitioned,
     ];
 
-    println!("\n=== Fig. 8: {name} — sequential latency (ms) and throughput (q/s) ===");
+    println!(
+        "\n=== Fig. 8: {name} at {nodes} x {wpn} — sequential latency (ms), steps and throughput (q/s) ==="
+    );
     header(&[
-        "query", "GD lat", "BSP lat", "NP lat", "GD q/s", "BSP q/s", "NP q/s",
+        "query",
+        "GD lat",
+        "BSP lat",
+        "NP lat",
+        "GD steps",
+        "BSP steps",
+        "GD q/s",
+        "BSP q/s",
+        "NP q/s",
     ]);
 
     // Build one engine per kind and reuse across the 14 queries.
@@ -59,12 +74,14 @@ fn bench_dataset(name: &str, data: &SnbDataset, quick: bool) {
             let params = ic_params(qi, data, &mut rng);
             print_trace(engines[0].1.as_ref(), IC_NAMES[qi], plan, params);
         }
-        let mut lat = Vec::new();
+        let (mut lat, mut steps) = (Vec::new(), Vec::new());
         let mut tps = Vec::new();
         for (_, engine) in &engines {
             let mut rng = graphdance_common::rng::seeded(77 + qi as u64);
             let mut mk = || ic_params(qi, data, &mut rng);
-            lat.push(run_latency_avg(engine.as_ref(), plan, &mut mk, lat_trials));
+            let (l, s) = run_latency_avg(engine.as_ref(), plan, &mut mk, lat_trials);
+            lat.push(l);
+            steps.push(s);
             let tp = run_throughput(
                 engine.as_ref(),
                 plan,
@@ -75,11 +92,13 @@ fn bench_dataset(name: &str, data: &SnbDataset, quick: bool) {
             tps.push(tp);
         }
         println!(
-            "{:5} | {} | {} | {} | {:7.1} | {:7.1} | {:7.1}",
+            "{:5} | {} | {} | {} | {:8} | {:9} | {:7.1} | {:7.1} | {:7.1}",
             IC_NAMES[qi],
             ms(lat[0]),
             ms(lat[1]),
             ms(lat[2]),
+            steps[0],
+            steps[1],
             tps[0],
             tps[1],
             tps[2]
@@ -96,10 +115,14 @@ fn bench_dataset(name: &str, data: &SnbDataset, quick: bool) {
 fn main() {
     let quick = quick_mode();
     let sf300 = sf300_dataset(quick);
-    bench_dataset(&sf300.params().name.clone(), &sf300, quick);
+    for shape in SHAPES {
+        bench_dataset(&sf300.params().name.clone(), &sf300, quick, shape);
+    }
     if !quick {
         let sf1000 = sf1000_dataset(false);
-        bench_dataset(&sf1000.params().name.clone(), &sf1000, false);
+        for shape in SHAPES {
+            bench_dataset(&sf1000.params().name.clone(), &sf1000, false, shape);
+        }
     }
     println!("\n(Paper: GraphDance ≈89% lower latency and ~43x higher throughput than TigerGraph;");
     println!(" partitioned vs non-partitioned: 46.5% lower latency, 3.29x throughput.)");

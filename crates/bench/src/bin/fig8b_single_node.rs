@@ -61,10 +61,10 @@ fn main() {
         for qi in subset {
             let mut rng = graphdance_common::rng::seeded(99 + qi as u64);
             let mut mk = || ic_params(qi, data, &mut rng);
-            let gd_lat = run_latency_avg(&gd, plans.get(qi).expect("plan"), &mut mk, trials);
+            let (gd_lat, _) = run_latency_avg(&gd, plans.get(qi).expect("plan"), &mut mk, trials);
             let mut rng2 = graphdance_common::rng::seeded(99 + qi as u64);
             let mut mk2 = || ic_params(qi, data, &mut rng2);
-            let sn_lat = run_latency_avg(&sn, &plans[qi], &mut mk2, trials);
+            let (sn_lat, _) = run_latency_avg(&sn, &plans[qi], &mut mk2, trials);
             if sn_lat == Duration::MAX {
                 sn_timeouts += 1;
             }

@@ -273,28 +273,30 @@ pub fn run_throughput(
     done.load(Ordering::Relaxed) as f64 / start.elapsed().as_secs_f64()
 }
 
-/// Average sequential latency of a plan over `trials` parameter draws.
+/// Average sequential latency of a plan over `trials` parameter draws,
+/// and the average plan steps those runs executed.
 pub fn run_latency_avg(
     engine: &dyn QueryEngine,
     plan: &Plan,
     make_params: &mut dyn FnMut() -> Vec<Value>,
     trials: usize,
-) -> Duration {
-    let mut total = Duration::ZERO;
+) -> (Duration, u64) {
+    let (mut total, mut steps) = (Duration::ZERO, 0);
     let mut ok = 0u32;
     for _ in 0..trials {
         match engine.query_timed(plan, make_params()) {
             Ok(r) => {
                 total += r.latency;
+                steps += r.steps_executed;
                 ok += 1;
             }
             Err(e) => eprintln!("  [warn] {}: {e}", engine.name()),
         }
     }
     if ok == 0 {
-        Duration::MAX
+        (Duration::MAX, 0)
     } else {
-        total / ok
+        (total / ok, steps / u64::from(ok))
     }
 }
 

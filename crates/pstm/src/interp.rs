@@ -18,13 +18,19 @@
 //! layout. The only other implementation of the step chain is the
 //! oracle's reference in `graphdance-sim`, kept independent so it can
 //! check this one.
+//!
+//! One step is fused: a `MinDist` or `Dedup` right after an `Expand` with
+//! no edge loads runs inside the `Expand`, once per neighbour, before the
+//! child exists (DESIGN.md §12, "Fused successor guard"). The reference
+//! stays unfused, so the differential proptest holds the two byte for
+//! byte on plan shapes without that adjacency and to the same row
+//! multiset on those with it.
 
 use std::hash::{Hash, Hasher};
 
 use rand::rngs::SmallRng;
 
 use graphdance_common::fxhash::FxHasher;
-use graphdance_common::value::ValueKey;
 use graphdance_common::{GdError, GdResult, PartId, QueryId, Value, VertexId};
 use graphdance_query::expr::EvalCtx;
 use graphdance_query::plan::{JoinSide, Plan, PlanStep, SourceSpec, Stage};
@@ -35,7 +41,7 @@ use crate::arena::{
     set_slot_vec, slot_of, ArenaTraverser, LocalsId, LocalsTable, TraverserArena, TraverserHandle,
 };
 use crate::frontier::{ExpandCache, HandleOutcome};
-use crate::memo::QueryMemo;
+use crate::memo::{Guard, QueryMemo};
 use crate::traverser::Traverser;
 use crate::weight::Weight;
 
@@ -200,7 +206,7 @@ impl<'a> Interpreter<'a> {
     /// `graphdance-sim`, over plain cloned traversers: the 256-case
     /// differential proptest in `crates/sim/tests/arena_equivalence.rs`
     /// holds the two to the same rows, RNG draws, memo operations and
-    /// routing.
+    /// routing, and to the same row multiset where a guard is fused.
     ///
     /// `h` is removed from the arena before execution. On error,
     /// everything this call interned or spawned is released again, so the
@@ -299,10 +305,36 @@ impl<'a> Interpreter<'a> {
                                 None => None,
                             },
                         };
+                        // A `MinDist` / `Dedup` right after runs here, per
+                        // neighbour, before the child exists (DESIGN §12,
+                        // "Fused successor guard"). On this partition the
+                        // memo decides and the child starts past the guard.
+                        // For a remote neighbour the entry, kept at this
+                        // step's pc so it is never read as the owner's, logs
+                        // what was sent: per-path FIFO brings that child to
+                        // the owner first, so a later one it dominates would
+                        // be pruned there anyway.
+                        let guard = pipe
+                            .steps
+                            .get(cur.pc as usize + 1)
+                            .and_then(|s| Guard::of(s, locals.get(cur.locals)));
                         let mut spawn = |nb: VertexId| {
+                            let dest = self.graph.part_of(nb);
+                            // 1 once the guard has run on `nb`'s own memo.
+                            let mut past = 0;
+                            if let Some(g) = &guard {
+                                let here = u16::from(dest == part.part());
+                                if !g.clone().admit(memo, cur.pipeline, cur.pc + here, nb) {
+                                    out.steps_executed += 1;
+                                    return;
+                                }
+                                out.steps_executed += u32::from(here);
+                                past = here;
+                            }
                             locals.retain(cur.locals);
-                            let h = arena.insert(cur.hop(nb, cur.locals, w.split_one(rng)));
-                            out.spawned.push((self.graph.part_of(nb), h));
+                            let mut child = cur.hop(nb, cur.locals, w.split_one(rng));
+                            child.pc += past;
+                            out.spawned.push((dest, arena.insert(child)));
                         };
                         match span {
                             Some(span) => cache.span(span).iter().for_each(|&nb| spawn(nb)),
@@ -380,29 +412,13 @@ impl<'a> Interpreter<'a> {
                     }
                     cur.pc += 1;
                 }
-                PlanStep::Dedup { slots } => {
-                    let key: Vec<ValueKey> = {
-                        let vals = locals.get(cur.locals);
-                        slots
-                            .iter()
-                            .map(|s| slot_of(vals, *s).group_key())
-                            .collect()
-                    };
-                    if memo.dedup_insert(cur.pipeline, cur.pc, cur.vertex, key) {
-                        cur.pc += 1;
-                    } else {
+                step @ (PlanStep::Dedup { .. } | PlanStep::MinDist { .. }) => {
+                    let admitted = Guard::of(step, locals.get(cur.locals))
+                        .is_some_and(|g| g.admit(memo, cur.pipeline, cur.pc, cur.vertex));
+                    if !admitted {
                         return retire(cur, cur.weight, locals, out);
                     }
-                }
-                PlanStep::MinDist { dist_slot } => {
-                    let dist = slot_of(locals.get(cur.locals), *dist_slot)
-                        .as_int()
-                        .unwrap_or(0);
-                    if memo.min_dist_update(cur.pipeline, cur.pc, cur.vertex, dist) {
-                        cur.pc += 1;
-                    } else {
-                        return retire(cur, cur.weight, locals, out);
-                    }
+                    cur.pc += 1;
                 }
                 PlanStep::LoopEnd {
                     counter,
@@ -614,7 +630,8 @@ fn join_step_pc(stage: &Stage, pipeline: u16, join_id: u16) -> GdResult<u16> {
 mod tests {
     use super::*;
     use graphdance_common::rng::seeded;
-    use graphdance_common::Partitioner;
+    use graphdance_common::value::ValueKey;
+    use graphdance_common::{Partitioner, PropKey};
     use graphdance_query::expr::Expr;
     use graphdance_query::plan::{AggFunc, AggSpec, JoinSpec, Order, Pipeline};
     use graphdance_storage::{Direction, GraphBuilder};
@@ -1208,5 +1225,205 @@ mod tests {
         };
         let (rows, _) = drive(&g, &plan, &[Value::Vertex(VertexId(2))]);
         assert!(rows.is_empty());
+    }
+
+    /// `n` vertices, `from -e-> to` for each edge, on `parts` partitions of
+    /// one node; every edge carries `since` (for the edge-load path).
+    fn fused_graph(parts: u32, n: u64, edges: &[(u64, u64)]) -> Graph {
+        let mut b = GraphBuilder::new(Partitioner::new(1, parts));
+        let v = b.schema_mut().register_vertex_label("N");
+        let e = b.schema_mut().register_edge_label("e");
+        let since = b.schema_mut().register_prop("since");
+        for i in 0..n {
+            b.add_vertex(VertexId(i), v, vec![]).unwrap();
+        }
+        for &(s, d) in edges {
+            b.add_edge(VertexId(s), e, VertexId(d), vec![(since, Value::Int(7))])
+                .unwrap();
+        }
+        b.finish()
+    }
+
+    /// `Expand(out e)` then `guard`, vertex-id rows.
+    fn expand_then(g: &Graph, edge_loads: Vec<(PropKey, u8)>, guard: PlanStep) -> Plan {
+        let label = g.schema().edge_label("e").unwrap();
+        simple_stage(
+            vec![
+                PlanStep::Expand {
+                    dir: Direction::Out,
+                    label,
+                    edge_loads,
+                },
+                guard,
+            ],
+            vec![Expr::VertexId],
+            None,
+        )
+    }
+
+    /// One arena step of a traverser at `v` (pc 0, slot 1 = `dist`) on
+    /// `v`'s partition against `memo`. Returns the outcome, the input
+    /// weight and the arena with the children left in it.
+    fn step_once(
+        g: &Graph,
+        plan: &Plan,
+        v: u64,
+        dist: i64,
+        memo: &mut QueryMemo,
+    ) -> (HandleOutcome, Weight, TraverserArena, LocalsTable) {
+        let interp = Interpreter {
+            graph: g,
+            plan,
+            stage_idx: 0,
+            query: QueryId(1),
+            params: &[],
+            read_ts: 1,
+        };
+        let (mut arena, mut locals) = (TraverserArena::new(), LocalsTable::new());
+        let mut t = Traverser::root(QueryId(1), 0, VertexId(v), 4, Weight(0x9e37_79b9));
+        t.set_slot(1, Value::Int(dist));
+        let input = t.weight;
+        let h = arena.admit(t, &mut locals);
+        let mut out = HandleOutcome::new();
+        let part = g.read(g.part_of(VertexId(v)));
+        interp
+            .run_handle(
+                h,
+                &mut arena,
+                &mut locals,
+                &mut ExpandCache::new(),
+                &part,
+                memo,
+                &mut seeded(3),
+                &mut out,
+            )
+            .unwrap();
+        (out, input, arena, locals)
+    }
+
+    /// The children's weights plus the finished weight: the input, exactly.
+    fn conserved(out: &HandleOutcome, arena: &TraverserArena, input: Weight) -> bool {
+        let spawned = out
+            .spawned
+            .iter()
+            .fold(Weight::ZERO, |acc, (_, h)| acc.add(arena.get(*h).weight));
+        spawned.add(out.finished) == input
+    }
+
+    /// Two vertices on different partitions of a two-partition node:
+    /// `(local, remote)` as seen from `local`.
+    fn split_pair(g: &Graph) -> (u64, u64) {
+        let p0 = g.part_of(VertexId(0));
+        let r = (1..16).find(|&v| g.part_of(VertexId(v)) != p0).unwrap();
+        (0, r)
+    }
+
+    #[test]
+    fn fused_guard_prunes_a_local_duplicate_before_the_child_exists() {
+        let g = fused_graph(1, 3, &[(0, 1), (0, 2)]);
+        for guard in [
+            PlanStep::MinDist { dist_slot: 1 },
+            PlanStep::Dedup { slots: vec![1] },
+        ] {
+            let plan = expand_then(&g, vec![], guard);
+            let mut memo = QueryMemo::default();
+            // Vertex 1 already holds the guard's record for slot 1 = 2.
+            assert!(Guard::of(
+                &plan.stages[0].pipelines[0].steps[1],
+                &[Value::Null, Value::Int(2)]
+            )
+            .unwrap()
+            .admit(&mut memo, 0, 1, VertexId(1)));
+            let (out, input, arena, locals) = step_once(&g, &plan, 0, 2, &mut memo);
+            // Only vertex 2's child exists, already past the guard.
+            assert_eq!(out.spawned.len(), 1);
+            assert_eq!(arena.live(), 1);
+            let child = arena.get(out.spawned[0].1);
+            assert_eq!((child.vertex, child.pc), (VertexId(2), 2));
+            assert_eq!(locals.live(), 1, "the survivor holds the one register file");
+            // Expand + one guard per neighbour.
+            assert_eq!(out.steps_executed, 3);
+            assert!(conserved(&out, &arena, input));
+
+            // With both neighbours taken, nothing is created at all and the
+            // parent's whole weight finishes.
+            let (out, input, arena, locals) = step_once(&g, &plan, 0, 2, &mut memo);
+            assert!(out.spawned.is_empty());
+            assert_eq!((arena.live(), locals.live()), (0, 0));
+            assert_eq!((out.finished, out.steps_executed), (input, 3));
+        }
+    }
+
+    #[test]
+    fn fused_min_dist_logs_remote_sends_and_drops_dominated_ones() {
+        let (l, r) = split_pair(&fused_graph(2, 16, &[]));
+        let g = fused_graph(2, 16, &[(l, r)]);
+        let plan = expand_then(&g, vec![], PlanStep::MinDist { dist_slot: 1 });
+        let mut sender = QueryMemo::default();
+        let sent = |dist: i64, memo: &mut QueryMemo| {
+            let (out, input, arena, _) = step_once(&g, &plan, l, dist, memo);
+            assert!(conserved(&out, &arena, input));
+            match out.spawned.as_slice() {
+                [] => {
+                    // Dropped at the sender: the guard step counts here.
+                    assert_eq!((out.finished, out.steps_executed), (input, 2));
+                    None
+                }
+                [(dest, h)] => {
+                    // Sent: the owner runs the guard (and counts it).
+                    assert_eq!(out.steps_executed, 1);
+                    let child = arena.get(*h);
+                    assert_eq!(
+                        (*dest, child.vertex, child.pc),
+                        (g.part_of(VertexId(r)), VertexId(r), 1)
+                    );
+                    Some(dist)
+                }
+                more => panic!("one neighbour, {} children", more.len()),
+            }
+        };
+        assert_eq!(sent(3, &mut sender), Some(3), "first send");
+        assert_eq!(sent(3, &mut sender), None, "equal distance: dominated");
+        assert_eq!(sent(5, &mut sender), None, "longer distance: dominated");
+        assert_eq!(sent(2, &mut sender), Some(2), "strictly shorter: sent");
+        assert_eq!(sent(2, &mut sender), None, "now 2 is the bar");
+        // The log is kept at the Expand's pc: even a memo shared by both
+        // partitions still admits the sent child at the guard's own pc.
+        assert!(sender.min_dist_update(0, 1, VertexId(r), 2));
+    }
+
+    #[test]
+    fn fused_dedup_logs_remote_sends_and_drops_repeats() {
+        let (l, r) = split_pair(&fused_graph(2, 16, &[]));
+        let g = fused_graph(2, 16, &[(l, r)]);
+        let plan = expand_then(&g, vec![], PlanStep::Dedup { slots: vec![1] });
+        let mut sender = QueryMemo::default();
+        let mut sent = |key: i64| step_once(&g, &plan, l, key, &mut sender).0.spawned.len();
+        assert_eq!(sent(4), 1, "first send");
+        assert_eq!(sent(4), 0, "same key: dropped at the sender");
+        assert_eq!(sent(5), 1, "another key is sent");
+        // Never read as the owner's record.
+        assert!(sender.dedup_insert(0, 1, VertexId(r), vec![ValueKey::Int(4)]));
+    }
+
+    #[test]
+    fn expand_with_edge_loads_is_not_fused() {
+        let g = fused_graph(1, 2, &[(0, 1)]);
+        let since = g.schema().prop("since").unwrap();
+        let plan = expand_then(&g, vec![(since, 2)], PlanStep::MinDist { dist_slot: 1 });
+        let mut memo = QueryMemo::default();
+        assert!(memo.min_dist_update(0, 1, VertexId(1), 0));
+        // The record would prune the child, but it is created and left at
+        // the guard, which it runs itself; the memo is not consulted.
+        let (out, _, arena, _) = step_once(&g, &plan, 0, 2, &mut memo);
+        assert_eq!(out.steps_executed, 1);
+        let [(_, h)] = out.spawned.as_slice() else {
+            panic!("one child expected");
+        };
+        assert_eq!(arena.get(*h).pc, 1);
+        assert!(
+            memo.min_dist_update(0, 0, VertexId(1), 9),
+            "no log entry was made"
+        );
     }
 }

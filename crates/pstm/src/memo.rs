@@ -11,8 +11,10 @@
 
 use graphdance_common::value::ValueKey;
 use graphdance_common::{FxHashMap, FxHashSet, QueryId, Value, VertexId};
+use graphdance_query::plan::PlanStep;
 
 use crate::agg::AggState;
+use crate::arena::slot_of;
 use crate::weight::WeightAccumulator;
 
 /// The locals carried by a parked join row.
@@ -183,6 +185,52 @@ impl QueryMemo {
     /// Number of parked join rows (diagnostics).
     pub fn join_rows(&self) -> usize {
         self.join.values().map(|(a, b)| a.len() + b.len()).sum()
+    }
+}
+
+/// The memo check of a `MinDist` or `Dedup` step, its key read from a
+/// register file. The step arms run it on the traverser; `Expand` runs the
+/// guard right after it once per neighbour, on the parent's register file
+/// (which every child shares), before the child exists.
+#[derive(Clone)]
+pub(crate) enum Guard {
+    /// `MinDist`: the distance.
+    Dist(i64),
+    /// `Dedup`: the slot keys.
+    Key(Vec<ValueKey>),
+}
+
+impl Guard {
+    /// The check `step` makes over `vals`; `None` for a step that is not
+    /// a guard.
+    pub(crate) fn of(step: &PlanStep, vals: &[Value]) -> Option<Guard> {
+        match step {
+            PlanStep::MinDist { dist_slot } => {
+                Some(Guard::Dist(slot_of(vals, *dist_slot).as_int().unwrap_or(0)))
+            }
+            PlanStep::Dedup { slots } => Some(Guard::Key(
+                slots
+                    .iter()
+                    .map(|s| slot_of(vals, *s).group_key())
+                    .collect(),
+            )),
+            _ => None,
+        }
+    }
+
+    /// Check-and-insert at `vertex` for step `pc` of `pipeline`: `true` if
+    /// the traverser survives.
+    pub(crate) fn admit(
+        self,
+        memo: &mut QueryMemo,
+        pipeline: u16,
+        pc: u16,
+        vertex: VertexId,
+    ) -> bool {
+        match self {
+            Guard::Dist(d) => memo.min_dist_update(pipeline, pc, vertex, d),
+            Guard::Key(k) => memo.dedup_insert(pipeline, pc, vertex, k),
+        }
     }
 }
 

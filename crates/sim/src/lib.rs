@@ -316,6 +316,13 @@ fn shrink_candidates(r: &Repro) -> Vec<Repro> {
             },
             ..*r
         }),
+        QuerySpec::KhopMin { hops, start } if hops > 1 => push(Repro {
+            query: QuerySpec::KhopMin {
+                hops: hops - 1,
+                start,
+            },
+            ..*r
+        }),
         _ => {}
     }
     // Fall back to hash placement.

@@ -9,9 +9,16 @@
 //! or a weight (slot writes, join-key placement, register-file merging,
 //! the `LoopEnd` fork split), so a bug in the arena path shows as an
 //! oracle disagreement instead of being shared by both sides.
-//! `tests/arena_equivalence.rs` holds the two to the same rows, RNG draws
-//! and memo order on every plan shape, and measures what the arena layout
-//! saves in allocations per step.
+//!
+//! It stays unfused: a `MinDist` or `Dedup` right after an `Expand` runs
+//! here as its own step on each child, after the child exists, where the
+//! arena step runs it per neighbour before (DESIGN.md §12, "Fused
+//! successor guard"). This is the definition the fusion is checked
+//! against. `tests/arena_equivalence.rs` holds the two to the same rows,
+//! RNG draws and memo order, byte for byte, on every plan shape with no
+//! such adjacency, and to the same sorted row multiset on the fused
+//! shapes (k-hop with `min_dist`, k-hop with `dedup_by`); it also
+//! measures what the arena layout saves in allocations per step.
 
 use std::hash::{Hash, Hasher};
 

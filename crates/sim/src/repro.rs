@@ -22,6 +22,7 @@ use rand::Rng;
 
 use graphdance_common::{Partitioner, Value, VertexId};
 use graphdance_engine::{IoMode, SimFaults};
+use graphdance_query::expr::Expr;
 use graphdance_query::plan::Plan;
 use graphdance_query::QueryBuilder;
 use graphdance_storage::{adjacency, partition_stream, FennelConfig, Graph, GraphBuilder};
@@ -119,6 +120,10 @@ pub enum QuerySpec {
     Khop { hops: i64, start: u64 },
     /// Number of distinct paths of length 1..=hops from `start`.
     KhopCount { hops: i64, start: u64 },
+    /// [`QuerySpec::Khop`]'s answer by the benchmark's chain: a hop
+    /// counter `d` pruned by `min_dist` right after each `out`, so the
+    /// arena step runs that guard fused into the `Expand`.
+    KhopMin { hops: i64, start: u64 },
     /// Count of all `Person` vertices (touches every partition).
     ScanCount,
 }
@@ -146,6 +151,23 @@ impl QuerySpec {
                 });
                 b.count();
                 let plan = b.compile().expect("khop-count compiles");
+                (plan, vec![Value::Vertex(VertexId(start))])
+            }
+            QuerySpec::KhopMin { hops, start } => {
+                b.v_param(0);
+                let c = b.alloc_slot();
+                let d = b.alloc_slot();
+                b.repeat(1, hops, c, |r| {
+                    r.compute(
+                        d,
+                        Expr::Add(Box::new(Expr::Slot(d)), Box::new(Expr::int(1))),
+                    );
+                    r.out("knows");
+                    r.min_dist(d);
+                });
+                b.dedup();
+                b.output(vec![Expr::VertexId]);
+                let plan = b.compile().expect("khop-min compiles");
                 (plan, vec![Value::Vertex(VertexId(start))])
             }
             QuerySpec::ScanCount => {
@@ -301,6 +323,7 @@ impl fmt::Display for Repro {
         match self.query {
             QuerySpec::Khop { hops, start } => write!(f, " query=khop:{hops}:{start}")?,
             QuerySpec::KhopCount { hops, start } => write!(f, " query=khopcount:{hops}:{start}")?,
+            QuerySpec::KhopMin { hops, start } => write!(f, " query=khopmin:{hops}:{start}")?,
             QuerySpec::ScanCount => write!(f, " query=scancount")?,
         }
         let s = &self.faults;
@@ -370,6 +393,10 @@ fn parse_query(s: &str) -> Result<QuerySpec, String> {
         Some("khopcount") => Ok(QuerySpec::KhopCount {
             hops: parse_u64(it.next().ok_or("khopcount needs :hops")?)? as i64,
             start: parse_u64(it.next().ok_or("khopcount needs :start")?)?,
+        }),
+        Some("khopmin") => Ok(QuerySpec::KhopMin {
+            hops: parse_u64(it.next().ok_or("khopmin needs :hops")?)? as i64,
+            start: parse_u64(it.next().ok_or("khopmin needs :start")?)?,
         }),
         Some("scancount") => Ok(QuerySpec::ScanCount),
         other => Err(format!("unknown query kind {other:?}")),
@@ -638,5 +665,26 @@ mod tests {
             g.schema().vertex_label("Person"),
             g2.schema().vertex_label("Person")
         );
+    }
+
+    #[test]
+    fn khopmin_roundtrips_and_answers_like_khop() {
+        let graph = GraphSpec::Gnm {
+            n: 24,
+            m: 60,
+            seed: 9,
+        };
+        let r = Repro::clean(graph, QuerySpec::KhopMin { hops: 3, start: 2 }, 1, 2, 1);
+        let line = r.to_line();
+        assert!(line.contains(" query=khopmin:3:2 "), "line was: {line}");
+        assert_eq!(Repro::parse(&line), Ok(r), "line was: {line}");
+        let g = graph.build(1, 2);
+        let rows = |q: QuerySpec| {
+            let (plan, params) = q.build(&g);
+            crate::normalize(&crate::oracle_rows(&g, &plan, &params, 1, 5).unwrap())
+        };
+        let want = rows(QuerySpec::Khop { hops: 3, start: 2 });
+        assert!(want.len() > 3, "a thin ball checks little: {want:?}");
+        assert_eq!(rows(QuerySpec::KhopMin { hops: 3, start: 2 }), want);
     }
 }

@@ -3,12 +3,20 @@
 //! same order, with the same weight accounting, as the oracle's
 //! cloned-locals reference ([`reference::run_traverser`]) — for every
 //! plan shape the interpreter supports on the local path (expand with and
-//! without edge loads, filters, loads, computes, dedup, loops).
+//! without edge loads, filters, loads, computes, dedup, loops) where no
+//! `MinDist` or `Dedup` comes right after an `Expand`.
 //!
 //! Both drivers run the same LIFO schedule with identically-seeded RNGs,
 //! so any divergence in locals handling (copy-on-write splitting, slot
 //! growth, release order) or in the per-quantum `ExpandCache` shows up as
 //! a row or weight mismatch. 256 fixed seeds per shape.
+//!
+//! Where such a guard does follow an `Expand`, the arena step runs it
+//! before the child exists (DESIGN.md §12, "Fused successor guard") and
+//! the reference does not: the arena side then creates fewer traversers
+//! and draws fewer weight splits, so the schedules part. Those shapes are
+//! held to the same sorted row multiset instead, with the same weight
+//! completion and arena / locals leak checks.
 //!
 //! The same two drivers also measure what the arena path is for: fewer
 //! allocations per traverser-step than the cloned reference.
@@ -102,7 +110,7 @@ fn build_graph(n: u64, edges: &[(u64, u64)]) -> Graph {
 /// The plan shapes under test; each stresses a different locals/arena path.
 fn build_plan(shape: u8, hops: i64, schema: &graphdance_storage::Schema) -> Plan {
     let mut qb = QueryBuilder::new(schema);
-    match shape % 4 {
+    match shape {
         0 => {
             // k-hop with loop counter + dedup: LoopEnd weight splits,
             // looper locals sharing, memo dedup through interned slots.
@@ -142,7 +150,7 @@ fn build_plan(shape: u8, hops: i64, schema: &graphdance_storage::Schema) -> Plan
             ));
             qb.output(vec![Expr::VertexId, Expr::Slot(doubled)]);
         }
-        _ => {
+        3 => {
             // Fan-in heavy two-hop from every vertex: the ExpandCache's
             // bread and butter (many traversers on few vertices).
             qb.v();
@@ -150,6 +158,39 @@ fn build_plan(shape: u8, hops: i64, schema: &graphdance_storage::Schema) -> Plan
             qb.expand(Direction::Out, "knows", vec![]);
             qb.expand(Direction::Out, "knows", vec![]);
             qb.output(vec![Expr::VertexId]);
+        }
+        4 => {
+            // Fused Expand -> MinDist: the benchmark's k-hop chain, its
+            // min_dist run per neighbour before the child exists.
+            qb.v_param(0);
+            let c = qb.alloc_slot();
+            let d = qb.alloc_slot();
+            qb.repeat(1, hops, c, |r| {
+                r.compute(
+                    d,
+                    Expr::Add(Box::new(Expr::Slot(d)), Box::new(Expr::int(1))),
+                );
+                r.expand(Direction::Out, "knows", vec![]);
+                r.min_dist(d);
+            });
+            qb.dedup();
+            qb.output(vec![Expr::VertexId]);
+        }
+        _ => {
+            // Fused Expand -> Dedup on a slot key (IC14's walk): one row
+            // per distinct (vertex, distance).
+            qb.v_param(0);
+            let c = qb.alloc_slot();
+            let d = qb.alloc_slot();
+            qb.repeat(1, hops, c, |r| {
+                r.compute(
+                    d,
+                    Expr::Add(Box::new(Expr::Slot(d)), Box::new(Expr::int(1))),
+                );
+                r.expand(Direction::Both, "knows", vec![]);
+                r.dedup_by(vec![d]);
+            });
+            qb.output(vec![Expr::VertexId, Expr::Slot(d)]);
         }
     }
     qb.compile().unwrap()
@@ -288,6 +329,28 @@ proptest! {
         let (arena, _) = drive_arena(&g, &plan, &params, seed);
         prop_assert_eq!(reference, arena);
     }
+
+    #[test]
+    fn fused_guard_matches_the_unfused_reference_as_a_multiset(
+        seed in 0u64..u64::MAX,
+        n in 3u64..10,
+        edges in prop::collection::vec((0u64..32, 0u64..32), 1..24),
+        shape in 4u8..6,
+        hops in 1i64..4,
+        start in 0u64..10,
+    ) {
+        let g = build_graph(n, &edges);
+        let plan = build_plan(shape, hops, g.schema());
+        let params = vec![Value::Vertex(VertexId(start % n))];
+        let sorted = |rows: Vec<Row>| {
+            let mut rows: Vec<String> = rows.iter().map(|r| format!("{r:?}")).collect();
+            rows.sort();
+            rows
+        };
+        let (reference, _) = drive_cloned(&g, &plan, &params, seed);
+        let (arena, _) = drive_arena(&g, &plan, &params, seed);
+        prop_assert_eq!(sorted(reference), sorted(arena));
+    }
 }
 
 /// The Fig. 1 k-hop query: everything within `k` hops of `$0`, top 10 by
@@ -323,6 +386,12 @@ fn khop_topk_plan(graph: &Graph, k: i64) -> Plan {
 /// sits close: giving each `Expand` child its own copy of the register
 /// file instead of a share costs 0.60× and fails here. (Shallower drives
 /// are dominated by per-query setup both paths share.)
+///
+/// The plan's `min_dist` follows its `Expand`, so the arena side runs it
+/// fused and never creates the children it prunes; the reference creates
+/// and then retires them. A fused guard check counts as the step it
+/// replaces, so both sides count the same steps per query and the ratio
+/// stays per step (it read 0.457× before the fusion, 0.463× with it).
 #[test]
 fn arena_path_allocates_at_most_55_percent_per_step() {
     let n = 4_000;
@@ -337,7 +406,8 @@ fn arena_path_allocates_at_most_55_percent_per_step() {
     drive_cloned(&g, &plan, &starts[..1], 1);
     drive_arena(&g, &plan, &starts[..1], 1);
 
-    // (allocations, steps) per path, same seeds and schedule on both.
+    // (allocations, steps) per path, same seeds on both; the schedules
+    // part where the arena side prunes a child before it exists.
     let (mut cloned, mut arena) = ((0, 0), (0, 0));
     for (i, start) in starts.iter().enumerate() {
         let (params, seed) = (std::slice::from_ref(start), 100 + i as u64);
