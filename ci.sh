@@ -136,6 +136,10 @@ echo "==> Fig. 8 per-IC smoke (--quick: both 1 x 2 and 2 x 4)"
 cargo run -q --release -p graphdance-bench --bin fig8_individual_ic -- --quick \
     >/dev/null
 
+echo "==> Fig. 8b distributed vs single-node smoke (--quick: 2 x 4 and 1 x 8)"
+cargo run -q --release -p graphdance-bench --bin fig8b_single_node -- --quick \
+    >/dev/null
+
 echo "==> service front-end: SLO sweep smoke (--quick)"
 # The recorded SLO floor (interactive p99 < background p99, bounded
 # shedding, cancellation tolerance) is asserted by the graphdance-bench

@@ -31,8 +31,8 @@ use graphdance_engine::messages::{BspSignal, CoordMsg, QueryCtx, WorkerMsg};
 use graphdance_engine::net::{Fabric, NetStatsSnapshot, Outbox};
 use graphdance_engine::QueryResult;
 use graphdance_pstm::{
-    AggState, ExpandCache, HandleOutcome, LocalsTable, Memo, Row, Traverser, TraverserArena,
-    TraverserHandle, Weight, WeightLedger,
+    AggState, HandleOutcome, LocalsTable, Memo, Row, Traverser, TraverserArena, TraverserHandle,
+    Weight, WeightLedger,
 };
 use graphdance_query::plan::{Plan, SourceSpec};
 use graphdance_storage::Graph;
@@ -54,8 +54,6 @@ struct BspWorker {
     arena: TraverserArena,
     /// The arena traversers' interned register files.
     locals: LocalsTable,
-    /// Adjacency memo, reset every superstep.
-    cache: ExpandCache,
     /// Reused outcome buffers.
     scratch: HandleOutcome,
     rng: SmallRng,
@@ -81,7 +79,6 @@ impl BspWorker {
             parked: FxHashMap::default(),
             arena: TraverserArena::new(),
             locals: LocalsTable::new(),
-            cache: ExpandCache::new(),
             scratch: HandleOutcome::new(),
             rng: graphdance_common::rng::derive(seed, 0x1000 + id.0 as u64),
             ledger: WeightLedger::new(),
@@ -248,7 +245,6 @@ impl BspWorker {
         let interp = ctx.interpreter(&self.graph, stage);
         let own = self.id.part();
         let out = &mut self.scratch;
-        self.cache.begin_quantum();
         while let Some(h) = queue.pop() {
             let input = self.arena.get(h).weight;
             let result = {
@@ -257,7 +253,6 @@ impl BspWorker {
                     h,
                     &mut self.arena,
                     &mut self.locals,
-                    &mut self.cache,
                     &part,
                     self.memo.query_mut(query),
                     &mut self.rng,

@@ -9,10 +9,6 @@
 //! * [`non_partitioned`] — GraphDance with the **non-partitioned graph
 //!   model**: threads of a node share one work queue and one latched memo
 //!   (§V-A2 ablation).
-//! * [`single_node`] — a **single-node engine** (GraphScope stand-in,
-//!   §V-A3): all workers on one node (no network path) plus a simulated
-//!   DRAM-capacity limit that charges swap penalties when the dataset
-//!   exceeds node memory.
 //! * [`hybrid`] — the paper's future-work extension (§VI-c): PowerSwitch-
 //!   style per-query Sync/Async selection from a frontier-size estimate.
 //!
@@ -22,11 +18,9 @@
 pub mod bsp;
 pub mod hybrid;
 pub mod non_partitioned;
-pub mod single_node;
 pub mod traits;
 
 pub use bsp::BspEngine;
 pub use hybrid::HybridEngine;
 pub use non_partitioned::NonPartitionedEngine;
-pub use single_node::SingleNodeEngine;
 pub use traits::QueryEngine;

@@ -32,7 +32,7 @@ use graphdance_engine::messages::{CoordMsg, QueryCtx, QueryScope, WorkerMsg};
 use graphdance_engine::net::{Fabric, NetStatsSnapshot, Outbox};
 use graphdance_engine::QueryResult;
 use graphdance_pstm::{
-    AggState, ExpandCache, HandleOutcome, LocalsTable, Memo, Traverser, TraverserArena, Weight,
+    AggState, HandleOutcome, LocalsTable, Memo, Traverser, TraverserArena, Weight,
 };
 use graphdance_query::plan::Plan;
 use graphdance_storage::Graph;
@@ -106,8 +106,6 @@ struct SharedWorker {
     /// arena and the locals table are empty.
     arena: TraverserArena,
     locals: LocalsTable,
-    /// Adjacency memo, reset every batch.
-    cache: ExpandCache,
     /// Reused outcome buffers.
     scratch: HandleOutcome,
     weight_coalescing: bool,
@@ -144,7 +142,6 @@ impl SharedWorker {
             rng: graphdance_common::rng::derive(config.seed, 0x2000 + id.0 as u64),
             arena: TraverserArena::new(),
             locals: LocalsTable::new(),
-            cache: ExpandCache::new(),
             scratch: HandleOutcome::new(),
             weight_coalescing: config.weight_coalescing,
             finished: FxHashMap::default(),
@@ -163,7 +160,6 @@ impl SharedWorker {
                 }
             }
             // Pull from the shared (contended) queue.
-            self.cache.begin_quantum();
             let mut executed = 0;
             while executed < WORKER_BATCH {
                 let Some(t) = self.shared.queue.lock().pop_front() else {
@@ -373,7 +369,6 @@ impl SharedWorker {
                 h,
                 &mut self.arena,
                 &mut self.locals,
-                &mut self.cache,
                 &part,
                 m,
                 &mut self.rng,

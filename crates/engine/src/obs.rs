@@ -61,8 +61,6 @@ mod real {
         pub spawned_local: MetricId,
         /// Traversers handed to an outbox for another partition.
         pub sent_remote: MetricId,
-        /// Local queue depth at the end of each execution batch.
-        pub queue_depth: MetricId,
         /// Per turn: time from the query entering the worker's ring to the
         /// turn's start (ns).
         pub queue_wait_ns: MetricId,
@@ -99,7 +97,6 @@ mod real {
                 executed: r.counter("worker.executed"),
                 spawned_local: r.counter("worker.spawned_local"),
                 sent_remote: r.counter("worker.sent_remote"),
-                queue_depth: r.gauge("worker.queue_depth"),
                 queue_wait_ns: r.histogram("worker.queue_wait_ns"),
                 exec_ns: r.histogram("worker.exec_ns"),
                 memo_hits: r.counter("memo.hits"),
@@ -375,12 +372,6 @@ mod real {
             let sp = span_entry(&mut self.spans, query, stage, self.worker);
             sp.rec.msgs[lane] += 1;
             sp.rec.bytes[lane] += wire::encoded_len(msg) as u64;
-        }
-
-        /// Publish the local queue depth gauge.
-        #[inline]
-        pub fn queue_depth(&self, depth: u64) {
-            self.shard.set(self.eng.ids().queue_depth, depth);
         }
 
         /// The stage advanced: push the finished stage's span to the sink.

@@ -67,7 +67,7 @@ pub(crate) struct RunQueue {
 }
 
 impl RunQueue {
-    #[cfg(any(test, feature = "obs"))]
+    #[cfg(test)]
     pub fn len(&self) -> usize {
         self.len
     }
@@ -175,7 +175,7 @@ impl QueryRing {
     }
 
     /// Queued traversers across all queries.
-    #[cfg(any(test, feature = "obs"))]
+    #[cfg(test)]
     pub fn len(&self) -> usize {
         self.queues.values().map(RunQueue::len).sum()
     }

@@ -21,8 +21,7 @@ use rand::rngs::SmallRng;
 
 use graphdance_common::{FxHashMap, FxHashSet, GdError, GdResult, NodeId, QueryId, WorkerId};
 use graphdance_pstm::{
-    ExpandCache, HandleOutcome, LocalsTable, QueryMemo, TraverserArena, TraverserHandle, Weight,
-    WeightLedger,
+    HandleOutcome, LocalsTable, QueryMemo, TraverserArena, TraverserHandle, Weight, WeightLedger,
 };
 use graphdance_storage::Graph;
 
@@ -280,8 +279,6 @@ pub struct Worker {
     /// Reused staging buffer for the run being executed: the handles of
     /// one query's same-depth queue entries, in pop order.
     run: Vec<TraverserHandle>,
-    /// Per-pump-quantum adjacency memo for batched expansion.
-    expand_cache: ExpandCache,
     /// Reused outcome buffers (no per-traverser spawned/emitted Vec churn).
     scratch: HandleOutcome,
     /// Where every interpreter outcome goes out.
@@ -308,7 +305,6 @@ impl Worker {
             idle: Vec::new(),
             rng: graphdance_common::rng::derive(config.seed, id.0 as u64),
             run: Vec::new(),
-            expand_cache: ExpandCache::new(),
             scratch: HandleOutcome::new(),
             router: Router {
                 id,
@@ -371,8 +367,6 @@ impl Worker {
         // shallow first.
         let executed = self.run_quantum();
         worked |= executed > 0;
-        #[cfg(feature = "obs")]
-        self.router.obs.queue_depth(self.ring.len() as u64);
         // Keep same-node latency low.
         self.router.outbox.flush_local();
         // §IV-A/B "no more traversers ready for execution", per *query*: a
@@ -670,14 +664,12 @@ impl Worker {
     /// and, in obs builds, the turn's stamps and span — is resolved once
     /// per query served (a *turn*), and each traverser's outcome is routed
     /// as it completes (local children straight back into the query's
-    /// queue, remote ones flattened at the outbox). The adjacency cache and
-    /// the partition guard span the quantum. Returns the number of
-    /// traversers executed.
+    /// queue, remote ones flattened at the outbox). The partition read
+    /// guard spans the quantum. Returns the number of traversers executed.
     fn run_quantum(&mut self) -> usize {
         if self.ring.is_empty() {
             return 0;
         }
-        self.expand_cache.begin_quantum();
         // sync: the partition read guard is held for this quantum only —
         // at most `WORKER_BATCH` traversers — and is released before the
         // worker polls or blocks on its inbox, so a `txn` writer queued on
@@ -712,7 +704,6 @@ impl Worker {
                         h,
                         &mut self.router.arena,
                         &mut aq.locals,
-                        &mut self.expand_cache,
                         &part,
                         &mut aq.memo,
                         &mut self.rng,

@@ -11,13 +11,12 @@
 //! * finishes (filtered out, deduplicated, pruned) — its weight is released.
 //!
 //! Every engine in the library (asynchronous PSTM, BSP, non-partitioned,
-//! single-node, hybrid) runs its traversers through this interpreter's
-//! one step entry, [`Interpreter::run_handle`], on the same arena layout,
-//! so results are identical by construction and engine comparisons
-//! measure *execution strategy*, not query semantics or interpreter
-//! layout. The only other implementation of the step chain is the
-//! oracle's reference in `graphdance-sim`, kept independent so it can
-//! check this one.
+//! hybrid) runs its traversers through this interpreter's one step
+//! entry, [`Interpreter::run_handle`], on the same arena layout, so
+//! results are identical by construction and engine comparisons measure
+//! *execution strategy*, not query semantics or interpreter layout. The
+//! only other implementation of the step chain is the oracle's reference
+//! in `graphdance-sim`, kept independent so it can check this one.
 //!
 //! One step is fused: a `MinDist` or `Dedup` right after an `Expand` with
 //! no edge loads runs inside the `Expand`, once per neighbour, before the
@@ -40,7 +39,6 @@ use crate::agg::AggState;
 use crate::arena::{
     set_slot_vec, slot_of, ArenaTraverser, LocalsId, LocalsTable, TraverserArena, TraverserHandle,
 };
-use crate::frontier::{ExpandCache, HandleOutcome};
 use crate::memo::{Guard, QueryMemo};
 use crate::traverser::Traverser;
 use crate::weight::Weight;
@@ -62,6 +60,52 @@ pub struct Outcome {
     pub finished: Weight,
     /// Number of plan steps executed (for Table I stage accounting).
     pub steps_executed: u32,
+}
+
+/// What one [`Interpreter::run_handle`] call produced: the arena analogue
+/// of [`Outcome`]. Spawned children live in the worker's arena; the caller
+/// routes them by handle and flattens to the wire format only at the
+/// outbox boundary, then reuses the buffers for the next traverser.
+#[derive(Debug, Default)]
+pub struct HandleOutcome {
+    /// Spawned traversers (arena handles) with their destination partitions.
+    pub spawned: Vec<(PartId, TraverserHandle)>,
+    /// Result rows emitted by a non-aggregating stage.
+    pub emitted: Vec<Row>,
+    /// Weight released by traversers that terminated here.
+    pub finished: Weight,
+    /// Number of plan steps executed (for Table I stage accounting).
+    pub steps_executed: u32,
+}
+
+impl HandleOutcome {
+    /// Fresh empty outcome.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Reset for reuse, retaining the `spawned`/`emitted` allocations —
+    /// callers keep one scratch outcome across an execution batch so the
+    /// per-traverser hot path performs no outcome allocations at all.
+    pub fn clear(&mut self) {
+        self.spawned.clear();
+        self.emitted.clear();
+        self.finished = Weight::ZERO;
+        self.steps_executed = 0;
+    }
+
+    /// Replace the contents with a source's [`Outcome`], interning each
+    /// spawned traverser into `arena` — how a source's result enters the
+    /// arena path.
+    pub fn admit(&mut self, source: Outcome, arena: &mut TraverserArena, locals: &mut LocalsTable) {
+        self.clear();
+        for (dest, t) in source.spawned {
+            self.spawned.push((dest, arena.admit(t, locals)));
+        }
+        self.emitted = source.emitted;
+        self.finished = source.finished;
+        self.steps_executed = source.steps_executed;
+    }
 }
 
 /// Interpreter for one query's current stage.
@@ -198,9 +242,8 @@ impl<'a> Interpreter<'a> {
 
     /// Advance the arena traverser `h`: the one step entry every engine
     /// runs. The traverser lives in `arena`, its register file is interned
-    /// in `locals` (children share it copy-on-write), and `Expand` steps
-    /// with no edge-property loads read neighbors through `cache` instead
-    /// of re-walking the TEL per traverser.
+    /// in `locals` (children share it copy-on-write), and each `Expand`
+    /// step reads its neighbours with one TEL scan.
     ///
     /// The independent check is the oracle's reference interpreter in
     /// `graphdance-sim`, over plain cloned traversers: the 256-case
@@ -221,7 +264,6 @@ impl<'a> Interpreter<'a> {
         h: TraverserHandle,
         arena: &mut TraverserArena,
         locals: &mut LocalsTable,
-        cache: &mut ExpandCache,
         part: &GraphPartition,
         memo: &mut QueryMemo,
         rng: &mut SmallRng,
@@ -229,7 +271,7 @@ impl<'a> Interpreter<'a> {
     ) -> GdResult<()> {
         out.clear();
         let mut cur = arena.remove(h);
-        let result = self.run_arena_cursor(&mut cur, arena, locals, cache, part, memo, rng, out);
+        let result = self.run_arena_cursor(&mut cur, arena, locals, part, memo, rng, out);
         if result.is_err() {
             // Unwind: release the cursor's locals (if still owned) and
             // every child spawned before the failure.
@@ -252,7 +294,6 @@ impl<'a> Interpreter<'a> {
         cur: &mut ArenaTraverser,
         arena: &mut TraverserArena,
         locals: &mut LocalsTable,
-        cache: &mut ExpandCache,
         part: &GraphPartition,
         memo: &mut QueryMemo,
         rng: &mut SmallRng,
@@ -289,22 +330,8 @@ impl<'a> Interpreter<'a> {
                     let mut w = cur.weight;
                     if edge_loads.is_empty() {
                         // No per-edge property loads: children share the
-                        // parent's interned locals (CoW) and neighbors come
-                        // from the per-quantum cache — one TEL walk per
-                        // distinct (vertex, dir, label, ts) per quantum.
-                        let key = (cur.vertex, *dir, *label, self.read_ts);
-                        let span = match cache.lookup(key) {
-                            Some(span) => Some(span),
-                            None => match cache.begin_insert() {
-                                Some(start) => {
-                                    for e in part.edges(cur.vertex, *dir, *label, self.read_ts)? {
-                                        cache.push(e.neighbor);
-                                    }
-                                    Some(cache.commit_scan(key, start))
-                                }
-                                None => None,
-                            },
-                        };
+                        // parent's interned locals (CoW).
+                        //
                         // A `MinDist` / `Dedup` right after runs here, per
                         // neighbour, before the child exists (DESIGN §12,
                         // "Fused successor guard"). On this partition the
@@ -318,7 +345,8 @@ impl<'a> Interpreter<'a> {
                             .steps
                             .get(cur.pc as usize + 1)
                             .and_then(|s| Guard::of(s, locals.get(cur.locals)));
-                        let mut spawn = |nb: VertexId| {
+                        for e in part.edges(cur.vertex, *dir, *label, self.read_ts)? {
+                            let nb = e.neighbor;
                             let dest = self.graph.part_of(nb);
                             // 1 once the guard has run on `nb`'s own memo.
                             let mut past = 0;
@@ -326,7 +354,7 @@ impl<'a> Interpreter<'a> {
                                 let here = u16::from(dest == part.part());
                                 if !g.clone().admit(memo, cur.pipeline, cur.pc + here, nb) {
                                     out.steps_executed += 1;
-                                    return;
+                                    continue;
                                 }
                                 out.steps_executed += u32::from(here);
                                 past = here;
@@ -335,15 +363,6 @@ impl<'a> Interpreter<'a> {
                             let mut child = cur.hop(nb, cur.locals, w.split_one(rng));
                             child.pc += past;
                             out.spawned.push((dest, arena.insert(child)));
-                        };
-                        match span {
-                            Some(span) => cache.span(span).iter().for_each(|&nb| spawn(nb)),
-                            // Cache full this quantum: scan directly.
-                            None => {
-                                for e in part.edges(cur.vertex, *dir, *label, self.read_ts)? {
-                                    spawn(e.neighbor);
-                                }
-                            }
                         }
                     } else {
                         // Edge-property loads need the full EdgeRef: scan
@@ -695,22 +714,12 @@ mod tests {
                 }
             }
         }
-        let (mut rows, mut cache, mut out) =
-            (Vec::new(), ExpandCache::new(), HandleOutcome::default());
+        let (mut rows, mut out) = (Vec::new(), HandleOutcome::default());
         while let Some((p, h)) = queue.pop() {
             let part = graph.read(p);
             let memo = memos[p.as_usize()].query_mut(QueryId(1));
             interp
-                .run_handle(
-                    h,
-                    &mut arena,
-                    &mut locals,
-                    &mut cache,
-                    &part,
-                    memo,
-                    &mut rng,
-                    &mut out,
-                )
+                .run_handle(h, &mut arena, &mut locals, &part, memo, &mut rng, &mut out)
                 .unwrap();
             tracker.add(out.finished);
             rows.append(&mut out.emitted);
@@ -1291,7 +1300,6 @@ mod tests {
                 h,
                 &mut arena,
                 &mut locals,
-                &mut ExpandCache::new(),
                 &part,
                 memo,
                 &mut seeded(3),

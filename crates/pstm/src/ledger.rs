@@ -20,8 +20,7 @@
 use graphdance_common::QueryId;
 
 use crate::arena::TraverserArena;
-use crate::frontier::HandleOutcome;
-use crate::interp::Outcome;
+use crate::interp::{HandleOutcome, Outcome};
 use crate::weight::Weight;
 
 /// Per-worker conservation checker. Zero-cost in release builds.
@@ -195,7 +194,7 @@ mod tests {
     #[test]
     fn arena_step_checks_conservation_through_handles() {
         use crate::arena::{ArenaTraverser, LocalsId};
-        use crate::frontier::HandleOutcome;
+        use crate::interp::HandleOutcome;
 
         let mut rng = seeded(9);
         let mut arena = TraverserArena::new();

@@ -16,13 +16,16 @@
 //! * [`agg`] — commutative-associative aggregation partials (§III-C).
 //! * [`interp`] — the step interpreter: advances one traverser through as
 //!   many partition-local steps as possible and reports spawned traversers
-//!   (with routing), emitted rows, and finished weight.
+//!   (with routing), emitted rows, and finished weight in a
+//!   [`HandleOutcome`]. Each `Expand` reads its neighbours with one TEL
+//!   scan.
+//! * [`arena`] — the slab of traversers and the interned, copy-on-write
+//!   register files every engine's worker runs them from.
 //! * [`ledger`] — debug-build weight-conservation checker: every
 //!   interpreter outcome must redistribute its input weight exactly.
 
 pub mod agg;
 pub mod arena;
-pub mod frontier;
 pub mod interp;
 pub mod ledger;
 pub mod memo;
@@ -33,8 +36,7 @@ pub use agg::AggState;
 pub use arena::{
     ArenaTraverser, HandOff, Importer, LocalsId, LocalsTable, TraverserArena, TraverserHandle,
 };
-pub use frontier::{ExpandCache, HandleOutcome};
-pub use interp::{Interpreter, Outcome, Row};
+pub use interp::{HandleOutcome, Interpreter, Outcome, Row};
 pub use ledger::WeightLedger;
 #[cfg(feature = "obs")]
 pub use memo::MemoStats;

@@ -8,8 +8,8 @@
 //!
 //! Both drivers run the same LIFO schedule with identically-seeded RNGs,
 //! so any divergence in locals handling (copy-on-write splitting, slot
-//! growth, release order) or in the per-quantum `ExpandCache` shows up as
-//! a row or weight mismatch. 256 fixed seeds per shape.
+//! growth, release order) shows up as a row or weight mismatch. 256 fixed
+//! seeds per shape.
 //!
 //! Where such a guard does follow an `Expand`, the arena step runs it
 //! before the child exists (DESIGN.md §12, "Fused successor guard") and
@@ -31,8 +31,8 @@ use graphdance_common::rng::seeded;
 use graphdance_common::{PartId, Partitioner, QueryId, Value, VertexId};
 use graphdance_datagen::{KhopDataset, KhopParams};
 use graphdance_pstm::{
-    ExpandCache, HandleOutcome, Interpreter, LocalsTable, Memo, Row, Traverser, TraverserArena,
-    TraverserHandle, Weight, WeightAccumulator,
+    HandleOutcome, Interpreter, LocalsTable, Memo, Row, Traverser, TraverserArena, TraverserHandle,
+    Weight, WeightAccumulator,
 };
 use graphdance_query::expr::Expr;
 use graphdance_query::plan::{Order, Plan};
@@ -151,8 +151,8 @@ fn build_plan(shape: u8, hops: i64, schema: &graphdance_storage::Schema) -> Plan
             qb.output(vec![Expr::VertexId, Expr::Slot(doubled)]);
         }
         3 => {
-            // Fan-in heavy two-hop from every vertex: the ExpandCache's
-            // bread and butter (many traversers on few vertices).
+            // Fan-in heavy two-hop from every vertex: many traversers
+            // expanding the same few vertices.
             qb.v();
             qb.has_label("Person");
             qb.expand(Direction::Out, "knows", vec![]);
@@ -241,7 +241,7 @@ fn drive_cloned(graph: &Graph, plan: &Plan, params: &[Value], seed: u64) -> (Vec
 }
 
 /// Arena driver: same schedule and RNG, but state lives in the slab and
-/// the locals table, and expansion goes through the per-quantum cache.
+/// the locals table.
 fn drive_arena(graph: &Graph, plan: &Plan, params: &[Value], seed: u64) -> (Vec<Row>, u64) {
     let interp = Interpreter {
         graph,
@@ -258,7 +258,6 @@ fn drive_arena(graph: &Graph, plan: &Plan, params: &[Value], seed: u64) -> (Vec<
     let mut tracker = WeightAccumulator::new();
     let mut arena = TraverserArena::new();
     let mut locals = LocalsTable::new();
-    let mut cache = ExpandCache::new();
     let mut queue: Vec<(PartId, TraverserHandle)> = Vec::new();
     let stage = interp.stage();
     let pipe_weights = Weight::ROOT.split(stage.pipelines.len(), &mut rng);
@@ -276,28 +275,12 @@ fn drive_arena(graph: &Graph, plan: &Plan, params: &[Value], seed: u64) -> (Vec<
         }
     }
     let (mut rows, mut steps) = (Vec::new(), 0);
-    let mut pops = 0usize;
     let mut out = HandleOutcome::new();
     while let Some((p, h)) = queue.pop() {
-        // Quantum boundaries every few pops: exercises both cold scans and
-        // cache hits without perturbing the schedule.
-        if pops.is_multiple_of(3) {
-            cache.begin_quantum();
-        }
-        pops += 1;
         let part = graph.read(p);
         let memo = memos[p.as_usize()].query_mut(QueryId(1));
         interp
-            .run_handle(
-                h,
-                &mut arena,
-                &mut locals,
-                &mut cache,
-                &part,
-                memo,
-                &mut rng,
-                &mut out,
-            )
+            .run_handle(h, &mut arena, &mut locals, &part, memo, &mut rng, &mut out)
             .unwrap();
         steps += out.steps_executed as u64;
         tracker.add(out.finished);

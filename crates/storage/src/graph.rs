@@ -217,8 +217,10 @@ impl Graph {
         ts: Timestamp,
         mut f: impl FnMut(VertexId),
     ) -> GdResult<()> {
-        self.read(self.part_of(v))
-            .for_each_edge(v, dir, label, ts, |e| f(e.neighbor))
+        for e in self.read(self.part_of(v)).edges(v, dir, label, ts)? {
+            f(e.neighbor);
+        }
+        Ok(())
     }
 
     /// Convenience neighbour list (tests and sequential oracles). Prefer
@@ -264,8 +266,7 @@ impl Graph {
             .sum()
     }
 
-    /// Approximate total heap bytes of graph data (Table II "raw size"; also
-    /// drives the single-node memory-capacity simulation).
+    /// Approximate total heap bytes of graph data (Table II "raw size").
     pub fn approx_bytes(&self) -> u64 {
         self.partitioner
             .parts()

@@ -294,24 +294,6 @@ impl GraphPartition {
         Ok(out_iter.chain(in_iter))
     }
 
-    /// Visit the visible edges of `v` in `dir` with `label` at `ts`,
-    /// in the same order as [`edges`](Self::edges), without constructing
-    /// the iterator chain. This is the batch read path for the SoA
-    /// frontier's adjacency runs and the allocation-free oracle walk.
-    pub fn for_each_edge(
-        &self,
-        v: VertexId,
-        dir: Direction,
-        label: Label,
-        ts: Timestamp,
-        mut f: impl FnMut(EdgeRef<'_>),
-    ) -> GdResult<()> {
-        for e in self.edges(v, dir, label, ts)? {
-            f(e);
-        }
-        Ok(())
-    }
-
     /// Degree of `v` in `dir` with `label` at `ts`.
     pub fn degree(
         &self,

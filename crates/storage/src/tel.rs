@@ -134,7 +134,7 @@ impl TelList {
     }
 
     /// Approximate heap bytes used by this log (for the Table II "raw size"
-    /// report and the single-node memory-capacity simulation).
+    /// report).
     pub fn approx_bytes(&self) -> usize {
         self.entries.len() * size_of::<TelEntry>()
             + self

@@ -1,14 +1,12 @@
 //! Cross-engine consistency: every execution engine (asynchronous PSTM,
-//! BSP, non-partitioned, single-node, hybrid) must return identical
-//! results for identical plans — they differ only in execution
-//! strategy (DESIGN.md §2). Results are also checked against a sequential
-//! BFS oracle.
+//! BSP, non-partitioned, hybrid), and GraphDance on one node as on two,
+//! must return identical results for identical plans — they differ only
+//! in execution strategy (DESIGN.md §2). Results are also checked against
+//! a sequential BFS oracle.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 
-use graphdance::baselines::{
-    BspEngine, HybridEngine, NonPartitionedEngine, QueryEngine, SingleNodeEngine,
-};
+use graphdance::baselines::{BspEngine, HybridEngine, NonPartitionedEngine, QueryEngine};
 use graphdance::common::{Partitioner, Value, VertexId};
 use graphdance::datagen::{KhopDataset, KhopParams};
 use graphdance::engine::{EngineConfig, GraphDance};
@@ -155,14 +153,14 @@ fn all_engines_agree_on_khop_topk() {
             "bsp" => Box::new(BspEngine::start(graph, EngineConfig::new(2, 2))),
             "np" => Box::new(NonPartitionedEngine::start(graph, EngineConfig::new(2, 2))),
             "hybrid" => Box::new(HybridEngine::start(graph, EngineConfig::new(2, 2))),
-            "single" => {
+            "gd-1x4" => {
                 let g1 = data.build(Partitioner::new(1, 4)).expect("builds");
-                Box::new(SingleNodeEngine::start(g1, 4, u64::MAX))
+                Box::new(GraphDance::start(g1, EngineConfig::new(1, 4)))
             }
             _ => unreachable!(),
         }
     };
-    for name in ["bsp", "np", "hybrid", "single"] {
+    for name in ["bsp", "np", "hybrid", "gd-1x4"] {
         let engine = mk_engine(name);
         let graph = data.build(Partitioner::new(2, 2)).expect("builds");
         let rows = engine
