@@ -140,6 +140,14 @@ echo "==> Fig. 8b distributed vs single-node smoke (--quick: 2 x 4 and 1 x 8)"
 cargo run -q --release -p graphdance-bench --bin fig8b_single_node -- --quick \
     >/dev/null
 
+echo "==> hybrid Sync/Async smoke (--quick: BSP alone and behind the hybrid's switch)"
+cargo run -q --release -p graphdance-bench --bin ext_hybrid -- --quick \
+    >/dev/null
+
+echo "==> Fig. 7 mixed-workload smoke (--quick: BSP beside txn writers)"
+cargo run -q --release -p graphdance-bench --bin fig7_mixed_workload -- --quick \
+    >/dev/null
+
 echo "==> service front-end: SLO sweep smoke (--quick)"
 # The recorded SLO floor (interactive p99 < background p99, bounded
 # shedding, cancellation tolerance) is asserted by the graphdance-bench

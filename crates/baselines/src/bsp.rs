@@ -2,13 +2,21 @@
 //! TigerGraph-class systems.
 //!
 //! Queries execute in supersteps: every worker processes its whole frontier
-//! for the current depth, exchanges traversers, and waits at a **global
-//! barrier** before the next depth starts. The barrier is driven by the
-//! submitting thread: after all workers report `BspStepDone`, the driver
-//! probes parked weights until every in-flight traverser has landed, then
-//! broadcasts the next `RunStep`. One query runs at a time — concurrent
-//! submissions serialize on the driver lock, which is precisely the
-//! concurrency weakness the paper attributes to BSP systems.
+//! for the current depth, exchanges traversers, and waits at one **global
+//! barrier** before the next depth starts. The submitting thread drives it:
+//! each worker's `BspStepDone` says how many traversers it sent to each
+//! worker (its own parks included), the driver sums those into the number
+//! every worker must have received by the next step, and sends each worker
+//! its `RunStep` with that count. A worker still short of it holds the
+//! signal and starts the step from the arrival that meets it, so one
+//! control round trip per superstep is the whole barrier. The count cannot
+//! tell which step sent a traverser: a fast peer's output for the next step
+//! counts too, so on three or more nodes a worker can start while a
+//! straggler of the previous step is still on its way. The straggler runs
+//! one superstep later, and the stage stays open until it has — the driver
+//! ends a stage only when Σ`sent` = Σ`consumed_count`. One query runs at
+//! a time — concurrent submissions serialize on the driver lock, which is
+//! precisely the concurrency weakness the paper attributes to BSP systems.
 //!
 //! The engine shares the storage, the arena step
 //! ([`graphdance_pstm::Interpreter::run_handle`]) and its memory layout,
@@ -39,6 +47,28 @@ use graphdance_storage::Graph;
 
 use crate::traits::QueryEngine;
 
+/// One query's traversers waiting on a worker for a superstep.
+#[derive(Default)]
+struct Parked {
+    /// The parked frontier, as arena handles.
+    frontier: Vec<TraverserHandle>,
+    /// Traversers parked here over the whole query: what a `RunStep`'s
+    /// `expect` is compared with.
+    arrived: u64,
+    /// A `RunStep` (`depth`, `expect`) that came before its `expect` was
+    /// met.
+    held: Option<(u32, u64)>,
+}
+
+impl Parked {
+    /// Park an arena traverser for a later superstep, counting it toward
+    /// the barrier.
+    fn push(&mut self, h: TraverserHandle) {
+        self.frontier.push(h);
+        self.arrived += 1;
+    }
+}
+
 struct BspWorker {
     id: WorkerId,
     graph: Graph,
@@ -46,8 +76,8 @@ struct BspWorker {
     outbox: Outbox,
     memo: Memo,
     queries: FxHashMap<QueryId, (Arc<QueryCtx>, u16)>,
-    /// Each query's parked frontier, as arena handles.
-    parked: FxHashMap<QueryId, Vec<TraverserHandle>>,
+    /// Each query's parked frontier and barrier count.
+    parked: FxHashMap<QueryId, Parked>,
     /// Slab of the traversers parked or running here; one leaves it at the
     /// outbox — handed off to a co-located worker, flattened for the wire
     /// otherwise — as on the asynchronous worker.
@@ -100,16 +130,20 @@ impl BspWorker {
                 self.queries.insert(ctx.query, (ctx, stage));
             }
             WorkerMsg::StageBegin { query, stage } => {
+                // The driver advances a stage only once every traverser it
+                // counted was consumed, so nothing of the old stage is
+                // parked; one of the new stage may already be, sent by a
+                // peer that got its `RunStep` first.
                 if let Some((_, s)) = self.queries.get_mut(&query) {
                     *s = stage;
                 }
                 let _ = self.memo.query_mut(query).take_stage_state();
-                self.release(query);
             }
             WorkerMsg::Batch(ts) => {
                 for t in ts {
                     self.park(t);
                 }
+                self.run_met();
             }
             WorkerMsg::HandOff(run) => {
                 let (ts, mut from) = run.into_parts();
@@ -118,6 +152,7 @@ impl BspWorker {
                     let h = self.arena.import(at, &mut from, &mut self.locals);
                     self.parked.entry(query).or_default().push(h);
                 }
+                self.run_met();
             }
             WorkerMsg::StartSource {
                 query,
@@ -126,18 +161,13 @@ impl BspWorker {
             } => {
                 self.start_source(query, pipeline, weight);
             }
-            WorkerMsg::Bsp(BspSignal::RunStep { query, depth }) => {
-                self.run_step(query, depth);
-            }
-            WorkerMsg::Bsp(BspSignal::Probe { query, round }) => {
-                let parked = (self.parked.get(&query).into_iter().flatten())
-                    .fold(Weight::ZERO, |acc, h| acc.add(self.arena.get(*h).weight));
-                self.outbox.send_ctrl_coord(CoordMsg::BspParked {
-                    query,
-                    part: self.id.part(),
-                    parked,
-                    round,
-                });
+            WorkerMsg::Bsp(BspSignal::RunStep {
+                query,
+                depth,
+                expect,
+            }) => {
+                self.parked.entry(query).or_default().held = Some((depth, expect));
+                self.run_met();
             }
             WorkerMsg::Bsp(BspSignal::Gather { query }) => {
                 // Partials are data (buffered like rows): flush the reply.
@@ -168,9 +198,22 @@ impl BspWorker {
         parked.push(self.arena.admit(t, &mut self.locals));
     }
 
+    /// Run every held `RunStep` whose `expect` has been met.
+    fn run_met(&mut self) {
+        while let Some((query, depth)) = self.parked.iter_mut().find_map(|(q, p)| match p.held {
+            Some((depth, expect)) if p.arrived >= expect => {
+                p.held = None;
+                Some((*q, depth))
+            }
+            _ => None,
+        }) {
+            self.run_step(query, depth);
+        }
+    }
+
     /// Drop `query`'s parked frontier, freeing its arena slots and locals.
     fn release(&mut self, query: QueryId) {
-        for h in self.parked.remove(&query).into_iter().flatten() {
+        for h in (self.parked.remove(&query).into_iter()).flat_map(|p| p.frontier) {
             self.arena.discard(h, &mut self.locals);
         }
     }
@@ -194,19 +237,15 @@ impl BspWorker {
                     });
                     return;
                 }
-                let mut issued = Weight::ZERO;
-                let count = out.spawned.len() as u64;
+                let mut sent = vec![0; self.graph.partitioner().num_parts() as usize];
+                sent[self.id.as_usize()] = out.spawned.len() as u64;
                 for (_, t) in out.spawned {
-                    issued.absorb(t.weight);
                     self.park(t);
                 }
                 self.outbox.send_ctrl_coord(CoordMsg::BspStepDone {
                     query,
-                    part: self.id.part(),
                     finished: out.finished,
-                    issued,
-                    count,
-                    consumed: Weight::ZERO,
+                    sent,
                     consumed_count: 0,
                     steps: 0,
                 });
@@ -226,8 +265,8 @@ impl BspWorker {
     /// output (data path) can overtake this worker's own `RunStep` signal
     /// (control path), and those belong to the next frontier. Same-depth
     /// arrivals that overtook the signal (LoopEnd forks, MoveTo jumps) DO
-    /// run now — the `consumed` ledger tells the driver their weight left
-    /// the parked pool this step, so the delivery barrier stays exact no
+    /// run now — `consumed_count` tells the driver they left the parked
+    /// pool this step, so its Σ`sent` − Σ`consumed_count` stays exact no
     /// matter which side of the `RunStep` the data path landed on.
     fn run_step(&mut self, query: QueryId, depth: u32) {
         let Some((ctx, stage)) = self.queries.get(&query) else {
@@ -235,13 +274,13 @@ impl BspWorker {
         };
         let (ctx, stage) = (Arc::clone(ctx), *stage);
         let (arena, parked) = (&self.arena, self.parked.entry(query).or_default());
-        let (mut queue, keep): (Vec<_>, Vec<_>) = std::mem::take(parked)
+        let (mut queue, keep): (Vec<_>, Vec<_>) = std::mem::take(&mut parked.frontier)
             .into_iter()
             .partition(|h| arena.get(*h).depth <= depth);
-        *parked = keep;
-        let consumed = (queue.iter()).fold(Weight::ZERO, |acc, h| acc.add(arena.get(*h).weight));
+        parked.frontier = keep;
         let consumed_count = queue.len() as u64;
-        let (mut finished, mut issued, mut count, mut steps) = (Weight::ZERO, Weight::ZERO, 0, 0);
+        let mut sent = vec![0; self.graph.partitioner().num_parts() as usize];
+        let (mut finished, mut steps) = (Weight::ZERO, 0);
         let interp = ctx.interpreter(&self.graph, stage);
         let own = self.id.part();
         let out = &mut self.scratch;
@@ -282,12 +321,11 @@ impl BspWorker {
                     queue.push(h);
                     continue;
                 }
-                issued.absorb(child.weight);
-                count += 1;
+                let w = self.graph.partitioner().worker_of_part(dest);
+                sent[w.as_usize()] += 1;
                 if dest == own {
                     self.parked.entry(query).or_default().push(h);
                 } else {
-                    let w = self.graph.partitioner().worker_of_part(dest);
                     self.outbox
                         .send_handle(w, h, &mut self.arena, &mut self.locals);
                 }
@@ -303,15 +341,27 @@ impl BspWorker {
         self.outbox.flush_all();
         self.outbox.send_ctrl_coord(CoordMsg::BspStepDone {
             query,
-            part: own,
             finished,
-            issued,
-            count,
-            consumed,
+            sent,
             consumed_count,
             steps,
         });
     }
+}
+
+/// What the driver has learned from one query's step reports.
+#[derive(Default)]
+struct Tally {
+    /// Per worker: the traversers sent to it so far in the query — the
+    /// `expect` of its next `RunStep`.
+    expect: Vec<u64>,
+    /// Traversers consumed so far in the query; a stage is done when this
+    /// reaches Σ`expect`.
+    consumed: u64,
+    /// Weight finished in the current stage.
+    finished: Weight,
+    /// Plan steps run so far in the query.
+    steps: u64,
 }
 
 /// Driver-side mutable state (one query at a time).
@@ -434,8 +484,10 @@ impl BspEngine {
             stage: 0,
             from: None,
         });
-        let mut rows = Vec::new();
-        let mut steps = 0;
+        let mut tally = Tally {
+            expect: vec![0; self.num_parts() as usize],
+            ..Tally::default()
+        };
         let result = (|| -> GdResult<Vec<Row>> {
             let mut stage_rows: Vec<Row> = Vec::new();
             for stage_idx in 0..ctx.plan.stages.len() {
@@ -446,7 +498,7 @@ impl BspEngine {
                     });
                 }
                 stage_rows =
-                    self.run_stage(&mut d, &ctx, stage_idx, stage_rows, deadline, &mut steps)?;
+                    self.run_stage(&mut d, &ctx, stage_idx, stage_rows, deadline, &mut tally)?;
             }
             Ok(stage_rows)
         })();
@@ -455,22 +507,16 @@ impl BspEngine {
         // coming, so it flushes.
         d.outbox.flush_all();
         self.fabric.invariants().forget(query);
-        match result {
-            Ok(r) => {
-                rows.extend(r);
-                Ok(QueryResult {
-                    query,
-                    rows,
-                    latency: started.elapsed(),
-                    steps_executed: steps,
-                })
-            }
-            Err(e) => Err(e),
-        }
+        result.map(|rows| QueryResult {
+            query,
+            rows,
+            latency: started.elapsed(),
+            steps_executed: tally.steps,
+        })
     }
 
-    /// Execute one stage as a sequence of supersteps, adding the plan
-    /// steps its workers report to `steps`.
+    /// Execute one stage as a sequence of supersteps, folding its step
+    /// reports into `tally`.
     fn run_stage(
         &self,
         d: &mut Driver,
@@ -478,19 +524,13 @@ impl BspEngine {
         stage_idx: usize,
         prev_rows: Vec<Row>,
         deadline: Instant,
-        steps: &mut u64,
+        tally: &mut Tally,
     ) -> GdResult<Vec<Row>> {
         let query = ctx.query;
         let stage = &ctx.plan.stages[stage_idx];
         let parts: Vec<PartId> = self.fabric.partitioner().parts().collect();
         let pipe_weights = Weight::ROOT.split(stage.pipelines.len(), &mut d.rng);
         let mut source_reports_expected = 0usize;
-        let mut total_finished = Weight::ZERO;
-        // In-flight ledger: weight/count issued to the parked pool minus
-        // weight/count consumed from it. The count can dip negative
-        // transiently when a consumer's report arrives before the issuer's.
-        let mut inflight_weight = Weight::ZERO;
-        let mut inflight_count = 0i64;
         for (pi, pw) in pipe_weights.into_iter().enumerate() {
             match &stage.pipelines[pi].source {
                 SourceSpec::Param { param } => {
@@ -501,9 +541,10 @@ impl BspEngine {
                         .ok_or_else(|| {
                             GdError::InvalidProgram(format!("param {param} is not a vertex"))
                         })?;
-                    let owner = self.fabric.partitioner().worker_of(v);
+                    // The graph's placement, not the raw hash: Fennel may
+                    // have placed `v` elsewhere.
                     d.outbox.send_ctrl_worker(
-                        owner,
+                        self.graph.worker_of(v),
                         WorkerMsg::StartSource {
                             query,
                             pipeline: pi as u16,
@@ -530,110 +571,51 @@ impl BspEngine {
                     let interp = ctx.interpreter(&self.graph, stage_idx as u16);
                     let out = interp.seed_prev_rows(pi as u16, &prev_rows, pw, &mut d.rng)?;
                     for (dest, t) in out.spawned {
-                        inflight_weight.absorb(t.weight);
-                        inflight_count += 1;
-                        d.outbox
-                            .send_traverser(self.fabric.partitioner().worker_of_part(dest), t);
+                        let w = self.fabric.partitioner().worker_of_part(dest);
+                        tally.expect[w.as_usize()] += 1;
+                        d.outbox.send_traverser(w, t);
                     }
-                    total_finished.absorb(out.finished);
+                    tally.finished.absorb(out.finished);
                     d.outbox.flush_all();
                 }
             }
         }
 
         let mut rows: Vec<Row> = Vec::new();
-        // Collect source reports.
-        let mut got = 0usize;
-        while got < source_reports_expected {
-            if let CoordMsg::BspStepDone {
-                query: q,
-                finished,
-                issued,
-                count,
-                ..
-            } = self.next_msg(d, query, deadline, &mut rows)?
-            {
-                if q == query {
-                    total_finished.absorb(finished);
-                    inflight_weight.absorb(issued);
-                    inflight_count += count as i64;
-                    got += 1;
-                }
-            }
-        }
+        self.await_reports(
+            d,
+            query,
+            source_reports_expected,
+            deadline,
+            &mut rows,
+            tally,
+        )?;
 
-        // Superstep loop.
+        // Superstep loop: each worker runs once it holds every traverser
+        // the reports so far sent it.
         let num_parts = self.num_parts() as usize;
         let mut depth = 0u32;
-        while inflight_count > 0 {
-            // Delivery barrier: wait until every issued traverser has been
-            // parked somewhere. Each probe round is tagged so straggler
-            // replies from a previous round are ignored.
-            let mut round = depth as u64 * 1_000_000;
-            let mut backoff = Duration::from_micros(100);
-            loop {
-                round += 1;
-                self.broadcast(d, || WorkerMsg::Bsp(BspSignal::Probe { query, round }));
-                let mut parked = Weight::ZERO;
-                let mut replies = 0;
-                while replies < num_parts {
-                    if let CoordMsg::BspParked {
-                        query: q,
-                        parked: p,
-                        round: r,
-                        ..
-                    } = self.next_msg(d, query, deadline, &mut rows)?
-                    {
-                        if q == query && r == round {
-                            parked.absorb(p);
-                            replies += 1;
-                        }
-                    }
-                }
-                if parked == inflight_weight {
-                    break;
-                }
-                // Exponential backoff keeps probe traffic from amplifying
-                // load when deliveries are slow (oversubscribed hosts).
-                std::thread::sleep(backoff);
-                backoff = (backoff * 2).min(Duration::from_millis(20));
+        while tally.expect.iter().sum::<u64>() > tally.consumed {
+            for (w, &expect) in tally.expect.iter().enumerate() {
+                d.outbox.send_ctrl_worker(
+                    WorkerId(w as u32),
+                    WorkerMsg::Bsp(BspSignal::RunStep {
+                        query,
+                        depth,
+                        expect,
+                    }),
+                );
             }
-            // Compute phase.
-            self.broadcast(d, || WorkerMsg::Bsp(BspSignal::RunStep { query, depth }));
-            let mut replies = 0;
-            while replies < num_parts {
-                if let CoordMsg::BspStepDone {
-                    query: q,
-                    finished,
-                    issued,
-                    count,
-                    consumed,
-                    consumed_count,
-                    steps: s,
-                    ..
-                } = self.next_msg(d, query, deadline, &mut rows)?
-                {
-                    if q == query {
-                        total_finished.absorb(finished);
-                        inflight_weight.absorb(issued);
-                        inflight_weight = inflight_weight.sub(consumed);
-                        inflight_count += count as i64 - consumed_count as i64;
-                        *steps += s;
-                        replies += 1;
-                    }
-                }
-            }
+            self.await_reports(d, query, num_parts, deadline, &mut rows, tally)?;
             depth += 1;
         }
-        // The delivery barrier decided completion independently of the
+        // The traverser counts decided completion independently of the
         // weight sum — cross-check the two mechanisms against each other.
-        WeightLedger::check_stage_total(query, total_finished)
-            .map_err(GdError::InvariantViolation)?;
+        let finished = std::mem::take(&mut tally.finished);
+        WeightLedger::check_stage_total(query, finished).map_err(GdError::InvariantViolation)?;
 
-        // Drain straggling row messages (all weights are accounted for, but
-        // the row batches travel on the data path and may still be in
-        // flight; probe-style barrier ensures traversers landed — rows are
-        // flushed before the StepDone of the same worker, so they are here).
+        // Drain straggling row messages: a worker flushes its rows before
+        // its `BspStepDone`, so they are here.
         while let Ok(msg) = d.coord_rx.try_recv() {
             self.absorb_rows(query, msg, &mut rows)?;
         }
@@ -663,6 +645,41 @@ impl BspEngine {
                 .finalize(&agg.func));
         }
         Ok(rows)
+    }
+
+    /// Wait for `n` step reports of `query`, folding them into `tally`.
+    fn await_reports(
+        &self,
+        d: &mut Driver,
+        query: QueryId,
+        n: usize,
+        deadline: Instant,
+        rows: &mut Vec<Row>,
+        tally: &mut Tally,
+    ) -> GdResult<()> {
+        let mut got = 0;
+        while got < n {
+            if let CoordMsg::BspStepDone {
+                query: q,
+                finished,
+                sent,
+                consumed_count,
+                steps,
+                ..
+            } = self.next_msg(d, query, deadline, rows)?
+            {
+                if q == query {
+                    for (e, s) in tally.expect.iter_mut().zip(&sent) {
+                        *e += s;
+                    }
+                    tally.consumed += consumed_count;
+                    tally.finished.absorb(finished);
+                    tally.steps += steps;
+                    got += 1;
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Receive the next message, folding row deliveries and surfacing
@@ -730,11 +747,18 @@ impl QueryEngine for BspEngine {
 mod tests {
     use super::*;
     use graphdance_common::{Partitioner, VertexId};
+    use graphdance_pstm::Traverser;
     use graphdance_query::QueryBuilder;
     use graphdance_storage::GraphBuilder;
 
     fn ring(n: u64, parts: Partitioner) -> Graph {
-        let mut b = GraphBuilder::new(parts);
+        ring_placed(n, parts, FxHashMap::default())
+    }
+
+    /// A directed ring whose vertices sit where `placed` says, by hash
+    /// otherwise.
+    fn ring_placed(n: u64, parts: Partitioner, placed: FxHashMap<VertexId, PartId>) -> Graph {
+        let mut b = GraphBuilder::with_assignments(parts, placed);
         let person = b.schema_mut().register_vertex_label("Person");
         let knows = b.schema_mut().register_edge_label("knows");
         let weight = b.schema_mut().register_prop("weight");
@@ -749,9 +773,9 @@ mod tests {
         b.finish()
     }
 
-    #[test]
-    fn bsp_khop_matches_expectation() {
-        let g = ring(32, Partitioner::new(2, 2));
+    /// The vertices 1 to 3 hops out from vertex 0, sorted, as BSP runs it
+    /// on a 2 × 2 cluster over `g`.
+    fn khop3_from_0(g: &Graph) -> Vec<u64> {
         let engine = BspEngine::start(g.clone(), EngineConfig::new(2, 2));
         let mut b = QueryBuilder::new(g.schema());
         b.v_param(0);
@@ -761,14 +785,31 @@ mod tests {
         });
         b.dedup();
         let plan = b.compile().unwrap();
-        let mut rows = engine
+        let rows = engine
             .query_timed(&plan, vec![Value::Vertex(VertexId(0))])
             .unwrap()
             .rows;
-        rows.sort_by(|a, b| a[0].cmp_total(&b[0]));
-        let got: Vec<u64> = rows.iter().map(|r| r[0].as_vertex().unwrap().0).collect();
-        assert_eq!(got, vec![1, 2, 3]);
         engine.shutdown();
+        let mut got: Vec<u64> = rows.iter().map(|r| r[0].as_vertex().unwrap().0).collect();
+        got.sort_unstable();
+        got
+    }
+
+    #[test]
+    fn bsp_khop_matches_expectation() {
+        assert_eq!(khop3_from_0(&ring(32, Partitioner::new(2, 2))), [1, 2, 3]);
+    }
+
+    /// A parameter source starts on the worker the graph placed its vertex
+    /// on, not on its hash home, which does not hold it.
+    #[test]
+    fn bsp_starts_a_placed_source_where_it_lives() {
+        let parts = Partitioner::new(2, 2);
+        let home = parts.part_of(VertexId(0));
+        let away = PartId((home.0 + 1) % parts.num_parts());
+        let g = ring_placed(32, parts, [(VertexId(0), away)].into_iter().collect());
+        assert_eq!(g.part_of(VertexId(0)), away);
+        assert_eq!(khop3_from_0(&g), [1, 2, 3]);
     }
 
     #[test]
@@ -800,27 +841,23 @@ mod tests {
         engine.shutdown();
     }
 
-    /// A query's parked frontier lives in the worker's arena until the
-    /// query ends: `QueryEnd` frees every slot and interned register file.
-    #[test]
-    fn query_end_frees_the_parked_frontier() {
+    /// The one worker of a 1 × 1 cluster over a 16-vertex ring, holding
+    /// query 1 of the plan `build` writes (`$0` = vertex 0), with the
+    /// receivers of its reports and of its own inbox lane.
+    fn lone_worker(
+        build: impl FnOnce(&mut QueryBuilder<'_>),
+    ) -> (BspWorker, Receiver<CoordMsg>, Receiver<WorkerMsg>) {
         let g = ring(16, Partitioner::new(1, 1));
-        let config = EngineConfig::new(1, 1);
-        let (wtx, _wrx) = unbounded();
+        let (wtx, wrx) = unbounded();
         let (ctx_tx, crx) = unbounded();
-        let (fabric, _threads) = Fabric::new(&config, vec![wtx], ctx_tx);
+        let (fabric, _threads) = Fabric::new(&EngineConfig::new(1, 1), vec![wtx], ctx_tx);
         let (_, inbox) = unbounded();
         let mut w = BspWorker::new(WorkerId(0), g.clone(), &fabric, inbox, 7);
         let mut b = QueryBuilder::new(g.schema());
-        b.v_param(0);
-        let c = b.alloc_slot();
-        b.repeat(1, 4, c, |r| {
-            r.out("knows");
-        });
-        let query = QueryId(1);
+        build(&mut b);
         w.handle(WorkerMsg::QueryBegin {
             ctx: Arc::new(QueryCtx {
-                query,
+                query: QueryId(1),
                 plan: b.compile().unwrap(),
                 params: vec![Value::Vertex(VertexId(0))],
                 read_ts: graphdance_storage::TS_LIVE - 1,
@@ -828,13 +865,32 @@ mod tests {
             stage: 0,
             from: None,
         });
+        (w, crx, wrx)
+    }
+
+    /// A query's parked frontier lives in the worker's arena until the
+    /// query ends: `QueryEnd` frees every slot and interned register file.
+    #[test]
+    fn query_end_frees_the_parked_frontier() {
+        let (mut w, crx, _wrx) = lone_worker(|b| {
+            b.v_param(0);
+            let c = b.alloc_slot();
+            b.repeat(1, 4, c, |r| {
+                r.out("knows");
+            });
+        });
+        let query = QueryId(1);
         w.handle(WorkerMsg::StartSource {
             query,
             pipeline: 0,
             weight: Weight::ROOT,
         });
         for depth in 0..2 {
-            w.handle(WorkerMsg::Bsp(BspSignal::RunStep { query, depth }));
+            w.handle(WorkerMsg::Bsp(BspSignal::RunStep {
+                query,
+                depth,
+                expect: 0,
+            }));
         }
         assert!(
             w.arena.live() > 0 && w.locals.live() > 0,
@@ -849,5 +905,43 @@ mod tests {
         assert!(steps > 0, "supersteps report the plan steps they ran");
         w.handle(WorkerMsg::QueryEnd { query });
         assert_eq!((w.arena.live(), w.locals.live()), (0, 0));
+    }
+
+    /// A `RunStep` short of its `expect` waits; the arrival that meets it
+    /// runs the step.
+    #[test]
+    fn run_step_waits_for_its_expected_arrivals() {
+        let (mut w, crx, _wrx) = lone_worker(|b| {
+            b.v_param(0).out("knows");
+        });
+        let query = QueryId(1);
+        w.handle(WorkerMsg::Bsp(BspSignal::RunStep {
+            query,
+            depth: 0,
+            expect: 2,
+        }));
+        let arrival = || {
+            WorkerMsg::Batch(vec![Traverser::root(
+                query,
+                0,
+                VertexId(0),
+                0,
+                Weight::ROOT,
+            )])
+        };
+        let reports = || {
+            std::iter::from_fn(|| crx.try_recv().ok())
+                .filter_map(|m| match m {
+                    CoordMsg::BspStepDone { consumed_count, .. } => Some(consumed_count),
+                    _ => None,
+                })
+                .collect::<Vec<_>>()
+        };
+        w.handle(arrival());
+        assert_eq!(reports(), [], "one of two arrived: the step is held");
+        w.handle(arrival());
+        assert_eq!(reports(), [2], "the second arrival runs the step");
+        w.handle(arrival());
+        assert_eq!(reports(), [], "a later arrival waits for its own step");
     }
 }

@@ -263,7 +263,7 @@ impl Coordinator {
             CoordMsg::WorkerError { query, error } => {
                 self.finish(query, Err(error));
             }
-            CoordMsg::BspStepDone { .. } | CoordMsg::BspParked { .. } => {
+            CoordMsg::BspStepDone { .. } => {
                 // BSP control traffic is only meaningful to the BSP driver.
             }
             // The run() loop exits on Shutdown before dispatching here.

@@ -8,7 +8,7 @@ use crossbeam::channel::Sender;
 
 use crate::engine::QueryResult;
 
-use graphdance_common::{GdError, GdResult, PartId, QueryId, Value, WorkerId};
+use graphdance_common::{GdError, GdResult, QueryId, Value, WorkerId};
 use graphdance_pstm::{AggState, HandOff, Interpreter, Row, Traverser, Weight};
 use graphdance_query::plan::Plan;
 use graphdance_storage::{Graph, Timestamp};
@@ -97,13 +97,16 @@ pub enum WorkerMsg {
 /// Superstep control for the BSP baseline (§II-C1, Fig. 2b).
 #[derive(Debug, Clone, Copy)]
 pub enum BspSignal {
-    /// Execute every parked traverser at `depth`, then report `BspStepDone`.
-    RunStep { query: QueryId, depth: u32 },
-    /// Report the currently parked weight (delivery barrier probe).
-    /// `round` disambiguates replies of successive probe rounds — a
-    /// straggler from an earlier round must not be counted against a later
-    /// one.
-    Probe { query: QueryId, round: u64 },
+    /// Execute every parked traverser at or below `depth`, then report
+    /// `BspStepDone`. `expect` is the number of this query's traversers the
+    /// worker must have parked, over the whole query, before it runs: the
+    /// superstep barrier. A worker short of it holds the signal and runs
+    /// the step from the arrival that meets it.
+    RunStep {
+        query: QueryId,
+        depth: u32,
+        expect: u64,
+    },
     /// Reply with this partition's aggregation partial for the stage the
     /// last barrier closed (Fig. 6 gather phase).
     Gather { query: QueryId },
@@ -251,30 +254,19 @@ pub enum CoordMsg {
     },
     /// A worker hit an error executing this query.
     WorkerError { query: QueryId, error: GdError },
-    /// BSP baseline: one worker finished its superstep. `finished` is the
-    /// weight released during the step; `issued`/`count` describe the
-    /// traversers this worker parked or sent for a later superstep, and
-    /// `consumed`/`consumed_count` the previously parked traversers it
-    /// executed, and `steps` the plan steps they ran. The driver's
-    /// in-flight ledger (Σissued − Σconsumed) makes the delivery barrier
-    /// immune to data-path messages overtaking the `RunStep` control
-    /// signal.
+    /// BSP baseline: one worker finished its superstep (or its pipeline
+    /// source). `sent[w]` counts the traversers it sent worker `w` for a
+    /// later superstep, its own parks at `sent[self]`; the driver sums them
+    /// into each worker's next `RunStep::expect`. `finished` is the weight
+    /// released during the step, `consumed_count` the parked traversers it
+    /// executed and `steps` the plan steps they ran. The stage is done when
+    /// Σ`sent` = Σ`consumed_count`.
     BspStepDone {
         query: QueryId,
-        part: PartId,
         finished: Weight,
-        issued: Weight,
-        count: u64,
-        consumed: Weight,
+        sent: Vec<u64>,
         consumed_count: u64,
         steps: u64,
-    },
-    /// BSP baseline: reply to a delivery-barrier probe.
-    BspParked {
-        query: QueryId,
-        part: PartId,
-        parked: Weight,
-        round: u64,
     },
     /// Stop the coordinator thread.
     Shutdown,

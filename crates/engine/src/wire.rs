@@ -1173,13 +1173,13 @@ impl Wire for WorkerMsg {
                 buf.put_u8(6);
                 query.put(buf);
             }
-            WorkerMsg::Bsp(BspSignal::RunStep { query, depth }) => {
+            WorkerMsg::Bsp(BspSignal::RunStep {
+                query,
+                depth,
+                expect,
+            }) => {
                 buf.put_u8(11);
-                put!(buf, query, depth);
-            }
-            WorkerMsg::Bsp(BspSignal::Probe { query, round }) => {
-                buf.put_u8(12);
-                put!(buf, query, round);
+                put!(buf, query, depth, expect);
             }
             WorkerMsg::Bsp(BspSignal::Gather { query }) => {
                 buf.put_u8(4);
@@ -1230,10 +1230,7 @@ impl Wire for WorkerMsg {
             11 => Ok(WorkerMsg::Bsp(BspSignal::RunStep {
                 query: QueryId::get(r)?,
                 depth: u32::get(r)?,
-            })),
-            12 => Ok(WorkerMsg::Bsp(BspSignal::Probe {
-                query: QueryId::get(r)?,
-                round: u64::get(r)?,
+                expect: u64::get(r)?,
             })),
             13 => Ok(WorkerMsg::Shutdown),
             t => Err(bad("worker-msg", t)),
@@ -1275,35 +1272,13 @@ impl Wire for CoordMsg {
             }
             CoordMsg::BspStepDone {
                 query,
-                part,
                 finished,
-                issued,
-                count,
-                consumed,
+                sent,
                 consumed_count,
                 steps,
             } => {
                 buf.put_u8(6);
-                put!(
-                    buf,
-                    query,
-                    part,
-                    finished,
-                    issued,
-                    count,
-                    consumed,
-                    consumed_count,
-                    steps
-                );
-            }
-            CoordMsg::BspParked {
-                query,
-                part,
-                parked,
-                round,
-            } => {
-                buf.put_u8(7);
-                put!(buf, query, part, parked, round);
+                put!(buf, query, finished, sent, consumed_count, steps);
             }
             CoordMsg::Shutdown => buf.put_u8(11),
         }
@@ -1332,19 +1307,10 @@ impl Wire for CoordMsg {
             }),
             6 => Ok(CoordMsg::BspStepDone {
                 query: QueryId::get(r)?,
-                part: PartId::get(r)?,
                 finished: Weight::get(r)?,
-                issued: Weight::get(r)?,
-                count: u64::get(r)?,
-                consumed: Weight::get(r)?,
+                sent: Vec::get(r)?,
                 consumed_count: u64::get(r)?,
                 steps: u64::get(r)?,
-            }),
-            7 => Ok(CoordMsg::BspParked {
-                query: QueryId::get(r)?,
-                part: PartId::get(r)?,
-                parked: Weight::get(r)?,
-                round: u64::get(r)?,
             }),
             11 => Ok(CoordMsg::Shutdown),
             t => Err(bad("coord-msg", t)),
@@ -1676,10 +1642,7 @@ mod tests {
             WorkerMsg::Bsp(BspSignal::RunStep {
                 query: QueryId(1),
                 depth: 4,
-            }),
-            WorkerMsg::Bsp(BspSignal::Probe {
-                query: QueryId(1),
-                round: 7,
+                expect: 7,
             }),
             WorkerMsg::Bsp(BspSignal::Gather { query: QueryId(1) }),
             WorkerMsg::Shutdown,
@@ -1722,19 +1685,10 @@ mod tests {
             },
             CoordMsg::BspStepDone {
                 query: QueryId(3),
-                part: PartId(0),
                 finished: Weight(1),
-                issued: Weight(2),
-                count: 3,
-                consumed: Weight(4),
+                sent: vec![2, 0, u64::MAX],
                 consumed_count: 5,
                 steps: 6,
-            },
-            CoordMsg::BspParked {
-                query: QueryId(3),
-                part: PartId(1),
-                parked: Weight(6),
-                round: 2,
             },
             CoordMsg::Shutdown,
         ];
@@ -2250,8 +2204,16 @@ mod tests {
             },
             WorkerMsg::QueryEnd { query: q },
             WorkerMsg::CancelQuery { query: q },
-            WorkerMsg::Bsp(BspSignal::RunStep { query: q, depth: 4 }),
-            WorkerMsg::Bsp(BspSignal::Probe { query: q, round: 7 }),
+            WorkerMsg::Bsp(BspSignal::RunStep {
+                query: q,
+                depth: 4,
+                expect: 7,
+            }),
+            WorkerMsg::Bsp(BspSignal::RunStep {
+                query: q,
+                depth: u32::MAX,
+                expect: u64::MAX,
+            }),
             WorkerMsg::Bsp(BspSignal::Gather { query: q }),
             WorkerMsg::Shutdown,
         ];
@@ -2288,19 +2250,17 @@ mod tests {
             },
             CoordMsg::BspStepDone {
                 query: q,
-                part: PartId(0),
                 finished: Weight(1),
-                issued: Weight(2),
-                count: 3,
-                consumed: Weight(4),
+                sent: vec![],
                 consumed_count: 5,
                 steps: 6,
             },
-            CoordMsg::BspParked {
+            CoordMsg::BspStepDone {
                 query: q,
-                part: PartId(1),
-                parked: Weight(6),
-                round: 2,
+                finished: Weight(6),
+                sent: vec![0, 3, u64::MAX],
+                consumed_count: u64::MAX,
+                steps: 0,
             },
             CoordMsg::Shutdown,
         ];
@@ -2343,7 +2303,7 @@ mod tests {
         });
         assert_eq!(
             (body.len(), fnv),
-            (45_658, 0x0402_2604_b235_151c),
+            (45_678, 0x46f1_b607_7689_efc0),
             "the wire layout moved"
         );
         let back: Vec<WireMsg> = decode_packet(&body)

@@ -39,7 +39,7 @@ pub(crate) mod json;
 
 pub use hist::{bucket_hi, bucket_lo, bucket_of, BUCKETS};
 pub use registry::{MetricId, MetricKind, Registry, ShardHandle};
-pub use shared::{SharedCounter, SharedHistogram};
+pub use shared::SharedHistogram;
 pub use snapshot::{HistData, Metric, MetricValue, MetricsSnapshot};
 pub use trace::{
     QueryTrace, SpanRecord, StageTrace, TraceSink, COORD_WORKER, LANES, LANE_NAMES, LANE_TRAVERSER,

@@ -1,38 +1,16 @@
-//! Shared (multi-writer) counters and histograms.
+//! Shared (multi-writer) histograms.
 //!
-//! The sharded registry is the hot-path tool; these types cover the places
+//! The sharded registry is the hot-path tool; this type covers the places
 //! that *cannot* own a per-thread shard — e.g. storage structures behind an
-//! `Arc` that several workers read. They pay for it with relaxed
-//! `fetch_add` RMWs, so they belong on amortized paths only (one update per
-//! scan, not per entry). Snapshots of these are merged into a
+//! `Arc` that several workers read. It pays for that with relaxed
+//! `fetch_add` RMWs, so it belongs on amortized paths only (one update per
+//! scan, not per entry). Its snapshots are merged into a
 //! [`crate::MetricsSnapshot`] by whoever owns them.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::hist::{bucket_of, BUCKETS};
 use crate::snapshot::HistData;
-
-/// A plain shared counter (relaxed `fetch_add`).
-#[derive(Debug, Default)]
-pub struct SharedCounter(AtomicU64);
-
-impl SharedCounter {
-    /// Zeroed counter.
-    pub const fn new() -> Self {
-        Self(AtomicU64::new(0))
-    }
-
-    /// Add `n`.
-    #[inline]
-    pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
 
 /// A shared log-2 histogram (relaxed `fetch_add` per sample).
 #[derive(Debug)]
@@ -81,12 +59,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn shared_counter_and_histogram() {
-        let c = SharedCounter::new();
-        c.add(2);
-        c.add(3);
-        assert_eq!(c.get(), 5);
-
+    fn shared_histogram() {
         let h = SharedHistogram::new();
         for v in [0u64, 1, 2, 3, 1024] {
             h.observe(v);

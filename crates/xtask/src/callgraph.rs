@@ -45,7 +45,7 @@ pub const MAX_CANDIDATES: usize = 3;
 /// every real call site; resolving it to a same-named workspace method
 /// cross-connects unrelated subsystems with phantom edges. Method-call
 /// syntax never resolves through these names — **qualified** calls
-/// (`SharedCounter::get(…)`) still do, so a genuinely lock-holding impl can
+/// (`Type::get(…)`) still do, so a genuinely lock-holding impl can
 /// always be made visible to the analysis by naming it.
 pub const STD_COLLISIONS: &[&str] = &[
     "get",
