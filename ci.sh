@@ -115,6 +115,19 @@ kill "${spinners[@]}"
 wait "${spinners[@]}" 2>/dev/null || true
 trap - EXIT
 
+echo "==> coordinator drive protocol x200 (release; no message left in the inbox)"
+# The coordinator has no thread: whoever sends to it drives it behind a
+# try-lock and re-checks the inbox after unlocking. Dropping that re-check
+# strands a message in about one run in ten of this test, so 200 runs
+# catch it; the first failure stops the gate and names the iteration.
+engine_bin=$(cargo test --release -p graphdance-engine --lib --no-run 2>&1 \
+    | sed -n 's/.*Executable.*(\(.*\))$/\1/p')
+[ -x "$engine_bin" ] || { echo "graphdance-engine unit-test binary not found"; exit 1; }
+for i in $(seq 1 200); do
+    "$engine_bin" -q coordinator::tests::drive_strands_no_message >/dev/null 2>&1 \
+        || { echo "drive_strands_no_message failed on iteration $i"; exit 1; }
+done
+
 echo "==> transport: sim/TCP parity (multi-process loopback clusters)"
 # SimCluster and live 2-/3-process clusters (TCP and Unix sockets) must
 # produce identical row multisets on the same seeds.

@@ -172,6 +172,11 @@ impl SharedWorker {
             if executed == 0 {
                 self.flush_progress();
                 self.outbox.flush_all();
+            }
+            // What the flushes put in the coordinator's inbox runs here,
+            // with no node-shared lock held.
+            self.outbox.drive_coordinator();
+            if executed == 0 {
                 match self.inbox.recv_timeout(Duration::from_micros(200)) {
                     Ok(WorkerMsg::Shutdown) => return,
                     Ok(msg) => self.handle(msg),
@@ -453,6 +458,8 @@ pub struct NonPartitionedEngine {
     coord_tx: Sender<CoordMsg>,
     worker_tx: Vec<Sender<WorkerMsg>>,
     threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
+    /// Stops the coordinator's timer.
+    timer_stop: Sender<()>,
     txn: Arc<graphdance_txn::TxnSystem>,
     /// Client-side query-id allocator (ids are pre-assigned on submit).
     // sync: monotonic id counter; fetch_add uniqueness is all that matters
@@ -489,18 +496,15 @@ impl NonPartitionedEngine {
             );
         }
         let coordinator = Coordinator::new(graph.clone(), &fabric, coord_rx, &config);
-        threads.push(
-            std::thread::Builder::new()
-                .name("np-coordinator".into())
-                .spawn(move || coordinator.run())
-                .expect("spawn coordinator"),
-        );
+        let (timer_stop, timer) = coordinator.host();
+        threads.push(timer);
         let txn = Arc::new(graphdance_txn::TxnSystem::new(graph));
         NonPartitionedEngine {
             fabric,
             coord_tx,
             worker_tx,
             threads: Mutex::new(threads),
+            timer_stop,
             txn,
             qid: AtomicU64::new(1),
         }
@@ -508,7 +512,10 @@ impl NonPartitionedEngine {
 
     /// Stop all threads.
     pub fn shutdown(&self) {
-        let _ = self.coord_tx.send(CoordMsg::Shutdown);
+        if self.coord_tx.send(CoordMsg::Shutdown).is_ok() {
+            self.fabric.drive_coordinator();
+        }
+        let _ = self.timer_stop.send(());
         for tx in &self.worker_tx {
             let _ = tx.send(WorkerMsg::Shutdown);
         }
@@ -537,6 +544,7 @@ impl QueryEngine for NonPartitionedEngine {
             deadline: None,
         };
         self.coord_tx.send(msg).map_err(|_| GdError::EngineClosed)?;
+        self.fabric.drive_coordinator();
         rx.recv().unwrap_or(Err(GdError::EngineClosed))
     }
 

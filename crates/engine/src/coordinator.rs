@@ -16,12 +16,22 @@
 //! query's [`WeightAccumulator`], reset at every stage; the stage's scope
 //! is complete exactly when the wrapping sum lands on [`Weight::ROOT`]
 //! (false-positive probability ≤ (n−1)/2⁶⁴, Theorem 1).
+//!
+//! The coordinator has no thread. The threaded runtime keeps it in its
+//! fabric's [`CoordSlot`], and whichever thread just put a message in its
+//! inbox — a client submitting or cancelling, a worker whose flush carried
+//! progress, an ingress or socket reader thread — runs it there
+//! ([`CoordSlot::drive`]); a timer drives it every [`TICK`] for deadlines
+//! and the watchdog. The simulator pumps it directly as one of its actors.
 
+use std::sync::OnceLock;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use graphdance_common::time::now;
 
-use crossbeam::channel::Receiver;
+use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 
 use graphdance_common::{FxHashMap, GdError, GdResult, NodeId, PartId, QueryId, Value, WorkerId};
@@ -34,12 +44,13 @@ use crate::engine::QueryResult;
 use crate::invariants::MsgLedger;
 use crate::messages::{CoordMsg, QueryCtx, QueryScope, ReplySink, WorkerMsg};
 use crate::net::{Fabric, Outbox, WireMsg};
+use crate::worker::PumpStatus;
 
 use std::sync::Arc;
 
-/// Simulated bookkeeping cost of one progress report at the centralized
-/// tracker (queue handling + map update on a contended path).
-const TRACKER_COST_PER_REPORT: Duration = Duration::from_nanos(900);
+/// How often the head's timer drives the coordinator: the granularity of
+/// query deadlines and of the liveness watchdog when no message arrives.
+pub const TICK: Duration = Duration::from_millis(20);
 
 struct QueryState {
     ctx: Arc<QueryCtx>,
@@ -78,7 +89,8 @@ struct Submission {
     deadline: Option<Instant>,
 }
 
-/// The coordinator thread state.
+/// The coordinator's state: run by whichever thread drives it
+/// ([`CoordSlot::drive`]), or pumped by the simulator.
 pub struct Coordinator {
     graph: Graph,
     fabric: Arc<Fabric>,
@@ -124,37 +136,36 @@ impl Coordinator {
         }
     }
 
-    /// Main loop; returns on `Shutdown`.
-    pub fn run(mut self) {
-        loop {
-            match self.pump() {
-                crate::worker::PumpStatus::Stopped => return,
-                crate::worker::PumpStatus::Worked | crate::worker::PumpStatus::Idle => {}
-            }
-            // Block (bounded by the timer tick) for the next message; the
-            // next pump drains it along with anything else queued.
-            match self.inbox.recv_timeout(Duration::from_millis(20)) {
-                Ok(CoordMsg::Shutdown) => {
-                    self.fail_all(GdError::EngineClosed);
-                    return;
+    /// Hand this coordinator to the threads of its fabric: from now on a
+    /// thread that sends it a message runs it ([`Fabric::drive_coordinator`]),
+    /// and a timer thread drives it every [`TICK`]. Send on (or drop) the
+    /// returned sender to stop the timer, then join the handle.
+    pub fn host(self) -> (Sender<()>, JoinHandle<()>) {
+        let fabric = Arc::clone(&self.fabric);
+        fabric.coordinator.host(self);
+        let (wake, wake_rx) = unbounded::<()>();
+        let timer = std::thread::Builder::new()
+            .name("gd-coord-timer".into())
+            .spawn(move || {
+                while let Err(RecvTimeoutError::Timeout) = wake_rx.recv_timeout(TICK) {
+                    fabric.coordinator.drive();
                 }
-                Ok(msg) => self.handle(msg),
-                Err(crossbeam::channel::RecvTimeoutError::Timeout) => {}
-                Err(crossbeam::channel::RecvTimeoutError::Disconnected) => return,
-            }
-        }
+            })
+            // Startup, before any query: an unusable process, not a wedged query.
+            .expect("spawn coordinator timer"); // lint: allow(hot-path-panics)
+        (wake, timer)
     }
 
     /// One non-blocking scheduling quantum: drain every queued message and
     /// enforce timers. Used directly by the deterministic simulator and by
-    /// [`Coordinator::run`].
-    pub fn pump(&mut self) -> crate::worker::PumpStatus {
+    /// [`CoordSlot::drive`].
+    pub fn pump(&mut self) -> PumpStatus {
         let mut worked = false;
         loop {
             match self.inbox.try_recv() {
                 Ok(CoordMsg::Shutdown) => {
                     self.fail_all(GdError::EngineClosed);
-                    return crate::worker::PumpStatus::Stopped;
+                    return PumpStatus::Stopped;
                 }
                 Ok(msg) => {
                     self.handle(msg);
@@ -167,9 +178,9 @@ impl Coordinator {
         // What the quantum buffered — `QueryEnd`s above all — leaves now.
         self.outbox.flush_all();
         if worked {
-            crate::worker::PumpStatus::Worked
+            PumpStatus::Worked
         } else {
-            crate::worker::PumpStatus::Idle
+            PumpStatus::Idle
         }
     }
 
@@ -230,11 +241,6 @@ impl Coordinator {
                 weight,
                 steps,
             } => {
-                // The central tracker pays a per-report handling cost; with
-                // weight coalescing the report count is tiny, without it
-                // this serialized work is the bottleneck the paper measures
-                // (§IV-A, Fig. 10/11).
-                crate::net::charge(TRACKER_COST_PER_REPORT);
                 // Reports for a query no longer here (finished, failed or
                 // never seen) are stragglers and change nothing.
                 if let Some(s) = self.queries.get_mut(&query) {
@@ -266,8 +272,8 @@ impl Coordinator {
             CoordMsg::BspStepDone { .. } => {
                 // BSP control traffic is only meaningful to the BSP driver.
             }
-            // The run() loop exits on Shutdown before dispatching here.
-            CoordMsg::Shutdown => unreachable!("handled in run()"), // lint: allow(hot-path-panics)
+            // `pump` stops on Shutdown before dispatching here.
+            CoordMsg::Shutdown => unreachable!("handled in pump()"), // lint: allow(hot-path-panics)
         }
     }
 
@@ -669,6 +675,76 @@ impl Coordinator {
     }
 }
 
+/// Where a threaded runtime keeps its coordinator: behind a lock that no
+/// thread ever waits on. A thread that has just put a message in the
+/// coordinator's inbox takes the lock if it is free and runs the
+/// coordinator itself; if it is held, the holder runs the message. The
+/// slot stays empty in the simulator (which pumps its coordinator as an
+/// actor), in a follower process and under the BSP baseline (which reads
+/// the inbox itself).
+pub struct CoordSlot {
+    // sync: only ever try-locked (`drive`). A driver that finds it held
+    // leaves its message to the holder, which re-checks the inbox after
+    // unlocking; the inbox is a mutex-guarded queue, so a message enqueued
+    // before a failed try-lock is visible to that re-check.
+    coord: OnceLock<Mutex<Option<Coordinator>>>,
+    /// The inbox's sending half, kept to ask whether it is empty.
+    inbox: Sender<CoordMsg>,
+}
+
+impl CoordSlot {
+    /// An empty slot over the coordinator inbox `inbox` feeds.
+    pub(crate) fn new(inbox: Sender<CoordMsg>) -> Self {
+        CoordSlot {
+            coord: OnceLock::new(),
+            inbox,
+        }
+    }
+
+    /// Put `coordinator` in the slot (once per fabric: a second one is
+    /// dropped).
+    fn host(&self, coordinator: Coordinator) {
+        let _ = self.coord.set(Mutex::new(Some(coordinator)));
+    }
+
+    /// Does the inbox hold a message no one has taken yet?
+    pub(crate) fn has_mail(&self) -> bool {
+        !self.inbox.is_empty()
+    }
+
+    /// Run the coordinator on this thread: try-lock, pump, unlock, and go
+    /// again while the inbox is not empty. A message is never left
+    /// waiting: its sender drives, and either runs it or failed the
+    /// try-lock while another thread held the slot, which sees it in its
+    /// re-check after unlocking. Returns at once if the slot is held, empty
+    /// or its coordinator stopped. Sinks run here, with the slot held, so
+    /// call this only where the thread holds no lock a sink might take.
+    pub(crate) fn drive(&self) {
+        let Some(slot) = self.coord.get() else {
+            return;
+        };
+        loop {
+            let Some(mut held) = slot.try_lock() else {
+                return;
+            };
+            let Some(coord) = held.as_mut() else {
+                return;
+            };
+            if coord.pump() == PumpStatus::Stopped {
+                // Dropping the coordinator drops its inbox's receiver, so a
+                // later `Submit` is handed back to its sender instead of
+                // queuing where no one reads.
+                *held = None;
+                return;
+            }
+            drop(held);
+            if self.inbox.is_empty() {
+                return;
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -783,5 +859,115 @@ mod tests {
         coord.pump();
         assert!(coord.queries.is_empty(), "a straggler re-created the query");
         assert!(rx.try_recv().is_err(), "replied twice");
+    }
+
+    /// The drive protocol strands nothing: four threads each send 10 000
+    /// messages and drive after every one, with no timer to pick up what
+    /// a driver left behind. They go in rounds of ten, and between rounds,
+    /// once every drive has returned, the inbox must be empty — a message
+    /// left there would wait for the next sender, or forever. Each
+    /// `Submit` lacks its parameter, so the coordinator resolves it the
+    /// moment it reads it; the `Cancel` beside it comes too late and
+    /// changes nothing. Two thousand queries opened first, whose worker
+    /// never runs, stay open throughout — every pump checks their
+    /// deadlines, which holds the slot past its inbox drain long enough
+    /// for a sender to fail its try-lock there — until a `Shutdown` fails
+    /// them. Every sink runs exactly once.
+    #[test]
+    fn drive_strands_no_message() {
+        use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+        use std::sync::Barrier;
+        const THREADS: u64 = 4;
+        const PER_THREAD: u64 = 10_000;
+        const ROUND: u64 = 10;
+        const OPEN: u64 = 2_000;
+        let config = EngineConfig::new(1, 1);
+        let (wtx, _wrx) = unbounded();
+        let (ctx, crx) = unbounded();
+        let (fabric, _net) = Fabric::new_sim(&config, vec![wtx], ctx.clone());
+        let graph = ring(4, Partitioner::new(1, 1));
+        fabric
+            .coordinator
+            .host(Coordinator::new(graph, &fabric, crx, &config));
+        let runs: Arc<Vec<AtomicU32>> = Arc::new(
+            (0..THREADS * PER_THREAD + OPEN)
+                .map(|_| AtomicU32::new(0))
+                .collect(),
+        );
+        let tally =
+            |runs: &Arc<Vec<AtomicU32>>, id: u64, want: fn(&GdResult<QueryResult>) -> bool| {
+                let runs = Arc::clone(runs);
+                ReplySink::new(move |result| {
+                    if want(&result) {
+                        // sync: test tally, read after the joins
+                        runs[id as usize].fetch_add(1, Ordering::Relaxed);
+                    }
+                })
+            };
+        let params = vec![Value::Vertex(VertexId(0))];
+        for id in THREADS * PER_THREAD..THREADS * PER_THREAD + OPEN {
+            let closed = |r: &GdResult<QueryResult>| matches!(r, Err(GdError::EngineClosed));
+            let sink = tally(&runs, id, closed);
+            let plan = two_stage_plan();
+            let query = QueryId(id + 1);
+            crate::engine::send_submit(&ctx, query, plan, params.clone(), 1, None, sink);
+        }
+        fabric.drive_coordinator();
+        let barrier = Arc::new(Barrier::new(THREADS as usize));
+        // Not a panic inside the round: the other threads would wait at
+        // the barrier forever.
+        let stranded = Arc::new(AtomicBool::new(false));
+        let senders: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let (fabric, ctx) = (Arc::clone(&fabric), ctx.clone());
+                let (runs, barrier, stranded) = (
+                    Arc::clone(&runs),
+                    Arc::clone(&barrier),
+                    Arc::clone(&stranded),
+                );
+                std::thread::spawn(move || {
+                    for i in 0..PER_THREAD {
+                        let id = t * PER_THREAD + i;
+                        let refused = |r: &GdResult<QueryResult>| {
+                            matches!(r, Err(GdError::InvalidProgram(_)))
+                        };
+                        let sink = tally(&runs, id, refused);
+                        let query = QueryId(id + 1);
+                        let plan = two_stage_plan();
+                        let undelivered =
+                            crate::engine::send_submit(&ctx, query, plan, vec![], 1, None, sink);
+                        assert!(undelivered.is_none(), "the coordinator is running");
+                        fabric.drive_coordinator();
+                        if i % 2 == 0 {
+                            ctx.send(CoordMsg::Cancel { query }).unwrap();
+                            fabric.drive_coordinator();
+                        }
+                        if (i + 1) % ROUND == 0 {
+                            barrier.wait();
+                            if t == 0 && fabric.coordinator.has_mail() {
+                                // sync: test flag, read after the joins
+                                stranded.store(true, Ordering::Relaxed);
+                            }
+                            barrier.wait();
+                        }
+                    }
+                })
+            })
+            .collect();
+        for s in senders {
+            s.join().unwrap();
+        }
+        ctx.send(CoordMsg::Shutdown).unwrap();
+        fabric.drive_coordinator();
+        // sync: read after the joins
+        assert!(
+            !stranded.load(Ordering::Relaxed),
+            "a round ended with a message stranded"
+        );
+        assert!(!fabric.coordinator.has_mail(), "a message was stranded");
+        for (id, n) in runs.iter().enumerate() {
+            // sync: read after the joins
+            assert_eq!(n.load(Ordering::Relaxed), 1, "query {id}'s sink");
+        }
     }
 }

@@ -16,10 +16,18 @@
 //! transport's reader threads deliver inbound packets straight into the
 //! local [`Fabric`]. Queries are submitted on the head only.
 //!
+//! The coordinator has no thread of its own: it runs on whichever thread
+//! just sent it a message — the submitting client, a worker whose flush
+//! carried progress, an ingress or socket reader thread — and on the
+//! head's `gd-coord-timer`, which drives it every
+//! [`TICK`](crate::coordinator::TICK) for deadlines and the watchdog
+//! ([`Fabric::drive_coordinator`]).
+//!
 //! ## Shutdown
 //!
 //! [`NodeRuntime::shutdown`] follows the transport seam's drain-before-close
-//! contract: worker/coordinator stop messages first, then
+//! contract: worker/coordinator stop messages first (the caller runs the
+//! coordinator's), then
 //! [`Fabric::shutdown`] enqueues the egress `Shutdown` *behind* every
 //! already-flushed packet, and the pump's `end_of_stream` appends GOODBYE
 //! and joins the transport's reader threads — peers see every flushed
@@ -214,8 +222,12 @@ pub struct NodeRuntime {
     /// Each returns its worker as it stopped; joined (and emptied) by
     /// [`NodeRuntime::retire_workers`].
     workers: parking_lot::Mutex<Vec<JoinHandle<Worker>>>,
-    /// Network threads and the coordinator; [`NodeRuntime::shutdown`]'s.
+    /// Network threads and the coordinator's timer;
+    /// [`NodeRuntime::shutdown`]'s.
     threads: parking_lot::Mutex<Vec<JoinHandle<()>>>,
+    /// Stops the coordinator's timer (present iff this runtime is the
+    /// head).
+    timer_stop: Option<Sender<()>>,
     /// Client-side query-id allocator. Ids are assigned *before* the
     /// `Submit` message is sent so a caller can cancel a query it has not
     /// yet seen complete (the service front-end depends on this).
@@ -251,7 +263,8 @@ impl NodeRuntime {
     }
 
     /// [`assemble`] one node over its transport, or (`None`) every node over
-    /// the channel backend, and put every part on its own thread.
+    /// the channel backend, and put every worker on its own thread; the
+    /// coordinator goes into the fabric, to be run by whoever sends to it.
     fn launch(
         graph: Graph,
         config: EngineConfig,
@@ -267,9 +280,11 @@ impl NodeRuntime {
         let spawn_worker = |w: Worker| spawn(format!("gd-worker-{}", w.id().0), move || w.run());
         let workers = a.workers.into_iter().map(spawn_worker).collect();
         let mut threads = a.net;
-        if let Some(coordinator) = a.coordinator {
-            threads.push(spawn("gd-coordinator".into(), move || coordinator.run()));
-        }
+        let timer_stop = a.coordinator.map(|coordinator| {
+            let (stop, timer) = coordinator.host();
+            threads.push(timer);
+            stop
+        });
         NodeRuntime {
             graph,
             fabric: a.fabric,
@@ -279,6 +294,7 @@ impl NodeRuntime {
             worker_tx: a.worker_tx,
             workers: parking_lot::Mutex::new(workers),
             threads: parking_lot::Mutex::new(threads),
+            timer_stop,
             // lint: allow(adhoc-counter) query-id allocator, not a metric
             next_qid: AtomicU64::new(1),
         }
@@ -316,20 +332,28 @@ impl NodeRuntime {
         let (reply, rx) = bounded(1);
         let (id, undelivered) =
             self.next_submit(plan.clone(), params, read_ts, deadline, reply.into());
-        if let Some(sink) = undelivered {
+        match undelivered {
             // Coordinator gone: synthesize the failure.
-            sink.complete(Err(GdError::EngineClosed));
+            Some(sink) => sink.complete(Err(GdError::EngineClosed)),
+            None => self.fabric.drive_coordinator(),
         }
         QueryHandle { id, rx }
     }
 
     /// Submit by value with a completion sink instead of a handle: the
-    /// plan is moved into the engine, and `sink` runs on the coordinator
-    /// thread when the query resolves (see [`ReplySink`] for what it may
-    /// do there). Returns the pre-assigned query id (pass to
-    /// [`NodeRuntime::cancel`]), or hands the sink back unrun when the
-    /// engine is closed. On a follower the sink is run before this returns,
-    /// on the caller's thread, with the `InvalidProgram` a handle gets there.
+    /// plan is moved into the engine, and `sink` runs, on whichever thread
+    /// is running the coordinator, when the query resolves (see
+    /// [`ReplySink`] for what it may do there). Returns the pre-assigned
+    /// query id (pass to [`NodeRuntime::cancel`]), or hands the sink back
+    /// unrun when the engine is closed. On a follower the sink is run
+    /// before this returns, on the caller's thread, with the
+    /// `InvalidProgram` a handle gets there.
+    ///
+    /// Unlike the other submit paths this one only enqueues, so a caller
+    /// may hold a lock its sinks take: call
+    /// [`Fabric::drive_coordinator`] once it holds none, or the head's
+    /// timer picks the submission up within
+    /// [`TICK`](crate::coordinator::TICK).
     pub fn submit_sink(
         &self,
         plan: Plan,
@@ -371,7 +395,9 @@ impl NodeRuntime {
     /// the drain protocol completes (or to its actual result if the query
     /// finished first).
     pub fn cancel(&self, query: QueryId) {
-        let _ = self.coord_tx.send(CoordMsg::Cancel { query });
+        if self.coord_tx.send(CoordMsg::Cancel { query }).is_ok() {
+            self.fabric.drive_coordinator();
+        }
     }
 
     /// Snapshot the network counters.
@@ -422,11 +448,12 @@ impl NodeRuntime {
     }
 
     /// Stop every thread and wait for it (module docs: drain-before-close);
-    /// in-flight queries fail with `EngineClosed`. Idempotent, and through
-    /// `&self` for an owner that cannot give the runtime up by value (the
-    /// service's sinks borrow the engine until the coordinator has
-    /// stopped). Joins the coordinator, so never call it from a
-    /// [`ReplySink`]; on a socket mesh it returns once every peer stops too.
+    /// in-flight queries fail with `EngineClosed`, their sinks run on the
+    /// caller's thread. Idempotent, and through `&self` for an owner that
+    /// cannot give the runtime up by value (the service's sinks borrow the
+    /// engine until every thread that may run one has stopped). Joins the
+    /// workers, which run sinks, so never call it from a [`ReplySink`]; on
+    /// a socket mesh it returns once every peer stops too.
     pub fn shutdown(&self) {
         drop(self.retire_workers());
         // sync: held across the joins only against a concurrent
@@ -445,7 +472,12 @@ impl NodeRuntime {
     }
 
     fn signal_stop(&self) {
-        let _ = self.coord_tx.send(CoordMsg::Shutdown);
+        if self.coord_tx.send(CoordMsg::Shutdown).is_ok() {
+            self.fabric.drive_coordinator();
+        }
+        if let Some(stop) = &self.timer_stop {
+            let _ = stop.send(());
+        }
         for tx in &self.worker_tx {
             let _ = tx.send(WorkerMsg::Shutdown);
         }
@@ -505,7 +537,7 @@ impl Deref for GraphDance {
 
 impl GraphDance {
     /// Start the cluster: spawns `nodes × workers_per_node` worker threads,
-    /// per-node network threads, and the coordinator.
+    /// per-node network threads, and the coordinator's timer.
     ///
     /// # Panics
     /// Panics if the graph was built for a topology other than `config`'s.

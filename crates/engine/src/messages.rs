@@ -172,12 +172,18 @@ impl QueryScope {
 }
 
 /// Where a query's result goes: a one-shot completion callback the
-/// coordinator runs exactly once, on its own thread, when the query
-/// finishes, fails, or is rejected. It must not block on anything the
-/// coordinator feeds (sending into the coordinator's unbounded inbox is
-/// fine). A sink dropped unrun — a `Submit` still queued when the
-/// coordinator stops — means `EngineClosed`; a channel-backed sink (any
-/// `Sender` converts) reports that as a disconnect.
+/// coordinator runs exactly once when the query finishes, fails, or is
+/// rejected. The coordinator has no thread of its own, so the sink runs
+/// on whichever thread is running it at that moment — a worker, an
+/// ingress or socket reader thread, the head's timer, or a client that
+/// just submitted or cancelled — with the coordinator's slot held. It
+/// must not block on anything the coordinator feeds, nor wait for a lock
+/// whose holder may drive the coordinator (sending into the
+/// coordinator's unbounded inbox is fine: the sink's thread runs what it
+/// sent when it unlocks the slot). A sink dropped unrun — a `Submit`
+/// still queued when the coordinator stops — means `EngineClosed`; a
+/// channel-backed sink (any `Sender` converts) reports that as a
+/// disconnect.
 pub struct ReplySink(Box<dyn FnOnce(GdResult<QueryResult>) + Send>);
 
 impl ReplySink {
@@ -268,7 +274,9 @@ pub enum CoordMsg {
         consumed_count: u64,
         steps: u64,
     },
-    /// Stop the coordinator thread.
+    /// Stop the coordinator: the pump that takes it fails every query
+    /// still open with `EngineClosed`, and the threaded runtime then drops
+    /// the coordinator, so a later `Submit` is handed back to its sender.
     Shutdown,
 }
 

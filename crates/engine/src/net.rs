@@ -1,9 +1,10 @@
 //! The simulated cluster network and the two-tier I/O scheduler (§IV-B).
 //!
 //! Topology: every *worker* has an inbox; the *coordinator* (on node 0) has
-//! an inbox; every *node* has an egress thread (tier 2 sender) and an
-//! ingress thread (delivery). A message from worker A on node X to worker B
-//! on node Y travels:
+//! an inbox and no thread — the threads that put messages in it run it
+//! ([`Fabric::drive_coordinator`]); every *node* has an egress thread (tier
+//! 2 sender) and an ingress thread (delivery). A message from worker A on
+//! node X to worker B on node Y travels:
 //!
 //! ```text
 //! A --(tier-1 buffer, flush at 8 KB or idle, encode)--> X.egress
@@ -45,6 +46,7 @@ use graphdance_pstm::{
 };
 
 use crate::config::{EngineConfig, FaultInjection, IoMode, NetConfig};
+use crate::coordinator::CoordSlot;
 use crate::invariants::MsgLedger;
 use crate::messages::{CoordMsg, WorkerMsg};
 use crate::wire;
@@ -284,6 +286,9 @@ pub struct Fabric {
     net_cfg: NetConfig,
     worker_tx: Vec<Sender<WorkerMsg>>,
     coord_tx: Sender<CoordMsg>,
+    /// The coordinator, when this process hosts it on threads
+    /// ([`crate::coordinator::Coordinator::host`]).
+    pub(crate) coordinator: CoordSlot,
     egress_tx: Vec<Sender<EgressEvent>>,
     stats: Arc<NetStats>,
     invariants: Arc<MsgLedger>,
@@ -339,6 +344,7 @@ impl Fabric {
             flush_threshold: config.flush_threshold,
             net_cfg: config.net,
             worker_tx,
+            coordinator: CoordSlot::new(coord_tx.clone()),
             coord_tx,
             egress_tx,
             stats: Arc::new(NetStats::default()),
@@ -538,6 +544,18 @@ impl Fabric {
             fabric: Arc::clone(self),
             src_node,
             bufs: (0..n).map(|_| OutBuf::default()).collect(),
+            coord_mail: false,
+        }
+    }
+
+    /// Run the coordinator hosted in this process, on this thread, if its
+    /// inbox holds a message (see [`CoordSlot::drive`]): a no-op on a
+    /// follower, in the simulator, or when another thread holds it. Call
+    /// it after putting a message in the inbox, at a point where this
+    /// thread holds no lock: a query's [`crate::ReplySink`] may run here.
+    pub fn drive_coordinator(&self) {
+        if self.coordinator.has_mail() {
+            self.coordinator.drive();
         }
     }
 
@@ -842,6 +860,7 @@ fn ingress_loop(fabric: Arc<Fabric>, rx: Receiver<IngressEvent>) {
                 // host's timer slack (~70 µs here).
                 charge(deliver_at.saturating_duration_since(now()));
                 fabric.deliver_packet(&body, |_| Fate::Deliver);
+                fabric.drive_coordinator();
             }
             Ok(IngressEvent::Shutdown) => shutdowns += 1,
             Err(_) => break, // all senders gone: nothing more can arrive
@@ -909,6 +928,9 @@ pub struct Outbox {
     fabric: Arc<Fabric>,
     src_node: NodeId,
     bufs: Vec<OutBuf>,
+    /// A flush since the last [`Outbox::drive_coordinator`] put a message
+    /// straight into this process's coordinator inbox.
+    coord_mail: bool,
     /// This sender's single-writer metrics shard.
     #[cfg(feature = "obs")]
     obs: crate::obs::NetShard,
@@ -1131,6 +1153,7 @@ impl Outbox {
             // Shared-memory shortcut: no serialization, no network thread.
             bump(&stats.same_node_msgs, msgs.len());
             for m in msgs {
+                self.coord_mail |= matches!(m, WireMsg::Coord(_));
                 self.fabric.deliver(m);
             }
             return;
@@ -1167,6 +1190,15 @@ impl Outbox {
     pub fn flush_local(&mut self) {
         let n = self.src_node;
         self.flush_node(n);
+    }
+
+    /// If a flush since the last call put a message straight into the
+    /// coordinator's inbox, run the coordinator on this thread
+    /// ([`Fabric::drive_coordinator`]; the same rule on where to call it).
+    pub fn drive_coordinator(&mut self) {
+        if std::mem::take(&mut self.coord_mail) {
+            self.fabric.drive_coordinator();
+        }
     }
 
     /// Total buffered bytes (diagnostics).

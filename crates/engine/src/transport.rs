@@ -671,6 +671,7 @@ fn reader_loop(mut conn: Conn, fabric: Arc<Fabric>, stats: Arc<TcpStats>) {
                         // sync: monotonic diagnostic counter
                         stats.frames_recv.fetch_add(1, Ordering::Relaxed);
                     }
+                    fabric.drive_coordinator();
                 }
                 Err(e) => {
                     fabric.note_decode_error(e);

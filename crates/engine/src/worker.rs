@@ -324,7 +324,12 @@ impl Worker {
     /// `Shutdown`.
     pub fn run(mut self) -> Self {
         loop {
-            match self.pump() {
+            let status = self.pump();
+            // Progress and rows this quantum flushed into the coordinator's
+            // inbox on this node are run here, before the worker sleeps,
+            // with no partition guard held.
+            self.router.outbox.drive_coordinator();
+            match status {
                 PumpStatus::Stopped => return self,
                 PumpStatus::Worked => {}
                 PumpStatus::Idle => {

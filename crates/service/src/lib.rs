@@ -14,9 +14,10 @@
 //! * [`queue`] — the pure, deterministic admission/priority queue
 //!   (property-tested in isolation in `tests/queue_props.rs`).
 //! * [`Service`] — the threaded front-end: submitters dispatch
-//!   queue→engine on their own thread, the engine's completion sink
-//!   accounts and dispatches the successor, one timer thread expires
-//!   queued deadlines.
+//!   queue→engine on their own thread and run the engine's coordinator
+//!   there, the engine's completion sink (on whichever thread runs the
+//!   coordinator) accounts and dispatches the successor, one timer thread
+//!   expires queued deadlines.
 //! * [`obs`] — `svc.*` metrics behind the `obs` feature (zero-sized
 //!   stubs otherwise), merged into the engine's Prometheus/JSON export.
 

@@ -14,11 +14,13 @@
 //!
 //! The path is completion-driven (DESIGN.md §13): a submitter admits and
 //! dispatches on its own thread under the state mutex, so backpressure is
-//! synchronous and an uncontended query goes client → coordinator with no
-//! intermediate wake; the engine's completion sink, run on the
-//! coordinator thread, accounts the result, frees the slot, dispatches
-//! what the queue now allows, and only then resolves the ticket. The one
-//! service thread is a timer for *queued* deadlines.
+//! synchronous, then — the mutex released — runs the engine's coordinator
+//! itself, so an uncontended query goes client → coordinator → worker with
+//! no intermediate wake. The engine's completion sink runs on whichever
+//! thread is running the coordinator (a worker, a network thread, a
+//! submitter or the engine's timer): it accounts the result, frees the
+//! slot, dispatches what the queue now allows, and only then resolves the
+//! ticket. The one service thread is a timer for *queued* deadlines.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -231,11 +233,18 @@ impl Service {
                 self.shared.dispatch(&mut st);
                 // Left queued behind a full engine with a deadline ahead of
                 // the timer's: bring the timer forward.
-                if !st.queue.is_empty() && st.timer_armed.is_none_or(|armed| deadline < armed) {
+                let nudge =
+                    !st.queue.is_empty() && st.timer_armed.is_none_or(|armed| deadline < armed);
+                if nudge {
                     st.timer_armed = Some(deadline);
-                    drop(st);
+                }
+                drop(st);
+                if nudge {
                     let _ = self.shared.wake.send(());
                 }
+                // Sinks take the state mutex: run what `dispatch` enqueued
+                // only now that it is released.
+                self.shared.engine.fabric().drive_coordinator();
                 Ok(Ticket { token, class, rx })
             }
             Err(e) => {
@@ -267,9 +276,17 @@ impl Service {
                 .send(Err(GdError::QueryCancelled(QueryId(a.token))));
             return;
         }
-        if let Some(r) = st.running.iter().find(|r| r.token == token) {
-            // Counted when the drain completes and the sink runs.
-            self.shared.engine.cancel(r.query);
+        let running = st
+            .running
+            .iter()
+            .find(|r| r.token == token)
+            .map(|r| r.query);
+        drop(st);
+        if let Some(query) = running {
+            // Counted when the drain completes and the sink runs. Outside
+            // the mutex: the cancel runs the coordinator on this thread,
+            // and a sink it finishes takes the mutex.
+            self.shared.engine.cancel(query);
         }
     }
 
@@ -330,9 +347,9 @@ impl Drop for Service {
         if let Some(t) = self.timer.take() {
             let _ = t.join();
         }
-        // Through `&self`, not by value: a sink on the coordinator thread
-        // may be borrowing `Shared` right now. Joining the coordinator
-        // here means none is once we release it.
+        // Through `&self`, not by value: a sink on an engine thread may be
+        // borrowing `Shared` right now. The shutdown joins every engine
+        // thread that runs sinks, so none is once we release it.
         self.shared.engine.shutdown();
     }
 }
@@ -340,10 +357,12 @@ impl Drop for Service {
 impl Shared {
     /// Move queued entries into the engine in deficit-round-robin order up
     /// to the concurrency cap. Runs under the state mutex on whichever
-    /// thread just changed what is dispatchable: a submitter, or the
-    /// coordinator inside a completion sink — for which every engine
-    /// submit is a send into its own unbounded inbox, never a wait. The
-    /// deadline travels into the coordinator, which enforces it on
+    /// thread just changed what is dispatchable: a submitter, or one
+    /// running the coordinator inside a completion sink. Every engine
+    /// submit only enqueues into the coordinator's unbounded inbox, never
+    /// a wait: a submitter drives it once the mutex is released, and a
+    /// sink's thread re-checks the inbox when it unlocks the coordinator.
+    /// The deadline travels into the coordinator, which enforces it on
     /// `common::time::now()`.
     fn dispatch(self: &Arc<Self>, st: &mut SvcState) {
         if st.stopped || st.queue.is_empty() {
@@ -381,11 +400,12 @@ impl Shared {
         self.obs.queue_depth(st.queue.len() as u64);
     }
 
-    /// The completion sink's bookkeeping, on the coordinator thread:
-    /// classify the result into the conservation columns, free the slot,
-    /// dispatch what the queue now allows.
+    /// The completion sink's bookkeeping, on the thread running the
+    /// coordinator: classify the result into the conservation columns,
+    /// free the slot, dispatch what the queue now allows.
     fn account(self: &Arc<Self>, token: u64, result: &GdResult<QueryResult>) {
-        // sync: the coordinator thread takes the service mutex here.
+        // sync: the thread running the coordinator takes the service mutex
+        // here.
         // lint: allow(hot-path-blocking) reached from Coordinator::pump
         // through the ReplySink. Bounded: every holder does non-blocking
         // work (counter bumps, one `swap_remove`, at most `max_concurrent`

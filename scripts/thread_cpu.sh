@@ -7,10 +7,16 @@
 # (untraced) and, over a 5 s window in the middle of its timed window,
 # reads every thread's on-CPU time (/proc/<pid>/task/<tid>/schedstat) and
 # its voluntary and involuntary context switches (.../status). Prints, per
-# thread role — the coordinator, each worker, the closed-loop client
-# sessions, the service timer, the network threads — CPU µs and context
+# thread role — each worker, the closed-loop client sessions, the service
+# timer, the coordinator's timer, the network threads — CPU µs and context
 # switches per query, a query count being the run's reported `qps` × 5 s.
 # A voluntary switch is a thread going to sleep; each costs a wake-up.
+#
+# The coordinator has no thread: it runs on whichever thread sent it a
+# message, so its CPU lands on the worker, client and network rows. The
+# `coord-timer` row is the thread that drives it every 20 ms for deadlines
+# and the watchdog. (A build from before the coordinator lost its thread
+# shows a `coordinator` row, `gd-coordinator`, instead.)
 #
 # Build the binary with
 #   cargo build --release --offline --manifest-path benchmark/Cargo.toml
@@ -72,6 +78,7 @@ echo "$workload: qps $qps, mean_ms $mean; ${window} s window, $(awk -v q="$qps" 
 awk -v comm="$comm" -v queries="$(awk -v q="$qps" -v w="$window" 'BEGIN { print q * w }')" '
     function role(name) {
         if (name == "gd-coordinator") return "coordinator"
+        if (name == "gd-coord-timer") return "coord-timer"
         if (name ~ /^gd-worker-/) return "worker-" substr(name, 11)
         if (name == comm) return "clients+main"
         if (name == "gd-service") return "service"
