@@ -141,6 +141,12 @@ echo "==> I/O scheduler: Fig. 12 ablation + threshold sweep smoke (--quick)"
 cargo run -q --release -p graphdance-bench --bin fig12_io_scheduler -- --quick \
     >/dev/null
 
+echo "==> Fig. 11 message-count smoke (--quick: progress vs other messages, WC on and off)"
+# The count-regime figure: a change to how traversers travel must not
+# move its counts, and no other lane runs it.
+cargo run -q --release -p graphdance-bench --bin fig11_message_counts -- --quick \
+    >/dev/null
+
 echo "==> Fig. 9 scalability smoke (--quick)"
 cargo run -q --release -p graphdance-bench --bin fig9_scalability -- --quick \
     >/dev/null

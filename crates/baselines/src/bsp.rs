@@ -39,8 +39,8 @@ use graphdance_engine::messages::{BspSignal, CoordMsg, QueryCtx, WorkerMsg};
 use graphdance_engine::net::{Fabric, NetStatsSnapshot, Outbox};
 use graphdance_engine::QueryResult;
 use graphdance_pstm::{
-    AggState, HandleOutcome, LocalsTable, Memo, Row, Traverser, TraverserArena, TraverserHandle,
-    Weight, WeightLedger,
+    AggState, HandleOutcome, LocalsTable, Memo, Row, TraverserArena, TraverserHandle, Weight,
+    WeightLedger,
 };
 use graphdance_query::plan::{Plan, SourceSpec};
 use graphdance_storage::Graph;
@@ -139,12 +139,6 @@ impl BspWorker {
                 }
                 let _ = self.memo.query_mut(query).take_stage_state();
             }
-            WorkerMsg::Batch(ts) => {
-                for t in ts {
-                    self.park(t);
-                }
-                self.run_met();
-            }
             WorkerMsg::HandOff(run) => {
                 let (ts, mut from) = run.into_parts();
                 for at in ts {
@@ -191,13 +185,6 @@ impl BspWorker {
         }
     }
 
-    /// Intern a wire traverser into the arena and park it for a later
-    /// superstep.
-    fn park(&mut self, t: Traverser) {
-        let parked = self.parked.entry(t.query).or_default();
-        parked.push(self.arena.admit(t, &mut self.locals));
-    }
-
     /// Run every held `RunStep` whose `expect` has been met.
     fn run_met(&mut self) {
         while let Some((query, depth)) = self.parked.iter_mut().find_map(|(q, p)| match p.held {
@@ -239,8 +226,9 @@ impl BspWorker {
                 }
                 let mut sent = vec![0; self.graph.partitioner().num_parts() as usize];
                 sent[self.id.as_usize()] = out.spawned.len() as u64;
+                let parked = self.parked.entry(query).or_default();
                 for (_, t) in out.spawned {
-                    self.park(t);
+                    parked.push(self.arena.admit(t, &mut self.locals));
                 }
                 self.outbox.send_ctrl_coord(CoordMsg::BspStepDone {
                     query,
@@ -921,13 +909,9 @@ mod tests {
             expect: 2,
         }));
         let arrival = || {
-            WorkerMsg::Batch(vec![Traverser::root(
-                query,
-                0,
-                VertexId(0),
-                0,
-                Weight::ROOT,
-            )])
+            let mut run = graphdance_pstm::HandOff::default();
+            run.push(Traverser::root(query, 0, VertexId(0), 0, Weight::ROOT));
+            WorkerMsg::HandOff(run)
         };
         let reports = || {
             std::iter::from_fn(|| crx.try_recv().ok())

@@ -189,7 +189,9 @@ impl SharedWorker {
 
     fn handle(&mut self, msg: WorkerMsg) {
         match msg {
-            WorkerMsg::Batch(ts) => {
+            WorkerMsg::HandOff(run) => {
+                // The node-shared queue is flat, by design.
+                let ts = run.into_traversers();
                 let mut unintroduced = None;
                 {
                     let dead = self.shared.dead.lock();
@@ -208,8 +210,6 @@ impl SharedWorker {
                     self.unintroduced(query);
                 }
             }
-            // NP's workers share one queue and send only wire batches.
-            WorkerMsg::HandOff(_) => {}
             WorkerMsg::QueryBegin { ctx, stage, from } => {
                 let query = ctx.query;
                 self.shared.dead.lock().remove(&query);

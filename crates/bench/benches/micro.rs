@@ -9,7 +9,7 @@ use graphdance_common::{Label, PartId, Partitioner, PropKey, QueryId, Value, Ver
 use graphdance_engine::messages::WorkerMsg;
 use graphdance_engine::net::WireMsg;
 use graphdance_engine::wire;
-use graphdance_pstm::{Memo, Traverser, Weight};
+use graphdance_pstm::{HandOff, Memo, Traverser, Weight};
 use graphdance_query::expr::{EvalCtx, Expr};
 use graphdance_storage::{TelList, VertexRecord};
 
@@ -57,17 +57,16 @@ fn bench_memo(c: &mut Criterion) {
 }
 
 fn bench_codec(c: &mut Criterion) {
-    let batch: Vec<Traverser> = (0..64)
-        .map(|i| {
-            let mut t = Traverser::root(QueryId(1), 0, VertexId(i), 4, Weight(i));
-            t.set_slot(0, Value::Int(i as i64));
-            t.set_slot(1, Value::str("payload"));
-            t
-        })
-        .collect();
+    let mut run = HandOff::default();
+    for i in 0..64 {
+        let mut t = Traverser::root(QueryId(1), 0, VertexId(i), 4, Weight(i));
+        t.set_slot(0, Value::Int(i as i64));
+        t.set_slot(1, Value::str("payload"));
+        run.push(t);
+    }
     let packet = [WireMsg::Worker {
         dest: WorkerId(1),
-        msg: WorkerMsg::Batch(batch),
+        msg: WorkerMsg::HandOff(run),
     }];
     c.bench_function("codec/encode_packet_64", |b| {
         b.iter(|| {

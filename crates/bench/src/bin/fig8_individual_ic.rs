@@ -8,6 +8,8 @@
 //! Expected shape: GraphDance delivers large latency reductions and
 //! order-of-magnitude throughput gains over BSP; partitioning alone buys
 //! roughly 2× latency and ~3× throughput over the shared-state model.
+//! `--quick` is a smoke only (2 latency trials a cell: the GraphDance/BSP
+//! ordering flipped on 16 of 28 cells across three runs of one build).
 
 use graphdance_baselines::QueryEngine;
 use graphdance_bench::*;

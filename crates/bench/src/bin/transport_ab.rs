@@ -145,7 +145,7 @@ impl Mesh {
         let mut got = 0;
         while got < n {
             match self.rx.recv_timeout(Duration::from_secs(10)) {
-                Ok(WorkerMsg::Batch(b)) => got += b.len(),
+                Ok(WorkerMsg::HandOff(b)) => got += b.len(),
                 Ok(other) => panic!("unexpected inbox message: {other:?}"),
                 Err(e) => panic!("received {got}/{n} traversers, then: {e:?}"),
             }

@@ -12,11 +12,11 @@
 //! * Inter-worker traffic flows through the **two-tier I/O scheduler**
 //!   (§IV-B, [`net`]): tier 1 batches messages per worker per destination
 //!   node (flushed at 8 KB or on idle), tier 2 combines packets from all
-//!   local workers per destination node. Same-node messages take the
-//!   shared-memory shortcut, a traverser there as an arena record
-//!   ([`messages::WorkerMsg::HandOff`]). Every remote message is serialized once, at
-//!   its tier-1 flush ([`wire`]), decoded once at its receiver, and
-//!   charged against a configurable network cost model.
+//!   local workers per destination node. A traverser travels in its
+//!   destination worker's run ([`messages::WorkerMsg::HandOff`]) on every
+//!   lane. Same-node messages take the shared-memory shortcut; every remote
+//!   message is serialized once, at its tier-1 flush ([`wire`]), decoded
+//!   once, and charged against a configurable network cost model.
 //! * Query completion is detected with **progression weights** and
 //!   **weight coalescing** (§IV-A, [`coordinator`]): workers locally sum the
 //!   weights of finished traversers and send one coalesced report per

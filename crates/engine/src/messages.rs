@@ -9,7 +9,7 @@ use crossbeam::channel::Sender;
 use crate::engine::QueryResult;
 
 use graphdance_common::{GdError, GdResult, QueryId, Value, WorkerId};
-use graphdance_pstm::{AggState, HandOff, Interpreter, Row, Traverser, Weight};
+use graphdance_pstm::{AggState, HandOff, Interpreter, Row, Weight};
 use graphdance_query::plan::Plan;
 use graphdance_storage::{Graph, Timestamp};
 
@@ -48,10 +48,9 @@ impl QueryCtx {
 /// Messages delivered to a worker's inbox.
 #[derive(Debug)]
 pub enum WorkerMsg {
-    /// A batch of traversers routed to this worker's partition.
-    Batch(Vec<Traverser>),
-    /// Traversers a co-located worker handed over as arena records
-    /// (DESIGN.md §12): same-node lanes only — it never crosses a wire.
+    /// Traversers routed to this worker's partition, as a run of arena
+    /// records (DESIGN.md §12): the one form a traverser travels in, on a
+    /// same-node lane and across the wire alike.
     HandOff(HandOff),
     /// Introduce a query: its context and current stage. A sender sends it
     /// on its lane to a worker ahead of the first work it sends that

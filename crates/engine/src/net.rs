@@ -12,22 +12,24 @@
 //!   --(propagation delay, decode)--> B.inbox
 //! ```
 //!
+//! A traverser travels, on every lane, as an arena record in its
+//! destination worker's [`WorkerMsg::HandOff`] run ([`Outbox::send_handle`]).
+//! The flush threshold's unit is the **flat wire size**: each message's
+//! encoded length, and each traverser's as the flat `Traverser` it stands
+//! for, a shared record counted per sibling (DESIGN.md §10).
+//!
 //! Same-node messages take the **shared-memory shortcut**: the tier-1 flush
 //! delivers them straight into the destination inbox without serialization
-//! or cost. A same-node traverser travels as an arena record in a
-//! [`WorkerMsg::HandOff`] run ([`Outbox::send_handle`]), never flattened to
-//! its wire form, yet sized as that form would be, so the flush schedule is
-//! the wire lanes' (DESIGN.md §10). A remote message — traverser batch,
-//! progress report, rows, or control plane alike — stays a Rust value in
-//! its tier-1 buffer and is serialized exactly once, when its buffer is
-//! flushed ([`wire::encode_packet`], on the sending thread); tier-2
-//! combining joins those bytes (`wire::append_packet`), and every receiver
-//! decodes the packet once, in `Fabric::deliver_packet`. The channel
-//! backend charges `per_message_overhead + bytes/bandwidth` of (spun)
-//! sender time per wire packet plus a propagation delay — reproducing the
-//! NIC message-rate bottleneck that makes tier-1 combining matter
-//! (Fig. 12). `bytes` is exact: the encoded body's length plus
-//! [`PACKET_HEADER_BYTES`].
+//! or cost. A remote message — traverser run, progress report, rows, or
+//! control plane alike — stays a Rust value in its tier-1 buffer and is
+//! serialized exactly once, when its buffer is flushed
+//! ([`wire::encode_packet`], on the sending thread); tier-2 combining joins
+//! those bytes (`wire::append_packet`), and every receiver decodes the
+//! packet once, in `Fabric::deliver_packet`. The channel backend charges
+//! `per_message_overhead + bytes/bandwidth` of (spun) sender time per wire
+//! packet plus a propagation delay — reproducing the NIC message-rate
+//! bottleneck that makes tier-1 combining matter (Fig. 12). `bytes` is
+//! exact: the encoded body's length plus [`PACKET_HEADER_BYTES`].
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -54,7 +56,7 @@ use crate::wire;
 /// Classes of messages, for the Fig. 11 accounting.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MsgClass {
-    /// Traverser batches.
+    /// Traverser runs ([`WorkerMsg::HandOff`]).
     Traverser = 0,
     /// Progress-tracking reports.
     Progress = 1,
@@ -151,8 +153,7 @@ impl NetStatsSnapshot {
 /// carries ([`crate::wire`] is its one byte layout).
 #[derive(Debug)]
 pub enum WireMsg {
-    /// A message for worker `dest` — a traverser batch
-    /// ([`WorkerMsg::Batch`]), a same-node hand-off
+    /// A message for worker `dest` — a traverser run
     /// ([`WorkerMsg::HandOff`]) or the control plane.
     Worker {
         /// Destination worker.
@@ -169,7 +170,7 @@ impl WireMsg {
     pub(crate) fn class(&self) -> MsgClass {
         match self {
             WireMsg::Worker {
-                msg: WorkerMsg::Batch(_) | WorkerMsg::HandOff(_),
+                msg: WorkerMsg::HandOff(_),
                 ..
             } => MsgClass::Traverser,
             WireMsg::Coord(CoordMsg::Progress { .. }) => MsgClass::Progress,
@@ -664,12 +665,8 @@ impl Fabric {
             WireMsg::Worker { dest, msg } => {
                 if MsgLedger::ENABLED {
                     let delivered = |q| self.invariants.record_delivered(q, 1);
-                    match &msg {
-                        WorkerMsg::Batch(ts) => ts.iter().for_each(|t| delivered(t.query)),
-                        WorkerMsg::HandOff(run) => {
-                            run.traversers.iter().for_each(|t| delivered(t.query))
-                        }
-                        _ => {}
+                    if let WorkerMsg::HandOff(run) = &msg {
+                        run.traversers.iter().for_each(|t| delivered(t.query));
                     }
                 }
                 let _ = self.worker_tx[dest.as_usize()].send(msg);
@@ -895,23 +892,20 @@ pub(crate) fn charge(d: Duration) {
 /// Tier-1 buffer for one destination node.
 #[derive(Default)]
 struct OutBuf {
-    /// Unserialized traversers, grouped at flush time.
-    traversers: Vec<(WorkerId, Traverser)>,
-    /// Same-node lane only: one hand-off run per destination worker, in
-    /// first-send order.
+    /// One hand-off run per destination worker, in first-send order.
     handoffs: Vec<HandOffBuf>,
     /// Other pending wire messages (rows/progress/control), in send order.
     msgs: Vec<WireMsg>,
-    /// Encoded bytes buffered toward the flush threshold:
-    /// [`wire::encoded_len`] of each buffered traverser and message — a
-    /// handed-off traverser's wire form included. Messages that flush
-    /// their lane at once add nothing.
+    /// Bytes buffered toward the flush threshold, in flat wire size: each
+    /// message's [`wire::encoded_len`], and each run entry's as the flat
+    /// [`Traverser`] it stands for, its record counted per sibling.
+    /// Messages that flush their lane at once add nothing.
     bytes: usize,
 }
 
 impl OutBuf {
     fn is_empty(&self) -> bool {
-        self.traversers.is_empty() && self.handoffs.is_empty() && self.msgs.is_empty()
+        self.handoffs.is_empty() && self.msgs.is_empty()
     }
 }
 
@@ -955,66 +949,24 @@ impl Outbox {
         }
     }
 
-    /// Queue a traverser for `dest` (tier-1 buffering; flushes at the
-    /// threshold, immediately under `Sync`). Returns the bytes it added
-    /// toward the threshold: its encoded size.
-    pub fn send_traverser(&mut self, dest: WorkerId, t: Traverser) -> usize {
+    /// Add one traverser to `dest`'s hand-off run (`append` does, the run
+    /// opened on first use), charged toward the threshold at its flat wire
+    /// size; flush at the threshold (immediately under `Sync`). Returns
+    /// those bytes.
+    fn join_run(&mut self, dest: WorkerId, append: impl FnOnce(&mut HandOff)) -> usize {
         let node = self.fabric.partitioner.node_of_worker(dest).as_usize();
-        self.fabric.invariants.record_sent(t.query, 1);
-        let bytes = wire::encoded_len(&t);
         let buf = &mut self.bufs[node];
-        buf.bytes += bytes;
-        buf.traversers.push((dest, t));
-        self.maybe_flush(node);
-        bytes
-    }
-
-    /// Send arena traverser `h` to `dest`: handed off as an arena record
-    /// when `dest` shares this node (`send_handoff`), flattened to its wire
-    /// form otherwise. Returns the bytes it added toward the
-    /// flush threshold — its wire form's either way.
-    pub fn send_handle(
-        &mut self,
-        dest: WorkerId,
-        h: TraverserHandle,
-        arena: &mut TraverserArena,
-        locals: &mut LocalsTable,
-    ) -> usize {
-        if self.fabric.partitioner.node_of_worker(dest) == self.src_node {
-            self.send_handoff(dest, h, arena, locals)
-        } else {
-            let t = arena.extract(h, locals);
-            self.send_traverser(dest, t)
-        }
-    }
-
-    /// Hand arena traverser `h` to `dest`, a worker on this node: it joins
-    /// `dest`'s hand-off run on the same-node lane, sharing the record of
-    /// a sibling of the current outcome (see [`Outbox::seal_handoffs`]).
-    /// It is sized, and counted, as the traverser [`TraverserArena::extract`]
-    /// would have built; returns those bytes.
-    fn send_handoff(
-        &mut self,
-        dest: WorkerId,
-        h: TraverserHandle,
-        arena: &mut TraverserArena,
-        locals: &mut LocalsTable,
-    ) -> usize {
-        let node = self.src_node.as_usize();
-        let buf = &mut self.bufs[node];
-        let i = match buf.handoffs.iter().position(|b| b.dest == dest) {
-            Some(i) => i,
-            None => {
-                buf.handoffs.push(HandOffBuf {
-                    dest,
-                    run: HandOff::default(),
-                    record_bytes: Vec::new(),
-                });
-                buf.handoffs.len() - 1
-            }
-        };
-        let lane = &mut buf.handoffs[i];
-        arena.export(h, locals, &mut lane.run);
+        let runs = &mut buf.handoffs;
+        let i = runs.iter().position(|b| b.dest == dest).unwrap_or_else(|| {
+            runs.push(HandOffBuf {
+                dest,
+                run: HandOff::default(),
+                record_bytes: Vec::new(),
+            });
+            runs.len() - 1
+        });
+        let lane = &mut runs[i];
+        append(&mut lane.run);
         let run = &lane.run;
         if let Some(record) = run.records.get(lane.record_bytes.len()) {
             lane.record_bytes.push(wire::locals_len(record));
@@ -1027,11 +979,33 @@ impl Outbox {
         bytes
     }
 
-    /// End one interpreter outcome's hand-offs: records are shared among
-    /// the traversers of one outcome only, because the sender may free and
-    /// reuse a locals id before its next.
+    /// Queue a flat traverser for `dest` — a driver's seed, or one the
+    /// non-partitioned baseline sends another node — as a record of its
+    /// own in `dest`'s run. Returns the bytes it added: its encoded size.
+    pub fn send_traverser(&mut self, dest: WorkerId, t: Traverser) -> usize {
+        self.join_run(dest, |run| run.push(t))
+    }
+
+    /// Send arena traverser `h` to `dest`'s run, sharing the record of a
+    /// sibling of the current outcome (see [`Outbox::seal_handoffs`]). It
+    /// is sized, and counted, as the traverser [`TraverserArena::extract`]
+    /// would have built; returns those bytes.
+    pub fn send_handle(
+        &mut self,
+        dest: WorkerId,
+        h: TraverserHandle,
+        arena: &mut TraverserArena,
+        locals: &mut LocalsTable,
+    ) -> usize {
+        self.join_run(dest, |run| arena.export(h, locals, run))
+    }
+
+    /// End one interpreter outcome's hand-offs, on every lane: records are
+    /// shared among the traversers of one outcome only, because the sender
+    /// may free and reuse a locals id before its next — a run left open
+    /// would give a later traverser an earlier one's register file.
     pub fn seal_handoffs(&mut self) {
-        for lane in &mut self.bufs[self.src_node.as_usize()].handoffs {
+        for lane in self.bufs.iter_mut().flat_map(|b| &mut b.handoffs) {
             // Qualified: `cargo xtask check --deep` resolves a bare
             // `.seal()` by name, to the trace sink's too.
             HandOff::seal(&mut lane.run);
@@ -1118,8 +1092,7 @@ impl Outbox {
         }
         let stats = &self.fabric.stats;
         let mut sent = [0usize; 4];
-        sent[MsgClass::Traverser as usize] =
-            buf.traversers.len() + buf.handoffs.iter().map(|b| b.run.len()).sum::<usize>();
+        sent[MsgClass::Traverser as usize] = buf.handoffs.iter().map(|b| b.run.len()).sum();
         for m in &buf.msgs {
             sent[m.class() as usize] += 1;
         }
@@ -1130,25 +1103,13 @@ impl Outbox {
             .note_flush(self.src_node, node, buf.bytes, trigger);
         #[cfg(feature = "obs")]
         self.obs.flush_buf_bytes(buf.bytes);
-        // One batch or hand-off run per destination worker, in first-send
-        // order, ahead of the lane's other messages.
-        let mut groups: Vec<(WorkerId, Vec<Traverser>)> = Vec::new();
-        for (dest, t) in buf.traversers {
-            if let Some(g) = groups.iter_mut().find(|g| g.0 == dest) {
-                g.1.push(t);
-            } else {
-                groups.push((dest, vec![t]));
-            }
-        }
-        let batches = groups.into_iter().map(|(dest, batch)| WireMsg::Worker {
-            dest,
-            msg: WorkerMsg::Batch(batch),
-        });
+        // One hand-off run per destination worker, in first-send order,
+        // ahead of the lane's other messages.
         let handoffs = buf.handoffs.into_iter().map(|b| WireMsg::Worker {
             dest: b.dest,
             msg: WorkerMsg::HandOff(b.run),
         });
-        let msgs: Vec<WireMsg> = batches.chain(handoffs).chain(buf.msgs).collect();
+        let msgs: Vec<WireMsg> = handoffs.chain(buf.msgs).collect();
         if node == self.src_node {
             // Shared-memory shortcut: no serialization, no network thread.
             bump(&stats.same_node_msgs, msgs.len());
@@ -1164,8 +1125,8 @@ impl Outbox {
         // critical path — DESIGN.md §10.)
         let mut body = Vec::with_capacity(4 + buf.bytes);
         if let Err(e) = wire::encode_packet(&mut body, &msgs) {
-            // Only `CoordMsg::Submit` and `WorkerMsg::HandOff` refuse, and
-            // neither is ever buffered on a remote lane.
+            // Only `CoordMsg::Submit` refuses, and it is never buffered on
+            // a remote lane.
             self.fabric.note_decode_error(e);
             return;
         }
@@ -1249,7 +1210,7 @@ mod tests {
         ob.send_traverser(WorkerId(1), t(5));
         ob.flush_all();
         match wrx[1].recv_timeout(Duration::from_secs(1)).unwrap() {
-            WorkerMsg::Batch(b) => assert_eq!(b.len(), 1),
+            WorkerMsg::HandOff(b) => assert_eq!(b.len(), 1),
             other => panic!("unexpected {other:?}"),
         }
         let s = fabric.stats().snapshot();
@@ -1271,9 +1232,9 @@ mod tests {
         }
         ob.flush_all();
         match wrx[3].recv_timeout(Duration::from_secs(1)).unwrap() {
-            WorkerMsg::Batch(b) => {
+            WorkerMsg::HandOff(b) => {
                 assert_eq!(b.len(), 5);
-                assert_eq!(b[0].vertex, VertexId(0));
+                assert_eq!(b.traversers[0].vertex, VertexId(0));
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -1322,7 +1283,7 @@ mod tests {
         let mut got = 0;
         while got < 5 {
             match wrx[3].recv_timeout(Duration::from_secs(1)).unwrap() {
-                WorkerMsg::Batch(b) => got += b.len(),
+                WorkerMsg::HandOff(b) => got += b.len(),
                 other => panic!("unexpected {other:?}"),
             }
         }
@@ -1346,7 +1307,7 @@ mod tests {
         let mut got = 0;
         while got < 160 {
             match wrx[2].recv_timeout(Duration::from_secs(2)).unwrap() {
-                WorkerMsg::Batch(b) => got += b.len(),
+                WorkerMsg::HandOff(b) => got += b.len(),
                 other => panic!("unexpected {other:?}"),
             }
         }
@@ -1428,8 +1389,8 @@ mod tests {
     }
 
     /// Progress reports ship as messages of their own: a remote lane
-    /// holding traversers and progress reports flushes to the batch followed
-    /// by both reports, in send order.
+    /// holding traversers and progress reports flushes to the traversers'
+    /// run followed by both reports, in send order.
     #[test]
     fn progress_ships_standalone_behind_the_batch() {
         let cfg = EngineConfig::new(2, 2);
@@ -1452,11 +1413,11 @@ mod tests {
             .collect();
         let [WireMsg::Worker {
             dest,
-            msg: WorkerMsg::Batch(batch),
+            msg: WorkerMsg::HandOff(batch),
         }, WireMsg::Coord(CoordMsg::Progress { query: first, .. }), WireMsg::Coord(CoordMsg::Progress { query: second, .. })] =
             &msgs[..]
         else {
-            panic!("batch, then both progress reports standalone: {msgs:?}");
+            panic!("the run, then both progress reports standalone: {msgs:?}");
         };
         assert_eq!((*dest, batch.len()), (WorkerId(0), 1));
         assert_eq!((*first, *second), (QueryId(3), QueryId(4)));
@@ -1532,7 +1493,7 @@ mod tests {
         assert!(err.to_string().contains("no worker 77"), "got: {err}");
         assert!(fabric.take_decode_error().is_none(), "error was taken");
         match wrx[3].try_recv() {
-            Ok(WorkerMsg::Batch(b)) => assert_eq!(b, vec![t(9)]),
+            Ok(WorkerMsg::HandOff(b)) => assert_eq!(b.into_traversers(), vec![t(9)]),
             other => panic!("the lane's next packet arrives: {other:?}"),
         }
         assert!(wrx.iter().all(|rx| rx.is_empty()), "nothing else delivered");
@@ -1556,8 +1517,9 @@ mod tests {
 
         /// A handed-off traverser adds to its lane exactly the bytes of the
         /// wire traverser `extract` would have built — a shared record's
-        /// bytes counted for every sibling — and the peer imports the
-        /// traversers that were sent.
+        /// bytes counted for every sibling — and the receiver imports the
+        /// traversers that were sent: on the same-node lane (worker 1) and
+        /// across the wire (worker 3, on the other node).
         #[test]
         fn hand_off_is_sized_as_its_wire_form(
             outcomes in prop::collection::vec(
@@ -1569,53 +1531,126 @@ mod tests {
                 1..8,
             )
         ) {
-            let mut cfg = EngineConfig::new(1, 2);
-            cfg.flush_threshold = usize::MAX;
-            let (wtx, wrx): (Vec<_>, Vec<_>) = (0..2).map(|_| unbounded()).unzip();
-            let (ctx, _crx) = unbounded();
-            let (fabric, _channels) = Fabric::new_sim(&cfg, wtx, ctx);
-            let mut ob = fabric.outbox(NodeId(0));
-            let (mut arena, mut locals) = (TraverserArena::new(), LocalsTable::new());
-            let mut sent = Vec::new();
-            for (i, (vals, aux_key, siblings)) in outcomes.into_iter().enumerate() {
-                let mut tr = t(i as u64);
-                tr.locals = vals;
-                tr.aux_key = aux_key;
-                let want = wire::encoded_len(&tr);
-                let first = arena.admit(tr.clone(), &mut locals);
-                let mut hs = vec![first];
-                for _ in 1..siblings {
-                    let at = arena.get(first);
-                    let sibling = ArenaTraverser {
-                        aux_key: at.aux_key.clone(),
-                        ..*at
+            for dest in [WorkerId(1), WorkerId(3)] {
+                let mut cfg = EngineConfig::new(2, 2);
+                cfg.flush_threshold = usize::MAX;
+                let (wtx, wrx): (Vec<_>, Vec<_>) = (0..4).map(|_| unbounded()).unzip();
+                let (ctx, _crx) = unbounded();
+                let (fabric, channels) = Fabric::new_sim(&cfg, wtx, ctx);
+                let mut ob = fabric.outbox(NodeId(0));
+                let (mut arena, mut locals) = (TraverserArena::new(), LocalsTable::new());
+                let mut sent = Vec::new();
+                for (i, (vals, aux_key, siblings)) in outcomes.iter().cloned().enumerate() {
+                    let mut tr = t(i as u64);
+                    tr.locals = vals;
+                    tr.aux_key = aux_key;
+                    let want = wire::encoded_len(&tr);
+                    let first = arena.admit(tr.clone(), &mut locals);
+                    let mut hs = vec![first];
+                    for _ in 1..siblings {
+                        let at = arena.get(first);
+                        let sibling = ArenaTraverser {
+                            aux_key: at.aux_key.clone(),
+                            ..*at
+                        };
+                        locals.retain(sibling.locals);
+                        hs.push(arena.insert(sibling));
+                    }
+                    for h in hs {
+                        let before = ob.pending_bytes();
+                        let added = ob.send_handle(dest, h, &mut arena, &mut locals);
+                        prop_assert_eq!(added, want);
+                        prop_assert_eq!(ob.pending_bytes() - before, want);
+                        sent.push(tr.clone());
+                    }
+                    ob.seal_handoffs();
+                }
+                prop_assert_eq!((arena.live(), locals.live()), (0, 0));
+                ob.flush_all();
+                let run = if dest == WorkerId(1) {
+                    let Ok(WorkerMsg::HandOff(run)) = wrx[1].try_recv() else {
+                        panic!("one hand-off run for worker 1");
                     };
-                    locals.retain(sibling.locals);
-                    hs.push(arena.insert(sibling));
-                }
-                for h in hs {
-                    let before = ob.pending_bytes();
-                    let added = ob.send_handoff(WorkerId(1), h, &mut arena, &mut locals);
-                    prop_assert_eq!(added, want);
-                    prop_assert_eq!(ob.pending_bytes() - before, want);
-                    sent.push(tr.clone());
-                }
-                ob.seal_handoffs();
+                    run
+                } else {
+                    let Ok(EgressEvent::Packet { body, .. }) = channels.egress_rx[0].try_recv()
+                    else {
+                        panic!("one packet for node 1");
+                    };
+                    let mut msgs = wire::decode_packet(&body).unwrap();
+                    let Some((WireMsg::Worker { dest: WorkerId(3), msg: WorkerMsg::HandOff(run) }, _)) =
+                        msgs.pop()
+                    else {
+                        panic!("one hand-off run for worker 3");
+                    };
+                    prop_assert!(msgs.is_empty());
+                    run
+                };
+                let (ts, mut from) = run.into_parts();
+                let hs: Vec<_> = ts
+                    .into_iter()
+                    .map(|at| arena.import(at, &mut from, &mut locals))
+                    .collect();
+                let got: Vec<_> = hs.into_iter().map(|h| arena.extract(h, &mut locals)).collect();
+                prop_assert_eq!(got, sent);
+                prop_assert_eq!((arena.live(), locals.live()), (0, 0));
             }
-            prop_assert_eq!((arena.live(), locals.live()), (0, 0));
-            ob.flush_all();
-            let Ok(WorkerMsg::HandOff(run)) = wrx[1].try_recv() else {
-                panic!("one hand-off run for worker 1");
-            };
-            let (ts, mut from) = run.into_parts();
-            let hs: Vec<_> = ts
-                .into_iter()
-                .map(|at| arena.import(at, &mut from, &mut locals))
-                .collect();
-            let got: Vec<_> = hs.into_iter().map(|h| arena.extract(h, &mut locals)).collect();
-            prop_assert_eq!(got, sent);
-            prop_assert_eq!((arena.live(), locals.live()), (0, 0));
         }
+    }
+
+    /// Every lane's runs are sealed at an outcome's end, a remote one's
+    /// too: the sender frees a shared record with its last sibling and
+    /// reuses the id for another register file in the next outcome, bound
+    /// for the same worker on the other node, and the two files arrive
+    /// distinct. A run left open would point the later traversers at the
+    /// earlier outcome's record.
+    #[test]
+    fn an_id_reused_after_a_seal_is_not_shared_on_a_remote_lane() {
+        let cfg = EngineConfig::new(2, 2);
+        let (wtx, _wrx): (Vec<_>, Vec<_>) = (0..4).map(|_| unbounded()).unzip();
+        let (ctx, _crx) = unbounded();
+        let (fabric, channels) = Fabric::new_sim(&cfg, wtx, ctx);
+        let mut ob = fabric.outbox(NodeId(0));
+        let (mut arena, mut locals) = (TraverserArena::new(), LocalsTable::new());
+        let mut ids = Vec::new();
+        for file in 1..=2 {
+            let mut tr = t(file);
+            tr.locals = vec![Value::Int(file as i64)];
+            let first = arena.admit(tr, &mut locals);
+            let id = arena.get(first).locals;
+            locals.retain(id);
+            let second = arena.insert(ArenaTraverser {
+                aux_key: None,
+                ..*arena.get(first)
+            });
+            for h in [first, second] {
+                ob.send_handle(WorkerId(3), h, &mut arena, &mut locals);
+            }
+            ob.seal_handoffs();
+            ids.push(id);
+        }
+        assert_eq!(ids[0], ids[1], "the id was recycled");
+        ob.flush_all();
+        let Ok(EgressEvent::Packet { body, .. }) = channels.egress_rx[0].try_recv() else {
+            panic!("one packet for node 1");
+        };
+        let mut msgs = wire::decode_packet(&body).unwrap();
+        let Some((
+            WireMsg::Worker {
+                msg: WorkerMsg::HandOff(run),
+                ..
+            },
+            _,
+        )) = msgs.pop()
+        else {
+            panic!("one run for worker 3");
+        };
+        let files: Vec<Vec<Value>> = run
+            .into_traversers()
+            .into_iter()
+            .map(|t| t.locals)
+            .collect();
+        assert_eq!(files, [[1], [1], [2], [2]].map(|[v]| vec![Value::Int(v)]));
     }
 
     #[test]

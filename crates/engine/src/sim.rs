@@ -636,15 +636,15 @@ impl SimCluster {
     }
 
     /// Roll the drop / duplicate faults for one decoded message. They apply
-    /// to traverser batches (the payloads the conservation ledger tracks): a
-    /// dropped batch leaves `delivered` short of `sent`, which quiesce
+    /// to traverser runs (the payloads the conservation ledger tracks): a
+    /// dropped run leaves `delivered` short of `sent`, which quiesce
     /// checking / the watchdog must turn into a diagnostic rather than a
     /// silent wrong answer; a duplicate is its bytes decoded again.
     /// Control traffic stays reliable and consumes no fault randomness, so
     /// existing repro schedules replay unchanged.
     fn fault_fate(&mut self, msg: &WireMsg) -> Fate {
         let WireMsg::Worker {
-            msg: WorkerMsg::Batch(_),
+            msg: WorkerMsg::HandOff(_),
             ..
         } = msg
         else {

@@ -9,8 +9,8 @@
 //! channel backend (threaded engine and simulator alike) through its
 //! ingress channels, the socket backends inside a PACKET frame. Every
 //! receiver hands the body to the fabric's one decode point, the only
-//! caller of [`decode_packet`]. A traverser batch is a
-//! [`WorkerMsg::Batch`] like any other worker message.
+//! caller of [`decode_packet`]. A traverser run is a
+//! [`WorkerMsg::HandOff`] like any other worker message.
 //!
 //! Each shape's layout is written once, as its [`Wire`] impl: how it is
 //! put into any [`BufMut`] and read back from a bounds-checked [`Reader`].
@@ -27,14 +27,18 @@
 //! Matches are deliberately exhaustive (no wildcard arms): adding a message
 //! or plan variant is a compile error until its encoding is defined here.
 //!
-//! Three messages intentionally do not cross the wire:
-//! - [`CoordMsg::Submit`] carries the client's crossbeam reply channel;
-//!   clients always talk to the coordinator's own node. [`encode_packet`]
-//!   refuses it with an error, not a panic, before writing a byte.
-//! - [`WorkerMsg::HandOff`] carries arena records between co-located
-//!   workers; [`encode_packet`] refuses it the same way. Each of its
-//!   traversers is still sized as its wire form ([`head_len`] +
-//!   [`locals_len`]), so the flush schedule does not see the difference.
+//! A [`WorkerMsg::HandOff`] run carries each register file its siblings
+//! share once: `u32 r | r × (u16 n | n × value) | u32 t | t × (head |
+//! u32 record)`. The flush policy still sizes each of its traversers as
+//! the flat [`Traverser`] it stands for ([`head_len`] + [`locals_len`]),
+//! so the flush schedule does not see the difference; only the body is
+//! smaller. Decode refuses a record the run lacks or two queries share.
+//!
+//! Two shapes need more than their fields:
+//! - [`CoordMsg::Submit`] carries the client's crossbeam reply channel
+//!   and never crosses the wire: clients always talk to the coordinator's
+//!   own node. [`encode_packet`] refuses it with an error, not a panic,
+//!   before writing a byte.
 //! - Map-shaped aggregation partials ([`AggState::GroupCount`]/`GroupSum`)
 //!   are encoded with entries sorted by key so the same state always
 //!   produces the same bytes (hash-map iteration order is not stable).
@@ -47,7 +51,7 @@ use graphdance_common::value::ValueKey;
 use graphdance_common::{
     FxHashMap, GdError, GdResult, Label, PartId, PropKey, QueryId, Value, VertexId, WorkerId,
 };
-use graphdance_pstm::{AggState, ArenaTraverser, Traverser, Weight};
+use graphdance_pstm::{AggState, ArenaTraverser, HandOff, LocalsId, Traverser, Weight};
 use graphdance_query::expr::{CmpOp, Expr};
 use graphdance_query::plan::{
     AggFunc, AggSpec, GroupOrder, JoinSide, JoinSpec, Order, Pipeline, Plan, PlanStep, SourceSpec,
@@ -474,31 +478,36 @@ impl Wire for ValueKey {
     }
 }
 
-/// A traverser's fields but its register file, as the wire traverser and
-/// the arena one both hold them.
-struct Head<'a> {
-    query: QueryId,
-    pipeline: u16,
-    pc: u16,
-    vertex: VertexId,
-    weight: Weight,
-    depth: u32,
-    aux_key: &'a Option<Value>,
+/// Put a traverser's fields but its register file — `u64 query | u16
+/// pipeline | u16 pc | u64 vertex | u64 weight | u32 depth | aux key
+/// option` — from the flat traverser or the arena one: both hold them.
+macro_rules! put_head {
+    ($buf:ident, $t:expr) => {
+        put!(
+            $buf,
+            $t.query,
+            $t.pipeline,
+            $t.pc,
+            $t.vertex,
+            $t.weight,
+            $t.depth,
+            $t.aux_key
+        )
+    };
 }
 
-impl Head<'_> {
-    fn put<B: BufMut>(&self, buf: &mut B) {
-        put!(
-            buf,
-            self.query,
-            self.pipeline,
-            self.pc,
-            self.vertex,
-            self.weight,
-            self.depth
-        );
-        self.aux_key.put(buf);
-    }
+/// Read a head back, as an arena traverser with no register file yet.
+fn get_head(r: &mut Reader<'_>) -> GdResult<ArenaTraverser> {
+    Ok(ArenaTraverser {
+        query: QueryId::get(r)?,
+        pipeline: u16::get(r)?,
+        pc: u16::get(r)?,
+        vertex: VertexId::get(r)?,
+        weight: Weight::get(r)?,
+        depth: u32::get(r)?,
+        aux_key: Option::get(r)?,
+        locals: LocalsId::INVALID,
+    })
 }
 
 /// A register file: `u16 n | n × local`.
@@ -506,20 +515,16 @@ fn put_locals<B: BufMut>(buf: &mut B, locals: &[Value]) {
     put_seq(buf, locals.len() as u16, locals);
 }
 
+fn get_locals(r: &mut Reader<'_>) -> GdResult<Vec<Value>> {
+    let n = u16::get(r)? as usize;
+    get_seq(r, n, Value::get)
+}
+
 /// Encoded size of an arena traverser's wire form but its register file.
 pub(crate) fn head_len(at: &ArenaTraverser) -> usize {
-    let mut n = ByteCount(0);
-    Head {
-        query: at.query,
-        pipeline: at.pipeline,
-        pc: at.pc,
-        vertex: at.vertex,
-        weight: at.weight,
-        depth: at.depth,
-        aux_key: &at.aux_key,
-    }
-    .put(&mut n);
-    n.0
+    let buf = &mut ByteCount(0);
+    put_head!(buf, at);
+    buf.0
 }
 
 /// Encoded size of a register file in a wire traverser: with
@@ -534,38 +539,51 @@ pub(crate) fn locals_len(locals: &[Value]) -> usize {
 /// u32 depth | aux key option | u16 n | n × local`.
 impl Wire for Traverser {
     fn put<B: BufMut>(&self, buf: &mut B) {
-        Head {
-            query: self.query,
-            pipeline: self.pipeline,
-            pc: self.pc,
-            vertex: self.vertex,
-            weight: self.weight,
-            depth: self.depth,
-            aux_key: &self.aux_key,
-        }
-        .put(buf);
+        put_head!(buf, self);
         put_locals(buf, &self.locals);
     }
     fn get(r: &mut Reader<'_>) -> GdResult<Self> {
-        let query = QueryId::get(r)?;
-        let pipeline = u16::get(r)?;
-        let pc = u16::get(r)?;
-        let vertex = VertexId::get(r)?;
-        let weight = Weight::get(r)?;
-        let depth = u32::get(r)?;
-        let aux_key = Option::get(r)?;
-        let n = u16::get(r)? as usize;
-        let locals = get_seq(r, n, Value::get)?;
-        Ok(Traverser {
-            query,
-            pipeline,
-            pc,
-            vertex,
-            locals,
-            weight,
-            depth,
-            aux_key,
-        })
+        let at = get_head(r)?;
+        Ok(at.with_locals(get_locals(r)?))
+    }
+}
+
+/// `u32 r | r × (u16 n | n × local) | u32 t | t × (head | u32 record)`:
+/// each register file once, then the traversers, each naming its record —
+/// one the run carries, and one no other query's traverser names.
+impl Wire for HandOff {
+    fn put<B: BufMut>(&self, buf: &mut B) {
+        buf.put_u32_le(self.records.len() as u32);
+        for record in &self.records {
+            put_locals(buf, record);
+        }
+        buf.put_u32_le(self.traversers.len() as u32);
+        for at in &self.traversers {
+            put_head!(buf, at);
+            buf.put_u32_le(at.locals.index() as u32);
+        }
+    }
+    fn get(r: &mut Reader<'_>) -> GdResult<Self> {
+        let mut run = HandOff::default();
+        let n = u32::get(r)? as usize;
+        run.records = get_seq(r, n, get_locals)?;
+        let mut owner = vec![None; n];
+        for _ in 0..u32::get(r)? {
+            let (at, record) = (get_head(r)?, u32::get(r)?);
+            let Some(first) = owner.get_mut(record as usize) else {
+                return Err(GdError::Internal(format!(
+                    "wire: hand-off record {record} of {n}"
+                )));
+            };
+            let (first, query) = (*first.get_or_insert(at.query), at.query);
+            if first != query {
+                return Err(GdError::Internal(format!(
+                    "wire: hand-off record {record} shared by queries {first:?} and {query:?}"
+                )));
+            }
+            run.push_indexed(at, record);
+        }
+        Ok(run)
     }
 }
 
@@ -1137,16 +1155,13 @@ impl Wire for GdError {
 // WorkerMsg / CoordMsg / WireMsg
 // ---------------------------------------------------------------------------
 
-/// Every variant but [`WorkerMsg::HandOff`] crosses the wire.
 impl Wire for WorkerMsg {
     fn put<B: BufMut>(&self, buf: &mut B) {
         match self {
-            WorkerMsg::Batch(ts) => {
+            WorkerMsg::HandOff(run) => {
                 buf.put_u8(0);
-                ts.put(buf);
+                run.put(buf);
             }
-            // Same-node only: `encode_packet` refuses it before a byte.
-            WorkerMsg::HandOff(_) => {}
             WorkerMsg::QueryBegin { ctx, stage, from } => {
                 buf.put_u8(1);
                 stage.put(buf);
@@ -1190,7 +1205,7 @@ impl Wire for WorkerMsg {
     }
     fn get(r: &mut Reader<'_>) -> GdResult<Self> {
         match u8::get(r)? {
-            0 => Ok(WorkerMsg::Batch(Vec::get(r)?)),
+            0 => Ok(WorkerMsg::HandOff(HandOff::get(r)?)),
             1 => {
                 let stage = u16::get(r)?;
                 let from = match u32::get(r)? {
@@ -1361,18 +1376,13 @@ pub(crate) fn decode_msg(bytes: &[u8]) -> GdResult<WireMsg> {
 /// flush of a remote lane is the only caller outside tests, so every
 /// message crossing a wire is encoded exactly once.
 pub fn encode_packet(buf: &mut impl BufMut, msgs: &[WireMsg]) -> GdResult<()> {
-    for m in msgs {
-        let what = match m {
-            WireMsg::Coord(CoordMsg::Submit { .. }) => "CoordMsg::Submit",
-            WireMsg::Worker {
-                msg: WorkerMsg::HandOff(_),
-                ..
-            } => "WorkerMsg::HandOff",
-            _ => continue,
-        };
-        return Err(GdError::Internal(format!(
-            "wire: {what} cannot cross node boundaries"
-        )));
+    if msgs
+        .iter()
+        .any(|m| matches!(m, WireMsg::Coord(CoordMsg::Submit { .. })))
+    {
+        return Err(GdError::Internal(
+            "wire: CoordMsg::Submit cannot cross node boundaries".into(),
+        ));
     }
     put_seq(buf, msgs.len() as u32, msgs);
     Ok(())
@@ -1479,6 +1489,13 @@ mod tests {
         let back = T::get(&mut r).unwrap();
         r.finish("test value").unwrap();
         back
+    }
+
+    /// `ts` as a run, each traverser a record of its own.
+    fn run_of(ts: Vec<Traverser>) -> HandOff {
+        let mut run = HandOff::default();
+        ts.into_iter().for_each(|t| run.push(t));
+        run
     }
 
     fn roundtrip_worker(msg: WorkerMsg) -> WorkerMsg {
@@ -1621,13 +1638,13 @@ mod tests {
     #[test]
     fn every_worker_msg_variant_roundtrips() {
         let msgs = vec![
-            WorkerMsg::Batch(vec![Traverser::root(
+            WorkerMsg::HandOff(run_of(vec![Traverser::root(
                 QueryId(1),
                 0,
                 VertexId(2),
                 2,
                 Weight(5),
-            )]),
+            )])),
             WorkerMsg::StageBegin {
                 query: QueryId(1),
                 stage: 2,
@@ -1715,30 +1732,40 @@ mod tests {
         assert!(buf.is_empty(), "nothing written before the refusal");
     }
 
+    /// A run carries each shared register file once, comes back with the
+    /// same sharing, and a record index past the run's records fails the
+    /// decode with a typed error instead of reaching the importer.
     #[test]
-    fn hand_off_refuses_to_cross_the_wire() {
-        let mut run = graphdance_pstm::HandOff::default();
-        let (mut arena, mut locals) = (
-            graphdance_pstm::TraverserArena::new(),
-            graphdance_pstm::LocalsTable::new(),
+    fn hand_off_crosses_with_each_shared_record_once() {
+        let run = pinned_run(3);
+        let (records, len) = (run.records.len(), run.len());
+        let msgs = [WireMsg::Worker {
+            dest: WorkerId(1),
+            msg: WorkerMsg::HandOff(run),
+        }];
+        let (mut body, back) = roundtrip_packet(&msgs);
+        let [WireMsg::Worker {
+            msg: WorkerMsg::HandOff(got),
+            ..
+        }] = &back[..]
+        else {
+            panic!("a run comes back a run");
+        };
+        assert_eq!((got.records.len(), got.len()), (records, len));
+        assert_eq!((records, len), (3, 6), "three siblings shared a record");
+        // The last traverser's record index is the body's last four bytes.
+        let at = body.len() - 4;
+        body[at..].copy_from_slice(&(records as u32).to_le_bytes());
+        let err = decode_packet(&body).unwrap_err();
+        assert!(err.to_string().contains("hand-off record 3 of 3"), "{err}");
+        // It is query 2's; record 0 is query 0's.
+        body[at..].copy_from_slice(&0u32.to_le_bytes());
+        let err = decode_packet(&body).unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("hand-off record 0 shared by queries"),
+            "{err}"
         );
-        let t = Traverser::root(QueryId(1), 0, VertexId(2), 1, Weight(3));
-        let h = arena.admit(t, &mut locals);
-        arena.export(h, &mut locals, &mut run);
-        let msgs = [
-            WireMsg::Worker {
-                dest: WorkerId(0),
-                msg: WorkerMsg::QueryEnd { query: QueryId(1) },
-            },
-            WireMsg::Worker {
-                dest: WorkerId(1),
-                msg: WorkerMsg::HandOff(run),
-            },
-        ];
-        let mut buf = Vec::new();
-        let err = encode_packet(&mut buf, &msgs).unwrap_err();
-        assert!(err.to_string().contains("HandOff"), "{err}");
-        assert!(buf.is_empty(), "nothing written before the refusal");
     }
 
     #[test]
@@ -1786,13 +1813,13 @@ mod tests {
         let msgs = vec![
             WireMsg::Worker {
                 dest: WorkerId(3),
-                msg: WorkerMsg::Batch(vec![Traverser::root(
+                msg: WorkerMsg::HandOff(run_of(vec![Traverser::root(
                     QueryId(1),
                     0,
                     VertexId(1),
                     1,
                     Weight(1),
-                )]),
+                )])),
             },
             WireMsg::Coord(CoordMsg::Progress {
                 query: QueryId(1),
@@ -1820,26 +1847,27 @@ mod tests {
         assert!(decode_packet(&noisy).is_err());
     }
 
-    /// Traverser batches of every shape the interpreter produces — locals,
-    /// aux keys, nested values, the empty batch — survive a packet exactly.
+    /// Traverser runs of every shape the interpreter produces — locals,
+    /// aux keys, nested values, shared records, the empty run — survive a
+    /// packet exactly.
     #[test]
     fn packet_roundtrips_traverser_batches() {
         let msgs: Vec<WireMsg> = [0, 1, 17]
             .into_iter()
             .map(|n| WireMsg::Worker {
                 dest: WorkerId(n as u32),
-                msg: WorkerMsg::Batch(pinned_batch(n)),
+                msg: WorkerMsg::HandOff(pinned_run(n)),
             })
             .collect();
-        let (_, back) = roundtrip_packet(&msgs);
-        let WireMsg::Worker {
-            msg: WorkerMsg::Batch(ts),
+        let (_, mut back) = roundtrip_packet(&msgs);
+        let Some(WireMsg::Worker {
+            msg: WorkerMsg::HandOff(run),
             ..
-        } = &back[2]
+        }) = back.pop()
         else {
-            panic!("a batch comes back a batch");
+            panic!("a run comes back a run");
         };
-        assert_eq!(ts, &pinned_batch(17));
+        assert_eq!(run.into_traversers(), pinned_run(17).into_traversers());
     }
 
     /// Joining flushed bodies gives exactly the body of the joined list.
@@ -2189,13 +2217,30 @@ mod tests {
             .collect()
     }
 
+    /// `pinned_batch(n)`, each traverser a record of its own, then a
+    /// sibling of each of the first five sharing its record, as an
+    /// `Expand`'s children do.
+    fn pinned_run(n: u64) -> HandOff {
+        let mut run = run_of(pinned_batch(n));
+        for i in 0..n.min(5) as usize {
+            let at = &run.traversers[i];
+            let sibling = ArenaTraverser {
+                vertex: VertexId(at.vertex.0 + 1),
+                aux_key: at.aux_key.clone(),
+                ..*at
+            };
+            run.push_indexed(sibling, i as u32);
+        }
+        run
+    }
+
     /// Every worker and coordinator message that crosses a wire, carrying
     /// every sample above.
     fn pinned_packet() -> Vec<WireMsg> {
         let q = QueryId(0x0102_0304_0506_0708);
         let mut worker = vec![
-            WorkerMsg::Batch(pinned_batch(17)),
-            WorkerMsg::Batch(vec![]),
+            WorkerMsg::HandOff(pinned_run(17)),
+            WorkerMsg::HandOff(HandOff::default()),
             WorkerMsg::StageBegin { query: q, stage: 2 },
             WorkerMsg::StartSource {
                 query: q,
@@ -2303,7 +2348,7 @@ mod tests {
         });
         assert_eq!(
             (body.len(), fnv),
-            (45_678, 0x46f1_b607_7689_efc0),
+            (45_973, 0x9e70_b51c_24e9_8639),
             "the wire layout moved"
         );
         let back: Vec<WireMsg> = decode_packet(&body)

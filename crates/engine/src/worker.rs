@@ -21,7 +21,8 @@ use rand::rngs::SmallRng;
 
 use graphdance_common::{FxHashMap, FxHashSet, GdError, GdResult, NodeId, QueryId, WorkerId};
 use graphdance_pstm::{
-    HandleOutcome, LocalsTable, QueryMemo, TraverserArena, TraverserHandle, Weight, WeightLedger,
+    HandOff, HandleOutcome, LocalsTable, QueryMemo, TraverserArena, TraverserHandle, Weight,
+    WeightLedger,
 };
 use graphdance_storage::Graph;
 
@@ -218,8 +219,8 @@ impl Router {
     }
 
     /// Rule 1 of the control plane (DESIGN.md §IV-A): send arena traverser
-    /// `h` of `aq`'s query to `dest` — handed off on this node, flattened
-    /// for another — introducing the query on the same lane first unless
+    /// `h` of `aq`'s query to `dest` — into `dest`'s hand-off run —
+    /// introducing the query on the same lane first unless
     /// `dest` is known to hold the context. Returns the bytes it added.
     fn send_work(&mut self, aq: &mut ActiveQuery, dest: WorkerId, h: TraverserHandle) -> usize {
         if aq.scope.introduce(dest) {
@@ -404,19 +405,7 @@ impl Worker {
 
     fn handle(&mut self, msg: WorkerMsg) {
         match msg {
-            WorkerMsg::Batch(ts) => self.admit(
-                ts,
-                |t| (t.query, t.weight),
-                |t, arena, locals| arena.admit(t, locals),
-            ),
-            WorkerMsg::HandOff(run) => {
-                let (ts, mut from) = run.into_parts();
-                self.admit(
-                    ts,
-                    |t| (t.query, t.weight),
-                    |t, arena, locals| arena.import(t, &mut from, locals),
-                );
-            }
+            WorkerMsg::HandOff(run) => self.admit(run),
             WorkerMsg::QueryBegin { ctx, stage, from } => self.begin_query(ctx, stage, from),
             WorkerMsg::StageBegin { query, stage } => self.advance_stage(query, stage),
             WorkerMsg::StartSource {
@@ -508,7 +497,7 @@ impl Worker {
         self.ring.retire(query, |h| drop(arena.remove(h)));
     }
 
-    /// A batch or source for a query this worker holds no record of. An
+    /// A run or source for a query this worker holds no record of. An
     /// ended query's stragglers are dropped. Otherwise (rule 5) the worker
     /// was never introduced to the query: every sender introduces a query
     /// on a lane before its first work there, and every path is FIFO, so
@@ -583,20 +572,15 @@ impl Worker {
         self.queries.contains_key(&query) || self.ring.holds(query) || self.idle.contains(&query)
     }
 
-    /// Admit an inbox batch or hand-off run: `head` reads a traverser's
-    /// query and weight, `intern` puts it into the arena and the query's
-    /// locals table. Everything that depends on the query alone — held,
-    /// draining, locals table, queue — is resolved once per run of
-    /// same-query traversers, not per traverser.
-    fn admit<T>(
-        &mut self,
-        ts: Vec<T>,
-        head: fn(&T) -> (QueryId, Weight),
-        mut intern: impl FnMut(T, &mut TraverserArena, &mut LocalsTable) -> TraverserHandle,
-    ) {
+    /// Admit an inbox hand-off run into the arena and each query's locals
+    /// table. Everything that depends on the query alone — held, draining,
+    /// locals table, queue — is resolved once per stretch of same-query
+    /// traversers, not per traverser.
+    fn admit(&mut self, run: HandOff) {
+        let (ts, mut from) = run.into_parts();
         let mut ts = ts.into_iter().peekable();
-        while let Some((q, _)) = ts.peek().map(head) {
-            let run = std::iter::from_fn(|| ts.next_if(|t| head(t).0 == q));
+        while let Some(q) = ts.peek().map(|t| t.query) {
+            let run = std::iter::from_fn(|| ts.next_if(|t| t.query == q));
             let Some(aq) = self.queries.get_mut(&q) else {
                 run.for_each(drop);
                 self.stray(q);
@@ -606,14 +590,14 @@ impl Worker {
                 // Late delivery during the drain: refund instead of running
                 // (or silently dropping — the tracker is owed this weight).
                 for t in run {
-                    self.router.outbox.send_progress(q, head(&t).1, 0);
+                    self.router.outbox.send_progress(q, t.weight, 0);
                 }
                 self.idle.push(q);
                 continue;
             }
             self.ring.admit(q, |queue| {
                 for t in run {
-                    let h = intern(t, &mut self.router.arena, &mut aq.locals);
+                    let h = self.router.arena.import(t, &mut from, &mut aq.locals);
                     self.router.enqueue(queue, h);
                 }
             });
@@ -621,7 +605,7 @@ impl Worker {
     }
 
     /// Run a pipeline source on this partition. Its children join the
-    /// arena like an admitted batch, and its outcome is routed like a
+    /// arena like an admitted run, and its outcome is routed like a
     /// run's.
     fn start_source(&mut self, query: QueryId, pipeline: u16, weight: Weight) {
         let Some(aq) = self.queries.get_mut(&query) else {
@@ -900,7 +884,7 @@ mod handler_tests {
     #[test]
     fn work_for_an_unintroduced_query_fails_it() {
         let (mut w, _fabric, _wrx, crx) = test_worker_with_coord();
-        w.handle(WorkerMsg::Batch(vec![at_v0(5, 1), at_v0(5, 2)]));
+        w.handle(hand_off(vec![at_v0(5, 1), at_v0(5, 2)]));
         w.handle(WorkerMsg::StartSource {
             query: QueryId(6),
             pipeline: 0,
@@ -926,27 +910,22 @@ mod handler_tests {
         let ctx = ctx_with(&w, 7);
         begin(&mut w, ctx);
         w.handle(WorkerMsg::QueryEnd { query: QueryId(7) });
-        w.handle(WorkerMsg::Batch(vec![at_v0(7, 1)]));
+        w.handle(hand_off(vec![at_v0(7, 1)]));
         assert_eq!(w.pump(), PumpStatus::Idle);
         assert!(crx.try_recv().is_err());
     }
 
-    /// `ts` as a co-located worker hands them over: a run of arena
-    /// records.
+    /// `ts` as a sender hands them over: a run of arena records, one each.
     fn hand_off(ts: Vec<Traverser>) -> WorkerMsg {
-        let (mut arena, mut locals) = (TraverserArena::new(), LocalsTable::new());
-        let mut run = graphdance_pstm::HandOff::default();
-        for t in ts {
-            let h = arena.admit(t, &mut locals);
-            arena.export(h, &mut locals, &mut run);
-        }
+        let mut run = HandOff::default();
+        ts.into_iter().for_each(|t| run.push(t));
         WorkerMsg::HandOff(run)
     }
 
-    /// A hand-off run goes through the batch's admission: for a query never
-    /// introduced it fails the query, for an ended one it is dropped, for a
-    /// draining one each traverser is refunded, and a live query's
-    /// traversers are queued and run.
+    /// A hand-off run's admission: for a query never introduced it fails
+    /// the query, for an ended one it is dropped, for a draining one each
+    /// traverser is refunded, and a live query's traversers are queued and
+    /// run.
     #[test]
     fn hand_offs_are_admitted_like_batches() {
         let (mut w, _fabric, _wrx, crx) = test_worker_with_coord();
@@ -1020,7 +999,7 @@ mod handler_tests {
         let ctx = ctx_over(&w, 6, "far");
         begin(&mut w, ctx);
         for wave in [vec![at_v0(6, 2), at_v0(6, 3)], vec![at_v0(6, 4)]] {
-            w.handle(WorkerMsg::Batch(wave));
+            w.handle(hand_off(wave));
             while w.pump() == PumpStatus::Worked {}
         }
         w.handle(WorkerMsg::StageBegin { query: q, stage: 1 });
@@ -1029,7 +1008,6 @@ mod handler_tests {
             std::iter::from_fn(|| wrx[other.as_usize()].try_recv().ok())
                 .map(|m| match m {
                     WorkerMsg::QueryBegin { stage, from, .. } => format!("begin {stage} {from:?}"),
-                    WorkerMsg::Batch(ts) => format!("batch {}", ts.len()),
                     WorkerMsg::HandOff(run) => format!("batch {}", run.len()),
                     WorkerMsg::StageBegin { stage, .. } => format!("stage {stage}"),
                     WorkerMsg::QueryEnd { .. } => "end".into(),
@@ -1105,7 +1083,7 @@ mod handler_tests {
             from: None,
         });
         w.handle(WorkerMsg::QueryEnd { query: QueryId(5) });
-        w.handle(WorkerMsg::Batch(vec![at_v0(5, 1)]));
+        w.handle(hand_off(vec![at_v0(5, 1)]));
         assert!(
             w.ring.is_empty(),
             "late traversers for an ended query are dropped"
@@ -1125,7 +1103,7 @@ mod handler_tests {
         });
         w.handle(WorkerMsg::CancelQuery { query: QueryId(7) });
         let before = fabric.stats().snapshot().progress_msgs;
-        w.handle(WorkerMsg::Batch(vec![
+        w.handle(hand_off(vec![
             at_v0(5, 1),
             at_v0(7, 2),
             at_v0(7, 3),
@@ -1166,7 +1144,7 @@ mod handler_tests {
             assert_eq!(w.pump(), PumpStatus::Idle);
             if i == 1 {
                 // One burst, to grow a bucket well past what is kept.
-                w.handle(WorkerMsg::Batch(vec![at_v0(1, 1); 8 * BUCKET_KEEP]));
+                w.handle(hand_off(vec![at_v0(1, 1); 8 * BUCKET_KEEP]));
                 assert!(w.ring.capacity() >= 8 * BUCKET_KEEP);
             }
             w.handle(WorkerMsg::StartSource {
@@ -1176,7 +1154,7 @@ mod handler_tests {
             });
             if i % 3 == 0 {
                 w.handle(WorkerMsg::CancelQuery { query: q });
-                w.handle(WorkerMsg::Batch(vec![at_v0(i, 1)]));
+                w.handle(hand_off(vec![at_v0(i, 1)]));
                 w.handle(WorkerMsg::QueryEnd { query: q });
                 while w.pump() == PumpStatus::Worked {}
                 assert!(!w.holds(q), "cycle {i}: the cancelled query is held");
@@ -1223,7 +1201,7 @@ mod handler_tests {
             stage: 0,
             from: None,
         });
-        w.handle(WorkerMsg::Batch(vec![at_v0(5, 1), at_v0(6, 2)]));
+        w.handle(hand_off(vec![at_v0(5, 1), at_v0(6, 2)]));
         assert_eq!(w.ring.len(), 2);
         w.handle(WorkerMsg::QueryEnd { query: QueryId(5) });
         assert_eq!(w.ring.len(), 1);
@@ -1248,9 +1226,9 @@ mod handler_tests {
                 from: None,
             });
         }
-        w.handle(WorkerMsg::Batch(vec![at_v0(5, 1); 10_000]));
+        w.handle(hand_off(vec![at_v0(5, 1); 10_000]));
         assert_eq!(w.pump(), PumpStatus::Worked);
-        w.handle(WorkerMsg::Batch(vec![at_v0(6, 7); 3]));
+        w.handle(hand_off(vec![at_v0(6, 7); 3]));
         // One quantum of the long query (it was first in the ring), then
         // the short one's.
         assert_eq!(w.pump(), PumpStatus::Worked);
@@ -1276,7 +1254,7 @@ mod handler_tests {
             from: None,
         });
         for wave in [300, 5] {
-            w.handle(WorkerMsg::Batch(vec![at_v0(5, 2); wave]));
+            w.handle(hand_off(vec![at_v0(5, 2); wave]));
             while !w.ring.is_empty() {
                 assert!(progress_at(&crx).is_empty(), "reported with work queued");
                 assert_eq!(w.pump(), PumpStatus::Worked);
@@ -1300,7 +1278,7 @@ mod handler_tests {
             })
         };
         begin(&mut w);
-        w.handle(WorkerMsg::Batch(vec![at_v0(5, 1); 100]));
+        w.handle(hand_off(vec![at_v0(5, 1); 100]));
         assert_eq!(w.pump(), PumpStatus::Worked);
         let queued = w.ring.len();
         assert!(queued > 0);
@@ -1323,7 +1301,7 @@ mod handler_tests {
                 stage: 0,
                 from: None,
             });
-            w.handle(WorkerMsg::Batch(vec![at_v0(q, q); q as usize]));
+            w.handle(hand_off(vec![at_v0(q, q); q as usize]));
         }
         assert_eq!((w.ring.len(), w.router.arena.live()), (26, 26));
         w.handle(WorkerMsg::QueryEnd { query: QueryId(6) });
@@ -1354,7 +1332,7 @@ mod handler_tests {
             depth,
             ..at_v0(5, weight)
         };
-        w.handle(WorkerMsg::Batch(vec![
+        w.handle(hand_off(vec![
             deep(u32::MAX, 1),
             deep(crate::run_queue::DENSE_DEPTHS as u32 + 1, 2),
             deep(1, 3),

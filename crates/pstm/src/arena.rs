@@ -23,15 +23,18 @@
 //!   zero donate their `Vec` back to a small pool, so even CoW copies
 //!   reuse capacity instead of allocating.
 //!
-//! The arena layout never crosses the wire. A traverser bound for another
-//! node is flattened back to the plain [`Traverser`] at the outbox
-//! boundary ([`TraverserArena::extract`]) and interned again at the inbox
-//! ([`TraverserArena::admit`]), so the codec and the sockets see only wire
-//! traversers. One bound for a co-located worker stays an arena record: it
-//! is [exported](TraverserArena::export) into a [`HandOff`] run, which
+//! A traverser leaves a worker in one form, on every lane: it is
+//! [exported](TraverserArena::export) into a [`HandOff`] run, which
 //! carries each register file its siblings share once, and
-//! [imported](TraverserArena::import) into the peer's arena and table —
-//! nothing on a node is flattened or re-interned one traverser at a time.
+//! [imported](TraverserArena::import) into the receiver's arena and table
+//! — a co-located peer's straight from memory, a remote one's after the
+//! run crossed the wire — so nothing is flattened or re-interned one
+//! traverser at a time. The flat [`Traverser`] remains the form sources
+//! and driver seeds are built in ([`TraverserArena::admit`],
+//! [`HandOff::push`]) and the one the non-partitioned baseline queues
+//! ([`HandOff::into_traversers`]).
+
+use std::mem::take;
 
 use graphdance_common::{QueryId, Value, VertexId};
 
@@ -110,6 +113,36 @@ impl ArenaTraverser {
             weight: Weight::ZERO,
             depth: 0,
             aux_key: None,
+        }
+    }
+
+    /// A flat traverser's fixed fields (no register file yet), and its
+    /// register file.
+    pub(crate) fn split(t: Traverser) -> (Self, Vec<Value>) {
+        let at = ArenaTraverser {
+            query: t.query,
+            pipeline: t.pipeline,
+            pc: t.pc,
+            vertex: t.vertex,
+            locals: LocalsId::INVALID,
+            weight: t.weight,
+            depth: t.depth,
+            aux_key: t.aux_key,
+        };
+        (at, t.locals)
+    }
+
+    /// The flat traverser with register file `locals`.
+    pub fn with_locals(self, locals: Vec<Value>) -> Traverser {
+        Traverser {
+            query: self.query,
+            pipeline: self.pipeline,
+            pc: self.pc,
+            vertex: self.vertex,
+            locals,
+            weight: self.weight,
+            depth: self.depth,
+            aux_key: self.aux_key,
         }
     }
 
@@ -218,38 +251,21 @@ impl TraverserArena {
         std::mem::replace(&mut self.slots[i], ArenaTraverser::vacant())
     }
 
-    /// Intern a wire-format traverser arriving from the inbox: its locals
-    /// go into `locals`, the fixed fields into the slab.
+    /// Intern a flat traverser (a source's child): its locals go into
+    /// `locals`, the fixed fields into the slab.
     pub fn admit(&mut self, t: Traverser, locals: &mut LocalsTable) -> TraverserHandle {
-        let lid = locals.alloc(t.locals);
-        self.insert(ArenaTraverser {
-            query: t.query,
-            pipeline: t.pipeline,
-            pc: t.pc,
-            vertex: t.vertex,
-            locals: lid,
-            weight: t.weight,
-            depth: t.depth,
-            aux_key: t.aux_key,
-        })
+        let (mut at, vals) = ArenaTraverser::split(t);
+        at.locals = locals.alloc(vals);
+        self.insert(at)
     }
 
-    /// Flatten an arena traverser back to the wire format (outbox
-    /// boundary). The locals record is moved out when this was its last
-    /// reference, cloned otherwise — the bytes on the wire are the same
-    /// either way.
+    /// Flatten an arena traverser back to a flat [`Traverser`]. The locals
+    /// record is moved out when this was its last reference, cloned
+    /// otherwise.
     pub fn extract(&mut self, h: TraverserHandle, locals: &mut LocalsTable) -> Traverser {
         let at = self.remove(h);
-        Traverser {
-            query: at.query,
-            pipeline: at.pipeline,
-            pc: at.pc,
-            vertex: at.vertex,
-            locals: locals.take(at.locals),
-            weight: at.weight,
-            depth: at.depth,
-            aux_key: at.aux_key,
-        }
+        let vals = locals.take(at.locals);
+        at.with_locals(vals)
     }
 
     /// Remove a traverser and release its locals without materializing a
@@ -297,7 +313,7 @@ impl TraverserArena {
         let i = at.locals.index();
         let id = &mut from.ids[i];
         if *id == LocalsId::INVALID {
-            *id = locals.alloc(std::mem::take(&mut from.records[i]));
+            *id = locals.alloc(take(&mut from.records[i]));
         } else {
             locals.retain(*id);
         }
@@ -306,12 +322,12 @@ impl TraverserArena {
     }
 }
 
-/// A run of traversers one worker hands a co-located peer as arena
-/// records: each traverser's `locals` indexes `records`, and a register
+/// A run of traversers one worker hands another as arena records, on
+/// any lane: each traverser's `locals` indexes `records`, and a register
 /// file its siblings share is carried once. Records are shared within one
 /// interpreter outcome only — [`HandOff::seal`] ends it — because the
 /// sender may free a [`LocalsId`] and reuse it for another file between
-/// outcomes.
+/// outcomes; so a record is one query's, and is interned into its table.
 #[derive(Debug, Default)]
 pub struct HandOff {
     /// The traversers, in send order; `locals` is a record index.
@@ -338,6 +354,39 @@ impl HandOff {
     /// so far.
     pub fn seal(&mut self) {
         self.open.clear();
+    }
+
+    /// Append a flat traverser, its register file a record of its own.
+    pub fn push(&mut self, t: Traverser) {
+        let (mut at, vals) = ArenaTraverser::split(t);
+        at.locals = LocalsId(self.records.len() as u32);
+        self.records.push(vals);
+        self.traversers.push(at);
+    }
+
+    /// Append `at` with record `record` of this run as its register file —
+    /// how a decoded run is rebuilt, once the decoder checked the index.
+    pub fn push_indexed(&mut self, mut at: ArenaTraverser, record: u32) {
+        at.locals = LocalsId(record);
+        self.traversers.push(at);
+    }
+
+    /// The flat traversers the run stands for, in send order: a record is
+    /// moved into the last traverser using it, cloned for the ones before.
+    pub fn into_traversers(self) -> Vec<Traverser> {
+        let mut uses = vec![0u32; self.records.len()];
+        for at in &self.traversers {
+            uses[at.locals.index()] += 1;
+        }
+        let mut records = self.records;
+        (self.traversers.into_iter())
+            .map(|at| {
+                let i = at.locals.index();
+                let r = &mut records[i];
+                uses[i] -= 1;
+                at.with_locals(if uses[i] == 0 { take(r) } else { r.clone() })
+            })
+            .collect()
     }
 
     /// The traversers, and the importer their records are interned through.
@@ -447,7 +496,7 @@ impl LocalsTable {
         let e = &mut self.entries[id.0 as usize];
         e.rc -= 1;
         if e.rc == 0 {
-            let mut v = std::mem::take(&mut e.vals);
+            let mut v = take(&mut e.vals);
             v.clear();
             if self.pool.len() < LOCALS_POOL_CAP {
                 self.pool.push(v);
@@ -486,7 +535,7 @@ impl LocalsTable {
     pub fn take(&mut self, id: LocalsId) -> Vec<Value> {
         let i = id.0 as usize;
         if self.entries[i].rc == 1 {
-            let vals = std::mem::take(&mut self.entries[i].vals);
+            let vals = take(&mut self.entries[i].vals);
             self.unref(id);
             vals
         } else {

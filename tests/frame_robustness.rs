@@ -14,7 +14,11 @@
 //!   a (differently-framed) frame sequence, but never a panic and never
 //!   an allocation beyond [`MAX_FRAME_BYTES`];
 //! * **hostile prefixes** — zero/oversized lengths, unknown kinds, and
-//!   malformed HELLO/GOODBYE bodies are typed `GdError`s.
+//!   malformed HELLO/GOODBYE bodies are typed `GdError`s;
+//! * **hand-off runs** — a seeded traverser run, siblings sharing records,
+//!   crosses a chopped stream exactly; a record index past its records,
+//!   or a record named by two queries' traversers, is a typed error; a
+//!   flipped byte in it never panics the decoder.
 //!
 //! The end-to-end half feeds a real `TcpTransport` reader garbage over a
 //! live socket and asserts the fabric counts it in `net.decode_errors`
@@ -23,7 +27,9 @@
 //! the stream delivering the packet after it — and
 //! a well-formed frame whose traversers carry hostile *depths*
 //! (`u32::MAX`, just past the run queue's dense bound), which a worker
-//! must queue and run like any other.
+//! must queue and run like any other — and well-framed runs with a record
+//! index out of range, a record shared by two queries or a register file
+//! nested too deep, each one counted decode error that delivers nothing.
 
 use std::io::Write;
 use std::sync::Arc;
@@ -343,8 +349,8 @@ fn hostile_depths_over_live_socket_are_queued_and_run() {
         .recv_timeout(Duration::from_secs(5))
         .expect("the frame crosses the socket");
     match &arrived {
-        WorkerMsg::Batch(ts) => assert_eq!(
-            ts.iter().map(|t| t.depth).collect::<Vec<_>>(),
+        WorkerMsg::HandOff(run) => assert_eq!(
+            run.traversers.iter().map(|t| t.depth).collect::<Vec<_>>(),
             depths,
             "the codec carries any depth through"
         ),
@@ -381,6 +387,208 @@ fn hostile_depths_over_live_socket_are_queued_and_run() {
     }
 
     drop(worker);
+    for f in &fabrics {
+        f.shutdown();
+    }
+    for h in threads {
+        h.join().expect("transport threads exit");
+    }
+}
+
+/// Deterministic fuzz over 256 seeded traverser runs whose siblings share
+/// records: each crosses a chopped frame stream and decodes back exactly;
+/// the same body with its last record index pointed past the run's
+/// records fails with a typed error, and pointed at the first record it
+/// fails too unless both traversers are of one query; and a single flipped
+/// byte anywhere in it decodes or fails typed, never panicking.
+#[test]
+fn hand_off_bodies_decode_or_fail_typed_256_seeds() {
+    use graphdance::common::{QueryId, Value, VertexId, WorkerId};
+    use graphdance::engine::messages::WorkerMsg;
+    use graphdance::engine::net::WireMsg;
+    use graphdance::engine::wire;
+    use graphdance::pstm::{ArenaTraverser, HandOff, Traverser, Weight};
+
+    for seed in 0..256u64 {
+        let mut rng = seeded(seed ^ 0x4A4D);
+        let (mut run, mut want) = (HandOff::default(), Vec::new());
+        for _ in 0..rng.gen_range(1..6) {
+            let mut t = Traverser::root(QueryId(rng.gen()), 0, VertexId(rng.gen()), 2, Weight(1));
+            t.locals = (0..rng.gen_range(0..4))
+                .map(|_| Value::Int(rng.gen::<u32>() as i64))
+                .collect();
+            want.push(t.clone());
+            run.push(t);
+            let record = run.records.len() as u32 - 1;
+            for _ in 0..rng.gen_range(0..3) {
+                let vertex = VertexId(rng.gen());
+                let sibling = ArenaTraverser {
+                    vertex,
+                    aux_key: None,
+                    ..run.traversers[run.len() - 1]
+                };
+                run.push_indexed(sibling, record);
+                want.push(Traverser {
+                    vertex,
+                    ..want[want.len() - 1].clone()
+                });
+            }
+        }
+        let records = run.records.len() as u32;
+        let msg = WireMsg::Worker {
+            dest: WorkerId(1),
+            msg: WorkerMsg::HandOff(run),
+        };
+        let mut body = Vec::new();
+        wire::encode_packet(&mut body, &[msg]).expect("encodes");
+
+        let mut bytes = Vec::new();
+        encode_frame(&mut bytes, FRAME_PACKET, &body);
+        let mut asm = Reassembler::new();
+        let mut framed = Vec::new();
+        for chunk in bytes.chunks(rng.gen_range(1..32)) {
+            asm.push(chunk);
+            framed.extend(drain(&mut asm).expect("valid frames"));
+        }
+        let [Frame::Packet(got)] = &framed[..] else {
+            panic!("seed {seed}: one packet frame, got {framed:?}");
+        };
+        match wire::decode_packet(got).expect("decodes").pop() {
+            Some((
+                WireMsg::Worker {
+                    msg: WorkerMsg::HandOff(back),
+                    ..
+                },
+                _,
+            )) => assert_eq!(back.into_traversers(), want, "seed {seed}"),
+            other => panic!("seed {seed}: unexpected {other:?}"),
+        }
+
+        let mut past = body.clone();
+        let at = past.len() - 4;
+        past[at..].copy_from_slice(&records.to_le_bytes());
+        let err = wire::decode_packet(&past).expect_err("an index past the records");
+        assert!(
+            err.to_string().contains("hand-off record"),
+            "seed {seed}: {err}"
+        );
+
+        // The last traverser pointed at the first record: another query's
+        // register file unless both are the same query's.
+        let mut shared = body.clone();
+        shared[at..].copy_from_slice(&0u32.to_le_bytes());
+        if want[want.len() - 1].query == want[0].query {
+            wire::decode_packet(&shared).expect("one query's records are its own to share");
+        } else {
+            let err = wire::decode_packet(&shared).expect_err("a record of two queries");
+            assert!(
+                err.to_string().contains("shared by queries"),
+                "seed {seed}: {err}"
+            );
+        }
+
+        let mut flipped = body;
+        let victim = rng.gen_range(0..flipped.len());
+        flipped[victim] ^= rng.gen_range(1..=255u8);
+        let _ = wire::decode_packet(&flipped);
+    }
+}
+
+/// End-to-end: traverser runs that are well framed yet hostile — a record
+/// index past the run's records, a record named by two queries'
+/// traversers, a register file nested past the decoder's budget — cross a
+/// live socket, and each fails its packet with a typed error counted in
+/// `net.decode_errors`: nothing of it is delivered, so no importer ever
+/// indexes a record out of range or interns one query's record into
+/// another's table, and the packet behind it on the same stream still
+/// arrives.
+#[test]
+fn hostile_hand_off_runs_over_live_socket_are_counted_not_delivered() {
+    use graphdance::common::{QueryId, Value, VertexId, WorkerId};
+    use graphdance::engine::messages::WorkerMsg;
+    use graphdance::engine::net::WireMsg;
+    use graphdance::engine::transport::Transport;
+    use graphdance::engine::wire::{self, MAX_NESTING};
+    use graphdance::pstm::{ArenaTraverser, HandOff, Traverser, Weight};
+
+    let config = EngineConfig::new(2, 1);
+    let transports = TcpTransport::loopback_mesh(2, SocketFamily::Tcp).expect("bind");
+    let (mut fabrics, mut inboxes, mut threads) = (Vec::new(), Vec::new(), Vec::new());
+    for (i, t) in transports.iter().enumerate() {
+        let (wtx, wrx) = (0..2).map(|_| unbounded()).unzip::<_, _, Vec<_>, Vec<_>>();
+        let (ctx, _crx) = unbounded();
+        let (fabric, mut handles) =
+            Fabric::new_with_transport(&config, NodeId(i as u32), wtx, ctx, Arc::clone(t) as _);
+        fabrics.push(fabric);
+        inboxes.push(wrx);
+        threads.append(&mut handles);
+    }
+    let run_packet = |t: &Traverser| {
+        let mut run = HandOff::default();
+        run.push(t.clone());
+        let msg = WireMsg::Worker {
+            dest: WorkerId(0),
+            msg: WorkerMsg::HandOff(run),
+        };
+        let mut body = Vec::new();
+        wire::encode_packet(&mut body, &[msg]).expect("encodes");
+        body
+    };
+    let t = Traverser::root(QueryId(3), 0, VertexId(0), 0, Weight(1));
+    // The run carries one record: index 1 is past it.
+    let mut past_records = run_packet(&t);
+    let at = past_records.len() - 4;
+    past_records[at..].copy_from_slice(&1u32.to_le_bytes());
+    // Two queries' traversers naming one record: interned into the first
+    // query's table, the second would refcount an unrelated file.
+    let cross_query = {
+        let mut run = HandOff::default();
+        run.push(t.clone());
+        let other = ArenaTraverser {
+            query: QueryId(4),
+            aux_key: None,
+            ..run.traversers[0]
+        };
+        run.push_indexed(other, 0);
+        let msg = WireMsg::Worker {
+            dest: WorkerId(0),
+            msg: WorkerMsg::HandOff(run),
+        };
+        let mut body = Vec::new();
+        wire::encode_packet(&mut body, &[msg]).expect("encodes");
+        body
+    };
+    let mut deep = Value::Null;
+    for _ in 0..=MAX_NESTING {
+        deep = Value::list(vec![deep]);
+    }
+    let too_deep = run_packet(&Traverser {
+        locals: vec![deep],
+        ..t.clone()
+    });
+
+    for (hostile, why, errors) in [
+        (past_records, "hand-off record 1 of 1", 1),
+        (too_deep, "nesting", 2),
+        (cross_query, "hand-off record 0 shared by queries", 3),
+    ] {
+        transports[1].ship(NodeId(0), hostile);
+        transports[1].ship(NodeId(0), run_packet(&t));
+        match inboxes[0][0].recv_timeout(Duration::from_secs(5)) {
+            Ok(WorkerMsg::HandOff(run)) => assert_eq!(run.into_traversers(), vec![t.clone()]),
+            other => panic!("the packet after the hostile one never arrived: {other:?}"),
+        }
+        assert_eq!(fabrics[0].stats().snapshot().decode_errors, errors);
+        let err = fabrics[0]
+            .take_decode_error()
+            .expect("typed error retained");
+        assert!(err.to_string().contains(why), "{err}");
+        assert!(
+            inboxes.iter().flatten().all(|rx| rx.is_empty()),
+            "nothing of the hostile run was delivered"
+        );
+    }
+
     for f in &fabrics {
         f.shutdown();
     }

@@ -11,7 +11,7 @@ use graphdance::engine::messages::{CoordMsg, WorkerMsg};
 use graphdance::engine::net::WireMsg;
 use graphdance::engine::wire::{self, Wire};
 use graphdance::engine::{EngineConfig, GraphDance};
-use graphdance::pstm::{Traverser, Weight};
+use graphdance::pstm::{HandOff, Traverser, Weight};
 use graphdance::query::expr::Expr;
 use graphdance::query::QueryBuilder;
 use graphdance::storage::{Direction, GraphBuilder, TelList, TS_LIVE};
@@ -66,6 +66,13 @@ fn arb_progress() -> impl Strategy<Value = ProgressEntry> {
     })
 }
 
+/// `ts` as one traverser run, each its own record.
+fn run_of(ts: &[Traverser]) -> WorkerMsg {
+    let mut run = HandOff::default();
+    ts.iter().for_each(|t| run.push(t.clone()));
+    WorkerMsg::HandOff(run)
+}
+
 /// One packet through `wire::encode_packet` → `wire::decode_packet`: the
 /// body is exactly the `u32` count plus each message's `encoded_len`, and
 /// every message comes back with exactly its own bytes.
@@ -96,17 +103,20 @@ proptest! {
         }
     }
 
-    /// Any traverser batch crosses a packet exactly, and its size is the
-    /// message header plus each traverser's `encoded_len` — the figure the
-    /// tier-1 buffer sizes it by.
+    /// Any traverser batch crosses a packet exactly as a run, and its size
+    /// is the message header plus each traverser's `encoded_len` — the
+    /// figure the tier-1 buffer sizes it by — plus the run's record count
+    /// and one record index per traverser (each its own record here).
     #[test]
     fn batch_packet_roundtrips_exactly(ts in prop::collection::vec(arb_traverser(), 0..8)) {
-        let msg = WireMsg::Worker { dest: WorkerId(3), msg: WorkerMsg::Batch(ts.clone()) };
+        let msg = WireMsg::Worker { dest: WorkerId(3), msg: run_of(&ts) };
         let body: usize = ts.iter().map(wire::encoded_len).sum();
-        prop_assert_eq!(wire::encoded_len(&msg), 1 + 4 + 1 + 4 + body);
-        match &packet_roundtrip(&[msg])[..] {
-            [WireMsg::Worker { dest: WorkerId(3), msg: WorkerMsg::Batch(got) }] => {
-                prop_assert_eq!(got, &ts)
+        prop_assert_eq!(wire::encoded_len(&msg), 1 + 4 + 1 + 4 + body + 4 + 4 * ts.len());
+        let mut back = packet_roundtrip(&[msg]);
+        prop_assert_eq!(back.len(), 1);
+        match back.pop() {
+            Some(WireMsg::Worker { dest: WorkerId(3), msg: WorkerMsg::HandOff(got) }) => {
+                prop_assert_eq!(got.into_traversers(), ts)
             }
             other => prop_assert!(false, "unexpected {:?}", other),
         }
@@ -149,7 +159,7 @@ proptest! {
         ps in prop::collection::vec(arb_progress(), 0..3),
         cut in any::<prop::sample::Index>(),
     ) {
-        let mut msgs = vec![WireMsg::Worker { dest: WorkerId(0), msg: WorkerMsg::Batch(ts) }];
+        let mut msgs = vec![WireMsg::Worker { dest: WorkerId(0), msg: run_of(&ts) }];
         msgs.extend(ps.iter().map(|p| {
             WireMsg::Coord(CoordMsg::Progress { query: p.query, weight: p.weight, steps: p.steps })
         }));

@@ -15,7 +15,7 @@ use graphdance::common::{rng, QueryId, Value, VertexId, WorkerId};
 use graphdance::engine::messages::{CoordMsg, WorkerMsg};
 use graphdance::engine::net::WireMsg;
 use graphdance::engine::wire;
-use graphdance::pstm::{Weight, WeightAccumulator};
+use graphdance::pstm::{HandOff, Weight, WeightAccumulator};
 use graphdance_sim::{check, GraphSpec, QuerySpec, Repro, SimFailure, Verdict};
 
 const FIXED_SEEDS: u64 = 256;
@@ -201,9 +201,13 @@ fn batch_packet_roundtrips_256_fixed_seeds() {
         let mut msgs: Vec<WireMsg> = batches
             .iter()
             .enumerate()
-            .map(|(i, ts)| WireMsg::Worker {
-                dest: WorkerId(i as u32),
-                msg: WorkerMsg::Batch(ts.clone()),
+            .map(|(i, ts)| {
+                let mut run = HandOff::default();
+                ts.iter().for_each(|t| run.push(t.clone()));
+                WireMsg::Worker {
+                    dest: WorkerId(i as u32),
+                    msg: WorkerMsg::HandOff(run),
+                }
             })
             .collect();
         let progress: Vec<(u64, u64, u64)> = (0..r.gen_range(0..4usize))
@@ -216,24 +220,28 @@ fn batch_packet_roundtrips_256_fixed_seeds() {
                 steps,
             })
         }));
-        let back = packet_roundtrip(&msgs, seed);
+        let mut back = packet_roundtrip(&msgs, seed).into_iter();
         assert_eq!(back.len(), msgs.len(), "seed {seed}");
         for (i, ts) in batches.iter().enumerate() {
-            match &back[i] {
-                WireMsg::Worker {
+            match back.next() {
+                Some(WireMsg::Worker {
                     dest,
-                    msg: WorkerMsg::Batch(got),
-                } => assert_eq!((dest.0, got), (i as u32, ts), "seed {seed}"),
+                    msg: WorkerMsg::HandOff(got),
+                }) => assert_eq!(
+                    (dest.0, &got.into_traversers()),
+                    (i as u32, ts),
+                    "seed {seed}"
+                ),
                 other => panic!("seed {seed}: unexpected {other:?}"),
             }
         }
-        for (m, &(q, w, steps)) in back[batches.len()..].iter().zip(&progress) {
+        for (m, &(q, w, steps)) in back.zip(&progress) {
             match m {
                 WireMsg::Coord(CoordMsg::Progress {
                     query,
                     weight,
                     steps: s,
-                }) => assert_eq!((query.0, weight.0, *s), (q, w, steps), "seed {seed}"),
+                }) => assert_eq!((query.0, weight.0, s), (q, w, steps), "seed {seed}"),
                 other => panic!("seed {seed}: unexpected {other:?}"),
             }
         }

@@ -155,7 +155,7 @@ impl Cluster {
         let mut got = Vec::with_capacity(n);
         while got.len() < n {
             match self.worker_rx(slot).recv_timeout(RECV_TIMEOUT) {
-                Ok(WorkerMsg::Batch(b)) => got.extend(b.iter().map(|t| t.vertex.0)),
+                Ok(WorkerMsg::HandOff(b)) => got.extend(b.traversers.iter().map(|t| t.vertex.0)),
                 Ok(other) => panic!("[{:?}] slot {slot}: unexpected {other:?}", self.backend),
                 Err(e) => panic!(
                     "[{:?}] slot {slot}: got {}/{n} then {e:?}",
@@ -473,7 +473,7 @@ fn drain_before_close_delivers_flushed_packets_on_every_backend() {
         let rx = cluster.worker_rx(2).clone();
         cluster.shutdown();
         let mut got = 0usize;
-        while let Ok(WorkerMsg::Batch(b)) = rx.try_recv() {
+        while let Ok(WorkerMsg::HandOff(b)) = rx.try_recv() {
             got += b.len();
         }
         assert_eq!(got, 500, "[{backend:?}] shutdown truncated the stream");
