@@ -159,6 +159,14 @@ echo "==> Fig. 8b distributed vs single-node smoke (--quick: 2 x 4 and 1 x 8)"
 cargo run -q --release -p graphdance-bench --bin fig8b_single_node -- --quick \
     >/dev/null
 
+echo "==> Fig. 3, Fig. 10, Fig. 13, Table I and Table II smokes (--quick)"
+# Each under a second. All but table2_datasets submit queries through the
+# coordinator's stage start, which no other figure lane runs in these shapes.
+for bin in fig3_join_plan fig10_weight_coalescing fig13_hardware \
+    table1_workloads table2_datasets; do
+    cargo run -q --release -p graphdance-bench --bin "$bin" -- --quick >/dev/null
+done
+
 echo "==> hybrid Sync/Async smoke (--quick: BSP alone and behind the hybrid's switch)"
 cargo run -q --release -p graphdance-bench --bin ext_hybrid -- --quick \
     >/dev/null

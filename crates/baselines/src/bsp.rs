@@ -29,20 +29,21 @@ use std::time::{Duration, Instant};
 
 use graphdance_common::time::now;
 
-use crossbeam::channel::{unbounded, Receiver};
+use crossbeam::channel::Receiver;
 use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 
-use graphdance_common::{FxHashMap, GdError, GdResult, NodeId, PartId, QueryId, Value, WorkerId};
+use graphdance_common::{FxHashMap, GdError, GdResult, NodeId, QueryId, Value, WorkerId};
 use graphdance_engine::config::EngineConfig;
+use graphdance_engine::engine::{assemble, spawn};
 use graphdance_engine::messages::{BspSignal, CoordMsg, QueryCtx, WorkerMsg};
 use graphdance_engine::net::{Fabric, NetStatsSnapshot, Outbox};
 use graphdance_engine::QueryResult;
 use graphdance_pstm::{
-    AggState, HandleOutcome, LocalsTable, Memo, Row, TraverserArena, TraverserHandle, Weight,
-    WeightLedger,
+    AggState, HandleOutcome, LocalsTable, Memo, Row, SourceStart, TraverserArena, TraverserHandle,
+    Weight, WeightLedger,
 };
-use graphdance_query::plan::{Plan, SourceSpec};
+use graphdance_query::plan::Plan;
 use graphdance_storage::Graph;
 
 use crate::traits::QueryEngine;
@@ -371,44 +372,29 @@ pub struct BspEngine {
 }
 
 impl BspEngine {
-    /// Start the BSP cluster (same topology semantics as
-    /// [`graphdance_engine::GraphDance::start`]).
+    /// Start the BSP cluster over [`graphdance_engine::engine::assemble`]
+    /// (same topology semantics as [`graphdance_engine::GraphDance::start`]);
+    /// its superstep `Driver` reads the coordinator inbox.
     pub fn start(graph: Graph, config: EngineConfig) -> BspEngine {
-        assert_eq!(graph.partitioner().num_parts(), config.num_parts());
-        let p = config.num_parts() as usize;
-        let mut worker_tx = Vec::with_capacity(p);
-        let mut worker_rx = Vec::with_capacity(p);
-        for _ in 0..p {
-            let (tx, rx) = unbounded();
-            worker_tx.push(tx);
-            worker_rx.push(rx);
-        }
-        let (coord_tx, coord_rx) = unbounded();
-        let (fabric, mut threads) = Fabric::new(&config, worker_tx.clone(), coord_tx);
-        for (i, inbox) in worker_rx.into_iter().enumerate() {
-            let worker = BspWorker::new(
-                WorkerId(i as u32),
-                graph.clone(),
-                &fabric,
-                inbox,
-                config.seed,
-            );
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("bsp-worker-{i}"))
-                    .spawn(move || worker.run())
-                    .expect("spawn bsp worker"),
-            );
-        }
+        let a = assemble(
+            &graph,
+            &config,
+            0..config.nodes,
+            Fabric::new,
+            |id, inbox, fabric| BspWorker::new(id, graph.clone(), fabric, inbox, config.seed),
+        );
+        let mut threads = a.net;
+        let spawn_worker = |w: BspWorker| spawn(format!("bsp-worker-{}", w.id.0), move || w.run());
+        threads.extend(a.workers.into_iter().map(spawn_worker));
         let driver = Driver {
-            coord_rx,
-            outbox: fabric.outbox(NodeId(0)),
+            coord_rx: a.coord_rx.expect("BSP hosts node 0"),
+            outbox: a.fabric.outbox(NodeId(0)),
             rng: graphdance_common::rng::derive(config.seed, 0xD21),
         };
         BspEngine {
             graph,
-            fabric,
-            worker_tx,
+            fabric: a.fabric,
+            worker_tx: a.worker_tx,
             driver: Mutex::new(driver),
             threads: Mutex::new(threads),
             next_qid: AtomicU64::new(1),
@@ -443,14 +429,7 @@ impl BspEngine {
     }
 
     fn run_query(&self, plan: &Plan, params: Vec<Value>) -> GdResult<QueryResult> {
-        plan.validate().map_err(GdError::InvalidProgram)?;
-        if params.len() < plan.num_params {
-            return Err(GdError::InvalidProgram(format!(
-                "plan needs {} params, got {}",
-                plan.num_params,
-                params.len()
-            )));
-        }
+        plan.check_call(&params)?;
         let started = now();
         let deadline = started + self.timeout;
         // sync: unique-id allocator — atomicity alone guarantees
@@ -516,58 +495,25 @@ impl BspEngine {
     ) -> GdResult<Vec<Row>> {
         let query = ctx.query;
         let stage = &ctx.plan.stages[stage_idx];
-        let parts: Vec<PartId> = self.fabric.partitioner().parts().collect();
-        let pipe_weights = Weight::ROOT.split(stage.pipelines.len(), &mut d.rng);
+        let interp = ctx.interpreter(&self.graph, stage_idx as u16);
         let mut source_reports_expected = 0usize;
-        for (pi, pw) in pipe_weights.into_iter().enumerate() {
-            match &stage.pipelines[pi].source {
-                SourceSpec::Param { param } => {
-                    let v = ctx
-                        .params
-                        .get(*param)
-                        .and_then(Value::as_vertex)
-                        .ok_or_else(|| {
-                            GdError::InvalidProgram(format!("param {param} is not a vertex"))
-                        })?;
-                    // The graph's placement, not the raw hash: Fennel may
-                    // have placed `v` elsewhere.
-                    d.outbox.send_ctrl_worker(
-                        self.graph.worker_of(v),
-                        WorkerMsg::StartSource {
-                            query,
-                            pipeline: pi as u16,
-                            weight: pw,
-                        },
-                    );
-                    source_reports_expected += 1;
-                }
-                SourceSpec::IndexLookup { .. } | SourceSpec::ScanLabel { .. } => {
-                    let shares = pw.split(parts.len(), &mut d.rng);
-                    for (p, w) in parts.iter().zip(shares) {
-                        d.outbox.send_ctrl_worker(
-                            self.fabric.partitioner().worker_of_part(*p),
-                            WorkerMsg::StartSource {
-                                query,
-                                pipeline: pi as u16,
-                                weight: w,
-                            },
-                        );
-                        source_reports_expected += 1;
-                    }
-                }
-                SourceSpec::PrevRows { .. } => {
-                    let interp = ctx.interpreter(&self.graph, stage_idx as u16);
-                    let out = interp.seed_prev_rows(pi as u16, &prev_rows, pw, &mut d.rng)?;
-                    for (dest, t) in out.spawned {
-                        let w = self.fabric.partitioner().worker_of_part(dest);
-                        tally.expect[w.as_usize()] += 1;
-                        d.outbox.send_traverser(w, t);
-                    }
-                    tally.finished.absorb(out.finished);
-                    d.outbox.flush_all();
-                }
+        let finished = interp.start_sources(&prev_rows, &mut d.rng, |dest, start| match start {
+            SourceStart::Source { pipeline, weight } => {
+                let source = WorkerMsg::StartSource {
+                    query,
+                    pipeline,
+                    weight,
+                };
+                d.outbox.send_ctrl_worker(dest, source);
+                source_reports_expected += 1;
             }
-        }
+            SourceStart::Seed(t) => {
+                tally.expect[dest.as_usize()] += 1;
+                d.outbox.send_traverser(dest, t);
+            }
+        })?;
+        tally.finished.absorb(finished);
+        d.outbox.flush_all();
 
         let mut rows: Vec<Row> = Vec::new();
         self.await_reports(
@@ -734,7 +680,8 @@ impl QueryEngine for BspEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use graphdance_common::{Partitioner, VertexId};
+    use crossbeam::channel::unbounded;
+    use graphdance_common::{PartId, Partitioner, VertexId};
     use graphdance_pstm::Traverser;
     use graphdance_query::QueryBuilder;
     use graphdance_storage::GraphBuilder;

@@ -12,6 +12,12 @@
 //! * [`hybrid`] — the paper's future-work extension (§VI-c): PowerSwitch-
 //!   style per-query Sync/Async selection from a frontier-size estimate.
 //!
+//! A baseline owns its workers and, for BSP, the superstep driver. The
+//! cluster's assembly, the plan check and where a stage's sources start
+//! are the engine's ([`graphdance_engine::engine::assemble`],
+//! [`graphdance_query::plan::Plan::check_call`],
+//! [`graphdance_pstm::Interpreter::start_sources`]).
+//!
 //! All engines implement [`QueryEngine`], so the LDBC driver and the
 //! benchmark harnesses treat them uniformly.
 

@@ -19,15 +19,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use graphdance_common::time::now;
-
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
+use crossbeam::channel::{bounded, Receiver, Sender};
 use parking_lot::{Mutex, RwLock};
 use rand::rngs::SmallRng;
 
 use graphdance_common::{FxHashMap, FxHashSet, GdError, GdResult, QueryId, Value, WorkerId};
 use graphdance_engine::config::{EngineConfig, WORKER_BATCH};
 use graphdance_engine::coordinator::Coordinator;
+use graphdance_engine::engine::{assemble, send_submit, spawn};
 use graphdance_engine::messages::{CoordMsg, QueryCtx, QueryScope, WorkerMsg};
 use graphdance_engine::net::{Fabric, NetStatsSnapshot, Outbox};
 use graphdance_engine::QueryResult;
@@ -467,42 +466,36 @@ pub struct NonPartitionedEngine {
 }
 
 impl NonPartitionedEngine {
-    /// Start the cluster.
+    /// Start the cluster over [`graphdance_engine::engine::assemble`]: one
+    /// node-shared state per node, and GraphDance's coordinator.
     pub fn start(graph: Graph, config: EngineConfig) -> Self {
-        assert_eq!(graph.partitioner().num_parts(), config.num_parts());
-        let p = config.num_parts() as usize;
-        let mut worker_tx = Vec::with_capacity(p);
-        let mut worker_rx = Vec::with_capacity(p);
-        for _ in 0..p {
-            let (tx, rx) = unbounded();
-            worker_tx.push(tx);
-            worker_rx.push(rx);
-        }
-        let (coord_tx, coord_rx) = unbounded();
-        let (fabric, mut threads) = Fabric::new(&config, worker_tx.clone(), coord_tx.clone());
         let shared: Vec<Arc<NodeShared>> = (0..config.nodes)
             .map(|_| Arc::new(NodeShared::new()))
             .collect();
-        for (i, inbox) in worker_rx.into_iter().enumerate() {
-            let id = WorkerId(i as u32);
-            let node = fabric.partitioner().node_of_worker(id);
-            let shared = Arc::clone(&shared[node.as_usize()]);
-            let worker = SharedWorker::new(id, graph.clone(), &fabric, inbox, shared, &config);
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("np-worker-{i}"))
-                    .spawn(move || worker.run())
-                    .expect("spawn worker"),
-            );
-        }
-        let coordinator = Coordinator::new(graph.clone(), &fabric, coord_rx, &config);
+        let a = assemble(
+            &graph,
+            &config,
+            0..config.nodes,
+            Fabric::new,
+            |id, inbox, fabric| {
+                let node = fabric.partitioner().node_of_worker(id);
+                let shared = Arc::clone(&shared[node.as_usize()]);
+                SharedWorker::new(id, graph.clone(), fabric, inbox, shared, &config)
+            },
+        );
+        let mut threads = a.net;
+        let spawn_worker =
+            |w: SharedWorker| spawn(format!("np-worker-{}", w.id.0), move || w.run());
+        threads.extend(a.workers.into_iter().map(spawn_worker));
+        let inbox = a.coord_rx.expect("the non-partitioned engine hosts node 0");
+        let coordinator = Coordinator::new(graph.clone(), &a.fabric, inbox, &config);
         let (timer_stop, timer) = coordinator.host();
         threads.push(timer);
         let txn = Arc::new(graphdance_txn::TxnSystem::new(graph));
         NonPartitionedEngine {
-            fabric,
-            coord_tx,
-            worker_tx,
+            fabric: a.fabric,
+            coord_tx: a.coord_tx,
+            worker_tx: a.worker_tx,
             threads: Mutex::new(threads),
             timer_stop,
             txn,
@@ -533,17 +526,12 @@ impl QueryEngine for NonPartitionedEngine {
 
     fn query_timed(&self, plan: &Plan, params: Vec<Value>) -> GdResult<QueryResult> {
         let (reply, rx) = bounded(1);
-        let msg = CoordMsg::Submit {
-            // sync: uniqueness only; see field docs
-            query: QueryId(self.qid.fetch_add(1, Ordering::Relaxed)),
-            plan: plan.clone(),
-            params,
-            read_ts: Some(self.txn.read_ts().max(1)),
-            reply: reply.into(),
-            submitted_at: now(),
-            deadline: None,
-        };
-        self.coord_tx.send(msg).map_err(|_| GdError::EngineClosed)?;
+        // sync: uniqueness only; see field docs
+        let query = QueryId(self.qid.fetch_add(1, Ordering::Relaxed));
+        let (plan, ts) = (plan.clone(), self.txn.read_ts().max(1));
+        if send_submit(&self.coord_tx, query, plan, params, ts, None, reply.into()).is_some() {
+            return Err(GdError::EngineClosed);
+        }
         self.fabric.drive_coordinator();
         rx.recv().unwrap_or(Err(GdError::EngineClosed))
     }
@@ -560,6 +548,7 @@ impl QueryEngine for NonPartitionedEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crossbeam::channel::unbounded;
     use graphdance_common::{Partitioner, VertexId};
     use graphdance_query::expr::Expr;
     use graphdance_query::QueryBuilder;

@@ -14,8 +14,9 @@
 //! coalescing**; without it every finished weight is its own report — the
 //! cost Fig. 10/11 quantify). The coordinator adds the reports into the
 //! query's [`WeightAccumulator`], reset at every stage; the stage's scope
-//! is complete exactly when the wrapping sum lands on [`Weight::ROOT`]
-//! (false-positive probability ≤ (n−1)/2⁶⁴, Theorem 1).
+//! is complete exactly when the wrapping sum lands on
+//! [`Weight::ROOT`](graphdance_pstm::Weight::ROOT) (false-positive
+//! probability ≤ (n−1)/2⁶⁴, Theorem 1).
 //!
 //! The coordinator has no thread. The threaded runtime keeps it in its
 //! fabric's [`CoordSlot`], and whichever thread just put a message in its
@@ -34,9 +35,9 @@ use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 
-use graphdance_common::{FxHashMap, GdError, GdResult, NodeId, PartId, QueryId, Value, WorkerId};
-use graphdance_pstm::{AggState, Row, Weight, WeightAccumulator};
-use graphdance_query::plan::{Plan, SourceSpec};
+use graphdance_common::{FxHashMap, GdError, GdResult, NodeId, QueryId, Value, WorkerId};
+use graphdance_pstm::{AggState, Row, SourceStart, WeightAccumulator};
+use graphdance_query::plan::Plan;
 use graphdance_storage::{Graph, Timestamp};
 
 use crate::config::EngineConfig;
@@ -100,14 +101,6 @@ pub struct Coordinator {
     rng: SmallRng,
     timeout: Duration,
     watchdog_stall: Duration,
-    /// Whether this process's [`MsgLedger`] sees the whole cluster (see
-    /// [`Fabric::ledger_is_global`]). In a multi-process cluster a send is
-    /// recorded in the sender's ledger and its delivery in the receiver's,
-    /// so per-process `sent == delivered` never holds mid-query — the
-    /// watchdog and the quiesce check must stand down, and cross-node
-    /// conservation is instead asserted by summing ledgers across
-    /// processes (the transport conformance suite does exactly that).
-    ledger_global: bool,
     /// Stage-transition instrumentation (span sink + seeding spans).
     #[cfg(feature = "obs")]
     obs: crate::obs::CoordObs,
@@ -130,7 +123,6 @@ impl Coordinator {
             rng: graphdance_common::rng::derive(config.seed, u64::MAX),
             timeout: config.query_timeout,
             watchdog_stall: config.watchdog_stall,
-            ledger_global: fabric.ledger_is_global(),
             #[cfg(feature = "obs")]
             obs: crate::obs::CoordObs::new(fabric),
         }
@@ -203,7 +195,7 @@ impl Coordinator {
         for (q, s) in &self.queries {
             fold(s.deadline);
             if MsgLedger::ENABLED
-                && self.ledger_global
+                && !self.fabric.invariants().is_local()
                 && self.fabric.invariants().has_imbalance(*q)
             {
                 fold(s.last_activity + self.watchdog_stall);
@@ -287,16 +279,8 @@ impl Coordinator {
             submitted_at,
             deadline,
         } = sub;
-        if let Err(e) = plan.validate() {
-            reply.complete(Err(GdError::InvalidProgram(e)));
-            return;
-        }
-        if params.len() < plan.num_params {
-            reply.complete(Err(GdError::InvalidProgram(format!(
-                "plan needs {} params, got {}",
-                plan.num_params,
-                params.len()
-            ))));
+        if let Err(e) = plan.check_call(&params) {
+            reply.complete(Err(e));
             return;
         }
         if self.queries.contains_key(&query) {
@@ -345,26 +329,6 @@ impl Coordinator {
         self.outbox.send(msg);
     }
 
-    /// Rule 1 (DESIGN.md §IV-A): the query's work is about to go to
-    /// `dest`. Unless this coordinator already introduced it there, send
-    /// the `QueryBegin` — context and current stage — on the same lane
-    /// first.
-    fn introduce(&mut self, query: QueryId, dest: WorkerId) {
-        let Some(state) = self.queries.get_mut(&query) else {
-            return;
-        };
-        if !state.scope.introduce(dest) {
-            return;
-        }
-        let (ctx, stage) = (Arc::clone(&state.ctx), state.stage);
-        let begin = WorkerMsg::QueryBegin {
-            ctx,
-            stage,
-            from: None,
-        };
-        self.send_ctrl(query, stage, dest, begin);
-    }
-
     /// Send `msg(query)` to every worker this coordinator introduced the
     /// query to (rules 2 and 3: they pass it on to the ones they did).
     fn send_to_introduced(&mut self, query: QueryId, msg: impl Fn() -> WorkerMsg) {
@@ -397,90 +361,60 @@ impl Coordinator {
         self.send_to_introduced(query, || WorkerMsg::CancelQuery { query });
     }
 
-    /// Launch the current stage's sources for `query`.
+    /// Launch the current stage's sources for `query`
+    /// ([`Interpreter::start_sources`](graphdance_pstm::Interpreter::start_sources)).
     fn start_stage(&mut self, query: QueryId) {
         let Some(state) = self.queries.get_mut(&query) else {
             return;
         };
-        let stage_idx = state.stage as usize;
-        let ctx = Arc::clone(&state.ctx);
+        let (ctx, stage) = (Arc::clone(&state.ctx), state.stage);
         let prev_rows = std::mem::take(&mut state.prev_rows);
         state.progress = WeightAccumulator::new();
         #[cfg(feature = "obs")]
-        self.obs.stage_begin(query, stage_idx as u16);
-
-        let stage = &ctx.plan.stages[stage_idx];
-        let parts: Vec<PartId> = self.fabric.partitioner().parts().collect();
-        let pipe_weights = Weight::ROOT.split(stage.pipelines.len(), &mut self.rng);
-        let mut immediate = Weight::ZERO;
-        for (pi, pw) in pipe_weights.into_iter().enumerate() {
-            match &stage.pipelines[pi].source {
-                SourceSpec::Param { param } => {
-                    match ctx.params.get(*param).and_then(Value::as_vertex) {
-                        Some(v) => {
-                            // Route by the graph's placement, not the raw
-                            // hash — Fennel may have placed `v` elsewhere.
-                            let owner = self.graph.worker_of(v);
-                            self.introduce(query, owner);
-                            let start = WorkerMsg::StartSource {
-                                query,
-                                pipeline: pi as u16,
-                                weight: pw,
-                            };
-                            self.send_ctrl(query, stage_idx as u16, owner, start);
-                        }
-                        None => {
-                            self.finish(
-                                query,
-                                Err(GdError::InvalidProgram(format!(
-                                    "param {param} is not a vertex id"
-                                ))),
-                            );
-                            return;
-                        }
-                    }
+        self.obs.stage_begin(query, stage);
+        let scope = &mut state.scope;
+        let interp = ctx.interpreter(&self.graph, stage);
+        let started = interp.start_sources(&prev_rows, &mut self.rng, |dest, start| {
+            // Rule 1 (DESIGN.md §IV-A): unless this coordinator already
+            // introduced the query to `dest`, the `QueryBegin` — context
+            // and current stage — goes first on the same lane.
+            let begin = scope.introduce(dest).then(|| WorkerMsg::QueryBegin {
+                ctx: Arc::clone(&ctx),
+                stage,
+                from: None,
+            });
+            let (source, seed) = match start {
+                SourceStart::Source { pipeline, weight } => {
+                    let source = WorkerMsg::StartSource {
+                        query,
+                        pipeline,
+                        weight,
+                    };
+                    (Some(source), None)
                 }
-                SourceSpec::IndexLookup { .. } | SourceSpec::ScanLabel { .. } => {
-                    let shares = pw.split(parts.len(), &mut self.rng);
-                    for (p, w) in parts.iter().zip(shares) {
-                        let dest = self.fabric.partitioner().worker_of_part(*p);
-                        self.introduce(query, dest);
-                        let start = WorkerMsg::StartSource {
-                            query,
-                            pipeline: pi as u16,
-                            weight: w,
-                        };
-                        self.send_ctrl(query, stage_idx as u16, dest, start);
-                    }
-                }
-                SourceSpec::PrevRows { .. } => {
-                    let interp = ctx.interpreter(&self.graph, stage_idx as u16);
-                    match interp.seed_prev_rows(pi as u16, &prev_rows, pw, &mut self.rng) {
-                        Ok(out) => {
-                            for (dest, t) in out.spawned {
-                                let w = self.fabric.partitioner().worker_of_part(dest);
-                                self.introduce(query, w);
-                                let _bytes = self.outbox.send_traverser(w, t);
-                                #[cfg(feature = "obs")]
-                                self.obs
-                                    .seed_sent(query, stage_idx as u16, w.0, _bytes as u64);
-                            }
-                            immediate.absorb(out.finished);
-                        }
-                        Err(e) => {
-                            self.finish(query, Err(e));
-                            return;
-                        }
-                    }
+                SourceStart::Seed(t) => (None, Some(t)),
+            };
+            for msg in begin.into_iter().chain(source) {
+                let msg = WireMsg::Worker { dest, msg };
+                #[cfg(feature = "obs")]
+                self.obs.ctrl_sent(query, stage, &msg);
+                self.outbox.send(msg);
+            }
+            if let Some(t) = seed {
+                let _bytes = self.outbox.send_traverser(dest, t);
+                #[cfg(feature = "obs")]
+                self.obs.seed_sent(query, stage, dest.0, _bytes as u64);
+            }
+        });
+        match started {
+            // Weight the sources finished on the spot reports like any other.
+            Ok(finished) => {
+                state.progress.add(finished);
+                if state.progress.is_complete() {
+                    self.stage_complete(query);
                 }
             }
-        }
-        // Weight the sources finished on the spot reports like any other.
-        if let Some(state) = self.queries.get_mut(&query) {
-            state.progress.add(immediate);
-            if state.progress.is_complete() {
-                self.stage_complete(query);
-            }
+            Err(e) => self.finish(query, Err(e)),
         }
     }
 
@@ -578,8 +512,8 @@ impl Coordinator {
             // so every sent traverser message must also have been
             // delivered. A leak here is an engine bug, not a cancellation.
             // Only meaningful when this process's ledger sees both sides
-            // of every send (see the `ledger_global` field docs).
-            Ok(_) | Err(GdError::QueryCancelled(_)) if self.ledger_global => {
+            // of every send (see [`MsgLedger::is_local`]).
+            Ok(_) | Err(GdError::QueryCancelled(_)) if !self.fabric.invariants().is_local() => {
                 match self.fabric.invariants().check_quiesced(query) {
                     Ok(()) => result,
                     Err(diag) => Err(GdError::InvariantViolation(diag)),
@@ -615,7 +549,7 @@ impl Coordinator {
         // A per-process ledger is one half of a sum whose other halves sit
         // in the peer processes, which never learn when to forget: keep it,
         // so the halves still add up after the query (debug builds only).
-        if self.ledger_global {
+        if !self.fabric.invariants().is_local() {
             self.fabric.invariants().forget(query);
         }
     }
@@ -633,7 +567,7 @@ impl Coordinator {
             if now >= s.deadline {
                 timed_out.push(*q);
             } else if MsgLedger::ENABLED
-                && self.ledger_global
+                && !self.fabric.invariants().is_local()
                 && now.duration_since(s.last_activity) >= self.watchdog_stall
                 && self.fabric.invariants().has_imbalance(*q)
             {
@@ -752,8 +686,9 @@ mod tests {
     use crossbeam::channel::{bounded, unbounded};
     use graphdance_common::rng::seeded;
     use graphdance_common::{Partitioner, VertexId};
+    use graphdance_pstm::Weight;
     use graphdance_query::expr::Expr;
-    use graphdance_query::plan::{Pipeline, Stage};
+    use graphdance_query::plan::{Pipeline, SourceSpec, Stage};
 
     fn pipeline(source: SourceSpec) -> Pipeline {
         Pipeline {

@@ -106,8 +106,9 @@ impl QueryHandle {
 }
 
 /// A cluster's parts, wired and not yet running: what [`assemble`] hands
-/// the threaded runtime to spawn and the simulator to pump.
-pub(crate) struct Assembly<N> {
+/// the threaded runtime and the baselines to spawn, and the simulator to
+/// pump.
+pub struct Assembly<N, W> {
     pub fabric: Arc<Fabric>,
     /// What the fabric constructor returned beside the fabric: the network
     /// threads' handles, or the simulator's raw channel endpoints.
@@ -115,15 +116,18 @@ pub(crate) struct Assembly<N> {
     pub coord_tx: Sender<CoordMsg>,
     pub worker_tx: Vec<Sender<WorkerMsg>>,
     /// The workers of the hosted nodes, in worker-id order.
-    pub workers: Vec<Worker>,
-    /// Present iff node 0 is hosted.
-    pub coordinator: Option<Coordinator>,
+    pub workers: Vec<W>,
+    /// The coordinator inbox's receiving end: present iff node 0 is
+    /// hosted, for whatever runs the queries there.
+    pub coord_rx: Option<Receiver<CoordMsg>>,
 }
 
 /// The one cluster assembly: allocate a channel per worker slot and one for
 /// the coordinator, let `net` build the fabric over them, and construct —
-/// without starting — the workers of the `hosted` nodes and, if node 0 is
-/// among them, the coordinator.
+/// without starting — a `worker` for each slot of the `hosted` nodes.
+/// GraphDance's runtime and simulator, and the BSP and non-partitioned
+/// baselines, are all built here; they differ in the worker they construct
+/// and in what reads the coordinator inbox.
 ///
 /// Channels exist for *all* slots so the fabric's delivery tables stay
 /// fully indexed; the receivers of slots not hosted here die on this floor,
@@ -134,12 +138,13 @@ pub(crate) struct Assembly<N> {
 /// # Panics
 /// Panics if the graph was built for a different topology than `config`
 /// describes.
-pub(crate) fn assemble<N>(
+pub fn assemble<N, W>(
     graph: &Graph,
     config: &EngineConfig,
     hosted: Range<u32>,
     net: impl FnOnce(&EngineConfig, Vec<Sender<WorkerMsg>>, Sender<CoordMsg>) -> (Arc<Fabric>, N),
-) -> Assembly<N> {
+    mut worker: impl FnMut(WorkerId, Receiver<WorkerMsg>, &Arc<Fabric>) -> W,
+) -> Assembly<N, W> {
     assert_eq!(
         graph.partitioner().num_parts(),
         config.num_parts(),
@@ -153,24 +158,21 @@ pub(crate) fn assemble<N>(
         .map(WorkerId)
         .zip(worker_rx)
         .filter(|(id, _)| hosted.contains(&fabric.partitioner().node_of_worker(*id).0))
-        .map(|(id, inbox)| Worker::new(id, graph.clone(), &fabric, inbox, config))
+        .map(|(id, inbox)| worker(id, inbox, &fabric))
         .collect();
-    let coordinator = hosted
-        .contains(&0)
-        .then(|| Coordinator::new(graph.clone(), &fabric, coord_rx, config));
     Assembly {
         fabric,
         net,
         coord_tx,
         worker_tx,
         workers,
-        coordinator,
+        coord_rx: hosted.contains(&0).then_some(coord_rx),
     }
 }
 
 /// The one place a `Submit` is built: stamp it and send it to the
 /// coordinator. The sink comes back when the coordinator is gone.
-pub(crate) fn send_submit(
+pub fn send_submit(
     coord_tx: &Sender<CoordMsg>,
     query: QueryId,
     plan: Plan,
@@ -196,7 +198,7 @@ pub(crate) fn send_submit(
 }
 
 /// Spawn one named engine thread.
-fn spawn<T: Send + 'static>(
+pub fn spawn<T: Send + 'static>(
     name: String,
     body: impl FnOnce() -> T + Send + 'static,
 ) -> JoinHandle<T> {
@@ -273,15 +275,18 @@ impl NodeRuntime {
         let hosted = wire
             .as_ref()
             .map_or(0..config.nodes, |(node, _)| node.0..node.0 + 1);
-        let a = assemble(&graph, &config, hosted.clone(), |c, w, ctx| match wire {
+        let net = |c: &_, w, ctx| match wire {
             Some((node, transport)) => Fabric::new_with_transport(c, node, w, ctx, transport),
             None => Fabric::new(c, w, ctx),
+        };
+        let a = assemble(&graph, &config, hosted.clone(), net, |id, inbox, fabric| {
+            Worker::new(id, graph.clone(), fabric, inbox, &config)
         });
         let spawn_worker = |w: Worker| spawn(format!("gd-worker-{}", w.id().0), move || w.run());
         let workers = a.workers.into_iter().map(spawn_worker).collect();
         let mut threads = a.net;
-        let timer_stop = a.coordinator.map(|coordinator| {
-            let (stop, timer) = coordinator.host();
+        let timer_stop = a.coord_rx.map(|inbox| {
+            let (stop, timer) = Coordinator::new(graph.clone(), &a.fabric, inbox, &config).host();
             threads.push(timer);
             stop
         });

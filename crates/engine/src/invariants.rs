@@ -118,6 +118,15 @@ impl MsgLedger {
         self.local.store(on, Ordering::Relaxed);
     }
 
+    /// Is this one process's ledger of a multi-process cluster? Then
+    /// `sent == delivered` holds only summed across the processes (as the
+    /// transport conformance suite checks), so the coordinator's watchdog
+    /// and quiesce check stand down here.
+    pub fn is_local(&self) -> bool {
+        // sync: mode flag, set once at fabric construction
+        self.local.load(Ordering::Relaxed)
+    }
+
     /// Current counters for `query` (zeroes when untracked).
     pub fn counts(&self, query: QueryId) -> MsgCounts {
         // lint: allow(hot-path-blocking) debug-build ledger: bounded O(1)

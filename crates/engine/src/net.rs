@@ -39,8 +39,6 @@ use graphdance_common::time::now;
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
-use rand::rngs::SmallRng;
-use rand::RngCore;
 
 use graphdance_common::{GdError, NodeId, Partitioner, QueryId, WorkerId};
 use graphdance_pstm::{
@@ -258,17 +256,6 @@ pub struct FlushEvent {
     pub trigger: FlushTrigger,
 }
 
-/// Sequencing state for [`FaultInjection::drop_batch_nth`]: a plain
-/// counter guarded by the same mutex as an RNG derived from the engine
-/// seed on the simulator's fault-schedule stream. Each candidate batch
-/// consumes one draw, so the stream position stays in lockstep with the
-/// arrival index and probabilistic ingress faults added to this path
-/// later cannot shift an existing recorded schedule.
-struct FaultState {
-    rng: SmallRng,
-    seen: u64,
-}
-
 /// The raw channel endpoints behind the per-node network threads. The
 /// threaded engine consumes them inside [`Fabric::new`]'s spawned loops;
 /// the deterministic simulator ([`crate::sim`]) takes them from
@@ -294,12 +281,9 @@ pub struct Fabric {
     stats: Arc<NetStats>,
     invariants: Arc<MsgLedger>,
     fault: FaultInjection,
-    /// Deterministic `drop_batch_nth` sequencing (see [`FaultState`]).
-    fault_state: Mutex<FaultState>,
-    /// Whether this process sees the whole cluster's ledger (see
-    /// [`Fabric::ledger_is_global`]). Cleared by
-    /// [`Fabric::new_with_transport`].
-    ledger_global: AtomicBool,
+    /// Traverser batches delivered off a wire so far: the arrival index
+    /// [`FaultInjection::drop_batch_nth`] counts.
+    batches_seen: Mutex<u64>,
     /// Fabric creation time; flush-trace timestamps are offsets from this.
     epoch: Instant,
     /// Flush tracing toggle; off by default (zero steady-state cost).
@@ -351,11 +335,7 @@ impl Fabric {
             stats: Arc::new(NetStats::default()),
             invariants: Arc::new(MsgLedger::new()),
             fault: config.fault,
-            fault_state: Mutex::new(FaultState {
-                rng: graphdance_common::rng::derive(config.seed, crate::sim::FAULT_STREAM),
-                seen: 0,
-            }),
-            ledger_global: AtomicBool::new(true),
+            batches_seen: Mutex::new(0),
             epoch: now(),
             trace_flushes: AtomicBool::new(false),
             flush_trace: Mutex::new(Vec::new()),
@@ -417,8 +397,8 @@ impl Fabric {
     /// threads deliver straight into `Fabric::deliver_packet`. The message
     /// ledger stays per-process (sends to remote nodes are recorded here,
     /// their deliveries in the receiving process), so
-    /// [`Fabric::ledger_is_global`] reports `false` and cross-node
-    /// conservation checks must be summed across processes.
+    /// [`MsgLedger::is_local`] reports `true` and cross-node conservation
+    /// checks must be summed across processes.
     pub fn new_with_transport(
         config: &EngineConfig,
         local_node: NodeId,
@@ -427,8 +407,6 @@ impl Fabric {
         transport: Arc<dyn crate::transport::Transport>,
     ) -> (Arc<Fabric>, Vec<std::thread::JoinHandle<()>>) {
         let (fabric, channels) = Fabric::build(config, worker_tx, coord_tx);
-        // sync: single-writer flag set before any reader thread exists
-        fabric.ledger_global.store(false, Ordering::Relaxed);
         // Deliveries for queries whose sends happened in a peer process
         // must still be counted here (cross-process conservation is checked
         // by summing the per-process ledgers).
@@ -473,16 +451,6 @@ impl Fabric {
     /// The message-conservation ledger (debug-build invariant checker).
     pub fn invariants(&self) -> &Arc<MsgLedger> {
         &self.invariants
-    }
-
-    /// Does this process see the whole cluster's ledger? `true` for the
-    /// in-process fabrics; `false` under [`Fabric::new_with_transport`],
-    /// where a cross-process send is recorded in the sender's ledger and
-    /// its delivery in the receiver's — per-process sent==delivered checks
-    /// would misfire, so the coordinator watchdog skips them.
-    pub fn ledger_is_global(&self) -> bool {
-        // sync: single-writer flag set at construction, read-only after
-        self.ledger_global.load(Ordering::Relaxed)
     }
 
     /// The cluster's observability state (metrics registry + trace sink).
@@ -568,17 +536,16 @@ impl Fabric {
     }
 
     /// Should the next remote batch at ingress be dropped
-    /// (`drop_batch_nth`)? Consumes one fault-stream draw per candidate.
+    /// (`drop_batch_nth`)? Counts each candidate in arrival order.
     fn batch_drop_fault(&self) -> bool {
         let Some(nth) = self.fault.drop_batch_nth else {
             return false;
         };
         // lint: allow(hot-path-blocking) fault-injection state (tests/sim
-        // only): two integer updates while held
-        let mut st = self.fault_state.lock();
-        st.seen += 1;
-        let _ = st.rng.next_u64();
-        st.seen == nth
+        // only): one integer update while held
+        let mut seen = self.batches_seen.lock();
+        *seen += 1;
+        *seen == nth
     }
 
     /// Record an undecodable packet or socket frame: typed error for
@@ -647,8 +614,8 @@ impl Fabric {
     }
 
     /// Deliver one message that came off a wire: the only place
-    /// `drop_batch_nth` can sink a traverser batch (one fault-stream draw
-    /// per batch, in arrival order). A sunk batch leaves the ledger's
+    /// `drop_batch_nth` can sink a traverser batch (counted in arrival
+    /// order). A sunk batch leaves the ledger's
     /// `delivered` count short, which the watchdog turns into a diagnostic.
     fn deliver_remote(&self, msg: WireMsg) {
         if msg.class() == MsgClass::Traverser && self.batch_drop_fault() {

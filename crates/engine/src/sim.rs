@@ -49,11 +49,8 @@ use crate::worker::{PumpStatus, Worker};
 
 /// RNG stream ids for the simulator's own streams, far away from the
 /// worker streams (`0..num_parts`) and the coordinator stream (`u64::MAX`).
-/// `FAULT_STREAM` is `pub(crate)` because the network fabric derives its
-/// `drop_batch_nth` sequencing RNG from the same stream id, so net-level
-/// fault ordering is named by the seed alone (no ad-hoc atomics).
 const SCHED_STREAM: u64 = u64::MAX - 1;
-pub(crate) const FAULT_STREAM: u64 = u64::MAX - 2;
+const FAULT_STREAM: u64 = u64::MAX - 2;
 
 /// Hard cap on stored trace events; the fingerprint and total keep
 /// covering every event past the cap, so trace comparison stays exact
@@ -304,11 +301,18 @@ impl SimCluster {
                 },
             coord_tx,
             workers,
-            coordinator,
+            coord_rx,
             ..
-        } = assemble(&graph, &config, 0..config.nodes, Fabric::new_sim);
-        // Node 0 is among the hosted nodes, so `assemble` built one.
-        let coordinator = coordinator.expect("sim hosts the coordinator"); // lint: allow(hot-path-panics)
+        } = assemble(
+            &graph,
+            &config,
+            0..config.nodes,
+            Fabric::new_sim,
+            |id, inbox, fabric| Worker::new(id, graph.clone(), fabric, inbox, &config),
+        );
+        // Node 0 is among the hosted nodes, so `assemble` kept its inbox.
+        let inbox = coord_rx.expect("sim hosts the coordinator"); // lint: allow(hot-path-panics)
+        let coordinator = Coordinator::new(graph, &fabric, inbox, &config);
         let egress: Vec<EgressPump> = egress_rx
             .into_iter()
             .enumerate()

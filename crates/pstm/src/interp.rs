@@ -30,7 +30,7 @@ use std::hash::{Hash, Hasher};
 use rand::rngs::SmallRng;
 
 use graphdance_common::fxhash::FxHasher;
-use graphdance_common::{GdError, GdResult, PartId, QueryId, Value, VertexId};
+use graphdance_common::{GdError, GdResult, PartId, QueryId, Value, VertexId, WorkerId};
 use graphdance_query::expr::EvalCtx;
 use graphdance_query::plan::{JoinSide, Plan, PlanStep, SourceSpec, Stage};
 use graphdance_storage::{Graph, GraphPartition, Timestamp};
@@ -60,6 +60,17 @@ pub struct Outcome {
     pub finished: Weight,
     /// Number of plan steps executed (for Table I stage accounting).
     pub steps_executed: u32,
+}
+
+/// One start of a stage, as [`Interpreter::start_sources`] hands it to the
+/// engine with the worker it goes to.
+#[derive(Debug)]
+pub enum SourceStart {
+    /// Run pipeline `pipeline`'s source on the worker's partition with
+    /// `weight`, its share of the pipeline's weight.
+    Source { pipeline: u16, weight: Weight },
+    /// A `PrevRows` seed, to run on the worker that owns its vertex.
+    Seed(Traverser),
 }
 
 /// What one [`Interpreter::run_handle`] call produced: the arena analogue
@@ -200,8 +211,8 @@ impl<'a> Interpreter<'a> {
     }
 
     /// Seed traversers for a `PrevRows` source from the previous stage's
-    /// result rows (coordinator side). Returns routed traversers and the
-    /// residual weight.
+    /// result rows ([`Interpreter::start_sources`], the oracle). Returns
+    /// routed traversers and the residual weight.
     pub fn seed_prev_rows(
         &self,
         pipeline: u16,
@@ -238,6 +249,53 @@ impl<'a> Interpreter<'a> {
         }
         out.finished.absorb(w);
         Ok(out)
+    }
+
+    /// Start the running stage: split the root weight over its pipelines
+    /// and hand each start to `emit` with its worker, in pipeline order. A
+    /// `Param` source starts where the graph placed its vertex (Fennel may
+    /// have moved it off its hash home), a scan or index source on every
+    /// partition, and a `PrevRows` source seeds one traverser per row of
+    /// `prev_rows` at its vertex's owner. Returns the weight finished on
+    /// the spot. The coordinator and BSP's superstep `Driver` start stages here.
+    pub fn start_sources(
+        &self,
+        prev_rows: &[Row],
+        rng: &mut SmallRng,
+        mut emit: impl FnMut(WorkerId, SourceStart),
+    ) -> GdResult<Weight> {
+        let (stage, parts) = (self.stage(), self.graph.partitioner());
+        let mut finished = Weight::ZERO;
+        let pipe_weights = Weight::ROOT.split(stage.pipelines.len(), rng);
+        for (pi, (pipeline, pw)) in stage.pipelines.iter().zip(pipe_weights).enumerate() {
+            let pipeline_source = |weight| SourceStart::Source {
+                pipeline: pi as u16,
+                weight,
+            };
+            match &pipeline.source {
+                SourceSpec::Param { param } => {
+                    let Some(v) = self.params.get(*param).and_then(Value::as_vertex) else {
+                        let e = format!("param {param} is not a vertex id");
+                        return Err(GdError::InvalidProgram(e));
+                    };
+                    emit(self.graph.worker_of(v), pipeline_source(pw));
+                }
+                SourceSpec::IndexLookup { .. } | SourceSpec::ScanLabel { .. } => {
+                    let shares = pw.split(parts.num_parts() as usize, rng);
+                    for (p, weight) in parts.parts().zip(shares) {
+                        emit(parts.worker_of_part(p), pipeline_source(weight));
+                    }
+                }
+                SourceSpec::PrevRows { .. } => {
+                    let out = self.seed_prev_rows(pi as u16, prev_rows, pw, rng)?;
+                    for (p, t) in out.spawned {
+                        emit(parts.worker_of_part(p), SourceStart::Seed(t));
+                    }
+                    finished.absorb(out.finished);
+                }
+            }
+        }
+        Ok(finished)
     }
 
     /// Advance the arena traverser `h`: the one step entry every engine
@@ -1433,5 +1491,99 @@ mod tests {
             memo.min_dist_update(0, 0, VertexId(1), 9),
             "no log entry was made"
         );
+    }
+
+    /// The stage planner on a `Param`, a `ScanLabel` and a `PrevRows`
+    /// pipeline over a graph that placed the parameter vertex off its hash
+    /// home: the parameter source starts where the vertex lives, the scan
+    /// once on every worker, each seed at its vertex's owner, in pipeline
+    /// order, and what went out plus what finished on the spot is the root
+    /// weight.
+    #[test]
+    fn start_sources_routes_each_start_and_conserves_the_root() {
+        let parts = Partitioner::new(2, 2);
+        let home = parts.part_of(VertexId(0));
+        let away = PartId((home.0 + 1) % parts.num_parts());
+        let mut b =
+            GraphBuilder::with_assignments(parts, [(VertexId(0), away)].into_iter().collect());
+        let person = b.schema_mut().register_vertex_label("Person");
+        for i in 0..8u64 {
+            b.add_vertex(VertexId(i), person, vec![]).unwrap();
+        }
+        let g = b.finish();
+        let stage = |sources: Vec<SourceSpec>| Stage {
+            pipelines: (sources.into_iter())
+                .map(|source| Pipeline {
+                    source,
+                    steps: vec![],
+                })
+                .collect(),
+            joins: vec![],
+            output: vec![Expr::VertexId],
+            agg: None,
+            num_slots: 0,
+        };
+        let prev = SourceSpec::PrevRows {
+            vertex_col: 0,
+            seed: vec![],
+        };
+        let plan = Plan {
+            stages: vec![
+                stage(vec![SourceSpec::Param { param: 0 }]),
+                stage(vec![
+                    SourceSpec::Param { param: 0 },
+                    SourceSpec::ScanLabel { label: person },
+                    prev,
+                ]),
+            ],
+            num_params: 1,
+        };
+        plan.validate().unwrap();
+        let params = [Value::Vertex(VertexId(0))];
+        let interp = Interpreter {
+            graph: &g,
+            plan: &plan,
+            stage_idx: 1,
+            query: QueryId(1),
+            params: &params,
+            read_ts: 1,
+        };
+        let prev_rows: Vec<Row> = [0, 5, 0].map(|v| vec![Value::Vertex(VertexId(v))]).into();
+        let mut starts: Vec<(WorkerId, u16, Weight)> = Vec::new();
+        let finished = interp
+            .start_sources(&prev_rows, &mut seeded(3), |dest, start| {
+                starts.push(match start {
+                    SourceStart::Source { pipeline, weight } => (dest, pipeline, weight),
+                    SourceStart::Seed(t) => {
+                        assert_eq!(dest, g.worker_of(t.vertex), "a seed starts at its owner");
+                        (dest, t.pipeline, t.weight)
+                    }
+                });
+            })
+            .unwrap();
+
+        let of = |pipeline| -> Vec<WorkerId> {
+            (starts.iter().filter(|s| s.1 == pipeline))
+                .map(|s| s.0)
+                .collect()
+        };
+        assert_ne!(g.worker_of(VertexId(0)), parts.worker_of_part(home));
+        assert_eq!(
+            of(0),
+            [g.worker_of(VertexId(0))],
+            "the placed vertex's worker"
+        );
+        let mut scanned = of(1);
+        scanned.sort_unstable();
+        let every: Vec<WorkerId> = parts.parts().map(|p| parts.worker_of_part(p)).collect();
+        assert_eq!(scanned, every, "one scan start per worker");
+        assert_eq!(of(2).len(), prev_rows.len(), "one seed per row");
+        assert!(
+            starts.windows(2).all(|w| w[0].1 <= w[1].1),
+            "pipeline order"
+        );
+        let mut total = finished;
+        starts.iter().for_each(|s| total.absorb(s.2));
+        assert_eq!(total, Weight::ROOT);
     }
 }

@@ -36,7 +36,7 @@ pub use agg::AggState;
 pub use arena::{
     ArenaTraverser, HandOff, Importer, LocalsId, LocalsTable, TraverserArena, TraverserHandle,
 };
-pub use interp::{HandleOutcome, Interpreter, Outcome, Row};
+pub use interp::{HandleOutcome, Interpreter, Outcome, Row, SourceStart};
 pub use ledger::WeightLedger;
 #[cfg(feature = "obs")]
 pub use memo::MemoStats;

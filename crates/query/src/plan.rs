@@ -13,7 +13,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use graphdance_common::{Label, PropKey, Value};
+use graphdance_common::{GdError, GdResult, Label, PropKey, Value};
 use graphdance_storage::Direction;
 
 use crate::expr::Expr;
@@ -225,6 +225,21 @@ pub struct Plan {
 }
 
 impl Plan {
+    /// The check every engine makes before it runs the plan on `params`:
+    /// the plan [validates](Plan::validate) and `params` holds every
+    /// parameter it reads.
+    pub fn check_call(&self, params: &[Value]) -> GdResult<()> {
+        self.validate().map_err(GdError::InvalidProgram)?;
+        if params.len() < self.num_params {
+            return Err(GdError::InvalidProgram(format!(
+                "plan needs {} params, got {}",
+                self.num_params,
+                params.len()
+            )));
+        }
+        Ok(())
+    }
+
     /// Validate structural invariants; returns a human-readable error for
     /// malformed plans. Engines may assume a validated plan.
     pub fn validate(&self) -> Result<(), String> {
@@ -313,6 +328,23 @@ pub type Params = Vec<Value>;
 mod tests {
     use super::*;
     use crate::expr::Expr;
+
+    #[test]
+    fn check_call_wants_a_valid_plan_and_every_param() {
+        let plan = Plan {
+            stages: vec![leaf_stage()],
+            num_params: 1,
+        };
+        assert!(plan.check_call(&[Value::Int(3)]).is_ok());
+        let short = plan.check_call(&[]).unwrap_err();
+        assert!(matches!(&short, GdError::InvalidProgram(m) if m.contains("needs 1 params")));
+        let empty = Plan {
+            stages: vec![],
+            num_params: 0,
+        };
+        let invalid = empty.check_call(&[]).unwrap_err();
+        assert!(matches!(&invalid, GdError::InvalidProgram(m) if m.contains("no stages")));
+    }
 
     fn leaf_stage() -> Stage {
         Stage {

@@ -51,14 +51,7 @@ pub fn oracle_rows(
     read_ts: Timestamp,
     seed: u64,
 ) -> GdResult<Vec<Row>> {
-    plan.validate().map_err(GdError::InvalidProgram)?;
-    if params.len() < plan.num_params {
-        return Err(GdError::InvalidProgram(format!(
-            "plan needs {} params, got {}",
-            plan.num_params,
-            params.len()
-        )));
-    }
+    plan.check_call(params)?;
     let query = ORACLE_QUERY;
     let mut rng = graphdance_common::rng::derive(seed, ORACLE_STREAM);
     let num_parts = graph.partitioner().num_parts() as usize;
@@ -80,9 +73,10 @@ pub fn oracle_rows(
         let mut acc = WeightAccumulator::new();
         let mut queue: VecDeque<(PartId, Traverser)> = VecDeque::new();
 
-        // Source phase: the root weight splits across pipelines, then (for
-        // scan-style sources) across partitions — same shape as the
-        // coordinator's start_stage.
+        // Source phase: the root weight splits across pipelines, then
+        // across partitions — the shape of the engines'
+        // `Interpreter::start_sources`, except that a `Param` source runs
+        // on every partition too.
         let pipe_weights = Weight::ROOT.split(stage.pipelines.len(), &mut rng);
         for (pi, pw) in pipe_weights.into_iter().enumerate() {
             match &stage.pipelines[pi].source {

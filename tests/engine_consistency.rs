@@ -11,9 +11,9 @@ use graphdance::common::{Partitioner, Value, VertexId};
 use graphdance::datagen::{KhopDataset, KhopParams};
 use graphdance::engine::{EngineConfig, GraphDance};
 use graphdance::query::expr::Expr;
-use graphdance::query::plan::{Order, Plan};
+use graphdance::query::plan::{Order, Plan, SourceSpec};
 use graphdance::query::QueryBuilder;
-use graphdance::storage::{Direction, Graph};
+use graphdance::storage::{Direction, Graph, PartitionMode};
 
 fn dataset() -> KhopDataset {
     KhopDataset::generate(KhopParams::lj_sim(600))
@@ -208,5 +208,95 @@ fn count_aggregation_consistent_across_topologies() {
             Some(e) => assert_eq!(&rows, e, "topology {nodes}x{wpn} disagrees"),
         }
         engine.shutdown();
+    }
+}
+
+/// Two stages: the top 10 of the 2-hop neighbourhood of `$0`, then — from
+/// those rows, through a `PrevRows` source — the top 10 of their
+/// out-neighbours.
+fn two_stage_topk_plan(graph: &Graph) -> Plan {
+    let w = graph.schema().prop("weight").expect("schema");
+    let top = || {
+        (
+            vec![(Expr::Prop(w), Order::Desc), (Expr::VertexId, Order::Asc)],
+            vec![Expr::VertexId, Expr::Prop(w)],
+        )
+    };
+    let mut b = QueryBuilder::new(graph.schema());
+    b.v_param(0);
+    let c = b.alloc_slot();
+    b.repeat(1, 2, c, |r| {
+        r.out("link");
+    });
+    b.dedup();
+    let (sort, output) = top();
+    b.top_k(10, sort, output);
+    let mut plan = b.compile().expect("compiles");
+    let mut b = QueryBuilder::new(graph.schema());
+    b.v_param(0).out("link");
+    let (sort, output) = top();
+    b.top_k(10, sort, output);
+    let mut second = b.compile().expect("compiles").stages.remove(0);
+    second.pipelines[0].source = SourceSpec::PrevRows {
+        vertex_col: 0,
+        seed: vec![],
+    };
+    plan.stages.push(second);
+    plan.validate().expect("valid");
+    plan
+}
+
+/// Every engine starts its queries through the same stage planner: on a
+/// Fennel-placed graph, with the parameter vertex off its hash home,
+/// GraphDance, BSP and the non-partitioned engine agree on a two-stage
+/// plan whose second stage reads the first one's rows.
+#[test]
+fn engines_agree_on_a_two_stage_plan_over_a_placed_graph() {
+    let data = dataset();
+    let parts = Partitioner::new(2, 2);
+    let build = || {
+        data.build_with_mode(parts, PartitionMode::Fennel)
+            .expect("builds")
+    };
+    let graph = build();
+    let link = graph.schema().edge_label("link").expect("schema");
+    let has_out_edges = |v| {
+        let mut n = 0;
+        let scanned = graph.for_each_neighbor(v, Direction::Out, link, 1, |_| n += 1);
+        scanned.is_ok() && n > 0
+    };
+    let start = (0..)
+        .map(VertexId)
+        .find(|&v| graph.part_of(v) != parts.part_of(v) && has_out_edges(v))
+        .expect("Fennel moved a vertex with out-edges");
+    let plan = two_stage_topk_plan(&graph);
+    let engines: [(&str, Box<dyn QueryEngine>); 3] = [
+        (
+            "graphdance",
+            Box::new(GraphDance::start(build(), EngineConfig::new(2, 2))),
+        ),
+        (
+            "bsp",
+            Box::new(BspEngine::start(build(), EngineConfig::new(2, 2))),
+        ),
+        (
+            "np",
+            Box::new(NonPartitionedEngine::start(
+                build(),
+                EngineConfig::new(2, 2),
+            )),
+        ),
+    ];
+    let mut reference = None;
+    for (name, engine) in engines {
+        let rows = engine
+            .query(&plan, vec![Value::Vertex(start)])
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        engine.stop();
+        assert!(!rows.is_empty(), "{name} found nothing");
+        match &reference {
+            None => reference = Some(rows),
+            Some(r) => assert_eq!(&rows, r, "engine {name} disagrees with graphdance"),
+        }
     }
 }
